@@ -85,28 +85,7 @@ cargo run --release -q -p experiments -- run \
     --out target/ci-artifacts/experiments/introspection_overhead \
     --bin target/release/iofwdd --force
 
-step "experiment harness: zero-copy hot-path paired sweep (scenario gate)"
-# The PR 10 tentpole, measured: the same seeded MADbench put/get mix
-# with `--hotpath fast` (refcounted rx views -> BML adoption -> slab
-# reads, sharded work-stealing queues) vs `--hotpath seed` (per-payload
-# deep copies, shared FIFO). Budgets require >=1.15x paired throughput
-# on the contiguous 256 KiB mix, nonzero steal_ops/slab_hits on the
-# fast arm, and the fast arm's hot-path allocation bytes per op under
-# 5% of the seed arm's.
-cargo run --release -q -p experiments -- run \
-    crates/experiments/scenarios/forwarding_hotpath.toml \
-    --out target/ci-artifacts/experiments/forwarding_hotpath \
-    --bin target/release/iofwdd --force
-
-step "experiment harness: hot-path neutral-workload guard (scenario gate)"
-# Anti-regression twin: a strided 2 KiB mix the fast path cannot speed
-# up must also not slow down (>=0.95x paired throughput, full
-# completion both arms).
-cargo run --release -q -p experiments -- run \
-    crates/experiments/scenarios/forwarding_hotpath_strided.toml \
-    --out target/ci-artifacts/experiments/forwarding_hotpath_strided \
-    --bin target/release/iofwdd --force
-echo "experiment reports: target/ci-artifacts/experiments/{coalescing,faults,connection_scale,introspection_overhead,forwarding_hotpath,forwarding_hotpath_strided}/report.{json,md}"
+echo "experiment reports: target/ci-artifacts/experiments/{coalescing,faults,connection_scale,introspection_overhead}/report.{json,md}"
 
 step "experiment artifact guard (BENCH_PR7.json drift check)"
 # The committed report must stay structurally valid, green, and
@@ -114,10 +93,6 @@ step "experiment artifact guard (BENCH_PR7.json drift check)"
 # scenario without regenerating the artifact fails here.
 cargo run --release -q -p experiments -- check \
     BENCH_PR7.json crates/experiments/scenarios/coalescing.toml
-
-step "experiment artifact guard (BENCH_PR10.json drift check)"
-cargo run --release -q -p experiments -- check \
-    BENCH_PR10.json crates/experiments/scenarios/forwarding_hotpath.toml
 
 step "trace smoke (traced put/get under faults -> Perfetto export + stage bounds)"
 TRACED=$(mktemp -d)

@@ -1,7 +1,6 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md §5:
-//! queue discipline, worker-pool size (the runtime-side mirror of
-//! Figure 11), and staging on/off against a slow backend (the overlap
-//! win on real threads).
+//! worker-pool size (the runtime-side mirror of Figure 11) and staging
+//! on/off against a slow backend (the overlap win on real threads).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iofwd::backend::{MemSinkBackend, ThrottledBackend};
 use iofwd::client::Client;
-use iofwd::server::{ForwardingMode, IonServer, QueueDiscipline, ServerConfig};
+use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
 use iofwd::transport::mem::MemHub;
 use iofwd_proto::OpenFlags;
 
@@ -41,33 +40,6 @@ fn drive_clients(server_cfg: ServerConfig, clients: usize, ops: usize, chunk: us
         }
     });
     server.shutdown();
-}
-
-/// DESIGN.md ablation 3: shared FIFO (the paper's design) vs per-worker
-/// queues with stealing.
-fn bench_queue_discipline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_queue_discipline");
-    g.sample_size(10);
-    let (clients, ops, chunk) = (8usize, 64usize, 64 * 1024);
-    g.throughput(Throughput::Bytes((clients * ops * chunk) as u64));
-    for disc in [QueueDiscipline::SharedFifo, QueueDiscipline::PerWorker] {
-        let name = match disc {
-            QueueDiscipline::SharedFifo => "shared-fifo",
-            QueueDiscipline::PerWorker => "per-worker-steal",
-        };
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                drive_clients(
-                    ServerConfig::new(ForwardingMode::Sched { workers: 4 })
-                        .with_queue_discipline(disc),
-                    clients,
-                    ops,
-                    chunk,
-                )
-            })
-        });
-    }
-    g.finish();
 }
 
 /// DESIGN.md ablation 1 / Figure 11 on real threads: worker-pool size.
@@ -141,10 +113,5 @@ fn bench_staging_overlap(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_queue_discipline,
-    bench_worker_pool_size,
-    bench_staging_overlap
-);
+criterion_group!(benches, bench_worker_pool_size, bench_staging_overlap);
 criterion_main!(benches);

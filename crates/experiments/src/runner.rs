@@ -249,9 +249,6 @@ fn measure_cell(
         }
         None => {}
     }
-    if let Some(hotpath) = cell.axis("hotpath") {
-        spec = spec.arg("--hotpath").arg(hotpath);
-    }
     if let Some(transport) = cell.axis("transport") {
         spec = spec.arg("--transport").arg(transport);
         if transport == "reactor" {

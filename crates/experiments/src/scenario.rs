@@ -16,7 +16,7 @@ use crate::toml::{self, Table, Value};
 use crate::workload::{WorkloadKind, WorkloadSpec};
 
 /// Axis names the runner knows how to apply to a daemon/cell.
-pub const KNOWN_AXES: [&str; 8] = [
+pub const KNOWN_AXES: [&str; 7] = [
     "mode",
     "coalesce",
     "clients",
@@ -24,7 +24,6 @@ pub const KNOWN_AXES: [&str; 8] = [
     "workers",
     "transport",
     "attribution",
-    "hotpath",
 ];
 
 /// One sweep dimension: `name = ["value", …]` under `[axes]`.
@@ -352,10 +351,6 @@ impl Scenario {
             "attribution" => match value {
                 "on" | "off" => Ok(()),
                 other => Err(format!("axis attribution: `{other}` is not on|off")),
-            },
-            "hotpath" => match value {
-                "fast" | "seed" => Ok(()),
-                other => Err(format!("axis hotpath: `{other}` is not fast|seed")),
             },
             other => Err(format!("unknown axis `{other}`")),
         }

@@ -1086,9 +1086,12 @@ mod tests {
         assert_eq!(back, snap);
         let text = snap.render_text();
         assert!(text.contains("clients (2 total"), "{text}");
-        // Busiest (id 11) listed before id 3.
-        let pos11 = text.find("      11").expect("row for 11");
-        let pos3 = text.find("       3").expect("row for 3");
+        // Busiest (id 11) listed before id 3. Search the clients table
+        // only: `uptime_ns` above it is right-aligned too, and matches
+        // the id-3 pattern whenever its leading digit is a 3.
+        let table = &text[text.find("clients (").expect("clients table")..];
+        let pos11 = table.find("      11").expect("row for 11");
+        let pos3 = table.find("       3").expect("row for 3");
         assert!(pos11 < pos3, "{text}");
         assert_eq!(snap.top_clients(1)[0].id, 11);
     }

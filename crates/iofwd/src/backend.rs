@@ -458,12 +458,12 @@ impl BackendObject for MemFileObject {
         let positional = offset.is_some();
         let off = self.effective_offset(offset) as usize;
         let file = self.data.lock();
-        let n = if off >= file.len() {
-            0
-        } else {
-            (file.len() - off).min(out.len())
-        };
-        out[..n].copy_from_slice(&file[off..off + n]);
+        // A read at or past EOF moves nothing (and `off` may lie beyond
+        // the slice, so it must not be indexed).
+        let n = file.len().saturating_sub(off).min(out.len());
+        if n > 0 {
+            out[..n].copy_from_slice(&file[off..off + n]);
+        }
         drop(file);
         if !positional {
             self.pos += n as u64;
@@ -835,158 +835,6 @@ impl Backend for FileBackend {
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjectionBackend
-// ---------------------------------------------------------------------------
-
-/// Wraps a backend and fails every *data* operation after the first
-/// `ok_ops` with the configured errno. Used to exercise the deferred-
-/// error path of asynchronous staging (§IV: "Errors are passed to the
-/// application on subsequent operations on the descriptor").
-pub struct FaultInjectionBackend<B> {
-    inner: Arc<B>,
-    ok_ops: Arc<AtomicU64>,
-    errno: Errno,
-}
-
-impl<B: Backend> FaultInjectionBackend<B> {
-    /// Allow `ok_ops` data operations to succeed, then fail the rest.
-    pub fn new(inner: Arc<B>, ok_ops: u64, errno: Errno) -> Self {
-        FaultInjectionBackend {
-            inner,
-            ok_ops: Arc::new(AtomicU64::new(ok_ops)),
-            errno,
-        }
-    }
-
-    /// Re-arm the failure budget.
-    pub fn set_remaining_ok(&self, ok_ops: u64) {
-        self.ok_ops.store(ok_ops, Ordering::SeqCst);
-    }
-}
-
-struct FaultObject {
-    inner: Box<dyn BackendObject>,
-    ok_ops: Arc<AtomicU64>,
-    errno: Errno,
-}
-
-impl FaultObject {
-    fn charge(&self) -> Result<(), Errno> {
-        // Decrement the shared budget; fail once exhausted.
-        let mut cur = self.ok_ops.load(Ordering::SeqCst);
-        loop {
-            if cur == 0 {
-                return Err(self.errno);
-            }
-            match self
-                .ok_ops
-                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-impl BackendObject for FaultObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        self.charge()?;
-        self.inner.write_at(offset, data)
-    }
-
-    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        // The budget meters *logical* data operations, so a coalesced
-        // batch charges once per constituent: the failure lands on the
-        // same logical write whether or not merging happened.
-        if bufs.is_empty() {
-            return self.inner.write_vectored_at(offset, bufs);
-        }
-        let mut ok = 0usize;
-        for _ in bufs {
-            if self.charge().is_err() {
-                break;
-            }
-            ok += 1;
-        }
-        if ok == 0 {
-            return Err(self.errno);
-        }
-        // Budget ran out mid-batch: write the prefix it covers (a short
-        // vectored write), so the engine's fan-out charges the error to
-        // exactly the constituents past the failure point.
-        self.inner.write_vectored_at(offset, &bufs[..ok])
-    }
-
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        self.charge()?;
-        self.inner.read_at(offset, len)
-    }
-
-    fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-        self.charge()?;
-        self.inner.read_into(offset, out)
-    }
-
-    fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {
-        self.inner.seek(offset, whence)
-    }
-
-    fn sync(&mut self) -> Result<(), Errno> {
-        self.inner.sync()
-    }
-
-    fn fstat(&mut self) -> Result<FileStat, Errno> {
-        self.inner.fstat()
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), Errno> {
-        self.inner.truncate(len)
-    }
-}
-
-impl<B: Backend> Backend for FaultInjectionBackend<B> {
-    fn open(
-        &self,
-        path: &str,
-        flags: OpenFlags,
-        mode: u32,
-    ) -> Result<Box<dyn BackendObject>, Errno> {
-        let inner = self.inner.open(path, flags, mode)?;
-        Ok(Box::new(FaultObject {
-            inner,
-            ok_ops: self.ok_ops.clone(),
-            errno: self.errno,
-        }))
-    }
-
-    fn connect(&self, host: &str, port: u16) -> Result<Box<dyn BackendObject>, Errno> {
-        let inner = self.inner.connect(host, port)?;
-        Ok(Box::new(FaultObject {
-            inner,
-            ok_ops: self.ok_ops.clone(),
-            errno: self.errno,
-        }))
-    }
-
-    fn stat(&self, path: &str) -> Result<FileStat, Errno> {
-        self.inner.stat(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<(), Errno> {
-        self.inner.unlink(path)
-    }
-
-    fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
-        self.inner.mkdir(path, mode)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
-        self.inner.readdir(path)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ThrottledBackend
 // ---------------------------------------------------------------------------
 
@@ -1135,10 +983,9 @@ impl FaultSeq {
 
 /// Wraps any backend and perturbs it according to a seeded
 /// [`crate::fault::FaultPlan`]: errno injection, short writes/reads,
-/// latency spikes, and open-time failures. Unlike the fixed-budget
-/// [`FaultInjectionBackend`], the fault *sequence* is a deterministic
-/// function of the plan seed and the operation order, so chaos runs
-/// replay exactly. Injected faults are counted into the daemon's
+/// latency spikes, and open-time failures. The fault *sequence* is a
+/// deterministic function of the plan seed and the operation order, so
+/// chaos runs replay exactly. Injected faults are counted into the daemon's
 /// `faults_injected` telemetry counter.
 pub struct FaultBackend {
     inner: Arc<dyn Backend>,
@@ -1448,6 +1295,12 @@ mod tests {
         // Positional ops must not disturb the cursor.
         f.write_at(None, b"XY").unwrap();
         assert_eq!(f.read_at(Some(0), 2).unwrap(), b"XY");
+        // Reads at and past EOF are empty on both read paths.
+        let mut slab = [0u8; 4];
+        assert_eq!(f.read_into(Some(8), &mut slab).unwrap(), 0);
+        assert_eq!(f.read_into(Some(100), &mut slab).unwrap(), 0);
+        assert_eq!(f.read_into(Some(6), &mut slab).unwrap(), 2);
+        assert!(f.read_at(Some(100), 4).unwrap().is_empty());
     }
 
     #[test]

@@ -56,12 +56,6 @@
 //!   per-operation cost plus a bandwidth limit shared by all
 //!   descriptors. The experiment harness (DESIGN.md §14) uses this to
 //!   make backend-bound regimes reproducible on arbitrary hardware.
-//! * `--hotpath fast|seed` — data-path variant (DESIGN.md §17).
-//!   `fast` (default) keeps payloads as refcounted views of the receive
-//!   buffer from socket to backend, adopts them into the BML, serves
-//!   reads from recycled slab blocks, and shards the work queue with
-//!   stealing; `seed` re-enacts the pre-zero-copy profile (deep-copy
-//!   staging, single shared FIFO) as the paired-benchmark control arm.
 //!
 //! Tracing (`iofwd::trace`; see DESIGN.md §11):
 //!
@@ -79,8 +73,7 @@ use std::time::{Duration, Instant};
 use iofwd::backend::{FaultBackend, FileBackend, ThrottledBackend};
 use iofwd::fault::{FaultPlan, RetryPolicy};
 use iofwd::server::{
-    introspect, watchdog, CoalesceConfig, ForwardingMode, HotPath, IonServer, QueueDiscipline,
-    ServerConfig, WatchdogConfig,
+    introspect, watchdog, CoalesceConfig, ForwardingMode, IonServer, ServerConfig, WatchdogConfig,
 };
 use iofwd::telemetry::{snapshot, Telemetry};
 use iofwd::trace::TraceExporter;
@@ -121,10 +114,6 @@ struct Options {
     /// Inject a synthetic EMFILE on every Nth accept attempt (0 = off);
     /// the connection-churn chaos harness flips this on.
     accept_fault_every: u64,
-    /// Data-path variant: `fast` (zero-copy staging + sharded
-    /// work-stealing queues) or `seed` (deep-copy staging + one shared
-    /// FIFO — the paired-benchmark control arm).
-    hotpath: String,
 }
 
 impl Options {
@@ -152,7 +141,6 @@ impl Options {
             transport: "threads".into(),
             reactor_threads: 2,
             accept_fault_every: 0,
-            hotpath: "fast".into(),
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -264,12 +252,6 @@ impl Options {
                             die("--accept-fault-every needs an integer (0 disables)");
                         })
                 }
-                "--hotpath" => {
-                    opts.hotpath = take("--hotpath");
-                    if opts.hotpath != "fast" && opts.hotpath != "seed" {
-                        die("--hotpath must be 'fast' or 'seed'");
-                    }
-                }
                 "--trace-out" => opts.trace_out = Some(take("--trace-out")),
                 "--trace-sample" => {
                     opts.trace_sample = take("--trace-sample").parse().unwrap_or_else(|_| {
@@ -288,7 +270,7 @@ impl Options {
                          [--coalesce[=off|MAX_BYTES,MAX_OPS]] \
                          [--throttle PER_OP_US,BW_MIB_S] \
                          [--transport threads|reactor] [--reactor-threads N] \
-                         [--accept-fault-every N] [--hotpath fast|seed] \
+                         [--accept-fault-every N] \
                          [--trace-out PATH] [--trace-sample N]"
                     );
                     std::process::exit(0);
@@ -396,19 +378,9 @@ fn main() {
         );
         backend = Arc::new(FaultBackend::new(backend, plan, telemetry.clone()));
     }
-    // The hot-path knob selects the whole data-path variant in one
-    // move: `fast` pairs zero-copy staging with sharded work-stealing
-    // queues; `seed` re-enacts the original profile (deep-copy staging,
-    // one shared FIFO) as the paired-benchmark control arm.
-    let (hotpath, discipline) = match opts.hotpath.as_str() {
-        "seed" => (HotPath::Seed, QueueDiscipline::SharedFifo),
-        _ => (HotPath::Fast, QueueDiscipline::PerWorker),
-    };
     let mut config = ServerConfig::new(mode)
         .with_telemetry(telemetry.clone())
-        .with_retry_policy(RetryPolicy::with_attempts(opts.retry_attempts))
-        .with_hotpath(hotpath)
-        .with_queue_discipline(discipline);
+        .with_retry_policy(RetryPolicy::with_attempts(opts.retry_attempts));
     if let Some(coalesce) = opts.coalesce {
         config = config.with_coalescing(coalesce);
     }
@@ -458,14 +430,6 @@ fn main() {
             c.max_bytes >> 10
         ),
         None => eprintln!("iofwdd: write coalescing off"),
-    }
-    match hotpath {
-        HotPath::Fast => {
-            eprintln!("iofwdd: hot path fast — zero-copy staging, sharded work-stealing queues")
-        }
-        HotPath::Seed => {
-            eprintln!("iofwdd: hot path seed — deep-copy staging, shared FIFO (control arm)")
-        }
     }
     // Out-of-band introspection: a dedicated listener that answers only
     // Stats queries straight from telemetry memory — reachable even when

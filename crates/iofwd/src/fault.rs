@@ -152,8 +152,9 @@ pub enum FaultAction {
 }
 
 /// One trigger: op-class selector, optional path glob, and either a
-/// probability (fires on a seeded coin flip) or an nth-op trigger
-/// (fires on exactly the nth matching operation, 1-based).
+/// probability (fires on a seeded coin flip), an nth-op trigger (fires
+/// on exactly the nth matching operation, 1-based), or an open-ended
+/// one (fires on every matching operation past the first N).
 #[derive(Debug, Clone)]
 pub struct FaultRule {
     pub class: OpClass,
@@ -165,6 +166,9 @@ pub struct FaultRule {
     pub probability: f64,
     /// Fire on exactly the nth op this rule has seen (1-based).
     pub nth: Option<u64>,
+    /// Fire on every op past the first N (`nth>N`): "the device fills
+    /// up and stays full". Ignored when `nth` is set.
+    pub after: Option<u64>,
     /// Only match *vectored* (coalesced) writes — batches the daemon
     /// merged from several forwarded ops and issued as one
     /// `write_vectored_at`. Lets a plan aim at the coalescing path
@@ -182,6 +186,7 @@ impl FaultRule {
             path_glob: None,
             probability: 1.0,
             nth: None,
+            after: None,
             vectored: false,
             action: FaultAction::Errno(Errno::Io),
         }
@@ -205,6 +210,12 @@ impl FaultRule {
 
     pub fn nth(mut self, n: u64) -> FaultRule {
         self.nth = Some(n);
+        self
+    }
+
+    /// Let the first `n` matching ops through, then fire on every one.
+    pub fn after(mut self, n: u64) -> FaultRule {
+        self.after = Some(n);
         self
     }
 
@@ -256,6 +267,7 @@ impl FaultPlan {
     /// seed 42
     /// on write p=0.05 errno=EAGAIN
     /// on write nth=7 errno=ENOSPC
+    /// on any nth>100 errno=EIO              # every op past the first 100
     /// on read p=0.1 short=0.5
     /// on open path=/scratch/* errno=EIO
     /// on any p=0.01 delay_us=500
@@ -264,7 +276,9 @@ impl FaultPlan {
     ///
     /// The bare `vectored` token restricts a rule to coalesced
     /// (vectored) writes; without it a `write` rule hits both single
-    /// and coalesced writes, each batch counting as one op.
+    /// and coalesced writes, each constituent of a batch counting as one
+    /// op. `nth>N` is a trigger of its own and cannot be combined with
+    /// `p=` or `nth=`.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(0);
         for (i, raw) in text.lines().enumerate() {
@@ -289,6 +303,7 @@ impl FaultPlan {
                     })?;
                     let mut rule = FaultRule::on(class);
                     let mut action = None;
+                    let mut coin = false;
                     for tok in tokens {
                         if tok == "vectored" {
                             if class != OpClass::Write {
@@ -297,6 +312,13 @@ impl FaultPlan {
                                 ));
                             }
                             rule.vectored = true;
+                            continue;
+                        }
+                        if let Some(val) = tok.strip_prefix("nth>") {
+                            let n: u64 = val
+                                .parse()
+                                .map_err(|_| format!("line {line_no}: bad nth>N '{val}'"))?;
+                            rule.after = Some(n);
                             continue;
                         }
                         let (key, val) = tok.split_once('=').ok_or_else(|| {
@@ -314,6 +336,7 @@ impl FaultPlan {
                                     ));
                                 }
                                 rule.probability = p;
+                                coin = true;
                             }
                             "nth" => {
                                 let n: u64 = val
@@ -349,6 +372,11 @@ impl FaultPlan {
                                 return Err(format!("line {line_no}: unknown key '{other}'"));
                             }
                         }
+                    }
+                    if rule.after.is_some() && (coin || rule.nth.is_some()) {
+                        return Err(format!(
+                            "line {line_no}: nth>N cannot be combined with p= or nth="
+                        ));
                     }
                     rule.action = action.ok_or_else(|| {
                         format!("line {line_no}: rule needs errno=|short=|delay_us=")
@@ -402,12 +430,13 @@ impl FaultPlan {
                     continue;
                 }
             }
-            let armed = match rule.nth {
-                Some(n) => seq == n,
+            let armed = match (rule.nth, rule.after) {
+                (Some(n), _) => seq == n,
+                (None, Some(n)) => seq > n,
                 // Every candidate op consumes a draw, so the fault
                 // sequence depends only on the op sequence, not on
                 // which rules happen to fire.
-                None => rng.chance(rule.probability),
+                (None, None) => rng.chance(rule.probability),
             };
             if armed {
                 return Some(rule.action);
@@ -503,6 +532,10 @@ mod tests {
         assert!(FaultPlan::parse("on write nth=0 errno=EIO").is_err());
         assert!(FaultPlan::parse("bogus line").is_err());
         assert!(FaultPlan::parse("# only comments\n\n").is_ok());
+        // `nth>N` is its own trigger.
+        assert!(FaultPlan::parse("on any nth>x errno=EIO").is_err());
+        assert!(FaultPlan::parse("on any nth>3 p=0.5 errno=EIO").is_err());
+        assert!(FaultPlan::parse("on any nth>3 nth=5 errno=EIO").is_err());
         // `vectored` is a write-rule refinement, not a general key.
         assert!(FaultPlan::parse("on read vectored errno=EIO").is_err());
         assert!(FaultPlan::parse("on write vectored errno=EIO").is_ok());
@@ -558,6 +591,20 @@ mod tests {
             .filter(|&seq| plan.decide(OpClass::Read, "/f", seq, &mut rng).is_some())
             .collect();
         assert_eq!(hits, vec![3]);
+    }
+
+    #[test]
+    fn open_ended_trigger_fires_on_every_op_past_n() {
+        let plan = FaultPlan::parse("on any nth>3 errno=ENOSPC\n").unwrap();
+        assert_eq!(plan.rules[0].after, Some(3));
+        let mut rng = SimRng::new(0);
+        let hits: Vec<u64> = (1..=6)
+            .filter(|&seq| plan.decide(OpClass::Write, "/f", seq, &mut rng).is_some())
+            .collect();
+        assert_eq!(hits, vec![4, 5, 6]);
+        // N = 0 fails from the first op on.
+        let plan = FaultPlan::new(0).rule(FaultRule::on(OpClass::Read).after(0));
+        assert!(plan.decide(OpClass::Read, "/f", 1, &mut rng).is_some());
     }
 
     #[test]

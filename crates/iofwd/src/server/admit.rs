@@ -1,0 +1,1040 @@
+//! The admission core: the paper's §IV pipeline — receive, classify
+//! (data op vs metadata op), charge staging memory, record the op on
+//! its descriptor, enqueue, acknowledge — written once for both
+//! transports.
+//!
+//! [`admit`] (and [`resume`], for a frame that had to wait) owns every
+//! protocol and descriptor-database decision and **never blocks and
+//! never touches a socket**. It returns an [`Admission`] that tells the
+//! transport driver what to do next; the threaded driver
+//! (`handlers::serve_conn`) obeys by blocking in place, the reactor by
+//! parking the connection or shipping the work to its executor pool.
+//! The steps that do block — [`run_sync`], [`run_barrier`] — are
+//! separate functions a driver calls from a thread that may.
+//!
+//! Two orderings are fixed here and nowhere else (DESIGN.md §15):
+//!
+//! * **Capacity, then `begin_op`.** A staged write charges the BML
+//!   before it is recorded on its descriptor, so a client waiting for
+//!   staging memory never leaves an op open for barriers to wait on.
+//! * **A closed queue closes the connection.** A `Sync` push that loses
+//!   the race with shutdown is answered `EAGAIN` through its normal
+//!   reply route, and [`finish`] turns that outcome into
+//!   [`Admission::Close`].
+
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use bytes::Bytes;
+use crossbeam::channel::{bounded, Receiver};
+use iofwd_proto::{
+    Errno, Fd, Frame, Request, Response, StageEcho, StatsQuery, TraceContext, TraceExt,
+};
+
+use super::engine::{op_kind, response_errno, Engine};
+use super::handlers::run_staged_inline;
+use super::queue::{
+    CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
+};
+use super::staged::FdSerializer;
+use crate::bml::{Bml, BmlBuffer};
+use crate::telemetry::{Disposition, OpSpan, Telemetry};
+
+/// Which of the paper's architectures admission implements.
+pub(crate) enum Policy {
+    /// ciod/zoid: the connection's own thread executes everything.
+    Inline,
+    /// sched: everything rides the work queue.
+    Sched { queue: Arc<WorkQueue> },
+    /// async-staged: data writes are staged and acknowledged at once,
+    /// reads barrier behind them and then queue, metadata runs
+    /// synchronously.
+    Staged {
+        queue: Arc<WorkQueue>,
+        serializer: Arc<FdSerializer>,
+        bml: Bml,
+    },
+}
+
+/// Daemon-wide admission state, shared by every connection.
+pub(crate) struct AdmitCtx {
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) policy: Policy,
+    /// Per-client cap on items in the work queue (the reactor's
+    /// fairness gate); `usize::MAX` means uncapped.
+    pub(crate) max_client_queued: usize,
+}
+
+impl AdmitCtx {
+    fn telemetry(&self) -> &Telemetry {
+        self.engine.telemetry()
+    }
+
+    pub(crate) fn queue(&self) -> Option<&Arc<WorkQueue>> {
+        match &self.policy {
+            Policy::Inline => None,
+            Policy::Sched { queue } | Policy::Staged { queue, .. } => Some(queue),
+        }
+    }
+}
+
+/// How a finished op reaches the connection that admitted it.
+pub(crate) enum Route {
+    /// Threaded driver: each queued op gets a rendezvous channel the
+    /// handler thread waits on.
+    Handler,
+    /// Reactor: the outcome is posted to the owning event loop.
+    Reactor {
+        sink: Arc<dyn CompletionSink>,
+        token: usize,
+        gen: u64,
+    },
+}
+
+/// What a worker hands back: response, reply payload, stamped span.
+pub(crate) type Outcome = (Response, Bytes, OpSpan);
+
+/// The threaded driver's claim on a queued op's outcome.
+pub(crate) struct Waiting {
+    pub(crate) ticket: Ticket,
+    pub(crate) rx: Receiver<Outcome>,
+}
+
+/// Per-connection admission state: the reply route, and the descriptors
+/// the client holds, so a vanished client's descriptors can be
+/// reclaimed (a compute node that dies mid-job must not leak ION
+/// resources).
+pub(crate) struct Session {
+    fds: HashSet<Fd>,
+    route: Route,
+}
+
+impl Session {
+    pub(crate) fn new(route: Route) -> Session {
+        Session {
+            fds: HashSet::new(),
+            route,
+        }
+    }
+
+    /// Wrap an op as a `Sync` work item whose outcome comes back over
+    /// this session's route; the threaded route also returns the
+    /// receiving end the handler waits on.
+    pub(crate) fn sync_item(&self, op: Op) -> (WorkItem, Option<Waiting>) {
+        let ticket = op.ticket;
+        let (reply, waiting) = match &self.route {
+            Route::Handler => {
+                let (tx, rx) = bounded(1);
+                (ReplyTo::Handler(tx), Some(Waiting { ticket, rx }))
+            }
+            Route::Reactor { sink, token, gen } => (
+                ReplyTo::Reactor {
+                    sink: sink.clone(),
+                    token: *token,
+                    gen: *gen,
+                    ticket,
+                },
+                None,
+            ),
+        };
+        let item = WorkItem::Sync {
+            req: op.req,
+            data: op.data,
+            reply,
+            span: op.span,
+        };
+        (item, waiting)
+    }
+
+    fn settle(&mut self, effect: SessionEffect, resp: &Response) {
+        match effect {
+            SessionEffect::None => {}
+            SessionEffect::Opens => {
+                if let Response::Ok { ret } = resp {
+                    self.fds.insert(Fd(*ret as u32));
+                }
+            }
+            SessionEffect::Closes(fd) => {
+                if matches!(resp, Response::Ok { .. } | Response::DeferredErr { .. }) {
+                    self.fds.remove(&fd);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn holds_descriptors(&self) -> bool {
+        !self.fds.is_empty()
+    }
+
+    /// Close everything the departed client left open. Blocks: closing
+    /// a descriptor barriers its staged writes, so nothing is lost.
+    pub(crate) fn reclaim(self, engine: &Engine) {
+        for fd in self.fds {
+            let _ = engine.execute(&Request::Close { fd }, &Bytes::new());
+        }
+    }
+}
+
+/// How the data path treats a request; `Meta` is everything the paper
+/// keeps synchronous (open/close/attribute operations).
+#[derive(Clone, Copy)]
+enum Shape {
+    Write {
+        fd: Fd,
+        /// `Some` for pwrite, `None` for a cursor write.
+        offset: Option<u64>,
+        len: u64,
+    },
+    Read {
+        fd: Fd,
+    },
+    Meta,
+}
+
+enum Class {
+    Stats(StatsQuery),
+    Shutdown,
+    Op(Shape, SessionEffect),
+}
+
+/// The one dispatch over the wire enum on the admission path.
+fn classify(req: &Request) -> Class {
+    match req {
+        Request::Stats { query } => Class::Stats(*query),
+        Request::Shutdown => Class::Shutdown,
+        Request::Write { fd, len } => Class::Op(
+            Shape::Write {
+                fd: *fd,
+                offset: None,
+                len: *len,
+            },
+            SessionEffect::None,
+        ),
+        Request::Pwrite { fd, offset, len } => Class::Op(
+            Shape::Write {
+                fd: *fd,
+                offset: Some(*offset),
+                len: *len,
+            },
+            SessionEffect::None,
+        ),
+        Request::Read { fd, .. } | Request::Pread { fd, .. } => {
+            Class::Op(Shape::Read { fd: *fd }, SessionEffect::None)
+        }
+        Request::Open { .. } | Request::Connect { .. } => {
+            Class::Op(Shape::Meta, SessionEffect::Opens)
+        }
+        Request::Close { fd } => Class::Op(Shape::Meta, SessionEffect::Closes(*fd)),
+        Request::Lseek { .. }
+        | Request::Fsync { .. }
+        | Request::Stat { .. }
+        | Request::Fstat { .. }
+        | Request::Unlink { .. }
+        | Request::Ftruncate { .. }
+        | Request::Mkdir { .. }
+        | Request::Readdir { .. } => Class::Op(Shape::Meta, SessionEffect::None),
+    }
+}
+
+/// A decoded request with its lifecycle span begun, not yet executed.
+pub(crate) struct Op {
+    pub(crate) ticket: Ticket,
+    pub(crate) req: Request,
+    pub(crate) data: Bytes,
+    pub(crate) span: OpSpan,
+    shape: Shape,
+}
+
+/// What an op that cannot be admitted yet is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Need {
+    /// Staging memory: "the I/O operation is blocked until sufficient
+    /// memory is available" (§IV).
+    Bml,
+    /// The client's share of the work queue to drain.
+    QueueCredit,
+}
+
+/// How a driver comes back to a parked op.
+pub(crate) enum Retry {
+    /// Try again without blocking.
+    Poll,
+    /// The threaded driver blocked in `Bml::adopt_timeout` on the op's
+    /// payload; `None` means the BML closed under it.
+    Adopted(Option<BmlBuffer>),
+}
+
+/// What the driver must do next with a frame it handed to the core.
+pub(crate) enum Admission {
+    /// Send this frame. If it answers an op, the op's span is folded.
+    Reply(Frame),
+    /// Send this frame, then drop the connection.
+    Close { after: Frame },
+    /// On the work queue. The outcome arrives on the `Waiting` channel
+    /// (threaded route) or through the session's completion sink
+    /// (`None`); either way it goes to [`finish`].
+    Queued(Option<Waiting>),
+    /// Blocking work (metadata, oversized write): [`run_sync`] on the
+    /// connection's thread or the executor pool, then [`finish`].
+    RunSync(Op),
+    /// A read behind staged writes: [`run_barrier`] waits for `fd` to
+    /// go idle and enqueues `item`; then as `Queued`.
+    Barrier {
+        fd: Fd,
+        item: WorkItem,
+        waiting: Option<Waiting>,
+    },
+    /// Not admissible yet: hold the op, stop reading the connection,
+    /// and [`resume`] when `need` may have been met.
+    Park { op: Op, need: Need },
+}
+
+/// Server-side stage breakdown echoed back to a traced client. Built
+/// from the same span `Telemetry::complete` folds into the histograms,
+/// so a client summing echoes reproduces the daemon's own numbers.
+fn stage_echo_of(span: &OpSpan) -> StageEcho {
+    StageEcho {
+        trace_id: span.trace_id,
+        flags: if span.sampled {
+            TraceContext::SAMPLED
+        } else {
+            0
+        },
+        queue_ns: span.queue_wait_ns(),
+        dispatch_ns: span.dispatch_lag_ns(),
+        backend_ns: span.service_ns(),
+        // A staged ack goes out before the backend runs
+        // (backend_done_ns == 0); its reply lag is not yet measurable.
+        reply_ns: if span.backend_done_ns == 0 {
+            0
+        } else {
+            span.reply_lag_ns()
+        },
+        total_ns: span.total_ns(),
+    }
+}
+
+fn reply_frame(ticket: &Ticket, resp: &Response, data: Bytes, span: &OpSpan) -> Frame {
+    let frame = Frame::response(ticket.client_id, ticket.seq, resp, data);
+    if span.trace_id == 0 {
+        return frame;
+    }
+    frame.with_ext(TraceExt::Echo(stage_echo_of(span)))
+}
+
+/// A decoded frame: an op to route, or control traffic already answered
+/// (`Reply` or `Close`).
+pub(crate) enum Accepted {
+    Op(Op),
+    Answered(Admission),
+}
+
+/// Decode a frame and begin its op. Control traffic is answered here,
+/// before any span, queue, or engine involvement: a malformed request
+/// is rejected, `Shutdown` is acknowledged, and a stats query is served
+/// from telemetry memory — so the introspection plane works even when
+/// the data path is wedged or the client is over its queue credit.
+pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
+    let control =
+        |resp: Response, data: Bytes| Frame::response(frame.client_id, frame.seq, &resp, data);
+    let Ok(req) = frame.decode_request() else {
+        return Accepted::Answered(Admission::Reply(control(
+            Response::Err {
+                errno: Errno::Inval,
+            },
+            Bytes::new(),
+        )));
+    };
+    let (shape, effect) = match classify(&req) {
+        Class::Stats(query) => {
+            let (resp, data) = super::introspect::answer(ctx.telemetry(), query);
+            return Accepted::Answered(Admission::Reply(control(resp, data)));
+        }
+        Class::Shutdown => {
+            return Accepted::Answered(Admission::Close {
+                after: control(Response::Ok { ret: 0 }, Bytes::new()),
+            });
+        }
+        Class::Op(shape, effect) => (shape, effect),
+    };
+    let mut span = OpSpan::begin(
+        op_kind(&req),
+        u64::from(frame.client_id),
+        frame.seq,
+        ctx.telemetry().now_ns(),
+    );
+    span.bytes = frame.data.len() as u64;
+    // Adopt the client's trace context so the id survives queueing,
+    // staging, and the worker pool.
+    if let Some(trace) = frame.trace_ctx() {
+        span.trace_id = trace.trace_id;
+        span.sampled = trace.is_sampled();
+    }
+    Accepted::Op(Op {
+        ticket: Ticket {
+            client_id: frame.client_id,
+            seq: frame.seq,
+            effect,
+        },
+        req,
+        data: frame.data,
+        span,
+        shape,
+    })
+}
+
+/// Admit one frame: [`accept`] it, then route it per the policy.
+pub(crate) fn admit(ctx: &AdmitCtx, session: &mut Session, frame: Frame) -> Admission {
+    match accept(ctx, frame) {
+        Accepted::Op(op) => resume(ctx, session, op, Retry::Poll),
+        Accepted::Answered(answered) => answered,
+    }
+}
+
+/// Route an accepted op: the policy decision, the fairness gate, and —
+/// for a staged write — the whole staging transaction.
+pub(crate) fn resume(ctx: &AdmitCtx, session: &mut Session, mut op: Op, retry: Retry) -> Admission {
+    let (queue, staging) = match &ctx.policy {
+        Policy::Inline => {
+            // No queue: unless the driver stamped a hand-off of its own
+            // (ciod's shm hop), arrival, enqueue, and dispatch are the
+            // same instant.
+            if op.span.dispatch_ns == 0 {
+                op.span.enqueue_ns = op.span.arrival_ns;
+                op.span.dispatch_ns = op.span.arrival_ns;
+            }
+            return Admission::RunSync(op);
+        }
+        Policy::Sched { queue } => (queue, None),
+        Policy::Staged {
+            queue,
+            serializer,
+            bml,
+        } => (queue, Some((serializer, bml))),
+    };
+    if ctx.max_client_queued != usize::MAX
+        && queue.client_queued(op.span.client) >= ctx.max_client_queued
+    {
+        return Admission::Park {
+            op,
+            need: Need::QueueCredit,
+        };
+    }
+    let Some((serializer, bml)) = staging else {
+        op.span.enqueue_ns = ctx.telemetry().now_ns();
+        let (item, waiting) = session.sync_item(op);
+        push_sync(queue, item);
+        return Admission::Queued(waiting);
+    };
+    match op.shape {
+        Shape::Write { fd, offset, len }
+            if usize::try_from(len).is_ok_and(|l| l <= bml.max_request()) =>
+        {
+            if len != op.data.len() as u64 {
+                return fail_inline(
+                    ctx,
+                    op,
+                    Response::Err {
+                        errno: Errno::Inval,
+                    },
+                );
+            }
+            let buf = match retry {
+                Retry::Poll => match bml.try_adopt(op.data.clone()) {
+                    Some(buf) => buf,
+                    None => {
+                        return Admission::Park {
+                            op,
+                            need: Need::Bml,
+                        }
+                    }
+                },
+                Retry::Adopted(Some(buf)) => buf,
+                // BML closed: the daemon is shutting down.
+                Retry::Adopted(None) => {
+                    return fail_inline(
+                        ctx,
+                        op,
+                        Response::Err {
+                            errno: Errno::NoMem,
+                        },
+                    )
+                }
+            };
+            stage_write(ctx, queue, serializer, fd, offset, op, buf)
+        }
+        // Reads barrier behind staged writes on the descriptor so a
+        // read never observes pre-staging file contents.
+        Shape::Read { fd } => {
+            let (item, waiting) = session.sync_item(op);
+            Admission::Barrier { fd, item, waiting }
+        }
+        // Metadata, and writes past the BML's largest size class.
+        Shape::Write { .. } | Shape::Meta => Admission::RunSync(op),
+    }
+}
+
+/// Enqueue a `Sync` item. A push that loses the race with shutdown is
+/// answered `EAGAIN` through the item's own reply route, so both
+/// drivers see it as an ordinary outcome and [`finish`] closes the
+/// connection behind the reply.
+fn push_sync(queue: &WorkQueue, item: WorkItem) {
+    if let Err(closed) = queue.push(item) {
+        reject(*closed.0, Errno::Again, Disposition::QueueRejected);
+    }
+}
+
+/// Answer a `Sync` item that will never execute.
+pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
+    if let WorkItem::Sync {
+        reply, mut span, ..
+    } = item
+    {
+        span.ok = false;
+        span.errno = errno.to_wire();
+        span.disposition = disposition;
+        span.dispatch_ns = span.enqueue_ns;
+        reply.deliver(Response::Err { errno }, Bytes::new(), span);
+    }
+}
+
+/// The staging transaction, with `buf` already charged to the BML:
+/// record the op on its descriptor, hand it to the descriptor's lane
+/// (and the work queue, if the lane was free), and build the ack.
+fn stage_write(
+    ctx: &AdmitCtx,
+    queue: &WorkQueue,
+    serializer: &FdSerializer,
+    fd: Fd,
+    offset: Option<u64>,
+    mut op: Op,
+    buf: BmlBuffer,
+) -> Admission {
+    let engine = &ctx.engine;
+    let telemetry = ctx.telemetry();
+    let staged = match engine.descriptor_db().begin_op(fd) {
+        Ok((staged, _obj)) => staged,
+        Err(refused) => {
+            drop(buf);
+            let resp = engine.begin_error_response(refused);
+            return fail_inline(ctx, op, resp);
+        }
+    };
+    engine.stats.requests.fetch_add(1, Ordering::Relaxed);
+    engine
+        .stats
+        .bytes_in
+        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    engine.stats.staged_ops.fetch_add(1, Ordering::Relaxed);
+    if telemetry.enabled() {
+        telemetry.ops_staged.inc();
+    }
+    // The ack is the client-visible reply; stamp it now (OpSpan is
+    // Copy — the worker's copy keeps these stamps, adds the backend
+    // ones, and completes the span after the write).
+    op.span.enqueue_ns = telemetry.now_ns();
+    op.span.reply_ns = op.span.enqueue_ns;
+    let ack = reply_frame(
+        &op.ticket,
+        &Response::Staged { op: staged },
+        Bytes::new(),
+        &op.span,
+    );
+    let part = StagedPart {
+        op: staged,
+        offset,
+        buf,
+        span: op.span,
+    };
+    if let Some(item) = serializer.admit(fd, WorkItem::StagedWrite { fd, part }) {
+        if let Err(closed) = queue.push(item) {
+            // Queue closed under us: the worker pool will never run
+            // this write, so execute it here (plus any successors the
+            // lane releases) to keep the `Staged` ack truthful.
+            run_staged_inline(engine, telemetry, *closed.0);
+            while let Some(next) = serializer.complete(fd) {
+                run_staged_inline(engine, telemetry, next);
+            }
+        }
+    }
+    Admission::Reply(ack)
+}
+
+/// Fail an op at admission: nothing ran, the span folds here.
+fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
+    let now = ctx.telemetry().now_ns();
+    op.span.enqueue_ns = now;
+    op.span.dispatch_ns = now;
+    op.span.ok = false;
+    op.span.errno = response_errno(&resp);
+    op.span.reply_ns = now;
+    let frame = reply_frame(&op.ticket, &resp, Bytes::new(), &op.span);
+    ctx.telemetry().complete(&op.span);
+    Admission::Reply(frame)
+}
+
+/// Execute a request to completion on the calling thread. Blocks (the
+/// backend, and `close`/`fsync` barriers). Unless an earlier hand-off
+/// stamped them, enqueue and dispatch are the moment execution starts.
+pub(crate) fn run_sync(engine: &Engine, req: &Request, data: &Bytes, mut span: OpSpan) -> Outcome {
+    if span.dispatch_ns == 0 {
+        let now = engine.telemetry().now_ns();
+        span.enqueue_ns = now;
+        span.dispatch_ns = now;
+    }
+    let (resp, out) = engine.execute_timed(req, data, &mut span);
+    (resp, out, span)
+}
+
+/// Wait (blocking) for `fd`'s staged writes to retire, then enqueue the
+/// read. Every outcome — barrier failure, closed queue, or the worker's
+/// result — travels through the item's reply route.
+pub(crate) fn run_barrier(ctx: &AdmitCtx, fd: Fd, mut item: WorkItem) {
+    let Some(queue) = ctx.queue() else {
+        return reject(item, Errno::Inval, Disposition::Completed);
+    };
+    let idle = ctx.engine.descriptor_db().wait_idle(fd);
+    if let WorkItem::Sync { span, .. } = &mut item {
+        span.enqueue_ns = ctx.telemetry().now_ns();
+    }
+    match idle {
+        Ok(()) => push_sync(queue, item),
+        Err(errno) => reject(item, errno, Disposition::Completed),
+    }
+}
+
+/// Turn a finished op into its wire reply: apply the session effect,
+/// stamp the reply, echo the stage breakdown to traced clients, and
+/// fold the span — before the frame is returned, so once a client has
+/// seen its response a stats snapshot already accounts for the op.
+pub(crate) fn finish(
+    ctx: &AdmitCtx,
+    session: &mut Session,
+    ticket: Ticket,
+    (resp, data, mut span): Outcome,
+) -> Admission {
+    session.settle(ticket.effect, &resp);
+    span.reply_ns = ctx.telemetry().now_ns();
+    let frame = reply_frame(&ticket, &resp, data, &span);
+    ctx.telemetry().complete(&span);
+    if span.disposition == Disposition::QueueRejected {
+        Admission::Close { after: frame }
+    } else {
+        Admission::Reply(frame)
+    }
+}
+
+/// Fold the span of an op whose connection is gone: the reply has no
+/// destination, but the op still reaches the flight recorder.
+pub(crate) fn abandon(telemetry: &Telemetry, mut span: OpSpan) {
+    span.reply_ns = telemetry.now_ns();
+    telemetry.complete(&span);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::MemSinkBackend;
+    use crate::server::queue::Completion;
+    use iofwd_proto::{OpenFlags, Whence};
+    use parking_lot::Mutex;
+
+    const BML_BYTES: u64 = 8192;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mode {
+        Inline,
+        Sched,
+        Staged,
+    }
+
+    /// A context over `MemSinkBackend` with no worker pool: queued
+    /// items stay in the queue for the test to inspect.
+    fn ctx(mode: Mode) -> AdmitCtx {
+        let bml = (mode == Mode::Staged).then(|| Bml::new(BML_BYTES));
+        let engine = Arc::new(Engine::new(Arc::new(MemSinkBackend::new()), bml.clone()));
+        let queue = Arc::new(WorkQueue::new(1));
+        let policy = match (mode, bml) {
+            (Mode::Inline, _) => Policy::Inline,
+            (Mode::Staged, Some(bml)) => Policy::Staged {
+                queue,
+                serializer: Arc::new(FdSerializer::new()),
+                bml,
+            },
+            _ => Policy::Sched { queue },
+        };
+        AdmitCtx {
+            engine,
+            policy,
+            max_client_queued: usize::MAX,
+        }
+    }
+
+    fn open(ctx: &AdmitCtx, path: &str) -> Fd {
+        let req = Request::Open {
+            path: path.into(),
+            flags: OpenFlags::RDWR | OpenFlags::CREATE,
+            mode: 0o644,
+        };
+        match ctx.engine.execute(&req, &Bytes::new()).0 {
+            Response::Ok { ret } => Fd(ret as u32),
+            other => panic!("open failed: {other:?}"),
+        }
+    }
+
+    fn frame(seq: u64, req: &Request) -> Frame {
+        let data = Bytes::from(vec![7u8; req.expected_payload() as usize]);
+        Frame::request(3, seq, req, data)
+    }
+
+    fn response_of(frame: &Frame) -> Response {
+        frame.decode_response().expect("well-formed reply")
+    }
+
+    fn kind(admission: &Admission) -> &'static str {
+        match admission {
+            Admission::Reply(_) => "Reply",
+            Admission::Close { .. } => "Close",
+            Admission::Queued(_) => "Queued",
+            Admission::RunSync(_) => "RunSync",
+            Admission::Barrier { .. } => "Barrier",
+            Admission::Park { .. } => "Park",
+        }
+    }
+
+    /// One request per wire variant; `ordinal` is exhaustive, so a new
+    /// variant fails to compile here until the table below covers it.
+    fn every_request(fd: Fd) -> Vec<Request> {
+        vec![
+            Request::Open {
+                path: "/new".into(),
+                flags: OpenFlags::RDWR | OpenFlags::CREATE,
+                mode: 0o644,
+            },
+            Request::Connect {
+                host: "da0".into(),
+                port: 9,
+            },
+            Request::Close { fd },
+            Request::Write { fd, len: 64 },
+            Request::Pwrite {
+                fd,
+                offset: 8,
+                len: 64,
+            },
+            Request::Read { fd, len: 8 },
+            Request::Pread {
+                fd,
+                offset: 0,
+                len: 8,
+            },
+            Request::Lseek {
+                fd,
+                offset: 0,
+                whence: Whence::Set,
+            },
+            Request::Fsync { fd },
+            Request::Stat { path: "/t".into() },
+            Request::Fstat { fd },
+            Request::Unlink { path: "/t".into() },
+            Request::Ftruncate { fd, len: 0 },
+            Request::Mkdir {
+                path: "/d".into(),
+                mode: 0o755,
+            },
+            Request::Readdir { path: "/".into() },
+            Request::Shutdown,
+            Request::Stats {
+                query: StatsQuery::Rates,
+            },
+        ]
+    }
+
+    fn ordinal(req: &Request) -> usize {
+        match req {
+            Request::Open { .. } => 0,
+            Request::Connect { .. } => 1,
+            Request::Close { .. } => 2,
+            Request::Write { .. } => 3,
+            Request::Pwrite { .. } => 4,
+            Request::Read { .. } => 5,
+            Request::Pread { .. } => 6,
+            Request::Lseek { .. } => 7,
+            Request::Fsync { .. } => 8,
+            Request::Stat { .. } => 9,
+            Request::Fstat { .. } => 10,
+            Request::Unlink { .. } => 11,
+            Request::Ftruncate { .. } => 12,
+            Request::Mkdir { .. } => 13,
+            Request::Readdir { .. } => 14,
+            Request::Shutdown => 15,
+            Request::Stats { .. } => 16,
+        }
+    }
+
+    #[test]
+    fn every_request_variant_maps_to_its_admission_per_mode() {
+        for mode in [Mode::Inline, Mode::Sched, Mode::Staged] {
+            let ctx = ctx(mode);
+            let fd = open(&ctx, "/t");
+            let mut session = Session::new(Route::Handler);
+            let requests = every_request(fd);
+            let covered: Vec<usize> = requests.iter().map(ordinal).collect();
+            assert_eq!(covered, (0..17).collect::<Vec<_>>());
+            for (seq, req) in requests.iter().enumerate() {
+                let expect = match (req, mode) {
+                    (Request::Stats { .. }, _) => "Reply",
+                    (Request::Shutdown, _) => "Close",
+                    (_, Mode::Inline) => "RunSync",
+                    (_, Mode::Sched) => "Queued",
+                    // Staged mode: data writes are acknowledged from
+                    // admission, reads barrier, the rest runs sync.
+                    (Request::Write { .. } | Request::Pwrite { .. }, Mode::Staged) => "Reply",
+                    (Request::Read { .. } | Request::Pread { .. }, Mode::Staged) => "Barrier",
+                    (_, Mode::Staged) => "RunSync",
+                };
+                let got = admit(&ctx, &mut session, frame(seq as u64, req));
+                assert_eq!(kind(&got), expect, "{mode:?}: {req:?}");
+                if let (Admission::Reply(ack), Request::Write { .. } | Request::Pwrite { .. }) =
+                    (&got, req)
+                {
+                    assert!(
+                        matches!(response_of(ack), Response::Staged { .. }),
+                        "staged ack"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_mode_runs_writes_past_the_largest_bml_class_synchronously() {
+        let ctx = ctx(Mode::Staged);
+        let fd = open(&ctx, "/big");
+        let mut session = Session::new(Route::Handler);
+        let req = Request::Write {
+            fd,
+            len: 2 * BML_BYTES,
+        };
+        let got = admit(&ctx, &mut session, frame(1, &req));
+        assert_eq!(kind(&got), "RunSync");
+    }
+
+    #[test]
+    fn malformed_and_mismatched_requests_are_rejected_inline() {
+        let ctx = ctx(Mode::Staged);
+        let fd = open(&ctx, "/m");
+        let mut session = Session::new(Route::Handler);
+        let mut garbage = frame(1, &Request::Fsync { fd });
+        garbage.meta = Bytes::from_static(&[0xff, 0xff, 0xff]);
+        let Admission::Reply(reply) = admit(&ctx, &mut session, garbage) else {
+            panic!("undecodable request must be answered inline");
+        };
+        assert_eq!(
+            response_of(&reply),
+            Response::Err {
+                errno: Errno::Inval
+            }
+        );
+        // Declared length disagrees with the payload: no op is begun,
+        // no staging memory is charged.
+        let mut short = frame(2, &Request::Write { fd, len: 64 });
+        short.data = Bytes::from_static(b"short");
+        let Admission::Reply(reply) = admit(&ctx, &mut session, short) else {
+            panic!("length mismatch must be answered inline");
+        };
+        assert_eq!(
+            response_of(&reply),
+            Response::Err {
+                errno: Errno::Inval
+            }
+        );
+        assert_eq!(
+            ctx.engine.descriptor_db().status(fd).unwrap().in_progress,
+            0
+        );
+        assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
+    }
+
+    /// Ordering (a), threaded route: a `Sync` push that loses the race
+    /// with shutdown is answered EAGAIN and closes the connection.
+    #[test]
+    fn closed_queue_answers_eagain_and_closes_the_connection() {
+        let ctx = ctx(Mode::Sched);
+        let fd = open(&ctx, "/q");
+        ctx.queue().unwrap().close();
+        let mut session = Session::new(Route::Handler);
+        let Admission::Queued(Some(waiting)) =
+            admit(&ctx, &mut session, frame(1, &Request::Fsync { fd }))
+        else {
+            panic!("sched mode queues every op");
+        };
+        let outcome = waiting.rx.recv().expect("rejection is delivered");
+        let Admission::Close { after } = finish(&ctx, &mut session, waiting.ticket, outcome) else {
+            panic!("a queue-rejected op must close the connection");
+        };
+        assert_eq!(
+            response_of(&after),
+            Response::Err {
+                errno: Errno::Again
+            }
+        );
+        assert_eq!(ctx.queue().unwrap().depth(), 0);
+    }
+
+    #[derive(Default)]
+    struct CaptureSink(Mutex<Vec<Completion>>);
+
+    impl CompletionSink for CaptureSink {
+        fn complete(&self, completion: Completion) {
+            self.0.lock().push(completion);
+        }
+    }
+
+    /// Ordering (a), reactor route: the same rejection arrives as a
+    /// completion, and `finish` makes the same `Close` of it.
+    #[test]
+    fn closed_queue_closes_reactor_connections_too() {
+        let ctx = ctx(Mode::Sched);
+        let fd = open(&ctx, "/q");
+        ctx.queue().unwrap().close();
+        let sink = Arc::new(CaptureSink::default());
+        let mut session = Session::new(Route::Reactor {
+            sink: sink.clone(),
+            token: 4,
+            gen: 2,
+        });
+        let got = admit(&ctx, &mut session, frame(9, &Request::Fsync { fd }));
+        assert!(matches!(got, Admission::Queued(None)));
+        let c = sink
+            .0
+            .lock()
+            .pop()
+            .expect("rejection is posted to the sink");
+        assert_eq!((c.token, c.gen, c.ticket.seq), (4, 2, 9));
+        let answered = finish(&ctx, &mut session, c.ticket, (c.resp, c.data, c.span));
+        assert_eq!(kind(&answered), "Close");
+    }
+
+    /// Ordering (b): capacity, then `begin_op`. A write waiting for
+    /// staging memory leaves no op open on its descriptor; once admitted
+    /// it is recorded, charged, and enqueued exactly once.
+    #[test]
+    fn staged_write_charges_capacity_before_beginning_the_op() {
+        let ctx = ctx(Mode::Staged);
+        let fd = open(&ctx, "/s");
+        let db = ctx.engine.descriptor_db();
+        let bml = ctx.engine.bml().unwrap();
+        let hog = bml.acquire(BML_BYTES as usize).expect("whole BML");
+        let mut session = Session::new(Route::Handler);
+        let req = Request::Pwrite {
+            fd,
+            offset: 0,
+            len: 64,
+        };
+        let Admission::Park { op, need } = admit(&ctx, &mut session, frame(1, &req)) else {
+            panic!("a full BML must park the write");
+        };
+        assert_eq!(need, Need::Bml);
+        assert_eq!(
+            db.status(fd).unwrap().in_progress,
+            0,
+            "no op open while parked"
+        );
+        // Still full: a retry parks again, still without an open op.
+        let Admission::Park { op, .. } = resume(&ctx, &mut session, op, Retry::Poll) else {
+            panic!("still no memory");
+        };
+        assert_eq!(db.status(fd).unwrap().in_progress, 0);
+
+        drop(hog);
+        let Admission::Reply(ack) = resume(&ctx, &mut session, op, Retry::Poll) else {
+            panic!("memory is free: the write must be staged");
+        };
+        assert!(matches!(response_of(&ack), Response::Staged { .. }));
+        assert_eq!(db.status(fd).unwrap().in_progress, 1);
+        assert!(bml.outstanding() > 0);
+        assert_eq!(ctx.queue().unwrap().depth(), 1);
+    }
+
+    #[test]
+    fn refused_begin_op_returns_the_staging_memory() {
+        let ctx = ctx(Mode::Staged);
+        let mut session = Session::new(Route::Handler);
+        let req = Request::Write {
+            fd: Fd(77),
+            len: 64,
+        };
+        let Admission::Reply(reply) = admit(&ctx, &mut session, frame(1, &req)) else {
+            panic!("unknown descriptor is answered inline");
+        };
+        assert_eq!(response_of(&reply), Response::Err { errno: Errno::BadF });
+        assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
+        // The threaded driver's blocking adopt failing (BML closed).
+        let fd = open(&ctx, "/c");
+        let req = Request::Write { fd, len: 64 };
+        let Accepted::Op(op) = accept(&ctx, frame(2, &req)) else {
+            panic!("a write is an op");
+        };
+        let Admission::Reply(reply) = resume(&ctx, &mut session, op, Retry::Adopted(None)) else {
+            panic!("closed BML is answered inline");
+        };
+        assert_eq!(
+            response_of(&reply),
+            Response::Err {
+                errno: Errno::NoMem
+            }
+        );
+        assert_eq!(
+            ctx.engine.descriptor_db().status(fd).unwrap().in_progress,
+            0
+        );
+    }
+
+    /// Satellite 1: a client over its queue credit is parked — but its
+    /// stats queries are still answered, because the intercept precedes
+    /// the credit check.
+    #[test]
+    fn stats_are_answered_ahead_of_the_credit_check() {
+        let mut ctx = ctx(Mode::Sched);
+        ctx.max_client_queued = 1;
+        let fd = open(&ctx, "/f");
+        let mut session = Session::new(Route::Handler);
+        let first = admit(&ctx, &mut session, frame(1, &Request::Fsync { fd }));
+        assert_eq!(kind(&first), "Queued");
+        let Admission::Park { need, .. } =
+            admit(&ctx, &mut session, frame(2, &Request::Fsync { fd }))
+        else {
+            panic!("second op exceeds the credit");
+        };
+        assert_eq!(need, Need::QueueCredit);
+        let stats = Request::Stats {
+            query: StatsQuery::Snapshot,
+        };
+        assert_eq!(kind(&admit(&ctx, &mut session, frame(3, &stats))), "Reply");
+    }
+
+    #[test]
+    fn finish_tracks_descriptors_for_reclaim() {
+        let ctx = ctx(Mode::Inline);
+        let mut session = Session::new(Route::Handler);
+        let open_req = Request::Open {
+            path: "/r".into(),
+            flags: OpenFlags::RDWR | OpenFlags::CREATE,
+            mode: 0o644,
+        };
+        let Admission::RunSync(op) = admit(&ctx, &mut session, frame(1, &open_req)) else {
+            panic!("inline mode runs everything in place");
+        };
+        let outcome = run_sync(&ctx.engine, &op.req, &op.data, op.span);
+        assert_eq!(
+            kind(&finish(&ctx, &mut session, op.ticket, outcome)),
+            "Reply"
+        );
+        assert!(session.holds_descriptors());
+        assert_eq!(ctx.engine.descriptor_db().open_count(), 1);
+        session.reclaim(&ctx.engine);
+        assert_eq!(ctx.engine.descriptor_db().open_count(), 0);
+    }
+}

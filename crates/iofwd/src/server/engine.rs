@@ -16,7 +16,6 @@ use crate::bml::Bml;
 use crate::descdb::{BeginError, DescDb, OpOutcome};
 use crate::fault::{is_transient, RetryPolicy};
 use crate::filter::{FilterChain, WriteContext};
-use crate::server::HotPath;
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
 
 /// Telemetry classification of a request. Exhaustive so a new `Request`
@@ -84,11 +83,6 @@ pub struct Engine {
     /// embedders (and the daemon CLI) opt in explicitly, so existing
     /// error-propagation semantics are unchanged unless asked for.
     pub(crate) retry: RetryPolicy,
-    /// Which data-path variant to run (see [`HotPath`]). `Fast` serves
-    /// reads from recycled slab blocks and writes straight from adopted
-    /// receive views; `Seed` re-enacts the pre-zero-copy profile as the
-    /// paired-benchmark control arm.
-    pub(crate) hotpath: HotPath,
     /// Deterministic jitter source for backoff; seeded once so retry
     /// timing is reproducible run-to-run.
     retry_rng: parking_lot::Mutex<SimRng>,
@@ -119,7 +113,6 @@ impl Engine {
             filters,
             telemetry,
             retry: RetryPolicy::disabled(),
-            hotpath: HotPath::Fast,
             retry_rng: parking_lot::Mutex::new(SimRng::new(0x10f_44d)),
         }
     }
@@ -127,16 +120,6 @@ impl Engine {
     /// Enable (or reconfigure) retrying of transient backend errors.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// Select the data-path variant. Handlers and the reactor read the
-    /// knob from here, so no per-request plumbing is needed.
-    pub fn set_hotpath(&mut self, hotpath: HotPath) {
-        self.hotpath = hotpath;
-    }
-
-    pub fn hotpath(&self) -> HotPath {
-        self.hotpath
     }
 
     pub fn retry_policy(&self) -> RetryPolicy {
@@ -454,9 +437,8 @@ impl Engine {
         data: &[u8],
     ) -> OpOutcome {
         // With no filters to observe an owned payload the staging
-        // buffer streams straight to the backend; materialising a copy
-        // here is pure overhead, kept only for the Seed control arm.
-        let outcome = if self.filters.is_empty() && self.hotpath == HotPath::Fast {
+        // buffer streams straight to the backend.
+        let outcome = if self.filters.is_empty() {
             match self.db.object(fd) {
                 Ok(obj) => {
                     let res = {
@@ -591,12 +573,12 @@ impl Engine {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
-        // Fast path: serve the read out of a recycled BML slab block —
-        // the backend fills it in place and the reply payload is a
-        // refcounted view of it, so no per-op Vec exists. Falls back to
-        // the allocating path when the BML is absent, saturated, or the
-        // request exceeds its largest size class.
-        let slab = if self.hotpath == HotPath::Fast && len > 0 {
+        // Serve the read out of a recycled BML slab block — the backend
+        // fills it in place and the reply payload is a refcounted view
+        // of it, so no per-op Vec exists. Falls back to the allocating
+        // path when the BML is absent, saturated, or the request
+        // exceeds its largest size class.
+        let slab = if len > 0 {
             self.bml.as_ref().and_then(|b| b.try_acquire(len as usize))
         } else {
             None
@@ -693,7 +675,9 @@ impl Engine {
         }
     }
 
-    fn begin_error_response(&self, e: BeginError) -> Response {
+    /// The reply for a `begin_op` refusal; a deferred error counts as
+    /// reported the moment it is turned into a response.
+    pub(crate) fn begin_error_response(&self, e: BeginError) -> Response {
         match e {
             BeginError::Sync(errno) => Response::Err { errno },
             BeginError::Deferred { op, errno } => {

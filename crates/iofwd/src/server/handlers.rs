@@ -1,326 +1,155 @@
-//! Per-client handler loops, one flavour per forwarding mode.
+//! The threaded transport's driver, and the worker pool.
 //!
-//! * [`handle_zoid`] — the ZOID baseline (§II-B2): the handler thread for
-//!   a compute node executes that node's I/O itself.
+//! * [`serve_conn`] — one loop for every forwarding mode: receive a
+//!   frame, hand it to the admission core (`server::admit`), and do what
+//!   the returned [`Admission`] says, blocking in place wherever the
+//!   core says "wait". The modes differ only in the core's policy: zoid
+//!   runs everything on this thread (§II-B2), sched queues everything
+//!   and sleeps until a worker finishes it, staged acknowledges data
+//!   writes as soon as they are in BML memory (§IV).
 //! * [`handle_ciod`] — the CIOD architecture (§II-B1): the daemon-side
 //!   thread copies each request into a "shared-memory region" (an honest
 //!   extra copy) and hands it to a dedicated per-client *proxy*, which
-//!   executes the I/O and replies.
-//! * [`handle_sched`] — I/O scheduling (§IV): the handler enqueues the
-//!   task on the shared work queue and sleeps until a worker finishes it.
-//! * [`handle_staged`] — I/O scheduling + asynchronous data staging
-//!   (§IV): data writes are copied into BML buffers, acknowledged
-//!   immediately (`Response::Staged`), and executed by the worker pool;
-//!   metadata operations stay synchronous, with `fsync`/`close`/reads
-//!   acting as barriers.
+//!   drives it like `serve_conn` does.
+//! * [`worker_loop`] — the shared worker pool of the sched/staged modes.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded};
-use iofwd_proto::{Errno, Frame, OpId, Request, Response, StageEcho, TraceContext, TraceExt};
+use crossbeam::channel::unbounded;
+use iofwd_proto::{Fd, Frame, OpId, Request};
 
-use super::engine::{op_kind, response_errno, Engine};
-use super::queue::{ReplyTo, StagedPart, WorkItem, WorkQueue};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Need, Op, Retry, Route, Session, Waiting};
+use super::engine::Engine;
+use super::queue::{StagedPart, WorkItem, WorkQueue};
 use super::staged::FdSerializer;
-use super::{CoalesceConfig, HotPath};
-use crate::descdb::{BeginError, OpOutcome};
-use crate::telemetry::{Disposition, OpKind, OpSpan, Telemetry};
+use super::CoalesceConfig;
+use crate::descdb::OpOutcome;
+use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Conn;
 
-/// Descriptors opened by one client connection, so a vanished client's
-/// descriptors can be reclaimed (a compute node that dies mid-job must
-/// not leak ION resources).
-#[derive(Default)]
-pub(crate) struct Session {
-    fds: std::collections::HashSet<iofwd_proto::Fd>,
-}
-
-impl Session {
-    /// Observe a request/response pair and update the descriptor set.
-    fn track(&mut self, req: &Request, resp: &Response) {
-        match req {
-            Request::Open { .. } | Request::Connect { .. } => {
-                if let Response::Ok { ret } = resp {
-                    self.fds.insert(iofwd_proto::Fd(*ret as u32));
+/// Carry one admission to its reply, blocking wherever the core says
+/// to wait. Returns `false` once the connection should close.
+fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: Admission) -> bool {
+    loop {
+        admission = match admission {
+            // A send failure means the client vanished; the caller
+            // observes the closed connection on its next recv.
+            Admission::Reply(frame) => {
+                let _ = conn.send(frame);
+                return true;
+            }
+            Admission::Close { after } => {
+                let _ = conn.send(after);
+                return false;
+            }
+            // Blocking is how a thread parks: "if there is insufficient
+            // memory to stage the data, the I/O operation is blocked
+            // until ... sufficient memory is available" (§IV).
+            Admission::Park { op, need } => {
+                let retry = match need {
+                    Need::Bml => Retry::Adopted(
+                        ctx.engine
+                            .bml()
+                            .and_then(|bml| bml.adopt_timeout(op.data.clone(), None)),
+                    ),
+                    Need::QueueCredit => {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        Retry::Poll
+                    }
+                };
+                admit::resume(ctx, session, op, retry)
+            }
+            Admission::RunSync(Op {
+                ticket,
+                req,
+                data,
+                span,
+                ..
+            }) => {
+                let outcome = admit::run_sync(&ctx.engine, &req, &data, span);
+                admit::finish(ctx, session, ticket, outcome)
+            }
+            Admission::Barrier { fd, item, waiting } => {
+                admit::run_barrier(ctx, fd, item);
+                Admission::Queued(waiting)
+            }
+            // The threaded route always hands back a channel; a dropped
+            // sender means the worker pool is gone (daemon shutting
+            // down).
+            Admission::Queued(waiting) => {
+                let Some(Waiting { ticket, rx }) = waiting else {
+                    return false;
+                };
+                match rx.recv() {
+                    Ok(outcome) => admit::finish(ctx, session, ticket, outcome),
+                    Err(_) => return false,
                 }
             }
-            Request::Close { fd } => {
-                if matches!(resp, Response::Ok { .. } | Response::DeferredErr { .. }) {
-                    self.fds.remove(fd);
-                }
-            }
-            // No other operation creates or retires a descriptor.
-            Request::Write { .. }
-            | Request::Pwrite { .. }
-            | Request::Read { .. }
-            | Request::Pread { .. }
-            | Request::Lseek { .. }
-            | Request::Fsync { .. }
-            | Request::Stat { .. }
-            | Request::Fstat { .. }
-            | Request::Unlink { .. }
-            | Request::Shutdown
-            | Request::Stats { .. }
-            | Request::Ftruncate { .. }
-            | Request::Mkdir { .. }
-            | Request::Readdir { .. } => {}
-        }
-    }
-
-    /// Close everything the departed client left open.
-    fn reclaim(self, engine: &Engine) {
-        for fd in self.fds {
-            let _ = engine.execute(&Request::Close { fd }, &Bytes::new());
-        }
-    }
-}
-
-fn send_response(conn: &dyn Conn, client: u32, seq: u64, resp: &Response, data: Bytes) {
-    // A send failure means the client vanished; the handler loop will
-    // observe the closed connection on its next recv.
-    let _ = conn.send(Frame::response(client, seq, resp, data));
-}
-
-/// Seed-arm receive copy: re-materialise the payload as a fresh heap
-/// allocation, re-enacting the pre-zero-copy profile where every frame
-/// was deep-copied out of the receive buffer before processing. A no-op
-/// on the fast path, where the payload stays a view of the receive
-/// buffer end to end.
-pub(crate) fn maybe_deep_copy_rx(hotpath: HotPath, telemetry: &Telemetry, frame: &mut Frame) {
-    if hotpath == HotPath::Seed && !frame.data.is_empty() {
-        if telemetry.enabled() {
-            telemetry.hotpath_alloc_bytes.add(frame.data.len() as u64);
-        }
-        frame.data = Bytes::copy_from_slice(&frame.data);
-    }
-}
-
-/// Seed-arm transmit copy, the reply-side mirror of
-/// [`maybe_deep_copy_rx`]: re-materialise a reply payload as a fresh
-/// heap allocation before it reaches the transport, re-enacting the
-/// pre-split-send profile where every reply was serialised into a
-/// contiguous wire image (header plus payload memcpy). A no-op on the
-/// fast path, where a large payload travels to the socket by reference
-/// from the slab block it was read into.
-pub(crate) fn maybe_deep_copy_tx(hotpath: HotPath, telemetry: &Telemetry, data: &mut Bytes) {
-    if hotpath == HotPath::Seed && !data.is_empty() {
-        if telemetry.enabled() {
-            telemetry.hotpath_alloc_bytes.add(data.len() as u64);
-        }
-        *data = Bytes::copy_from_slice(data);
-    }
-}
-
-/// Adopt the client's trace context (if the frame carries one) onto the
-/// op's lifecycle span, so the id survives queueing, staging, and the
-/// worker pool, and shows up in the flight recorder and trace exporter.
-pub(crate) fn apply_trace(span: &mut OpSpan, frame: &Frame) {
-    if let Some(ctx) = frame.trace_ctx() {
-        span.trace_id = ctx.trace_id;
-        span.sampled = ctx.is_sampled();
-    }
-}
-
-/// Server-side stage breakdown echoed back to a traced client. Built
-/// from the same span `Telemetry::complete` folds into the histograms,
-/// so a client summing echoes reproduces the daemon's own numbers.
-pub(crate) fn stage_echo_of(span: &OpSpan) -> StageEcho {
-    StageEcho {
-        trace_id: span.trace_id,
-        flags: if span.sampled {
-            TraceContext::SAMPLED
-        } else {
-            0
-        },
-        queue_ns: span.queue_wait_ns(),
-        dispatch_ns: span.dispatch_lag_ns(),
-        backend_ns: span.service_ns(),
-        // A staged ack goes out before the backend runs
-        // (backend_done_ns == 0); its reply lag is not yet measurable.
-        reply_ns: if span.backend_done_ns == 0 {
-            0
-        } else {
-            span.reply_lag_ns()
-        },
-        total_ns: span.total_ns(),
-    }
-}
-
-/// Stamp the reply, echo the stage breakdown to traced clients, send,
-/// and complete the span — in that order, so the echoed durations are
-/// exactly the ones the daemon's histograms record.
-fn finish_and_reply(
-    conn: &dyn Conn,
-    telemetry: &Telemetry,
-    span: &mut OpSpan,
-    client: u32,
-    seq: u64,
-    resp: &Response,
-    data: Bytes,
-) {
-    span.reply_ns = telemetry.now_ns();
-    let mut frame = Frame::response(client, seq, resp, data);
-    if span.trace_id != 0 {
-        frame = frame.with_ext(TraceExt::Echo(stage_echo_of(span)));
-    }
-    // Fold the span BEFORE the reply hits the wire: once a client has
-    // seen its response, a stats snapshot must already account for the
-    // op (the experiment harness harvests over the wire immediately
-    // after its last reply).
-    telemetry.complete(span);
-    // A send failure means the client vanished; the handler loop will
-    // observe the closed connection on its next recv.
-    let _ = conn.send(frame);
-}
-
-/// Intercept a stats query right after decode: answered from telemetry
-/// memory before any span, queue, or engine involvement, so the
-/// introspection plane works even when the data path is wedged (see
-/// `server::introspect`). Returns `true` when the frame was consumed.
-/// `if let` rather than a `match` over `Request` so the wire enum keeps
-/// exactly one exhaustive dispatch site per handler (lint R3).
-fn try_answer_stats(conn: &dyn Conn, telemetry: &Telemetry, frame: &Frame, req: &Request) -> bool {
-    let Request::Stats { query } = req else {
-        return false;
-    };
-    let (resp, data) = super::introspect::answer(telemetry, *query);
-    send_response(conn, frame.client_id, frame.seq, &resp, data);
-    true
-}
-
-fn decode_or_reject(conn: &dyn Conn, frame: &Frame) -> Option<Request> {
-    match frame.decode_request() {
-        Ok(req) => Some(req),
-        Err(_) => {
-            send_response(
-                conn,
-                frame.client_id,
-                frame.seq,
-                &Response::Err {
-                    errno: Errno::Inval,
-                },
-                Bytes::new(),
-            );
-            None
-        }
-    }
-}
-
-/// ZOID: thread-per-client, execute inline. There is no queue, so
-/// arrival, enqueue, and dispatch collapse to the same instant.
-pub fn handle_zoid(conn: Arc<dyn Conn>, engine: Arc<Engine>) {
-    let telemetry = engine.telemetry().clone();
-    let mut session = Session::default();
-    while let Ok(Some(frame)) = conn.recv() {
-        let Some(req) = decode_or_reject(conn.as_ref(), &frame) else {
-            continue;
         };
-        if try_answer_stats(conn.as_ref(), &telemetry, &frame, &req) {
-            continue;
-        }
-        let now = telemetry.now_ns();
-        let mut span = OpSpan::begin(op_kind(&req), u64::from(frame.client_id), frame.seq, now);
-        span.enqueue_ns = now;
-        span.dispatch_ns = now;
-        span.bytes = frame.data.len() as u64;
-        apply_trace(&mut span, &frame);
-        let shutdown = matches!(req, Request::Shutdown);
-        let (resp, data) = engine.execute_timed(&req, &frame.data, &mut span);
-        session.track(&req, &resp);
-        finish_and_reply(
-            conn.as_ref(),
-            &telemetry,
-            &mut span,
-            frame.client_id,
-            frame.seq,
-            &resp,
-            data,
-        );
-        if shutdown {
+    }
+}
+
+/// Serve one client connection on the calling thread.
+pub(crate) fn serve_conn(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
+    let mut session = Session::new(Route::Handler);
+    while let Ok(Some(frame)) = conn.recv() {
+        let admission = admit::admit(&ctx, &mut session, frame);
+        if !drive(conn.as_ref(), &ctx, &mut session, admission) {
             break;
         }
     }
-    session.reclaim(&engine);
+    session.reclaim(&ctx.engine);
 }
 
-/// CIOD: daemon thread copies into "shared memory", a per-client proxy
-/// executes. The copy is real — it is CIOD's architectural cost.
-pub fn handle_ciod(conn: Arc<dyn Conn>, engine: Arc<Engine>) {
-    let (shm_tx, shm_rx) = unbounded::<(Frame, OpSpan)>();
+/// CIOD: the daemon thread copies into "shared memory", a per-client
+/// proxy executes. The copy is real — it is CIOD's architectural cost.
+pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
+    let (shm_tx, shm_rx) = unbounded::<Accepted>();
     let proxy_conn = conn.clone();
-    let proxy_engine = engine.clone();
+    let proxy_ctx = ctx.clone();
     let proxy = std::thread::Builder::new()
         .name("ciod-proxy".into())
         .spawn(move || {
             // The I/O proxy process: executes forwarded calls and returns
             // results directly to the compute node.
-            let telemetry = proxy_engine.telemetry().clone();
-            let mut session = Session::default();
-            while let Ok((frame, mut span)) = shm_rx.recv() {
-                // Queue wait = time the frame sat in the shm channel.
-                span.dispatch_ns = telemetry.now_ns();
-                let Some(req) = decode_or_reject(proxy_conn.as_ref(), &frame) else {
-                    span.ok = false;
-                    span.errno = Errno::Inval.to_wire();
-                    span.reply_ns = telemetry.now_ns();
-                    telemetry.complete(&span);
-                    continue;
+            let telemetry = proxy_ctx.engine.telemetry().clone();
+            let mut session = Session::new(Route::Handler);
+            while let Ok(accepted) = shm_rx.recv() {
+                let admission = match accepted {
+                    Accepted::Op(mut op) => {
+                        // Queue wait = time the op sat in the shm channel.
+                        op.span.dispatch_ns = telemetry.now_ns();
+                        admit::resume(&proxy_ctx, &mut session, op, Retry::Poll)
+                    }
+                    Accepted::Answered(answered) => answered,
                 };
-                if try_answer_stats(proxy_conn.as_ref(), &telemetry, &frame, &req) {
-                    // Meta-traffic, not an I/O op: the span is dropped
-                    // unfolded so stats polling never skews op counters.
-                    continue;
-                }
-                let shutdown = matches!(req, Request::Shutdown);
-                let (resp, data) = proxy_engine.execute_timed(&req, &frame.data, &mut span);
-                session.track(&req, &resp);
-                finish_and_reply(
-                    proxy_conn.as_ref(),
-                    &telemetry,
-                    &mut span,
-                    frame.client_id,
-                    frame.seq,
-                    &resp,
-                    data,
-                );
-                if shutdown {
+                if !drive(proxy_conn.as_ref(), &proxy_ctx, &mut session, admission) {
                     break;
                 }
             }
-            session.reclaim(&proxy_engine);
+            session.reclaim(&proxy_ctx.engine);
         })
         .expect("spawn ciod proxy");
 
-    let telemetry = engine.telemetry().clone();
+    let telemetry = ctx.engine.telemetry().clone();
     while let Ok(Some(frame)) = conn.recv() {
-        let kind = match frame.decode_request() {
-            Ok(ref req) => op_kind(req),
-            Err(_) => OpKind::Control, // proxy will reject it
-        };
-        let mut span = OpSpan::begin(
-            kind,
-            u64::from(frame.client_id),
-            frame.seq,
-            telemetry.now_ns(),
-        );
-        span.bytes = frame.data.len() as u64;
-        apply_trace(&mut span, &frame);
         // Copy the payload into the shared-memory region before the proxy
         // may touch it (CIOD's double copy, §II-B1).
         // HOTPATH: deliberate deep copy — paper fidelity, not an oversight.
         let copied = Bytes::from(frame.data.to_vec());
-        let shutdown = matches!(frame.decode_request(), Ok(Request::Shutdown));
-        let staged = Frame {
-            data: copied,
-            ..frame
-        };
-        span.enqueue_ns = telemetry.now_ns();
-        if shm_tx.send((staged, span)).is_err() {
-            break;
+        let mut accepted = admit::accept(
+            &ctx,
+            Frame {
+                data: copied,
+                ..frame
+            },
+        );
+        if let Accepted::Op(op) = &mut accepted {
+            op.span.enqueue_ns = telemetry.now_ns();
         }
-        if shutdown {
+        let closing = matches!(accepted, Accepted::Answered(Admission::Close { .. }));
+        if shm_tx.send(accepted).is_err() || closing {
             break;
         }
     }
@@ -328,404 +157,45 @@ pub fn handle_ciod(conn: Arc<dyn Conn>, engine: Arc<Engine>) {
     let _ = proxy.join();
 }
 
-/// I/O scheduling: enqueue, wait for a worker, reply.
-pub fn handle_sched(conn: Arc<dyn Conn>, engine: Arc<Engine>, queue: Arc<WorkQueue>) {
-    let telemetry = engine.telemetry().clone();
-    let mut session = Session::default();
-    while let Ok(Some(mut frame)) = conn.recv() {
-        maybe_deep_copy_rx(engine.hotpath(), &telemetry, &mut frame);
-        let Some(req) = decode_or_reject(conn.as_ref(), &frame) else {
-            continue;
-        };
-        if try_answer_stats(conn.as_ref(), &telemetry, &frame, &req) {
-            continue;
-        }
-        let mut span = OpSpan::begin(
-            op_kind(&req),
-            u64::from(frame.client_id),
-            frame.seq,
-            telemetry.now_ns(),
-        );
-        span.bytes = frame.data.len() as u64;
-        apply_trace(&mut span, &frame);
-        if matches!(req, Request::Shutdown) {
-            send_response(
-                conn.as_ref(),
-                frame.client_id,
-                frame.seq,
-                &Response::Ok { ret: 0 },
-                Bytes::new(),
-            );
-            break;
-        }
-        let (tx, rx) = bounded(1);
-        span.enqueue_ns = telemetry.now_ns();
-        // `frame.data` moves into the item — `Bytes` would make a clone
-        // cheap, but the work item owns the payload from here on, so
-        // even a refcount bump is gratuitous. (CIOD's double copy at
-        // its proxy hop is deliberate paper fidelity; this is not that.)
-        let pushed = queue.push(WorkItem::Sync {
-            req: req.clone(),
-            data: frame.data,
-            reply: ReplyTo::Handler(tx),
-            span,
-        });
-        if pushed.is_err() {
-            // Queue closed: the daemon is shutting down. Reply with a
-            // clean transient errno instead of killing the process
-            // (the old behavior was an assert in push).
-            span.ok = false;
-            span.errno = Errno::Again.to_wire();
-            span.disposition = Disposition::QueueRejected;
-            finish_and_reply(
-                conn.as_ref(),
-                &telemetry,
-                &mut span,
-                frame.client_id,
-                frame.seq,
-                &Response::Err {
-                    errno: Errno::Again,
-                },
-                Bytes::new(),
-            );
-            break;
-        }
-        match rx.recv() {
-            Ok((resp, mut data, mut span)) => {
-                session.track(&req, &resp);
-                maybe_deep_copy_tx(engine.hotpath(), &telemetry, &mut data);
-                finish_and_reply(
-                    conn.as_ref(),
-                    &telemetry,
-                    &mut span,
-                    frame.client_id,
-                    frame.seq,
-                    &resp,
-                    data,
-                );
-            }
-            Err(_) => break, // workers gone: daemon shutting down
-        }
-    }
-    session.reclaim(&engine);
-}
-
-/// I/O scheduling + asynchronous data staging.
-pub fn handle_staged(
-    conn: Arc<dyn Conn>,
-    engine: Arc<Engine>,
-    queue: Arc<WorkQueue>,
-    serializer: Arc<FdSerializer>,
-) {
-    let bml = engine.bml().expect("staged mode requires a BML").clone();
-    let telemetry = engine.telemetry().clone();
-    let mut session = Session::default();
-    while let Ok(Some(mut frame)) = conn.recv() {
-        maybe_deep_copy_rx(engine.hotpath(), &telemetry, &mut frame);
-        let Some(req) = decode_or_reject(conn.as_ref(), &frame) else {
-            continue;
-        };
-        if try_answer_stats(conn.as_ref(), &telemetry, &frame, &req) {
-            continue;
-        }
-        let mut span = OpSpan::begin(
-            op_kind(&req),
-            u64::from(frame.client_id),
-            frame.seq,
-            telemetry.now_ns(),
-        );
-        span.bytes = frame.data.len() as u64;
-        apply_trace(&mut span, &frame);
-        match req {
-            Request::Shutdown => {
-                send_response(
-                    conn.as_ref(),
-                    frame.client_id,
-                    frame.seq,
-                    &Response::Ok { ret: 0 },
-                    Bytes::new(),
-                );
-                break;
-            }
-            Request::Write { fd, len } | Request::Pwrite { fd, len, .. }
-                if len as usize <= bml.max_request() =>
-            {
-                let offset = if let Request::Pwrite { offset, .. } = req {
-                    Some(offset)
-                } else {
-                    None
-                };
-                if len != frame.data.len() as u64 {
-                    span.ok = false;
-                    span.errno = Errno::Inval.to_wire();
-                    finish_and_reply(
-                        conn.as_ref(),
-                        &telemetry,
-                        &mut span,
-                        frame.client_id,
-                        frame.seq,
-                        &Response::Err {
-                            errno: Errno::Inval,
-                        },
-                        Bytes::new(),
-                    );
-                    continue;
-                }
-                // When the write is handed off, the worker finishes the
-                // span; on the synchronous error paths below this
-                // handler finishes it itself.
-                let mut handed_off = false;
-                let resp = match engine.descriptor_db().begin_op(fd) {
-                    Err(BeginError::Sync(errno)) => Response::Err { errno },
-                    Err(BeginError::Deferred { op, errno }) => {
-                        engine
-                            .stats
-                            .deferred_errors_reported
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response::DeferredErr { op, errno }
-                    }
-                    Ok((op, _obj)) => {
-                        // Blocking acquisition: "if there is insufficient
-                        // memory to stage the data, the I/O operation is
-                        // blocked until ... sufficient memory is
-                        // available" (§IV). On the fast path the BML
-                        // *adopts* the receive view — capacity is charged
-                        // and blocked on identically, but no bytes move;
-                        // the Seed arm stages through a copy as the
-                        // original implementation did.
-                        let staged_buf = match engine.hotpath() {
-                            HotPath::Fast => bml.adopt_timeout(frame.data.clone(), None),
-                            HotPath::Seed => {
-                                bml.acquire_timeout(len as usize, None).map(|mut buf| {
-                                    buf.fill_from(&frame.data);
-                                    buf
-                                })
-                            }
-                        };
-                        match staged_buf {
-                            None => {
-                                // BML closed: daemon shutting down.
-                                engine.descriptor_db().finish_op(
-                                    fd,
-                                    op,
-                                    OpOutcome::Failed(Errno::NoMem),
-                                );
-                                Response::Err {
-                                    errno: Errno::NoMem,
-                                }
-                            }
-                            Some(buf) => {
-                                engine.stats.requests.fetch_add(1, Ordering::Relaxed);
-                                engine.stats.bytes_in.fetch_add(len, Ordering::Relaxed);
-                                engine.stats.staged_ops.fetch_add(1, Ordering::Relaxed);
-                                if telemetry.enabled() {
-                                    telemetry.ops_staged.inc();
-                                }
-                                // The staging ack goes out right after the
-                                // push; stamp the client-visible reply now
-                                // (OpSpan is Copy — the worker's copy keeps
-                                // these stamps and adds the backend ones).
-                                span.enqueue_ns = telemetry.now_ns();
-                                span.reply_ns = span.enqueue_ns;
-                                handed_off = true;
-                                let item = WorkItem::StagedWrite {
-                                    fd,
-                                    op,
-                                    offset,
-                                    buf,
-                                    span,
-                                };
-                                if let Some(item) = serializer.admit(fd, item) {
-                                    if let Err(closed) = queue.push(item) {
-                                        // Queue closed under us: the
-                                        // worker pool will never run
-                                        // this write, so execute it
-                                        // inline (plus any successors
-                                        // the lane releases) to keep
-                                        // the `Staged` ack truthful.
-                                        run_staged_inline(
-                                            &engine,
-                                            &telemetry,
-                                            *closed.0,
-                                            Disposition::Completed,
-                                        );
-                                        while let Some(next) = serializer.complete(fd) {
-                                            run_staged_inline(
-                                                &engine,
-                                                &telemetry,
-                                                next,
-                                                Disposition::Completed,
-                                            );
-                                        }
-                                    }
-                                }
-                                Response::Staged { op }
-                            }
-                        }
-                    }
-                };
-                if handed_off {
-                    // Staged ack: echo the ack-time stages now (queue /
-                    // backend are still zero — the ack precedes them);
-                    // the worker completes the span after the backend
-                    // write. reply_ns was stamped alongside enqueue_ns.
-                    let mut ack = Frame::response(frame.client_id, frame.seq, &resp, Bytes::new());
-                    if span.trace_id != 0 {
-                        ack = ack.with_ext(TraceExt::Echo(stage_echo_of(&span)));
-                    }
-                    let _ = conn.send(ack);
-                } else {
-                    span.ok = false;
-                    span.errno = response_errno(&resp);
-                    finish_and_reply(
-                        conn.as_ref(),
-                        &telemetry,
-                        &mut span,
-                        frame.client_id,
-                        frame.seq,
-                        &resp,
-                        Bytes::new(),
-                    );
-                }
-            }
-            Request::Read { fd, .. } | Request::Pread { fd, .. } => {
-                // Reads barrier behind staged writes on the descriptor so
-                // a read never observes pre-staging file contents.
-                if let Err(errno) = engine.descriptor_db().wait_idle(fd) {
-                    span.ok = false;
-                    span.errno = errno.to_wire();
-                    finish_and_reply(
-                        conn.as_ref(),
-                        &telemetry,
-                        &mut span,
-                        frame.client_id,
-                        frame.seq,
-                        &Response::Err { errno },
-                        Bytes::new(),
-                    );
-                    continue;
-                }
-                let (tx, rx) = bounded(1);
-                span.enqueue_ns = telemetry.now_ns();
-                let pushed = queue.push(WorkItem::Sync {
-                    req,
-                    data: frame.data.clone(),
-                    reply: ReplyTo::Handler(tx),
-                    span,
-                });
-                if pushed.is_err() {
-                    span.ok = false;
-                    span.errno = Errno::Again.to_wire();
-                    span.disposition = Disposition::QueueRejected;
-                    finish_and_reply(
-                        conn.as_ref(),
-                        &telemetry,
-                        &mut span,
-                        frame.client_id,
-                        frame.seq,
-                        &Response::Err {
-                            errno: Errno::Again,
-                        },
-                        Bytes::new(),
-                    );
-                    break;
-                }
-                match rx.recv() {
-                    Ok((resp, mut data, mut span)) => {
-                        maybe_deep_copy_tx(engine.hotpath(), &telemetry, &mut data);
-                        finish_and_reply(
-                            conn.as_ref(),
-                            &telemetry,
-                            &mut span,
-                            frame.client_id,
-                            frame.seq,
-                            &resp,
-                            data,
-                        );
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Metadata operations (and oversized writes that exceed the
-            // BML's largest class, falling through the guard above) run
-            // synchronously in the handler, as the paper specifies for
-            // open/close/attribute operations. `Stats` is consumed by
-            // the interception above and never reaches this dispatch;
-            // the engine rejects one anyway (routing bug, not data).
-            other @ (Request::Open { .. }
-            | Request::Connect { .. }
-            | Request::Close { .. }
-            | Request::Write { .. }
-            | Request::Pwrite { .. }
-            | Request::Lseek { .. }
-            | Request::Fsync { .. }
-            | Request::Stat { .. }
-            | Request::Fstat { .. }
-            | Request::Unlink { .. }
-            | Request::Ftruncate { .. }
-            | Request::Mkdir { .. }
-            | Request::Stats { .. }
-            | Request::Readdir { .. }) => {
-                let now = telemetry.now_ns();
-                span.enqueue_ns = now;
-                span.dispatch_ns = now;
-                let (resp, data) = engine.execute_timed(&other, &frame.data, &mut span);
-                session.track(&other, &resp);
-                finish_and_reply(
-                    conn.as_ref(),
-                    &telemetry,
-                    &mut span,
-                    frame.client_id,
-                    frame.seq,
-                    &resp,
-                    data,
-                );
-            }
-        }
-    }
-    // Reclaiming a descriptor barriers its staged writes (close waits
-    // for the in-flight operations), so nothing is lost.
-    session.reclaim(&engine);
-}
-
-/// Execute a staged write outside the worker pool (handler racing
-/// shutdown, or the shutdown drain): filters, backend write, outcome
-/// recording, span completion, and BML buffer return. `disposition`
-/// records *why* it ran inline (handler race → `Completed`, shutdown
-/// drain → `DrainExecuted`) for the flight recorder.
-pub(crate) fn run_staged_inline(
+/// Execute one staged write: filters, backend write, and outcome
+/// recording (all in the engine, shared with the sync path), span
+/// completion, and BML buffer return. `worker` is the 1-based pool
+/// worker, 0 off the pool; `disposition` records why it ran where it did
+/// (`Completed`, or `DrainExecuted` from the shutdown drain).
+pub(crate) fn execute_staged(
     engine: &Engine,
     telemetry: &Telemetry,
-    item: WorkItem,
+    fd: Fd,
+    part: StagedPart,
+    worker: u32,
     disposition: Disposition,
 ) {
-    match item {
-        WorkItem::StagedWrite {
-            fd,
-            op,
-            offset,
-            buf,
-            mut span,
-        } => {
-            span.dispatch_ns = telemetry.now_ns();
-            span.backend_start_ns = span.dispatch_ns;
-            let outcome = engine.execute_staged_write(fd, op, offset, buf.as_slice());
-            span.backend_done_ns = telemetry.now_ns();
-            span.ok = matches!(outcome, OpOutcome::Ok);
-            if let OpOutcome::Failed(errno) = outcome {
-                span.errno = errno.to_wire();
-            }
-            span.disposition = disposition;
-            drop(buf);
-            telemetry.complete(&span);
-        }
-        // A coalesced batch racing shutdown (or left for the drain)
-        // still fans completion out to every constituent op.
-        item @ WorkItem::CoalescedWrite { .. } => {
-            execute_coalesced(engine, telemetry, item, 0, disposition);
-        }
-        // Only staged writes are ever admitted to a serializer lane.
-        WorkItem::Sync { .. } => {}
+    let StagedPart {
+        op,
+        offset,
+        buf,
+        mut span,
+    } = part;
+    span.dispatch_ns = telemetry.now_ns();
+    span.backend_start_ns = span.dispatch_ns;
+    span.worker = worker;
+    let outcome = engine.execute_staged_write(fd, op, offset, buf.as_slice());
+    span.backend_done_ns = telemetry.now_ns();
+    span.ok = matches!(outcome, OpOutcome::Ok);
+    if let OpOutcome::Failed(errno) = outcome {
+        span.errno = errno.to_wire();
+    }
+    span.disposition = disposition;
+    drop(buf); // return staging memory before dispatching more
+    telemetry.complete(&span);
+}
+
+/// Execute a staged write on the admitting thread: the queue closed
+/// under admission, so no worker will. (Only staged writes are ever
+/// admitted to a serializer lane.)
+pub(crate) fn run_staged_inline(engine: &Engine, telemetry: &Telemetry, item: WorkItem) {
+    if let WorkItem::StagedWrite { fd, part } = item {
+        execute_staged(engine, telemetry, fd, part, 0, Disposition::Completed);
     }
 }
 
@@ -736,16 +206,13 @@ pub(crate) fn run_staged_inline(
 /// `finish_op` outcome in the DescDb, and its own BML buffer return.
 /// A short vectored write credits full success to the parts it covered
 /// and charges the error only to the parts (or tails) it did not.
-pub(crate) fn execute_coalesced(
+fn execute_coalesced(
     engine: &Engine,
     telemetry: &Telemetry,
-    item: WorkItem,
+    fd: Fd,
+    mut parts: Vec<StagedPart>,
     worker: u32,
-    disposition: Disposition,
 ) {
-    let WorkItem::CoalescedWrite { fd, mut parts } = item else {
-        return;
-    };
     let Some(first) = parts.first() else {
         return;
     };
@@ -777,7 +244,6 @@ pub(crate) fn execute_coalesced(
         if let OpOutcome::Failed(errno) = outcome {
             span.errno = errno.to_wire();
         }
-        span.disposition = disposition;
         drop(part.buf); // return staging memory per constituent
         telemetry.complete(&span);
     }
@@ -869,96 +335,49 @@ pub fn worker_loop(
                     // The handler stamps reply_ns and completes the span.
                     reply.deliver(resp, out, span);
                 }
-                WorkItem::StagedWrite {
-                    fd,
-                    op,
-                    offset,
-                    buf,
-                    mut span,
-                } => {
+                WorkItem::StagedWrite { fd, part } => {
                     // Drop-safe lane release: when the guard goes out of
                     // scope — normal completion or an early exit — the
                     // lane is completed and the successor re-enqueued
                     // (or parked for the shutdown drain if the queue
-                    // closed). The old explicit `complete` leaked the
-                    // lane, and every parked successor's BML buffer, on
-                    // any path that skipped it.
+                    // closed).
                     let _guard = serializer.completion_guard(fd, queue.clone());
                     // Coalescing: harvest the offset-contiguous prefix
                     // parked behind this write on its lane and execute
                     // the chain as one vectored backend call. Filters
                     // disable merging (they are defined per-op).
-                    if let Some(cfg) = coalesce {
-                        if engine.coalescible() {
-                            let chain_end = offset.map(|o| o + buf.len() as u64);
-                            let extra = serializer.harvest_contiguous(
-                                fd,
-                                chain_end,
-                                cfg.max_ops.saturating_sub(1),
-                                cfg.max_bytes.saturating_sub(buf.len()),
-                            );
-                            if !extra.is_empty() {
-                                let mut parts = Vec::with_capacity(extra.len() + 1);
-                                parts.push(StagedPart {
-                                    op,
-                                    offset,
-                                    buf,
-                                    span,
-                                });
-                                for harvested in extra {
-                                    if let WorkItem::StagedWrite {
-                                        op,
-                                        offset,
-                                        buf,
-                                        span,
-                                        ..
-                                    } = harvested
-                                    {
-                                        parts.push(StagedPart {
-                                            op,
-                                            offset,
-                                            buf,
-                                            span,
-                                        });
-                                    }
-                                }
-                                execute_coalesced(
-                                    &engine,
-                                    &telemetry,
-                                    WorkItem::CoalescedWrite { fd, parts },
-                                    worker as u32 + 1,
-                                    Disposition::Completed,
-                                );
-                                continue; // lane guard drops here
-                            }
-                        }
+                    let extra = match coalesce {
+                        Some(cfg) if engine.coalescible() => serializer.harvest_contiguous(
+                            fd,
+                            part.offset.map(|o| o + part.buf.len() as u64),
+                            cfg.max_ops.saturating_sub(1),
+                            cfg.max_bytes.saturating_sub(part.buf.len()),
+                        ),
+                        _ => Vec::new(),
+                    };
+                    let worker = worker as u32 + 1;
+                    if extra.is_empty() {
+                        execute_staged(
+                            &engine,
+                            &telemetry,
+                            fd,
+                            part,
+                            worker,
+                            Disposition::Completed,
+                        );
+                    } else {
+                        let mut parts = Vec::with_capacity(extra.len() + 1);
+                        parts.push(part);
+                        parts.extend(extra);
+                        execute_coalesced(&engine, &telemetry, fd, parts, worker);
                     }
-                    span.dispatch_ns = telemetry.now_ns();
-                    span.backend_start_ns = span.dispatch_ns;
-                    span.worker = worker as u32 + 1;
-                    // Filters, backend write, and outcome recording all
-                    // happen in the engine (shared with the sync path).
-                    let outcome = engine.execute_staged_write(fd, op, offset, buf.as_slice());
-                    span.backend_done_ns = telemetry.now_ns();
-                    span.ok = matches!(outcome, OpOutcome::Ok);
-                    if let OpOutcome::Failed(errno) = outcome {
-                        span.errno = errno.to_wire();
-                    }
-                    drop(buf); // return staging memory before dispatching more
-                    telemetry.complete(&span);
                 }
                 // Coalesced items are built worker-side and executed
                 // immediately, so none is ever *enqueued*; if one shows
                 // up anyway it owns no serializer lane — just complete
                 // every constituent.
-                item @ WorkItem::CoalescedWrite { .. } => {
-                    execute_coalesced(
-                        &engine,
-                        &telemetry,
-                        item,
-                        worker as u32 + 1,
-                        Disposition::Completed,
-                    );
+                WorkItem::CoalescedWrite { fd, parts } => {
+                    execute_coalesced(&engine, &telemetry, fd, parts, worker as u32 + 1);
                 }
             }
         }

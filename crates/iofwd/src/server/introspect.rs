@@ -10,9 +10,9 @@
 //! Queries arrive on two paths:
 //!
 //! - **In-band**: a `Request::Stats` frame on a normal client
-//!   connection. Both transports intercept it right after decode
-//!   (threads: `handlers::try_answer_stats`; reactor: inline in
-//!   `admit`) and reply before any enqueue.
+//!   connection. The admission core intercepts it right after decode
+//!   (`admit::accept`, both transports) and replies before any credit
+//!   check or enqueue.
 //! - **Out-of-band**: a dedicated `--stats-addr` TCP listener served by
 //!   [`spawn`]. This port speaks the same framed protocol but accepts
 //!   *only* stats queries, so an operator can always get a socket even

@@ -10,6 +10,7 @@
 //! | `Sched` | thread per client | shared worker pool | whole operation |
 //! | `AsyncStaged` | thread per client | shared worker pool | staging copy only |
 
+mod admit;
 mod engine;
 mod handlers;
 pub mod introspect;
@@ -21,7 +22,7 @@ pub mod watchdog;
 pub use engine::{Engine, ServerStats, StatsSnapshot};
 pub use introspect::IntrospectHandle;
 pub use queue::{
-    Completion, CompletionSink, QueueDiscipline, ReplyTo, StagedPart, WorkItem, WorkQueue,
+    Completion, CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
 pub use reactor::{ReactorConfig, ReactorHandle};
 pub use staged::FdSerializer;
@@ -32,14 +33,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use iofwd_proto::{Errno, Response};
+use iofwd_proto::{Errno, Fd};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::bml::Bml;
 use crate::descdb::OpOutcome;
 use crate::fault::RetryPolicy;
+use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Listener;
 
 /// Which forwarding architecture the daemon runs.
@@ -76,36 +77,6 @@ impl ForwardingMode {
     }
 }
 
-/// Hot-path variant, for the zero-copy ablation (DESIGN.md §17).
-///
-/// `Fast` is the real data path. `Seed` is the paired-benchmark
-/// control arm: it re-creates the allocation/copy profile the daemon
-/// had before the zero-copy receive path landed (deep-copy out of the
-/// receive buffer, stage by acquire+copy, reply to reads from fresh
-/// allocations), so `experiments` can measure the win honestly on the
-/// same binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HotPath {
-    /// Zero-copy: decoded frames stay views into the receive buffer,
-    /// staging adopts the payload by reference, reads reply from
-    /// recycled slab blocks.
-    #[default]
-    Fast,
-    /// Pre-zero-copy emulation: one deep copy out of the receive
-    /// buffer per frame, one staging copy into an acquired BML block,
-    /// one fresh allocation per read reply.
-    Seed,
-}
-
-impl HotPath {
-    pub fn name(&self) -> &'static str {
-        match self {
-            HotPath::Fast => "fast",
-            HotPath::Seed => "seed",
-        }
-    }
-}
-
 /// Write-coalescing budgets: how much a worker may merge into a single
 /// vectored backend call when it finds offset-contiguous staged writes
 /// parked behind the one it dequeued.
@@ -133,9 +104,6 @@ pub struct ServerConfig {
     /// How many tasks a worker dequeues per scheduling pass (the paper's
     /// per-thread I/O multiplexing; §IV uses a poll-based event loop).
     pub worker_batch: usize,
-    /// Work-queue discipline (the paper uses a single shared FIFO; the
-    /// per-worker variant exists for the ablation bench).
-    pub queue_discipline: QueueDiscipline,
     /// In-situ filter chain applied to every data write on the ION
     /// (§VII future work: offloaded data filtering / analytics).
     pub filters: crate::filter::FilterChain,
@@ -153,9 +121,6 @@ pub struct ServerConfig {
     /// modes with a queue for writes to park behind — and off (and
     /// meaningless) for Ciod/Zoid, which execute inline.
     pub coalesce: Option<CoalesceConfig>,
-    /// Hot-path variant: the zero-copy path (default) or the
-    /// seed-emulation control arm for paired benchmarks.
-    pub hotpath: HotPath,
 }
 
 impl ServerConfig {
@@ -163,7 +128,6 @@ impl ServerConfig {
         ServerConfig {
             mode,
             worker_batch: 4,
-            queue_discipline: QueueDiscipline::SharedFifo,
             filters: crate::filter::FilterChain::new(),
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
             retry: RetryPolicy::disabled(),
@@ -173,7 +137,6 @@ impl ServerConfig {
                 }
                 ForwardingMode::Ciod | ForwardingMode::Zoid => None,
             },
-            hotpath: HotPath::Fast,
         }
     }
 
@@ -187,11 +150,6 @@ impl ServerConfig {
     pub fn with_worker_batch(mut self, batch: usize) -> Self {
         assert!(batch > 0);
         self.worker_batch = batch;
-        self
-    }
-
-    pub fn with_queue_discipline(mut self, d: QueueDiscipline) -> Self {
-        self.queue_discipline = d;
         self
     }
 
@@ -213,20 +171,13 @@ impl ServerConfig {
         self.coalesce = coalesce;
         self
     }
-
-    /// Select the hot-path variant (zero-copy vs. seed emulation).
-    pub fn with_hotpath(mut self, hotpath: HotPath) -> Self {
-        self.hotpath = hotpath;
-        self
-    }
 }
 
 /// A running ION daemon. Dropping without [`IonServer::shutdown`] detaches
 /// its threads; call `shutdown` for an orderly join (clients must have
 /// disconnected or sent `Request::Shutdown` first).
 pub struct IonServer {
-    engine: Arc<Engine>,
-    queue: Option<Arc<WorkQueue>>,
+    ctx: Arc<admit::AdmitCtx>,
     serializer: Option<Arc<FdSerializer>>,
     listener: Arc<dyn Listener>,
     accept_thread: Option<JoinHandle<()>>,
@@ -250,7 +201,7 @@ pub struct ShutdownReport {
 /// Engine + worker-pool plumbing shared by both transports.
 struct ServerCore {
     engine: Arc<Engine>,
-    queue: Option<Arc<WorkQueue>>,
+    policy: admit::Policy,
     serializer: Option<Arc<FdSerializer>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
@@ -272,43 +223,51 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
     } else {
         backend
     };
-    let mut engine =
-        Engine::with_telemetry(backend, bml, config.filters.clone(), telemetry.clone());
+    let mut engine = Engine::with_telemetry(
+        backend,
+        bml.clone(),
+        config.filters.clone(),
+        telemetry.clone(),
+    );
     engine.set_retry_policy(config.retry);
-    engine.set_hotpath(config.hotpath);
     let engine = Arc::new(engine);
 
-    let (queue, serializer, worker_threads) = match config.mode.workers() {
-        0 => (None, None, Vec::new()),
-        n => {
-            let queue = Arc::new(WorkQueue::with_telemetry(
-                config.queue_discipline,
-                n,
-                telemetry.clone(),
-            ));
-            let serializer = Arc::new(FdSerializer::new());
-            let workers = (0..n)
-                .map(|w| {
-                    let queue = queue.clone();
-                    let engine = engine.clone();
-                    let serializer = serializer.clone();
-                    let batch = config.worker_batch;
-                    let coalesce = config.coalesce;
-                    std::thread::Builder::new()
-                        .name(format!("iofwd-worker-{w}"))
-                        .spawn(move || {
-                            handlers::worker_loop(w, batch, queue, engine, serializer, coalesce)
-                        })
-                        .expect("spawn worker")
-                })
-                .collect();
-            (Some(queue), Some(serializer), workers)
-        }
+    let workers = config.mode.workers();
+    if workers == 0 {
+        return ServerCore {
+            engine,
+            policy: admit::Policy::Inline,
+            serializer: None,
+            worker_threads: Vec::new(),
+        };
+    }
+    let queue = Arc::new(WorkQueue::with_telemetry(workers, telemetry));
+    let serializer = Arc::new(FdSerializer::new());
+    let worker_threads = (0..workers)
+        .map(|w| {
+            let queue = queue.clone();
+            let engine = engine.clone();
+            let serializer = serializer.clone();
+            let batch = config.worker_batch;
+            let coalesce = config.coalesce;
+            std::thread::Builder::new()
+                .name(format!("iofwd-worker-{w}"))
+                .spawn(move || handlers::worker_loop(w, batch, queue, engine, serializer, coalesce))
+                .expect("spawn worker")
+        })
+        .collect();
+    let policy = match bml {
+        Some(bml) => admit::Policy::Staged {
+            queue,
+            serializer: serializer.clone(),
+            bml,
+        },
+        None => admit::Policy::Sched { queue },
     };
     ServerCore {
         engine,
-        queue,
-        serializer,
+        policy,
+        serializer: Some(serializer),
         worker_threads,
     }
 }
@@ -327,6 +286,21 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
     }
 }
 
+/// Fail a staged write the shutdown drain ran out of time for: record
+/// the deferred error, return the staging memory, and complete the span
+/// — into the flight recorder and trace, not the void.
+fn fail_staged(engine: &Engine, telemetry: &Telemetry, fd: Fd, part: StagedPart, errno: Errno) {
+    engine
+        .descriptor_db()
+        .finish_op(fd, part.op, OpOutcome::Failed(errno));
+    drop(part.buf);
+    let mut span = part.span;
+    span.ok = false;
+    span.errno = errno.to_wire();
+    span.disposition = Disposition::DrainDeferred;
+    telemetry.complete(&span);
+}
+
 impl IonServer {
     /// Start the daemon on a listener (thread-per-connection transport).
     pub fn spawn(
@@ -337,21 +311,25 @@ impl IonServer {
         let telemetry = config.telemetry.clone();
         let ServerCore {
             engine,
-            queue,
+            policy,
             serializer,
             worker_threads,
         } = build_core(backend, &config);
+        // A handler thread has one op in flight at a time, so the
+        // per-client queue cap never binds on this transport.
+        let ctx = Arc::new(admit::AdmitCtx {
+            engine,
+            policy,
+            max_client_queued: usize::MAX,
+        });
         let listener: Arc<dyn Listener> = Arc::from(listener);
         let handler_threads = Arc::new(Mutex::new(Vec::new()));
 
         let accept_thread = {
             let listener = listener.clone();
-            let engine = engine.clone();
-            let queue = queue.clone();
-            let serializer = serializer.clone();
+            let ctx = ctx.clone();
             let handler_threads = handler_threads.clone();
-            let mode = config.mode;
-            let telemetry = telemetry.clone();
+            let ciod = config.mode == ForwardingMode::Ciod;
             std::thread::Builder::new()
                 .name("iofwd-accept".into())
                 .spawn(move || {
@@ -380,9 +358,7 @@ impl IonServer {
                         } else {
                             Arc::from(conn)
                         };
-                        let engine = engine.clone();
-                        let queue = queue.clone();
-                        let serializer = serializer.clone();
+                        let ctx = ctx.clone();
                         if telemetry.enabled() {
                             telemetry.conns_open.add(1);
                         }
@@ -390,20 +366,10 @@ impl IonServer {
                         let handle = std::thread::Builder::new()
                             .name("iofwd-handler".into())
                             .spawn(move || {
-                                match mode {
-                                    ForwardingMode::Ciod => handlers::handle_ciod(conn, engine),
-                                    ForwardingMode::Zoid => handlers::handle_zoid(conn, engine),
-                                    ForwardingMode::Sched { .. } => handlers::handle_sched(
-                                        conn,
-                                        engine,
-                                        queue.expect("sched mode has a queue"),
-                                    ),
-                                    ForwardingMode::AsyncStaged { .. } => handlers::handle_staged(
-                                        conn,
-                                        engine,
-                                        queue.expect("staged mode has a queue"),
-                                        serializer.expect("staged mode has a serializer"),
-                                    ),
+                                if ciod {
+                                    handlers::handle_ciod(conn, ctx);
+                                } else {
+                                    handlers::serve_conn(conn, ctx);
                                 }
                                 if telemetry.enabled() {
                                     telemetry.conns_open.add(-1);
@@ -417,8 +383,7 @@ impl IonServer {
         };
 
         IonServer {
-            engine,
-            queue,
+            ctx,
             serializer,
             listener,
             accept_thread: Some(accept_thread),
@@ -451,24 +416,19 @@ impl IonServer {
         }
         let ServerCore {
             engine,
-            queue,
+            policy,
             serializer,
             worker_threads,
         } = build_core(backend, &config);
-        let queue = queue.expect("worker-pool mode has a queue");
+        let ctx = Arc::new(admit::AdmitCtx {
+            engine,
+            policy,
+            max_client_queued: reactor_cfg.max_client_queued.max(1),
+        });
         let acceptor = Arc::new(acceptor);
-        let staged = matches!(config.mode, ForwardingMode::AsyncStaged { .. });
-        match reactor::spawn(
-            acceptor.clone(),
-            engine.clone(),
-            queue.clone(),
-            serializer.clone(),
-            staged,
-            reactor_cfg,
-        ) {
+        match reactor::spawn(acceptor.clone(), ctx.clone(), reactor_cfg) {
             Ok(handle) => Ok(IonServer {
-                engine,
-                queue: Some(queue),
+                ctx,
                 serializer,
                 listener: acceptor,
                 accept_thread: None,
@@ -480,12 +440,14 @@ impl IonServer {
             Err(e) => {
                 // Unwind the worker pool we just built; no client ever
                 // connected, so there is nothing to drain.
-                queue.close();
-                queue.abort();
+                if let Some(queue) = ctx.queue() {
+                    queue.close();
+                    queue.abort();
+                }
                 for w in worker_threads {
                     let _ = w.join();
                 }
-                if let Some(bml) = engine.bml() {
+                if let Some(bml) = ctx.engine.bml() {
                     bml.close();
                 }
                 Err(e)
@@ -510,35 +472,35 @@ impl IonServer {
     /// The daemon's telemetry registry (always present; a null sink if
     /// the config disabled it).
     pub fn telemetry(&self) -> Arc<crate::telemetry::Telemetry> {
-        self.engine.telemetry().clone()
+        self.ctx.engine.telemetry().clone()
     }
 
     /// Daemon-wide request counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.engine.stats()
+        self.ctx.engine.stats()
     }
 
     /// The shared work queue (None for Ciod/Zoid modes) — the watchdog
     /// samples its head-of-line age through this.
     pub fn work_queue(&self) -> Option<Arc<WorkQueue>> {
-        self.queue.clone()
+        self.ctx.queue().cloned()
     }
 
     /// Work-queue statistics (None for Ciod/Zoid modes).
     pub fn queue_stats(&self) -> Option<(u64, u64)> {
-        self.queue
-            .as_ref()
+        self.ctx
+            .queue()
             .map(|q| (q.total_enqueued(), q.depth_high_water()))
     }
 
     /// BML statistics (None unless AsyncStaged).
     pub fn bml_stats(&self) -> Option<crate::bml::BmlStats> {
-        self.engine.bml().map(|b| b.stats())
+        self.ctx.engine.bml().map(|b| b.stats())
     }
 
     /// Number of descriptors currently open on the daemon.
     pub fn open_descriptors(&self) -> usize {
-        self.engine.descriptor_db().open_count()
+        self.ctx.engine.descriptor_db().open_count()
     }
 
     /// Orderly shutdown: stop accepting, drain the work queue, join
@@ -578,7 +540,7 @@ impl IonServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        if let Some(q) = &self.queue {
+        if let Some(q) = self.ctx.queue() {
             q.close();
             let soft = deadline / 2;
             while q.depth() > 0 && started.elapsed() < soft {
@@ -590,9 +552,10 @@ impl IonServer {
             let _ = w.join();
         }
 
-        let telemetry = self.engine.telemetry().clone();
+        let engine = &self.ctx.engine;
+        let telemetry = engine.telemetry();
         let mut leftovers: Vec<WorkItem> = Vec::new();
-        if let Some(q) = &self.queue {
+        if let Some(q) = self.ctx.queue() {
             leftovers.extend(q.drain_remaining());
         }
         if let Some(s) = &self.serializer {
@@ -600,104 +563,47 @@ impl IonServer {
         }
         let mut report = ShutdownReport::default();
         for item in leftovers {
-            match item {
-                item @ WorkItem::StagedWrite { .. } if started.elapsed() < deadline => {
-                    handlers::run_staged_inline(
-                        &self.engine,
-                        &telemetry,
-                        item,
-                        crate::telemetry::Disposition::DrainExecuted,
-                    );
-                    report.executed += 1;
-                    if telemetry.enabled() {
-                        telemetry.drain_executed.inc();
-                    }
+            let (fd, parts) = match item {
+                // Sync items carry no BML memory and no recorded op:
+                // answer EAGAIN through the item's own reply route. The
+                // handler (or the still-running event loop) delivers it
+                // and closes the connection behind it.
+                item @ WorkItem::Sync { .. } => {
+                    admit::reject(item, Errno::Again, Disposition::QueueRejected);
+                    continue;
                 }
-                WorkItem::StagedWrite {
-                    fd,
-                    op,
-                    buf,
-                    mut span,
-                    ..
-                } => {
-                    // Deadline exhausted: fail the op *explicitly* so the
-                    // client's deferred-error channel reports it on the
-                    // next op or close, and return the staging memory.
-                    self.engine
-                        .descriptor_db()
-                        .finish_op(fd, op, OpOutcome::Failed(Errno::Io));
-                    drop(buf);
-                    // The span still completes — into the flight recorder
-                    // and trace, not the void — recording that this write
-                    // was deferred to the error channel at shutdown.
-                    span.ok = false;
-                    span.errno = Errno::Io.to_wire();
-                    span.disposition = crate::telemetry::Disposition::DrainDeferred;
-                    telemetry.complete(&span);
-                    report.deferred += 1;
-                    if telemetry.enabled() {
-                        telemetry.drain_deferred.inc();
-                    }
-                }
+                WorkItem::StagedWrite { fd, part } => (fd, vec![part]),
                 // A coalesced batch caught by the drain (workers are
                 // never killed mid-item, but the arm keeps the drain
                 // total): execute or defer every constituent.
-                item @ WorkItem::CoalescedWrite { .. } if started.elapsed() < deadline => {
-                    let n = match &item {
-                        WorkItem::CoalescedWrite { parts, .. } => parts.len(),
-                        _ => 0,
-                    };
-                    handlers::run_staged_inline(
-                        &self.engine,
-                        &telemetry,
-                        item,
-                        crate::telemetry::Disposition::DrainExecuted,
+                WorkItem::CoalescedWrite { fd, parts } => (fd, parts),
+            };
+            let n = parts.len();
+            if started.elapsed() < deadline {
+                for part in parts {
+                    handlers::execute_staged(
+                        engine,
+                        telemetry,
+                        fd,
+                        part,
+                        0,
+                        Disposition::DrainExecuted,
                     );
-                    report.executed += n;
-                    if telemetry.enabled() {
-                        telemetry.drain_executed.add(n as u64);
-                    }
                 }
-                WorkItem::CoalescedWrite { fd, parts } => {
-                    for part in parts {
-                        self.engine.descriptor_db().finish_op(
-                            fd,
-                            part.op,
-                            OpOutcome::Failed(Errno::Io),
-                        );
-                        drop(part.buf);
-                        let mut span = part.span;
-                        span.ok = false;
-                        span.errno = Errno::Io.to_wire();
-                        span.disposition = crate::telemetry::Disposition::DrainDeferred;
-                        telemetry.complete(&span);
-                        report.deferred += 1;
-                        if telemetry.enabled() {
-                            telemetry.drain_deferred.inc();
-                        }
-                    }
+                report.executed += n;
+                if telemetry.enabled() {
+                    telemetry.drain_executed.add(n as u64);
                 }
-                // Sync items carry no BML memory and no recorded op.
-                // Handler-origin: dropping the reply sender unblocks the
-                // waiting handler with a disconnect. Reactor-origin: the
-                // event loop is still running and holds per-connection
-                // bookkeeping for this op, so fail it explicitly — the
-                // completion routes back through the reactor's sink.
-                WorkItem::Sync {
-                    reply, mut span, ..
-                } => {
-                    if matches!(reply, ReplyTo::Reactor { .. }) {
-                        span.ok = false;
-                        span.errno = Errno::Again.to_wire();
-                        span.disposition = crate::telemetry::Disposition::QueueRejected;
-                        reply.deliver(
-                            Response::Err {
-                                errno: Errno::Again,
-                            },
-                            Bytes::new(),
-                            span,
-                        );
-                    }
+            } else {
+                // Deadline exhausted: fail the ops *explicitly* so the
+                // client's deferred-error channel reports them on the
+                // next op or close, and return the staging memory.
+                for part in parts {
+                    fail_staged(engine, telemetry, fd, part, Errno::Io);
+                }
+                report.deferred += n;
+                if telemetry.enabled() {
+                    telemetry.drain_deferred.add(n as u64);
                 }
             }
         }
@@ -713,7 +619,7 @@ impl IonServer {
         if let Some(r) = self.reactor.take() {
             r.stop();
         }
-        if let Some(bml) = self.engine.bml() {
+        if let Some(bml) = self.ctx.engine.bml() {
             bml.close();
         }
         report

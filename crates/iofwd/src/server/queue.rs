@@ -8,16 +8,10 @@
 //! > an event loop. [...] We use a simple load-balancing heuristic to
 //! > balance the tasks among the work threads.
 //!
-//! The default discipline is the paper's single shared FIFO, where idle
-//! workers pulling from one queue *is* the load balancer. A per-worker
-//! variant (client-affinity enqueue + work stealing when a worker's own
-//! queue runs dry) is provided for the queue-discipline ablation bench.
-//!
-//! Both disciplines sit on one sharded implementation: a `SharedFifo`
-//! queue is a single shard, a `PerWorker` queue is one shard per
-//! worker. Each shard has its own lock, so under `PerWorker` a push
-//! and `n` pops proceed without contending on a global queue mutex;
-//! each shard also has its own sleep/wake eventcount (version +
+//! The queue is sharded, one shard per worker (a one-worker queue is
+//! the paper's single shared FIFO). Each shard has its own lock, so a
+//! push and `n` pops proceed without contending on a global queue
+//! mutex; each shard also has its own sleep/wake eventcount (version +
 //! condvar) that a push bumps after publishing an item, so the wakeup
 //! goes to the shard's home worker — not an arbitrary sleeper that
 //! would have to steal.
@@ -49,6 +43,27 @@ use crate::bml::BmlBuffer;
 use crate::sync::{Condvar, Mutex};
 use crate::telemetry::{OpSpan, Telemetry};
 
+/// What a finished op means for its connection's descriptor set
+/// (decided once, at admission, from the request).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionEffect {
+    /// No descriptor is created or retired.
+    None,
+    /// `Open`/`Connect`: success allocates a descriptor to track.
+    Opens,
+    /// `Close`: success (or a deferred error) releases the descriptor.
+    Closes(Fd),
+}
+
+/// Reply addressing plus session effect of one admitted op: everything
+/// needed, besides the outcome itself, to answer the client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ticket {
+    pub client_id: u32,
+    pub seq: u64,
+    pub effect: SessionEffect,
+}
+
 /// A finished unit of work routed back to a reactor event loop. The
 /// `(token, gen)` pair addresses the originating connection slot; a
 /// stale `gen` means the client disconnected while the op was in
@@ -57,8 +72,7 @@ use crate::telemetry::{OpSpan, Telemetry};
 pub struct Completion {
     pub token: usize,
     pub gen: u64,
-    pub client_id: u32,
-    pub seq: u64,
+    pub ticket: Ticket,
     pub resp: Response,
     pub data: Bytes,
     pub span: OpSpan,
@@ -82,8 +96,7 @@ pub enum ReplyTo {
         sink: Arc<dyn CompletionSink>,
         token: usize,
         gen: u64,
-        client_id: u32,
-        seq: u64,
+        ticket: Ticket,
     },
 }
 
@@ -102,13 +115,11 @@ impl ReplyTo {
                 sink,
                 token,
                 gen,
-                client_id,
-                seq,
+                ticket,
             } => sink.complete(Completion {
                 token,
                 gen,
-                client_id,
-                seq,
+                ticket,
                 resp,
                 data,
                 span,
@@ -128,17 +139,10 @@ pub enum WorkItem {
         reply: ReplyTo,
         span: OpSpan,
     },
-    /// A staged write: data already copied into BML memory, the client
-    /// already released (the asynchronous-staging path). The buffer
-    /// returns to the BML when the item is dropped after execution.
-    StagedWrite {
-        fd: Fd,
-        op: OpId,
-        /// `Some` for pwrite, `None` for a cursor write.
-        offset: Option<u64>,
-        buf: BmlBuffer,
-        span: OpSpan,
-    },
+    /// A staged write: data already in BML memory, the client already
+    /// released (the asynchronous-staging path). The buffer returns to
+    /// the BML when the item is dropped after execution.
+    StagedWrite { fd: Fd, part: StagedPart },
     /// Offset-contiguous staged writes on one descriptor, merged by the
     /// coalescing layer and issued to the backend as a single vectored
     /// write over the constituents' original BML buffers (no copy).
@@ -154,9 +158,9 @@ pub enum WorkItem {
     },
 }
 
-/// One constituent of a [`WorkItem::CoalescedWrite`]: exactly the
-/// payload of the [`WorkItem::StagedWrite`] it was merged from, minus
-/// the shared descriptor.
+/// One staged write minus its descriptor: the payload of a
+/// [`WorkItem::StagedWrite`], and one constituent of a
+/// [`WorkItem::CoalescedWrite`].
 pub struct StagedPart {
     pub op: OpId,
     /// `Some` for pwrite, `None` for a cursor write.
@@ -171,7 +175,7 @@ impl WorkItem {
     pub fn client(&self) -> u64 {
         match self {
             WorkItem::Sync { span, .. } => span.client,
-            WorkItem::StagedWrite { span, .. } => span.client,
+            WorkItem::StagedWrite { part, .. } => part.span.client,
             WorkItem::CoalescedWrite { parts, .. } => parts.first().map_or(0, |p| p.span.client),
         }
     }
@@ -181,21 +185,12 @@ impl WorkItem {
     fn enqueue_ns(&self) -> u64 {
         match self {
             WorkItem::Sync { span, .. } => span.enqueue_ns,
-            WorkItem::StagedWrite { span, .. } => span.enqueue_ns,
+            WorkItem::StagedWrite { part, .. } => part.span.enqueue_ns,
             WorkItem::CoalescedWrite { parts, .. } => {
                 parts.first().map_or(0, |p| p.span.enqueue_ns)
             }
         }
     }
-}
-
-/// Queueing discipline, for the ablation in DESIGN.md §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// One shared FIFO; idle workers pull (the paper's design).
-    SharedFifo,
-    /// Per-worker FIFOs, client-affinity placement, stealing on empty.
-    PerWorker,
 }
 
 /// Returned by [`WorkQueue::push`] when the queue has been closed: the
@@ -273,13 +268,12 @@ const HELP_DEPTH: usize = 4;
 
 /// MPMC work queue with batch dequeue ("I/O multiplexing per thread").
 ///
-/// Internally sharded: [`QueueDiscipline::SharedFifo`] is one shard
-/// (the paper's strict FIFO), [`QueueDiscipline::PerWorker`] is one
-/// shard per worker with client-affinity placement and
-/// steal-half-from-deepest when a worker's own shard runs dry. All
-/// cross-shard coordination
-/// (sleeping, fairness accounting) lives outside the shard locks, so
-/// the hot push/pop path takes exactly one uncontended mutex.
+/// One shard per worker, with client-affinity placement and
+/// steal-half-from-deepest when a worker's own shard runs dry; one
+/// worker (or one client id) is therefore a strict FIFO. All
+/// cross-shard coordination (sleeping, fairness accounting) lives
+/// outside the shard locks, so the hot push/pop path takes exactly one
+/// uncontended mutex.
 pub struct WorkQueue {
     shards: Vec<Shard>,
     /// Items currently queued per client — the fairness signal the
@@ -288,7 +282,6 @@ pub struct WorkQueue {
     /// costs nothing. Charged *before* an item becomes visible in a
     /// shard, so `client_queued` never under-counts a pushed item.
     per_client: Mutex<HashMap<u64, usize>>,
-    discipline: QueueDiscipline,
     closed: AtomicBool,
     aborted: AtomicBool,
     depth_high_water: AtomicU64,
@@ -298,22 +291,14 @@ pub struct WorkQueue {
 }
 
 impl WorkQueue {
-    pub fn new(discipline: QueueDiscipline, workers: usize) -> Self {
-        Self::with_telemetry(discipline, workers, Arc::new(Telemetry::disabled()))
+    pub fn new(workers: usize) -> Self {
+        Self::with_telemetry(workers, Arc::new(Telemetry::disabled()))
     }
 
-    pub fn with_telemetry(
-        discipline: QueueDiscipline,
-        workers: usize,
-        telemetry: Arc<Telemetry>,
-    ) -> Self {
+    pub fn with_telemetry(workers: usize, telemetry: Arc<Telemetry>) -> Self {
         assert!(workers > 0, "worker pool must be non-empty");
-        let nshards = match discipline {
-            QueueDiscipline::SharedFifo => 1,
-            QueueDiscipline::PerWorker => workers,
-        };
         WorkQueue {
-            shards: (0..nshards)
+            shards: (0..workers)
                 .map(|_| Shard {
                     state: Mutex::new(ShardState {
                         items: VecDeque::new(),
@@ -327,7 +312,6 @@ impl WorkQueue {
                 })
                 .collect(),
             per_client: Mutex::new(HashMap::new()),
-            discipline,
             closed: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             depth_high_water: AtomicU64::new(0),
@@ -335,10 +319,6 @@ impl WorkQueue {
             total_steals: AtomicU64::new(0),
             telemetry,
         }
-    }
-
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
     }
 
     /// Home shard for a client: a Fibonacci multiplicative hash of the
@@ -374,8 +354,8 @@ impl WorkQueue {
         let shard_depth = s.items.len();
         shard.depth.store(shard_depth, Ordering::Release);
         // Fold the high-water mark while still holding this shard's
-        // lock: exact for the single-shard FIFO (pushes serialize), a
-        // tight approximation across sharded queues.
+        // lock: exact for a single shard (pushes serialize), a tight
+        // approximation across shards.
         let depth = self.depth() as u64;
         self.depth_high_water.fetch_max(depth, Ordering::Relaxed);
         drop(s);
@@ -657,8 +637,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_fifo_preserves_order() {
-        let q = WorkQueue::new(QueueDiscipline::SharedFifo, 2);
+    fn single_shard_preserves_fifo_order() {
+        let q = WorkQueue::new(1);
         let mut high_water = Vec::new();
         for i in 0..5 {
             q.push(sync_item(i)).unwrap();
@@ -680,7 +660,7 @@ mod tests {
 
     #[test]
     fn pop_batch_into_reuses_and_clears_caller_buffer() {
-        let q = WorkQueue::new(QueueDiscipline::SharedFifo, 1);
+        let q = WorkQueue::new(1);
         for i in 0..4 {
             q.push(sync_item(i)).unwrap();
         }
@@ -699,7 +679,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_returns_empty() {
-        let q = WorkQueue::new(QueueDiscipline::SharedFifo, 1);
+        let q = WorkQueue::new(1);
         q.push(sync_item(1)).unwrap();
         q.close();
         assert_eq!(q.pop_batch(0, 10).len(), 1);
@@ -708,7 +688,7 @@ mod tests {
 
     #[test]
     fn push_after_close_returns_queue_closed_with_item() {
-        let q = WorkQueue::new(QueueDiscipline::SharedFifo, 1);
+        let q = WorkQueue::new(1);
         q.push(sync_item(1)).unwrap();
         q.close();
         // A handler racing shutdown gets its item back, not a panic.
@@ -721,7 +701,7 @@ mod tests {
 
     #[test]
     fn blocked_pop_wakes_on_push() {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let q = Arc::new(WorkQueue::new(1));
         let q2 = q.clone();
         let t = std::thread::spawn(move || q2.pop_batch(0, 1));
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -732,7 +712,7 @@ mod tests {
 
     #[test]
     fn per_worker_affinity_placement_and_steal() {
-        let q = WorkQueue::new(QueueDiscipline::PerWorker, 2);
+        let q = WorkQueue::new(2);
         // Clients 0 and 1 hash to different shards with two workers.
         assert_ne!(q.shard_of(0), q.shard_of(1));
         q.push(sync_item_for_client(0, 0)).unwrap();
@@ -751,7 +731,7 @@ mod tests {
 
     #[test]
     fn per_worker_affinity_keeps_one_client_fifo_on_one_shard() {
-        let q = WorkQueue::new(QueueDiscipline::PerWorker, 4);
+        let q = WorkQueue::new(4);
         for i in 0..6 {
             q.push(sync_item_for_client(i, 42)).unwrap();
         }
@@ -771,7 +751,7 @@ mod tests {
         // must still drain the *other* workers' parked items (stealing
         // half the deepest victim per pass) before pop_batch returns
         // empty.
-        let q = WorkQueue::new(QueueDiscipline::PerWorker, 3);
+        let q = WorkQueue::new(3);
         for i in 0..6 {
             q.push(sync_item_for_client(i, i)).unwrap(); // affinity spreads clients
         }
@@ -796,7 +776,7 @@ mod tests {
 
     #[test]
     fn abort_parks_items_for_drain() {
-        let q = WorkQueue::new(QueueDiscipline::PerWorker, 2);
+        let q = WorkQueue::new(2);
         for i in 0..4 {
             q.push(sync_item(i)).unwrap();
         }
@@ -813,7 +793,7 @@ mod tests {
 
     #[test]
     fn per_client_counts_track_push_pop_and_drain() {
-        let q = WorkQueue::new(QueueDiscipline::SharedFifo, 1);
+        let q = WorkQueue::new(1);
         for i in 0..3 {
             q.push(sync_item_for_client(i, 7)).unwrap();
         }
@@ -834,7 +814,7 @@ mod tests {
 
     #[test]
     fn oldest_enqueue_ns_follows_the_queue_fronts() {
-        let q = WorkQueue::new(QueueDiscipline::PerWorker, 2);
+        let q = WorkQueue::new(2);
         assert_eq!(q.oldest_enqueue_ns(), None);
         let stamped = |tag: u64, ns: u64, client: u64| {
             let (tx, _rx) = unbounded();
@@ -867,7 +847,7 @@ mod tests {
 
     #[test]
     fn blocked_workers_all_released_by_close() {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 4));
+        let q = Arc::new(WorkQueue::new(4));
         let mut handles = Vec::new();
         for w in 0..4 {
             let q = q.clone();

@@ -14,22 +14,23 @@
 //!   [`Frame::decode`]'s streaming contract (`Ok(None)` = incomplete)
 //!   drives the partial-read state machine; partial writes park the
 //!   remainder and wait for `POLLOUT`.
-//! - **Admission control as backpressure.** Where the threaded staged
-//!   handler *blocks* on BML exhaustion (`acquire_timeout(len, None)`),
-//!   an event loop must never block: a failed [`Bml::try_acquire`]
-//!   parks the connection — the frame is stashed, the socket drops out
-//!   of the readable interest set — and is retried each loop lap. TCP
-//!   flow control pushes the stall back to the compute node, exactly
-//!   the §IV contract ("the I/O operation is blocked until sufficient
-//!   memory is available"), minus the dedicated thread.
+//! - **Admission control as backpressure.** Every decoded frame goes to
+//!   the admission core (`server::admit`), which never blocks. Where
+//!   the threaded driver *blocks* on an [`Admission::Park`] (BML
+//!   exhausted), an event loop parks the connection — the op is
+//!   stashed, the socket drops out of the readable interest set — and
+//!   resumes it on a later lap. TCP flow control pushes the stall back
+//!   to the compute node, exactly the §IV contract ("the I/O operation
+//!   is blocked until sufficient memory is available"), minus the
+//!   dedicated thread.
 //! - **Per-client fairness.** A client with more than
 //!   [`ReactorConfig::max_client_queued`] items in the shared work
 //!   queue is parked the same way, so one chatty compute node cannot
 //!   monopolize the worker pool ahead of its neighbors.
-//! - **Blocking ops off-loop.** Metadata requests and the
-//!   read-after-staged-write barrier (`wait_idle`) touch the filesystem
-//!   or block on the descriptor database, so they run on a tiny
-//!   `iofwd-sync-*` executor pool, never on an event loop.
+//! - **Blocking ops off-loop.** What the core marks `RunSync` or
+//!   `Barrier` touches the filesystem or blocks on the descriptor
+//!   database, so it runs on a tiny `iofwd-sync-*` executor pool, never
+//!   on an event loop.
 //!
 //! Completions flow back through [`CompletionSink`]: workers finish an
 //! op, push a [`Completion`] onto the owning loop's channel, and kick
@@ -37,7 +38,7 @@
 //! disconnected mid-op) harmless: the span still folds into telemetry,
 //! the reply is simply unaddressable.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -48,19 +49,12 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use iofwd_proto::{Errno, Fd, Frame, Request, Response, TraceExt};
+use iofwd_proto::{Errno, Fd, Frame};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::engine::{op_kind, response_errno, Engine};
-use super::handlers::{
-    apply_trace, maybe_deep_copy_rx, maybe_deep_copy_tx, run_staged_inline, stage_echo_of,
-};
-use super::queue::{Completion, CompletionSink, ReplyTo, WorkItem, WorkQueue};
-use super::staged::FdSerializer;
-use super::HotPath;
-use crate::bml::Bml;
-use crate::descdb::BeginError;
-use crate::telemetry::{Disposition, OpSpan, PerClientStats, Telemetry};
+use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
+use super::queue::{Completion, CompletionSink, WorkItem};
+use crate::telemetry::{Disposition, PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
 /// Token reserved for the listening socket (registered on loop 0 only).
@@ -130,23 +124,13 @@ impl ReactorHandle {
 
 /// Blocking work an event loop must not run in place.
 enum SyncTask {
-    /// Execute a metadata (or oversized-write) request inline.
-    Execute {
-        req: Request,
-        data: Bytes,
-        reply: ReplyTo,
-        span: OpSpan,
-    },
+    /// Execute a `Sync` item (metadata, or an oversized write) here
+    /// rather than on the worker pool.
+    Run(WorkItem),
     /// Barrier behind staged writes on `fd`, then enqueue the read.
-    BarrierThenQueue {
-        fd: Fd,
-        req: Request,
-        data: Bytes,
-        reply: ReplyTo,
-        span: OpSpan,
-    },
+    Barrier { fd: Fd, item: WorkItem },
     /// Close descriptors left open by a disconnected client.
-    Reclaim { fds: Vec<Fd> },
+    Reclaim(Session),
 }
 
 /// Completion queue for one event loop; `Send + Sync` so workers and
@@ -163,23 +147,9 @@ impl CompletionSink for ReactorSink {
             Ok(()) => self.waker.wake(),
             // The loop is gone (shutdown race): the reply has no
             // destination but the span must still reach the recorder.
-            Err(send_err) => {
-                let mut span = send_err.0.span;
-                span.reply_ns = self.telemetry.now_ns();
-                self.telemetry.complete(&span);
-            }
+            Err(send_err) => admit::abandon(&self.telemetry, send_err.0.span),
         }
     }
-}
-
-/// What a completed op means for the connection's descriptor session
-/// (mirrors `handlers::Session`, keyed by request seq because the
-/// response arrives asynchronously).
-enum PendingOp {
-    /// `Open`/`Connect`: success allocates a descriptor to track.
-    Open,
-    /// `Close`: success (or deferred error) releases the descriptor.
-    Close(Fd),
 }
 
 /// Per-connection state machine.
@@ -193,22 +163,19 @@ struct ConnState {
     wbuf_off: usize,
     /// Total un-flushed bytes across `wbuf`.
     wbuf_bytes: usize,
-    /// Session-tracking ops in flight, keyed by frame seq.
-    pending: HashMap<u64, PendingOp>,
-    /// Descriptors this client opened and has not closed.
-    fds: HashSet<Fd>,
-    /// Client id from the most recent frame (for fairness lookups).
+    /// Admission state: reply route and the descriptors this client
+    /// opened and has not closed.
+    session: Session,
+    /// Client id from the most recent frame.
     client: u64,
     /// Cached per-client attribution row for `client`, refreshed when
     /// the id changes — one shard lookup per id change, not per frame
     /// (lint R9: all mutations go through `Telemetry::client_stats`).
     stats: Option<Arc<PerClientStats>>,
-    /// Decoded frame waiting for admission (BML or queue pushed back).
-    parked_frame: Option<Frame>,
+    /// Op waiting for admission, and what it is waiting for.
+    parked_op: Option<(Op, Need)>,
     /// Ops handed to the queue / sync pool with replies outstanding.
     inflight: usize,
-    parked_queue: bool,
-    parked_bml: bool,
     parked_wbuf: bool,
     peer_closed: bool,
     close_after_flush: bool,
@@ -227,21 +194,18 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(stream: TcpStream) -> ConnState {
+    fn new(stream: TcpStream, session: Session) -> ConnState {
         ConnState {
             stream,
             rbuf: BytesMut::with_capacity(READ_CHUNK),
             wbuf: VecDeque::new(),
             wbuf_off: 0,
             wbuf_bytes: 0,
-            pending: HashMap::new(),
-            fds: HashSet::new(),
+            session,
             client: 0,
             stats: None,
-            parked_frame: None,
+            parked_op: None,
             inflight: 0,
-            parked_queue: false,
-            parked_bml: false,
             parked_wbuf: false,
             peer_closed: false,
             close_after_flush: false,
@@ -253,7 +217,7 @@ impl ConnState {
     }
 
     fn parked(&self) -> bool {
-        self.parked_queue || self.parked_bml || self.parked_wbuf
+        self.parked_op.is_some() || self.parked_wbuf
     }
 
     /// A drained connection whose peer is done (or that acked
@@ -262,7 +226,7 @@ impl ConnState {
         if (self.peer_closed || self.close_after_flush)
             && self.inflight == 0
             && self.wbuf.is_empty()
-            && self.parked_frame.is_none()
+            && self.parked_op.is_none()
         {
             self.dead = true;
         }
@@ -291,11 +255,7 @@ struct ReactorThread {
     comp_rx: Receiver<Completion>,
     sink: Arc<ReactorSink>,
     sync_tx: Sender<SyncTask>,
-    engine: Arc<Engine>,
-    queue: Arc<WorkQueue>,
-    serializer: Option<Arc<FdSerializer>>,
-    bml: Option<Bml>,
-    staged: bool,
+    ctx: Arc<AdmitCtx>,
     telemetry: Arc<Telemetry>,
     cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
@@ -455,7 +415,12 @@ impl ReactorThread {
             return;
         }
         if let Some(slot) = self.slots.get_mut(tok) {
-            slot.conn = Some(ConnState::new(stream));
+            let session = Session::new(Route::Reactor {
+                sink: self.sink.clone(),
+                token: tok,
+                gen: slot.gen,
+            });
+            slot.conn = Some(ConnState::new(stream, session));
         }
         if self.telemetry.enabled() {
             self.telemetry.conns_open.add(1);
@@ -489,61 +454,40 @@ impl ReactorThread {
     }
 
     fn on_completion(&mut self, c: Completion) {
-        let mut span = c.span;
-        span.reply_ns = self.telemetry.now_ns();
         let live = self
             .slots
-            .get(c.token)
-            .is_some_and(|slot| slot.gen == c.gen && slot.conn.is_some());
-        if !live {
+            .get_mut(c.token)
+            .filter(|slot| slot.gen == c.gen)
+            .and_then(|slot| slot.conn.take());
+        let Some(mut conn) = live else {
             // Stale: the client disconnected while the op ran.
-            self.telemetry.complete(&span);
-            return;
-        }
-        let Some(mut conn) = self.slots.get_mut(c.token).and_then(|s| s.conn.take()) else {
-            self.telemetry.complete(&span);
-            return;
+            return admit::abandon(&self.telemetry, c.span);
         };
-        match conn.pending.remove(&c.seq) {
-            Some(PendingOp::Open) => {
-                if let Response::Ok { ret } = c.resp {
-                    conn.fds.insert(Fd(ret as u32));
-                }
-            }
-            Some(PendingOp::Close(fd)) => {
-                if matches!(c.resp, Response::Ok { .. } | Response::DeferredErr { .. }) {
-                    conn.fds.remove(&fd);
-                }
-            }
-            None => {}
-        }
         conn.inflight = conn.inflight.saturating_sub(1);
-        let mut data = c.data;
-        maybe_deep_copy_tx(self.engine.hotpath(), &self.telemetry, &mut data);
-        let mut frame = Frame::response(c.client_id, c.seq, &c.resp, data);
-        if span.trace_id != 0 {
-            frame = frame.with_ext(TraceExt::Echo(stage_echo_of(&span)));
-        }
-        self.telemetry.complete(&span);
-        self.enqueue_wire(&mut conn, frame);
+        let outcome = (c.resp, c.data, c.span);
+        let answered = admit::finish(&self.ctx, &mut conn.session, c.ticket, outcome);
+        self.dispatch(&mut conn, answered, None);
         conn.maybe_finished();
         self.finish_conn(c.token, conn);
     }
 
-    /// Re-admit parked frames. BML parks retry every lap (buffers free
+    /// Resume parked ops. BML parks retry every lap (buffers free
     /// continuously); queue parks retry once the client's backlog has
     /// drained to half the cap (hysteresis, so a parked client does not
     /// flap at the boundary).
     fn retry_parked(&mut self) {
         for tok in 0..self.slots.len() {
             let eligible = match self.slots.get(tok).and_then(|s| s.conn.as_ref()) {
-                Some(c) if c.parked_frame.is_some() && !c.dead => {
-                    if c.parked_queue {
-                        self.queue.client_queued(c.client) * 2 <= self.cfg.max_client_queued
-                    } else {
-                        c.parked_bml
-                    }
-                }
+                Some(ConnState {
+                    parked_op: Some((op, need)),
+                    dead: false,
+                    ..
+                }) => match need {
+                    Need::Bml => true,
+                    Need::QueueCredit => self.ctx.queue().is_some_and(|q| {
+                        q.client_queued(op.span.client) * 2 <= self.cfg.max_client_queued
+                    }),
+                },
                 _ => false,
             };
             if !eligible {
@@ -552,12 +496,11 @@ impl ReactorThread {
             let Some(mut conn) = self.slots.get_mut(tok).and_then(|s| s.conn.take()) else {
                 continue;
             };
-            conn.parked_queue = false;
-            if let Some(frame) = conn.parked_frame.take() {
-                // parked_bml stays set through the retry so a re-park
-                // does not double-count the backpressure event; admit
-                // clears it on success.
-                self.admit(tok, &mut conn, frame);
+            if let Some((op, need)) = conn.parked_op.take() {
+                let admission = admit::resume(&self.ctx, &mut conn.session, op, Retry::Poll);
+                // A re-park for the same need is one backpressure
+                // event, not two.
+                self.dispatch(&mut conn, admission, Some(need));
             }
             if !conn.parked() {
                 // Unparked: resume draining whatever piled up in rbuf.
@@ -573,14 +516,14 @@ impl ReactorThread {
         let Some(mut conn) = self.slots.get_mut(tok).and_then(|s| s.conn.take()) else {
             return;
         };
-        self.pump(tok, &mut conn);
+        self.pump(&mut conn);
         conn.maybe_finished();
         self.finish_conn(tok, conn);
     }
 
     /// Decode-and-admit loop: up to `frames_per_pass` frames, refilling
     /// `rbuf` from the socket when a frame is incomplete.
-    fn pump(&mut self, tok: usize, conn: &mut ConnState) {
+    fn pump(&mut self, conn: &mut ConnState) {
         let mut budget = self.cfg.frames_per_pass.max(1);
         loop {
             if conn.dead || conn.parked() || conn.peer_closed || conn.close_after_flush {
@@ -634,7 +577,8 @@ impl ReactorThread {
                             stats.bytes_in.add(frame.data.len() as u64);
                         }
                     }
-                    self.admit(tok, conn, frame);
+                    let admission = admit::admit(&self.ctx, &mut conn.session, frame);
+                    self.dispatch(conn, admission, None);
                 }
                 None => match conn.rbuf.read_from(&mut conn.stream, READ_CHUNK) {
                     Ok(0) => {
@@ -655,257 +599,31 @@ impl ReactorThread {
 
     // -- admission ----------------------------------------------------
 
-    fn admit(&mut self, tok: usize, conn: &mut ConnState, mut frame: Frame) {
-        maybe_deep_copy_rx(self.engine.hotpath(), &self.telemetry, &mut frame);
-        let client = u64::from(frame.client_id);
-        conn.client = client;
-        // Fairness gate: a client hogging the work queue is parked
-        // before we even decode the request.
-        if self.queue.client_queued(client) >= self.cfg.max_client_queued.max(1) {
-            self.park_queue(conn, frame);
-            return;
-        }
-        let req = match frame.decode_request() {
-            Ok(req) => req,
-            Err(_) => {
-                // Mirror `decode_or_reject`: error reply, no span.
-                let reply = Frame::response(
-                    frame.client_id,
-                    frame.seq,
-                    &Response::Err {
-                        errno: Errno::Inval,
-                    },
-                    Bytes::new(),
-                );
-                self.enqueue_wire(conn, reply);
-                return;
+    /// Do what the admission core asked. `resumed` is the need the op
+    /// was already parked on, when this is a retry.
+    fn dispatch(&mut self, conn: &mut ConnState, admission: Admission, resumed: Option<Need>) {
+        match admission {
+            Admission::Reply(frame) => self.enqueue_wire(conn, frame),
+            Admission::Close { after } => {
+                self.enqueue_wire(conn, after);
+                conn.close_after_flush = true;
             }
-        };
-        // Stats queries are answered inline from telemetry memory —
-        // never queued, never parked behind the fairness gate's retry
-        // (the gate above applies, but a stalled *worker pool* cannot
-        // block a query; only this client's own queue debt can).
-        if let Request::Stats { query } = req {
-            let (resp, data) = super::introspect::answer(&self.telemetry, query);
-            let reply = Frame::response(frame.client_id, frame.seq, &resp, data);
-            self.enqueue_wire(conn, reply);
-            return;
-        }
-        let mut span = OpSpan::begin(op_kind(&req), client, frame.seq, self.telemetry.now_ns());
-        span.bytes = frame.data.len() as u64;
-        apply_trace(&mut span, &frame);
-        if matches!(req, Request::Shutdown) {
-            let reply = Frame::response(
-                frame.client_id,
-                frame.seq,
-                &Response::Ok { ret: 0 },
-                Bytes::new(),
-            );
-            self.enqueue_wire(conn, reply);
-            conn.close_after_flush = true;
-            return;
-        }
-        if self.staged {
-            self.admit_staged(tok, conn, frame, req, span);
-        } else {
-            self.submit_queue(tok, conn, frame, req, span);
-        }
-    }
-
-    /// Sched mode: everything rides the shared work queue.
-    fn submit_queue(
-        &mut self,
-        tok: usize,
-        conn: &mut ConnState,
-        frame: Frame,
-        req: Request,
-        mut span: OpSpan,
-    ) {
-        span.enqueue_ns = self.telemetry.now_ns();
-        let reply = self.reply_to(tok, frame.client_id, frame.seq);
-        self.track_pending(conn, frame.seq, &req);
-        conn.inflight += 1;
-        if let Err(closed) = self.queue.push(WorkItem::Sync {
-            req,
-            data: frame.data,
-            reply,
-            span,
-        }) {
-            // Queue closed (shutdown race): fail the op with a clean
-            // transient errno; the completion routes back through our
-            // own sink, so the bookkeeping above unwinds normally.
-            fail_queued_item(*closed.0);
-        }
-    }
-
-    /// Staged mode: the asynchronous-staging admission state machine,
-    /// non-blocking edition.
-    fn admit_staged(
-        &mut self,
-        tok: usize,
-        conn: &mut ConnState,
-        frame: Frame,
-        req: Request,
-        mut span: OpSpan,
-    ) {
-        let Some(bml) = self.bml.clone() else {
-            // Defensive: staged mode always builds a BML.
-            self.submit_queue(tok, conn, frame, req, span);
-            return;
-        };
-        match req {
-            Request::Write { fd, len } | Request::Pwrite { fd, len, .. }
-                if len as usize <= bml.max_request() =>
-            {
-                let offset = if let Request::Pwrite { offset, .. } = req {
-                    Some(offset)
-                } else {
-                    None
-                };
-                if len != frame.data.len() as u64 {
-                    self.fail_inline(
-                        conn,
-                        frame.client_id,
-                        frame.seq,
-                        &mut span,
-                        &Response::Err {
-                            errno: Errno::Inval,
-                        },
-                    );
-                    return;
+            // The outcome comes back through this loop's sink.
+            Admission::Queued(_) => conn.inflight += 1,
+            Admission::RunSync(op) => {
+                conn.inflight += 1;
+                let (item, _) = conn.session.sync_item(op);
+                self.send_sync(SyncTask::Run(item));
+            }
+            Admission::Barrier { fd, item, .. } => {
+                conn.inflight += 1;
+                self.send_sync(SyncTask::Barrier { fd, item });
+            }
+            Admission::Park { op, need } => {
+                if resumed != Some(need) {
+                    self.count_backpressure(conn);
                 }
-                // Admission control: where the threaded handler blocks
-                // on `acquire_timeout`, the reactor parks the client.
-                // Order matters — acquire *before* `begin_op`, so a
-                // parked client leaves no half-open operation on the
-                // descriptor for barriers to wait on. The fast path
-                // adopts the receive view (capacity charged, no bytes
-                // moved); the Seed arm copies into an owned block.
-                let admitted = match self.engine.hotpath() {
-                    HotPath::Fast => bml.try_adopt(frame.data.clone()),
-                    HotPath::Seed => bml.try_acquire(len as usize),
-                };
-                let Some(mut buf) = admitted else {
-                    self.park_bml(conn, frame);
-                    return;
-                };
-                conn.parked_bml = false;
-                let resp = match self.engine.descriptor_db().begin_op(fd) {
-                    Err(BeginError::Sync(errno)) => Response::Err { errno },
-                    Err(BeginError::Deferred { op, errno }) => {
-                        self.engine
-                            .stats
-                            .deferred_errors_reported
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response::DeferredErr { op, errno }
-                    }
-                    Ok((op, _obj)) => {
-                        if self.engine.hotpath() == HotPath::Seed {
-                            buf.fill_from(&frame.data);
-                        }
-                        self.engine.stats.requests.fetch_add(1, Ordering::Relaxed);
-                        self.engine.stats.bytes_in.fetch_add(len, Ordering::Relaxed);
-                        self.engine.stats.staged_ops.fetch_add(1, Ordering::Relaxed);
-                        if self.telemetry.enabled() {
-                            self.telemetry.ops_staged.inc();
-                        }
-                        // The staging ack is the client-visible reply;
-                        // the worker completes the span post-backend.
-                        span.enqueue_ns = self.telemetry.now_ns();
-                        span.reply_ns = span.enqueue_ns;
-                        let item = WorkItem::StagedWrite {
-                            fd,
-                            op,
-                            offset,
-                            buf,
-                            span,
-                        };
-                        if let Some(serializer) = self.serializer.clone() {
-                            if let Some(item) = serializer.admit(fd, item) {
-                                if let Err(closed) = self.queue.push(item) {
-                                    run_staged_inline(
-                                        &self.engine,
-                                        &self.telemetry,
-                                        *closed.0,
-                                        Disposition::Completed,
-                                    );
-                                    while let Some(next) = serializer.complete(fd) {
-                                        run_staged_inline(
-                                            &self.engine,
-                                            &self.telemetry,
-                                            next,
-                                            Disposition::Completed,
-                                        );
-                                    }
-                                }
-                            }
-                        } else if let Err(closed) = self.queue.push(item) {
-                            run_staged_inline(
-                                &self.engine,
-                                &self.telemetry,
-                                *closed.0,
-                                Disposition::Completed,
-                            );
-                        }
-                        let mut ack = Frame::response(
-                            frame.client_id,
-                            frame.seq,
-                            &Response::Staged { op },
-                            Bytes::new(),
-                        );
-                        if span.trace_id != 0 {
-                            ack = ack.with_ext(TraceExt::Echo(stage_echo_of(&span)));
-                        }
-                        self.enqueue_wire(conn, ack);
-                        return;
-                    }
-                };
-                self.fail_inline(conn, frame.client_id, frame.seq, &mut span, &resp);
-            }
-            Request::Read { fd, .. } | Request::Pread { fd, .. } => {
-                // Read barrier blocks on `wait_idle`; run it off-loop.
-                let reply = self.reply_to(tok, frame.client_id, frame.seq);
-                conn.inflight += 1;
-                let task = SyncTask::BarrierThenQueue {
-                    fd,
-                    req,
-                    data: frame.data,
-                    reply,
-                    span,
-                };
-                self.send_sync(task);
-            }
-            // Metadata ops and oversized writes (falling through the
-            // size guard above) execute synchronously — on the executor
-            // pool, since they touch the filesystem. `Shutdown` and
-            // `Stats` are consumed by `admit` and never reach here, but
-            // routing them through the executor would be harmless (the
-            // engine rejects a stray `Stats` with `Inval`).
-            other @ (Request::Open { .. }
-            | Request::Connect { .. }
-            | Request::Close { .. }
-            | Request::Write { .. }
-            | Request::Pwrite { .. }
-            | Request::Lseek { .. }
-            | Request::Fsync { .. }
-            | Request::Stat { .. }
-            | Request::Fstat { .. }
-            | Request::Unlink { .. }
-            | Request::Ftruncate { .. }
-            | Request::Mkdir { .. }
-            | Request::Readdir { .. }
-            | Request::Stats { .. }
-            | Request::Shutdown) => {
-                let reply = self.reply_to(tok, frame.client_id, frame.seq);
-                self.track_pending(conn, frame.seq, &other);
-                conn.inflight += 1;
-                let task = SyncTask::Execute {
-                    req: other,
-                    data: frame.data,
-                    reply,
-                    span,
-                };
-                self.send_sync(task);
+                conn.parked_op = Some((op, need));
             }
         }
     }
@@ -920,92 +638,25 @@ impl ReactorThread {
             if self.telemetry.enabled() {
                 self.telemetry.sync_queue_depth.add(-1);
             }
-            fail_sync_task(send_err.0);
-        }
-    }
-
-    fn track_pending(&self, conn: &mut ConnState, seq: u64, req: &Request) {
-        match req {
-            Request::Open { .. } | Request::Connect { .. } => {
-                conn.pending.insert(seq, PendingOp::Open);
-            }
-            Request::Close { fd } => {
-                conn.pending.insert(seq, PendingOp::Close(*fd));
-            }
-            Request::Write { .. }
-            | Request::Pwrite { .. }
-            | Request::Read { .. }
-            | Request::Pread { .. }
-            | Request::Lseek { .. }
-            | Request::Fsync { .. }
-            | Request::Stat { .. }
-            | Request::Fstat { .. }
-            | Request::Unlink { .. }
-            | Request::Ftruncate { .. }
-            | Request::Mkdir { .. }
-            | Request::Readdir { .. }
-            | Request::Stats { .. }
-            | Request::Shutdown => {}
-        }
-    }
-
-    fn reply_to(&self, tok: usize, client_id: u32, seq: u64) -> ReplyTo {
-        ReplyTo::Reactor {
-            sink: self.sink.clone(),
-            token: tok,
-            gen: self.slots.get(tok).map_or(0, |s| s.gen),
-            client_id,
-            seq,
-        }
-    }
-
-    fn park_queue(&mut self, conn: &mut ConnState, frame: Frame) {
-        if !conn.parked_queue {
-            conn.parked_queue = true;
-            if self.telemetry.enabled() {
-                self.telemetry.backpressure_events.inc();
-                if let Some(stats) = &conn.stats {
-                    stats.backpressure_events.inc();
+            // The executor pool is gone (shutdown race).
+            match send_err.0 {
+                SyncTask::Run(item) | SyncTask::Barrier { item, .. } => {
+                    admit::reject(item, Errno::Again, Disposition::Completed);
                 }
+                // At teardown the executors may be gone; reclaim
+                // inline — the loop is done serving clients anyway.
+                SyncTask::Reclaim(session) => session.reclaim(&self.ctx.engine),
             }
         }
-        conn.parked_frame = Some(frame);
     }
 
-    fn park_bml(&mut self, conn: &mut ConnState, frame: Frame) {
-        if !conn.parked_bml {
-            conn.parked_bml = true;
-            if self.telemetry.enabled() {
-                self.telemetry.backpressure_events.inc();
-                if let Some(stats) = &conn.stats {
-                    stats.backpressure_events.inc();
-                }
+    fn count_backpressure(&self, conn: &ConnState) {
+        if self.telemetry.enabled() {
+            self.telemetry.backpressure_events.inc();
+            if let Some(stats) = &conn.stats {
+                stats.backpressure_events.inc();
             }
         }
-        conn.parked_frame = Some(frame);
-    }
-
-    /// Complete a span as failed and queue the error reply, all inline.
-    fn fail_inline(
-        &mut self,
-        conn: &mut ConnState,
-        client_id: u32,
-        seq: u64,
-        span: &mut OpSpan,
-        resp: &Response,
-    ) {
-        let now = self.telemetry.now_ns();
-        span.enqueue_ns = now;
-        span.dispatch_ns = now;
-        span.ok = false;
-        span.errno = response_errno(resp);
-        span.reply_ns = self.telemetry.now_ns();
-        let mut frame = Frame::response(client_id, seq, resp, Bytes::new());
-        if span.trace_id != 0 {
-            frame = frame.with_ext(TraceExt::Echo(stage_echo_of(span)));
-        }
-        self.telemetry.complete(span);
-        self.enqueue_wire(conn, frame);
     }
 
     // -- write path ---------------------------------------------------
@@ -1048,12 +699,7 @@ impl ReactorThread {
         // stops being read from until the backlog halves.
         if conn.wbuf_bytes > self.cfg.max_write_buffer && !conn.parked_wbuf {
             conn.parked_wbuf = true;
-            if self.telemetry.enabled() {
-                self.telemetry.backpressure_events.inc();
-                if let Some(stats) = &conn.stats {
-                    stats.backpressure_events.inc();
-                }
-            }
+            self.count_backpressure(conn);
         }
     }
 
@@ -1149,25 +795,10 @@ impl ReactorThread {
     fn destroy(&mut self, tok: usize, conn: ConnState) {
         self.poller.delete(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        if !conn.fds.is_empty() {
-            let fds: Vec<Fd> = conn.fds.iter().copied().collect();
+        if conn.session.holds_descriptors() {
             // Reclaim barriers staged writes (close waits for them), so
-            // it must happen off-loop; at teardown the executors may be
-            // gone, in which case we reclaim inline — the loop is done
-            // serving clients anyway.
-            if self.telemetry.enabled() {
-                self.telemetry.sync_queue_depth.add(1);
-            }
-            if let Err(send_err) = self.sync_tx.send(SyncTask::Reclaim { fds }) {
-                if self.telemetry.enabled() {
-                    self.telemetry.sync_queue_depth.add(-1);
-                }
-                if let SyncTask::Reclaim { fds } = send_err.0 {
-                    for fd in fds {
-                        let _ = self.engine.execute(&Request::Close { fd }, &Bytes::new());
-                    }
-                }
-            }
+            // it must happen off-loop.
+            self.send_sync(SyncTask::Reclaim(conn.session));
         }
         if self.telemetry.enabled() {
             self.telemetry.conns_open.add(-1);
@@ -1191,65 +822,15 @@ impl ReactorThread {
         }
         // Late completions: nowhere to reply, but every span folds in.
         while let Ok(c) = self.comp_rx.try_recv() {
-            let mut span = c.span;
-            span.reply_ns = self.telemetry.now_ns();
-            self.telemetry.complete(&span);
+            admit::abandon(&self.telemetry, c.span);
         }
-    }
-}
-
-/// Fail a queue-rejected item the way the threaded handlers do.
-fn fail_queued_item(item: WorkItem) {
-    if let WorkItem::Sync {
-        reply, mut span, ..
-    } = item
-    {
-        span.ok = false;
-        span.errno = Errno::Again.to_wire();
-        span.disposition = Disposition::QueueRejected;
-        span.dispatch_ns = span.enqueue_ns;
-        reply.deliver(
-            Response::Err {
-                errno: Errno::Again,
-            },
-            Bytes::new(),
-            span,
-        );
-    }
-}
-
-/// Fail a task whose executor pool is gone (shutdown race).
-fn fail_sync_task(task: SyncTask) {
-    match task {
-        SyncTask::Execute {
-            reply, mut span, ..
-        }
-        | SyncTask::BarrierThenQueue {
-            reply, mut span, ..
-        } => {
-            span.ok = false;
-            span.errno = Errno::Again.to_wire();
-            span.dispatch_ns = span.enqueue_ns;
-            reply.deliver(
-                Response::Err {
-                    errno: Errno::Again,
-                },
-                Bytes::new(),
-                span,
-            );
-        }
-        SyncTask::Reclaim { .. } => {}
     }
 }
 
 /// Blocking-work executor: metadata ops, read barriers, descriptor
 /// reclamation. Exits when every event loop has dropped its sender.
-fn sync_executor_loop(
-    rx: Receiver<SyncTask>,
-    engine: Arc<Engine>,
-    queue: Arc<WorkQueue>,
-    telemetry: Arc<Telemetry>,
-) {
+fn sync_executor_loop(rx: Receiver<SyncTask>, ctx: Arc<AdmitCtx>) {
+    let telemetry = ctx.engine.telemetry().clone();
     while let Ok(task) = rx.recv() {
         let run_from = if telemetry.enabled() {
             telemetry.sync_queue_depth.add(-1);
@@ -1258,49 +839,20 @@ fn sync_executor_loop(
             0
         };
         match task {
-            SyncTask::Execute {
-                req,
-                data,
-                reply,
-                mut span,
-            } => {
-                let now = telemetry.now_ns();
-                span.enqueue_ns = now;
-                span.dispatch_ns = now;
-                let (resp, out) = engine.execute_timed(&req, &data, &mut span);
-                reply.deliver(resp, out, span);
-            }
-            SyncTask::BarrierThenQueue {
-                fd,
-                req,
-                data,
-                reply,
-                mut span,
-            } => {
-                if let Err(errno) = engine.descriptor_db().wait_idle(fd) {
-                    span.ok = false;
-                    span.errno = errno.to_wire();
-                    let now = telemetry.now_ns();
-                    span.enqueue_ns = now;
-                    span.dispatch_ns = now;
-                    reply.deliver(Response::Err { errno }, Bytes::new(), span);
-                    continue;
-                }
-                span.enqueue_ns = telemetry.now_ns();
-                if let Err(closed) = queue.push(WorkItem::Sync {
+            SyncTask::Run(item) => {
+                if let WorkItem::Sync {
                     req,
                     data,
                     reply,
                     span,
-                }) {
-                    fail_queued_item(*closed.0);
+                } = item
+                {
+                    let (resp, out, span) = admit::run_sync(&ctx.engine, &req, &data, span);
+                    reply.deliver(resp, out, span);
                 }
             }
-            SyncTask::Reclaim { fds } => {
-                for fd in fds {
-                    let _ = engine.execute(&Request::Close { fd }, &Bytes::new());
-                }
-            }
+            SyncTask::Barrier { fd, item } => admit::run_barrier(&ctx, fd, item),
+            SyncTask::Reclaim(session) => session.reclaim(&ctx.engine),
         }
         if run_from > 0 {
             telemetry
@@ -1317,13 +869,10 @@ fn sync_executor_loop(
 /// to the threaded transport) or thread spawning fails.
 pub(crate) fn spawn(
     acceptor: Arc<TcpAcceptor>,
-    engine: Arc<Engine>,
-    queue: Arc<WorkQueue>,
-    serializer: Option<Arc<FdSerializer>>,
-    staged: bool,
+    ctx: Arc<AdmitCtx>,
     cfg: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
-    let telemetry = engine.telemetry().clone();
+    let telemetry = ctx.engine.telemetry().clone();
     let n = cfg.threads.max(1);
     acceptor.set_nonblocking(true)?;
 
@@ -1351,12 +900,10 @@ pub(crate) fn spawn(
     let mut sync_threads = Vec::new();
     for i in 0..cfg.sync_executors.max(1) {
         let rx = sync_rx.clone();
-        let engine = engine.clone();
-        let queue = queue.clone();
-        let telemetry = telemetry.clone();
+        let ctx = ctx.clone();
         match std::thread::Builder::new()
             .name(format!("iofwd-sync-{i}"))
-            .spawn(move || sync_executor_loop(rx, engine, queue, telemetry))
+            .spawn(move || sync_executor_loop(rx, ctx))
         {
             Ok(h) => sync_threads.push(h),
             Err(e) => {
@@ -1392,11 +939,7 @@ pub(crate) fn spawn(
             comp_rx,
             sink,
             sync_tx: sync_tx.clone(),
-            engine: engine.clone(),
-            queue: queue.clone(),
-            serializer: serializer.clone(),
-            bml: engine.bml().cloned(),
-            staged,
+            ctx: ctx.clone(),
             telemetry: telemetry.clone(),
             cfg,
             stop: stop.clone(),
@@ -1452,7 +995,7 @@ mod tests {
     use crate::client::Client;
     use crate::server::{ForwardingMode, IonServer, ServerConfig};
     use crate::transport::tcp::{TcpAcceptor, TcpConn};
-    use iofwd_proto::OpenFlags;
+    use iofwd_proto::{OpenFlags, Request, Response};
     use std::io::Read;
 
     fn reactor_server(
@@ -1559,8 +1102,8 @@ mod tests {
             max_write_buffer: 4096,
             ..ReactorConfig::default()
         };
-        // One worker: the shared FIFO then guarantees per-client reply
-        // order, so the ordering assertion below is meaningful.
+        // One worker: a single FIFO shard then guarantees per-client
+        // reply order, so the ordering assertion below is meaningful.
         let (server, addr) = reactor_server(ForwardingMode::Sched { workers: 1 }, cfg);
         let telemetry = server.telemetry();
 

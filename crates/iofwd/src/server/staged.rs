@@ -16,7 +16,7 @@ use iofwd_proto::Fd;
 
 use crate::sync::Mutex;
 
-use super::queue::{WorkItem, WorkQueue};
+use super::queue::{StagedPart, WorkItem, WorkQueue};
 
 #[derive(Default)]
 struct Lane {
@@ -107,7 +107,7 @@ impl FdSerializer {
         chain_end: Option<u64>,
         max_ops: usize,
         max_bytes: usize,
-    ) -> Vec<WorkItem> {
+    ) -> Vec<StagedPart> {
         let mut out = Vec::new();
         let mut end = chain_end;
         let mut bytes = 0usize;
@@ -117,33 +117,28 @@ impl FdSerializer {
         };
         while out.len() < max_ops {
             let joins = match lane.pending.front() {
-                Some(WorkItem::StagedWrite { offset, buf, .. }) => {
-                    let contiguous = match (end, offset) {
+                Some(WorkItem::StagedWrite { part, .. }) => {
+                    let contiguous = match (end, part.offset) {
                         // A cursor write extends a cursor chain...
                         (None, None) => true,
                         // ...a positional write extends a positional
                         // chain only from exactly the chain end.
-                        (Some(e), Some(o)) => *o == e,
+                        (Some(e), Some(o)) => o == e,
                         _ => false,
                     };
-                    contiguous && bytes + buf.len() <= max_bytes
+                    contiguous && bytes + part.buf.len() <= max_bytes
                 }
                 _ => false,
             };
             if !joins {
                 break;
             }
-            let Some(item) = lane.pending.pop_front() else {
+            let Some(WorkItem::StagedWrite { part, .. }) = lane.pending.pop_front() else {
                 break;
             };
-            if let WorkItem::StagedWrite {
-                offset, ref buf, ..
-            } = item
-            {
-                bytes += buf.len();
-                end = offset.map(|o| o + buf.len() as u64);
-            }
-            out.push(item);
+            bytes += part.buf.len();
+            end = part.offset.map(|o| o + part.buf.len() as u64);
+            out.push(part);
         }
         out
     }
@@ -225,18 +220,24 @@ mod tests {
         buf.fill_from(&vec![tag as u8; len]);
         WorkItem::StagedWrite {
             fd: Fd(1),
-            op: iofwd_proto::OpId(tag as u64),
-            offset,
-            buf,
-            span: crate::telemetry::OpSpan::default(),
+            part: StagedPart {
+                op: iofwd_proto::OpId(tag as u64),
+                offset,
+                buf,
+                span: crate::telemetry::OpSpan::default(),
+            },
         }
     }
 
     fn staged_tag(i: &WorkItem) -> u32 {
         match i {
-            WorkItem::StagedWrite { op, .. } => op.0 as u32,
+            WorkItem::StagedWrite { part, .. } => part.op.0 as u32,
             _ => unreachable!(),
         }
+    }
+
+    fn part_tags(parts: &[StagedPart]) -> Vec<u32> {
+        parts.iter().map(|p| p.op.0 as u32).collect()
     }
 
     #[test]
@@ -251,7 +252,7 @@ mod tests {
         assert!(s.admit(Fd(1), staged(&bml, 3, Some(999), 50)).is_none());
         assert!(s.admit(Fd(1), staged(&bml, 4, Some(1049), 50)).is_none());
         let got = s.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20);
-        assert_eq!(got.iter().map(staged_tag).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(part_tags(&got), vec![1, 2]);
         // The gap item (and its successor) stay parked, in order.
         assert_eq!(s.parked(), 2);
         let next = s.complete(Fd(1)).unwrap();
@@ -268,10 +269,10 @@ mod tests {
         }
         // A cursor chain harvests cursor writes, capped by max_ops...
         let got = s.harvest_contiguous(Fd(1), None, 2, 1 << 20);
-        assert_eq!(got.iter().map(staged_tag).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(part_tags(&got), vec![1, 2]);
         // ...and by max_bytes (3 fits alone; 4 would exceed 15 bytes).
         let got = s.harvest_contiguous(Fd(1), None, 16, 15);
-        assert_eq!(got.iter().map(staged_tag).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(part_tags(&got), vec![3]);
         // A positional chain never harvests cursor writes.
         assert!(s
             .harvest_contiguous(Fd(1), Some(40), 16, 1 << 20)
@@ -344,9 +345,8 @@ mod tests {
 
     #[test]
     fn guard_completes_lane_on_drop_and_requeues_successor() {
-        use super::super::queue::QueueDiscipline;
         let s = Arc::new(FdSerializer::new());
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let q = Arc::new(WorkQueue::new(1));
         assert!(s.admit(Fd(1), item(10)).is_some());
         assert!(s.admit(Fd(1), item(11)).is_none());
         {
@@ -362,9 +362,8 @@ mod tests {
 
     #[test]
     fn guard_parks_orphan_when_queue_closed() {
-        use super::super::queue::QueueDiscipline;
         let s = Arc::new(FdSerializer::new());
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let q = Arc::new(WorkQueue::new(1));
         assert!(s.admit(Fd(1), item(10)).is_some());
         assert!(s.admit(Fd(1), item(11)).is_none());
         q.close();

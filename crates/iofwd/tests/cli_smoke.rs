@@ -104,3 +104,17 @@ fn daemon_rejects_bad_mode() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown mode"));
 }
+
+/// The zero-copy control arm is retired (BENCH_PR10.json is its frozen
+/// measurement): its flag is gone, not silently ignored.
+#[test]
+fn daemon_rejects_the_retired_hotpath_flag() {
+    let flag = ["--hot", "path"].concat();
+    let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
+        .args([flag.as_str(), "seed"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option"), "{err}");
+}

@@ -22,9 +22,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use iofwd::backend::{Backend, BackendObject};
+use iofwd::backend::{Backend, BackendObject, FaultBackend, MemSinkBackend};
 use iofwd::descdb::{BeginError, OpOutcome};
+use iofwd::fault::FaultPlan;
 use iofwd::server::Engine;
+use iofwd::telemetry::Telemetry;
 use iofwd_proto::{Errno, Fd, FileStat, OpId, OpenFlags, Request, Response, Whence};
 use proptest::prelude::*;
 
@@ -359,7 +361,31 @@ fn run(
     fail_at: Option<(u64, Errno)>,
 ) -> Observed {
     let backend = Arc::new(StickyBackend::new(cap, fail_at));
-    let engine = Engine::new(backend.clone(), None);
+    run_on(script, coalesce, backend.clone(), &|path| {
+        backend.contents(path)
+    })
+}
+
+/// The same arms over a `MemSinkBackend` behind a `FaultBackend` plan:
+/// faults that are a function of *logical write count*.
+fn run_planned(script: &[Act], coalesce: bool, plan: &str) -> Observed {
+    let sink = Arc::new(MemSinkBackend::new());
+    let plan = FaultPlan::parse(plan).expect("valid plan");
+    let backend = Arc::new(FaultBackend::new(
+        sink.clone(),
+        plan,
+        Arc::new(Telemetry::disabled()),
+    ));
+    run_on(script, coalesce, backend, &|path| sink.contents(path))
+}
+
+fn run_on(
+    script: &[Act],
+    coalesce: bool,
+    backend: Arc<dyn Backend>,
+    contents_of: &dyn Fn(&str) -> Option<Vec<u8>>,
+) -> Observed {
+    let engine = Engine::new(backend, None);
     let mut fds = Vec::with_capacity(NFDS);
     for i in 0..NFDS {
         let (resp, _) = engine.execute(
@@ -428,9 +454,7 @@ fn run(
         arm.barrier(f, Request::Fsync { fd });
         arm.barrier(f, Request::Close { fd });
     }
-    let contents = (0..NFDS)
-        .map(|i| backend.contents(&format!("/p{i}")))
-        .collect();
+    let contents = (0..NFDS).map(|i| contents_of(&format!("/p{i}"))).collect();
     Observed {
         outcomes: arm.outcomes,
         reports: arm.reports,
@@ -512,5 +536,32 @@ proptest! {
         }
         let landed = merged.contents[0].as_deref().map_or(0, <[u8]>::len);
         prop_assert_eq!(landed as u64, (total as u64).min(fail_pos));
+    }
+
+    /// Fault-plan semantics are coalescing-invariant for the open-ended
+    /// trigger too: `nth>N` ("the device fills up after N writes")
+    /// charges a vectored write once per constituent, so the failure
+    /// lands on the same logical write whether or not merging happened.
+    #[test]
+    fn open_ended_fault_rule_charges_each_constituent(
+        lens in proptest::collection::vec(1usize..64, 2..24),
+        ok_writes in 0u64..26,
+    ) {
+        let script: Vec<Act> = lens
+            .iter()
+            .map(|&len| Act::Write { f: 0, len })
+            .collect();
+        let plan = format!("on write nth>{ok_writes} errno=ENOSPC");
+        let serial = run_planned(&script, false, &plan);
+        let merged = run_planned(&script, true, &plan);
+        prop_assert_eq!(&serial, &merged);
+        for (i, outcome) in merged.outcomes.iter().enumerate() {
+            let expect = if (i as u64) < ok_writes {
+                OpOutcome::Ok
+            } else {
+                OpOutcome::Failed(Errno::NoSpc)
+            };
+            prop_assert_eq!(*outcome, expect, "write {} with {} allowed", i, ok_writes);
+        }
     }
 }

@@ -12,7 +12,7 @@ use iofwd::server::{watchdog, ForwardingMode, IonServer, ServerConfig, WatchdogC
 use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry, TelemetrySnapshot};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
-use iofwd_proto::{OpenFlags, StatsQuery};
+use iofwd_proto::{Frame, OpenFlags, Request, Response, StatsQuery};
 
 fn unique_tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -244,4 +244,108 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
         "dump missing flight table: {dumped}"
     );
     let _ = std::fs::remove_file(&dump);
+}
+
+/// Read reply frames off a raw socket until `n` have arrived.
+fn read_replies(stream: &mut std::net::TcpStream, n: usize) -> Vec<Frame> {
+    let mut buf = bytes::BytesMut::new();
+    let mut out = Vec::new();
+    while out.len() < n {
+        match Frame::decode(&buf).expect("well-formed reply stream") {
+            Some((frame, used)) => {
+                let _ = buf.split_to(used);
+                out.push(frame);
+            }
+            None => {
+                let got = buf.read_from(stream, 4096).expect("read");
+                assert!(got > 0, "server hung up early ({}/{n} replies)", out.len());
+            }
+        }
+    }
+    out
+}
+
+/// DESIGN §16's promise on the reactor: stats are "answered while the
+/// data path is wedged" — including for a client that has used up its
+/// own queue credit. Four writes are pipelined at a one-worker daemon
+/// whose backend takes 150 ms per write, with `max_client_queued = 1`,
+/// followed by a stats query on the same connection. The query is
+/// decoded as soon as the last write is admitted (the third is then
+/// executing, the fourth queued), so its reply must overtake both of
+/// those writes' replies; before the admission core it sat behind the
+/// client's queue debt until the third write had finished.
+#[test]
+fn reactor_answers_stats_for_a_client_over_its_queue_credit() {
+    use std::io::Write;
+
+    let telemetry = Arc::new(Telemetry::new());
+    let plan = FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).delay_us(150_000));
+    let backend = Arc::new(FaultBackend::new(
+        Arc::new(MemSinkBackend::new()),
+        plan,
+        telemetry.clone(),
+    ));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let server = IonServer::spawn_reactor(
+        acceptor,
+        backend,
+        ServerConfig::new(ForwardingMode::Sched { workers: 1 }).with_telemetry(telemetry),
+        iofwd::server::ReactorConfig {
+            max_client_queued: 1,
+            ..Default::default()
+        },
+    )
+    .expect("spawn reactor");
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let open = Request::Open {
+        path: "/debt".into(),
+        flags: OpenFlags::WRONLY | OpenFlags::CREATE,
+        mode: 0o644,
+    };
+    stream
+        .write_all(&Frame::request(6, 1, &open, bytes::Bytes::new()).encode())
+        .expect("open");
+    let fd = match read_replies(&mut stream, 1)[0]
+        .decode_response()
+        .expect("open reply")
+    {
+        Response::Ok { ret } => iofwd_proto::Fd(ret as u32),
+        other => panic!("open failed: {other:?}"),
+    };
+
+    const WRITES: u64 = 4;
+    let stats_seq = 2 + WRITES;
+    let mut wire = Vec::new();
+    for i in 0..WRITES {
+        let req = Request::Pwrite {
+            fd,
+            offset: i * 512,
+            len: 512,
+        };
+        let payload = bytes::Bytes::from(vec![i as u8; 512]);
+        wire.extend_from_slice(&Frame::request(6, 2 + i, &req, payload).encode());
+    }
+    let stats = Request::Stats {
+        query: StatsQuery::Snapshot,
+    };
+    wire.extend_from_slice(&Frame::request(6, stats_seq, &stats, bytes::Bytes::new()).encode());
+    stream.write_all(&wire).expect("pipeline");
+
+    let order: Vec<u64> = read_replies(&mut stream, WRITES as usize + 1)
+        .iter()
+        .map(|f| f.seq)
+        .collect();
+    let stats_at = order
+        .iter()
+        .position(|&seq| seq == stats_seq)
+        .expect("stats reply");
+    assert!(
+        order.len() - 1 - stats_at >= 2,
+        "stats reply waited for the client's queue debt to drain: reply order {order:?}"
+    );
+    drop(stream);
+    server.shutdown();
 }

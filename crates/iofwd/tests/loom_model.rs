@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use iofwd::bml::Bml;
-use iofwd::server::{FdSerializer, QueueDiscipline, WorkItem, WorkQueue};
+use iofwd::server::{FdSerializer, WorkItem, WorkQueue};
 use iofwd_proto::{Fd, OpId, Request};
 use loomlite::sync::Arc;
 use loomlite::thread;
@@ -240,13 +240,13 @@ fn tag_of(item: &WorkItem) -> u32 {
     }
 }
 
-/// The paper's shared FIFO: two producers racing to enqueue; whatever
-/// the interleaving, each producer's items drain in its program order
-/// and nothing is lost or duplicated.
+/// One shard is the paper's shared FIFO: two producers racing to
+/// enqueue; whatever the interleaving, each producer's items drain in
+/// its program order and nothing is lost or duplicated.
 #[test]
 fn queue_preserves_per_producer_fifo_order() {
     loomlite::model(|| {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let q = Arc::new(WorkQueue::new(1));
         let producers: Vec<_> = [(1u32, 2u32), (3, 4)]
             .into_iter()
             .map(|(a, b)| {
@@ -276,7 +276,7 @@ fn queue_preserves_per_producer_fifo_order() {
 #[test]
 fn queue_close_releases_blocked_workers_exactly_once() {
     loomlite::model(|| {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 2));
+        let q = Arc::new(WorkQueue::new(2));
         let workers: Vec<_> = (0..2)
             .map(|w| {
                 let q = q.clone();
@@ -316,7 +316,7 @@ fn queue_push_racing_close_returns_queue_closed() {
     ACCEPTED.store(0, Ordering::SeqCst);
     REJECTED.store(0, Ordering::SeqCst);
     loomlite::model(|| {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let q = Arc::new(WorkQueue::new(1));
         let pusher = {
             let q = q.clone();
             thread::spawn(move || match q.push(tagged(9)) {
@@ -353,16 +353,18 @@ fn staged_item(bml: &Bml, tag: u64, offset: Option<u64>, len: usize) -> WorkItem
     buf.fill_from(&vec![tag as u8; len]);
     WorkItem::StagedWrite {
         fd: Fd(1),
-        op: OpId(tag),
-        offset,
-        buf,
-        span: iofwd::telemetry::OpSpan::default(),
+        part: iofwd::server::StagedPart {
+            op: OpId(tag),
+            offset,
+            buf,
+            span: iofwd::telemetry::OpSpan::default(),
+        },
     }
 }
 
 fn staged_tag(item: &WorkItem) -> u64 {
     match item {
-        WorkItem::StagedWrite { op, .. } => op.0,
+        WorkItem::StagedWrite { part, .. } => part.op.0,
         _ => u64::MAX,
     }
 }
@@ -386,7 +388,7 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
     ORPHANED.store(0, Ordering::SeqCst);
     loomlite::model(|| {
         let bml = Bml::new(1 << 20);
-        let queue = Arc::new(WorkQueue::new(QueueDiscipline::SharedFifo, 1));
+        let queue = Arc::new(WorkQueue::new(1));
         let serializer = Arc::new(FdSerializer::new());
         // Op 0 in flight on the lane; op 1 parked contiguous with it;
         // op 2 parked behind a gap (stays after the harvest, so the
@@ -408,7 +410,7 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
                 let guard = serializer.completion_guard(Fd(1), queue);
                 let batch = serializer.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20);
                 let mut executed: Vec<u64> = vec![staged_tag(&inflight)];
-                executed.extend(batch.iter().map(staged_tag));
+                executed.extend(batch.iter().map(|part| part.op.0));
                 // "Execute": buffers return to the BML as items drop.
                 drop(inflight);
                 drop(batch);
@@ -472,7 +474,7 @@ fn work_stealing_delivers_exactly_once() {
     static STOLEN: AtomicUsize = AtomicUsize::new(0);
     STOLEN.store(0, Ordering::SeqCst);
     loomlite::model(|| {
-        let q = Arc::new(WorkQueue::new(QueueDiscipline::PerWorker, 2));
+        let q = Arc::new(WorkQueue::new(2));
         // Affinity placement: both default-span items are client 0,
         // so both land on one home shard; the other worker can only
         // ever reach them by stealing.

@@ -5,11 +5,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iofwd::backend::{
-    Backend, FaultInjectionBackend, MemSinkBackend, NullBackend, ThrottledBackend,
-};
+use iofwd::backend::{Backend, FaultBackend, MemSinkBackend, NullBackend, ThrottledBackend};
 use iofwd::client::{Client, ClientError, WriteOutcome};
-use iofwd::server::{ForwardingMode, IonServer, QueueDiscipline, ServerConfig};
+use iofwd::fault::{FaultPlan, FaultRule, OpClass};
+use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
+use iofwd::telemetry::Telemetry;
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Errno, OpenFlags, Whence};
@@ -23,6 +23,17 @@ const ALL_MODES: [ForwardingMode; 4] = [
         bml_capacity: 8 << 20,
     },
 ];
+
+/// A memory sink whose first `ok_writes` writes succeed and every later
+/// one fails with `errno` (`on write nth>N errno=E`).
+fn failing_after(ok_writes: u64, errno: Errno) -> Arc<FaultBackend> {
+    let plan = FaultPlan::new(0).rule(FaultRule::on(OpClass::Write).after(ok_writes).errno(errno));
+    Arc::new(FaultBackend::new(
+        Arc::new(MemSinkBackend::new()),
+        plan,
+        Arc::new(Telemetry::disabled()),
+    ))
+}
 
 fn start(mode: ForwardingMode, backend: Arc<dyn Backend>) -> (IonServer, MemHub) {
     let hub = MemHub::new();
@@ -142,9 +153,8 @@ fn non_staged_modes_never_stage() {
 
 #[test]
 fn deferred_error_reported_on_next_operation() {
-    let inner = Arc::new(MemSinkBackend::new());
-    // First data op succeeds, everything after fails with ENOSPC.
-    let backend = Arc::new(FaultInjectionBackend::new(inner, 1, Errno::NoSpc));
+    // First write succeeds, everything after fails with ENOSPC.
+    let backend = failing_after(1, Errno::NoSpc);
     let (server, hub) = start(
         ForwardingMode::AsyncStaged {
             workers: 2,
@@ -181,8 +191,7 @@ fn deferred_error_reported_on_next_operation() {
 
 #[test]
 fn deferred_error_reported_on_close() {
-    let inner = Arc::new(MemSinkBackend::new());
-    let backend = Arc::new(FaultInjectionBackend::new(inner, 0, Errno::Io));
+    let backend = failing_after(0, Errno::Io);
     let (server, hub) = start(
         ForwardingMode::AsyncStaged {
             workers: 1,
@@ -208,8 +217,7 @@ fn deferred_error_reported_on_close() {
 
 #[test]
 fn sync_modes_report_errors_immediately() {
-    let inner = Arc::new(MemSinkBackend::new());
-    let backend = Arc::new(FaultInjectionBackend::new(inner, 0, Errno::NoSpc));
+    let backend = failing_after(0, Errno::NoSpc);
     for mode in [
         ForwardingMode::Ciod,
         ForwardingMode::Zoid,
@@ -406,29 +414,6 @@ fn metadata_ops_work_in_staged_mode() {
     c.close(fd).unwrap();
     c.shutdown().unwrap();
     server.shutdown();
-}
-
-#[test]
-fn per_worker_queue_discipline_works() {
-    let backend = Arc::new(MemSinkBackend::new());
-    let hub = MemHub::new();
-    let server = IonServer::spawn(
-        Box::new(hub.listener()),
-        backend.clone(),
-        ServerConfig::new(ForwardingMode::Sched { workers: 3 })
-            .with_queue_discipline(QueueDiscipline::PerWorker),
-    );
-    let mut c = Client::connect(Box::new(hub.connect()));
-    let fd = c
-        .open("/pw", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-        .unwrap();
-    for i in 0..30u8 {
-        c.write(fd, &[i; 512]).unwrap();
-    }
-    c.close(fd).unwrap();
-    c.shutdown().unwrap();
-    server.shutdown();
-    assert_eq!(backend.contents("/pw").unwrap().len(), 30 * 512);
 }
 
 #[test]

@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
-use iofwd::backend::{FaultInjectionBackend, MemSinkBackend};
+use iofwd::backend::{FaultBackend, MemSinkBackend};
 use iofwd::client::{Client, ClientError};
+use iofwd::fault::FaultPlan;
 use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
@@ -122,8 +123,11 @@ fn deferred_storage_failure_surfaces_through_madbench_style_flow() {
     // Writes start failing mid-run; in staged mode the error must arrive
     // on a subsequent operation of the same descriptor, not be lost.
     let hub = MemHub::new();
-    let inner = Arc::new(MemSinkBackend::new());
-    let backend = Arc::new(FaultInjectionBackend::new(inner, 3, Errno::NoSpc));
+    let backend = Arc::new(FaultBackend::new(
+        Arc::new(MemSinkBackend::new()),
+        FaultPlan::parse("on write nth>3 errno=ENOSPC").expect("valid plan"),
+        Arc::new(iofwd::telemetry::Telemetry::disabled()),
+    ));
     let server = IonServer::spawn(
         Box::new(hub.listener()),
         backend,

@@ -10,8 +10,8 @@
 //!     no `std::time::Instant`, `std::time::SystemTime`,
 //!     `std::thread::sleep` in their `src/` trees.
 //!   - **R2** Daemon-path modules of `iofwd` (`backend`, `transport`,
-//!     `client`, `bml`, `descdb`, `fault`, `server::{queue, reactor,
-//!     staged}`) must not `.unwrap()` / `.expect(...)`
+//!     `client`, `bml`, `descdb`, `fault`, `server::{admit, queue,
+//!     reactor, staged}`) must not `.unwrap()` / `.expect(...)`
 //!     / `panic!` outside `#[cfg(test)]` modules — errors flow through
 //!     `iofwd_proto::error` to the client like CIOD returns errno.
 //!   - **R3** `match` expressions over wire-format enums (`Request`,
@@ -45,11 +45,11 @@
 //!     paths can neither take extra shard locks nor bypass
 //!     `--attribution off`.
 //!   - **R10** Forwarding hot-path files (`iofwd-proto::wire`,
-//!     `iofwd::{transport, bml, server::{engine, handlers, queue,
-//!     reactor}}`) must not `.to_vec()` a decoded `Bytes` view —
+//!     `iofwd::{transport, bml, server::{admit, engine, handlers,
+//!     queue, reactor}}`) must not `.to_vec()` a decoded `Bytes` view —
 //!     payloads travel socket→BML→backend as refcounted slices; a
-//!     deliberate deep copy (CIOD paper-fidelity staging, the seed
-//!     control arm) must carry a `// HOTPATH:` comment above it.
+//!     deliberate deep copy (CIOD paper-fidelity staging) must carry a
+//!     `// HOTPATH:` comment above it.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

@@ -99,6 +99,7 @@ const NO_PANIC_MODULES: &[&str] = &[
     "bml",
     "descdb",
     "fault",
+    "server/admit",
     "server/queue",
     "server/reactor",
     "server/staged",
@@ -123,12 +124,13 @@ const NO_FMT_FILES: &[&str] = &[
 /// arrive here as refcounted `Bytes` views into the receive buffer;
 /// `.to_vec()` deep-copies the payload and silently reintroduces the
 /// per-op allocation the zero-copy path exists to remove. A deliberate
-/// copy (paper-fidelity CIOD staging, the seed control arm) must carry
-/// a `// HOTPATH:` comment in the three lines above it.
+/// copy (paper-fidelity CIOD staging) must carry a `// HOTPATH:`
+/// comment in the three lines above it.
 const HOT_BYTES_FILES: &[&str] = &[
     "crates/iofwd-proto/src/wire.rs",
     "crates/iofwd/src/bml.rs",
     "crates/iofwd/src/transport.rs",
+    "crates/iofwd/src/server/admit.rs",
     "crates/iofwd/src/server/engine.rs",
     "crates/iofwd/src/server/handlers.rs",
     "crates/iofwd/src/server/queue.rs",
