@@ -11,7 +11,7 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use iofwd::trace::JsonValue;
+use iofwd_telemetry::json::{quote, Json};
 use iofwd_telemetry::snapshot::TelemetrySnapshot;
 
 use crate::replay::CellMeasurement;
@@ -86,45 +86,31 @@ impl CellResult {
         let mut s = String::from("{\n");
         s.push_str(&format!(
             "  \"fingerprint\": {},\n  \"cell\": {},\n",
-            json_str(&format!("{fingerprint:016x}")),
-            json_str(&self.cell)
+            quote(&format!("{fingerprint:016x}")),
+            quote(&self.cell)
         ));
         s.push_str("  \"axes\": ");
-        s.push_str(&json_str_map(&self.axes, 2));
+        s.push_str(&json_map(&self.axes, 2, |v| quote(v)));
         s.push_str(",\n  \"metrics\": ");
-        s.push_str(&json_num_map(
-            &self
-                .metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect::<Vec<_>>(),
-            2,
-        ));
+        s.push_str(&json_map(&self.metrics, 2, |v| fmt_f64(*v)));
         s.push_str(",\n  \"counters\": ");
-        s.push_str(&json_num_map(
-            &self
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v as f64))
-                .collect::<Vec<_>>(),
-            2,
-        ));
+        s.push_str(&json_map(&self.counters, 2, u64::to_string));
         s.push_str("\n}\n");
         s
     }
 
     /// Parse a checkpoint file; returns the stamped fingerprint too.
     pub fn from_checkpoint_json(text: &str) -> Result<(u64, CellResult), String> {
-        let v = JsonValue::parse(text)?;
+        let v = Json::parse(text)?;
         let fp_hex = v
             .get("fingerprint")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or("checkpoint: missing fingerprint")?;
         let fingerprint = u64::from_str_radix(fp_hex, 16)
             .map_err(|_| "checkpoint: bad fingerprint".to_string())?;
         let cell = v
             .get("cell")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or("checkpoint: missing cell")?
             .to_string();
         let axes = obj_entries(&v, "axes")?
@@ -146,9 +132,9 @@ impl CellResult {
         let counters = obj_entries(&v, "counters")?
             .iter()
             .map(|(k, val)| {
-                val.as_f64()
-                    .map(|n| (k.clone(), n as u64))
-                    .ok_or(format!("checkpoint: counter {k} not a number"))
+                val.as_u64()
+                    .map(|n| (k.clone(), n))
+                    .ok_or(format!("checkpoint: counter {k} not an unsigned integer"))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok((
@@ -163,11 +149,10 @@ impl CellResult {
     }
 }
 
-fn obj_entries<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [(String, JsonValue)], String> {
-    match v.get(key) {
-        Some(JsonValue::Obj(pairs)) => Ok(pairs),
-        _ => Err(format!("checkpoint: missing object `{key}`")),
-    }
+fn obj_entries<'a>(v: &'a Json, key: &str) -> Result<&'a [(String, Json)], String> {
+    v.get(key)
+        .and_then(Json::as_obj)
+        .ok_or(format!("checkpoint: missing object `{key}`"))
 }
 
 /// One evaluated budget instance (budget × candidate cell).
@@ -312,27 +297,24 @@ pub fn render_json(
 ) -> String {
     let pass = verdicts.iter().all(|v| v.pass);
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"bench\": {},\n", json_str(&scenario.bench)));
-    s.push_str(&format!("  \"date\": {},\n", json_str(&today())));
-    s.push_str(&format!("  \"command\": {},\n", json_str(command)));
+    s.push_str(&format!("  \"bench\": {},\n", quote(&scenario.bench)));
+    s.push_str(&format!("  \"date\": {},\n", quote(&today())));
+    s.push_str(&format!("  \"command\": {},\n", quote(command)));
     s.push_str(&format!(
         "  \"description\": {},\n",
-        json_str(&scenario.description)
+        quote(&scenario.description)
     ));
 
     // config
     s.push_str("  \"config\": {\n");
-    s.push_str(&format!(
-        "    \"scenario\": {},\n",
-        json_str(&scenario.name)
-    ));
+    s.push_str(&format!("    \"scenario\": {},\n", quote(&scenario.name)));
     s.push_str(&format!(
         "    \"scenario_file\": {},\n",
-        json_str(&scenario.source.display().to_string())
+        quote(&scenario.source.display().to_string())
     ));
     s.push_str(&format!(
         "    \"scenario_fingerprint\": {},\n",
-        json_str(&format!("{:016x}", scenario.fingerprint))
+        quote(&format!("{:016x}", scenario.fingerprint))
     ));
     s.push_str(&format!("    \"seed\": {},\n", scenario.seed));
     let wl = scenario.workload.describe();
@@ -343,9 +325,9 @@ pub fn render_json(
                 let val = if v.chars().all(|c| c.is_ascii_digit()) {
                     v.clone()
                 } else {
-                    json_str(v)
+                    quote(v)
                 };
-                format!("{}: {}", json_str(k), val)
+                format!("{}: {}", quote(k), val)
             })
             .collect::<Vec<_>>()
             .join(", "),
@@ -374,10 +356,10 @@ pub fn render_json(
             .map(|a| {
                 format!(
                     "{}: [{}]",
-                    json_str(&a.name),
+                    quote(&a.name),
                     a.values
                         .iter()
-                        .map(|v| json_str(v))
+                        .map(|v| quote(v))
                         .collect::<Vec<_>>()
                         .join(", ")
                 )
@@ -393,19 +375,13 @@ pub fn render_json(
     s.push_str("  \"runs\": [\n");
     for (i, r) in results.iter().enumerate() {
         s.push_str("    {\n");
-        s.push_str(&format!("      \"cell\": {},\n", json_str(&r.cell)));
+        s.push_str(&format!("      \"cell\": {},\n", quote(&r.cell)));
         s.push_str("      \"axes\": ");
-        s.push_str(&json_str_map(&r.axes, 6));
+        s.push_str(&json_map(&r.axes, 6, |v| quote(v)));
         s.push_str(",\n      \"metrics\": ");
-        s.push_str(&json_num_map(&r.metrics, 6));
+        s.push_str(&json_map(&r.metrics, 6, |v| fmt_f64(*v)));
         s.push_str(",\n      \"counters\": ");
-        s.push_str(&json_num_map(
-            &r.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v as f64))
-                .collect::<Vec<_>>(),
-            6,
-        ));
+        s.push_str(&json_map(&r.counters, 6, u64::to_string));
         s.push_str("\n    }");
         s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
@@ -418,14 +394,14 @@ pub fn render_json(
             "    {{\"budget\": {}, \"cell\": {}, \"baseline\": {}, \"metric\": {}, \
              \"candidate_value\": {}, \"baseline_value\": {}, \"ratio\": {}, \
              \"bound\": {}, \"pass\": {}}}{}\n",
-            json_str(&c.budget),
-            json_str(&c.cell),
-            json_str(&c.baseline),
-            json_str(&c.metric),
+            quote(&c.budget),
+            quote(&c.cell),
+            quote(&c.baseline),
+            quote(&c.metric),
             fmt_f64(c.candidate_value),
             fmt_f64(c.baseline_value),
             fmt_f64(c.ratio),
-            json_str(&c.bound),
+            quote(&c.bound),
             c.pass,
             if i + 1 < comparisons.len() { "," } else { "" }
         ));
@@ -452,16 +428,16 @@ pub fn render_json(
     for (i, v) in verdicts.iter().enumerate() {
         s.push_str(&format!(
             "      {{\"budget\": {}, \"cell\": {}, \"pass\": {}, \"detail\": {}}}{}\n",
-            json_str(&v.budget),
-            json_str(&v.cell),
+            quote(&v.budget),
+            quote(&v.cell),
             v.pass,
-            json_str(&v.detail),
+            quote(&v.detail),
             if i + 1 < verdicts.len() { "," } else { "" }
         ));
     }
     s.push_str("    ],\n");
     s.push_str(&format!("    \"pass\": {pass},\n"));
-    s.push_str(&format!("    \"note\": {}\n", json_str(&note)));
+    s.push_str(&format!("    \"note\": {}\n", quote(&note)));
     s.push_str("  }\n}\n");
     s
 }
@@ -530,43 +506,43 @@ pub fn render_markdown(
 /// generated by an older scenario revision (fingerprint mismatch),
 /// missing cells, and failing summaries committed as green.
 pub fn check(report_text: &str, scenario: Option<&Scenario>) -> Result<(), String> {
-    let v = JsonValue::parse(report_text).map_err(|e| format!("report is not valid JSON: {e}"))?;
+    let v = Json::parse(report_text).map_err(|e| format!("report is not valid JSON: {e}"))?;
     for key in ["bench", "date", "command", "description"] {
-        if v.get(key).and_then(JsonValue::as_str).is_none() {
+        if v.get(key).and_then(Json::as_str).is_none() {
             return Err(format!("report: missing string `{key}`"));
         }
     }
     let runs = match v.get("runs") {
-        Some(JsonValue::Arr(items)) if !items.is_empty() => items,
-        Some(JsonValue::Arr(_)) => return Err("report: `runs` is empty".into()),
+        Some(Json::Arr(items)) if !items.is_empty() => items,
+        Some(Json::Arr(_)) => return Err("report: `runs` is empty".into()),
         _ => return Err("report: missing array `runs`".into()),
     };
     let mut cells = Vec::new();
     for (i, run) in runs.iter().enumerate() {
         let cell = run
             .get("cell")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("report: run #{i} missing `cell`"))?;
         let metrics = run
             .get("metrics")
             .ok_or(format!("report: run #{i} missing `metrics`"))?;
         for m in ["wall_ms", "throughput_mib_s", "p99_us"] {
-            if metrics.get(m).and_then(JsonValue::as_f64).is_none() {
+            if metrics.get(m).and_then(Json::as_f64).is_none() {
                 return Err(format!("report: run `{cell}` missing metric `{m}`"));
             }
         }
         cells.push(cell.to_string());
     }
     let summary = v.get("summary").ok_or("report: missing `summary`")?;
-    let pass = match summary.get("pass") {
-        Some(JsonValue::Bool(b)) => *b,
-        _ => return Err("report: summary.pass must be a boolean".into()),
-    };
+    let pass = summary
+        .get("pass")
+        .and_then(Json::as_bool)
+        .ok_or("report: summary.pass must be a boolean")?;
     if !pass {
         return Err("report: summary.pass is false — a failing report is committed".into());
     }
     if let Some(scenario) = scenario {
-        let bench = v.get("bench").and_then(JsonValue::as_str).unwrap_or("");
+        let bench = v.get("bench").and_then(Json::as_str).unwrap_or("");
         if bench != scenario.bench {
             return Err(format!(
                 "report bench `{bench}` != scenario bench `{}`",
@@ -576,7 +552,7 @@ pub fn check(report_text: &str, scenario: Option<&Scenario>) -> Result<(), Strin
         let fp = v
             .get("config")
             .and_then(|c| c.get("scenario_fingerprint"))
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or("report: missing config.scenario_fingerprint")?;
         let want = format!("{:016x}", scenario.fingerprint);
         if fp != want {
@@ -606,39 +582,13 @@ pub fn check(report_text: &str, scenario: Option<&Scenario>) -> Result<(), Strin
 // small JSON / formatting helpers
 // ---------------------------------------------------------------------
 
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_str_map(pairs: &[(String, String)], indent: usize) -> String {
+/// A pretty-printed JSON object; `render` turns a value into its
+/// literal (counters print as exact integers, never through `f64`).
+fn json_map<V>(pairs: &[(String, V)], indent: usize, render: impl Fn(&V) -> String) -> String {
     let pad = " ".repeat(indent);
     let body = pairs
         .iter()
-        .map(|(k, v)| format!("{pad}  {}: {}", json_str(k), json_str(v)))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n{body}\n{pad}}}")
-}
-
-fn json_num_map(pairs: &[(String, f64)], indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let body = pairs
-        .iter()
-        .map(|(k, v)| format!("{pad}  {}: {}", json_str(k), fmt_f64(*v)))
+        .map(|(k, v)| format!("{pad}  {}: {}", quote(k), render(v)))
         .collect::<Vec<_>>()
         .join(",\n");
     format!("{{\n{body}\n{pad}}}")
@@ -696,7 +646,11 @@ mod tests {
                 ("coalesce".into(), "on".into()),
             ],
             metrics: vec![("wall_ms".into(), 12.5), ("ops".into(), 100.0)],
-            counters: vec![("coalesced_batches".into(), 42)],
+            // Past 2^53: exact only if it never passes through `f64`.
+            counters: vec![
+                ("coalesced_batches".into(), 42),
+                ("uptime_ns".into(), u64::MAX),
+            ],
         };
         let text = r.to_checkpoint_json(0xdead_beef);
         let (fp, back) = CellResult::from_checkpoint_json(&text).expect("parse");

@@ -214,7 +214,6 @@ fn measure_cell(
             ephemeral: false,
         },
     };
-    let stats_json = scratch.join("stats.json");
     let mode = cell.axis("mode").unwrap_or("staged");
     let workers: usize = cell
         .axis("workers")
@@ -226,10 +225,6 @@ fn measure_cell(
         .log_to(scratch.join("daemon.log"))
         .arg("--bml-mib")
         .arg(d.bml_mib.to_string())
-        .arg("--stats-interval")
-        .arg("0")
-        .arg("--stats-json")
-        .arg(stats_json.display().to_string())
         .arg("--retry-attempts")
         .arg(d.retry_attempts.to_string());
     if let Some(attribution) = cell.axis("attribution") {
@@ -290,8 +285,13 @@ fn measure_cell(
     let measurement = crate::replay::run(&daemon.addr(), &streams)
         .map_err(|e| format!("cell {}: replay: {e}\n{}", cell.name, daemon.log_tail()))?;
 
-    let snapshot = harvest_snapshot(&daemon.addr(), &stats_json)
-        .map_err(|e| format!("cell {}: {e}\n{}", cell.name, daemon.log_tail()))?;
+    let snapshot = harvest_snapshot(&daemon.addr()).map_err(|e| {
+        format!(
+            "cell {}: stats query: {e}\n{}",
+            cell.name,
+            daemon.log_tail()
+        )
+    })?;
     if daemon.panicked() {
         return Err(format!(
             "cell {}: daemon panicked:\n{}",
@@ -305,27 +305,9 @@ fn measure_cell(
     Ok(CellResult::from_measurement(cell, &measurement, &snapshot))
 }
 
-/// Harvest the daemon's final telemetry over the stats wire protocol —
-/// one synchronous request/reply, no trigger files and no polling. If
-/// the wire path fails (daemon already gone, listener wedged), fall
-/// back to whatever `--stats-json` dump the daemon last wrote.
-fn harvest_snapshot(addr: &str, stats_json: &Path) -> Result<TelemetrySnapshot, String> {
-    let wire_err = match harvest_over_wire(addr) {
-        Ok(snap) => return Ok(snap),
-        Err(e) => e,
-    };
-    if let Ok(text) = std::fs::read_to_string(stats_json) {
-        if let Ok(snap) = TelemetrySnapshot::from_json(&text) {
-            return Ok(snap);
-        }
-    }
-    Err(format!(
-        "stats query to {addr} failed ({wire_err}) and no usable dump at {}",
-        stats_json.display()
-    ))
-}
-
-fn harvest_over_wire(addr: &str) -> Result<TelemetrySnapshot, String> {
+/// Harvest the daemon's final telemetry over the stats wire protocol:
+/// synchronous request/reply, no files and no triggers.
+fn harvest_snapshot(addr: &str) -> Result<TelemetrySnapshot, String> {
     let conn = TcpConn::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut client = Client::connect(Box::new(conn));
     let fetch = |client: &mut Client| -> Result<TelemetrySnapshot, String> {

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use experiments::report;
 use experiments::runner::{run, RunConfig};
 use experiments::scenario::Scenario;
-use iofwd::trace::JsonValue;
+use iofwd_telemetry::json::Json;
 
 const MINI: &str = r#"
 [scenario]
@@ -72,13 +72,13 @@ fn two_cell_sweep_reports_and_resumes() {
     let report_text = std::fs::read_to_string(&outcome.report_json).unwrap();
     let scenario = Scenario::load(&scenario_path).unwrap();
     report::check(&report_text, Some(&scenario)).expect("check passes on fresh report");
-    let v = JsonValue::parse(&report_text).unwrap();
+    let v = Json::parse(&report_text).unwrap();
     assert_eq!(
-        v.get("bench").and_then(JsonValue::as_str),
+        v.get("bench").and_then(Json::as_str),
         Some("experiments_mini_e2e")
     );
     let runs = match v.get("runs") {
-        Some(JsonValue::Arr(items)) => items,
+        Some(Json::Arr(items)) => items,
         other => panic!("runs missing: {other:?}"),
     };
     assert_eq!(runs.len(), 2);
@@ -92,7 +92,7 @@ fn two_cell_sweep_reports_and_resumes() {
             "stage_backend_pct",
         ] {
             assert!(
-                metrics.get(m).and_then(JsonValue::as_f64).is_some(),
+                metrics.get(m).and_then(Json::as_f64).is_some(),
                 "metric {m} missing"
             );
         }
@@ -101,7 +101,7 @@ fn two_cell_sweep_reports_and_resumes() {
         let ops_completed = run_obj
             .get("counters")
             .and_then(|c| c.get("ops_completed"))
-            .and_then(JsonValue::as_f64)
+            .and_then(Json::as_f64)
             .expect("ops_completed counter");
         assert!(
             ops_completed >= 12.0,
@@ -110,7 +110,7 @@ fn two_cell_sweep_reports_and_resumes() {
     }
     // Comparisons carry the paired budget evaluation.
     match v.get("comparisons") {
-        Some(JsonValue::Arr(items)) => assert_eq!(items.len(), 1),
+        Some(Json::Arr(items)) => assert_eq!(items.len(), 1),
         other => panic!("comparisons missing: {other:?}"),
     }
 

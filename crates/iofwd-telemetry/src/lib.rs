@@ -19,11 +19,13 @@
 //! atomics, per-thread histogram shards merged only at snapshot time).
 //! [`Telemetry::disabled`] is a null sink: `now_ns` returns 0 and every
 //! record call early-returns, for benches that want zero overhead.
-//! Snapshot assembly, text rendering, and the hand-rolled JSON codec
-//! live in [`snapshot`] — the one module allowed to allocate freely.
+//! Snapshot assembly and its text/JSON/Prometheus views live in
+//! [`snapshot`], the workspace's one JSON parser and string escaper in
+//! [`json`] — the two modules allowed to allocate freely.
 
 pub mod clients;
 pub mod hist;
+pub mod json;
 pub mod ring;
 pub mod snapshot;
 pub mod span;
@@ -256,6 +258,11 @@ pub struct Telemetry {
     pub ops_staged: Counter,
     /// Deferred errors recorded against a descriptor by the DescDb.
     pub deferred_errors: Counter,
+    /// `DeferredErr` replies sent: a staged write's failure surfacing,
+    /// once, on a later op on its descriptor (§IV).
+    pub deferred_errors_reported: Counter,
+    /// Payload bytes in-situ filters removed before the backend.
+    pub bytes_filtered_out: Counter,
     /// Acquires that had to block for BML space.
     pub bml_blocked_acquires: Counter,
     /// Frames/payload bytes over the transport, per direction
@@ -394,6 +401,8 @@ impl Telemetry {
             ops_failed: Counter::new(),
             ops_staged: Counter::new(),
             deferred_errors: Counter::new(),
+            deferred_errors_reported: Counter::new(),
+            bytes_filtered_out: Counter::new(),
             bml_blocked_acquires: Counter::new(),
             frames_in: Counter::new(),
             frames_out: Counter::new(),

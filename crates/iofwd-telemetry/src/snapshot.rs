@@ -1,17 +1,18 @@
-//! Snapshot assembly, text rendering, and a hand-rolled JSON codec.
+//! Snapshot assembly and the views over it: text, JSON, Prometheus,
+//! rates, top.
 //!
-//! This is the one telemetry module allowed to allocate and format
-//! (lint rule R5 exempts it): everything here runs at snapshot/dump
-//! time, never on the request hot path. The JSON codec is deliberately
-//! dependency-free — a writer over `format!` and a recursive-descent
-//! reader for the subset the writer emits (objects, arrays, strings,
-//! integers) — and round-trips [`TelemetrySnapshot`] exactly (see the
-//! proptests in `tests/telemetry_props.rs`).
+//! This and [`crate::json`] are the telemetry modules allowed to
+//! allocate and format (lint rule R5 exempts them): everything here runs
+//! at snapshot time, never on the request hot path. The JSON view is a
+//! writer over `format!` and a reader over [`crate::json::Json`], and
+//! round-trips [`TelemetrySnapshot`] exactly (see the proptests in
+//! `tests/telemetry_props.rs`).
 
 use std::fmt::Write as _;
 
 use crate::clients::ClientSnapshot;
 use crate::hist::HistSnapshot;
+use crate::json::{quote, Json};
 use crate::span::OpSpan;
 use crate::timeseries::Rates;
 use crate::{Telemetry, MAX_WORKERS};
@@ -129,39 +130,36 @@ impl TelemetrySnapshot {
     }
 
     pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-        let root = match Json::parse(text)? {
-            Json::Obj(pairs) => pairs,
-            _ => return Err("top level is not an object".into()),
-        };
+        let root = Json::parse(text)?;
+        let sections = root.as_obj().ok_or("top level is not an object")?;
         let mut snap = TelemetrySnapshot::default();
-        for (key, value) in root {
-            match (key.as_str(), value) {
-                ("counters", Json::Obj(pairs)) => {
-                    for (name, v) in pairs {
-                        snap.counters.push((name, v.as_u64()?));
+        for (key, value) in sections {
+            match key.as_str() {
+                "counters" => {
+                    for (name, v) in obj_of(value)? {
+                        snap.counters.push((name.clone(), u64_of(v)?));
                     }
                 }
-                ("gauges", Json::Obj(pairs)) => {
-                    for (name, v) in pairs {
-                        let fields = v.into_obj()?;
+                "gauges" => {
+                    for (name, v) in obj_of(value)? {
                         let mut g = GaugeValue::default();
-                        for (k, fv) in fields {
+                        for (k, fv) in obj_of(v)? {
                             match k.as_str() {
-                                "current" => g.current = fv.as_i64()?,
-                                "peak" => g.peak = fv.as_i64()?,
+                                "current" => g.current = i64_of(fv)?,
+                                "peak" => g.peak = i64_of(fv)?,
                                 other => return Err(format!("unknown gauge field `{other}`")),
                             }
                         }
-                        snap.gauges.push((name, g));
+                        snap.gauges.push((name.clone(), g));
                     }
                 }
-                ("hists", Json::Obj(pairs)) => {
-                    for (name, v) in pairs {
-                        snap.hists.push((name, parse_hist(v)?));
+                "hists" => {
+                    for (name, v) in obj_of(value)? {
+                        snap.hists.push((name.clone(), parse_hist(v)?));
                     }
                 }
-                ("clients", Json::Obj(pairs)) => {
-                    for (key, v) in pairs {
+                "clients" => {
+                    for (key, v) in obj_of(value)? {
                         let id: u64 = key
                             .parse()
                             .map_err(|_| format!("client id `{key}` is not a u64"))?;
@@ -176,14 +174,14 @@ impl TelemetrySnapshot {
                             queue_wait_ns: HistSnapshot::default(),
                             backend_ns: HistSnapshot::default(),
                         };
-                        for (k, fv) in v.into_obj()? {
+                        for (k, fv) in obj_of(v)? {
                             match k.as_str() {
-                                "ops" => c.ops = fv.as_u64()?,
-                                "ops_failed" => c.ops_failed = fv.as_u64()?,
-                                "bytes_in" => c.bytes_in = fv.as_u64()?,
-                                "bytes_out" => c.bytes_out = fv.as_u64()?,
-                                "backpressure_events" => c.backpressure_events = fv.as_u64()?,
-                                "wbuf_high_water" => c.wbuf_high_water = fv.as_u64()?,
+                                "ops" => c.ops = u64_of(fv)?,
+                                "ops_failed" => c.ops_failed = u64_of(fv)?,
+                                "bytes_in" => c.bytes_in = u64_of(fv)?,
+                                "bytes_out" => c.bytes_out = u64_of(fv)?,
+                                "backpressure_events" => c.backpressure_events = u64_of(fv)?,
+                                "wbuf_high_water" => c.wbuf_high_water = u64_of(fv)?,
                                 "queue_wait_ns" => c.queue_wait_ns = parse_hist(fv)?,
                                 "backend_ns" => c.backend_ns = parse_hist(fv)?,
                                 other => return Err(format!("unknown client field `{other}`")),
@@ -192,7 +190,7 @@ impl TelemetrySnapshot {
                         snap.clients.push(c);
                     }
                 }
-                (other, _) => return Err(format!("unknown top-level key `{other}`")),
+                other => return Err(format!("unknown top-level key `{other}`")),
             }
         }
         Ok(snap)
@@ -200,8 +198,7 @@ impl TelemetrySnapshot {
 
     // -- text ---------------------------------------------------------
 
-    /// Human-readable dump for `iofwdd --stats-interval` / on-demand
-    /// dumps.
+    /// The human-readable view (`iofwd-cp stats ADDR`).
     pub fn render_text(&self) -> String {
         // Zero usually means "nothing to say", but these answer
         // questions an operator actively asks ("is anything connected?
@@ -545,6 +542,11 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
         ("ops_staged".to_string(), t.ops_staged.get()),
         ("deferred_errors".to_string(), t.deferred_errors.get()),
         (
+            "deferred_errors_reported".to_string(),
+            t.deferred_errors_reported.get(),
+        ),
+        ("bytes_filtered_out".to_string(), t.bytes_filtered_out.get()),
+        (
             "bml_blocked_acquires".to_string(),
             t.bml_blocked_acquires.get(),
         ),
@@ -719,23 +721,22 @@ fn write_hist_json(out: &mut String, h: &HistSnapshot) {
     out.push_str("]}");
 }
 
-fn parse_hist(v: Json) -> Result<HistSnapshot, String> {
+fn parse_hist(v: &Json) -> Result<HistSnapshot, String> {
     let mut h = HistSnapshot::default();
-    for (k, fv) in v.into_obj()? {
+    for (k, fv) in obj_of(v)? {
         match k.as_str() {
-            "count" => h.count = fv.as_u64()?,
-            "sum" => h.sum = fv.as_u64()?,
+            "count" => h.count = u64_of(fv)?,
+            "sum" => h.sum = u64_of(fv)?,
             "buckets" => {
-                for pair in fv.into_arr()? {
-                    let pair = pair.into_arr()?;
-                    if pair.len() != 2 {
+                for pair in fv.as_arr().ok_or("`buckets` is not an array")? {
+                    let Some([idx, count]) = pair.as_arr() else {
                         return Err("bucket pair is not [idx,count]".into());
-                    }
-                    let idx = pair[0].as_u64()? as usize;
+                    };
+                    let idx = u64_of(idx)? as usize;
                     if idx >= h.buckets.len() {
                         return Err(format!("bucket index {idx} out of range"));
                     }
-                    h.buckets[idx] = pair[1].as_u64()?;
+                    h.buckets[idx] = u64_of(count)?;
                 }
             }
             other => return Err(format!("unknown hist field `{other}`")),
@@ -744,267 +745,18 @@ fn parse_hist(v: Json) -> Result<HistSnapshot, String> {
     Ok(h)
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn obj_of(v: &Json) -> Result<&[(String, Json)], String> {
+    v.as_obj().ok_or_else(|| "expected an object".to_string())
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader (the subset the writer emits)
-// ---------------------------------------------------------------------
-
-// The subset the writer emits: strings occur only as object keys, so
-// there is no string *value* variant.
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Num(i128),
+fn u64_of(v: &Json) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| format!("expected an integer in u64 range, got {v:?}"))
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => u64::try_from(*n).map_err(|_| format!("{n} out of u64 range")),
-            _ => Err("expected a number".into()),
-        }
-    }
-
-    fn as_i64(&self) -> Result<i64, String> {
-        match self {
-            Json::Num(n) => i64::try_from(*n).map_err(|_| format!("{n} out of i64 range")),
-            _ => Err("expected a number".into()),
-        }
-    }
-
-    fn into_obj(self) -> Result<Vec<(String, Json)>, String> {
-        match self {
-            Json::Obj(pairs) => Ok(pairs),
-            _ => Err("expected an object".into()),
-        }
-    }
-
-    fn into_arr(self) -> Result<Vec<Json>, String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err("expected an array".into()),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Err(format!("unexpected string value at byte {}", self.pos)),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected `{}` at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}`, got `{}` at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]`, got `{}` at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            self.pos += 4;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u code point".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                other => {
-                    // Re-assemble UTF-8 sequences byte-by-byte.
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = utf8_len(other)?;
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| "truncated UTF-8 sequence".to_string())?;
-                        let s = std::str::from_utf8(chunk)
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        text.parse::<i128>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number `{text}`: {e}"))
-    }
-}
-
-fn utf8_len(first: u8) -> Result<usize, String> {
-    match first {
-        0xc0..=0xdf => Ok(2),
-        0xe0..=0xef => Ok(3),
-        0xf0..=0xf7 => Ok(4),
-        _ => Err("invalid UTF-8 lead byte".to_string()),
-    }
+fn i64_of(v: &Json) -> Result<i64, String> {
+    v.as_i64()
+        .ok_or_else(|| format!("expected an integer in i64 range, got {v:?}"))
 }
 
 #[cfg(test)]

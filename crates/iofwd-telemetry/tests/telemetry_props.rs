@@ -1,10 +1,11 @@
 //! Property-based tests of the telemetry primitives: histogram merge
 //! is a commutative monoid that conserves bucket counts (so sharded
 //! recording and cross-snapshot aggregation cannot lose samples), and
-//! the hand-rolled JSON codec round-trips every snapshot the writer
-//! can emit.
+//! the JSON codec round-trips every snapshot the writer can emit,
+//! integers exactly.
 
 use iofwd_telemetry::hist::{bucket_of, Histogram, BUCKETS, SHARDS};
+use iofwd_telemetry::json::Json;
 use iofwd_telemetry::{ClientSnapshot, GaugeValue, HistSnapshot, TelemetrySnapshot};
 use proptest::prelude::*;
 
@@ -127,6 +128,67 @@ proptest! {
             },
         };
         let parsed = TelemetrySnapshot::from_json(&snap.to_json())
+            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
+        prop_assert_eq!(parsed, snap);
+    }
+
+    /// Integers never pass through `f64`: counters and gauges at and
+    /// around the type limits (and just past 2^53, where a double
+    /// starts dropping odd values) come back bit-for-bit, from the
+    /// parser and through the snapshot codec.
+    #[test]
+    fn json_integers_round_trip_exactly_at_the_limits(
+        picks in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6), 1..8),
+    ) {
+        const COUNTERS: [u64; 6] = [
+            0,
+            (1 << 53) + 1,
+            i64::MAX as u64,
+            i64::MAX as u64 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        const LEVELS: [i64; 6] = [
+            i64::MIN,
+            i64::MIN + 1,
+            -(1 << 53) - 1,
+            -1,
+            (1 << 53) + 1,
+            i64::MAX,
+        ];
+        let snap = TelemetrySnapshot {
+            counters: picks
+                .iter()
+                .enumerate()
+                .map(|(n, &(c, _, _))| (format!("c{n}"), COUNTERS[c]))
+                .collect(),
+            gauges: picks
+                .iter()
+                .enumerate()
+                .map(|(n, &(_, cur, peak))| {
+                    (format!("g{n}"), GaugeValue { current: LEVELS[cur], peak: LEVELS[peak] })
+                })
+                .collect(),
+            ..TelemetrySnapshot::default()
+        };
+        let text = snap.to_json();
+        let doc = Json::parse(&text)
+            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
+        for (name, v) in &snap.counters {
+            let got = doc.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64);
+            prop_assert_eq!(got, Some(*v));
+        }
+        for (name, g) in &snap.gauges {
+            let field = |f: &str| {
+                doc.get("gauges")
+                    .and_then(|gs| gs.get(name))
+                    .and_then(|g| g.get(f))
+                    .and_then(Json::as_i64)
+            };
+            prop_assert_eq!(field("current"), Some(g.current));
+            prop_assert_eq!(field("peak"), Some(g.peak));
+        }
+        let parsed = TelemetrySnapshot::from_json(&text)
             .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
         prop_assert_eq!(parsed, snap);
     }

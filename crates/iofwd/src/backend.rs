@@ -60,20 +60,11 @@ pub trait BackendObject: Send {
         }
         Ok(total)
     }
-    /// Read up to `len` bytes at `offset` (or current position).
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno>;
     /// Read up to `out.len()` bytes at `offset` (or current position)
     /// into a caller-supplied buffer. Returns bytes read; fewer than
-    /// requested means EOF. This is the allocation-free twin of
-    /// [`Self::read_at`] — the engine's fast path reads straight into a
-    /// recycled BML slab block through it. The default delegates to
-    /// `read_at` and copies, so existing backends stay correct.
-    fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-        let data = self.read_at(offset, out.len() as u64)?;
-        let n = data.len().min(out.len());
-        out[..n].copy_from_slice(&data[..n]);
-        Ok(n as u64)
-    }
+    /// requested means EOF. The engine reads straight into a recycled
+    /// BML slab block through it.
+    fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno>;
     /// Reposition; returns the new offset.
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno>;
     /// Flush to stable storage / the socket.
@@ -114,131 +105,6 @@ pub trait Backend: Send + Sync + 'static {
     fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
         let _ = path;
         Ok(Vec::new())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Instrumented (telemetry decorator)
-// ---------------------------------------------------------------------------
-
-/// Wraps any backend and counts data-plane traffic (ops and bytes, per
-/// direction) into the daemon's telemetry registry. Only successful
-/// operations are counted — a failed write moved no data.
-pub struct Instrumented {
-    inner: Arc<dyn Backend>,
-    telemetry: Arc<crate::telemetry::Telemetry>,
-}
-
-impl Instrumented {
-    pub fn new(inner: Arc<dyn Backend>, telemetry: Arc<crate::telemetry::Telemetry>) -> Self {
-        Instrumented { inner, telemetry }
-    }
-
-    fn wrap(&self, obj: Box<dyn BackendObject>) -> Box<dyn BackendObject> {
-        Box::new(InstrumentedObject {
-            inner: obj,
-            telemetry: self.telemetry.clone(),
-        })
-    }
-}
-
-struct InstrumentedObject {
-    inner: Box<dyn BackendObject>,
-    telemetry: Arc<crate::telemetry::Telemetry>,
-}
-
-impl BackendObject for InstrumentedObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        let res = self.inner.write_at(offset, data);
-        if let Ok(n) = res {
-            if self.telemetry.enabled() {
-                self.telemetry.backend_write_ops.inc();
-                self.telemetry.backend_bytes_written.add(n);
-            }
-        }
-        res
-    }
-
-    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        // A coalesced batch is one backend operation — that drop in
-        // ops-per-byte is exactly what the counters should show.
-        let res = self.inner.write_vectored_at(offset, bufs);
-        if let Ok(n) = res {
-            if self.telemetry.enabled() {
-                self.telemetry.backend_write_ops.inc();
-                self.telemetry.backend_bytes_written.add(n);
-            }
-        }
-        res
-    }
-
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        let res = self.inner.read_at(offset, len);
-        if let Ok(buf) = &res {
-            if self.telemetry.enabled() {
-                self.telemetry.backend_read_ops.inc();
-                self.telemetry.backend_bytes_read.add(buf.len() as u64);
-            }
-        }
-        res
-    }
-
-    fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-        let res = self.inner.read_into(offset, out);
-        if let Ok(n) = res {
-            if self.telemetry.enabled() {
-                self.telemetry.backend_read_ops.inc();
-                self.telemetry.backend_bytes_read.add(n);
-            }
-        }
-        res
-    }
-
-    fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {
-        self.inner.seek(offset, whence)
-    }
-
-    fn sync(&mut self) -> Result<(), Errno> {
-        self.inner.sync()
-    }
-
-    fn fstat(&mut self) -> Result<FileStat, Errno> {
-        self.inner.fstat()
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), Errno> {
-        self.inner.truncate(len)
-    }
-}
-
-impl Backend for Instrumented {
-    fn open(
-        &self,
-        path: &str,
-        flags: OpenFlags,
-        mode: u32,
-    ) -> Result<Box<dyn BackendObject>, Errno> {
-        self.inner.open(path, flags, mode).map(|o| self.wrap(o))
-    }
-
-    fn connect(&self, host: &str, port: u16) -> Result<Box<dyn BackendObject>, Errno> {
-        self.inner.connect(host, port).map(|o| self.wrap(o))
-    }
-
-    fn stat(&self, path: &str) -> Result<FileStat, Errno> {
-        self.inner.stat(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<(), Errno> {
-        self.inner.unlink(path)
-    }
-
-    fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
-        self.inner.mkdir(path, mode)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
-        self.inner.readdir(path)
     }
 }
 
@@ -288,9 +154,9 @@ impl BackendObject for NullObject {
         Ok(data.len() as u64)
     }
 
-    fn read_at(&mut self, _offset: Option<u64>, _len: u64) -> Result<Vec<u8>, Errno> {
+    fn read_into(&mut self, _offset: Option<u64>, _out: &mut [u8]) -> Result<u64, Errno> {
         self.counters.ops.fetch_add(1, Ordering::Relaxed);
-        Ok(Vec::new()) // EOF, as /dev/null
+        Ok(0) // EOF, as /dev/null
     }
 
     fn seek(&mut self, _offset: i64, _whence: Whence) -> Result<u64, Errno> {
@@ -431,26 +297,6 @@ impl BackendObject for MemFileObject {
         Ok(data.len() as u64)
     }
 
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        if !self.flags.readable() {
-            return Err(Errno::BadF);
-        }
-        let positional = offset.is_some();
-        let off = self.effective_offset(offset) as usize;
-        let file = self.data.lock();
-        let end = (off + len as usize).min(file.len());
-        let out = if off >= file.len() {
-            Vec::new()
-        } else {
-            file[off..end].to_vec()
-        };
-        drop(file);
-        if !positional {
-            self.pos += out.len() as u64;
-        }
-        Ok(out)
-    }
-
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         if !self.flags.readable() {
             return Err(Errno::BadF);
@@ -522,8 +368,8 @@ impl BackendObject for MemSocketObject {
         Ok(data.len() as u64)
     }
 
-    fn read_at(&mut self, _offset: Option<u64>, _len: u64) -> Result<Vec<u8>, Errno> {
-        Ok(Vec::new())
+    fn read_into(&mut self, _offset: Option<u64>, _out: &mut [u8]) -> Result<u64, Errno> {
+        Ok(0)
     }
 
     fn seek(&mut self, _offset: i64, _whence: Whence) -> Result<u64, Errno> {
@@ -721,25 +567,6 @@ impl BackendObject for FileObject {
         Ok(total)
     }
 
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        if let Some(off) = offset {
-            self.file
-                .seek(SeekFrom::Start(off))
-                .map_err(|e| Errno::from_io(&e))?;
-        }
-        let mut buf = vec![0u8; len as usize];
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.file.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) => return Err(Errno::from_io(&e)),
-            }
-        }
-        buf.truncate(filled);
-        Ok(buf)
-    }
-
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         if let Some(off) = offset {
             self.file
@@ -891,11 +718,6 @@ impl BackendObject for ThrottledObject {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         (self.pacer)(total);
         self.inner.write_vectored_at(offset, bufs)
-    }
-
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        (self.pacer)(len as usize);
-        self.inner.read_at(offset, len)
     }
 
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
@@ -1141,28 +963,11 @@ impl BackendObject for PlannedFaultObject {
         self.inner.write_vectored_at(offset, bufs)
     }
 
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-        use crate::fault::{FaultAction, OpClass};
-        match self.shared.decide(OpClass::Read, &self.path) {
-            Some(FaultAction::Errno(e)) => Err(e),
-            Some(FaultAction::Short { numerator }) => {
-                // Short read: serve a prefix of the request. POSIX lets
-                // read() return fewer bytes than asked with no error.
-                let n = ((len * numerator as u64) / 256).max(1).min(len);
-                self.inner.read_at(offset, n)
-            }
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-                self.inner.read_at(offset, len)
-            }
-            None => self.inner.read_at(offset, len),
-        }
-    }
-
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         use crate::fault::{FaultAction, OpClass};
-        // Same plan semantics as `read_at`: one sequence slot per
-        // logical read, shorts serve a prefix of the request.
+        // One sequence slot per logical read; a short read serves a
+        // prefix of the request (POSIX lets `read` return fewer bytes
+        // than asked with no error).
         match self.shared.decide(OpClass::Read, &self.path) {
             Some(FaultAction::Errno(e)) => Err(e),
             Some(FaultAction::Short { numerator }) => {
@@ -1260,12 +1065,20 @@ impl Backend for FaultBackend {
 mod tests {
     use super::*;
 
+    /// Read up to `len` bytes through `read_into`, as an owned vector.
+    fn read_vec(obj: &mut dyn BackendObject, offset: Option<u64>, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        let n = obj.read_into(offset, &mut buf).unwrap() as usize;
+        buf.truncate(n);
+        buf
+    }
+
     #[test]
     fn null_counts_and_discards() {
         let b = NullBackend::new();
         let mut obj = b.open("/dev/null", OpenFlags::WRONLY, 0).unwrap();
         assert_eq!(obj.write_at(None, b"abcdef").unwrap(), 6);
-        assert_eq!(obj.read_at(None, 100).unwrap(), Vec::<u8>::new());
+        assert_eq!(read_vec(&mut *obj, None, 100), Vec::<u8>::new());
         assert_eq!(b.bytes_written(), 6);
         assert_eq!(b.ops(), 2);
     }
@@ -1279,7 +1092,7 @@ mod tests {
         w.write_at(None, b"hello").unwrap();
         w.write_at(None, b" world").unwrap();
         let mut r = b.open("/f", OpenFlags::RDONLY, 0).unwrap();
-        assert_eq!(r.read_at(None, 64).unwrap(), b"hello world");
+        assert_eq!(read_vec(&mut *r, None, 64), b"hello world");
         assert_eq!(b.contents("/f").unwrap(), b"hello world");
     }
 
@@ -1291,16 +1104,16 @@ mod tests {
             .unwrap();
         f.write_at(Some(4), b"abcd").unwrap();
         assert_eq!(f.fstat().unwrap().size, 8);
-        assert_eq!(f.read_at(Some(0), 8).unwrap(), b"\0\0\0\0abcd");
+        assert_eq!(read_vec(&mut *f, Some(0), 8), b"\0\0\0\0abcd");
         // Positional ops must not disturb the cursor.
         f.write_at(None, b"XY").unwrap();
-        assert_eq!(f.read_at(Some(0), 2).unwrap(), b"XY");
-        // Reads at and past EOF are empty on both read paths.
+        assert_eq!(read_vec(&mut *f, Some(0), 2), b"XY");
+        // Reads at and past EOF are empty.
         let mut slab = [0u8; 4];
         assert_eq!(f.read_into(Some(8), &mut slab).unwrap(), 0);
         assert_eq!(f.read_into(Some(100), &mut slab).unwrap(), 0);
         assert_eq!(f.read_into(Some(6), &mut slab).unwrap(), 2);
-        assert!(f.read_at(Some(100), 4).unwrap().is_empty());
+        assert!(read_vec(&mut *f, Some(100), 4).is_empty());
     }
 
     #[test]
@@ -1373,7 +1186,7 @@ mod tests {
         assert_eq!(f.seek(2, Whence::Set).unwrap(), 2);
         assert_eq!(f.seek(3, Whence::Cur).unwrap(), 5);
         assert_eq!(f.seek(-4, Whence::End).unwrap(), 6);
-        assert_eq!(f.read_at(None, 2).unwrap(), b"67");
+        assert_eq!(read_vec(&mut *f, None, 2), b"67");
         assert_eq!(f.seek(-100, Whence::Set).err(), Some(Errno::Inval));
     }
 
@@ -1386,7 +1199,7 @@ mod tests {
             .unwrap();
         f.write_at(None, b"filedata").unwrap();
         f.sync().unwrap();
-        assert_eq!(f.read_at(Some(4), 4).unwrap(), b"data");
+        assert_eq!(read_vec(&mut *f, Some(4), 4), b"data");
         assert_eq!(b.stat("sub/data.bin").unwrap().size, 8);
         b.unlink("sub/data.bin").unwrap();
         assert_eq!(b.stat("sub/data.bin").err(), Some(Errno::NoEnt));
@@ -1446,7 +1259,7 @@ mod tests {
             .write_vectored_at(Some(2), &[b"AA", b"BBB", b"C"])
             .unwrap();
         assert_eq!(n, 6);
-        assert_eq!(f.read_at(Some(0), 8).unwrap(), b"..AABBBC");
+        assert_eq!(read_vec(&mut *f, Some(0), 8), b"..AABBBC");
         b.unlink("vec.bin").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,8 +5,8 @@
 //! iofwd-cp get ADDR REMOTE  LOCAL     # download through the daemon
 //! iofwd-cp stat ADDR REMOTE           # forwarded stat
 //! iofwd-cp stats ADDR [--json|--rates|--prom [--check]]   # live query
+//! iofwd-cp stats ADDR ASSERT...       # live query, checked (CI gates)
 //! iofwd-cp top ADDR [-n K] [--interval SECS] [--count N]  # live top-K
-//! iofwd-cp snapshot FILE              # validate a daemon JSON snapshot
 //! iofwd-cp trace FILE                 # validate an exported trace JSON
 //! ```
 //!
@@ -31,12 +31,12 @@
 //! in each reply, and the transfer ends with a latency decomposition —
 //! network vs. ION residency, and which server stage dominates.
 //!
-//! `snapshot FILE` parses a `--stats-json` snapshot written by `iofwdd`,
-//! prints a digest, and exits nonzero unless it records completed ops —
-//! the CI smoke-check for the telemetry pipeline. Extra arguments are
-//! assertions: a bare name requires that counter to be nonzero, and
-//! `p99:queue_wait_ns<2000` requires the named histogram's 0.99
-//! quantile to be below 2000 µs (the CI latency-regression gate).
+//! `stats ADDR ASSERT...` checks the live snapshot instead of rendering
+//! it: it prints a digest and exits nonzero unless the daemon records
+//! completed ops and every assertion holds. A bare name requires that
+//! counter to be nonzero, and `p99:queue_wait_ns<2000` requires the
+//! named histogram's 0.99 quantile to be below 2000 µs (the CI
+//! latency-regression gate).
 //!
 //! `trace FILE` validates a `--trace-out` export against the Chrome
 //! trace-event schema and exits nonzero if it is malformed or empty.
@@ -140,13 +140,11 @@ fn main() {
         Some("stat") if args.len() == 3 => stat(&args[1], &args[2]),
         Some("stats") if args.len() >= 2 => live_stats(&args[1], &args[2..]),
         Some("top") if args.len() >= 2 => live_top(&args[1], &args[2..]),
-        Some("snapshot") if args.len() >= 2 => check_snapshot(&args[1], &args[2..]),
         Some("trace") if args.len() == 2 => check_trace(&args[1]),
         _ => die(
             "usage: iofwd-cp [--stats] [--trace] put LOCAL ADDR REMOTE | get ADDR REMOTE LOCAL \
-             | stat ADDR REMOTE | stats ADDR [--json|--rates|--prom [--check]] \
-             | top ADDR [-n K] [--interval SECS] [--count N] \
-             | snapshot FILE [ASSERTION...] | trace FILE",
+             | stat ADDR REMOTE | stats ADDR [--json|--rates|--prom [--check] | ASSERTION...] \
+             | top ADDR [-n K] [--interval SECS] [--count N] | trace FILE",
         ),
     }
 }
@@ -156,22 +154,28 @@ fn main() {
 /// a JSON snapshot and formatted locally); `--json` prints the raw
 /// snapshot, `--rates` the windowed-rates JSON, `--prom` the Prometheus
 /// exposition (with `--check` additionally validating its format — the
-/// CI live-scrape gate).
+/// CI live-scrape gate). Arguments that are not options are assertions
+/// on the snapshot ([`check_snapshot`]).
 fn live_stats(addr: &str, args: &[String]) {
     let mut query = StatsQuery::Snapshot;
     let mut raw_json = false;
     let mut check = false;
+    let mut assertions = Vec::new();
     for a in args {
         match a.as_str() {
             "--json" => raw_json = true,
             "--rates" => query = StatsQuery::Rates,
             "--prom" => query = StatsQuery::Prometheus,
             "--check" => check = true,
-            other => die(&format!("stats: unknown option '{other}'")),
+            other if other.starts_with("--") => die(&format!("stats: unknown option '{other}'")),
+            assertion => assertions.push(assertion),
         }
     }
     if check && query != StatsQuery::Prometheus {
         die("stats: --check requires --prom");
+    }
+    if !assertions.is_empty() && (query != StatsQuery::Snapshot || raw_json) {
+        die("stats: assertions check the snapshot; drop --json/--rates/--prom");
     }
     let mut client = connect(addr);
     let data = client
@@ -183,7 +187,11 @@ fn live_stats(addr: &str, args: &[String]) {
         StatsQuery::Snapshot if !raw_json => {
             let snap = TelemetrySnapshot::from_json(&text)
                 .unwrap_or_else(|e| die(&format!("malformed snapshot from {addr}: {e}")));
-            print!("{}", snap.render_text());
+            if assertions.is_empty() {
+                print!("{}", snap.render_text());
+            } else {
+                check_snapshot(addr, &snap, &assertions);
+            }
         }
         StatsQuery::Prometheus if check => {
             let samples =
@@ -379,7 +387,7 @@ fn stat(addr: &str, remote: &str) {
     );
 }
 
-/// A `pQQ:HIST<USEC` percentile assertion from the `snapshot` argv:
+/// A `pQQ:HIST<USEC` percentile assertion from the `stats` argv:
 /// require `HIST`'s `QQ/100` quantile to be below `USEC` microseconds.
 struct PercentileAssert {
     quantile: f64,
@@ -413,22 +421,19 @@ fn parse_percentile_assert(arg: &str) -> Option<Result<PercentileAssert, String>
     }))
 }
 
-/// Parse a daemon `--stats-json` snapshot and verify it shows activity.
-/// Exit status is the CI contract: 0 iff the snapshot parses, records at
-/// least one completed op, and every assertion holds. A bare name
-/// requires that counter to be nonzero (the chaos smoke passes e.g.
+/// Verify that the snapshot fetched from the daemon at `addr`
+/// shows activity. Exit status is the CI contract: 0 iff it records at
+/// least one completed op and every assertion holds. A bare name
+/// requires that counter to be nonzero (a chaos run passes e.g.
 /// `faults_injected retries_attempted` to prove the fault plan actually
 /// fired); a `p99:HIST<USEC` argument bounds a stage-latency percentile
 /// (the CI latency-regression gate).
-fn check_snapshot(path: &str, assertions: &[String]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    let snap =
-        TelemetrySnapshot::from_json(&text).unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
+fn check_snapshot(addr: &str, snap: &TelemetrySnapshot, assertions: &[&str]) {
     let ops = snap.counter("ops_completed");
     let frames_in = snap.counter("frames_in");
     let bytes_in = snap.counter("transport_bytes_in");
     println!(
-        "{path}: {ops} ops completed, {frames_in} frames in, {bytes_in} bytes in, \
+        "{addr}: {ops} ops completed, {frames_in} frames in, {bytes_in} bytes in, \
          {} counters / {} gauges / {} histograms",
         snap.counters.len(),
         snap.gauges.len(),
@@ -448,7 +453,7 @@ fn check_snapshot(path: &str, assertions: &[String]) {
             }
             let got_ns = h.quantile(a.quantile);
             println!(
-                "{path}: {arg}: p{} of {} = {} (bound {} µs)",
+                "{addr}: {arg}: p{} of {} = {} (bound {} µs)",
                 a.quantile * 100.0,
                 a.hist,
                 fmt_ns(got_ns as f64),
@@ -466,7 +471,7 @@ fn check_snapshot(path: &str, assertions: &[String]) {
             die(&format!("snapshot has no counter named '{arg}'"));
         }
         let v = snap.counter(arg);
-        println!("{path}: {arg} = {v}");
+        println!("{addr}: {arg} = {v}");
         if v == 0 {
             die(&format!("required counter '{arg}' is zero"));
         }

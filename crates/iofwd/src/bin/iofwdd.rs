@@ -8,20 +8,14 @@
 //! iofwdd --mode zoid --root /tmp/ion            # ZOID-style baseline
 //! ```
 //!
-//! Observability (`iofwd::telemetry` is always compiled in and on):
+//! Observability (DESIGN.md §9). `iofwd::telemetry` is always compiled
+//! in and on; every number is stamped once into its registry and leaves
+//! the process one way, as the reply to a `Request::Stats` — answered
+//! in-band on every data connection and on the listener below, read with
+//! `iofwd-cp stats|top ADDR`. The daemon writes no stats file and prints
+//! no periodic dump.
 //!
-//! * `--stats-interval SECS` — periodic human-readable dump of the full
-//!   registry (counters, gauges, stage-latency histograms) to stderr.
-//! * `--stats-json PATH` — at each interval (and on demand) write a
-//!   machine-readable JSON snapshot atomically (tmp + rename).
-//! * `--dump-trigger PATH` — on-demand dump: `touch PATH` and the daemon
-//!   dumps immediately (including the flight recorder's recent-op table)
-//!   then removes the file. A portable stand-in for SIGUSR1.
 //! * `--port-file PATH` — write the bound port (for `--listen host:0`).
-//!
-//! Live introspection (DESIGN.md §16; `Request::Stats` is also answered
-//! in-band on every data connection — `iofwd-cp stats|top ADDR`):
-//!
 //! * `--stats-addr HOST:PORT` — out-of-band stats listener speaking the
 //!   framed protocol but accepting only stats queries; answers even
 //!   when every data connection is parked under backpressure.
@@ -66,7 +60,6 @@
 //! * `--trace-sample N` — additionally self-sample every Nth completed
 //!   op regardless of client flags (0 disables; default 0).
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,7 +68,7 @@ use iofwd::fault::{FaultPlan, RetryPolicy};
 use iofwd::server::{
     introspect, watchdog, CoalesceConfig, ForwardingMode, IonServer, ServerConfig, WatchdogConfig,
 };
-use iofwd::telemetry::{snapshot, Telemetry};
+use iofwd::telemetry::Telemetry;
 use iofwd::trace::TraceExporter;
 use iofwd::transport::tcp::TcpAcceptor;
 
@@ -85,9 +78,6 @@ struct Options {
     mode: String,
     workers: usize,
     bml_mib: u64,
-    stats_interval: u64,
-    stats_json: Option<String>,
-    dump_trigger: Option<String>,
     port_file: Option<String>,
     /// Out-of-band introspection listener (`iofwd-cp stats --addr`).
     stats_addr: Option<String>,
@@ -124,9 +114,6 @@ impl Options {
             mode: "staged".into(),
             workers: 4,
             bml_mib: 256,
-            stats_interval: 30,
-            stats_json: None,
-            dump_trigger: None,
             port_file: None,
             stats_addr: None,
             stats_port_file: None,
@@ -162,12 +149,6 @@ impl Options {
                         die("--bml-mib needs an integer");
                     })
                 }
-                "--stats-interval" => {
-                    opts.stats_interval = take("--stats-interval").parse().unwrap_or_else(|_| {
-                        die("--stats-interval needs an integer (seconds; 0 disables)");
-                    })
-                }
-                "--stats-json" => opts.stats_json = Some(take("--stats-json")),
                 "--stats-addr" => opts.stats_addr = Some(take("--stats-addr")),
                 "--stats-port-file" => opts.stats_port_file = Some(take("--stats-port-file")),
                 "--watchdog" => {
@@ -181,7 +162,6 @@ impl Options {
                         _ => die("--attribution must be 'on' or 'off'"),
                     };
                 }
-                "--dump-trigger" => opts.dump_trigger = Some(take("--dump-trigger")),
                 "--port-file" => opts.port_file = Some(take("--port-file")),
                 "--fault-plan" => opts.fault_plan = Some(take("--fault-plan")),
                 "--retry-attempts" => {
@@ -262,10 +242,9 @@ impl Options {
                     println!(
                         "usage: iofwdd [--listen ADDR] [--root DIR] \
                          [--mode ciod|zoid|sched|staged] [--workers N] [--bml-mib N] \
-                         [--stats-interval SECS] [--stats-json PATH] \
+                         [--port-file PATH] \
                          [--stats-addr ADDR [--stats-port-file PATH]] \
                          [--watchdog SPEC] [--attribution on|off] \
-                         [--dump-trigger PATH] [--port-file PATH] \
                          [--fault-plan PATH] [--retry-attempts N] \
                          [--coalesce[=off|MAX_BYTES,MAX_OPS]] \
                          [--throttle PER_OP_US,BW_MIB_S] \
@@ -303,26 +282,12 @@ fn die(msg: &str) -> ! {
 }
 
 /// Write `contents` to `path` atomically (same-directory tmp + rename),
-/// so a concurrent reader never observes a half-written snapshot.
+/// so a concurrent reader never observes a half-written file.
 fn write_atomic(path: &str, contents: &str) {
     let tmp = format!("{path}.tmp");
     let ok = std::fs::write(&tmp, contents).is_ok() && std::fs::rename(&tmp, path).is_ok();
     if !ok {
-        eprintln!("iofwdd: failed to write stats snapshot to {path}");
-    }
-}
-
-/// One full observability dump: text registry to stderr, JSON snapshot
-/// to `stats_json` if configured. `with_flight` appends the flight
-/// recorder's recent-completions table (used for on-demand dumps).
-fn dump_stats(telemetry: &Telemetry, stats_json: Option<&str>, with_flight: bool) {
-    let snap = telemetry.snapshot();
-    eprint!("{}", snap.render_text());
-    if with_flight {
-        eprint!("{}", snapshot::render_flight(&telemetry.flight.snapshot()));
-    }
-    if let Some(path) = stats_json {
-        write_atomic(path, &snap.to_json());
+        eprintln!("iofwdd: failed to write {path}");
     }
 }
 
@@ -456,32 +421,26 @@ fn main() {
     });
     eprintln!("iofwdd: press Ctrl-C to stop");
 
-    // Supervision loop. Recurring work runs on *absolute* deadlines
-    // advanced by whole periods from the start phase, so neither sleep
-    // quantization nor the work itself accumulates drift — a 30 s stats
-    // interval produces a dump at start+30 s, start+60 s, …, not at
-    // "previous dump + 30 s + processing time". The sleep itself targets
-    // the earliest pending deadline, bounded by a short poll tick so
-    // on-demand triggers (dump file, fresh trace spans) stay responsive.
+    // Supervision loop. The time-series tick runs on *absolute*
+    // deadlines advanced by whole periods from the start phase, so
+    // neither sleep quantization nor the work itself accumulates drift.
+    // With a trace export configured the sleep is also bounded by a short
+    // poll tick, so fresh spans reach the file promptly.
     const POLL_TICK: Duration = Duration::from_millis(200);
     /// Time-series cadence: one deltified snapshot per second feeds the
     /// windowed rates served over the stats protocol.
     const TS_TICK: Duration = Duration::from_secs(1);
-    let interval = (opts.stats_interval > 0).then(|| Duration::from_secs(opts.stats_interval));
-    let start = Instant::now();
-    let mut next_dump = interval.map(|iv| start + iv);
-    let mut next_ts = start + TS_TICK;
+    let mut next_ts = Instant::now() + TS_TICK;
     let mut traced_spans = 0usize;
     loop {
         let now = Instant::now();
-        let mut wake = (now + POLL_TICK).min(next_ts);
-        if let Some(due) = next_dump {
-            wake = wake.min(due);
-        }
+        let wake = match exporter {
+            Some(_) => (now + POLL_TICK).min(next_ts),
+            None => next_ts,
+        };
         std::thread::sleep(wake.saturating_duration_since(now));
         // Rewrite the trace whenever new spans were retained, so a
-        // short-lived traced run's spans land on disk within a poll
-        // tick rather than at the next stats interval.
+        // short-lived traced run's spans land on disk within a poll tick.
         if let (Some(path), Some(exporter)) = (&opts.trace_out, &exporter) {
             let kept = exporter.kept();
             if kept != traced_spans {
@@ -489,40 +448,11 @@ fn main() {
                 write_atomic(path, &exporter.render());
             }
         }
-        if let Some(trigger) = &opts.dump_trigger {
-            if Path::new(trigger).exists() {
-                let _ = std::fs::remove_file(trigger);
-                eprintln!("iofwdd: on-demand stats dump");
-                dump_stats(&telemetry, opts.stats_json.as_deref(), true);
-            }
-        }
         let now = Instant::now();
         if now >= next_ts {
             telemetry.tick_timeseries();
             while next_ts <= now {
                 next_ts += TS_TICK;
-            }
-        }
-        if let (Some(iv), Some(due)) = (interval, next_dump) {
-            if now >= due {
-                let s = server.stats();
-                eprintln!(
-                    "iofwdd: {} requests, {} MiB in, {} MiB out, {} staged ops, {} open fds",
-                    s.requests,
-                    s.bytes_in >> 20,
-                    s.bytes_out >> 20,
-                    s.staged_ops,
-                    server.open_descriptors()
-                );
-                dump_stats(&telemetry, opts.stats_json.as_deref(), false);
-                // Whole-period catch-up: a dump stalled past several
-                // deadlines resumes on phase, without a burst of
-                // back-to-back dumps.
-                let mut due = due + iv;
-                while due <= now {
-                    due += iv;
-                }
-                next_dump = Some(due);
             }
         }
     }

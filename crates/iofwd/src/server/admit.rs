@@ -23,7 +23,6 @@
 //!   [`Admission::Close`].
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -521,12 +520,6 @@ fn stage_write(
             return fail_inline(ctx, op, resp);
         }
     };
-    engine.stats.requests.fetch_add(1, Ordering::Relaxed);
-    engine
-        .stats
-        .bytes_in
-        .fetch_add(buf.len() as u64, Ordering::Relaxed);
-    engine.stats.staged_ops.fetch_add(1, Ordering::Relaxed);
     if telemetry.enabled() {
         telemetry.ops_staged.inc();
     }

@@ -3,7 +3,6 @@
 //! [`Engine::execute`], so mode differences are purely *who runs it and
 //! when* — exactly the paper's framing of the design space.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,35 +47,11 @@ pub(crate) fn response_errno(resp: &Response) -> u32 {
     }
 }
 
-/// Daemon-wide counters.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    pub requests: AtomicU64,
-    pub bytes_in: AtomicU64,
-    pub bytes_out: AtomicU64,
-    pub staged_ops: AtomicU64,
-    pub deferred_errors_reported: AtomicU64,
-    /// Bytes removed by in-situ filters before reaching the backend.
-    pub bytes_filtered_out: AtomicU64,
-}
-
-/// Snapshot of [`ServerStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub requests: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
-    pub staged_ops: u64,
-    pub deferred_errors_reported: u64,
-    pub bytes_filtered_out: u64,
-}
-
 /// The daemon's shared state: backend, descriptor database, optional BML.
 pub struct Engine {
     pub(crate) backend: Arc<dyn Backend>,
     pub(crate) db: DescDb,
     pub(crate) bml: Option<Bml>,
-    pub(crate) stats: ServerStats,
     pub(crate) filters: FilterChain,
     pub(crate) telemetry: Arc<Telemetry>,
     /// Retry policy for transient backend errors. Disabled by default:
@@ -109,7 +84,6 @@ impl Engine {
             backend,
             db: DescDb::with_telemetry(telemetry.clone()),
             bml,
-            stats: ServerStats::default(),
             filters,
             telemetry,
             retry: RetryPolicy::disabled(),
@@ -184,7 +158,9 @@ impl Engine {
             // Positional writes continue at offset+written; cursor
             // writes continue at the cursor the short write advanced.
             let at = offset.map(|base| base + written as u64);
-            let n = self.with_retries(|| o.write_at(at, &data[written..]))? as usize;
+            let n = self.with_retries(|| o.write_at(at, &data[written..]))?;
+            self.count_backend_write(n);
+            let n = n as usize;
             if n == 0 {
                 return Err(Errno::Io);
             }
@@ -193,14 +169,20 @@ impl Engine {
         Ok(())
     }
 
-    pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            bytes_in: self.stats.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.stats.bytes_out.load(Ordering::Relaxed),
-            staged_ops: self.stats.staged_ops.load(Ordering::Relaxed),
-            deferred_errors_reported: self.stats.deferred_errors_reported.load(Ordering::Relaxed),
-            bytes_filtered_out: self.stats.bytes_filtered_out.load(Ordering::Relaxed),
+    /// Backend data traffic is counted here, where the engine makes the
+    /// call: successful calls only (a failed one moved no data), and a
+    /// vectored batch is one op however many writes it carries.
+    fn count_backend_write(&self, bytes: u64) {
+        if self.telemetry.enabled() {
+            self.telemetry.backend_write_ops.inc();
+            self.telemetry.backend_bytes_written.add(bytes);
+        }
+    }
+
+    fn count_backend_read(&self, bytes: u64) {
+        if self.telemetry.enabled() {
+            self.telemetry.backend_read_ops.inc();
+            self.telemetry.backend_bytes_read.add(bytes);
         }
     }
 
@@ -233,10 +215,6 @@ impl Engine {
     /// is the frame payload (write contents). Returns the response and
     /// any response payload (read contents).
     pub fn execute(&self, req: &Request, data: &Bytes) -> (Response, Bytes) {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_in
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         match req {
             Request::Open { path, flags, mode } => match self
                 .with_retries(|| self.backend.open(path, *flags, *mode))
@@ -307,18 +285,12 @@ impl Engine {
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
             Request::Readdir { path } => match self.backend.readdir(path) {
-                Ok(names) => {
-                    let payload = iofwd_proto::encode_dirents(&names);
-                    self.stats
-                        .bytes_out
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    (
-                        Response::Ok {
-                            ret: names.len() as i64,
-                        },
-                        payload,
-                    )
-                }
+                Ok(names) => (
+                    Response::Ok {
+                        ret: names.len() as i64,
+                    },
+                    iofwd_proto::encode_dirents(&names),
+                ),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
             Request::Shutdown => (Response::Ok { ret: 0 }, Bytes::new()),
@@ -418,10 +390,10 @@ impl Engine {
             data,
         );
         let after = out.as_ref().map_or(0, |d| d.len());
-        if after < before {
-            self.stats
+        if after < before && self.telemetry.enabled() {
+            self.telemetry
                 .bytes_filtered_out
-                .fetch_add((before - after) as u64, Ordering::Relaxed);
+                .add((before - after) as u64);
         }
         out
     }
@@ -539,10 +511,15 @@ impl Engine {
                     }
                     let at = base.map(|b| b + written as u64);
                     match self.with_retries(|| o.write_vectored_at(at, &bufs)) {
-                        // A device accepting zero bytes with data
-                        // remaining is an error, as in write_fully.
-                        Ok(0) => failure = Some(Errno::Io),
-                        Ok(n) => written += n as usize,
+                        Ok(n) => {
+                            self.count_backend_write(n);
+                            // A device accepting zero bytes with data
+                            // remaining is an error, as in write_fully.
+                            if n == 0 {
+                                failure = Some(Errno::Io);
+                            }
+                            written += n as usize;
+                        }
                         Err(e) => failure = Some(e),
                     }
                 }
@@ -573,49 +550,48 @@ impl Engine {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
+        // A reply carries at most one frame's payload: a longer request
+        // is served short, and never sizes an allocation.
+        let len = len.min(iofwd_proto::MAX_DATA_LEN);
         // Serve the read out of a recycled BML slab block — the backend
         // fills it in place and the reply payload is a refcounted view
-        // of it, so no per-op Vec exists. Falls back to the allocating
-        // path when the BML is absent, saturated, or the request
-        // exceeds its largest size class.
+        // of it, so no per-op Vec exists. With the BML absent, saturated,
+        // or too small for the request, the block is a fresh Vec, charged
+        // to `hotpath_alloc_bytes`.
         let slab = if len > 0 {
             self.bml.as_ref().and_then(|b| b.try_acquire(len as usize))
         } else {
             None
         };
-        if let Some(mut buf) = slab {
-            let result = {
-                let mut o = obj.lock();
-                self.with_retries(|| o.read_into(offset, buf.as_mut_slice()))
-            };
-            self.db.finish_op(fd, op, OpOutcome::Ok);
-            return match result {
-                Ok(n) => {
-                    buf.truncate(n as usize);
-                    self.stats.bytes_out.fetch_add(n, Ordering::Relaxed);
-                    (Response::Ok { ret: n as i64 }, buf.into_bytes())
-                }
-                Err(e) => (Response::Err { errno: e }, Bytes::new()),
-            };
-        }
-        let result = {
+        let read = |out: &mut [u8]| {
             let mut o = obj.lock();
-            self.with_retries(|| o.read_at(offset, len))
+            self.with_retries(|| o.read_into(offset, out))
+        };
+        let result = match slab {
+            Some(mut buf) => read(buf.as_mut_slice()).map(|n| {
+                buf.truncate(n as usize);
+                buf.into_bytes()
+            }),
+            None => {
+                let mut buf = vec![0u8; len as usize];
+                read(&mut buf).map(|n| {
+                    buf.truncate(n as usize);
+                    if self.telemetry.enabled() && !buf.is_empty() {
+                        self.telemetry.hotpath_alloc_bytes.add(buf.len() as u64);
+                    }
+                    Bytes::from(buf)
+                })
+            }
         };
         self.db.finish_op(fd, op, OpOutcome::Ok);
         match result {
-            Ok(buf) => {
-                if self.telemetry.enabled() && !buf.is_empty() {
-                    self.telemetry.hotpath_alloc_bytes.add(buf.len() as u64);
-                }
-                self.stats
-                    .bytes_out
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            Ok(data) => {
+                self.count_backend_read(data.len() as u64);
                 (
                     Response::Ok {
-                        ret: buf.len() as i64,
+                        ret: data.len() as i64,
                     },
-                    Bytes::from(buf),
+                    data,
                 )
             }
             Err(e) => (Response::Err { errno: e }, Bytes::new()),
@@ -629,10 +605,7 @@ impl Engine {
             return (Response::Err { errno: e }, Bytes::new());
         }
         if let Some((op, errno)) = self.db.take_error(fd) {
-            self.stats
-                .deferred_errors_reported
-                .fetch_add(1, Ordering::Relaxed);
-            return (Response::DeferredErr { op, errno }, Bytes::new());
+            return (self.deferred_error_response(op, errno), Bytes::new());
         }
         match self.db.object(fd) {
             Ok(obj) => {
@@ -663,10 +636,7 @@ impl Engine {
             Ok((obj, pending)) => {
                 let _ = obj.lock().sync();
                 if let Some((op, errno)) = pending {
-                    self.stats
-                        .deferred_errors_reported
-                        .fetch_add(1, Ordering::Relaxed);
-                    (Response::DeferredErr { op, errno }, Bytes::new())
+                    (self.deferred_error_response(op, errno), Bytes::new())
                 } else {
                     (Response::Ok { ret: 0 }, Bytes::new())
                 }
@@ -675,18 +645,24 @@ impl Engine {
         }
     }
 
-    /// The reply for a `begin_op` refusal; a deferred error counts as
-    /// reported the moment it is turned into a response.
+    /// The reply for a `begin_op` refusal.
     pub(crate) fn begin_error_response(&self, e: BeginError) -> Response {
         match e {
             BeginError::Sync(errno) => Response::Err { errno },
-            BeginError::Deferred { op, errno } => {
-                self.stats
-                    .deferred_errors_reported
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::DeferredErr { op, errno }
-            }
+            BeginError::Deferred { op, errno } => self.deferred_error_response(op, errno),
         }
+    }
+
+    /// The one place a `DeferredErr` reply is built: a staged write's
+    /// failure counts as reported the moment it becomes a response, so
+    /// §IV's "reported once" is visible on the stats wire — at most one
+    /// report per descriptor per failure recorded (`deferred_errors`
+    /// also counts the cascades behind the first).
+    fn deferred_error_response(&self, op: iofwd_proto::OpId, errno: Errno) -> Response {
+        if self.telemetry.enabled() {
+            self.telemetry.deferred_errors_reported.inc();
+        }
+        Response::DeferredErr { op, errno }
     }
 }
 
@@ -718,30 +694,57 @@ mod tests {
 
     #[test]
     fn open_write_read_close() {
-        let (e, be) = engine();
-        let fd = open(&e, "/a");
-        let (resp, _) = e.execute(
-            &Request::Write { fd, len: 5 },
-            &Bytes::from_static(b"hello"),
+        let be = Arc::new(MemSinkBackend::new());
+        let t = Arc::new(Telemetry::new());
+        let e = Engine::with_telemetry(be.clone(), None, FilterChain::new(), t.clone());
+        // Execute as a driver does: a stamped span per op, folded after.
+        let run = |seq: u64, req: Request, data: &'static [u8]| {
+            let mut span = OpSpan::begin(op_kind(&req), 0, seq, t.now_ns());
+            let out = e.execute_timed(&req, &Bytes::from_static(data), &mut span);
+            t.complete(&span);
+            out
+        };
+        let (resp, _) = run(
+            1,
+            Request::Open {
+                path: "/a".into(),
+                flags: OpenFlags::RDWR | OpenFlags::CREATE,
+                mode: 0o644,
+            },
+            b"",
         );
+        let Response::Ok { ret } = resp else {
+            panic!("open failed: {resp:?}");
+        };
+        let fd = Fd(ret as u32);
+        let (resp, _) = run(2, Request::Write { fd, len: 5 }, b"hello");
         assert_eq!(resp, Response::Ok { ret: 5 });
-        let (resp, data) = e.execute(
-            &Request::Pread {
+        let (resp, data) = run(
+            3,
+            Request::Pread {
                 fd,
                 offset: 0,
                 len: 5,
             },
-            &Bytes::new(),
+            b"",
         );
         assert_eq!(resp, Response::Ok { ret: 5 });
         assert_eq!(&data[..], b"hello");
-        let (resp, _) = e.execute(&Request::Close { fd }, &Bytes::new());
+        let (resp, _) = run(4, Request::Close { fd }, b"");
         assert_eq!(resp, Response::Ok { ret: 0 });
         assert_eq!(be.contents("/a").unwrap(), b"hello");
-        let snap = e.stats();
-        assert_eq!(snap.requests, 4);
-        assert_eq!(snap.bytes_in, 5);
-        assert_eq!(snap.bytes_out, 5);
+        assert_eq!(t.ops_completed.get(), 4);
+        assert_eq!(t.ops_failed.get(), 0);
+        assert_eq!(
+            (t.backend_write_ops.get(), t.backend_bytes_written.get()),
+            (1, 5)
+        );
+        assert_eq!(
+            (t.backend_read_ops.get(), t.backend_bytes_read.get()),
+            (1, 5)
+        );
+        // No BML: the read was served from a fresh allocation.
+        assert_eq!(t.hotpath_alloc_bytes.get(), 5);
     }
 
     #[test]
@@ -859,8 +862,8 @@ mod tests {
             self.inner.write_at(offset, &data[..n])
         }
 
-        fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
-            self.inner.read_at(offset, len)
+        fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
+            self.inner.read_into(offset, out)
         }
 
         fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {

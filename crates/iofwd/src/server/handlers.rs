@@ -372,13 +372,6 @@ pub fn worker_loop(
                         execute_coalesced(&engine, &telemetry, fd, parts, worker);
                     }
                 }
-                // Coalesced items are built worker-side and executed
-                // immediately, so none is ever *enqueued*; if one shows
-                // up anyway it owns no serializer lane — just complete
-                // every constituent.
-                WorkItem::CoalescedWrite { fd, parts } => {
-                    execute_coalesced(&engine, &telemetry, fd, parts, worker as u32 + 1);
-                }
             }
         }
         if telemetry.enabled() {

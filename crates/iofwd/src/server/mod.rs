@@ -19,7 +19,7 @@ mod reactor;
 mod staged;
 pub mod watchdog;
 
-pub use engine::{Engine, ServerStats, StatsSnapshot};
+pub use engine::Engine;
 pub use introspect::IntrospectHandle;
 pub use queue::{
     Completion, CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
@@ -178,7 +178,6 @@ impl ServerConfig {
 /// disconnected or sent `Request::Shutdown` first).
 pub struct IonServer {
     ctx: Arc<admit::AdmitCtx>,
-    serializer: Option<Arc<FdSerializer>>,
     listener: Arc<dyn Listener>,
     accept_thread: Option<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
@@ -202,7 +201,6 @@ pub struct ShutdownReport {
 struct ServerCore {
     engine: Arc<Engine>,
     policy: admit::Policy,
-    serializer: Option<Arc<FdSerializer>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
@@ -213,15 +211,6 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
             Some(Bml::with_telemetry(bml_capacity, telemetry.clone()))
         }
         _ => None,
-    };
-    // Count backend data-plane traffic only when someone is looking.
-    let backend: Arc<dyn Backend> = if telemetry.enabled() {
-        Arc::new(crate::backend::Instrumented::new(
-            backend,
-            telemetry.clone(),
-        ))
-    } else {
-        backend
     };
     let mut engine = Engine::with_telemetry(
         backend,
@@ -237,7 +226,6 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
         return ServerCore {
             engine,
             policy: admit::Policy::Inline,
-            serializer: None,
             worker_threads: Vec::new(),
         };
     }
@@ -259,7 +247,7 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
     let policy = match bml {
         Some(bml) => admit::Policy::Staged {
             queue,
-            serializer: serializer.clone(),
+            serializer,
             bml,
         },
         None => admit::Policy::Sched { queue },
@@ -267,7 +255,6 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
     ServerCore {
         engine,
         policy,
-        serializer: Some(serializer),
         worker_threads,
     }
 }
@@ -312,7 +299,6 @@ impl IonServer {
         let ServerCore {
             engine,
             policy,
-            serializer,
             worker_threads,
         } = build_core(backend, &config);
         // A handler thread has one op in flight at a time, so the
@@ -384,7 +370,6 @@ impl IonServer {
 
         IonServer {
             ctx,
-            serializer,
             listener,
             accept_thread: Some(accept_thread),
             worker_threads,
@@ -417,7 +402,6 @@ impl IonServer {
         let ServerCore {
             engine,
             policy,
-            serializer,
             worker_threads,
         } = build_core(backend, &config);
         let ctx = Arc::new(admit::AdmitCtx {
@@ -429,7 +413,6 @@ impl IonServer {
         match reactor::spawn(acceptor.clone(), ctx.clone(), reactor_cfg) {
             Ok(handle) => Ok(IonServer {
                 ctx,
-                serializer,
                 listener: acceptor,
                 accept_thread: None,
                 worker_threads,
@@ -473,11 +456,6 @@ impl IonServer {
     /// the config disabled it).
     pub fn telemetry(&self) -> Arc<crate::telemetry::Telemetry> {
         self.ctx.engine.telemetry().clone()
-    }
-
-    /// Daemon-wide request counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.ctx.engine.stats()
     }
 
     /// The shared work queue (None for Ciod/Zoid modes) — the watchdog
@@ -558,12 +536,13 @@ impl IonServer {
         if let Some(q) = self.ctx.queue() {
             leftovers.extend(q.drain_remaining());
         }
-        if let Some(s) = &self.serializer {
-            leftovers.extend(s.drain_all());
+        // Only staged mode ever parks a write on a serializer lane.
+        if let admit::Policy::Staged { serializer, .. } = &self.ctx.policy {
+            leftovers.extend(serializer.drain_all());
         }
         let mut report = ShutdownReport::default();
         for item in leftovers {
-            let (fd, parts) = match item {
+            let (fd, part) = match item {
                 // Sync items carry no BML memory and no recorded op:
                 // answer EAGAIN through the item's own reply route. The
                 // handler (or the still-running event loop) delivers it
@@ -572,38 +551,29 @@ impl IonServer {
                     admit::reject(item, Errno::Again, Disposition::QueueRejected);
                     continue;
                 }
-                WorkItem::StagedWrite { fd, part } => (fd, vec![part]),
-                // A coalesced batch caught by the drain (workers are
-                // never killed mid-item, but the arm keeps the drain
-                // total): execute or defer every constituent.
-                WorkItem::CoalescedWrite { fd, parts } => (fd, parts),
+                WorkItem::StagedWrite { fd, part } => (fd, part),
             };
-            let n = parts.len();
             if started.elapsed() < deadline {
-                for part in parts {
-                    handlers::execute_staged(
-                        engine,
-                        telemetry,
-                        fd,
-                        part,
-                        0,
-                        Disposition::DrainExecuted,
-                    );
-                }
-                report.executed += n;
+                handlers::execute_staged(
+                    engine,
+                    telemetry,
+                    fd,
+                    part,
+                    0,
+                    Disposition::DrainExecuted,
+                );
+                report.executed += 1;
                 if telemetry.enabled() {
-                    telemetry.drain_executed.add(n as u64);
+                    telemetry.drain_executed.inc();
                 }
             } else {
-                // Deadline exhausted: fail the ops *explicitly* so the
-                // client's deferred-error channel reports them on the
+                // Deadline exhausted: fail the op *explicitly* so the
+                // client's deferred-error channel reports it on the
                 // next op or close, and return the staging memory.
-                for part in parts {
-                    fail_staged(engine, telemetry, fd, part, Errno::Io);
-                }
-                report.deferred += n;
+                fail_staged(engine, telemetry, fd, part, Errno::Io);
+                report.deferred += 1;
                 if telemetry.enabled() {
-                    telemetry.drain_deferred.add(n as u64);
+                    telemetry.drain_deferred.inc();
                 }
             }
         }

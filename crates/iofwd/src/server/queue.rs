@@ -143,24 +143,12 @@ pub enum WorkItem {
     /// released (the asynchronous-staging path). The buffer returns to
     /// the BML when the item is dropped after execution.
     StagedWrite { fd: Fd, part: StagedPart },
-    /// Offset-contiguous staged writes on one descriptor, merged by the
-    /// coalescing layer and issued to the backend as a single vectored
-    /// write over the constituents' original BML buffers (no copy).
-    /// Completion fans back out per constituent: every part keeps its
-    /// own `OpId` (descdb outcome) and `OpSpan` (lifecycle), and every
-    /// part's span must be completed on every exit path — success,
-    /// short-write split, error, or shutdown drain (lint rule R7).
-    CoalescedWrite {
-        fd: Fd,
-        /// In batch order; offsets ascend contiguously (or are all
-        /// `None` for a cursor-write chain). Never empty.
-        parts: Vec<StagedPart>,
-    },
 }
 
 /// One staged write minus its descriptor: the payload of a
-/// [`WorkItem::StagedWrite`], and one constituent of a
-/// [`WorkItem::CoalescedWrite`].
+/// [`WorkItem::StagedWrite`], and one constituent of the batch a worker
+/// harvests from a descriptor's lane and issues as a single vectored
+/// write (`handlers::execute_coalesced`).
 pub struct StagedPart {
     pub op: OpId,
     /// `Some` for pwrite, `None` for a cursor write.
@@ -176,7 +164,6 @@ impl WorkItem {
         match self {
             WorkItem::Sync { span, .. } => span.client,
             WorkItem::StagedWrite { part, .. } => part.span.client,
-            WorkItem::CoalescedWrite { parts, .. } => parts.first().map_or(0, |p| p.span.client),
         }
     }
 
@@ -186,9 +173,6 @@ impl WorkItem {
         match self {
             WorkItem::Sync { span, .. } => span.enqueue_ns,
             WorkItem::StagedWrite { part, .. } => part.span.enqueue_ns,
-            WorkItem::CoalescedWrite { parts, .. } => {
-                parts.first().map_or(0, |p| p.span.enqueue_ns)
-            }
         }
     }
 }

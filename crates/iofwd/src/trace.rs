@@ -15,9 +15,8 @@
 //!    call, so worker contention is visible on a timeline; a
 //!    `queue_depth` counter track shows scheduler backlog over time.
 //! 2. [`validate_chrome_trace`] — a schema check over the exported JSON
-//!    (used by `iofwd-cp trace FILE` and the CI gate), backed by a
-//!    dependency-free JSON reader ([`JsonValue`]) that, unlike the
-//!    telemetry snapshot codec, accepts strings, floats and booleans.
+//!    (used by `iofwd-cp trace FILE` and the CI gate), read through
+//!    the workspace's one JSON parser (`telemetry::json`).
 //! 3. [`StageBreakdown`] — per-strategy stage attribution (queue-wait /
 //!    dispatch / backend / reply / other shares of total residency),
 //!    computed either from a telemetry snapshot's histogram sums or
@@ -43,6 +42,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::telemetry::json::{quote, Json};
 use crate::telemetry::{OpSpan, SpanSink, TelemetrySnapshot};
 
 /// Bounded retention buffer for sampled spans, attached to a
@@ -194,8 +194,8 @@ pub fn render_chrome_trace(spans: &[OpSpan]) -> String {
             s.bytes,
             s.ok,
             s.errno,
-            esc(s.disposition.name()),
-            esc(&format!("{:#x}", s.trace_id)),
+            quote(s.disposition.name()),
+            quote(&format!("{:#x}", s.trace_id)),
             s.worker,
         );
         events.push(slice_event(
@@ -276,8 +276,8 @@ fn us(ns: u64) -> String {
 fn meta_event(name: &str, pid: u64, tid: u64, value: &str) -> String {
     format!(
         "{{\"name\":{},\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-        esc(name),
-        esc(value)
+        quote(name),
+        quote(value)
     )
 }
 
@@ -292,8 +292,8 @@ fn slice_event(
 ) -> Event {
     let mut json = format!(
         "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{}",
-        esc(name),
-        esc(cat),
+        quote(name),
+        quote(cat),
         us(ts_ns),
         us(dur_ns)
     );
@@ -303,288 +303,6 @@ fn slice_event(
         let _ = write!(json, ",\"args\":{{{args}}}}}");
     }
     Event { ts_ns, json }
-}
-
-/// JSON string escaping (shared rules with the telemetry codec).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON reader (full value grammar: the trace schema needs strings,
-// floats and booleans, which the telemetry snapshot codec rejects)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are `f64` — Chrome `ts`/`dur` fields
-/// are fractional microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    Obj(Vec<(String, JsonValue)>),
-    Arr(Vec<JsonValue>),
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl JsonValue {
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::Str(self.string()?)),
-            b't' => self.literal("true", JsonValue::Bool(true)),
-            b'f' => self.literal("false", JsonValue::Bool(false)),
-            b'n' => self.literal("null", JsonValue::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected `{}` at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}`, got `{}` at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]`, got `{}` at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            self.pos += 4;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u code point".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                other => {
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match other {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            0xf0..=0xf7 => 4,
-                            _ => return Err("invalid UTF-8 lead byte".to_string()),
-                        };
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| "truncated UTF-8 sequence".to_string())?;
-                        let s = std::str::from_utf8(chunk)
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit() || *b == b'.' || *b == b'e' || *b == b'E' || *b == b'+' || *b == b'-'
-        }) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|e| format!("bad number `{text}`: {e}"))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -613,7 +331,7 @@ pub struct TraceSummary {
 /// slices, positive (non-zero) slice track ids, and non-decreasing
 /// timestamps across non-metadata events.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
-    let root = JsonValue::parse(text)?;
+    let root = Json::parse(text)?;
     let events = root
         .get("traceEvents")
         .ok_or_else(|| "missing `traceEvents`".to_string())?
@@ -629,19 +347,19 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     for (i, ev) in events.iter().enumerate() {
         let name = ev
             .get("name")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing string `name`"))?;
         let ph = ev
             .get("ph")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing string `ph`"))?;
         let pid = ev
             .get("pid")
-            .and_then(JsonValue::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric `pid`"))?;
         let tid = ev
             .get("tid")
-            .and_then(JsonValue::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric `tid`"))?;
         if pid < 1.0 || tid < 0.0 {
             return Err(format!("event {i} (`{name}`): bad track id {pid}/{tid}"));
@@ -653,7 +371,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         }
         let ts = ev
             .get("ts")
-            .and_then(JsonValue::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} (`{name}`): missing numeric `ts`"))?;
         if ts < 0.0 {
             return Err(format!("event {i} (`{name}`): negative ts"));
@@ -670,7 +388,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         }
         let dur = ev
             .get("dur")
-            .and_then(JsonValue::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} (`{name}`): slice missing numeric `dur`"))?;
         if dur < 0.0 {
             return Err(format!("event {i} (`{name}`): negative dur"));

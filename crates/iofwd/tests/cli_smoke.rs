@@ -73,6 +73,31 @@ fn daemon_and_cp_roundtrip() {
         .unwrap();
     assert_eq!(got, payload);
 
+    // The live registry, checked over the stats wire protocol: the
+    // transfers above completed ops and left queue-wait samples.
+    let stats = |assertions: &[&str]| {
+        let out = Command::new(cp)
+            .args(["stats", &addr])
+            .args(assertions)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, text, err) = stats(&["ops_completed", "p99:queue_wait_ns<60000000"]);
+    assert_eq!(code, Some(0), "{text}{err}");
+    assert!(text.contains("ops_completed = "), "{text}");
+    assert!(text.contains("p99 of queue_wait_ns"), "{text}");
+    let (code, _, err) = stats(&["p99:queue_wait_ns<0"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("percentile assertion failed"), "{err}");
+    let (code, _, err) = stats(&["no_such_counter"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("no counter named"), "{err}");
+
     // Errors are clean, not panics.
     let out = Command::new(cp)
         .args(["stat", &addr, "/no/such/file"])
@@ -93,6 +118,13 @@ fn cp_usage_errors_are_clean() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // Snapshots are read from a live daemon (`stats ADDR`), not a file.
+    let out = Command::new(env!("CARGO_BIN_EXE_iofwd-cp"))
+        .args(["snapshot", "/tmp/stats.json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
 #[test]
@@ -105,16 +137,30 @@ fn daemon_rejects_bad_mode() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown mode"));
 }
 
-/// The zero-copy control arm is retired (BENCH_PR10.json is its frozen
-/// measurement): its flag is gone, not silently ignored.
+/// Retired flags are gone, not silently ignored: the zero-copy control
+/// arm (BENCH_PR10.json is its frozen measurement), and the file/stderr
+/// stats exits the stats wire protocol replaced.
 #[test]
-fn daemon_rejects_the_retired_hotpath_flag() {
-    let flag = ["--hot", "path"].concat();
+fn daemon_rejects_retired_flags() {
+    let hotpath = ["--hot", "path"].concat();
+    for (flag, value) in [
+        (hotpath.as_str(), "seed"),
+        ("--stats-json", "x"),
+        ("--stats-interval", "1"),
+        ("--dump-trigger", "x"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option"), "{flag}: {err}");
+    }
     let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
-        .args([flag.as_str(), "seed"])
+        .arg("--help")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown option"), "{err}");
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(help.matches("--").count(), 19, "{help}");
 }

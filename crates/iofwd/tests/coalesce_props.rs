@@ -129,19 +129,18 @@ impl BackendObject for StickyObject {
         self.write_span(offset, bufs)
     }
 
-    fn read_at(&mut self, offset: Option<u64>, len: u64) -> Result<Vec<u8>, Errno> {
+    fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         let mut st = self.state.lock().unwrap();
         let start = offset.unwrap_or(st.cursor) as usize;
-        let end = (start + len as usize).min(st.data.len());
-        let out = if start >= st.data.len() {
-            Vec::new()
-        } else {
-            st.data[start..end].to_vec()
-        };
-        if offset.is_none() {
-            st.cursor += out.len() as u64;
+        let n = st.data.len().saturating_sub(start).min(out.len());
+        // `start` may lie past EOF, so it is only indexed when n > 0.
+        if n > 0 {
+            out[..n].copy_from_slice(&st.data[start..start + n]);
         }
-        Ok(out)
+        if offset.is_none() {
+            st.cursor += n as u64;
+        }
+        Ok(n as u64)
     }
 
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {

@@ -124,8 +124,7 @@ fn staged_mode_returns_staged_writes() {
     assert_eq!(c.stats().staged_writes, 1);
     c.close(fd).unwrap();
     c.shutdown().unwrap();
-    let stats = server.stats();
-    assert_eq!(stats.staged_ops, 1);
+    assert_eq!(server.telemetry().ops_staged.get(), 1);
     server.shutdown();
 }
 
@@ -455,10 +454,14 @@ fn server_stats_accumulate() {
     c.pread(fd, 0, 1000).unwrap();
     c.close(fd).unwrap();
     c.shutdown().unwrap();
-    let s = server.stats();
-    assert!(s.requests >= 4);
-    assert_eq!(s.bytes_in, 1000);
-    assert_eq!(s.bytes_out, 1000);
+    let t = server.telemetry();
+    assert!(t.ops_completed.get() >= 4);
+    // Payload bytes, by client and at the backend.
+    let clients = t.snapshot().clients;
+    assert_eq!(clients.len(), 1);
+    assert_eq!((clients[0].bytes_in, clients[0].bytes_out), (1000, 1000));
+    assert_eq!(t.backend_bytes_written.get(), 1000);
+    assert_eq!(t.backend_bytes_read.get(), 1000);
     server.shutdown();
 }
 
@@ -538,11 +541,11 @@ fn insitu_subsample_filter_reduces_stored_bytes() {
     assert_eq!(c.write(fd, &raw).unwrap(), raw.len() as u64);
     c.close(fd).unwrap();
     c.shutdown().unwrap();
-    let stats = server.stats();
+    let filtered_out = server.telemetry().bytes_filtered_out.get();
     server.shutdown();
     // ...but only every 4th sample reached storage.
     assert_eq!(backend.contents("/reduced").unwrap().len(), raw.len() / 4);
-    assert_eq!(stats.bytes_filtered_out, (raw.len() - raw.len() / 4) as u64);
+    assert_eq!(filtered_out, (raw.len() - raw.len() / 4) as u64);
     assert_eq!(sub.reduced_bytes(), (raw.len() - raw.len() / 4) as u64);
 }
 

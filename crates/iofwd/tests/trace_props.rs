@@ -7,8 +7,9 @@
 //! while ext-less frames stay byte-identical to the pre-trace protocol.
 
 use bytes::Bytes;
+use iofwd::telemetry::json::{quote, Json};
 use iofwd::telemetry::{Disposition, OpKind, OpSpan, SpanSink};
-use iofwd::trace::{render_chrome_trace, validate_chrome_trace, JsonValue, TraceExporter};
+use iofwd::trace::{render_chrome_trace, validate_chrome_trace, TraceExporter};
 use iofwd_proto::{
     Errno, Fd, Frame, Request, Response, StageEcho, TraceContext, TraceExt, TRACE_EXT_FLAG,
 };
@@ -67,25 +68,6 @@ fn span_of(spec: &SpanSpec) -> OpSpan {
     s.backend_done_ns = s.backend_start_ns + d4;
     s.reply_ns = s.backend_done_ns + d5;
     s
-}
-
-/// Mirror of the renderer's JSON string escaping, used to feed the
-/// reader inputs that exercise every escape the writer can emit.
-fn escape(s: &str) -> String {
-    let mut out = String::from('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 proptest! {
@@ -148,10 +130,10 @@ proptest! {
             .iter()
             .filter_map(|&c| char::from_u32(c))
             .collect();
-        let doc = format!("{{\"k\":{}}}", escape(&original));
-        let parsed = JsonValue::parse(&doc)
+        let doc = format!("{{\"k\":{}}}", quote(&original));
+        let parsed = Json::parse(&doc)
             .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
-        prop_assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(original.as_str()));
+        prop_assert_eq!(parsed.get("k").and_then(Json::as_str), Some(original.as_str()));
     }
 
     /// The exporter keeps exactly the spans its policy names — client

@@ -87,7 +87,6 @@ fn main() {
 
     let app_bytes = 4 * samples_per_step as u64 * 8 + 4 * (1 << 20);
     let stored = backend.contents("/results/field.dat").unwrap().len() as u64;
-    let server_stats = server.stats();
     println!("\ndata reduction:");
     println!("  application wrote   {:>8} KiB", app_bytes >> 10);
     println!("  reached storage     {:>8} KiB", stored >> 10);
@@ -101,7 +100,7 @@ fn main() {
     );
     println!(
         "  daemon filtered out {:>8} KiB",
-        server_stats.bytes_filtered_out >> 10
+        server.telemetry().bytes_filtered_out.get() >> 10
     );
     server.shutdown();
 

@@ -73,10 +73,12 @@ fn main() {
         cn.stats().requests,
         cn.stats().staged_writes
     );
-    let stats = server.stats();
+    let t = server.telemetry();
     println!(
-        "daemon: {} requests, {} B in, {} staged ops",
-        stats.requests, stats.bytes_in, stats.staged_ops
+        "daemon: {} ops completed, {} B in, {} staged ops",
+        t.ops_completed.get(),
+        t.transport_bytes_in.get(),
+        t.ops_staged.get()
     );
     if let Some(bml) = server.bml_stats() {
         println!(

@@ -65,10 +65,12 @@ fn main() {
         total_mib / elapsed.as_secs_f64()
     );
 
-    let stats = server.stats();
+    let t = server.telemetry();
     println!(
-        "daemon: {} requests, {} staged ops, {} B in",
-        stats.requests, stats.staged_ops, stats.bytes_in
+        "daemon: {} ops completed, {} staged ops, {} B in",
+        t.ops_completed.get(),
+        t.ops_staged.get(),
+        t.transport_bytes_in.get()
     );
     server.shutdown();
     for rank in 0..clients {

@@ -242,14 +242,16 @@ fn daemon_stats_are_consistent_after_full_run() {
     );
     let p = small_madbench();
     madbench::runner::run(&p, &[Phase::S], |_| Box::new(hub.connect()));
-    let stats = server.stats();
     let (enqueued, peak) = server.queue_stats().unwrap();
     let bml = server.bml_stats().unwrap();
     let snap = server.telemetry().snapshot();
     server.shutdown();
     let writes = p.nbin * p.nproc;
-    assert_eq!(stats.staged_ops, writes);
-    assert_eq!(stats.bytes_in, p.s_phase_bytes());
+    assert_eq!(snap.counter("ops_staged"), writes);
+    // Payload bytes: received per client, and written by the backend.
+    let received: u64 = snap.clients.iter().map(|c| c.bytes_in).sum();
+    assert_eq!(received, p.s_phase_bytes());
+    assert_eq!(snap.counter("backend_bytes_written"), p.s_phase_bytes());
     // Coalesced followers are harvested straight off their serializer
     // lane without ever being re-enqueued; only batch leads (and
     // un-merged writes) pass through the queue.

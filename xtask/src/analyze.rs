@@ -27,6 +27,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::process::ExitCode;
 
+use iofwd_telemetry::json::quote;
+
 use crate::lexer::{find_words, line_of, word_at};
 use crate::summary::{extract_file, last_segment, CallSite, FnSummary};
 
@@ -117,7 +119,7 @@ pub struct Report {
 const BLOCKING: &[&str] = &[
     "write_at",
     "write_vectored_at",
-    "read_at",
+    "read_into",
     "read_exact",
     "write_all",
     "flush",
@@ -1020,21 +1022,6 @@ pub fn collect_analysis_files(root: &Path) -> Vec<(String, String)> {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn to_json(report: &Report, reported: &[&Finding], allowlisted: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1047,16 +1034,16 @@ fn to_json(report: &Report, reported: &[&Finding], allowlisted: usize) -> String
         let chain = f
             .chain
             .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
+            .map(|c| quote(c))
             .collect::<Vec<_>>()
             .join(", ");
         s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \
+            "    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}, \
              \"chain\": [{}]}}{}\n",
             f.rule,
-            json_escape(&f.file),
+            quote(&f.file),
             f.line,
-            json_escape(&f.message),
+            quote(&f.message),
             chain,
             if i + 1 < reported.len() { "," } else { "" }
         ));
@@ -1064,10 +1051,10 @@ fn to_json(report: &Report, reported: &[&Finding], allowlisted: usize) -> String
     s.push_str("  ],\n  \"edges\": [\n");
     for (i, e) in report.edges.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"from\": \"{}\", \"to\": \"{}\", \"file\": \"{}\", \"line\": {}}}{}\n",
-            json_escape(&e.from),
-            json_escape(&e.to),
-            json_escape(&e.file),
+            "    {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}}}{}\n",
+            quote(&e.from),
+            quote(&e.to),
+            quote(&e.file),
             e.line,
             if i + 1 < report.edges.len() { "," } else { "" }
         ));

@@ -29,10 +29,10 @@
 //!     the span to `Telemetry::complete` in the same file, so no op
 //!     type can silently ship half-timed spans to the flight recorder
 //!     or the trace exporter.
-//!   - **R7** Every file handling `WorkItem::CoalescedWrite` (outside
-//!     the declaring enum and test code) must stamp a `.disposition`
-//!     and reach `Telemetry::complete`, so no exit path can drop a
-//!     constituent op's span when a batch fans back out.
+//!   - **R7** Every file that defines or calls the coalesced-batch
+//!     executor `execute_coalesced` (outside test code) must stamp a
+//!     `.disposition` and reach `Telemetry::complete`, so no exit path
+//!     can drop a constituent op's span when a batch fans back out.
 //!   - **R8** Experiment scenarios stay runnable: every
 //!     `scenarios/*.toml` path referenced by `ci.sh` must exist, and
 //!     every committed file under `crates/experiments/scenarios/` must
