@@ -24,6 +24,11 @@
 //! must be attributed to the same write, with the same errno, that the
 //! synchronous modes fail in place.
 //!
+//! Three more workloads put every frame on one side or the other of the
+//! transports' large-payload path (`Frame::SPLIT_SEND_MIN`): writes and
+//! reads of 1 MiB and of one byte below and above the threshold, with a
+//! BML of two 1 MiB blocks so that staged mode adopts them.
+//!
 //! Every stream ends by writing to the descriptor it just closed
 //! (`EBADF` from `begin_op`, in admission for staged mode) and by
 //! abandoning an open descriptor for the daemon to reclaim.
@@ -56,21 +61,26 @@ enum Transport {
     Reactor,
 }
 
-const STAGED: ForwardingMode = ForwardingMode::AsyncStaged {
-    workers: WORKERS,
-    bml_capacity: BML_BYTES,
-};
+/// Two 1 MiB size-class blocks, for the large-frame workloads.
+const LARGE_BML_BYTES: u64 = 2 << 20;
+
 const SCHED: ForwardingMode = ForwardingMode::Sched { workers: WORKERS };
 
 /// Every (mode, transport) pair the daemon supports.
-const ARMS: [(ForwardingMode, Transport); 6] = [
-    (ForwardingMode::Zoid, Transport::Threads),
-    (ForwardingMode::Ciod, Transport::Threads),
-    (SCHED, Transport::Threads),
-    (SCHED, Transport::Reactor),
-    (STAGED, Transport::Threads),
-    (STAGED, Transport::Reactor),
-];
+fn arms(bml_capacity: u64) -> [(ForwardingMode, Transport); 6] {
+    let staged = ForwardingMode::AsyncStaged {
+        workers: WORKERS,
+        bml_capacity,
+    };
+    [
+        (ForwardingMode::Zoid, Transport::Threads),
+        (ForwardingMode::Ciod, Transport::Threads),
+        (SCHED, Transport::Threads),
+        (SCHED, Transport::Reactor),
+        (staged, Transport::Threads),
+        (staged, Transport::Reactor),
+    ]
+}
 
 fn mixed() -> WorkloadSpec {
     WorkloadSpec {
@@ -89,6 +99,16 @@ fn manytask() -> WorkloadSpec {
         tasks: 10,
         task_bytes: 700,
         ..WorkloadSpec::new(WorkloadKind::ManyTask)
+    }
+}
+
+/// Write, read-and-overwrite, then re-read three chunks of `op_bytes`.
+fn large_frames(op_bytes: u64) -> WorkloadSpec {
+    WorkloadSpec {
+        op_bytes,
+        bins: 1,
+        chunks_per_bin: 3,
+        ..WorkloadSpec::new(WorkloadKind::Madbench)
     }
 }
 
@@ -603,7 +623,7 @@ fn compare(
         )?;
         let staged = runs
             .iter()
-            .find(|(arm, _)| arm.0 == STAGED)
+            .find(|(arm, _)| matches!(arm.0, ForwardingMode::AsyncStaged { .. }))
             .map(|(_, run)| run.logs[0].deferred.len());
         same(
             "deferred reports in staged mode",
@@ -615,16 +635,38 @@ fn compare(
 }
 
 fn check_seed(seed: u64) -> Result<(), String> {
-    for (label, spec, clients, plan) in [
-        ("mixed", mixed(), 2, None),
-        ("manytask", manytask(), 2, None),
+    let split = Frame::SPLIT_SEND_MIN as u64;
+    for (label, spec, clients, plan, bml) in [
+        ("mixed", mixed(), 2, None, BML_BYTES),
+        ("manytask", manytask(), 2, None, BML_BYTES),
         // One client: `nth=` counts the daemon's ops, so which stream a
         // fault lands on must not depend on how two interleave.
-        ("mixed+faults", mixed(), 1, Some(FAULT_PLAN)),
+        ("mixed+faults", mixed(), 1, Some(FAULT_PLAN), BML_BYTES),
+        (
+            "1 MiB frames",
+            large_frames(1 << 20),
+            2,
+            None,
+            LARGE_BML_BYTES,
+        ),
+        (
+            "split-1 frames",
+            large_frames(split - 1),
+            2,
+            None,
+            LARGE_BML_BYTES,
+        ),
+        (
+            "split+1 frames",
+            large_frames(split + 1),
+            2,
+            None,
+            LARGE_BML_BYTES,
+        ),
     ] {
         let streams = generate(&spec, clients, seed);
         let mut runs = Vec::new();
-        for arm in ARMS {
+        for arm in arms(bml) {
             let run = run_arm(arm, &streams, plan).map_err(|e| format!("{label}: {e}"))?;
             runs.push((arm, run));
         }

@@ -15,14 +15,16 @@
 //!
 //! Framing mirrors the paper's two-step structure (§V-A2): an operation's
 //! *parameters* travel in the frame's metadata section, and bulk data
-//! rides in a separate payload section, so a server can dispatch on the
-//! (small) metadata before the (large) payload is consumed.
+//! rides in a separate payload section, so a receiver sizes the frame from
+//! the (small) metadata and then takes the (large) payload straight into
+//! its final buffer ([`FrameReader`]).
 
 pub mod dec;
 pub mod descriptor;
 pub mod enc;
 pub mod error;
 pub mod op;
+pub mod reader;
 pub mod trace;
 pub mod wire;
 
@@ -31,5 +33,6 @@ pub use error::{DecodeError, Errno};
 pub use op::{
     decode_dirents, encode_dirents, FileStat, OpenFlags, Request, Response, StatsQuery, Whence,
 };
+pub use reader::FrameReader;
 pub use trace::{StageEcho, TraceContext, TraceExt, TRACE_EXT_FLAG};
 pub use wire::{Frame, FrameKind, FRAME_HEADER_BYTES, MAX_DATA_LEN, MAX_META_LEN};

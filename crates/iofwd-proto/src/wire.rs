@@ -11,12 +11,16 @@
 //! +---------------------------------------------------------------------+
 //! ```
 //!
-//! The 24-byte header + separate meta/data sections realise the paper's
-//! two-step protocol (§V-A2): a server reads the header and meta (the
-//! "function parameters"), dispatches, and only then consumes the bulk
-//! data. On BG/P the 16-byte forwarding header the paper describes plays
-//! the same role at packet granularity; [`bgp_model`'s collective model]
-//! accounts for that per-packet overhead when simulating.
+//! The 24-byte header + separate meta/data sections carry the paper's
+//! two-step protocol (§V-A2): a receiver reads the header and meta (the
+//! "function parameters") first and only then consumes the bulk data,
+//! straight into the buffer it stays in. [`crate::reader::FrameReader`]
+//! is that receiver, for both ends of every stream transport; on the
+//! send side [`Frame::encode_header`] lets the payload go to the socket
+//! from wherever it already lives. On BG/P the 16-byte forwarding header
+//! the paper describes plays the same role at packet granularity;
+//! [`bgp_model`'s collective model] accounts for that per-packet
+//! overhead when simulating.
 //!
 //! A frame may additionally carry a trace extension (see
 //! [`crate::trace`]): the kind byte's high bit flags a fixed-size
@@ -87,6 +91,16 @@ impl Frame {
             data.len() as u64,
             "payload length must match the request's declared length"
         );
+        Frame {
+            data,
+            ..Frame::request_head(client_id, seq, req)
+        }
+    }
+
+    /// A request's header and parameters without its payload, for a
+    /// sender whose payload stays in the caller's buffer and goes out
+    /// beside the frame ([`Frame::encode_header_for`]).
+    pub fn request_head(client_id: u32, seq: u64, req: &Request) -> Frame {
         let mut meta = BytesMut::new();
         req.encode(&mut meta);
         Frame {
@@ -94,7 +108,7 @@ impl Frame {
             client_id,
             seq,
             meta: meta.freeze(),
-            data,
+            data: Bytes::new(),
             ext: None,
         }
     }
@@ -155,13 +169,16 @@ impl Frame {
     /// payload into a contiguous wire image and instead send
     /// [`Frame::encode_header`] and the payload `Bytes` as separate
     /// writes. Below this, one buffer and one syscall win; above it,
-    /// the memcpy dominates the extra write bookkeeping.
+    /// the memcpy dominates the extra write bookkeeping. The same size
+    /// decides the receive side: from here up
+    /// [`crate::reader::FrameReader`] reads a payload into a buffer of
+    /// its own instead of copying it out of the connection's.
     pub const SPLIT_SEND_MIN: usize = 16 * 1024;
 
     /// Serialise into a single buffer.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.encode_prefix(&mut buf);
+        self.encode_prefix(&mut buf, self.data.len());
         Writer::new(&mut buf).raw(&self.data);
         buf.freeze()
     }
@@ -173,12 +190,19 @@ impl Frame {
     /// travels from the receive buffer or the BML slab straight to the
     /// socket without ever being re-copied into a wire buffer.
     pub fn encode_header(&self) -> Bytes {
+        self.encode_header_for(self.data.len())
+    }
+
+    /// [`Frame::encode_header`] announcing a payload of `payload_len`
+    /// bytes that is not in `self.data` (which must be empty): followed by
+    /// those bytes it is the wire image of the frame that holds them.
+    pub fn encode_header_for(&self, payload_len: usize) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len() - self.data.len());
-        self.encode_prefix(&mut buf);
+        self.encode_prefix(&mut buf, payload_len);
         buf.freeze()
     }
 
-    fn encode_prefix(&self, buf: &mut BytesMut) {
+    fn encode_prefix(&self, buf: &mut BytesMut, data_len: usize) {
         let mut w = Writer::new(buf);
         w.u16(MAGIC);
         w.u8(VERSION);
@@ -192,7 +216,7 @@ impl Frame {
         w.u32(self.client_id);
         w.u64(self.seq);
         w.u32(self.meta.len() as u32);
-        w.u32(self.data.len() as u32);
+        w.u32(data_len as u32);
         if let Some(ext) = &self.ext {
             ext.encode(&mut w);
         }
@@ -201,9 +225,9 @@ impl Frame {
 
     /// Parse one frame from the front of `buf`. Returns the frame and the
     /// number of bytes consumed, or `Ok(None)` if more bytes are needed
-    /// (streaming decode for TCP). `meta`/`data` are deep copies of the
-    /// input slice; streaming receive paths should instead use
-    /// [`Frame::required_len`] + [`Frame::decode_shared`] to get views.
+    /// (streaming decode). `meta`/`data` are deep copies of the input
+    /// slice: this is the reference decoder tests compare against; the
+    /// transports receive through [`crate::reader::FrameReader`].
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
         let Some(hdr) = FrameHeader::parse(buf)? else {
             return Ok(None);
@@ -212,23 +236,16 @@ impl Frame {
             return Ok(None);
         }
         let ext = hdr.decode_ext(buf)?;
-        let meta = Bytes::copy_from_slice(&buf[hdr.body..hdr.body + hdr.meta_len]);
-        let data = Bytes::copy_from_slice(&buf[hdr.body + hdr.meta_len..hdr.total]);
+        // HOTPATH: the copying decoder by definition; no transport calls it.
+        let meta = Bytes::copy_from_slice(&buf[hdr.body..hdr.payload()]);
+        // HOTPATH: as above.
+        let data = Bytes::copy_from_slice(&buf[hdr.payload()..hdr.total]);
         Ok(Some((hdr.into_frame(meta, data, ext), hdr.total)))
-    }
-
-    /// Total wire length of the frame at the front of `buf`, once enough
-    /// header bytes have arrived to size it (`Ok(None)` until then).
-    /// Streaming receivers use this to accumulate exactly one frame and
-    /// then carve it out of the buffer with [`Frame::decode_shared`].
-    pub fn required_len(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
-        Ok(FrameHeader::parse(buf)?.map(|hdr| hdr.total))
     }
 
     /// Decode exactly one frame from a shared buffer. `meta` and `data`
     /// are O(1) refcounted views into `bytes` — no payload copy. The
-    /// buffer must hold the complete frame (its length is what
-    /// [`Frame::required_len`] reported); fewer bytes is a
+    /// buffer must hold the complete frame; fewer bytes is a
     /// [`DecodeError::Truncated`].
     pub fn decode_shared(bytes: &Bytes) -> Result<Frame, DecodeError> {
         let Some(hdr) = FrameHeader::parse(bytes)? else {
@@ -244,33 +261,38 @@ impl Frame {
             });
         }
         let ext = hdr.decode_ext(bytes)?;
-        let meta = bytes.slice(hdr.body..hdr.body + hdr.meta_len);
-        let data = bytes.slice(hdr.body + hdr.meta_len..hdr.total);
+        let meta = bytes.slice(hdr.body..hdr.payload());
+        let data = bytes.slice(hdr.payload()..hdr.total);
         Ok(hdr.into_frame(meta, data, ext))
     }
 }
 
 /// Parsed, validated frame header: everything needed to size and slice
-/// the frame body. Shared by the copying and the zero-copy decoders so
-/// the two cannot drift.
+/// the frame body. Shared by the copying and the zero-copy decoders and
+/// the streaming reader so the three cannot drift.
 #[derive(Clone, Copy)]
-struct FrameHeader {
+pub(crate) struct FrameHeader {
     kind: FrameKind,
     client_id: u32,
     seq: u64,
     meta_len: usize,
     has_ext: bool,
     /// Offset where meta begins (header + trace extension).
-    body: usize,
+    pub(crate) body: usize,
     /// Total wire length of the frame.
-    total: usize,
+    pub(crate) total: usize,
 }
 
 impl FrameHeader {
+    /// Offset where the payload begins (header + extension + meta).
+    pub(crate) fn payload(&self) -> usize {
+        self.body + self.meta_len
+    }
+
     /// Validate the fixed header (and the ext tag byte, whose value sizes
     /// the extension). `Ok(None)` means more bytes are needed; all length
     /// caps are enforced before any allocation happens.
-    fn parse(buf: &[u8]) -> Result<Option<FrameHeader>, DecodeError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Option<FrameHeader>, DecodeError> {
         if buf.len() < FRAME_HEADER_BYTES {
             return Ok(None);
         }
@@ -331,7 +353,7 @@ impl FrameHeader {
         }))
     }
 
-    fn decode_ext(&self, buf: &[u8]) -> Result<Option<TraceExt>, DecodeError> {
+    pub(crate) fn decode_ext(&self, buf: &[u8]) -> Result<Option<TraceExt>, DecodeError> {
         if self.has_ext {
             Ok(Some(TraceExt::decode(&mut Reader::new(
                 &buf[FRAME_HEADER_BYTES..self.body],
@@ -341,7 +363,7 @@ impl FrameHeader {
         }
     }
 
-    fn into_frame(self, meta: Bytes, data: Bytes, ext: Option<TraceExt>) -> Frame {
+    pub(crate) fn into_frame(self, meta: Bytes, data: Bytes, ext: Option<TraceExt>) -> Frame {
         Frame {
             kind: self.kind,
             client_id: self.client_id,
@@ -533,8 +555,7 @@ mod tests {
     fn decode_shared_returns_views_not_copies() {
         let f = sample_frame();
         let wire = f.encode();
-        let total = Frame::required_len(&wire).unwrap().unwrap();
-        assert_eq!(total, wire.len());
+        let total = wire.len();
         let base = wire.as_ref().as_ptr();
         let g = Frame::decode_shared(&wire).unwrap();
         assert_eq!(g, f);
@@ -550,25 +571,28 @@ mod tests {
     }
 
     #[test]
-    fn required_len_streams_like_decode() {
-        let f = sample_frame().with_ext(TraceExt::Ctx(TraceContext::sampled(5)));
-        let wire = f.encode();
-        // Until header + ext tag are present, the length is unknown.
-        for cut in 0..=FRAME_HEADER_BYTES {
-            assert_eq!(Frame::required_len(&wire[..cut]).unwrap(), None);
-        }
-        assert_eq!(
-            Frame::required_len(&wire).unwrap(),
-            Some(wire.len()),
-            "full frame sizes itself"
-        );
-        // A shared decode of a short buffer is an explicit error, not a
-        // panic and not a silent None.
+    fn decode_shared_of_a_short_buffer_is_an_error() {
+        // An explicit error, not a panic and not a silent None.
+        let wire = sample_frame().encode();
         let short = wire.slice(0..wire.len() - 1);
         assert!(matches!(
             Frame::decode_shared(&short),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn header_for_a_beside_payload_is_the_same_wire_image() {
+        let req = Request::Write { fd: Fd(4), len: 5 };
+        for ext in [None, Some(TraceExt::Ctx(TraceContext::sampled(7)))] {
+            let mut head = Frame::request_head(7, 99, &req);
+            let mut whole = Frame::request(7, 99, &req, Bytes::from_static(b"hello"));
+            head.ext = ext;
+            whole.ext = ext;
+            let mut wire = head.encode_header_for(5).to_vec();
+            wire.extend_from_slice(b"hello");
+            assert_eq!(wire, whole.encode().to_vec());
+        }
     }
 
     #[test]

@@ -226,12 +226,15 @@ impl Client {
         self.stats
     }
 
-    fn call(&mut self, req: &Request, data: Bytes) -> Result<(Response, Bytes), ClientError> {
+    /// One forwarded call. `payload` stays the caller's: the transport
+    /// puts it on the wire from where it is.
+    fn call(&mut self, req: &Request, payload: &[u8]) -> Result<(Response, Bytes), ClientError> {
+        debug_assert_eq!(req.expected_payload(), payload.len() as u64);
         self.seq += 1;
         let seq = self.seq;
         self.stats.requests += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        let mut frame = Frame::request(self.client_id, seq, req, data);
+        self.stats.bytes_sent += payload.len() as u64;
+        let mut frame = Frame::request_head(self.client_id, seq, req);
         let started = if self.tracing {
             let trace_id = (u64::from(self.client_id) + 1) << 32 | (seq & 0xffff_ffff);
             frame = frame.with_ext(TraceExt::Ctx(TraceContext::sampled(trace_id)));
@@ -239,7 +242,7 @@ impl Client {
         } else {
             None
         };
-        self.conn.send(frame)?;
+        self.conn.send_with_payload(frame, payload)?;
         let frame = self.conn.recv()?.ok_or(ClientError::Closed)?;
         if frame.seq != seq {
             return Err(ClientError::Protocol(format!(
@@ -261,8 +264,8 @@ impl Client {
         Ok((resp, frame.data))
     }
 
-    fn expect_ret(&mut self, req: &Request, data: Bytes) -> Result<i64, ClientError> {
-        match self.call(req, data)? {
+    fn expect_ret(&mut self, req: &Request) -> Result<i64, ClientError> {
+        match self.call(req, &[])? {
             (Response::Ok { ret }, _) => Ok(ret),
             (Response::Err { errno }, _) => Err(ClientError::Remote(errno)),
             (Response::DeferredErr { op, errno }, _) => Err(ClientError::Deferred { op, errno }),
@@ -274,26 +277,20 @@ impl Client {
 
     /// Open (or create) a file on the ION's backend.
     pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u32) -> Result<Fd, ClientError> {
-        let ret = self.expect_ret(
-            &Request::Open {
-                path: path.into(),
-                flags,
-                mode,
-            },
-            Bytes::new(),
-        )?;
+        let ret = self.expect_ret(&Request::Open {
+            path: path.into(),
+            flags,
+            mode,
+        })?;
         Ok(Fd(ret as u32))
     }
 
     /// Open a streaming connection to a remote sink through the ION.
     pub fn connect_socket(&mut self, host: &str, port: u16) -> Result<Fd, ClientError> {
-        let ret = self.expect_ret(
-            &Request::Connect {
-                host: host.into(),
-                port,
-            },
-            Bytes::new(),
-        )?;
+        let ret = self.expect_ret(&Request::Connect {
+            host: host.into(),
+            port,
+        })?;
         Ok(Fd(ret as u32))
     }
 
@@ -364,7 +361,7 @@ impl Client {
     }
 
     fn write_impl(&mut self, req: Request, data: &[u8]) -> Result<WriteOutcome, ClientError> {
-        match self.call(&req, Bytes::copy_from_slice(data))? {
+        match self.call(&req, data)? {
             (Response::Ok { ret }, _) => Ok(WriteOutcome::Completed(ret as u64)),
             (Response::Staged { op }, _) => {
                 self.stats.staged_writes += 1;
@@ -389,7 +386,7 @@ impl Client {
     }
 
     fn read_impl(&mut self, req: Request) -> Result<Vec<u8>, ClientError> {
-        match self.call(&req, Bytes::new())? {
+        match self.call(&req, &[])? {
             (Response::Ok { ret }, data) => {
                 if ret as usize != data.len() {
                     return Err(ClientError::Protocol(format!(
@@ -397,7 +394,8 @@ impl Client {
                         data.len()
                     )));
                 }
-                Ok(data.to_vec())
+                // The receive buffer itself, not a copy of it.
+                Ok(Vec::from(data))
             }
             (Response::Err { errno }, _) => Err(ClientError::Remote(errno)),
             (Response::DeferredErr { op, errno }, _) => Err(ClientError::Deferred { op, errno }),
@@ -409,7 +407,7 @@ impl Client {
 
     /// Reposition the descriptor; returns the new offset.
     pub fn lseek(&mut self, fd: Fd, offset: i64, whence: Whence) -> Result<u64, ClientError> {
-        let ret = self.expect_ret(&Request::Lseek { fd, offset, whence }, Bytes::new())?;
+        let ret = self.expect_ret(&Request::Lseek { fd, offset, whence })?;
         Ok(ret as u64)
     }
 
@@ -417,19 +415,19 @@ impl Client {
     /// writes complete (or their first error is reported) before it
     /// returns.
     pub fn fsync(&mut self, fd: Fd) -> Result<(), ClientError> {
-        self.expect_ret(&Request::Fsync { fd }, Bytes::new())?;
+        self.expect_ret(&Request::Fsync { fd })?;
         Ok(())
     }
 
     /// Close the descriptor (barriers staged writes, reports deferred
     /// errors).
     pub fn close(&mut self, fd: Fd) -> Result<(), ClientError> {
-        self.expect_ret(&Request::Close { fd }, Bytes::new())?;
+        self.expect_ret(&Request::Close { fd })?;
         Ok(())
     }
 
     pub fn stat(&mut self, path: &str) -> Result<FileStat, ClientError> {
-        match self.call(&Request::Stat { path: path.into() }, Bytes::new())? {
+        match self.call(&Request::Stat { path: path.into() }, &[])? {
             (Response::StatOk { st }, _) => Ok(st),
             (Response::Err { errno }, _) => Err(ClientError::Remote(errno)),
             (Response::DeferredErr { op, errno }, _) => Err(ClientError::Deferred { op, errno }),
@@ -440,7 +438,7 @@ impl Client {
     }
 
     pub fn fstat(&mut self, fd: Fd) -> Result<FileStat, ClientError> {
-        match self.call(&Request::Fstat { fd }, Bytes::new())? {
+        match self.call(&Request::Fstat { fd }, &[])? {
             (Response::StatOk { st }, _) => Ok(st),
             (Response::Err { errno }, _) => Err(ClientError::Remote(errno)),
             (Response::DeferredErr { op, errno }, _) => Err(ClientError::Deferred { op, errno }),
@@ -451,32 +449,29 @@ impl Client {
     }
 
     pub fn unlink(&mut self, path: &str) -> Result<(), ClientError> {
-        self.expect_ret(&Request::Unlink { path: path.into() }, Bytes::new())?;
+        self.expect_ret(&Request::Unlink { path: path.into() })?;
         Ok(())
     }
 
     /// Truncate (or zero-extend) an open descriptor. In staged mode this
     /// is ordered after all in-flight staged writes.
     pub fn ftruncate(&mut self, fd: Fd, len: u64) -> Result<(), ClientError> {
-        self.expect_ret(&Request::Ftruncate { fd, len }, Bytes::new())?;
+        self.expect_ret(&Request::Ftruncate { fd, len })?;
         Ok(())
     }
 
     /// Create a directory on the daemon's backend.
     pub fn mkdir(&mut self, path: &str, mode: u32) -> Result<(), ClientError> {
-        self.expect_ret(
-            &Request::Mkdir {
-                path: path.into(),
-                mode,
-            },
-            Bytes::new(),
-        )?;
+        self.expect_ret(&Request::Mkdir {
+            path: path.into(),
+            mode,
+        })?;
         Ok(())
     }
 
     /// List the entries directly under `path`.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, ClientError> {
-        match self.call(&Request::Readdir { path: path.into() }, Bytes::new())? {
+        match self.call(&Request::Readdir { path: path.into() }, &[])? {
             (Response::Ok { .. }, data) => {
                 iofwd_proto::decode_dirents(&data).map_err(ClientError::from)
             }
@@ -494,7 +489,7 @@ impl Client {
     /// memory without entering the work queue, so this works even while
     /// the data path is saturated or wedged.
     pub fn query_stats(&mut self, query: iofwd_proto::StatsQuery) -> Result<Bytes, ClientError> {
-        match self.call(&Request::Stats { query }, Bytes::new())? {
+        match self.call(&Request::Stats { query }, &[])? {
             (Response::Ok { .. }, data) => Ok(data),
             (Response::Err { errno }, _) => Err(ClientError::Remote(errno)),
             (Response::DeferredErr { op, errno }, _) => Err(ClientError::Deferred { op, errno }),
@@ -506,7 +501,7 @@ impl Client {
 
     /// Orderly disconnect: tells the daemon this client is done.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.expect_ret(&Request::Shutdown, Bytes::new())?;
+        self.expect_ret(&Request::Shutdown)?;
         Ok(())
     }
 }

@@ -16,6 +16,7 @@
 //! surfaces it.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use iofwd_proto::{Errno, Fd, OpId};
@@ -25,7 +26,47 @@ use crate::backend::BackendObject;
 use crate::telemetry::Telemetry;
 
 /// A shared, lockable open backend object.
-pub type SharedObject = Arc<Mutex<Box<dyn BackendObject>>>;
+pub type SharedObject = Arc<Mutex<OpenObject>>;
+
+/// An open backend object (what the lock derefs to) and whether it has
+/// been written or truncated since its last successful `sync` — what
+/// `close` asks before paying for an implicit one.
+pub struct OpenObject {
+    obj: Box<dyn BackendObject>,
+    dirty: bool,
+}
+
+impl OpenObject {
+    /// The next backend call changes the object's data or length.
+    pub fn mark_dirty(&mut self) {
+        self.dirty = true;
+    }
+
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// The backend's `sync` (this name shadows it on purpose: every flush
+    /// of a descriptor goes through here); success leaves it clean.
+    pub fn sync(&mut self) -> Result<(), Errno> {
+        self.obj.sync()?;
+        self.dirty = false;
+        Ok(())
+    }
+}
+
+impl Deref for OpenObject {
+    type Target = dyn BackendObject;
+    fn deref(&self) -> &Self::Target {
+        &*self.obj
+    }
+}
+
+impl DerefMut for OpenObject {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut *self.obj
+    }
+}
 
 /// Outcome of a staged operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +147,7 @@ impl DescDb {
         db.entries.insert(
             fd,
             DescEntry {
-                obj: Arc::new(Mutex::new(obj)),
+                obj: Arc::new(Mutex::new(OpenObject { obj, dirty: false })),
                 origin: Arc::from(origin),
                 next_op: OpId::FIRST,
                 in_progress: BTreeSet::new(),

@@ -10,9 +10,9 @@ use bytes::Bytes;
 use iofwd_proto::{Errno, Request, Response};
 use simcore::rng::SimRng;
 
-use crate::backend::{Backend, BackendObject};
+use crate::backend::Backend;
 use crate::bml::Bml;
-use crate::descdb::{BeginError, DescDb, OpOutcome};
+use crate::descdb::{BeginError, DescDb, OpOutcome, OpenObject};
 use crate::fault::{is_transient, RetryPolicy};
 use crate::filter::{FilterChain, WriteContext};
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
@@ -149,12 +149,13 @@ impl Engine {
     /// spinning.
     pub(crate) fn write_fully(
         &self,
-        o: &mut dyn BackendObject,
+        o: &mut OpenObject,
         offset: Option<u64>,
         data: &[u8],
     ) -> Result<(), Errno> {
         let mut written = 0usize;
         while written < data.len() {
+            o.mark_dirty();
             // Positional writes continue at offset+written; cursor
             // writes continue at the cursor the short write advanced.
             let at = offset.map(|base| base + written as u64);
@@ -273,7 +274,9 @@ impl Engine {
                     if let Err(e) = self.db.wait_idle(*fd) {
                         return (Response::Err { errno: e }, Bytes::new());
                     }
-                    match obj.lock().truncate(*len) {
+                    let mut o = obj.lock();
+                    o.mark_dirty();
+                    match o.truncate(*len) {
                         Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
                         Err(e) => (Response::Err { errno: e }, Bytes::new()),
                     }
@@ -342,7 +345,7 @@ impl Engine {
         };
         let result = {
             let mut o = obj.lock();
-            self.write_fully(&mut **o, offset, &filtered)
+            self.write_fully(&mut o, offset, &filtered)
         };
         match result {
             Ok(()) => {
@@ -415,7 +418,7 @@ impl Engine {
                 Ok(obj) => {
                     let res = {
                         let mut o = obj.lock();
-                        self.write_fully(&mut **o, offset, data)
+                        self.write_fully(&mut o, offset, data)
                     };
                     match res {
                         Ok(()) => OpOutcome::Ok,
@@ -428,13 +431,15 @@ impl Engine {
             if self.telemetry.enabled() && !data.is_empty() {
                 self.telemetry.hotpath_alloc_bytes.add(data.len() as u64);
             }
+            // HOTPATH: filters take an owned payload; the copy is counted
+            // in `hotpath_alloc_bytes` above.
             match self.filter_write(fd, offset, Bytes::copy_from_slice(data)) {
                 None => OpOutcome::Ok, // consumed in situ
                 Some(filtered) => match self.db.object(fd) {
                     Ok(obj) => {
                         let res = {
                             let mut o = obj.lock();
-                            self.write_fully(&mut **o, offset, &filtered)
+                            self.write_fully(&mut o, offset, &filtered)
                         };
                         match res {
                             Ok(()) => OpOutcome::Ok,
@@ -510,6 +515,7 @@ impl Engine {
                         start = end;
                     }
                     let at = base.map(|b| b + written as u64);
+                    o.mark_dirty();
                     match self.with_retries(|| o.write_vectored_at(at, &bufs)) {
                         Ok(n) => {
                             self.count_backend_write(n);
@@ -622,9 +628,11 @@ impl Engine {
         }
     }
 
-    /// `close` barriers like fsync, then retires the descriptor. A
-    /// deferred error is still reported — the close itself succeeds, as
-    /// POSIX close does after a failed async write-back.
+    /// `close` barriers like fsync, then retires the descriptor, flushing
+    /// it first if it has been written or truncated since its last
+    /// successful sync (a clean one has nothing to flush). A deferred
+    /// error is still reported — the close itself succeeds, as POSIX
+    /// close does after a failed async write-back.
     fn close(&self, fd: iofwd_proto::Fd) -> (Response, Bytes) {
         if let Err(e) = self.db.begin_close(fd) {
             return (Response::Err { errno: e }, Bytes::new());
@@ -634,7 +642,10 @@ impl Engine {
         }
         match self.db.remove(fd) {
             Ok((obj, pending)) => {
-                let _ = obj.lock().sync();
+                let mut o = obj.lock();
+                if o.is_dirty() {
+                    let _ = o.sync();
+                }
                 if let Some((op, errno)) = pending {
                     (self.deferred_error_response(op, errno), Bytes::new())
                 } else {
@@ -832,17 +843,20 @@ mod tests {
 
     use crate::backend::BackendObject;
     use iofwd_proto::{FileStat, Whence};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Position-sticky faulty backend for coalescing tests: every
     /// positional write at or past `limit` fails with `errno`, and any
     /// single call moves at most `cap` bytes (a POSIX short write).
     /// Being a function of file position (not call count), serial and
     /// coalesced execution must observe identical per-op outcomes.
+    /// `syncs` counts the `sync` calls that reach it.
     struct StickyLimit {
         inner: Arc<MemSinkBackend>,
         cap: usize,
         limit: u64,
         errno: Errno,
+        syncs: Arc<AtomicUsize>,
     }
 
     struct StickyObj {
@@ -850,6 +864,7 @@ mod tests {
         cap: usize,
         limit: u64,
         errno: Errno,
+        syncs: Arc<AtomicUsize>,
     }
 
     impl BackendObject for StickyObj {
@@ -871,11 +886,16 @@ mod tests {
         }
 
         fn sync(&mut self) -> Result<(), Errno> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
             self.inner.sync()
         }
 
         fn fstat(&mut self) -> Result<FileStat, Errno> {
             self.inner.fstat()
+        }
+
+        fn truncate(&mut self, len: u64) -> Result<(), Errno> {
+            self.inner.truncate(len)
         }
     }
 
@@ -891,6 +911,7 @@ mod tests {
                 cap: self.cap,
                 limit: self.limit,
                 errno: self.errno,
+                syncs: self.syncs.clone(),
             }))
         }
 
@@ -942,6 +963,7 @@ mod tests {
             cap: 3,
             limit: u64::MAX,
             errno: Errno::Io,
+            syncs: Arc::default(),
         });
         let e = Engine::new(sticky, None);
         let fd = open(&e, "/short");
@@ -961,6 +983,7 @@ mod tests {
             cap: usize::MAX,
             limit: 6,
             errno: Errno::NoSpc,
+            syncs: Arc::default(),
         });
         let e = Engine::new(sticky, None);
         let fd = open(&e, "/fan");
@@ -985,6 +1008,56 @@ mod tests {
             }
             other => panic!("expected deferred error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn close_syncs_only_a_descriptor_with_something_to_flush() {
+        let syncs = Arc::new(AtomicUsize::new(0));
+        let e = Engine::new(
+            Arc::new(StickyLimit {
+                inner: Arc::new(MemSinkBackend::new()),
+                cap: usize::MAX,
+                limit: u64::MAX,
+                errno: Errno::Io,
+                syncs: syncs.clone(),
+            }),
+            None,
+        );
+        let run = |req: Request, data: &'static [u8]| {
+            let (resp, _) = e.execute(&req, &Bytes::from_static(data));
+            assert!(matches!(resp, Response::Ok { .. }), "{req:?}: {resp:?}");
+            syncs.load(Ordering::Relaxed)
+        };
+        let pwrite = |fd| Request::Pwrite {
+            fd,
+            offset: 0,
+            len: 4,
+        };
+        // Only read from: nothing to flush.
+        let fd = open(&e, "/clean");
+        let read = Request::Pread {
+            fd,
+            offset: 0,
+            len: 4,
+        };
+        assert_eq!(run(read, b""), 0);
+        assert_eq!(run(Request::Close { fd }, b""), 0);
+        // Written, then fsynced: the explicit fsync reaches the backend
+        // (as does one on a clean descriptor), the close adds nothing.
+        let fd = open(&e, "/synced");
+        assert_eq!(run(pwrite(fd), b"data"), 0);
+        assert_eq!(run(Request::Fsync { fd }, b""), 1);
+        assert_eq!(run(Request::Fsync { fd }, b""), 2);
+        assert_eq!(run(Request::Close { fd }, b""), 2);
+        // Written or truncated and not synced since: exactly one each.
+        let fd = open(&e, "/dirty");
+        assert_eq!(run(pwrite(fd), b"data"), 2);
+        assert_eq!(run(Request::Close { fd }, b""), 3);
+        let fd = open(&e, "/cut");
+        assert_eq!(run(pwrite(fd), b"data"), 3);
+        assert_eq!(run(Request::Fsync { fd }, b""), 4);
+        assert_eq!(run(Request::Ftruncate { fd, len: 1 }, b""), 4);
+        assert_eq!(run(Request::Close { fd }, b""), 5);
     }
 
     #[test]

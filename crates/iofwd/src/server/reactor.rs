@@ -8,12 +8,12 @@
 //! multiplexes every client socket onto a small fixed pool of event
 //! loops built on `epoll(7)` (vendored `polling` stub):
 //!
-//! - **Framed, non-blocking I/O.** Each connection owns a read buffer
-//!   fed by [`bytes::BytesMut::read_from`] (no intermediate copy) and a
-//!   write buffer of encoded frames drained on writability.
-//!   [`Frame::decode`]'s streaming contract (`Ok(None)` = incomplete)
-//!   drives the partial-read state machine; partial writes park the
-//!   remainder and wait for `POLLOUT`.
+//! - **Framed, non-blocking I/O.** Each connection owns a
+//!   [`FrameReader`] — the partial-read state machine the threaded
+//!   transport and the client also use, here fed by non-blocking reads —
+//!   and a write buffer of reply segments that leave in one vectored
+//!   write per flush; partial writes park the remainder and wait for
+//!   `POLLOUT`.
 //! - **Admission control as backpressure.** Every decoded frame goes to
 //!   the admission core (`server::admit`), which never blocks. Where
 //!   the threaded driver *blocks* on an [`Admission::Park`] (BML
@@ -39,7 +39,7 @@
 //! the reply is simply unaddressable.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,9 +47,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use iofwd_proto::{Errno, Fd, Frame};
+use iofwd_proto::{Errno, Fd, Frame, FrameReader};
 use polling::{Event, Interest, Poller, Waker};
 
 use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
@@ -59,8 +59,8 @@ use crate::transport::tcp::TcpAcceptor;
 
 /// Token reserved for the listening socket (registered on loop 0 only).
 const LISTENER_TOKEN: usize = usize::MAX - 1;
-/// Minimum spare read-buffer capacity per `read(2)`.
-const READ_CHUNK: usize = 64 * 1024;
+/// `wbuf` segments handed to one vectored write.
+const FLUSH_SEGMENTS: usize = 8;
 /// Idle poll timeout; parked-connection retries ride on this tick.
 const TICK: Duration = Duration::from_millis(20);
 /// Backoff before re-touching a listener that just failed `accept(2)`.
@@ -155,8 +155,8 @@ impl CompletionSink for ReactorSink {
 /// Per-connection state machine.
 struct ConnState {
     stream: TcpStream,
-    /// Inbound bytes; `Frame::decode` consumes complete frames.
-    rbuf: BytesMut,
+    /// Inbound partial-frame state.
+    reader: FrameReader,
     /// Encoded reply frames awaiting the socket.
     wbuf: VecDeque<Bytes>,
     /// Bytes of `wbuf.front()` already written (partial-write cursor).
@@ -197,7 +197,7 @@ impl ConnState {
     fn new(stream: TcpStream, session: Session) -> ConnState {
         ConnState {
             stream,
-            rbuf: BytesMut::with_capacity(READ_CHUNK),
+            reader: FrameReader::default(),
             wbuf: VecDeque::new(),
             wbuf_off: 0,
             wbuf_bytes: 0,
@@ -521,8 +521,8 @@ impl ReactorThread {
         self.finish_conn(tok, conn);
     }
 
-    /// Decode-and-admit loop: up to `frames_per_pass` frames, refilling
-    /// `rbuf` from the socket when a frame is incomplete.
+    /// Receive-and-admit loop: up to `frames_per_pass` frames, or until
+    /// the socket has nothing more.
     fn pump(&mut self, conn: &mut ConnState) {
         let mut budget = self.cfg.frames_per_pass.max(1);
         loop {
@@ -532,68 +532,44 @@ impl ReactorThread {
             if budget == 0 {
                 // Yield to other connections; come back next lap if
                 // undecoded bytes remain.
-                if !conn.rbuf.is_empty() {
+                if !conn.reader.is_idle() {
                     conn.want_hot = true;
                 }
                 return;
             }
-            // Zero-copy decode: once a complete frame sits in rbuf,
-            // carve it out as shared storage and hand the handlers
-            // views into it — the payload is never memcpy'd out of the
-            // receive buffer.
-            let complete = match Frame::required_len(&conn.rbuf) {
-                Ok(total) => total.filter(|&t| conn.rbuf.len() >= t),
-                // Undecodable garbage: the framing is unrecoverable.
-                Err(_) => {
-                    conn.dead = true;
+            let frame = match conn.reader.read_frame(&mut conn.stream) {
+                Ok(Some(frame)) => frame,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                res => {
+                    // The peer is done sending, between frames (`Ok(None)`)
+                    // or inside one; anything else is undecodable garbage
+                    // (the framing is unrecoverable) or a dead socket.
+                    let eof = |e: io::Error| e.kind() == io::ErrorKind::UnexpectedEof;
+                    conn.peer_closed = res.map_or_else(eof, |_| true);
+                    conn.dead = !conn.peer_closed;
                     return;
                 }
             };
-            match complete {
-                Some(total) => {
-                    let wire = conn.rbuf.split_to_bytes(total);
-                    let frame = match Frame::decode_shared(&wire) {
-                        Ok(f) => f,
-                        Err(_) => {
-                            conn.dead = true;
-                            return;
-                        }
-                    };
-                    budget -= 1;
-                    if self.telemetry.enabled() {
-                        self.telemetry.frames_in.inc();
-                        self.telemetry
-                            .transport_bytes_in
-                            .add(frame.data.len() as u64);
-                        // Attribute inbound bytes at decode time — once
-                        // per frame, even if admission later parks and
-                        // re-admits it. The row is cached per id.
-                        let client = u64::from(frame.client_id);
-                        if conn.client != client || conn.stats.is_none() {
-                            conn.client = client;
-                            conn.stats = self.telemetry.client_stats(client);
-                        }
-                        if let Some(stats) = &conn.stats {
-                            stats.bytes_in.add(frame.data.len() as u64);
-                        }
-                    }
-                    let admission = admit::admit(&self.ctx, &mut conn.session, frame);
-                    self.dispatch(conn, admission, None);
+            budget -= 1;
+            if self.telemetry.enabled() {
+                self.telemetry.frames_in.inc();
+                self.telemetry
+                    .transport_bytes_in
+                    .add(frame.data.len() as u64);
+                // Attribute inbound bytes at decode time — once per
+                // frame, even if admission later parks and re-admits it.
+                // The row is cached per id.
+                let client = u64::from(frame.client_id);
+                if conn.client != client || conn.stats.is_none() {
+                    conn.client = client;
+                    conn.stats = self.telemetry.client_stats(client);
                 }
-                None => match conn.rbuf.read_from(&mut conn.stream, READ_CHUNK) {
-                    Ok(0) => {
-                        conn.peer_closed = true;
-                        return;
-                    }
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.dead = true;
-                        return;
-                    }
-                },
+                if let Some(stats) = &conn.stats {
+                    stats.bytes_in.add(frame.data.len() as u64);
+                }
             }
+            let admission = admit::admit(&self.ctx, &mut conn.session, frame);
+            self.dispatch(conn, admission, None);
         }
     }
 
@@ -667,11 +643,9 @@ impl ReactorThread {
         }
         let data_len = frame.data.len() as u64;
         // Large payloads ride the wbuf as their own segment, by
-        // reference: a slab-backed read reply or an echoed receive-view
-        // goes socket-ward without ever being re-copied into a
-        // contiguous wire image. `flush` already walks segments with a
-        // partial-write cursor, so a two-segment frame needs no new
-        // bookkeeping there.
+        // reference: a slab-backed read reply goes socket-ward without
+        // ever being re-copied into a contiguous wire image, and `flush`
+        // sends header and payload in one vectored write.
         let queued = if frame.data.len() >= Frame::SPLIT_SEND_MIN {
             let header = frame.encode_header();
             let total = header.len() + frame.data.len();
@@ -704,22 +678,12 @@ impl ReactorThread {
     }
 
     fn flush(&mut self, conn: &mut ConnState) {
-        while let Some(front) = conn.wbuf.front() {
-            let off = conn.wbuf_off.min(front.len());
-            match (&conn.stream).write(&front[off..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    return;
-                }
+        while !conn.wbuf.is_empty() {
+            match write_segments(&mut &conn.stream, &mut conn.wbuf, &mut conn.wbuf_off) {
                 Ok(n) => {
                     conn.wbuf_bytes = conn.wbuf_bytes.saturating_sub(n);
                     if self.telemetry.enabled() {
                         self.telemetry.wbuf_bytes.add(-(n as i64));
-                    }
-                    conn.wbuf_off = off + n;
-                    if conn.wbuf_off >= front.len() {
-                        conn.wbuf_off = 0;
-                        conn.wbuf.pop_front();
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -825,6 +789,36 @@ impl ReactorThread {
             admit::abandon(&self.telemetry, c.span);
         }
     }
+}
+
+/// One vectored write over the first [`FLUSH_SEGMENTS`] segments of
+/// `wbuf`, starting `off` bytes into the first; whatever the writer took
+/// is popped and `off` moved to the first unsent byte.
+fn write_segments(
+    w: &mut impl Write,
+    wbuf: &mut VecDeque<Bytes>,
+    off: &mut usize,
+) -> io::Result<usize> {
+    let mut iov = [IoSlice::new(&[]); FLUSH_SEGMENTS];
+    let mut skip = *off;
+    let mut segments = 0;
+    for (slot, seg) in iov.iter_mut().zip(wbuf.iter()) {
+        *slot = IoSlice::new(&seg[skip..]);
+        skip = 0;
+        segments += 1;
+    }
+    let written = w.write_vectored(&iov[..segments])?;
+    if written == 0 {
+        return Err(io::ErrorKind::WriteZero.into());
+    }
+    let mut left = written;
+    while let Some(front) = wbuf.front().filter(|f| left >= f.len() - *off) {
+        left -= front.len() - *off;
+        *off = 0;
+        wbuf.pop_front();
+    }
+    *off += left;
+    Ok(written)
 }
 
 /// Blocking-work executor: metadata ops, read barriers, descriptor
@@ -995,6 +989,7 @@ mod tests {
     use crate::client::Client;
     use crate::server::{ForwardingMode, IonServer, ServerConfig};
     use crate::transport::tcp::{TcpAcceptor, TcpConn};
+    use bytes::BytesMut;
     use iofwd_proto::{OpenFlags, Request, Response};
     use std::io::Read;
 
@@ -1263,5 +1258,124 @@ mod tests {
             "orphaned fd must be reclaimed"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn received_payloads_pin_no_more_than_their_bml_class() {
+        // The reactor's receive is `ConnState::reader` fed from the
+        // non-blocking socket; what `pump` admits is what this yields.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpConn::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        let mut conn = ConnState::new(stream, Session::new(Route::Handler));
+        for (seq, len) in [4096usize, 64 << 10, 1 << 20].into_iter().enumerate() {
+            let req = Request::Write {
+                fd: Fd(3),
+                len: len as u64,
+            };
+            let sent = Frame::request(1, seq as u64, &req, Bytes::from(vec![9u8; len]));
+            let got = std::thread::scope(|scope| {
+                scope.spawn(|| crate::transport::Conn::send(&client, sent.clone()));
+                loop {
+                    match conn.reader.read_frame(&mut conn.stream) {
+                        Ok(frame) => break frame.expect("frame before EOF"),
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                        Err(e) => panic!("receive failed: {e}"),
+                    }
+                }
+            });
+            assert!(got == sent);
+            crate::transport::tests::assert_pins_at_most_its_bml_class(got.data);
+        }
+    }
+
+    /// Takes the scripted number of bytes per call, then everything.
+    struct ShortWriter {
+        takes: VecDeque<usize>,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.takes.pop_front().unwrap_or(usize::MAX);
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+                taken += n;
+            }
+            Ok(taken)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_anywhere_in_a_split_reply_resume_at_the_right_byte() {
+        // Replies as `enqueue_wire` queues them: a small one whole, the
+        // large ones as header and payload segments — 14 segments here,
+        // more than one vectored write takes.
+        let split = Frame::SPLIT_SEND_MIN;
+        let replies: Vec<Frame> = [
+            100usize,
+            64 << 10,
+            split,
+            0,
+            1 << 20,
+            split + 1,
+            32 << 10,
+            20_000,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(seq, len)| {
+            let data: Vec<u8> = (0..len).map(|b| (b * 7 + seq) as u8).collect();
+            let resp = Response::Ok { ret: len as i64 };
+            Frame::response(4, seq as u64, &resp, Bytes::from(data))
+        })
+        .collect();
+        let expect: Vec<u8> = replies.iter().flat_map(|f| f.encode().to_vec()).collect();
+        let header = replies[1].encode_header().len();
+        let small = replies[0].wire_len();
+        // Stop inside the first large reply's header, exactly on its
+        // header/payload boundary, inside its payload, exactly at its
+        // end, one byte into the next header; then one byte at a time
+        // for a while.
+        let mut takes = vec![small + 5, header - 5, 1000, (64 << 10) - 1000, 1];
+        takes.extend([1; 100]);
+        let mut wbuf = VecDeque::new();
+        for f in &replies {
+            if f.data.len() >= Frame::SPLIT_SEND_MIN {
+                wbuf.push_back(f.encode_header());
+                wbuf.push_back(f.data.clone());
+            } else {
+                wbuf.push_back(f.encode());
+            }
+        }
+        let mut w = ShortWriter {
+            takes: takes.into(),
+            out: Vec::new(),
+            calls: 0,
+        };
+        let mut off = 0;
+        let mut total = 0;
+        while !wbuf.is_empty() {
+            total += write_segments(&mut w, &mut wbuf, &mut off).expect("write");
+        }
+        assert_eq!((off, total), (0, expect.len()));
+        assert!(w.out == expect, "replies must arrive intact and in order");
+        // The ten segments left after the scripted short writes go out
+        // in two calls, headers and payloads together, across frames.
+        assert_eq!(w.calls, 5 + 100 + 2);
     }
 }

@@ -9,6 +9,7 @@
 
 use std::io;
 
+use bytes::Bytes;
 use iofwd_proto::Frame;
 
 /// One end of a bidirectional frame connection.
@@ -18,6 +19,15 @@ use iofwd_proto::Frame;
 /// threads (`&self` receivers with interior mutability).
 pub trait Conn: Send + Sync {
     fn send(&self, frame: Frame) -> io::Result<()>;
+    /// Send `frame` (whose `data` is empty) with `payload` as its data,
+    /// from the caller's buffer where the transport can: the wire image is
+    /// that of `Frame { data: payload, ..frame }`. A transport that hands
+    /// frames over by value copies the payload into one and `send`s it.
+    fn send_with_payload(&self, frame: Frame, payload: &[u8]) -> io::Result<()> {
+        // HOTPATH: the by-value fallback; `TcpConn` sends by reference.
+        let data = Bytes::copy_from_slice(payload);
+        self.send(Frame { data, ..frame })
+    }
     fn recv(&self) -> io::Result<Option<Frame>>;
     /// Close both directions; subsequent `recv` on the peer returns `None`.
     fn close(&self);
@@ -299,8 +309,7 @@ pub mod tcp {
     //! TCP transport: length-delimited frames over a stream socket.
 
     use super::{Conn, Listener};
-    use bytes::BytesMut;
-    use iofwd_proto::Frame;
+    use iofwd_proto::{Frame, FrameReader};
     use parking_lot::Mutex;
     use std::io::{self, Write};
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -311,12 +320,7 @@ pub mod tcp {
     /// A frame connection over a `TcpStream`.
     pub struct TcpConn {
         write: Mutex<TcpStream>,
-        read: Mutex<ReadState>,
-    }
-
-    struct ReadState {
-        stream: TcpStream,
-        buf: BytesMut,
+        read: Mutex<(TcpStream, FrameReader)>,
     }
 
     impl TcpConn {
@@ -330,20 +334,17 @@ pub mod tcp {
             let read = stream.try_clone()?;
             Ok(TcpConn {
                 write: Mutex::new(stream),
-                read: Mutex::new(ReadState {
-                    stream: read,
-                    buf: BytesMut::with_capacity(64 * 1024),
-                }),
+                read: Mutex::new((read, FrameReader::default())),
             })
         }
     }
 
     /// Drain a header + payload pair with vectored writes, never
-    /// gathering them into one buffer. The payload `Bytes` goes to the
-    /// kernel from wherever it already lives (receive buffer, BML slab,
-    /// replay corpus) — the old `encode()` path re-copied every payload
-    /// into a fresh contiguous wire image first, a per-byte tax that
-    /// rivals the backend write itself for megabyte frames.
+    /// gathering them into one buffer. The payload goes to the kernel
+    /// from wherever it already lives (the application's buffer, a
+    /// receive buffer, a BML slab) — a contiguous `encode()` image would
+    /// re-copy it first, a per-byte tax that rivals the backend write
+    /// itself for megabyte frames.
     fn write_all_split(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
         while !head.is_empty() || !body.is_empty() {
             let bufs = [io::IoSlice::new(head), io::IoSlice::new(body)];
@@ -373,46 +374,14 @@ pub mod tcp {
             w.write_all(&wire)
         }
 
+        fn send_with_payload(&self, frame: Frame, payload: &[u8]) -> io::Result<()> {
+            let header = frame.encode_header_for(payload.len());
+            write_all_split(&mut *self.write.lock(), &header, payload)
+        }
+
         fn recv(&self) -> io::Result<Option<Frame>> {
-            let mut state = self.read.lock();
-            let ReadState { stream, buf } = &mut *state;
-            loop {
-                let needed = Frame::required_len(buf)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                if let Some(total) = needed {
-                    if buf.len() >= total {
-                        // Carve the complete frame out of the receive
-                        // buffer without copying the payload; the
-                        // decoded meta/data are views into this shared
-                        // storage all the way to the handlers.
-                        let wire = buf.split_to_bytes(total);
-                        let frame = Frame::decode_shared(&wire).map_err(|e| {
-                            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                        })?;
-                        return Ok(Some(frame));
-                    }
-                }
-                // Read straight into the buffer's spare capacity — no
-                // intermediate stack chunk, no second copy. Once the
-                // header names the frame size, reserve the rest of the
-                // frame in one go so a large payload grows the buffer
-                // once instead of doubling its way up.
-                let want = match needed {
-                    Some(total) => (total - buf.len()).max(64 * 1024),
-                    None => 64 * 1024,
-                };
-                let n = buf.read_from(stream, want)?;
-                if n == 0 {
-                    return if buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        ))
-                    };
-                }
-            }
+            let (stream, reader) = &mut *self.read.lock();
+            reader.read_frame(stream)
         }
 
         fn close(&self) {
@@ -560,7 +529,7 @@ pub mod tcp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::mem::{pair, pair_with, MemHub, Throttle};
     use super::tcp::{TcpAcceptor, TcpConn};
     use super::{Conn, Listener};
@@ -732,5 +701,42 @@ mod tests {
         );
         client.send(f).unwrap();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_received_payloads_pin_no_more_than_their_bml_class() {
+        // A staged write's payload is adopted by the BML and charged as
+        // one block of its size class; the storage behind it must not be
+        // larger than that, whichever side of the split threshold.
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let client = TcpConn::connect(addr).unwrap();
+        let server = acceptor.accept().unwrap().unwrap();
+        for (seq, len) in [4096usize, 64 << 10, 1 << 20].into_iter().enumerate() {
+            let req = Request::Write {
+                fd: Fd(3),
+                len: len as u64,
+            };
+            client
+                .send_with_payload(Frame::request_head(1, seq as u64, &req), &vec![7u8; len])
+                .unwrap();
+            let frame = server.recv().unwrap().unwrap();
+            assert_eq!(frame.data.len(), len);
+            assert_pins_at_most_its_bml_class(frame.data);
+        }
+    }
+
+    /// `data` must be the only owner of its storage, and that storage no
+    /// larger than the BML size class an adopted payload is charged as.
+    pub(crate) fn assert_pins_at_most_its_bml_class(data: Bytes) {
+        let (len, at) = (data.len(), data.as_ptr());
+        let storage = Vec::from(data);
+        assert_eq!(storage.as_ptr(), at, "the payload owns its storage alone");
+        let (_, class_bytes) = crate::bml::Bml::class_for(len);
+        assert!(
+            storage.capacity() <= class_bytes,
+            "{len}-byte payload pins {} bytes, its BML class charges {class_bytes}",
+            storage.capacity()
+        );
     }
 }

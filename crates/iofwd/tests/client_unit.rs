@@ -1,13 +1,23 @@
 //! Client-side unit tests against a scripted mock connection: protocol
-//! conformance, error mapping, and robustness to a misbehaving daemon.
+//! conformance, error mapping, and robustness to a misbehaving daemon;
+//! and, over real sockets, what the client's two send paths put on the
+//! wire and how its reads hand the receive buffer back.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
+use std::net::TcpListener;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use iofwd::backend::MemSinkBackend;
 use iofwd::client::{Client, ClientError, WriteOutcome};
+use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
+use iofwd::telemetry::Telemetry;
+use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd::transport::Conn;
-use iofwd_proto::{Errno, Fd, FileStat, Frame, OpId, OpenFlags, Request, Response, Whence};
+use iofwd_proto::{
+    Errno, Fd, FileStat, Frame, OpId, OpenFlags, Request, Response, TraceContext, TraceExt, Whence,
+};
 use parking_lot::Mutex;
 
 /// A connection whose responses are scripted ahead of time. Each entry
@@ -264,4 +274,229 @@ fn request_wire_forms_match_api_calls() {
             Request::Shutdown,
         ]
     );
+}
+
+// ---------------------------------------------------------------------
+// By-reference send: `Conn::send_with_payload`, default and override.
+// ---------------------------------------------------------------------
+
+/// A transport that implements only what `Conn` requires, so the
+/// client's sends take the trait's default `send_with_payload`: copy the
+/// payload into the frame, then `send`.
+struct ByValue(TcpConn);
+
+impl Conn for ByValue {
+    fn send(&self, frame: Frame) -> io::Result<()> {
+        self.0.send(frame)
+    }
+    fn recv(&self) -> io::Result<Option<Frame>> {
+        self.0.recv()
+    }
+    fn close(&self) {
+        self.0.close()
+    }
+}
+
+fn connect(addr: std::net::SocketAddr, by_value: bool) -> Box<dyn Conn> {
+    let conn = TcpConn::connect(addr).expect("connect");
+    if by_value {
+        Box::new(ByValue(conn))
+    } else {
+        Box::new(conn)
+    }
+}
+
+/// Accept one connection, record every byte it sends, and acknowledge
+/// each complete request (found with the reference decoder) with `Ok`.
+fn capture_wire(listener: TcpListener) -> Vec<u8> {
+    let (mut stream, _) = listener.accept().expect("accept");
+    let (mut wire, mut parsed) = (Vec::new(), 0);
+    let mut chunk = vec![0u8; 256 << 10];
+    loop {
+        while let Some((req, used)) = Frame::decode(&wire[parsed..]).expect("valid request") {
+            parsed += used;
+            let ok = Frame::response(
+                req.client_id,
+                req.seq,
+                &Response::Ok { ret: 0 },
+                Bytes::new(),
+            );
+            stream.write_all(&ok.encode()).expect("reply");
+        }
+        match stream.read(&mut chunk).expect("read") {
+            0 => return wire,
+            n => wire.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+#[test]
+fn default_and_by_reference_sends_put_the_encoded_frame_on_the_wire() {
+    let sizes = [
+        0,
+        1,
+        4096,
+        Frame::SPLIT_SEND_MIN - 1,
+        Frame::SPLIT_SEND_MIN,
+        1 << 20,
+    ];
+    for by_value in [true, false] {
+        for tracing in [false, true] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::spawn(move || capture_wire(listener));
+            let mut c = Client::with_id(connect(addr, by_value), 5);
+            if tracing {
+                c.enable_tracing();
+            }
+            let mut expect = Vec::new();
+            let mut sent = 0u64;
+            for (i, len) in sizes.into_iter().enumerate() {
+                let data: Vec<u8> = (0..len).map(|b| (b * 31 + i) as u8).collect();
+                let seq = i as u64 * 2 + 1;
+                let calls = [
+                    (
+                        Request::Pwrite {
+                            fd: Fd(3),
+                            offset: 9,
+                            len: len as u64,
+                        },
+                        &data[..],
+                    ),
+                    (Request::Fsync { fd: Fd(3) }, &[][..]),
+                ];
+                c.pwrite(Fd(3), 9, &data).expect("pwrite");
+                c.fsync(Fd(3)).expect("fsync");
+                for (k, (req, payload)) in calls.into_iter().enumerate() {
+                    let seq = seq + k as u64;
+                    let mut f = Frame::request(5, seq, &req, Bytes::copy_from_slice(payload));
+                    if tracing {
+                        f = f.with_ext(TraceExt::Ctx(TraceContext::sampled(6 << 32 | seq)));
+                    }
+                    expect.extend_from_slice(&f.encode());
+                }
+                sent += len as u64;
+            }
+            assert_eq!(c.stats().bytes_sent, sent, "payload bytes counted once");
+            assert_eq!(c.stats().requests, 2 * sizes.len() as u64);
+            drop(c);
+            let wire = server.join().expect("capture thread");
+            assert!(
+                wire == expect,
+                "by_value={by_value} tracing={tracing}: wire image differs from Frame::encode \
+                 ({} vs {} bytes)",
+                wire.len(),
+                expect.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn both_send_paths_count_the_payload_once_at_both_ends() {
+    const LEN: usize = 1 << 20;
+    let block: Vec<u8> = (0..LEN).map(|b| (b % 251) as u8).collect();
+    for reactor in [false, true] {
+        for by_value in [true, false] {
+            let telemetry = Arc::new(Telemetry::new());
+            let config = ServerConfig::new(ForwardingMode::AsyncStaged {
+                workers: 1,
+                bml_capacity: 4 << 20,
+            })
+            .with_telemetry(telemetry.clone());
+            let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+            let addr = acceptor.local_addr().expect("addr");
+            let backend = Arc::new(MemSinkBackend::new());
+            let server = if reactor {
+                IonServer::spawn_reactor(acceptor, backend, config, ReactorConfig::default())
+                    .expect("spawn reactor")
+            } else {
+                IonServer::spawn(Box::new(acceptor), backend, config)
+            };
+            let mut c = Client::with_id(connect(addr, by_value), 11);
+            let fd = c
+                .open("/once", OpenFlags::CREATE | OpenFlags::RDWR, 0o644)
+                .expect("open");
+            assert_eq!(c.pwrite(fd, 0, &block).expect("pwrite"), LEN as u64);
+            assert_eq!(
+                c.pwrite(fd, LEN as u64, &block[..100]).expect("pwrite"),
+                100
+            );
+            let back = c.pread(fd, 0, LEN as u64).expect("pread");
+            assert!(back == block, "read back what was written");
+            c.close(fd).expect("close");
+            c.shutdown().expect("shutdown");
+            let label = format!("reactor={reactor} by_value={by_value}");
+            let (out, back_in) = (LEN as u64 + 100, LEN as u64);
+            assert_eq!(c.stats().bytes_sent, out, "{label}");
+            assert_eq!(c.stats().bytes_received, back_in, "{label}");
+            server.shutdown();
+            assert_eq!(telemetry.transport_bytes_in.get(), out, "{label}");
+            assert_eq!(telemetry.transport_bytes_out.get(), back_in, "{label}");
+            let row = telemetry.client_stats(11).expect("attribution on");
+            assert_eq!(row.bytes_in.get(), out, "{label}");
+            assert_eq!(row.bytes_out.get(), back_in, "{label}");
+        }
+    }
+}
+
+/// Records where the payload of the last received frame lives.
+struct Spy {
+    inner: TcpConn,
+    payload_at: Arc<Mutex<usize>>,
+}
+
+impl Conn for Spy {
+    fn send(&self, frame: Frame) -> io::Result<()> {
+        self.inner.send(frame)
+    }
+    fn recv(&self) -> io::Result<Option<Frame>> {
+        let frame = self.inner.recv()?;
+        if let Some(f) = &frame {
+            *self.payload_at.lock() = f.data.as_ptr() as usize;
+        }
+        Ok(frame)
+    }
+    fn close(&self) {
+        self.inner.close()
+    }
+}
+
+#[test]
+fn read_hands_back_the_receive_buffer_itself() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let conn = TcpConn::from_stream(stream).expect("conn");
+        while let Some(req) = conn.recv().expect("recv") {
+            let Request::Pread { len, .. } = req.decode_request().expect("request") else {
+                panic!("only preads are scripted");
+            };
+            let data = Bytes::from(vec![0xa5u8; len as usize]);
+            let resp = Response::Ok { ret: len as i64 };
+            conn.send(Frame::response(req.client_id, req.seq, &resp, data))
+                .expect("send");
+        }
+    });
+    let payload_at = Arc::new(Mutex::new(0usize));
+    let spy = Spy {
+        inner: TcpConn::connect(addr).expect("connect"),
+        payload_at: payload_at.clone(),
+    };
+    let mut c = Client::connect(Box::new(spy));
+    // Above and below the split threshold: either way the frame's payload
+    // is the only owner of exact-size storage, and `pread` returns it.
+    for len in [1usize << 20, Frame::SPLIT_SEND_MIN, 4096] {
+        let got = c.pread(Fd(3), 0, len as u64).expect("pread");
+        assert_eq!(got.len(), len);
+        assert_eq!(
+            got.as_ptr() as usize,
+            *payload_at.lock(),
+            "{len}-byte read was copied"
+        );
+        assert_eq!(got.capacity(), len);
+    }
+    drop(c);
+    server.join().expect("server");
 }

@@ -9,8 +9,9 @@
 //! zero-copy receive path work: a frame decoded out of a receive buffer
 //! hands out sub-views of the same allocation all the way to the backend.
 //! `BytesMut` is a growable buffer with the little-endian `BufMut`
-//! putters the wire codec uses; `freeze` and `split_to_bytes` convert
-//! accumulated bytes into shared `Bytes` without copying the payload.
+//! putters the wire codec uses; `freeze` converts accumulated bytes into
+//! a shared `Bytes` without copying them, and `Vec::from(Bytes)` gives the
+//! storage back when the view is its only, whole owner.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -149,11 +150,29 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        // Nothing to share: no refcount block for an empty view.
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
             repr: Repr::Shared(Arc::new(v)),
             off: 0,
             len,
+        }
+    }
+}
+
+/// Take the bytes out as a `Vec`. A view that is the only reference to
+/// its storage and spans all of it gives the storage itself back — no
+/// copy, as in the real `bytes` crate; any other view is copied.
+impl From<Bytes> for Vec<u8> {
+    fn from(b: Bytes) -> Vec<u8> {
+        match b.repr {
+            Repr::Shared(storage) if b.off == 0 && b.len == storage.len() => {
+                Arc::try_unwrap(storage).unwrap_or_else(|shared| shared.as_slice().to_vec())
+            }
+            _ => b.as_slice().to_vec(),
         }
     }
 }
@@ -258,20 +277,10 @@ impl BytesMut {
         }
     }
 
-    /// Split off the first `at` bytes as a *shared* `Bytes`, leaving the
-    /// tail in place for further appends. The prefix — typically a whole
-    /// decoded frame, payload included — is moved into refcounted storage
-    /// without copying; only the tail (the partial next frame, bounded by
-    /// one read chunk) is copied into a fresh Vec.
-    pub fn split_to_bytes(&mut self, at: usize) -> Bytes {
-        if at == self.data.len() {
-            let whole = std::mem::take(&mut self.data);
-            return Bytes::from(whole);
-        }
-        let tail = self.data[at..].to_vec();
-        let mut head = std::mem::replace(&mut self.data, tail);
-        head.truncate(at);
-        Bytes::from(head)
+    /// Drop the first `cnt` bytes; the rest moves to the front and the
+    /// allocation is kept.
+    pub fn advance(&mut self, cnt: usize) {
+        self.data.drain(..cnt);
     }
 
     pub fn len(&self) -> usize {
@@ -295,22 +304,18 @@ impl BytesMut {
         self.data.capacity() - self.data.len()
     }
 
-    /// Read from `r` directly into this buffer's spare capacity —
-    /// at least `min_spare` bytes of room are reserved first — and
-    /// advance the length by however many bytes the reader produced.
-    /// One syscall, zero intermediate copies; this is the receive-side
-    /// replacement for the stack-chunk-then-extend pattern.
+    /// Read at most `max` bytes from `r` directly into this buffer's
+    /// spare capacity — room for them is reserved first, which allocates
+    /// nothing when the capacity is already there — and advance the
+    /// length by however many bytes the reader produced. One syscall,
+    /// zero intermediate copies.
     ///
-    /// Returns the number of bytes read (0 on EOF). Errors leave the
-    /// buffer contents and length untouched.
-    pub fn read_from<R: std::io::Read>(
-        &mut self,
-        r: &mut R,
-        min_spare: usize,
-    ) -> std::io::Result<usize> {
-        self.data.reserve(min_spare.max(1));
+    /// Returns the number of bytes read (0 on EOF, or when `max` is 0).
+    /// Errors leave the buffer contents and length untouched.
+    pub fn read_from<R: std::io::Read>(&mut self, r: &mut R, max: usize) -> std::io::Result<usize> {
+        self.data.reserve(max);
         let len = self.data.len();
-        let spare = self.data.spare_capacity_mut();
+        let spare = &mut self.data.spare_capacity_mut()[..max];
         // SAFETY: `spare` is valid, exclusively-owned writable memory of
         // exactly `spare.len()` bytes inside the Vec's allocation.
         // `Read::read` implementations must not *read* from the buffer,
@@ -416,6 +421,15 @@ mod tests {
         // EOF reads zero and leaves the buffer alone.
         assert_eq!(b.read_from(&mut src, 64).unwrap(), 0);
         assert_eq!(&b[..], b"abcdefgh");
+        // The read is bounded by `max`, and a read that fits the capacity
+        // does not move the buffer.
+        let mut exact = BytesMut::with_capacity(5);
+        let base = exact.as_ref().as_ptr();
+        let mut src = std::io::Cursor::new(b"0123456789".to_vec());
+        assert_eq!(exact.read_from(&mut src, 3).unwrap(), 3);
+        assert_eq!(exact.read_from(&mut src, 2).unwrap(), 2);
+        assert_eq!(&exact[..], b"01234");
+        assert_eq!(exact.as_ref().as_ptr(), base);
     }
 
     #[test]
@@ -458,18 +472,34 @@ mod tests {
     }
 
     #[test]
-    fn split_to_bytes_keeps_tail_appendable() {
-        let mut b = BytesMut::new();
+    fn advance_drops_the_front_and_keeps_the_allocation() {
+        let mut b = BytesMut::with_capacity(64);
         b.extend_from_slice(b"frame-one|tail");
-        let frame = b.split_to_bytes(9);
-        assert_eq!(&frame[..], b"frame-one");
+        let base = b.as_ref().as_ptr();
+        b.advance(9);
         assert_eq!(&b[..], b"|tail");
+        assert_eq!(b.as_ref().as_ptr(), base);
         b.extend_from_slice(b"-more");
         assert_eq!(&b[..], b"|tail-more");
-        // Whole-buffer split leaves an empty, reusable buffer.
-        let rest = b.split_to_bytes(b.len());
-        assert_eq!(&rest[..], b"|tail-more");
-        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn vec_from_a_whole_unique_view_is_the_storage_itself() {
+        let storage = vec![7u8; 100];
+        let base = storage.as_ptr();
+        let whole = Bytes::from(storage);
+        let back = Vec::from(whole);
+        assert_eq!(back.as_ptr(), base, "unique whole view: no copy");
+        // A shared or partial view must copy and leave the others intact.
+        let b = Bytes::from(back);
+        let other = b.clone();
+        let copied = Vec::from(b);
+        assert_ne!(copied.as_ptr(), base);
+        let part = other.slice(1..100);
+        drop(other);
+        let copied = Vec::from(part);
+        assert_ne!(copied.as_ptr(), base);
+        assert_eq!(copied, vec![7u8; 99]);
     }
 
     #[test]

@@ -44,12 +44,14 @@
 //!     `.clients.` table access outside boot-time toggles, so hot
 //!     paths can neither take extra shard locks nor bypass
 //!     `--attribution off`.
-//!   - **R10** Forwarding hot-path files (`iofwd-proto::wire`,
-//!     `iofwd::{transport, bml, server::{admit, engine, handlers,
-//!     queue, reactor}}`) must not `.to_vec()` a decoded `Bytes` view —
-//!     payloads travel socket→BML→backend as refcounted slices; a
-//!     deliberate deep copy (CIOD paper-fidelity staging) must carry a
-//!     `// HOTPATH:` comment above it.
+//!   - **R10** Forwarding hot-path files (`iofwd-proto::{wire,
+//!     reader}`, `iofwd::{client, transport, bml, server::{admit,
+//!     engine, handlers, queue, reactor}}`) must not `.to_vec()` a
+//!     `Bytes` view or `Bytes::copy_from_slice(` a payload — payloads
+//!     travel application→socket→BML→backend by reference; a
+//!     deliberate deep copy (CIOD paper-fidelity staging, small frames
+//!     leaving the receive buffer) must carry a `// HOTPATH:` comment
+//!     above it.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

@@ -121,15 +121,19 @@ const NO_FMT_FILES: &[&str] = &[
     "crates/iofwd/src/server/queue.rs",
 ];
 
-/// Files on the socket→decode→stage→backend forwarding path. Frames
-/// arrive here as refcounted `Bytes` views into the receive buffer;
-/// `.to_vec()` deep-copies the payload and silently reintroduces the
-/// per-op allocation the zero-copy path exists to remove. A deliberate
-/// copy (paper-fidelity CIOD staging) must carry a `// HOTPATH:`
-/// comment in the three lines above it.
+/// Files on the client→socket→decode→stage→backend forwarding path.
+/// Payloads travel here by reference: the application's slice to the
+/// socket, the receive buffer as a refcounted `Bytes` to the backend.
+/// `.to_vec()` and `Bytes::copy_from_slice(` deep-copy the payload and
+/// silently reintroduce the per-op copy and allocation that path exists
+/// to remove. A deliberate copy (paper-fidelity CIOD staging, small
+/// frames leaving the receive buffer) must carry a `// HOTPATH:` comment
+/// in the three lines above it.
 const HOT_BYTES_FILES: &[&str] = &[
+    "crates/iofwd-proto/src/reader.rs",
     "crates/iofwd-proto/src/wire.rs",
     "crates/iofwd/src/bml.rs",
+    "crates/iofwd/src/client.rs",
     "crates/iofwd/src/transport.rs",
     "crates/iofwd/src/server/admit.rs",
     "crates/iofwd/src/server/engine.rs",
@@ -672,11 +676,14 @@ fn check_r10(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
     let tests = test_regions(masked);
     let in_tests = |pos: usize| tests.iter().any(|&(a, b)| pos >= a && pos <= b);
     let lines: Vec<&str> = source.lines().collect();
-    const NEEDLE: &str = ".to_vec()";
-    let mut start = 0;
-    while let Some(off) = masked[start..].find(NEEDLE) {
-        let pos = start + off;
-        start = pos + NEEDLE.len();
+    let hits = [".to_vec()", "Bytes::copy_from_slice("]
+        .into_iter()
+        .flat_map(|needle| {
+            masked
+                .match_indices(needle)
+                .map(move |(pos, _)| (pos, needle))
+        });
+    for (pos, needle) in hits {
         if in_tests(pos) {
             continue;
         }
@@ -694,10 +701,11 @@ fn check_r10(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
             rule: Rule::R10,
             path: rel.to_path_buf(),
             line,
-            message: "`.to_vec()` on a zero-copy hot path — keep the refcounted `Bytes` \
-                      view (slice/adopt); a deliberate copy needs a `// HOTPATH:` comment \
-                      in the preceding 3 lines"
-                .to_string(),
+            message: format!(
+                "`{needle}` on a zero-copy hot path — keep the borrowed slice or the refcounted \
+                 `Bytes` view (slice/adopt); a deliberate copy needs a `// HOTPATH:` comment \
+                 in the preceding 3 lines"
+            ),
         });
     }
 }
@@ -924,9 +932,22 @@ mod tests {
         let src = "fn f(data: &Bytes) -> Vec<u8> { data.to_vec() }";
         let v = check("crates/iofwd/src/server/handlers.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == Rule::R10).count(), 1);
+        // The client's marshal copy and a copy in the frame reader are
+        // the same defect.
+        let marshal = "fn f(data: &[u8]) -> Bytes { Bytes::copy_from_slice(data) }";
+        for file in [
+            "crates/iofwd/src/client.rs",
+            "crates/iofwd-proto/src/reader.rs",
+        ] {
+            for bad in [src, marshal] {
+                let v = check(file, bad);
+                assert_eq!(v.iter().filter(|v| v.rule == Rule::R10).count(), 1);
+            }
+        }
         // Off the hot path, copies are fine.
-        assert!(check("crates/iofwd/src/client.rs", src)
+        assert!(check("crates/iofwd/src/file.rs", src)
             .iter()
+            .chain(&check("crates/iofwd/src/file.rs", marshal))
             .all(|v| v.rule != Rule::R10));
     }
 
