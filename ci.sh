@@ -49,6 +49,17 @@ step "benchmark harness compiles against this tree (compile only)"
 # CI, not the next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+step "benchmark run-time smoke (small_task, 2 s: correct and nothing failed; no timing asserted)"
+# A contract-surface break that still compiles (a changed default, a
+# counter the harness reads, close/unlink semantics) shows as a wrong
+# byte or a failed call here, not in the next benchmark run.
+BENCH_SMOKE=$(bash benchmark/run.sh --workload small_task --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$BENCH_SMOKE"
+case "$BENCH_SMOKE" in
+*'"correct": true'*'"failed": 0,'*) ;;
+*) echo "ci: benchmark smoke run was not correct with 0 failed calls"; exit 1 ;;
+esac
+
 step "experiment harness: coalescing paired sweep (scenario gate)"
 # The declarative successor of the old telemetry smoke + coalescing
 # bench gate: the committed scenario replays a seeded MADbench write
@@ -182,6 +193,13 @@ target/release/iofwd-cp stats "$ADDR" >"$TRACED/live-stats.txt"
 cat "$TRACED/live-stats.txt"
 grep -q '^clients (' "$TRACED/live-stats.txt" \
     || { echo "ci: live snapshot carries no per-client rows"; exit 1; }
+# Flushes per close = 0, as a count that repeats exactly: the one
+# `iofwd-cp put` above made one fsync and one close, the get closed a
+# descriptor it only read, so the daemon has flushed once per put.
+PUTS=1
+SYNCS=$(awk '$1 == "backend_sync_ops" { print $2 }' "$TRACED/live-stats.txt")
+[ "$SYNCS" = "$PUTS" ] \
+    || { echo "ci: backend_sync_ops = '$SYNCS' after $PUTS put(s): something other than fsync flushes"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --rates | grep -q '"ops_per_s"' \
     || { echo "ci: live rates JSON missing rate fields"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --prom --check \

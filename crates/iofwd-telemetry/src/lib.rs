@@ -261,6 +261,9 @@ pub struct Telemetry {
     /// `DeferredErr` replies sent: a staged write's failure surfacing,
     /// once, on a later op on its descriptor (§IV).
     pub deferred_errors_reported: Counter,
+    /// Deferred errors still pending when a vanished client's descriptor
+    /// was reclaimed: recorded, never reported to anyone.
+    pub deferred_errors_orphaned: Counter,
     /// Payload bytes in-situ filters removed before the backend.
     pub bytes_filtered_out: Counter,
     /// Acquires that had to block for BML space.
@@ -276,6 +279,9 @@ pub struct Telemetry {
     pub backend_read_ops: Counter,
     pub backend_bytes_written: Counter,
     pub backend_bytes_read: Counter,
+    /// Backend flushes: one per successful `fsync`, the only request
+    /// that reaches `BackendObject::sync`.
+    pub backend_sync_ops: Counter,
     /// Faults injected by a `FaultBackend` chaos plan.
     pub faults_injected: Counter,
     /// Backend retries attempted on transient errors (one per re-issue).
@@ -402,6 +408,7 @@ impl Telemetry {
             ops_staged: Counter::new(),
             deferred_errors: Counter::new(),
             deferred_errors_reported: Counter::new(),
+            deferred_errors_orphaned: Counter::new(),
             bytes_filtered_out: Counter::new(),
             bml_blocked_acquires: Counter::new(),
             frames_in: Counter::new(),
@@ -412,6 +419,7 @@ impl Telemetry {
             backend_read_ops: Counter::new(),
             backend_bytes_written: Counter::new(),
             backend_bytes_read: Counter::new(),
+            backend_sync_ops: Counter::new(),
             faults_injected: Counter::new(),
             retries_attempted: Counter::new(),
             retries_exhausted: Counter::new(),

@@ -545,6 +545,10 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             "deferred_errors_reported".to_string(),
             t.deferred_errors_reported.get(),
         ),
+        (
+            "deferred_errors_orphaned".to_string(),
+            t.deferred_errors_orphaned.get(),
+        ),
         ("bytes_filtered_out".to_string(), t.bytes_filtered_out.get()),
         (
             "bml_blocked_acquires".to_string(),
@@ -564,6 +568,7 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             t.backend_bytes_written.get(),
         ),
         ("backend_bytes_read".to_string(), t.backend_bytes_read.get()),
+        ("backend_sync_ops".to_string(), t.backend_sync_ops.get()),
         ("faults_injected".to_string(), t.faults_injected.get()),
         ("retries_attempted".to_string(), t.retries_attempted.get()),
         ("retries_exhausted".to_string(), t.retries_exhausted.get()),

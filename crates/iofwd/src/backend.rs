@@ -620,16 +620,26 @@ impl Backend for FileBackend {
         _mode: u32,
     ) -> Result<Box<dyn BackendObject>, Errno> {
         let full = self.resolve(path)?;
-        if let Some(parent) = full.parent() {
-            std::fs::create_dir_all(parent).map_err(|e| Errno::from_io(&e))?;
-        }
+        let create = flags.contains(OpenFlags::CREATE);
         let mut opts = OpenOptions::new();
         opts.read(flags.readable())
             .write(flags.writable())
-            .create(flags.contains(OpenFlags::CREATE))
+            .create(create)
             .truncate(flags.contains(OpenFlags::TRUNC) && flags.writable())
             .append(flags.contains(OpenFlags::APPEND));
-        let file = opts.open(&full).map_err(|e| Errno::from_io(&e))?;
+        let file = match opts.open(&full) {
+            // Only a creating open makes its missing parents, and only
+            // after the plain open said they are missing: every other
+            // open costs one syscall and leaves the root as it found it.
+            Err(e) if create && e.kind() == std::io::ErrorKind::NotFound => {
+                if let Some(parent) = full.parent() {
+                    std::fs::create_dir_all(parent).map_err(|e| Errno::from_io(&e))?;
+                }
+                opts.open(&full)
+            }
+            other => other,
+        }
+        .map_err(|e| Errno::from_io(&e))?;
         Ok(Box::new(FileObject { file }))
     }
 
@@ -1210,9 +1220,32 @@ mod tests {
     fn file_backend_blocks_escape() {
         let b = FileBackend::new("/tmp/iofwd-root");
         assert_eq!(b.stat("../etc/passwd").err(), Some(Errno::Access));
-        assert!(b
-            .open("../../x", OpenFlags::WRONLY | OpenFlags::CREATE, 0)
-            .is_err());
+        assert_eq!(
+            b.open("../../x", OpenFlags::WRONLY | OpenFlags::CREATE, 0)
+                .err(),
+            Some(Errno::Access)
+        );
+    }
+
+    #[test]
+    fn file_backend_makes_parents_only_for_a_creating_open() {
+        let dir = std::env::temp_dir().join(format!("iofwd-parents-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let b = FileBackend::new(&dir);
+        // A failing open leaves nothing behind, whatever it asked for.
+        for flags in [OpenFlags::RDONLY, OpenFlags::RDWR, OpenFlags::WRONLY] {
+            assert_eq!(b.open("a/b/c", flags, 0).err(), Some(Errno::NoEnt));
+        }
+        assert_eq!(b.readdir("/").unwrap(), Vec::<String>::new());
+        // A creating open still makes the path it needs.
+        let mut f = b
+            .open("a/b/c", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        f.write_at(None, b"x").unwrap();
+        assert_eq!(b.stat("a/b/c").unwrap().size, 1);
+        assert!(b.open("a/b/c", OpenFlags::RDONLY, 0).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

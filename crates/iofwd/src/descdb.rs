@@ -16,7 +16,6 @@
 //! surfaces it.
 
 use std::collections::{BTreeSet, HashMap};
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use iofwd_proto::{Errno, Fd, OpId};
@@ -26,47 +25,7 @@ use crate::backend::BackendObject;
 use crate::telemetry::Telemetry;
 
 /// A shared, lockable open backend object.
-pub type SharedObject = Arc<Mutex<OpenObject>>;
-
-/// An open backend object (what the lock derefs to) and whether it has
-/// been written or truncated since its last successful `sync` — what
-/// `close` asks before paying for an implicit one.
-pub struct OpenObject {
-    obj: Box<dyn BackendObject>,
-    dirty: bool,
-}
-
-impl OpenObject {
-    /// The next backend call changes the object's data or length.
-    pub fn mark_dirty(&mut self) {
-        self.dirty = true;
-    }
-
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// The backend's `sync` (this name shadows it on purpose: every flush
-    /// of a descriptor goes through here); success leaves it clean.
-    pub fn sync(&mut self) -> Result<(), Errno> {
-        self.obj.sync()?;
-        self.dirty = false;
-        Ok(())
-    }
-}
-
-impl Deref for OpenObject {
-    type Target = dyn BackendObject;
-    fn deref(&self) -> &Self::Target {
-        &*self.obj
-    }
-}
-
-impl DerefMut for OpenObject {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut *self.obj
-    }
-}
+pub type SharedObject = Arc<Mutex<Box<dyn BackendObject>>>;
 
 /// Outcome of a staged operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +106,7 @@ impl DescDb {
         db.entries.insert(
             fd,
             DescEntry {
-                obj: Arc::new(Mutex::new(OpenObject { obj, dirty: false })),
+                obj: Arc::new(Mutex::new(obj)),
                 origin: Arc::from(origin),
                 next_op: OpId::FIRST,
                 in_progress: BTreeSet::new(),
@@ -262,8 +221,8 @@ impl DescDb {
         Ok(())
     }
 
-    /// Remove the descriptor, returning its object (for a final sync) and
-    /// any unreported staged error.
+    /// Remove the descriptor, returning its object (the caller drops it:
+    /// that is the backend close) and any unreported staged error.
     pub fn remove(&self, fd: Fd) -> Result<(SharedObject, Option<(OpId, Errno)>), Errno> {
         let mut db = self.inner.lock();
         let e = db.entries.remove(&fd).ok_or(Errno::BadF)?;

@@ -170,7 +170,7 @@ impl Session {
     /// a descriptor barriers its staged writes, so nothing is lost.
     pub(crate) fn reclaim(self, engine: &Engine) {
         for fd in self.fds {
-            let _ = engine.execute(&Request::Close { fd }, &Bytes::new());
+            engine.close_orphan(fd);
         }
     }
 }

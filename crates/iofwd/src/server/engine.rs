@@ -10,9 +10,9 @@ use bytes::Bytes;
 use iofwd_proto::{Errno, Request, Response};
 use simcore::rng::SimRng;
 
-use crate::backend::Backend;
+use crate::backend::{Backend, BackendObject};
 use crate::bml::Bml;
-use crate::descdb::{BeginError, DescDb, OpOutcome, OpenObject};
+use crate::descdb::{BeginError, DescDb, OpOutcome};
 use crate::fault::{is_transient, RetryPolicy};
 use crate::filter::{FilterChain, WriteContext};
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
@@ -149,13 +149,12 @@ impl Engine {
     /// spinning.
     pub(crate) fn write_fully(
         &self,
-        o: &mut OpenObject,
+        o: &mut dyn BackendObject,
         offset: Option<u64>,
         data: &[u8],
     ) -> Result<(), Errno> {
         let mut written = 0usize;
         while written < data.len() {
-            o.mark_dirty();
             // Positional writes continue at offset+written; cursor
             // writes continue at the cursor the short write advanced.
             let at = offset.map(|base| base + written as u64);
@@ -274,9 +273,7 @@ impl Engine {
                     if let Err(e) = self.db.wait_idle(*fd) {
                         return (Response::Err { errno: e }, Bytes::new());
                     }
-                    let mut o = obj.lock();
-                    o.mark_dirty();
-                    match o.truncate(*len) {
+                    match obj.lock().truncate(*len) {
                         Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
                         Err(e) => (Response::Err { errno: e }, Bytes::new()),
                     }
@@ -345,7 +342,7 @@ impl Engine {
         };
         let result = {
             let mut o = obj.lock();
-            self.write_fully(&mut o, offset, &filtered)
+            self.write_fully(&mut **o, offset, &filtered)
         };
         match result {
             Ok(()) => {
@@ -418,7 +415,7 @@ impl Engine {
                 Ok(obj) => {
                     let res = {
                         let mut o = obj.lock();
-                        self.write_fully(&mut o, offset, data)
+                        self.write_fully(&mut **o, offset, data)
                     };
                     match res {
                         Ok(()) => OpOutcome::Ok,
@@ -439,7 +436,7 @@ impl Engine {
                     Ok(obj) => {
                         let res = {
                             let mut o = obj.lock();
-                            self.write_fully(&mut o, offset, &filtered)
+                            self.write_fully(&mut **o, offset, &filtered)
                         };
                         match res {
                             Ok(()) => OpOutcome::Ok,
@@ -515,7 +512,6 @@ impl Engine {
                         start = end;
                     }
                     let at = base.map(|b| b + written as u64);
-                    o.mark_dirty();
                     match self.with_retries(|| o.write_vectored_at(at, &bufs)) {
                         Ok(n) => {
                             self.count_backend_write(n);
@@ -604,8 +600,10 @@ impl Engine {
         }
     }
 
-    /// `fsync` is a staging barrier: wait for in-flight staged operations
-    /// on the descriptor, surface any deferred error, then flush.
+    /// `fsync` is a staging barrier and the daemon's one flush: wait for
+    /// in-flight staged operations on the descriptor, surface any
+    /// deferred error, then sync the backend object and report how that
+    /// went.
     fn fsync(&self, fd: iofwd_proto::Fd) -> (Response, Bytes) {
         if let Err(e) = self.db.wait_idle(fd) {
             return (Response::Err { errno: e }, Bytes::new());
@@ -613,46 +611,53 @@ impl Engine {
         if let Some((op, errno)) = self.db.take_error(fd) {
             return (self.deferred_error_response(op, errno), Bytes::new());
         }
-        match self.db.object(fd) {
-            Ok(obj) => {
-                let res = {
-                    let mut o = obj.lock();
-                    self.with_retries(|| o.sync())
-                };
-                match res {
-                    Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
-                    Err(e) => (Response::Err { errno: e }, Bytes::new()),
+        let synced = self.db.object(fd).and_then(|obj| {
+            let mut o = obj.lock();
+            self.with_retries(|| o.sync())
+        });
+        match synced {
+            Ok(()) => {
+                if self.telemetry.enabled() {
+                    self.telemetry.backend_sync_ops.inc();
                 }
+                (Response::Ok { ret: 0 }, Bytes::new())
             }
             Err(e) => (Response::Err { errno: e }, Bytes::new()),
         }
     }
 
-    /// `close` barriers like fsync, then retires the descriptor, flushing
-    /// it first if it has been written or truncated since its last
-    /// successful sync (a clean one has nothing to flush). A deferred
-    /// error is still reported — the close itself succeeds, as POSIX
-    /// close does after a failed async write-back.
+    /// Retire a descriptor: refuse new operations, wait for the staged
+    /// ones, take it out of the database. Returns its unreported staged
+    /// error. Dropping the object is the backend close; nothing is
+    /// flushed — durability is `fsync`'s job (§IV keeps `close`
+    /// synchronous, not durable).
+    fn retire(&self, fd: iofwd_proto::Fd) -> Result<Option<(iofwd_proto::OpId, Errno)>, Errno> {
+        self.db.begin_close(fd)?;
+        self.db.wait_idle(fd)?;
+        let (_obj, pending) = self.db.remove(fd)?;
+        Ok(pending)
+    }
+
+    /// `close` barriers like fsync, then retires the descriptor. A
+    /// deferred error is still reported — the close itself succeeds, as
+    /// POSIX close does after a failed async write-back.
     fn close(&self, fd: iofwd_proto::Fd) -> (Response, Bytes) {
-        if let Err(e) = self.db.begin_close(fd) {
-            return (Response::Err { errno: e }, Bytes::new());
-        }
-        if let Err(e) = self.db.wait_idle(fd) {
-            return (Response::Err { errno: e }, Bytes::new());
-        }
-        match self.db.remove(fd) {
-            Ok((obj, pending)) => {
-                let mut o = obj.lock();
-                if o.is_dirty() {
-                    let _ = o.sync();
-                }
-                if let Some((op, errno)) = pending {
-                    (self.deferred_error_response(op, errno), Bytes::new())
-                } else {
-                    (Response::Ok { ret: 0 }, Bytes::new())
-                }
+        let resp = match self.retire(fd) {
+            Ok(Some((op, errno))) => self.deferred_error_response(op, errno),
+            Ok(None) => Response::Ok { ret: 0 },
+            Err(errno) => Response::Err { errno },
+        };
+        (resp, Bytes::new())
+    }
+
+    /// Close a descriptor whose client is gone. There is nobody to
+    /// report a pending staged error to, so it is counted as orphaned,
+    /// not as reported.
+    pub(crate) fn close_orphan(&self, fd: iofwd_proto::Fd) {
+        if let Ok(Some(_)) = self.retire(fd) {
+            if self.telemetry.enabled() {
+                self.telemetry.deferred_errors_orphaned.inc();
             }
-            Err(e) => (Response::Err { errno: e }, Bytes::new()),
         }
     }
 
@@ -1011,9 +1016,10 @@ mod tests {
     }
 
     #[test]
-    fn close_syncs_only_a_descriptor_with_something_to_flush() {
+    fn close_never_reaches_backend_sync() {
         let syncs = Arc::new(AtomicUsize::new(0));
-        let e = Engine::new(
+        let t = Arc::new(Telemetry::new());
+        let e = Engine::with_telemetry(
             Arc::new(StickyLimit {
                 inner: Arc::new(MemSinkBackend::new()),
                 cap: usize::MAX,
@@ -1022,6 +1028,8 @@ mod tests {
                 syncs: syncs.clone(),
             }),
             None,
+            FilterChain::new(),
+            t.clone(),
         );
         let run = |req: Request, data: &'static [u8]| {
             let (resp, _) = e.execute(&req, &Bytes::from_static(data));
@@ -1033,7 +1041,8 @@ mod tests {
             offset: 0,
             len: 4,
         };
-        // Only read from: nothing to flush.
+        // Read-only, written and truncated descriptors all close without
+        // a flush.
         let fd = open(&e, "/clean");
         let read = Request::Pread {
             fd,
@@ -1042,22 +1051,61 @@ mod tests {
         };
         assert_eq!(run(read, b""), 0);
         assert_eq!(run(Request::Close { fd }, b""), 0);
-        // Written, then fsynced: the explicit fsync reaches the backend
-        // (as does one on a clean descriptor), the close adds nothing.
+        let fd = open(&e, "/dirty");
+        assert_eq!(run(pwrite(fd), b"data"), 0);
+        assert_eq!(run(Request::Close { fd }, b""), 0);
+        let fd = open(&e, "/cut");
+        assert_eq!(run(pwrite(fd), b"data"), 0);
+        assert_eq!(run(Request::Ftruncate { fd, len: 1 }, b""), 0);
+        assert_eq!(run(Request::Close { fd }, b""), 0);
+        // Every fsync, dirty or clean, is exactly one backend sync — and
+        // the only thing `backend_sync_ops` counts.
         let fd = open(&e, "/synced");
         assert_eq!(run(pwrite(fd), b"data"), 0);
         assert_eq!(run(Request::Fsync { fd }, b""), 1);
         assert_eq!(run(Request::Fsync { fd }, b""), 2);
         assert_eq!(run(Request::Close { fd }, b""), 2);
-        // Written or truncated and not synced since: exactly one each.
-        let fd = open(&e, "/dirty");
-        assert_eq!(run(pwrite(fd), b"data"), 2);
-        assert_eq!(run(Request::Close { fd }, b""), 3);
-        let fd = open(&e, "/cut");
-        assert_eq!(run(pwrite(fd), b"data"), 3);
-        assert_eq!(run(Request::Fsync { fd }, b""), 4);
-        assert_eq!(run(Request::Ftruncate { fd, len: 1 }, b""), 4);
-        assert_eq!(run(Request::Close { fd }, b""), 5);
+        assert_eq!(t.backend_sync_ops.get(), 2);
+    }
+
+    #[test]
+    fn fsync_failure_is_reported_not_swallowed() {
+        use crate::backend::FaultBackend;
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan::parse("on sync nth=1 errno=EIO").expect("valid plan");
+        let t = Arc::new(Telemetry::new());
+        let e = Engine::with_telemetry(
+            Arc::new(FaultBackend::new(
+                Arc::new(MemSinkBackend::new()),
+                plan,
+                t.clone(),
+            )),
+            None,
+            FilterChain::new(),
+            t.clone(),
+        );
+        let fd = open(&e, "/f");
+        let write = Request::Pwrite {
+            fd,
+            offset: 0,
+            len: 4,
+        };
+        assert_eq!(
+            e.execute(&write, &Bytes::from_static(b"data")).0,
+            Response::Ok { ret: 4 }
+        );
+        assert_eq!(
+            e.execute(&Request::Fsync { fd }, &Bytes::new()).0,
+            Response::Err { errno: Errno::Io }
+        );
+        // A failed flush is not a flush, and the close behind it neither
+        // retries it nor has an error of its own to report.
+        assert_eq!(t.backend_sync_ops.get(), 0);
+        assert_eq!(
+            e.execute(&Request::Close { fd }, &Bytes::new()).0,
+            Response::Ok { ret: 0 }
+        );
+        assert_eq!(t.faults_injected.get(), 1);
     }
 
     #[test]

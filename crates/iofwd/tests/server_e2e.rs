@@ -5,10 +5,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iofwd::backend::{Backend, FaultBackend, MemSinkBackend, NullBackend, ThrottledBackend};
+use iofwd::backend::{
+    Backend, FaultBackend, FileBackend, MemSinkBackend, NullBackend, ThrottledBackend,
+};
 use iofwd::client::{Client, ClientError, WriteOutcome};
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
-use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
+use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::telemetry::Telemetry;
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
@@ -590,6 +592,16 @@ fn insitu_sink_filter_consumes_scratch_writes_in_all_modes() {
     }
 }
 
+/// Open descriptors once the daemon has had a moment (at most 5 s) to
+/// observe a disconnect and reclaim what the client left open.
+fn descriptors_after_reclaim(server: &IonServer) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.open_descriptors() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.open_descriptors()
+}
+
 #[test]
 fn vanished_client_descriptors_are_reclaimed() {
     // A client that disconnects without closing must not leak ION
@@ -606,12 +618,12 @@ fn vanished_client_descriptors_are_reclaimed() {
             // Drop the client without close() or shutdown(): the
             // connection just vanishes.
         }
-        // Give the handler a moment to observe the disconnect.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.open_descriptors() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.open_descriptors(), 0, "mode {}", mode.name());
+        assert_eq!(
+            descriptors_after_reclaim(&server),
+            0,
+            "mode {}",
+            mode.name()
+        );
         server.shutdown();
         assert_eq!(
             backend.contents("/orphan").unwrap().len(),
@@ -619,6 +631,96 @@ fn vanished_client_descriptors_are_reclaimed() {
             "mode {}",
             mode.name()
         );
+    }
+}
+
+#[test]
+fn vanished_client_pending_error_is_orphaned_not_reported() {
+    // The only write fails after it was acknowledged; the client goes
+    // away without a barrier, so nobody ever receives the report.
+    let (server, hub) = start(
+        ForwardingMode::AsyncStaged {
+            workers: 1,
+            bml_capacity: 1 << 20,
+        },
+        failing_after(0, Errno::NoSpc),
+    );
+    {
+        let mut c = Client::connect(Box::new(hub.connect()));
+        let fd = c
+            .open("/lost", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        assert!(matches!(
+            c.write_detailed(fd, &[3u8; 512]).unwrap(),
+            WriteOutcome::Staged(_)
+        ));
+    }
+    assert_eq!(descriptors_after_reclaim(&server), 0);
+    let t = server.telemetry();
+    server.shutdown();
+    assert_eq!(t.deferred_errors.get(), 1);
+    assert_eq!(t.deferred_errors_reported.get(), 0);
+    assert_eq!(t.deferred_errors_orphaned.get(), 1);
+}
+
+#[test]
+fn close_without_fsync_keeps_the_data_and_never_flushes() {
+    // `close` is a barrier, not a flush: what was written is what a
+    // reopen reads, in every mode and on both transports, and no
+    // backend sync was paid for it.
+    let staged = ForwardingMode::AsyncStaged {
+        workers: 2,
+        bml_capacity: 4 << 20,
+    };
+    let cases = [
+        (ForwardingMode::Zoid, false),
+        (ForwardingMode::Sched { workers: 2 }, false),
+        (staged, false),
+        (staged, true),
+    ];
+    let payload: Vec<u8> = (0..300_000u32).map(|i| (i % 241) as u8).collect();
+    for (i, (mode, reactor)) in cases.into_iter().enumerate() {
+        let label = format!("mode {} reactor={reactor}", mode.name());
+        let root = std::env::temp_dir().join(format!("iofwd-close-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let backend = Arc::new(FileBackend::new(&root));
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let config = ServerConfig::new(mode);
+        let server = if reactor {
+            IonServer::spawn_reactor(acceptor, backend, config, ReactorConfig::default())
+                .expect("spawn reactor")
+        } else {
+            IonServer::spawn(Box::new(acceptor), backend, config)
+        };
+        let mut c = Client::connect(Box::new(TcpConn::connect(addr).unwrap()));
+        let fd = c
+            .open("/kept", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        for chunk in payload.chunks(64 << 10) {
+            c.write(fd, chunk).unwrap();
+        }
+        c.close(fd).unwrap();
+        assert_eq!(
+            c.stat("/kept").unwrap().size,
+            payload.len() as u64,
+            "{label}"
+        );
+        let fd = c.open("/kept", OpenFlags::RDONLY, 0).unwrap();
+        let back = c.pread(fd, 0, payload.len() as u64).unwrap();
+        assert!(back == payload, "{label}: read back what was written");
+        c.close(fd).unwrap();
+        c.unlink("/kept").unwrap();
+        assert!(
+            matches!(c.stat("/kept"), Err(ClientError::Remote(Errno::NoEnt))),
+            "{label}"
+        );
+        c.shutdown().unwrap();
+        let telemetry = server.telemetry();
+        server.shutdown();
+        assert_eq!(telemetry.backend_sync_ops.get(), 0, "{label}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

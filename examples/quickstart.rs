@@ -65,6 +65,8 @@ fn main() {
     let head = cn.pread(fd, 0, 16).expect("pread");
     assert_eq!(head, vec![7u8; 16]);
 
+    // close is a barrier too, but not a flush: it waits and reports,
+    // and leaves durability to the fsync above.
     cn.close(fd).expect("close");
     cn.shutdown().expect("shutdown");
 

@@ -52,7 +52,7 @@ fn main() {
                 for _ in 0..mib_per_client {
                     cn.write(fd, &data).expect("write");
                 }
-                cn.close(fd).expect("close"); // barrier: staged writes drain
+                cn.close(fd).expect("close"); // barrier, not a flush: staged writes drain
                 cn.shutdown().expect("shutdown");
             });
         }

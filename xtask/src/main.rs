@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the invariant linter. Ten rules the compiler cannot
+//! * `lint` — the invariant linter. Eleven rules the compiler cannot
 //!   enforce but this codebase depends on (see DESIGN.md, "Enforced
 //!   invariants"):
 //!   - **R1** Simulation crates (`simcore`, `bgsim`, `bgp-model`,
@@ -52,6 +52,10 @@
 //!     deliberate deep copy (CIOD paper-fidelity staging, small frames
 //!     leaving the receive buffer) must carry a `// HOTPATH:` comment
 //!     above it.
+//!   - **R11** `iofwd::server::engine`, where the daemon calls its
+//!     backend, must not `let _ =` the result of a `Backend` /
+//!     `BackendObject` call: a discarded errno is an error the client
+//!     never hears about.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

@@ -32,6 +32,9 @@ pub enum Rule {
     /// Decoded `Bytes` views on the forwarding hot path must not be
     /// deep-copied with `.to_vec()` — slice or adopt instead.
     R10,
+    /// The engine must not discard a backend call's result with
+    /// `let _ =`: the errno belongs to the client.
+    R11,
 }
 
 impl Rule {
@@ -46,6 +49,7 @@ impl Rule {
             "R7" => Some(Rule::R7),
             "R9" => Some(Rule::R9),
             "R10" => Some(Rule::R10),
+            "R11" => Some(Rule::R11),
             _ => None,
         }
     }
@@ -63,6 +67,7 @@ impl std::fmt::Display for Rule {
             Rule::R7 => "R7",
             Rule::R9 => "R9",
             Rule::R10 => "R10",
+            Rule::R11 => "R11",
         })
     }
 }
@@ -142,6 +147,27 @@ const HOT_BYTES_FILES: &[&str] = &[
     "crates/iofwd/src/server/reactor.rs",
 ];
 
+/// Where the daemon calls its backend, and the `Backend` /
+/// `BackendObject` methods it calls there. `let _ =` on one of them
+/// drops an errno the client was owed — how a failed close-time flush
+/// went unreported for fifteen PRs.
+const ENGINE_FILE: &str = "crates/iofwd/src/server/engine.rs";
+const BACKEND_CALLS: &[&str] = &[
+    "open",
+    "connect",
+    "stat",
+    "unlink",
+    "mkdir",
+    "readdir",
+    "write_at",
+    "write_vectored_at",
+    "read_into",
+    "seek",
+    "sync",
+    "fstat",
+    "truncate",
+];
+
 pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     let masked = strip(source);
     let mut out = Vec::new();
@@ -182,6 +208,9 @@ pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     }
     if HOT_BYTES_FILES.contains(&unix.as_str()) {
         check_r10(rel, source, &masked, &mut out);
+    }
+    if unix == ENGINE_FILE {
+        check_r11(rel, &masked, &mut out);
     }
     out
 }
@@ -710,6 +739,36 @@ fn check_r10(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------- R11
+
+fn check_r11(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
+    let tests = test_regions(masked);
+    let in_tests = |pos: usize| tests.iter().any(|&(a, b)| pos >= a && pos <= b);
+    const NEEDLE: &str = "let _ =";
+    for (pos, _) in masked.match_indices(NEEDLE) {
+        if in_tests(pos) {
+            continue;
+        }
+        // The discarded expression: up to the statement's `;`.
+        let rest = &masked[pos + NEEDLE.len()..];
+        let stmt = &rest[..rest.find(';').unwrap_or(rest.len())];
+        let call = BACKEND_CALLS
+            .iter()
+            .find(|m| stmt.contains(&format!(".{m}(")));
+        if let Some(call) = call {
+            out.push(Violation {
+                rule: Rule::R11,
+                path: rel.to_path_buf(),
+                line: line_of(masked, pos),
+                message: format!(
+                    "`let _ =` discards the result of backend call `.{call}(...)` — \
+                     report the errno to the client (or record it as a deferred error)"
+                ),
+            });
+        }
+    }
+}
+
 // ---------------------------------------------------------------- R4
 
 fn check_r4(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
@@ -772,6 +831,23 @@ mod tests {
             .iter()
             .all(|v| v.rule != Rule::R2));
         assert!(!check("crates/iofwd/src/transport/tcp.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r11_flags_discarded_backend_results_in_the_engine_only() {
+        let src = "fn close(o: &mut Obj) {\n    let _ = o.sync();\n    let _ = obj\n        .lock()\n        .truncate(0);\n    \
+                   let _ = tx.send(1);\n    let _ = o.fsync_later();\n    let r = o.sync();\n}\n\
+                   #[cfg(test)]\nmod tests { fn t(o: &mut Obj) { let _ = o.sync(); } }\n";
+        let v = check("crates/iofwd/src/server/engine.rs", src);
+        let lines: Vec<usize> = v
+            .iter()
+            .filter(|v| v.rule == Rule::R11)
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, vec![2, 3]);
+        assert!(check("crates/iofwd/src/server/staged.rs", src)
+            .iter()
+            .all(|v| v.rule != Rule::R11));
     }
 
     #[test]
