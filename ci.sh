@@ -36,6 +36,14 @@ else
     echo "tsan advisory: FAILED (non-fatal — inspect the log above)"
 fi
 
+step "one measurement harness (no bench target, no criterion package)"
+# crates/experiments and benchmark/ are the harnesses; a `[[bench]]`
+# target or a criterion dependency coming back fails here.
+META=$(cargo metadata --no-deps --offline --format-version 1)
+if grep -Eq '"kind":\["bench"\]|"name":"criterion"' <<<"$META"; then
+    echo "ci: a bench target or a criterion package is back in the workspace"; exit 1
+fi
+
 step "build --release"
 cargo build --release --workspace
 
@@ -92,32 +100,13 @@ cargo run --release -q -p experiments -- run \
     --out target/ci-artifacts/experiments/connection_scale \
     --bin target/release/iofwdd --force
 
-step "experiment harness: introspection-overhead paired sweep (ADVISORY for the paired budgets)"
-# Per-client attribution must stay off the critical path: the same
-# seeded 500-client reactor workload with `--attribution on` vs `off`,
-# with paired budgets holding the on arm to >=98% throughput and
-# <=105% p99 of its twin. On a 2-vCPU box those two ratios are a coin
-# flip whichever daemon runs (10 runs each: 3 passes at the parent of
-# PR 15, 5 at PR 15; with 8x larger cells and repeats = 5, 5 and 4;
-# ratios 0.35x-2.5x), so like tsan they are reported and never fail the
-# run. What does not depend on timing stays a gate: both arms complete
-# every op and the attributing daemon counts them.
-INTRO=target/ci-artifacts/experiments/introspection_overhead
-rm -f "$INTRO/report.md"
-if cargo run --release -q -p experiments -- run \
-    crates/experiments/scenarios/introspection_overhead.toml \
-    --out "$INTRO" \
-    --bin target/release/iofwdd --force; then
-    echo "introspection-overhead advisory: paired budgets held"
-else
-    echo "introspection-overhead advisory: FAILED (non-fatal - see the ratios above)"
-fi
-[ -s "$INTRO/report.md" ] || { echo "ci: introspection-overhead produced no report"; exit 1; }
-if grep -E '^- FAIL `(all-ops-complete-on|all-ops-complete-off|daemon-saw-traffic)`' "$INTRO/report.md"; then
-    echo "ci: introspection-overhead lost ops or attributed none"; exit 1
-fi
+step "experiment harness: data-only scenarios parse and expand (not timed, not a gate on numbers)"
+# The paper's mode ladder and worker sweep are reporting scenarios (see
+# EXPERIMENTS.md); CI only proves they still load and expand.
+cargo run --release -q -p experiments -- expand crates/experiments/scenarios/mode_ladder.toml
+cargo run --release -q -p experiments -- expand crates/experiments/scenarios/worker_sweep.toml
 
-echo "experiment reports: target/ci-artifacts/experiments/{coalescing,faults,connection_scale,introspection_overhead}/report.{json,md}"
+echo "experiment reports: target/ci-artifacts/experiments/{coalescing,faults,connection_scale}/report.{json,md}"
 
 step "experiment artifact guard (BENCH_PR7.json drift check)"
 # The committed report must stay structurally valid, green, and

@@ -227,9 +227,6 @@ fn measure_cell(
         .arg(d.bml_mib.to_string())
         .arg("--retry-attempts")
         .arg(d.retry_attempts.to_string());
-    if let Some(attribution) = cell.axis("attribution") {
-        spec = spec.arg("--attribution").arg(attribution);
-    }
     match cell.axis("coalesce") {
         Some("off") => spec = spec.arg("--coalesce=off"),
         Some("on") => {

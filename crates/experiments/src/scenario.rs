@@ -16,14 +16,13 @@ use crate::toml::{self, Table, Value};
 use crate::workload::{WorkloadKind, WorkloadSpec};
 
 /// Axis names the runner knows how to apply to a daemon/cell.
-pub const KNOWN_AXES: [&str; 7] = [
+pub const KNOWN_AXES: [&str; 6] = [
     "mode",
     "coalesce",
     "clients",
     "fault",
     "workers",
     "transport",
-    "attribution",
 ];
 
 /// One sweep dimension: `name = ["value", …]` under `[axes]`.
@@ -347,10 +346,6 @@ impl Scenario {
             "transport" => match value {
                 "threads" | "reactor" => Ok(()),
                 other => Err(format!("axis transport: `{other}` is not threads|reactor")),
-            },
-            "attribution" => match value {
-                "on" | "off" => Ok(()),
-                other => Err(format!("axis attribution: `{other}` is not on|off")),
             },
             other => Err(format!("unknown axis `{other}`")),
         }

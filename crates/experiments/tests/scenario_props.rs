@@ -41,6 +41,40 @@ fn scenario_with(n_modes: usize, n_coalesce: usize, n_clients: usize) -> Scenari
     Scenario::parse(&text, Path::new("prop.toml")).expect("generated scenario must parse")
 }
 
+/// Every committed scenario loads through the schema and expands to the
+/// product of its axes, whether or not a ci.sh step runs it.
+#[test]
+fn every_committed_scenario_loads_and_expands() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut seen = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("scenarios directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|e| e != "toml") {
+            continue;
+        }
+        let scenario = Scenario::load(&path).unwrap_or_else(|e| panic!("{e}"));
+        let cells = scenario.expand();
+        let product: usize = scenario.axes.iter().map(|a| a.values.len()).product();
+        assert_eq!(cells.len(), product, "{}", path.display());
+        seen.push((scenario.name, cells.len()));
+    }
+    seen.sort();
+    // The two data-only scenarios: the paper's mode ladder and Fig. 11's
+    // worker sweep (4 worker counts per worker-pool mode).
+    assert!(seen.contains(&("mode-ladder".to_string(), 4)), "{seen:?}");
+    assert!(seen.contains(&("worker-sweep".to_string(), 8)), "{seen:?}");
+}
+
+/// The attribution on/off axis went with the switch it drove.
+#[test]
+fn attribution_is_not_an_axis() {
+    let text = "[scenario]\nname = \"prop\"\n\n\
+                [workload]\nkind = \"manytask\"\ntasks = 1\ntask_bytes = 64\n\n\
+                [axes]\nattribution = [\"on\", \"off\"]\n";
+    let err = Scenario::parse(text, Path::new("prop.toml")).expect_err("unknown axis");
+    assert!(err.contains("unknown axis `attribution`"), "{err}");
+}
+
 proptest! {
     #[test]
     fn expansion_is_the_exact_cross_product(

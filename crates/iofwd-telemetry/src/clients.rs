@@ -20,7 +20,7 @@
 //! atomics only.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::hist::{bucket_of, HistSnapshot, BUCKETS};
@@ -168,7 +168,6 @@ fn write_shard(shard: &Shard) -> RwLockWriteGuard<'_, HashMap<u64, Arc<PerClient
 /// upgrades to the write lock only on a client's first appearance.
 pub struct ClientTable {
     shards: Vec<Shard>,
-    attribution: AtomicBool,
 }
 
 impl ClientTable {
@@ -177,19 +176,7 @@ impl ClientTable {
             shards: (0..CLIENT_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            attribution: AtomicBool::new(true),
         }
-    }
-
-    /// Turn attribution off (`--attribution off`): `entry`/`lookup`
-    /// return `None`, so every stamping site reduces to one relaxed
-    /// load and a branch — the overhead-budget baseline.
-    pub fn set_attribution(&self, on: bool) {
-        self.attribution.store(on, Ordering::Relaxed);
-    }
-
-    pub fn attribution(&self) -> bool {
-        self.attribution.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -200,27 +187,19 @@ impl ClientTable {
     /// This client's stats, created on first touch. Callers on a hot
     /// path should cache the returned `Arc` per connection rather than
     /// re-resolving per frame.
-    pub fn entry(&self, id: u64) -> Option<Arc<PerClientStats>> {
-        if !self.attribution() {
-            return None;
-        }
+    pub fn entry(&self, id: u64) -> Arc<PerClientStats> {
         let shard = self.shard(id);
         if let Some(c) = read_shard(shard).get(&id) {
-            return Some(c.clone());
+            return c.clone();
         }
-        Some(
-            write_shard(shard)
-                .entry(id)
-                .or_insert_with(|| Arc::new(PerClientStats::new()))
-                .clone(),
-        )
+        write_shard(shard)
+            .entry(id)
+            .or_insert_with(|| Arc::new(PerClientStats::new()))
+            .clone()
     }
 
     /// This client's stats if it has ever been seen; never inserts.
     pub fn lookup(&self, id: u64) -> Option<Arc<PerClientStats>> {
-        if !self.attribution() {
-            return None;
-        }
         read_shard(self.shard(id)).get(&id).cloned()
     }
 
@@ -272,8 +251,8 @@ mod tests {
     #[test]
     fn entry_is_stable_and_shared() {
         let t = ClientTable::new();
-        let a = t.entry(7).expect("attribution on");
-        let b = t.entry(7).expect("attribution on");
+        let a = t.entry(7);
+        let b = t.entry(7);
         assert!(Arc::ptr_eq(&a, &b));
         a.ops.inc();
         assert_eq!(b.ops.get(), 1);
@@ -290,19 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn attribution_off_is_none() {
-        let t = ClientTable::new();
-        t.set_attribution(false);
-        assert!(t.entry(1).is_none());
-        assert!(t.lookup(1).is_none());
-        assert_eq!(t.len(), 0);
-    }
-
-    #[test]
     fn snapshot_sorted_and_top_k_by_bytes() {
         let t = ClientTable::new();
         for (id, bytes) in [(3u64, 10u64), (1, 30), (2, 20)] {
-            let c = t.entry(id).expect("attribution on");
+            let c = t.entry(id);
             c.bytes_in.add(bytes);
             c.ops.inc();
         }

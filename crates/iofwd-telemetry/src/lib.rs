@@ -242,146 +242,201 @@ impl Default for Heartbeats {
 /// Default flight-recorder capacity (completed spans retained).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
-/// The registry: one per daemon (or per bench harness), shared as
-/// `Arc<Telemetry>` by every layer of the request path.
-pub struct Telemetry {
-    enabled: bool,
-    origin: Instant,
+/// The registry's one declaration site. Each counter, gauge and
+/// histogram is named below exactly once; this macro derives its
+/// `Telemetry` field, its initialiser and its row in the name→metric
+/// walks ([`Telemetry::counters`] and friends) that `snapshot::capture`
+/// exports, so the exported name is the field name by construction.
+macro_rules! registry {
+    (
+        counters { $($(#[$cdoc:meta])* $counter:ident,)* }
+        gauges { $($(#[$gdoc:meta])* $gauge:ident,)* }
+        hists { $($(#[$hdoc:meta])* $hist:ident,)* }
+    ) => {
+        /// The registry: one per daemon (or per bench harness), shared as
+        /// `Arc<Telemetry>` by every layer of the request path.
+        pub struct Telemetry {
+            enabled: bool,
+            origin: Instant,
+            $($(#[$cdoc])* pub $counter: Counter,)*
+            $($(#[$gdoc])* pub $gauge: Gauge,)*
+            $($(#[$hdoc])* pub $hist: Histogram,)*
+            /// Per-shard work-queue depth (see [`PerShard`]).
+            pub shard_depth: PerShard,
+            pub worker_dispatch: PerWorker,
+            /// Nanoseconds each worker spent executing batches (vs. parked in
+            /// `pop_batch`); busy fraction = busy_ns / uptime_ns.
+            pub worker_busy_ns: PerWorker,
+            /// Event-loop liveness heartbeats (see [`Heartbeats`]).
+            pub loop_heartbeats: Heartbeats,
+            /// Per-client attribution table (see [`clients`]).
+            pub clients: ClientTable,
+            /// Deltified snapshot ring (see [`timeseries`]).
+            pub timeseries: TimeSeries,
+            pub flight: FlightRecorder,
+            sink: OnceLock<Arc<dyn SpanSink>>,
+        }
 
-    // -- counters -----------------------------------------------------
-    /// Ops whose lifecycle completed (span recorded).
-    pub ops_completed: Counter,
-    /// Completed ops that returned an error to the client (or, for
-    /// staged writes, recorded a deferred error).
-    pub ops_failed: Counter,
-    /// Writes acknowledged early and completed asynchronously (§IV).
-    pub ops_staged: Counter,
-    /// Deferred errors recorded against a descriptor by the DescDb.
-    pub deferred_errors: Counter,
-    /// `DeferredErr` replies sent: a staged write's failure surfacing,
-    /// once, on a later op on its descriptor (§IV).
-    pub deferred_errors_reported: Counter,
-    /// Deferred errors still pending when a vanished client's descriptor
-    /// was reclaimed: recorded, never reported to anyone.
-    pub deferred_errors_orphaned: Counter,
-    /// Payload bytes in-situ filters removed before the backend.
-    pub bytes_filtered_out: Counter,
-    /// Acquires that had to block for BML space.
-    pub bml_blocked_acquires: Counter,
-    /// Frames/payload bytes over the transport, per direction
-    /// (server-relative: `in` = received from clients).
-    pub frames_in: Counter,
-    pub frames_out: Counter,
-    pub transport_bytes_in: Counter,
-    pub transport_bytes_out: Counter,
-    /// Backend data-plane traffic.
-    pub backend_write_ops: Counter,
-    pub backend_read_ops: Counter,
-    pub backend_bytes_written: Counter,
-    pub backend_bytes_read: Counter,
-    /// Backend flushes: one per successful `fsync`, the only request
-    /// that reaches `BackendObject::sync`.
-    pub backend_sync_ops: Counter,
-    /// Faults injected by a `FaultBackend` chaos plan.
-    pub faults_injected: Counter,
-    /// Backend retries attempted on transient errors (one per re-issue).
-    pub retries_attempted: Counter,
-    /// Operations whose retry budget/deadline ran out; the last
-    /// transient error surfaced as if retries were off.
-    pub retries_exhausted: Counter,
-    /// Staged writes executed by the shutdown drain (late, but done).
-    pub drain_executed: Counter,
-    /// Staged writes the shutdown drain abandoned past its deadline,
-    /// recorded as deferred errors — never silently dropped.
-    pub drain_deferred: Counter,
-    /// Coalesced vectored-write batches dispatched (offset-contiguous
-    /// staged writes merged into one backend call).
-    pub coalesced_batches: Counter,
-    /// Constituent staged writes covered by those batches.
-    pub coalesced_ops: Counter,
-    /// Payload bytes carried inside coalesced batches.
-    pub coalesced_bytes: Counter,
-    /// Transient `accept(2)` failures (EMFILE/ECONNABORTED/EINTR/…)
-    /// survived by the accept path instead of killing the listener.
-    pub accept_errors: Counter,
-    /// Times the reactor parked a client (stopped polling it for
-    /// readability) because BML, the work queue, or its write buffer
-    /// pushed back.
-    pub backpressure_events: Counter,
-    /// Times the health watchdog tripped an SLO (queue head-of-line
-    /// age, loop lag, or persistent write-buffer high water).
-    pub watchdog_trips: Counter,
-    /// Work items a worker took from another worker's shard (sharded
-    /// work-stealing queue).
-    pub steal_ops: Counter,
-    /// BML block acquisitions served by recycling a slab free-list
-    /// block (no allocator call).
-    pub slab_hits: Counter,
-    /// BML block acquisitions that had to allocate a fresh block.
-    pub slab_misses: Counter,
-    /// Bytes of staging blocks returned to the slab free lists for
-    /// reuse instead of being freed.
-    pub slab_recycled_bytes: Counter,
-    /// Payload-sized allocations (and forced deep copies) on the
-    /// forwarding hot path. Near-zero in steady state on the zero-copy
-    /// path; the experiments harness divides this by ops for the
-    /// allocation-regression guard.
-    pub hotpath_alloc_bytes: Counter,
+        impl Telemetry {
+            fn build(enabled: bool, flight: usize) -> Telemetry {
+                Telemetry {
+                    enabled,
+                    origin: Instant::now(),
+                    $($counter: Counter::new(),)*
+                    $($gauge: Gauge::new(),)*
+                    $($hist: Histogram::new(),)*
+                    shard_depth: PerShard::new(),
+                    worker_dispatch: PerWorker::new(),
+                    worker_busy_ns: PerWorker::new(),
+                    loop_heartbeats: Heartbeats::new(),
+                    clients: ClientTable::new(),
+                    timeseries: TimeSeries::new(timeseries::DEFAULT_SERIES_CAPACITY),
+                    flight: FlightRecorder::new(flight),
+                    sink: OnceLock::new(),
+                }
+            }
 
-    // -- gauges -------------------------------------------------------
-    /// Client connections currently open (peak = worst concurrency).
-    pub conns_open: Gauge,
-    pub queue_depth: Gauge,
-    pub bml_occupancy: Gauge,
-    pub bml_waiters: Gauge,
-    pub inflight_ops: Gauge,
-    pub open_descriptors: Gauge,
-    /// Workers currently executing a batch (peak = worst contention).
-    pub workers_busy: Gauge,
-    /// Tasks queued to the reactor's sync executors but not yet run
-    /// (peak = worst barrier backlog).
-    pub sync_queue_depth: Gauge,
-    /// Aggregate reactor write-buffer bytes across connections (peak =
-    /// worst egress backlog).
-    pub wbuf_bytes: Gauge,
-    /// Per-shard work-queue depth (see [`PerShard`]).
-    pub shard_depth: PerShard,
+            /// Every declared counter under its exported name, in
+            /// declaration (= export) order.
+            pub fn counters(&self) -> [(&'static str, &Counter); [$(stringify!($counter)),*].len()] {
+                [$((stringify!($counter), &self.$counter)),*]
+            }
 
-    // -- histograms (nanoseconds unless noted) ------------------------
-    pub queue_wait_ns: Histogram,
-    pub service_ns: Histogram,
-    pub total_ns: Histogram,
-    /// Dispatch overhead per op (dequeue → backend call issued).
-    pub dispatch_lag_ns: Histogram,
-    /// Reply marshalling lag per op (backend done → reply stamped).
-    pub reply_lag_ns: Histogram,
-    pub bml_block_ns: Histogram,
-    /// Items per scheduling pass (unit: items, not ns).
-    pub batch_size: Histogram,
-    /// Constituent ops per coalesced batch (unit: ops, not ns).
-    pub coalesce_width: Histogram,
-    /// Time each reactor loop spent blocked in `poll`.
-    pub poll_wait_ns: Histogram,
-    /// Full reactor loop iteration time (lap-to-lap), the event loop's
-    /// responsiveness floor.
-    pub loop_lag_ns: Histogram,
-    /// Events delivered per poll wake-up (unit: events, not ns).
-    pub ready_batch: Histogram,
-    /// Run time of each sync-executor task (barriered closes, drains).
-    pub sync_run_ns: Histogram,
+            /// Every declared gauge under its exported name.
+            pub fn gauges(&self) -> [(&'static str, &Gauge); [$(stringify!($gauge)),*].len()] {
+                [$((stringify!($gauge), &self.$gauge)),*]
+            }
 
-    pub worker_dispatch: PerWorker,
-    /// Nanoseconds each worker spent executing batches (vs. parked in
-    /// `pop_batch`); busy fraction = busy_ns / uptime_ns.
-    pub worker_busy_ns: PerWorker,
-    /// Event-loop liveness heartbeats (see [`Heartbeats`]).
-    pub loop_heartbeats: Heartbeats,
-    /// Per-client attribution table (see [`clients`]).
-    pub clients: ClientTable,
-    /// Deltified snapshot ring (see [`timeseries`]).
-    pub timeseries: TimeSeries,
-    pub flight: FlightRecorder,
-    sink: OnceLock<Arc<dyn SpanSink>>,
+            /// Every declared histogram under its exported name.
+            pub fn hists(&self) -> [(&'static str, &Histogram); [$(stringify!($hist)),*].len()] {
+                [$((stringify!($hist), &self.$hist)),*]
+            }
+        }
+    };
+}
+
+registry! {
+    counters {
+        /// Ops whose lifecycle completed (span recorded).
+        ops_completed,
+        /// Completed ops that returned an error to the client (or, for
+        /// staged writes, recorded a deferred error).
+        ops_failed,
+        /// Writes acknowledged early and completed asynchronously (§IV).
+        ops_staged,
+        /// Deferred errors recorded against a descriptor by the DescDb.
+        deferred_errors,
+        /// `DeferredErr` replies sent: a staged write's failure surfacing,
+        /// once, on a later op on its descriptor (§IV).
+        deferred_errors_reported,
+        /// Deferred errors still pending when a vanished client's descriptor
+        /// was reclaimed: recorded, never reported to anyone.
+        deferred_errors_orphaned,
+        /// Payload bytes in-situ filters removed before the backend.
+        bytes_filtered_out,
+        /// Acquires that had to block for BML space.
+        bml_blocked_acquires,
+        /// Frames/payload bytes over the transport, per direction
+        /// (server-relative: `in` = received from clients).
+        frames_in,
+        frames_out,
+        transport_bytes_in,
+        transport_bytes_out,
+        /// Backend data-plane traffic.
+        backend_write_ops,
+        backend_read_ops,
+        backend_bytes_written,
+        backend_bytes_read,
+        /// Backend flushes: one per successful `fsync`, the only request
+        /// that reaches `BackendObject::sync`.
+        backend_sync_ops,
+        /// Faults injected by a `FaultBackend` chaos plan.
+        faults_injected,
+        /// Backend retries attempted on transient errors (one per re-issue).
+        retries_attempted,
+        /// Operations whose retry budget/deadline ran out; the last
+        /// transient error surfaced as if retries were off.
+        retries_exhausted,
+        /// Staged writes executed by the shutdown drain (late, but done).
+        drain_executed,
+        /// Staged writes the shutdown drain abandoned past its deadline,
+        /// recorded as deferred errors — never silently dropped.
+        drain_deferred,
+        /// Coalesced vectored-write batches dispatched (offset-contiguous
+        /// staged writes merged into one backend call).
+        coalesced_batches,
+        /// Constituent staged writes covered by those batches.
+        coalesced_ops,
+        /// Payload bytes carried inside coalesced batches.
+        coalesced_bytes,
+        /// Transient `accept(2)` failures (EMFILE/ECONNABORTED/EINTR/…)
+        /// survived by the accept path instead of killing the listener.
+        accept_errors,
+        /// Times the reactor parked a client (stopped polling it for
+        /// readability) because BML, the work queue, or its write buffer
+        /// pushed back.
+        backpressure_events,
+        /// Times the health watchdog tripped an SLO (queue head-of-line
+        /// age, loop lag, or persistent write-buffer high water).
+        watchdog_trips,
+        /// Work items a worker took from another worker's shard (sharded
+        /// work-stealing queue).
+        steal_ops,
+        /// BML block acquisitions served by recycling a slab free-list
+        /// block (no allocator call).
+        slab_hits,
+        /// BML block acquisitions that had to allocate a fresh block.
+        slab_misses,
+        /// Bytes of staging blocks returned to the slab free lists for
+        /// reuse instead of being freed.
+        slab_recycled_bytes,
+        /// Payload-sized allocations (and forced deep copies) on the
+        /// forwarding hot path. Near-zero in steady state on the zero-copy
+        /// path; the experiments harness divides this by ops for the
+        /// allocation-regression guard.
+        hotpath_alloc_bytes,
+    }
+    gauges {
+        /// Client connections currently open (peak = worst concurrency).
+        conns_open,
+        queue_depth,
+        bml_occupancy,
+        bml_waiters,
+        inflight_ops,
+        open_descriptors,
+        /// Workers currently executing a batch (peak = worst contention).
+        workers_busy,
+        /// Tasks queued to the reactor's sync executors but not yet run
+        /// (peak = worst barrier backlog).
+        sync_queue_depth,
+        /// Aggregate reactor write-buffer bytes across connections (peak =
+        /// worst egress backlog).
+        wbuf_bytes,
+    }
+    // Nanoseconds unless noted.
+    hists {
+        queue_wait_ns,
+        service_ns,
+        total_ns,
+        /// Dispatch overhead per op (dequeue → backend call issued).
+        dispatch_lag_ns,
+        /// Reply marshalling lag per op (backend done → reply stamped).
+        reply_lag_ns,
+        bml_block_ns,
+        /// Items per scheduling pass (unit: items, not ns).
+        batch_size,
+        /// Constituent ops per coalesced batch (unit: ops, not ns).
+        coalesce_width,
+        /// Time each reactor loop spent blocked in `poll`.
+        poll_wait_ns,
+        /// Full reactor loop iteration time (lap-to-lap), the event loop's
+        /// responsiveness floor.
+        loop_lag_ns,
+        /// Events delivered per poll wake-up (unit: events, not ns).
+        ready_batch,
+        /// Run time of each sync-executor task (barriered closes, drains).
+        sync_run_ns,
+    }
 }
 
 impl Telemetry {
@@ -397,75 +452,6 @@ impl Telemetry {
     /// early-returns. For benches that want zero overhead.
     pub fn disabled() -> Telemetry {
         Telemetry::build(false, 1)
-    }
-
-    fn build(enabled: bool, flight: usize) -> Telemetry {
-        Telemetry {
-            enabled,
-            origin: Instant::now(),
-            ops_completed: Counter::new(),
-            ops_failed: Counter::new(),
-            ops_staged: Counter::new(),
-            deferred_errors: Counter::new(),
-            deferred_errors_reported: Counter::new(),
-            deferred_errors_orphaned: Counter::new(),
-            bytes_filtered_out: Counter::new(),
-            bml_blocked_acquires: Counter::new(),
-            frames_in: Counter::new(),
-            frames_out: Counter::new(),
-            transport_bytes_in: Counter::new(),
-            transport_bytes_out: Counter::new(),
-            backend_write_ops: Counter::new(),
-            backend_read_ops: Counter::new(),
-            backend_bytes_written: Counter::new(),
-            backend_bytes_read: Counter::new(),
-            backend_sync_ops: Counter::new(),
-            faults_injected: Counter::new(),
-            retries_attempted: Counter::new(),
-            retries_exhausted: Counter::new(),
-            drain_executed: Counter::new(),
-            drain_deferred: Counter::new(),
-            coalesced_batches: Counter::new(),
-            coalesced_ops: Counter::new(),
-            coalesced_bytes: Counter::new(),
-            accept_errors: Counter::new(),
-            backpressure_events: Counter::new(),
-            watchdog_trips: Counter::new(),
-            steal_ops: Counter::new(),
-            slab_hits: Counter::new(),
-            slab_misses: Counter::new(),
-            slab_recycled_bytes: Counter::new(),
-            hotpath_alloc_bytes: Counter::new(),
-            conns_open: Gauge::new(),
-            queue_depth: Gauge::new(),
-            bml_occupancy: Gauge::new(),
-            bml_waiters: Gauge::new(),
-            inflight_ops: Gauge::new(),
-            open_descriptors: Gauge::new(),
-            workers_busy: Gauge::new(),
-            sync_queue_depth: Gauge::new(),
-            wbuf_bytes: Gauge::new(),
-            shard_depth: PerShard::new(),
-            queue_wait_ns: Histogram::new(),
-            service_ns: Histogram::new(),
-            total_ns: Histogram::new(),
-            dispatch_lag_ns: Histogram::new(),
-            reply_lag_ns: Histogram::new(),
-            bml_block_ns: Histogram::new(),
-            batch_size: Histogram::new(),
-            coalesce_width: Histogram::new(),
-            poll_wait_ns: Histogram::new(),
-            loop_lag_ns: Histogram::new(),
-            ready_batch: Histogram::new(),
-            sync_run_ns: Histogram::new(),
-            worker_dispatch: PerWorker::new(),
-            worker_busy_ns: PerWorker::new(),
-            loop_heartbeats: Heartbeats::new(),
-            clients: ClientTable::new(),
-            timeseries: TimeSeries::new(timeseries::DEFAULT_SERIES_CAPACITY),
-            flight: FlightRecorder::new(flight),
-            sink: OnceLock::new(),
-        }
     }
 
     /// Attach a [`SpanSink`] receiving every completed span. Write-once:
@@ -522,14 +508,11 @@ impl Telemetry {
     /// The attribution entry for `client`, created on first touch —
     /// the sanctioned mutation path for the per-client table (lint
     /// R9): steady-state cost is one sharded read lock, and hot-path
-    /// callers should cache the `Arc` per connection. `None` when the
-    /// registry is disabled or attribution is off.
+    /// callers should cache the `Arc` per connection. `None` only when
+    /// the registry is disabled.
     #[inline]
     pub fn client_stats(&self, client: u64) -> Option<Arc<PerClientStats>> {
-        if !self.enabled {
-            return None;
-        }
-        self.clients.entry(client)
+        self.enabled.then(|| self.clients.entry(client))
     }
 
     /// Push one deltified point into the time-series ring; call on the
@@ -611,6 +594,17 @@ mod tests {
         assert_eq!(c.queue_wait_ns.snapshot().sum, 50);
         assert_eq!(c.backend_ns.snapshot().sum, 100);
         assert!(t.clients.lookup(43).is_none());
+    }
+
+    #[test]
+    fn enabled_registry_always_attributes() {
+        // There is no switch: an enabled registry hands out a row for
+        // any client id, the same row every time, and the table sees it.
+        let t = Telemetry::new();
+        let row = t.client_stats(7).expect("enabled registry");
+        assert!(Arc::ptr_eq(&row, &t.client_stats(7).expect("same row")));
+        assert!(Arc::ptr_eq(&row, &t.clients.lookup(7).expect("in table")));
+        assert_eq!(t.clients.len(), 1);
     }
 
     #[test]

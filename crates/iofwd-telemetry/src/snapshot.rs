@@ -536,68 +536,18 @@ pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -
 /// because naming metrics means allocating strings — snapshot-time
 /// work, kept out of the hot-path module.
 pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
-    let mut counters = vec![
-        ("ops_completed".to_string(), t.ops_completed.get()),
-        ("ops_failed".to_string(), t.ops_failed.get()),
-        ("ops_staged".to_string(), t.ops_staged.get()),
-        ("deferred_errors".to_string(), t.deferred_errors.get()),
-        (
-            "deferred_errors_reported".to_string(),
-            t.deferred_errors_reported.get(),
-        ),
-        (
-            "deferred_errors_orphaned".to_string(),
-            t.deferred_errors_orphaned.get(),
-        ),
-        ("bytes_filtered_out".to_string(), t.bytes_filtered_out.get()),
-        (
-            "bml_blocked_acquires".to_string(),
-            t.bml_blocked_acquires.get(),
-        ),
-        ("frames_in".to_string(), t.frames_in.get()),
-        ("frames_out".to_string(), t.frames_out.get()),
-        ("transport_bytes_in".to_string(), t.transport_bytes_in.get()),
-        (
-            "transport_bytes_out".to_string(),
-            t.transport_bytes_out.get(),
-        ),
-        ("backend_write_ops".to_string(), t.backend_write_ops.get()),
-        ("backend_read_ops".to_string(), t.backend_read_ops.get()),
-        (
-            "backend_bytes_written".to_string(),
-            t.backend_bytes_written.get(),
-        ),
-        ("backend_bytes_read".to_string(), t.backend_bytes_read.get()),
-        ("backend_sync_ops".to_string(), t.backend_sync_ops.get()),
-        ("faults_injected".to_string(), t.faults_injected.get()),
-        ("retries_attempted".to_string(), t.retries_attempted.get()),
-        ("retries_exhausted".to_string(), t.retries_exhausted.get()),
-        ("drain_executed".to_string(), t.drain_executed.get()),
-        ("drain_deferred".to_string(), t.drain_deferred.get()),
-        ("coalesced_batches".to_string(), t.coalesced_batches.get()),
-        ("coalesced_ops".to_string(), t.coalesced_ops.get()),
-        ("coalesced_bytes".to_string(), t.coalesced_bytes.get()),
-        ("accept_errors".to_string(), t.accept_errors.get()),
-        (
-            "backpressure_events".to_string(),
-            t.backpressure_events.get(),
-        ),
-        ("watchdog_trips".to_string(), t.watchdog_trips.get()),
-        ("steal_ops".to_string(), t.steal_ops.get()),
-        ("slab_hits".to_string(), t.slab_hits.get()),
-        ("slab_misses".to_string(), t.slab_misses.get()),
-        (
-            "slab_recycled_bytes".to_string(),
-            t.slab_recycled_bytes.get(),
-        ),
-        (
-            "hotpath_alloc_bytes".to_string(),
-            t.hotpath_alloc_bytes.get(),
-        ),
+    // The declared registry entries come from the one table in `lib.rs`;
+    // the rows added here are derived at snapshot time, not stored.
+    let mut counters: Vec<(String, u64)> = t
+        .counters()
+        .iter()
+        .map(|(name, c)| (name.to_string(), c.get()))
+        .collect();
+    counters.extend([
         ("flight_recorded".to_string(), t.flight.recorded()),
         ("flight_dropped".to_string(), t.flight.dropped()),
         ("uptime_ns".to_string(), t.uptime_ns()),
-    ];
+    ]);
     for w in 0..MAX_WORKERS {
         let c = t.worker_dispatch.get(w);
         if c > 0 {
@@ -610,21 +560,17 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             counters.push((format!("worker_busy_ns_{w}"), busy));
         }
     }
-    let gauge = |g: &crate::Gauge| GaugeValue {
-        current: g.get(),
-        peak: g.peak(),
-    };
-    let mut gauges = vec![
-        ("conns_open".to_string(), gauge(&t.conns_open)),
-        ("queue_depth".to_string(), gauge(&t.queue_depth)),
-        ("bml_occupancy".to_string(), gauge(&t.bml_occupancy)),
-        ("bml_waiters".to_string(), gauge(&t.bml_waiters)),
-        ("inflight_ops".to_string(), gauge(&t.inflight_ops)),
-        ("open_descriptors".to_string(), gauge(&t.open_descriptors)),
-        ("workers_busy".to_string(), gauge(&t.workers_busy)),
-        ("sync_queue_depth".to_string(), gauge(&t.sync_queue_depth)),
-        ("wbuf_bytes".to_string(), gauge(&t.wbuf_bytes)),
-    ];
+    let mut gauges: Vec<(String, GaugeValue)> = t
+        .gauges()
+        .iter()
+        .map(|(name, g)| {
+            let value = GaugeValue {
+                current: g.get(),
+                peak: g.peak(),
+            };
+            (name.to_string(), value)
+        })
+        .collect();
     for s in 0..MAX_WORKERS {
         let peak = t.shard_depth.peak(s);
         if peak > 0 {
@@ -640,20 +586,11 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
     TelemetrySnapshot {
         counters,
         gauges,
-        hists: vec![
-            ("queue_wait_ns".to_string(), t.queue_wait_ns.snapshot()),
-            ("service_ns".to_string(), t.service_ns.snapshot()),
-            ("total_ns".to_string(), t.total_ns.snapshot()),
-            ("dispatch_lag_ns".to_string(), t.dispatch_lag_ns.snapshot()),
-            ("reply_lag_ns".to_string(), t.reply_lag_ns.snapshot()),
-            ("bml_block_ns".to_string(), t.bml_block_ns.snapshot()),
-            ("batch_size".to_string(), t.batch_size.snapshot()),
-            ("coalesce_width".to_string(), t.coalesce_width.snapshot()),
-            ("poll_wait_ns".to_string(), t.poll_wait_ns.snapshot()),
-            ("loop_lag_ns".to_string(), t.loop_lag_ns.snapshot()),
-            ("ready_batch".to_string(), t.ready_batch.snapshot()),
-            ("sync_run_ns".to_string(), t.sync_run_ns.snapshot()),
-        ],
+        hists: t
+            .hists()
+            .iter()
+            .map(|(name, h)| (name.to_string(), h.snapshot()))
+            .collect(),
         clients: t.clients.snapshot(),
     }
 }
@@ -798,6 +735,51 @@ mod tests {
     }
 
     #[test]
+    fn capture_exports_exactly_the_declared_set() {
+        let t = Telemetry::new();
+        // Distinct values, so a row wired to the wrong field would show.
+        for (i, (_, c)) in t.counters().iter().enumerate() {
+            c.add(i as u64 + 1);
+        }
+        for (i, (_, g)) in t.gauges().iter().enumerate() {
+            g.set(i as i64 + 1);
+        }
+        for (i, (_, h)) in t.hists().iter().enumerate() {
+            h.record(i as u64 + 1);
+        }
+        let snap = t.snapshot();
+
+        let declared: Vec<&str> = t.counters().iter().map(|(n, _)| *n).collect();
+        let derived = ["flight_recorded", "flight_dropped", "uptime_ns"];
+        let exported: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(exported, [&declared[..], &derived[..]].concat());
+        for (i, name) in declared.iter().enumerate() {
+            assert_eq!(snap.counter(name), i as u64 + 1, "{name}");
+        }
+
+        let declared: Vec<&str> = t.gauges().iter().map(|(n, _)| *n).collect();
+        let exported: Vec<&str> = snap.gauges.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(exported, declared);
+        for (i, name) in declared.iter().enumerate() {
+            assert_eq!(snap.gauge(name).current, i as i64 + 1, "{name}");
+        }
+
+        let declared: Vec<&str> = t.hists().iter().map(|(n, _)| *n).collect();
+        let exported: Vec<&str> = snap.hists.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(exported, declared);
+        for (i, name) in declared.iter().enumerate() {
+            assert_eq!(snap.hist(name).map(|h| h.sum), Some(i as u64 + 1), "{name}");
+        }
+
+        // The names the repo benchmark reads stay spelled as they were.
+        for name in ["ops_completed", "hotpath_alloc_bytes", "backend_sync_ops"] {
+            assert!(snap.counters.iter().any(|(n, _)| n == name), "{name}");
+        }
+        assert!(snap.gauges.iter().any(|(n, _)| n == "bml_occupancy"));
+        assert!(snap.hist("coalesce_width").is_some());
+    }
+
+    #[test]
     fn renderers_do_not_panic() {
         let t = Telemetry::new();
         let mut span = OpSpan::begin(OpKind::Read, 2, 7, 0);
@@ -829,7 +811,7 @@ mod tests {
     fn clients_round_trip_and_render() {
         let t = Telemetry::new();
         for id in [3u64, 11] {
-            let c = t.client_stats(id).expect("attribution on");
+            let c = t.client_stats(id).expect("enabled registry");
             c.ops.add(id);
             c.bytes_in.add(id * 100);
             c.bytes_out.add(id * 10);
@@ -860,7 +842,7 @@ mod tests {
         t.total_ns.record(1500);
         t.total_ns.record(90_000);
         t.queue_depth.add(4);
-        let c = t.client_stats(5).expect("attribution on");
+        let c = t.client_stats(5).expect("enabled registry");
         c.bytes_in.add(4096);
         let rates = crate::timeseries::Rates {
             points: 2,
@@ -910,7 +892,7 @@ mod tests {
     #[test]
     fn top_screen_shows_interval_rates() {
         let t = Telemetry::new();
-        let c = t.client_stats(9).expect("attribution on");
+        let c = t.client_stats(9).expect("enabled registry");
         c.ops.add(100);
         c.bytes_in.add(1 << 20);
         let prev = t.snapshot();

@@ -782,6 +782,14 @@ impl<B: Backend> Backend for ThrottledBackend<B> {
     fn unlink(&self, path: &str) -> Result<(), Errno> {
         self.inner.unlink(path)
     }
+
+    fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
+        self.inner.mkdir(path, mode)
+    }
+
+    fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
+        self.inner.readdir(path)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1360,5 +1368,21 @@ mod tests {
         let t0 = Instant::now();
         f.write_at(None, &vec![0u8; 256 * 1024]).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(200));
+    }
+
+    #[test]
+    fn throttled_backend_forwards_the_namespace_ops() {
+        // The device model paces data calls only; mkdir/readdir reach
+        // the wrapped backend (the trait defaults would answer `Ok` and
+        // an empty list without touching it).
+        let dir = std::env::temp_dir().join(format!("iofwd-throttle-ns-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let b = ThrottledBackend::new(Arc::new(FileBackend::new(&dir)), 1e12, Duration::ZERO);
+        b.mkdir("/d", 0o755).unwrap();
+        assert!(b.stat("/d").unwrap().is_dir);
+        b.open("/d/f", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        assert_eq!(b.readdir("/d").unwrap(), vec!["f".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,9 +21,6 @@
 //!   when every data connection is parked under backpressure.
 //! * `--stats-port-file PATH` — write the stats listener's bound port
 //!   (for `--stats-addr host:0`).
-//! * `--attribution on|off` — per-client attribution table (default
-//!   on): ops, payload bytes, stage histograms, backpressure per
-//!   client id.
 //! * `--watchdog [k=v,...]` — event-loop/queue health watchdog
 //!   (`interval_ms`, `queue_age_ms`, `loop_lag_ms`, `wbuf_bytes`,
 //!   `wbuf_strikes`, `dump=PATH`): each SLO is a rising-edge latch
@@ -40,7 +37,7 @@
 //!
 //! Performance (DESIGN.md §12):
 //!
-//! * `--coalesce[=off|MAX_BYTES,MAX_OPS]` — staged-write coalescing:
+//! * `--coalesce=off|MAX_BYTES,MAX_OPS` — staged-write coalescing:
 //!   offset-contiguous writes parked on one descriptor merge into a
 //!   single vectored backend call. On by default for the worker-pool
 //!   modes (sched/staged) with budgets 1 MiB / 16 ops; off (and
@@ -85,8 +82,6 @@ struct Options {
     stats_port_file: Option<String>,
     /// `--watchdog` spec (absent = watchdog off).
     watchdog: Option<WatchdogConfig>,
-    /// Per-client attribution (on unless `--attribution off`).
-    attribution: bool,
     fault_plan: Option<String>,
     retry_attempts: u32,
     trace_out: Option<String>,
@@ -118,7 +113,6 @@ impl Options {
             stats_addr: None,
             stats_port_file: None,
             watchdog: None,
-            attribution: true,
             fault_plan: None,
             retry_attempts: 4,
             trace_out: None,
@@ -155,13 +149,6 @@ impl Options {
                     let spec = take("--watchdog");
                     opts.watchdog = Some(WatchdogConfig::parse(&spec).unwrap_or_else(|e| die(&e)));
                 }
-                "--attribution" => {
-                    opts.attribution = match take("--attribution").as_str() {
-                        "on" => true,
-                        "off" => false,
-                        _ => die("--attribution must be 'on' or 'off'"),
-                    };
-                }
                 "--port-file" => opts.port_file = Some(take("--port-file")),
                 "--fault-plan" => opts.fault_plan = Some(take("--fault-plan")),
                 "--retry-attempts" => {
@@ -169,10 +156,8 @@ impl Options {
                         die("--retry-attempts needs an integer (1 disables retries)");
                     })
                 }
-                // --coalesce            enable with mode defaults
                 // --coalesce=off        disable merging
                 // --coalesce=BYTES,OPS  enable with explicit budgets
-                "--coalesce" => opts.coalesce = Some(Some(CoalesceConfig::default())),
                 s if s.starts_with("--coalesce=") => {
                     let v = &s["--coalesce=".len()..];
                     opts.coalesce = if v == "off" {
@@ -244,9 +229,9 @@ impl Options {
                          [--mode ciod|zoid|sched|staged] [--workers N] [--bml-mib N] \
                          [--port-file PATH] \
                          [--stats-addr ADDR [--stats-port-file PATH]] \
-                         [--watchdog SPEC] [--attribution on|off] \
+                         [--watchdog SPEC] \
                          [--fault-plan PATH] [--retry-attempts N] \
-                         [--coalesce[=off|MAX_BYTES,MAX_OPS]] \
+                         [--coalesce=off|MAX_BYTES,MAX_OPS] \
                          [--throttle PER_OP_US,BW_MIB_S] \
                          [--transport threads|reactor] [--reactor-threads N] \
                          [--accept-fault-every N] \
@@ -305,7 +290,6 @@ fn main() {
     // Build telemetry up front so the fault injector (outermost backend
     // wrapper) and the daemon share one registry.
     let telemetry = Arc::new(Telemetry::new());
-    telemetry.clients.set_attribution(opts.attribution);
     // The trace exporter must be attached before any op completes so the
     // first traced request is already observable.
     let exporter = opts.trace_out.as_ref().map(|path| {

@@ -96,10 +96,6 @@ impl Engine {
         self.retry = policy;
     }
 
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }

@@ -289,13 +289,16 @@ fn elevator_sort_reads(items: &mut [WorkItem]) {
     }
 }
 
+/// Tasks a worker dequeues per scheduling pass (the paper's per-thread
+/// I/O multiplexing; §IV uses a poll-based event loop).
+const WORKER_BATCH: usize = 4;
+
 /// Worker-pool loop: batch-dequeue ("I/O multiplexing per thread") and
 /// execute. With `coalesce` set, a dequeued staged write additionally
 /// harvests the offset-contiguous prefix parked behind it on its
 /// serializer lane and executes the whole chain as one vectored write.
 pub fn worker_loop(
     worker: usize,
-    batch: usize,
     queue: Arc<WorkQueue>,
     engine: Arc<Engine>,
     serializer: Arc<FdSerializer>,
@@ -306,7 +309,7 @@ pub fn worker_loop(
     // the steady state allocates nothing per dequeue.
     let mut items: Vec<WorkItem> = Vec::new();
     loop {
-        queue.pop_batch_into(worker, batch, &mut items);
+        queue.pop_batch_into(worker, WORKER_BATCH, &mut items);
         if items.is_empty() {
             return; // queue closed and drained
         }

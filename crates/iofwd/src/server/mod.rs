@@ -101,9 +101,6 @@ impl Default for CoalesceConfig {
 #[derive(Clone)]
 pub struct ServerConfig {
     pub mode: ForwardingMode,
-    /// How many tasks a worker dequeues per scheduling pass (the paper's
-    /// per-thread I/O multiplexing; §IV uses a poll-based event loop).
-    pub worker_batch: usize,
     /// In-situ filter chain applied to every data write on the ION
     /// (§VII future work: offloaded data filtering / analytics).
     pub filters: crate::filter::FilterChain,
@@ -127,7 +124,6 @@ impl ServerConfig {
     pub fn new(mode: ForwardingMode) -> Self {
         ServerConfig {
             mode,
-            worker_batch: 4,
             filters: crate::filter::FilterChain::new(),
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
             retry: RetryPolicy::disabled(),
@@ -144,12 +140,6 @@ impl ServerConfig {
     /// one with a larger flight-recorder capacity).
     pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::Telemetry>) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    pub fn with_worker_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0);
-        self.worker_batch = batch;
         self
     }
 
@@ -236,11 +226,10 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
             let queue = queue.clone();
             let engine = engine.clone();
             let serializer = serializer.clone();
-            let batch = config.worker_batch;
             let coalesce = config.coalesce;
             std::thread::Builder::new()
                 .name(format!("iofwd-worker-{w}"))
-                .spawn(move || handlers::worker_loop(w, batch, queue, engine, serializer, coalesce))
+                .spawn(move || handlers::worker_loop(w, queue, engine, serializer, coalesce))
                 .expect("spawn worker")
         })
         .collect();

@@ -65,32 +65,30 @@ const FLUSH_SEGMENTS: usize = 8;
 const TICK: Duration = Duration::from_millis(20);
 /// Backoff before re-touching a listener that just failed `accept(2)`.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+/// Frames decoded per connection per loop lap before yielding to the
+/// next connection (fairness between clients on one loop).
+const FRAMES_PER_PASS: usize = 8;
+/// Threads for blocking work (metadata ops, read barriers).
+const SYNC_EXECUTORS: usize = 8;
 
 /// Tuning knobs for [`spawn`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
     /// Event-loop threads; client sockets are assigned round-robin.
     pub threads: usize,
-    /// Frames decoded per connection per loop lap before yielding to
-    /// the next connection (fairness between clients on one loop).
-    pub frames_per_pass: usize,
     /// Park a client once it has this many items in the work queue.
     pub max_client_queued: usize,
     /// Park a client's read side once its un-flushed reply bytes
     /// exceed this (it is not reading its responses).
     pub max_write_buffer: usize,
-    /// Threads for blocking work (metadata ops, read barriers).
-    pub sync_executors: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             threads: 2,
-            frames_per_pass: 8,
             max_client_queued: 32,
             max_write_buffer: 1 << 20,
-            sync_executors: 8,
         }
     }
 }
@@ -521,10 +519,10 @@ impl ReactorThread {
         self.finish_conn(tok, conn);
     }
 
-    /// Receive-and-admit loop: up to `frames_per_pass` frames, or until
+    /// Receive-and-admit loop: up to `FRAMES_PER_PASS` frames, or until
     /// the socket has nothing more.
     fn pump(&mut self, conn: &mut ConnState) {
-        let mut budget = self.cfg.frames_per_pass.max(1);
+        let mut budget = FRAMES_PER_PASS;
         loop {
             if conn.dead || conn.parked() || conn.peer_closed || conn.close_after_flush {
                 return;
@@ -857,7 +855,7 @@ fn sync_executor_loop(rx: Receiver<SyncTask>, ctx: Arc<AdmitCtx>) {
 }
 
 /// Start the reactor: `cfg.threads` event loops (loop 0 owns the
-/// listener) plus `cfg.sync_executors` blocking-work threads.
+/// listener) plus `SYNC_EXECUTORS` blocking-work threads.
 ///
 /// Fails if the poller is unsupported on this target (caller falls back
 /// to the threaded transport) or thread spawning fails.
@@ -892,7 +890,7 @@ pub(crate) fn spawn(
     }
 
     let mut sync_threads = Vec::new();
-    for i in 0..cfg.sync_executors.max(1) {
+    for i in 0..SYNC_EXECUTORS {
         let rx = sync_rx.clone();
         let ctx = ctx.clone();
         match std::thread::Builder::new()

@@ -138,8 +138,10 @@ fn daemon_rejects_bad_mode() {
 }
 
 /// Retired flags are gone, not silently ignored: the zero-copy control
-/// arm (BENCH_PR10.json is its frozen measurement), and the file/stderr
-/// stats exits the stats wire protocol replaced.
+/// arm (BENCH_PR10.json is its frozen measurement), the file/stderr
+/// stats exits the stats wire protocol replaced, the per-client
+/// attribution switch (attribution is simply on) and the bare
+/// `--coalesce` form (`--coalesce=off|BYTES,OPS` are the forms left).
 #[test]
 fn daemon_rejects_retired_flags() {
     let hotpath = ["--hot", "path"].concat();
@@ -148,6 +150,8 @@ fn daemon_rejects_retired_flags() {
         ("--stats-json", "x"),
         ("--stats-interval", "1"),
         ("--dump-trigger", "x"),
+        ("--attribution", "on"),
+        ("--coalesce", "on"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
             .args([flag, value])
@@ -162,5 +166,5 @@ fn daemon_rejects_retired_flags() {
         .output()
         .unwrap();
     let help = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(help.matches("--").count(), 19, "{help}");
+    assert_eq!(help.matches("--").count(), 18, "{help}");
 }

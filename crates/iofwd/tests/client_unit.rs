@@ -433,7 +433,7 @@ fn both_send_paths_count_the_payload_once_at_both_ends() {
             server.shutdown();
             assert_eq!(telemetry.transport_bytes_in.get(), out, "{label}");
             assert_eq!(telemetry.transport_bytes_out.get(), back_in, "{label}");
-            let row = telemetry.client_stats(11).expect("attribution on");
+            let row = telemetry.client_stats(11).expect("enabled registry");
             assert_eq!(row.bytes_in.get(), out, "{label}");
             assert_eq!(row.bytes_out.get(), back_in, "{label}");
         }

@@ -265,7 +265,7 @@ fn read_replies(stream: &mut std::net::TcpStream, n: usize) -> Vec<Frame> {
     out
 }
 
-/// DESIGN §16's promise on the reactor: stats are "answered while the
+/// DESIGN §9's promise on the reactor: stats are "answered while the
 /// data path is wedged" — including for a client that has used up its
 /// own queue credit. Four writes are pipelined at a one-worker daemon
 /// whose backend takes 150 ms per write, with `max_client_queued = 1`,

@@ -41,9 +41,8 @@
 //!     sweep time instead of lint time.
 //!   - **R9** Per-client attribution in `crates/iofwd/src/` goes
 //!     through the sharded `Telemetry::client_stats` accessor — no raw
-//!     `.clients.` table access outside boot-time toggles, so hot
-//!     paths can neither take extra shard locks nor bypass
-//!     `--attribution off`.
+//!     `.clients.` table access, so hot paths can neither take extra
+//!     shard locks nor stamp rows in a disabled registry.
 //!   - **R10** Forwarding hot-path files (`iofwd-proto::{wire,
 //!     reader}`, `iofwd::{client, transport, bml, server::{admit,
 //!     engine, handlers, queue, reactor}}`) must not `.to_vec()` a
