@@ -36,12 +36,14 @@ else
     echo "tsan advisory: FAILED (non-fatal — inspect the log above)"
 fi
 
-step "one measurement harness (no bench target, no criterion package)"
-# crates/experiments and benchmark/ are the harnesses; a `[[bench]]`
-# target or a criterion dependency coming back fails here.
+step "one measurement harness (no bench target, no criterion or bench package, no figures binary)"
+# crates/experiments and benchmark/ are the harnesses and `experiments`
+# the one CLI that prints numbers; a `[[bench]]` target, a criterion
+# dependency, a `bench` package or a `figures` target coming back fails
+# here.
 META=$(cargo metadata --no-deps --offline --format-version 1)
-if grep -Eq '"kind":\["bench"\]|"name":"criterion"' <<<"$META"; then
-    echo "ci: a bench target or a criterion package is back in the workspace"; exit 1
+if grep -Eq '"kind":\["bench"\]|"name":"(criterion|bench|figures)"' <<<"$META"; then
+    echo "ci: a bench target, a criterion/bench package or a figures binary is back in the workspace"; exit 1
 fi
 
 step "build --release"
@@ -202,8 +204,8 @@ if grep -qi "panicked" "$TRACED/daemon.log"; then
 fi
 kill "$TRACED_PID"
 
-step "bottleneck attribution (figures bottleneck)"
-target/release/figures bottleneck >"$TRACED/bottleneck.txt"
+step "bottleneck attribution (experiments figures bottleneck)"
+target/release/experiments figures bottleneck >"$TRACED/bottleneck.txt"
 cat "$TRACED/bottleneck.txt"
 # The paper's diagnosis, as a CI invariant: the thread-per-CN proxy
 # (ciod) queues, the inline thread-per-client daemon (zoid) is bound by

@@ -9,7 +9,7 @@
 //! here.
 //!
 //! The fit was performed by running `bgsim`'s figure drivers
-//! (`cargo run -p bench --bin figures`) and adjusting until the shape
+//! (`cargo run -p experiments -- figures`) and adjusting until the shape
 //! criteria in DESIGN.md §4 held; the band tests in `tests/sim_shapes.rs`
 //! lock the result in.
 

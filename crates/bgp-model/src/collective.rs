@@ -86,12 +86,6 @@ impl CollectiveNetwork {
     pub fn op_wire_bytes(&self, payload: u64) -> u64 {
         self.data_wire_bytes(self.control_message_bytes) + self.data_wire_bytes(payload)
     }
-
-    /// Time to move `payload` bytes over an otherwise idle tree link.
-    pub fn ideal_transfer_time(&self, payload: u64) -> Duration {
-        let wire = self.data_wire_bytes(payload) as f64;
-        self.one_way_latency + Duration::from_secs_f64(wire / self.raw_bandwidth)
-    }
 }
 
 #[cfg(test)]

@@ -82,14 +82,6 @@ impl CpuSpec {
         }
     }
 
-    /// File-server node: dual-core dual-processor AMD Opteron (§II-A).
-    pub fn opteron_fsn() -> Self {
-        CpuSpec {
-            cores: 4,
-            clock_hz: 2.4e9,
-        }
-    }
-
     /// Total core-seconds per second.
     pub fn capacity(&self) -> f64 {
         self.cores as f64

@@ -56,10 +56,6 @@ impl StorageSpec {
     }
 }
 
-/// File alignment used by MADbench2's runs in the paper (§V-B: "The file
-/// alignment used by MADbench2 for these runs was the default of 4,096").
-pub const DEFAULT_FILE_ALIGNMENT: u64 = 4096;
-
 /// Round `offset` up to the next multiple of `alignment`.
 pub fn align_up(offset: u64, alignment: u64) -> u64 {
     assert!(

@@ -6,7 +6,7 @@
 //!   1,000 iterations" because its I/O network was *shared*. The
 //!   simulator is deterministic and unshared, so one run per point
 //!   suffices; we use fewer iterations (enough to reach steady state)
-//!   to keep regeneration fast. `--iters` scales them back up.
+//!   to keep regeneration fast. `--scale` scales them back up.
 //! * Axes and series labels match the paper's figures.
 
 use bgp_model::units::{KIB, MIB};

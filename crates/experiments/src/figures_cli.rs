@@ -1,89 +1,64 @@
-//! Regenerate the paper's figures from the simulator.
+//! `experiments figures` — regenerate the paper's figures from the
+//! simulator, and the live-daemon stage tables beside them.
 //!
 //! ```text
-//! cargo run -p bench --release --bin figures -- all
-//! cargo run -p bench --release --bin figures -- fig9 fig13
-//! cargo run -p bench --release --bin figures -- --scale 4 fig12   # more iterations
-//! cargo run -p bench --release --bin figures -- efficiency
-//! cargo run -p bench --release --bin figures -- telemetry   # live-daemon stage breakdown
-//! cargo run -p bench --release --bin figures -- bottleneck  # dominant-stage attribution
+//! experiments figures all
+//! experiments figures fig9 fig13
+//! experiments figures --scale 4 fig12   # more iterations
+//! experiments figures efficiency
+//! experiments figures telemetry   # live-daemon stage breakdown
+//! experiments figures bottleneck  # dominant-stage attribution
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use bench::figures::{build, efficiency_ladder, Budget, FigureId};
-use bench::paper;
 use bgp_model::MachineConfig;
+use experiments::figures::{self, build, efficiency_ladder, Budget, FigureId};
+use experiments::paper;
 use iofwd::backend::MemSinkBackend;
 use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
-use iofwd::telemetry::snapshot::fmt_ns;
+use iofwd::telemetry::snapshot::{fmt_ns, TelemetrySnapshot};
 use iofwd::trace::StageBreakdown;
 use iofwd::transport::mem::MemHub;
 use madbench::{MadbenchParams, Phase};
+use simcore::stats::Figure;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Print every requested table, in order; `None` is a usage error (an
+/// unknown name, a bad `--scale`, nothing requested).
+pub fn run(args: &[String]) -> Option<ExitCode> {
     let mut scale = 1.0f64;
-    let mut want: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a number"));
-            }
-            other => want.push(other.to_owned()),
+    let mut want = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--scale" => scale = it.next()?.parse().ok()?,
+            other => want.push(other),
         }
-        i += 1;
     }
     if want.is_empty() {
-        usage("no figure requested");
+        return None;
     }
     let budget = Budget { scale };
-
-    for w in &want {
-        match w.as_str() {
+    for w in want {
+        match w {
             "all" => {
                 for id in FigureId::ALL {
                     print_figure(id, budget);
                 }
                 print_efficiency(budget);
-                eprintln!("[figures] running ablations ...");
-                println!(
-                    "{}",
-                    bench::figures::ablation_bml(&MachineConfig::intrepid(), budget)
-                );
-                println!(
-                    "{}",
-                    bench::figures::ablation_protocol(&MachineConfig::intrepid(), budget)
-                );
+                print_ablation(figures::ablation_bml, budget);
+                print_ablation(figures::ablation_protocol, budget);
             }
             "efficiency" | "t-effic" => print_efficiency(budget),
             "telemetry" => print_telemetry(budget),
             "bottleneck" => print_bottleneck(budget),
-            "ablation-bml" => {
-                eprintln!("[figures] running ablation-bml ...");
-                println!(
-                    "{}",
-                    bench::figures::ablation_bml(&MachineConfig::intrepid(), budget)
-                );
-            }
-            "ablation-protocol" => {
-                eprintln!("[figures] running ablation-protocol ...");
-                println!(
-                    "{}",
-                    bench::figures::ablation_protocol(&MachineConfig::intrepid(), budget)
-                );
-            }
-            other => match FigureId::parse(other) {
-                Some(id) => print_figure(id, budget),
-                None => usage(&format!("unknown figure '{other}'")),
-            },
+            "ablation-bml" => print_ablation(figures::ablation_bml, budget),
+            "ablation-protocol" => print_ablation(figures::ablation_protocol, budget),
+            other => print_figure(FigureId::parse(other)?, budget),
         }
     }
+    Some(ExitCode::SUCCESS)
 }
 
 fn print_figure(id: FigureId, budget: Budget) {
@@ -94,7 +69,12 @@ fn print_figure(id: FigureId, budget: Budget) {
     println!();
 }
 
-fn annotate(id: FigureId, fig: &simcore::stats::Figure) {
+fn print_ablation(build: fn(&MachineConfig, Budget) -> Figure, budget: Budget) {
+    eprintln!("[figures] running ablation ...");
+    println!("{}", build(&MachineConfig::intrepid(), budget));
+}
+
+fn annotate(id: FigureId, fig: &Figure) {
     let at = |label: &str, x: f64| fig.series(label).and_then(|s| s.y_at(x));
     match id {
         FigureId::Fig4 => {
@@ -231,11 +211,9 @@ fn print_efficiency(budget: Budget) {
     println!();
 }
 
-/// Live-daemon telemetry: run MADbench against a real in-process daemon
-/// once per forwarding strategy and print the paper-style lifecycle
-/// stage breakdown (queue wait vs backend service) each one exhibits.
-fn print_telemetry(budget: Budget) {
-    eprintln!("[figures] running live-daemon telemetry sweep ...");
+/// Run MADbench against a real in-process daemon once per forwarding
+/// strategy; returns the workload and each strategy's final snapshot.
+fn live_sweep(budget: Budget) -> (MadbenchParams, [(ForwardingMode, TelemetrySnapshot); 4]) {
     let nbin = ((3.0 * budget.scale).round() as u64).max(1);
     let p = MadbenchParams {
         npix: 64,
@@ -255,6 +233,26 @@ fn print_telemetry(budget: Budget) {
             bml_capacity,
         },
     ];
+    let snapshots = modes.map(|mode| {
+        let hub = MemHub::new();
+        let server = IonServer::spawn(
+            Box::new(hub.listener()),
+            Arc::new(MemSinkBackend::new()),
+            ServerConfig::new(mode),
+        );
+        let telemetry = server.telemetry();
+        madbench::runner::run(&p, &Phase::ALL, |_| Box::new(hub.connect()));
+        server.shutdown();
+        (mode, telemetry.snapshot())
+    });
+    (p, snapshots)
+}
+
+/// Live-daemon telemetry: the paper-style lifecycle stage breakdown
+/// (queue wait vs backend service) each forwarding strategy exhibits.
+fn print_telemetry(budget: Budget) {
+    eprintln!("[figures] running live-daemon telemetry sweep ...");
+    let (p, sweep) = live_sweep(budget);
     println!(
         "# Per-strategy op lifecycle (MADbench {} procs x {} bins, live daemon)",
         p.nproc, p.nbin
@@ -263,18 +261,7 @@ fn print_telemetry(budget: Budget) {
         "{:>12} {:>6} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
         "mode", "ops", "qwait-mean", "qwait-p99", "svc-mean", "svc-p99", "total-mean", "total-p99"
     );
-    for mode in modes {
-        let hub = MemHub::new();
-        let backend = Arc::new(MemSinkBackend::new());
-        let server = IonServer::spawn(
-            Box::new(hub.listener()),
-            backend.clone(),
-            ServerConfig::new(mode),
-        );
-        let telemetry = server.telemetry();
-        madbench::runner::run(&p, &Phase::ALL, |_| Box::new(hub.connect()));
-        server.shutdown();
-        let snap = telemetry.snapshot();
+    for (mode, snap) in sweep {
         let h = |name: &str| snap.hist(name).cloned().unwrap_or_default();
         let (qw, svc, tot) = (h("queue_wait_ns"), h("service_ns"), h("total_ns"));
         println!(
@@ -303,57 +290,23 @@ fn print_telemetry(budget: Budget) {
     println!();
 }
 
-/// Bottleneck attribution: run the same live-daemon MADbench sweep as
-/// `telemetry`, but reduce each strategy's histograms to a
-/// [`StageBreakdown`] and name the stage that dominates server
-/// residency — the paper's §III/§V diagnosis (thread-per-CN strategies
-/// queue; the worker pool moves the cost into backend service) as a
-/// one-line verdict per mode.
+/// Bottleneck attribution: the same sweep as `telemetry`, each
+/// strategy's histograms reduced to a [`StageBreakdown`] naming the
+/// stage that dominates server residency — the paper's §III/§V
+/// diagnosis (thread-per-CN strategies queue; the worker pool moves the
+/// cost into backend service) as a one-line verdict per mode.
 fn print_bottleneck(budget: Budget) {
     eprintln!("[figures] running live-daemon bottleneck attribution ...");
-    let nbin = ((3.0 * budget.scale).round() as u64).max(1);
-    let p = MadbenchParams {
-        npix: 64,
-        nbin,
-        nproc: 4,
-        ..MadbenchParams::paper_64()
-    };
-    let bml_capacity = 2 * p.slice_bytes();
-    let modes = [
-        ForwardingMode::Ciod,
-        ForwardingMode::Zoid,
-        ForwardingMode::Sched { workers: 2 },
-        ForwardingMode::AsyncStaged {
-            workers: 2,
-            bml_capacity,
-        },
-    ];
+    let (p, sweep) = live_sweep(budget);
     println!(
         "# Per-strategy bottleneck attribution (MADbench {} procs x {} bins, live daemon)",
         p.nproc, p.nbin
     );
-    for mode in modes {
-        let hub = MemHub::new();
-        let backend = Arc::new(MemSinkBackend::new());
-        let server = IonServer::spawn(
-            Box::new(hub.listener()),
-            backend.clone(),
-            ServerConfig::new(mode),
+    for (mode, snap) in sweep {
+        print!(
+            "{}",
+            StageBreakdown::from_snapshot(&snap).render(mode.name())
         );
-        let telemetry = server.telemetry();
-        madbench::runner::run(&p, &Phase::ALL, |_| Box::new(hub.connect()));
-        server.shutdown();
-        let breakdown = StageBreakdown::from_snapshot(&telemetry.snapshot());
-        print!("{}", breakdown.render(mode.name()));
     }
     println!();
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: figures [--scale N] \
-                <fig4|fig5|fig6|fig9|fig10|fig11|fig12|fig13|efficiency|telemetry|bottleneck|ablation-bml|ablation-protocol|all>..."
-    );
-    std::process::exit(2);
 }

@@ -16,12 +16,19 @@
 //!   fingerprint-guarded checkpoint/resume;
 //! * [`report`] — BENCH_*.json-compatible reports, paired comparison
 //!   tables, budget verdicts, and the `check` drift guard;
-//! * [`toml`] — the dependency-free TOML subset parser underneath it.
+//! * [`toml`] — the dependency-free TOML subset parser underneath it;
+//! * [`figures`] / [`paper`] — one builder per figure of the paper over
+//!   the discrete-event simulator, each a [`simcore::stats::Figure`]
+//!   with one series per forwarding mechanism, and the published
+//!   reference anchors they are printed beside
+//!   (`experiments figures all`).
 //!
 //! The CLI binary (`cargo run -p experiments -- run <scenario.toml>`)
 //! is a thin wrapper over [`runner::run`]; CI invokes it for the
 //! committed scenarios under `crates/experiments/scenarios/`.
 
+pub mod figures;
+pub mod paper;
 pub mod replay;
 pub mod report;
 pub mod runner;

@@ -5,6 +5,7 @@
 //! experiments run <scenario.toml> [--out DIR] [--force] [--bin IOFWDD]
 //! experiments check <BENCH.json> [<scenario.toml>]
 //! experiments expand <scenario.toml>
+//! experiments figures [--scale N] <fig4|…|fig13|efficiency|telemetry|bottleneck|ablation-bml|ablation-protocol|all>…
 //! ```
 //!
 //! Exit status: 0 on success with all budgets green; 1 on failed
@@ -16,11 +17,15 @@ use std::process::ExitCode;
 use experiments::runner::{self, RunConfig};
 use experiments::scenario::Scenario;
 
+mod figures_cli;
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments run <scenario.toml> [--out DIR] [--force] [--bin IOFWDD]\n\
          \x20      experiments check <BENCH.json> [<scenario.toml>]\n\
-         \x20      experiments expand <scenario.toml>"
+         \x20      experiments expand <scenario.toml>\n\
+         \x20      experiments figures [--scale N] <fig4|fig5|fig6|fig9|fig10|fig11|fig12|fig13|\
+         efficiency|telemetry|bottleneck|ablation-bml|ablation-protocol|all>..."
     );
     ExitCode::from(2)
 }
@@ -31,6 +36,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("expand") => cmd_expand(&args[1..]),
+        Some("figures") => figures_cli::run(&args[1..]).unwrap_or_else(usage),
         _ => usage(),
     }
 }

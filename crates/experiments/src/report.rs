@@ -35,8 +35,8 @@ impl CellResult {
     ) -> CellResult {
         let client_ns = m.trace.client_ns.max(1) as f64;
         let pct = |ns: u64| (ns as f64 / client_ns * 100.0 * 10.0).round() / 10.0;
-        // Allocation guard: deliberate hot-path deep copies (seed arm,
-        // filter staging, Vec reads) self-report into this counter, so
+        // Allocation guard: payload-sized hot-path allocations (slab
+        // misses, Vec reads) self-report into this counter, so
         // per-op bytes ≈ 0 is what "zero-copy" means, measurably.
         let alloc_per_op =
             snapshot.counter("hotpath_alloc_bytes") as f64 / m.ops_attempted.max(1) as f64;

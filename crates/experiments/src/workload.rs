@@ -189,13 +189,6 @@ impl ReplayOp {
             _ => 0,
         }
     }
-
-    pub fn read_len(&self) -> u64 {
-        match self {
-            ReplayOp::Read { len } | ReplayOp::Pread { len, .. } => *len,
-            _ => 0,
-        }
-    }
 }
 
 /// Deterministic payload bytes for a write op: a cheap xorshift stream

@@ -42,27 +42,6 @@ impl fmt::Display for OpId {
     }
 }
 
-/// Allocates monotonically increasing descriptor numbers.
-#[derive(Debug, Default)]
-pub struct FdAllocator {
-    next: u32,
-}
-
-impl FdAllocator {
-    pub fn new() -> Self {
-        FdAllocator { next: 3 } // 0-2 reserved by convention, as POSIX stdio
-    }
-
-    pub fn alloc(&mut self) -> Fd {
-        let fd = Fd(self.next);
-        self.next = self
-            .next
-            .checked_add(1)
-            .expect("descriptor space exhausted");
-        fd
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,13 +52,6 @@ mod tests {
         let b = a.next();
         assert!(b > a);
         assert_eq!(b, OpId(2));
-    }
-
-    #[test]
-    fn fd_allocator_skips_stdio() {
-        let mut a = FdAllocator::new();
-        assert_eq!(a.alloc(), Fd(3));
-        assert_eq!(a.alloc(), Fd(4));
     }
 
     #[test]

@@ -223,19 +223,6 @@ impl ClientTable {
         out.sort_by_key(|c| c.id);
         out
     }
-
-    /// The `k` clients moving the most bytes (in+out, ops as the tie
-    /// noise-breaker), busiest first — the "one hot CN rank" view.
-    pub fn top_k(&self, k: usize) -> Vec<ClientSnapshot> {
-        let mut all = self.snapshot();
-        all.sort_by(|a, b| {
-            let wa = a.bytes_in + a.bytes_out;
-            let wb = b.bytes_in + b.bytes_out;
-            wb.cmp(&wa).then(b.ops.cmp(&a.ops)).then(a.id.cmp(&b.id))
-        });
-        all.truncate(k);
-        all
-    }
 }
 
 impl Default for ClientTable {
@@ -269,17 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sorted_and_top_k_by_bytes() {
+    fn snapshot_is_sorted_by_client_id() {
         let t = ClientTable::new();
-        for (id, bytes) in [(3u64, 10u64), (1, 30), (2, 20)] {
-            let c = t.entry(id);
-            c.bytes_in.add(bytes);
-            c.ops.inc();
+        for id in [3u64, 1, 2] {
+            t.entry(id);
         }
         let snap = t.snapshot();
         assert_eq!(snap.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        let top = t.top_k(2);
-        assert_eq!(top.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -332,8 +332,6 @@ registry! {
         /// Deferred errors still pending when a vanished client's descriptor
         /// was reclaimed: recorded, never reported to anyone.
         deferred_errors_orphaned,
-        /// Payload bytes in-situ filters removed before the backend.
-        bytes_filtered_out,
         /// Acquires that had to block for BML space.
         bml_blocked_acquires,
         /// Frames/payload bytes over the transport, per direction
@@ -441,11 +439,7 @@ registry! {
 
 impl Telemetry {
     pub fn new() -> Telemetry {
-        Telemetry::with_flight_capacity(DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    pub fn with_flight_capacity(capacity: usize) -> Telemetry {
-        Telemetry::build(true, capacity)
+        Telemetry::build(true, DEFAULT_FLIGHT_CAPACITY)
     }
 
     /// The null sink: `now_ns` returns 0, every record path

@@ -96,16 +96,12 @@ pub trait Backend: Send + Sync + 'static {
 
     fn unlink(&self, path: &str) -> Result<(), Errno>;
 
-    /// Create a directory. Backends without a namespace accept silently.
-    fn mkdir(&self, _path: &str, _mode: u32) -> Result<(), Errno> {
-        Ok(())
-    }
+    /// Create a directory. Required, like [`Backend::readdir`]: a
+    /// wrapper that forgets to forward either does not compile.
+    fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno>;
 
     /// List the entries directly under `path`.
-    fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
-        let _ = path;
-        Ok(Vec::new())
-    }
+    fn readdir(&self, path: &str) -> Result<Vec<String>, Errno>;
 }
 
 // ---------------------------------------------------------------------------
@@ -210,6 +206,17 @@ impl Backend for NullBackend {
 
     fn unlink(&self, _path: &str) -> Result<(), Errno> {
         Ok(())
+    }
+
+    /// No namespace: every directory already exists, as every path
+    /// already opens.
+    fn mkdir(&self, _path: &str, _mode: u32) -> Result<(), Errno> {
+        Ok(())
+    }
+
+    /// No namespace: nothing is ever listed.
+    fn readdir(&self, _path: &str) -> Result<Vec<String>, Errno> {
+        Ok(Vec::new())
     }
 }
 
@@ -1370,19 +1377,129 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(200));
     }
 
-    #[test]
-    fn throttled_backend_forwards_the_namespace_ops() {
-        // The device model paces data calls only; mkdir/readdir reach
-        // the wrapped backend (the trait defaults would answer `Ok` and
-        // an empty list without touching it).
-        let dir = std::env::temp_dir().join(format!("iofwd-throttle-ns-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let b = ThrottledBackend::new(Arc::new(FileBackend::new(&dir)), 1e12, Duration::ZERO);
-        b.mkdir("/d", 0o755).unwrap();
-        assert!(b.stat("/d").unwrap().is_dir);
-        b.open("/d/f", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+    /// Inner backend for the transparency test: logs every call with
+    /// its arguments and answers with a value derived from them.
+    #[derive(Default, Clone)]
+    struct Recorder(Arc<Mutex<Vec<String>>>);
+
+    impl Recorder {
+        fn note<T>(&self, call: String, answer: T) -> Result<T, Errno> {
+            self.0.lock().push(call);
+            Ok(answer)
+        }
+    }
+
+    fn stat_of(size: u64) -> FileStat {
+        FileStat {
+            size,
+            mode: 0o640,
+            mtime_ns: 9,
+            is_dir: false,
+        }
+    }
+
+    impl BackendObject for Recorder {
+        fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+            self.note(format!("write_at {offset:?} {data:?}"), data.len() as u64)
+        }
+        fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
+            let total = bufs.iter().map(|b| b.len() as u64).sum();
+            self.note(format!("write_vectored_at {offset:?} {bufs:?}"), total)
+        }
+        fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
+            out.fill(0x5a);
+            self.note(
+                format!("read_into {offset:?} {}", out.len()),
+                out.len() as u64,
+            )
+        }
+        fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {
+            self.note(format!("seek {offset} {whence:?}"), offset as u64 + 1)
+        }
+        fn sync(&mut self) -> Result<(), Errno> {
+            self.note("sync".into(), ())
+        }
+        fn fstat(&mut self) -> Result<FileStat, Errno> {
+            self.note("fstat".into(), stat_of(77))
+        }
+        fn truncate(&mut self, len: u64) -> Result<(), Errno> {
+            self.note(format!("truncate {len}"), ())
+        }
+    }
+
+    impl Backend for Recorder {
+        fn open(
+            &self,
+            path: &str,
+            flags: OpenFlags,
+            mode: u32,
+        ) -> Result<Box<dyn BackendObject>, Errno> {
+            self.note(
+                format!("open {path} {flags:?} {mode:o}"),
+                Box::new(self.clone()),
+            )
+        }
+        fn connect(&self, host: &str, port: u16) -> Result<Box<dyn BackendObject>, Errno> {
+            self.note(format!("connect {host} {port}"), Box::new(self.clone()))
+        }
+        fn stat(&self, path: &str) -> Result<FileStat, Errno> {
+            self.note(format!("stat {path}"), stat_of(path.len() as u64))
+        }
+        fn unlink(&self, path: &str) -> Result<(), Errno> {
+            self.note(format!("unlink {path}"), ())
+        }
+        fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
+            self.note(format!("mkdir {path} {mode:o}"), ())
+        }
+        fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
+            self.note(format!("readdir {path}"), vec![format!("{path}/entry")])
+        }
+    }
+
+    /// One call to every `Backend` and `BackendObject` method; returns
+    /// what each answered.
+    fn drive_every_method(b: &dyn Backend) -> Vec<String> {
+        let mut o = b
+            .open("/p/f", OpenFlags::RDWR | OpenFlags::CREATE, 0o600)
             .unwrap();
-        assert_eq!(b.readdir("/d").unwrap(), vec!["f".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut sock = b.connect("da-node", 7001).unwrap();
+        let mut out = [0u8; 6];
+        vec![
+            format!("{:?}", sock.write_at(None, b"to-socket")),
+            format!("{:?}", b.stat("/p/f")),
+            format!("{:?}", b.unlink("/p/old")),
+            format!("{:?}", b.mkdir("/p/d", 0o750)),
+            format!("{:?}", b.readdir("/p")),
+            format!("{:?}", o.write_at(Some(4096), b"abc")),
+            format!("{:?}", o.write_vectored_at(Some(8), &[b"de", b"fgh"])),
+            format!("{:?} {out:?}", o.read_into(Some(2), &mut out)),
+            format!("{:?}", o.seek(40, Whence::Set)),
+            format!("{:?}", o.sync()),
+            format!("{:?}", o.fstat()),
+            format!("{:?}", o.truncate(12)),
+        ]
+    }
+
+    #[test]
+    fn wrappers_are_transparent_for_every_backend_method() {
+        // Reference: the recorder driven bare. A wrapper with nothing to
+        // add (zero device cost, empty fault plan) must hand the inner
+        // backend the same calls and hand back the same answers.
+        let inner = Arc::new(Recorder::default());
+        let answers = drive_every_method(inner.as_ref());
+        let calls = std::mem::take(&mut *inner.0.lock());
+        assert_eq!(calls.len(), 14, "{calls:?}");
+        let check = |name: &str, wrapper: &dyn Backend| {
+            assert_eq!(drive_every_method(wrapper), answers, "{name}");
+            assert_eq!(std::mem::take(&mut *inner.0.lock()), calls, "{name}");
+        };
+        let throttled = ThrottledBackend::new(inner.clone(), 1e12, Duration::ZERO);
+        check("ThrottledBackend", &throttled);
+        let telemetry = Arc::new(crate::telemetry::Telemetry::disabled());
+        let plan = crate::fault::FaultPlan::new(1);
+        check(
+            "FaultBackend",
+            &FaultBackend::new(inner.clone(), plan, telemetry),
+        );
     }
 }

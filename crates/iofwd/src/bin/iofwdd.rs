@@ -242,6 +242,14 @@ impl Options {
                 other => die(&format!("unknown option '{other}' (try --help)")),
             }
         }
+        // Zero pool workers would silently run the inline (zoid) policy.
+        let mode = opts.forwarding_mode();
+        if opts.workers == 0 && !matches!(mode, ForwardingMode::Ciod | ForwardingMode::Zoid) {
+            die("--workers must be nonzero for --mode sched|staged");
+        }
+        if opts.stats_port_file.is_some() && opts.stats_addr.is_none() {
+            die("--stats-port-file requires --stats-addr");
+        }
         opts
     }
 
@@ -252,11 +260,13 @@ impl Options {
             "sched" => ForwardingMode::Sched {
                 workers: self.workers,
             },
-            "staged" | "async" => ForwardingMode::AsyncStaged {
+            "staged" => ForwardingMode::AsyncStaged {
                 workers: self.workers,
                 bml_capacity: self.bml_mib << 20,
             },
-            other => die(&format!("unknown mode '{other}'")),
+            other => die(&format!(
+                "unknown mode '{other}' (--mode ciod|zoid|sched|staged)"
+            )),
         }
     }
 }

@@ -39,9 +39,6 @@ struct DescEntry {
     /// serialises I/O on one descriptor while leaving different
     /// descriptors fully concurrent.
     obj: SharedObject,
-    /// What the descriptor was opened as (path, or host:port) — consumed
-    /// by in-situ filters for routing decisions.
-    origin: Arc<str>,
     next_op: OpId,
     in_progress: BTreeSet<OpId>,
     completed_ops: u64,
@@ -89,7 +86,7 @@ impl DescDb {
         DescDb {
             inner: Mutex::new(DbInner {
                 entries: HashMap::new(),
-                next_fd: 3,
+                next_fd: 3, // 0-2 reserved by convention, as POSIX stdio
             }),
             idle_cv: Condvar::new(),
             telemetry,
@@ -98,8 +95,9 @@ impl DescDb {
 
     /// Register a freshly opened backend object; returns its descriptor,
     /// or `EMFILE` once the 32-bit descriptor space is exhausted.
-    /// `origin` is the path (or `host:port`) it was opened with.
-    pub fn insert(&self, obj: Box<dyn BackendObject>, origin: &str) -> Result<Fd, Errno> {
+    /// `_origin` (the path or `host:port` opened) is not stored: the
+    /// frozen `benchmark/` layer replay calls this two-argument signature.
+    pub fn insert(&self, obj: Box<dyn BackendObject>, _origin: &str) -> Result<Fd, Errno> {
         let mut db = self.inner.lock();
         let fd = Fd(db.next_fd);
         db.next_fd = db.next_fd.checked_add(1).ok_or(Errno::MFile)?;
@@ -107,7 +105,6 @@ impl DescDb {
             fd,
             DescEntry {
                 obj: Arc::new(Mutex::new(obj)),
-                origin: Arc::from(origin),
                 next_op: OpId::FIRST,
                 in_progress: BTreeSet::new(),
                 completed_ops: 0,
@@ -127,15 +124,6 @@ impl DescDb {
         db.entries
             .get(&fd)
             .map(|e| e.obj.clone())
-            .ok_or(Errno::BadF)
-    }
-
-    /// The path (or `host:port`) the descriptor was opened with.
-    pub fn origin(&self, fd: Fd) -> Result<Arc<str>, Errno> {
-        let db = self.inner.lock();
-        db.entries
-            .get(&fd)
-            .map(|e| e.origin.clone())
             .ok_or(Errno::BadF)
     }
 

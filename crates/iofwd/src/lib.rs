@@ -70,8 +70,6 @@ pub mod client;
 pub mod daemon;
 pub mod descdb;
 pub mod fault;
-pub mod file;
-pub mod filter;
 pub mod server;
 pub(crate) mod sync;
 pub mod trace;

@@ -10,11 +10,10 @@ use bytes::Bytes;
 use iofwd_proto::{Errno, Request, Response};
 use simcore::rng::SimRng;
 
-use crate::backend::{Backend, BackendObject};
+use crate::backend::Backend;
 use crate::bml::Bml;
-use crate::descdb::{BeginError, DescDb, OpOutcome};
+use crate::descdb::{BeginError, DescDb, OpOutcome, SharedObject};
 use crate::fault::{is_transient, RetryPolicy};
-use crate::filter::{FilterChain, WriteContext};
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
 
 /// Telemetry classification of a request. Exhaustive so a new `Request`
@@ -52,7 +51,6 @@ pub struct Engine {
     pub(crate) backend: Arc<dyn Backend>,
     pub(crate) db: DescDb,
     pub(crate) bml: Option<Bml>,
-    pub(crate) filters: FilterChain,
     pub(crate) telemetry: Arc<Telemetry>,
     /// Retry policy for transient backend errors. Disabled by default:
     /// embedders (and the daemon CLI) opt in explicitly, so existing
@@ -65,11 +63,7 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(backend: Arc<dyn Backend>, bml: Option<Bml>) -> Self {
-        Self::with_filters(backend, bml, FilterChain::new())
-    }
-
-    pub fn with_filters(backend: Arc<dyn Backend>, bml: Option<Bml>, filters: FilterChain) -> Self {
-        Self::with_telemetry(backend, bml, filters, Arc::new(Telemetry::disabled()))
+        Self::with_telemetry(backend, bml, Arc::new(Telemetry::disabled()))
     }
 
     /// Full constructor: the telemetry registry is shared with the
@@ -77,14 +71,12 @@ impl Engine {
     pub fn with_telemetry(
         backend: Arc<dyn Backend>,
         bml: Option<Bml>,
-        filters: FilterChain,
         telemetry: Arc<Telemetry>,
     ) -> Self {
         Engine {
             backend,
             db: DescDb::with_telemetry(telemetry.clone()),
             bml,
-            filters,
             telemetry,
             retry: RetryPolicy::disabled(),
             retry_rng: parking_lot::Mutex::new(SimRng::new(0x10f_44d)),
@@ -139,16 +131,17 @@ impl Engine {
         }
     }
 
-    /// Write all of `data`, continuing after POSIX-legal short writes
-    /// and retrying transient errors per the policy. A device that
-    /// accepts zero bytes with data remaining reports `EIO` rather than
-    /// spinning.
-    pub(crate) fn write_fully(
+    /// How a single write, sync or staged, reaches the backend: lock the
+    /// object and write all of `data`, continuing after POSIX-legal short
+    /// writes and retrying transient errors per the policy. A device that
+    /// accepts zero bytes with data remaining reports `EIO`, not a spin.
+    fn write_fully(
         &self,
-        o: &mut dyn BackendObject,
+        obj: &SharedObject,
         offset: Option<u64>,
         data: &[u8],
     ) -> Result<(), Errno> {
+        let mut o = obj.lock();
         let mut written = 0usize;
         while written < data.len() {
             // Positional writes continue at offset+written; cursor
@@ -321,82 +314,24 @@ impl Engine {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
-        let declared = data.len() as u64;
-        let filtered = match self.filter_write(fd, offset, data.clone()) {
-            Some(d) => d,
-            None => {
-                // Consumed by an in-situ filter: the client sees a full
-                // write, nothing reaches the backend.
-                self.db.finish_op(fd, op, OpOutcome::Ok);
-                return (
-                    Response::Ok {
-                        ret: declared as i64,
-                    },
-                    Bytes::new(),
-                );
-            }
-        };
-        let result = {
-            let mut o = obj.lock();
-            self.write_fully(&mut **o, offset, &filtered)
-        };
+        let result = self.write_fully(&obj, offset, data);
+        // Synchronous path: the reply reports the error; nothing deferred.
+        self.db.finish_op(fd, op, OpOutcome::Ok);
         match result {
-            Ok(()) => {
-                self.db.finish_op(fd, op, OpOutcome::Ok);
-                // Report the *application's* byte count, not the
-                // post-filter count: filtering is transparent.
-                (
-                    Response::Ok {
-                        ret: declared as i64,
-                    },
-                    Bytes::new(),
-                )
-            }
-            Err(e) => {
-                // Synchronous path: report immediately; nothing deferred.
-                self.db.finish_op(fd, op, OpOutcome::Ok);
-                (Response::Err { errno: e }, Bytes::new())
-            }
+            Ok(()) => (
+                Response::Ok {
+                    ret: declared_len as i64,
+                },
+                Bytes::new(),
+            ),
+            Err(e) => (Response::Err { errno: e }, Bytes::new()),
         }
     }
 
-    /// Run the in-situ filter chain over a write's payload. `None` means
-    /// the data was consumed on the ION.
-    pub(crate) fn filter_write(
-        &self,
-        fd: iofwd_proto::Fd,
-        offset: Option<u64>,
-        data: Bytes,
-    ) -> Option<Bytes> {
-        if self.filters.is_empty() {
-            return Some(data);
-        }
-        // A descriptor cannot be removed while an operation is in flight
-        // (close barriers on wait_idle), so the origin is always
-        // available; fail open (pass the data through) if it ever is not.
-        let Ok(origin) = self.db.origin(fd) else {
-            return Some(data);
-        };
-        let before = data.len();
-        let out = self.filters.apply(
-            WriteContext {
-                path: &origin,
-                offset,
-            },
-            data,
-        );
-        let after = out.as_ref().map_or(0, |d| d.len());
-        if after < before && self.telemetry.enabled() {
-            self.telemetry
-                .bytes_filtered_out
-                .add((before - after) as u64);
-        }
-        out
-    }
-
-    /// Execute a staged write on behalf of a worker: filter, write,
-    /// record the outcome in the descriptor database. Returns the
-    /// outcome so the worker can finish the op's lifecycle span.
+    /// Execute a staged write on behalf of a worker: stream the staging
+    /// buffer to the backend and record the outcome in the descriptor
+    /// database. Returns the outcome so the worker can finish the op's
+    /// lifecycle span.
     pub fn execute_staged_write(
         &self,
         fd: iofwd_proto::Fd,
@@ -404,55 +339,16 @@ impl Engine {
         offset: Option<u64>,
         data: &[u8],
     ) -> OpOutcome {
-        // With no filters to observe an owned payload the staging
-        // buffer streams straight to the backend.
-        let outcome = if self.filters.is_empty() {
-            match self.db.object(fd) {
-                Ok(obj) => {
-                    let res = {
-                        let mut o = obj.lock();
-                        self.write_fully(&mut **o, offset, data)
-                    };
-                    match res {
-                        Ok(()) => OpOutcome::Ok,
-                        Err(e) => OpOutcome::Failed(e),
-                    }
-                }
-                Err(e) => OpOutcome::Failed(e),
-            }
-        } else {
-            if self.telemetry.enabled() && !data.is_empty() {
-                self.telemetry.hotpath_alloc_bytes.add(data.len() as u64);
-            }
-            // HOTPATH: filters take an owned payload; the copy is counted
-            // in `hotpath_alloc_bytes` above.
-            match self.filter_write(fd, offset, Bytes::copy_from_slice(data)) {
-                None => OpOutcome::Ok, // consumed in situ
-                Some(filtered) => match self.db.object(fd) {
-                    Ok(obj) => {
-                        let res = {
-                            let mut o = obj.lock();
-                            self.write_fully(&mut **o, offset, &filtered)
-                        };
-                        match res {
-                            Ok(()) => OpOutcome::Ok,
-                            Err(e) => OpOutcome::Failed(e),
-                        }
-                    }
-                    Err(e) => OpOutcome::Failed(e),
-                },
-            }
+        let written = self
+            .db
+            .object(fd)
+            .and_then(|obj| self.write_fully(&obj, offset, data));
+        let outcome = match written {
+            Ok(()) => OpOutcome::Ok,
+            Err(e) => OpOutcome::Failed(e),
         };
         self.db.finish_op(fd, op, outcome);
         outcome
-    }
-
-    /// Whether staged writes may be merged into vectored batches.
-    /// A non-empty filter chain sees writes one at a time, so the
-    /// coalescing layer stands down rather than change what filters
-    /// observe.
-    pub fn coalescible(&self) -> bool {
-        self.filters.is_empty()
     }
 
     /// Execute a batch of offset-contiguous staged writes on one
@@ -467,28 +363,13 @@ impl Engine {
     ///
     /// `base` is the first part's offset (`None` for a cursor chain —
     /// short writes then resume at the cursor the backend advanced).
-    /// Parts must be contiguous: part *i+1* starts where part *i*
-    /// ends. With a non-empty filter chain (see
-    /// [`Engine::coalescible`]) the batch degrades to per-part serial
-    /// execution so filter semantics are unchanged.
+    /// Parts must be contiguous: part *i+1* starts where part *i* ends.
     pub fn execute_coalesced_write(
         &self,
         fd: iofwd_proto::Fd,
         base: Option<u64>,
         parts: &[(iofwd_proto::OpId, &[u8])],
     ) -> Vec<OpOutcome> {
-        if !self.filters.is_empty() {
-            // Reconstruct each part's own offset from the chain shape.
-            let mut at = base;
-            return parts
-                .iter()
-                .map(|&(op, data)| {
-                    let outcome = self.execute_staged_write(fd, op, at, data);
-                    at = at.map(|o| o + data.len() as u64);
-                    outcome
-                })
-                .collect();
-        }
         let total: usize = parts.iter().map(|(_, d)| d.len()).sum();
         let mut written = 0usize;
         let mut failure = None;
@@ -708,7 +589,7 @@ mod tests {
     fn open_write_read_close() {
         let be = Arc::new(MemSinkBackend::new());
         let t = Arc::new(Telemetry::new());
-        let e = Engine::with_telemetry(be.clone(), None, FilterChain::new(), t.clone());
+        let e = Engine::with_telemetry(be.clone(), None, t.clone());
         // Execute as a driver does: a stamped span per op, folded after.
         let run = |seq: u64, req: Request, data: &'static [u8]| {
             let mut span = OpSpan::begin(op_kind(&req), 0, seq, t.now_ns());
@@ -923,6 +804,14 @@ mod tests {
         fn unlink(&self, path: &str) -> Result<(), Errno> {
             self.inner.unlink(path)
         }
+
+        fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
+            self.inner.mkdir(path, mode)
+        }
+
+        fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
+            self.inner.readdir(path)
+        }
     }
 
     fn begin(e: &Engine, fd: Fd) -> iofwd_proto::OpId {
@@ -1024,7 +913,6 @@ mod tests {
                 syncs: syncs.clone(),
             }),
             None,
-            FilterChain::new(),
             t.clone(),
         );
         let run = |req: Request, data: &'static [u8]| {
@@ -1077,7 +965,6 @@ mod tests {
                 t.clone(),
             )),
             None,
-            FilterChain::new(),
             t.clone(),
         );
         let fd = open(&e, "/f");

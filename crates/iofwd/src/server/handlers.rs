@@ -157,8 +157,8 @@ pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
     let _ = proxy.join();
 }
 
-/// Execute one staged write: filters, backend write, and outcome
-/// recording (all in the engine, shared with the sync path), span
+/// Execute one staged write: backend write and outcome recording (in
+/// the engine, shared with the sync path), span
 /// completion, and BML buffer return. `worker` is the 1-based pool
 /// worker, 0 off the pool; `disposition` records why it ran where it did
 /// (`Completed`, or `DrainExecuted` from the shutdown drain).
@@ -347,16 +347,15 @@ pub fn worker_loop(
                     let _guard = serializer.completion_guard(fd, queue.clone());
                     // Coalescing: harvest the offset-contiguous prefix
                     // parked behind this write on its lane and execute
-                    // the chain as one vectored backend call. Filters
-                    // disable merging (they are defined per-op).
+                    // the chain as one vectored backend call.
                     let extra = match coalesce {
-                        Some(cfg) if engine.coalescible() => serializer.harvest_contiguous(
+                        Some(cfg) => serializer.harvest_contiguous(
                             fd,
                             part.offset.map(|o| o + part.buf.len() as u64),
                             cfg.max_ops.saturating_sub(1),
                             cfg.max_bytes.saturating_sub(part.buf.len()),
                         ),
-                        _ => Vec::new(),
+                        None => Vec::new(),
                     };
                     let worker = worker as u32 + 1;
                     if extra.is_empty() {

@@ -101,9 +101,6 @@ impl Default for CoalesceConfig {
 #[derive(Clone)]
 pub struct ServerConfig {
     pub mode: ForwardingMode,
-    /// In-situ filter chain applied to every data write on the ION
-    /// (§VII future work: offloaded data filtering / analytics).
-    pub filters: crate::filter::FilterChain,
     /// Observability registry shared by every layer of the daemon.
     /// Enabled by default — recording is cheap enough to leave on; swap
     /// in `Telemetry::disabled()` for a zero-overhead null sink.
@@ -124,7 +121,6 @@ impl ServerConfig {
     pub fn new(mode: ForwardingMode) -> Self {
         ServerConfig {
             mode,
-            filters: crate::filter::FilterChain::new(),
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
             retry: RetryPolicy::disabled(),
             coalesce: match mode {
@@ -136,17 +132,9 @@ impl ServerConfig {
         }
     }
 
-    /// Replace the telemetry registry (e.g. `Telemetry::disabled()`, or
-    /// one with a larger flight-recorder capacity).
+    /// Replace the telemetry registry (e.g. with `Telemetry::disabled()`).
     pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::Telemetry>) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attach an in-situ filter chain; filters run on the ION where the
-    /// write executes, overlapping application computation.
-    pub fn with_filter(mut self, chain: crate::filter::FilterChain) -> Self {
-        self.filters = chain;
         self
     }
 
@@ -202,12 +190,7 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
         }
         _ => None,
     };
-    let mut engine = Engine::with_telemetry(
-        backend,
-        bml.clone(),
-        config.filters.clone(),
-        telemetry.clone(),
-    );
+    let mut engine = Engine::with_telemetry(backend, bml.clone(), telemetry.clone());
     engine.set_retry_policy(config.retry);
     let engine = Arc::new(engine);
 

@@ -20,7 +20,7 @@
 //! 3. [`StageBreakdown`] — per-strategy stage attribution (queue-wait /
 //!    dispatch / backend / reply / other shares of total residency),
 //!    computed either from a telemetry snapshot's histogram sums or
-//!    from raw spans; `figures -- bottleneck` and `iofwd-cp --trace`
+//!    from raw spans; `experiments figures bottleneck` and `iofwd-cp --trace`
 //!    print its verdict.
 //!
 //! Sampling semantics: a span is retained if the client flagged its

@@ -125,73 +125,23 @@ pub mod mem {
     //! In-process transport over crossbeam channels.
     //!
     //! [`MemHub`] plays the role of the collective network: clients call
-    //! [`MemHub::connect`], servers accept from [`MemHub::listener`]. A
-    //! [`Throttle`] can be attached to model a finite-bandwidth hop in
-    //! wall-clock examples (the discrete-event simulator in `bgsim` is
-    //! the precise tool; this is for live demos).
+    //! [`MemHub::connect`], servers accept from [`MemHub::listener`].
 
     use super::{Conn, Listener};
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use iofwd_proto::Frame;
     use parking_lot::Mutex;
     use std::io;
-    use std::time::{Duration, Instant};
-
-    /// Optional bandwidth/latency shaping for a mem connection.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Throttle {
-        /// Payload bandwidth in bytes/second.
-        pub bytes_per_sec: f64,
-        /// Fixed per-frame latency.
-        pub per_frame: Duration,
-    }
-
-    impl Throttle {
-        fn delay_for(&self, bytes: usize) -> Duration {
-            self.per_frame + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-        }
-    }
-
-    struct Shaper {
-        throttle: Option<Throttle>,
-        /// Time at which the link becomes free (token-bucket style pacing).
-        free_at: Mutex<Instant>,
-    }
-
-    impl Shaper {
-        fn new(throttle: Option<Throttle>) -> Self {
-            Shaper {
-                throttle,
-                free_at: Mutex::new(Instant::now()),
-            }
-        }
-
-        fn pace(&self, bytes: usize) {
-            let Some(t) = self.throttle else { return };
-            let wait = {
-                let mut free_at = self.free_at.lock();
-                let now = Instant::now();
-                let start = (*free_at).max(now);
-                let done = start + t.delay_for(bytes);
-                *free_at = done;
-                done.saturating_duration_since(now)
-            };
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
-        }
-    }
+    use std::time::Duration;
 
     /// One endpoint of an in-memory connection.
     pub struct MemConn {
         tx: Sender<Frame>,
         rx: Receiver<Frame>,
-        shaper: Shaper,
     }
 
     impl Conn for MemConn {
         fn send(&self, frame: Frame) -> io::Result<()> {
-            self.shaper.pace(frame.wire_len());
             self.tx
                 .send(frame)
                 .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))
@@ -210,32 +160,15 @@ pub mod mem {
 
     /// Build a directly-connected pair (client end, server end).
     pub fn pair() -> (MemConn, MemConn) {
-        pair_with(None)
-    }
-
-    /// Connected pair with shaping applied to each direction.
-    pub fn pair_with(throttle: Option<Throttle>) -> (MemConn, MemConn) {
         let (atx, arx) = unbounded();
         let (btx, brx) = unbounded();
-        (
-            MemConn {
-                tx: atx,
-                rx: brx,
-                shaper: Shaper::new(throttle),
-            },
-            MemConn {
-                tx: btx,
-                rx: arx,
-                shaper: Shaper::new(throttle),
-            },
-        )
+        (MemConn { tx: atx, rx: brx }, MemConn { tx: btx, rx: arx })
     }
 
     /// Rendezvous point connecting clients to a server accept loop.
     pub struct MemHub {
         conn_tx: Sender<MemConn>,
         conn_rx: Receiver<MemConn>,
-        throttle: Option<Throttle>,
     }
 
     impl Default for MemHub {
@@ -246,23 +179,13 @@ pub mod mem {
 
     impl MemHub {
         pub fn new() -> Self {
-            Self::with_throttle(None)
-        }
-
-        /// Hub whose connections are bandwidth-shaped (e.g. to collective
-        /// network rates).
-        pub fn with_throttle(throttle: Option<Throttle>) -> Self {
             let (conn_tx, conn_rx) = unbounded();
-            MemHub {
-                conn_tx,
-                conn_rx,
-                throttle,
-            }
+            MemHub { conn_tx, conn_rx }
         }
 
         /// Client side: open a connection to the hub's listener.
         pub fn connect(&self) -> MemConn {
-            let (client, server) = pair_with(self.throttle);
+            let (client, server) = pair();
             // If the listener is gone the returned endpoint simply reads
             // EOF on first use — the same thing a real daemon's client
             // sees, so no need to panic here.
@@ -530,12 +453,12 @@ pub mod tcp {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::mem::{pair, pair_with, MemHub, Throttle};
+    use super::mem::{pair, MemHub};
     use super::tcp::{TcpAcceptor, TcpConn};
     use super::{Conn, Listener};
     use bytes::Bytes;
     use iofwd_proto::{Fd, Frame, Request};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     fn frame(seq: u64) -> Frame {
         Frame::request(
@@ -585,38 +508,6 @@ pub(crate) mod tests {
         let listener = hub.listener();
         listener.shutdown();
         assert!(listener.accept().unwrap().is_none());
-    }
-
-    #[test]
-    fn throttle_paces_throughput() {
-        // 1 MiB/s, 4 KiB frames: 10 frames ≈ 40 ms minimum.
-        let t = Throttle {
-            bytes_per_sec: (1 << 20) as f64,
-            per_frame: Duration::ZERO,
-        };
-        let (a, b) = pair_with(Some(t));
-        let start = Instant::now();
-        let payload = Bytes::from(vec![0u8; 4096]);
-        for seq in 0..10 {
-            let f = Frame::request(
-                1,
-                seq,
-                &Request::Write {
-                    fd: Fd(3),
-                    len: payload.len() as u64,
-                },
-                payload.clone(),
-            );
-            a.send(f).unwrap();
-        }
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(35),
-            "sent too fast: {elapsed:?}"
-        );
-        for _ in 0..10 {
-            b.recv().unwrap().unwrap();
-        }
     }
 
     #[test]

@@ -137,6 +137,34 @@ fn daemon_rejects_bad_mode() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown mode"));
 }
 
+/// Option combinations that used to start a daemon doing something other
+/// than what was asked: each is a usage error naming the option.
+#[test]
+fn daemon_rejects_contradictory_options() {
+    for (args, names) in [
+        ("--mode sched --workers 0", "--workers"),
+        ("--mode staged --workers 0 --transport reactor", "--workers"),
+        ("--stats-port-file /tmp/p", "--stats-port-file"),
+        ("--mode async", "--mode"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
+            .args(args.split(' '))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(names), "{args:?}: {err}");
+    }
+    // The inline modes have no pool, so zero workers is not a conflict.
+    let root = std::env::temp_dir().join(format!("iofwd-cli-w0-{}", std::process::id()));
+    let spec = DaemonSpec::new(env!("CARGO_BIN_EXE_iofwdd"), &root)
+        .mode("zoid")
+        .workers(0);
+    let mut daemon = DaemonHandle::spawn(&spec).expect("zoid starts with --workers 0");
+    daemon.shutdown().expect("daemon shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Retired flags are gone, not silently ignored: the zero-copy control
 /// arm (BENCH_PR10.json is its frozen measurement), the file/stderr
 /// stats exits the stats wire protocol replaced, the per-client

@@ -217,6 +217,15 @@ impl Backend for StickyBackend {
             None => Err(Errno::NoEnt),
         }
     }
+
+    // Flat namespace: the scripts never make or list a directory.
+    fn mkdir(&self, _path: &str, _mode: u32) -> Result<(), Errno> {
+        Err(Errno::NoSys)
+    }
+
+    fn readdir(&self, _path: &str) -> Result<Vec<String>, Errno> {
+        Err(Errno::NoSys)
+    }
 }
 
 // ---------------------------------------------------------------------

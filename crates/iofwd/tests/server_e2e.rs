@@ -482,116 +482,6 @@ fn open_of_missing_file_fails_cleanly() {
     }
 }
 
-#[test]
-fn insitu_statistics_filter_observes_stream() {
-    use iofwd::filter::{FilterChain, StatisticsFilter};
-    let stats = StatisticsFilter::new();
-    let backend = Arc::new(MemSinkBackend::new());
-    let hub = MemHub::new();
-    let server = IonServer::spawn(
-        Box::new(hub.listener()),
-        backend.clone(),
-        ServerConfig::new(ForwardingMode::AsyncStaged {
-            workers: 2,
-            bml_capacity: 4 << 20,
-        })
-        .with_filter(FilterChain::new().with(stats.clone())),
-    );
-    let mut c = Client::connect(Box::new(hub.connect()));
-    let fd = c
-        .open("/field", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-        .unwrap();
-    let samples: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
-    let mut raw = Vec::new();
-    for v in &samples {
-        raw.extend_from_slice(&v.to_le_bytes());
-    }
-    c.write(fd, &raw).unwrap();
-    c.fsync(fd).unwrap();
-    c.close(fd).unwrap();
-    c.shutdown().unwrap();
-    server.shutdown();
-    // Analytics ran on the ION, data landed untouched.
-    let snap = stats.snapshot();
-    assert_eq!(snap.samples, 1000);
-    assert_eq!(snap.min, 0.0);
-    assert_eq!(snap.max, 999.0 * 0.5);
-    assert_eq!(backend.contents("/field").unwrap(), raw);
-}
-
-#[test]
-fn insitu_subsample_filter_reduces_stored_bytes() {
-    use iofwd::filter::{FilterChain, SubsampleFilter};
-    let sub = SubsampleFilter::new(4);
-    let backend = Arc::new(MemSinkBackend::new());
-    let hub = MemHub::new();
-    let server = IonServer::spawn(
-        Box::new(hub.listener()),
-        backend.clone(),
-        ServerConfig::new(ForwardingMode::AsyncStaged {
-            workers: 2,
-            bml_capacity: 4 << 20,
-        })
-        .with_filter(FilterChain::new().with(sub.clone())),
-    );
-    let mut c = Client::connect(Box::new(hub.connect()));
-    let fd = c
-        .open("/reduced", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-        .unwrap();
-    let raw = vec![1u8; 8 * 1024]; // 1024 f64 samples
-                                   // The application sees its full write acknowledged...
-    assert_eq!(c.write(fd, &raw).unwrap(), raw.len() as u64);
-    c.close(fd).unwrap();
-    c.shutdown().unwrap();
-    let filtered_out = server.telemetry().bytes_filtered_out.get();
-    server.shutdown();
-    // ...but only every 4th sample reached storage.
-    assert_eq!(backend.contents("/reduced").unwrap().len(), raw.len() / 4);
-    assert_eq!(filtered_out, (raw.len() - raw.len() / 4) as u64);
-    assert_eq!(sub.reduced_bytes(), (raw.len() - raw.len() / 4) as u64);
-}
-
-#[test]
-fn insitu_sink_filter_consumes_scratch_writes_in_all_modes() {
-    use iofwd::filter::{FilterChain, SinkFilter};
-    for mode in ALL_MODES {
-        let sink = SinkFilter::new("/scratch/");
-        let backend = Arc::new(MemSinkBackend::new());
-        let hub = MemHub::new();
-        let server = IonServer::spawn(
-            Box::new(hub.listener()),
-            backend.clone(),
-            ServerConfig::new(mode).with_filter(FilterChain::new().with(sink.clone())),
-        );
-        let mut c = Client::connect(Box::new(hub.connect()));
-        let scratch = c
-            .open("/scratch/tmp", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-            .unwrap();
-        let keep = c
-            .open("/keep", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-            .unwrap();
-        c.write(scratch, &[0u8; 4096]).unwrap();
-        c.write(keep, &[1u8; 4096]).unwrap();
-        c.close(scratch).unwrap();
-        c.close(keep).unwrap();
-        c.shutdown().unwrap();
-        server.shutdown();
-        assert_eq!(sink.consumed_bytes(), 4096, "mode {}", mode.name());
-        assert_eq!(
-            backend.contents("/scratch/tmp").unwrap(),
-            b"",
-            "mode {}",
-            mode.name()
-        );
-        assert_eq!(
-            backend.contents("/keep").unwrap().len(),
-            4096,
-            "mode {}",
-            mode.name()
-        );
-    }
-}
-
 /// Open descriptors once the daemon has had a moment (at most 5 s) to
 /// observe a disconnect and reclaim what the client left open.
 fn descriptors_after_reclaim(server: &IonServer) -> usize {

@@ -83,10 +83,6 @@ impl Tally {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -343,12 +339,6 @@ impl Series {
             .iter()
             .find(|(px, _)| (*px - x).abs() < 1e-9)
             .map(|&(_, y)| y)
-    }
-
-    pub fn max_y(&self) -> f64 {
-        self.points
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &(_, y)| m.max(y))
     }
 }
 

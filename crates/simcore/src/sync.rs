@@ -247,18 +247,6 @@ impl<T> Queue<T> {
         }
         out
     }
-
-    /// Pop without waiting.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut q = self.inner.borrow_mut();
-        let item = q.items.pop_front();
-        if item.is_some() {
-            if let Some(w) = q.push_waiters.pop_front() {
-                w.fire();
-            }
-        }
-        item
-    }
 }
 
 /// Future returned by [`Queue::push`].

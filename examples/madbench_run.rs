@@ -73,7 +73,7 @@ fn main() {
     println!(
         "\nNote: on a workstation all modes converge to the device rate — the paper's\n\
          gaps come from contention on a 4-core 850 MHz ION, which the bgsim simulator\n\
-         reproduces: `cargo run -p bench --release --bin figures -- fig13`.\n\
+         reproduces: `cargo run -p experiments --release -- figures fig13`.\n\
          (paper, Figure 13: async staging + scheduling ~1.5x CIOD, ~1.4x ZOID)"
     );
 }

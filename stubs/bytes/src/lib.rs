@@ -299,11 +299,6 @@ impl BytesMut {
         self.data.reserve(additional);
     }
 
-    /// Spare capacity currently available without reallocating.
-    pub fn spare_len(&self) -> usize {
-        self.data.capacity() - self.data.len()
-    }
-
     /// Read at most `max` bytes from `r` directly into this buffer's
     /// spare capacity — room for them is reserved first, which allocates
     /// nothing when the capacity is already there — and advance the

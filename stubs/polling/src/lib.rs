@@ -53,10 +53,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
     pub const BOTH: Interest = Interest {
         readable: true,
         writable: true,

@@ -794,7 +794,7 @@ mod tests {
         let src = "use std::time::{Duration, Instant};\nfn f() { std::thread::sleep(d); }\n";
         let v = check("crates/simcore/src/lib.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == Rule::R1).count(), 2);
-        assert!(check("crates/iofwd/src/file.rs", src)
+        assert!(check("crates/iofwd/src/daemon.rs", src)
             .iter()
             .all(|v| v.rule != Rule::R1));
     }
@@ -842,7 +842,7 @@ mod tests {
     #[test]
     fn r3_flags_wildcard_over_wire_enum() {
         let src = "fn f(r: Response) -> u8 { match r { Response::Ok => 1, other => 0 } }";
-        let v = check("crates/iofwd/src/file.rs", src);
+        let v = check("crates/iofwd/src/daemon.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::R3);
     }
@@ -850,16 +850,16 @@ mod tests {
     #[test]
     fn r3_accepts_exhaustive_and_ignores_other_enums() {
         let ok = "fn f(r: Response) -> u8 { match r { Response::Ok => 1, Response::Err(e) => 0 } }";
-        assert!(check("crates/iofwd/src/file.rs", ok).is_empty());
+        assert!(check("crates/iofwd/src/daemon.rs", ok).is_empty());
         let other = "fn f(x: Foo) -> u8 { match x { Foo::A => 1, _ => 0 } }";
-        assert!(check("crates/iofwd/src/file.rs", other).is_empty());
+        assert!(check("crates/iofwd/src/daemon.rs", other).is_empty());
     }
 
     #[test]
     fn r3_guarded_and_nested_arms() {
         let src = "fn f(r: Request) { match r { Request::Write { fd, .. } if fd.0 > 0 => {}\n\
                    Request::Read { .. } => { match q { _ => {} } }\n_ => {} } }";
-        let v = check("crates/iofwd/src/file.rs", src);
+        let v = check("crates/iofwd/src/daemon.rs", src);
         // Only the outer `_` arm is over a wire enum; inner match on `q`
         // has no wire arms.
         assert_eq!(v.len(), 1);
@@ -1009,9 +1009,9 @@ mod tests {
             }
         }
         // Off the hot path, copies are fine.
-        assert!(check("crates/iofwd/src/file.rs", src)
+        assert!(check("crates/iofwd/src/daemon.rs", src)
             .iter()
-            .chain(&check("crates/iofwd/src/file.rs", marshal))
+            .chain(&check("crates/iofwd/src/daemon.rs", marshal))
             .all(|v| v.rule != Rule::R10));
     }
 
@@ -1032,10 +1032,10 @@ mod tests {
     #[test]
     fn r4_requires_safety_comment() {
         let bad = "fn f() { unsafe { g() } }";
-        let v = check("crates/iofwd/src/file.rs", bad);
+        let v = check("crates/iofwd/src/daemon.rs", bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::R4);
         let good = "// SAFETY: g has no preconditions.\nfn f() { unsafe { g() } }";
-        assert!(check("crates/iofwd/src/file.rs", good).is_empty());
+        assert!(check("crates/iofwd/src/daemon.rs", good).is_empty());
     }
 }
