@@ -59,16 +59,20 @@ step "benchmark harness compiles against this tree (compile only)"
 # CI, not the next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-step "benchmark run-time smoke (small_task, 2 s: correct and nothing failed; no timing asserted)"
+step "benchmark run-time smoke (small_task and device_bound, 2 s each: correct and nothing failed; no timing asserted)"
 # A contract-surface break that still compiles (a changed default, a
 # counter the harness reads, close/unlink semantics) shows as a wrong
-# byte or a failed call here, not in the next benchmark run.
-BENCH_SMOKE=$(bash benchmark/run.sh --workload small_task --seed 1 --seconds 2 --trace 0 | tail -n 1)
-echo "$BENCH_SMOKE"
-case "$BENCH_SMOKE" in
-*'"correct": true'*'"failed": 0,'*) ;;
-*) echo "ci: benchmark smoke run was not correct with 0 failed calls"; exit 1 ;;
-esac
+# byte or a failed call here, not in the next benchmark run. small_task
+# is the per-op path; device_bound is the staging path (bursts of 64 KiB
+# writes received into BML blocks, drained, repeated).
+for WORKLOAD in small_task device_bound; do
+    BENCH_SMOKE=$(bash benchmark/run.sh --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$BENCH_SMOKE"
+    case "$BENCH_SMOKE" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "ci: benchmark smoke run ($WORKLOAD) was not correct with 0 failed calls"; exit 1 ;;
+    esac
+done
 
 step "experiment harness: coalescing paired sweep (scenario gate)"
 # The declarative successor of the old telemetry smoke + coalescing
@@ -191,6 +195,11 @@ PUTS=1
 SYNCS=$(awk '$1 == "backend_sync_ops" { print $2 }' "$TRACED/live-stats.txt")
 [ "$SYNCS" = "$PUTS" ] \
     || { echo "ci: backend_sync_ops = '$SYNCS' after $PUTS put(s): something other than fsync flushes"; exit 1; }
+# Payload storage comes from the pool: the put's 1 MiB write was received
+# into a BML block, and the get's reply was served out of the same one.
+SLAB_HITS=$(awk '$1 == "slab_hits" { print $2 }' "$TRACED/live-stats.txt")
+[ "${SLAB_HITS:-0}" -gt 0 ] \
+    || { echo "ci: slab_hits = '$SLAB_HITS' after a put and a get: payloads are not landing in recycled BML blocks"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --rates | grep -q '"ops_per_s"' \
     || { echo "ci: live rates JSON missing rate fields"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --prom --check \

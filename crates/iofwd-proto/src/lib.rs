@@ -33,6 +33,6 @@ pub use error::{DecodeError, Errno};
 pub use op::{
     decode_dirents, encode_dirents, FileStat, OpenFlags, Request, Response, StatsQuery, Whence,
 };
-pub use reader::FrameReader;
+pub use reader::{FrameReader, PayloadBuf, Storage};
 pub use trace::{StageEcho, TraceContext, TraceExt, TRACE_EXT_FLAG};
 pub use wire::{Frame, FrameKind, FRAME_HEADER_BYTES, MAX_DATA_LEN, MAX_META_LEN};

@@ -14,7 +14,13 @@
 //!
 //! This module implements exactly that: power-of-two size classes with
 //! per-class free lists, a hard capacity on total outstanding buffer
-//! memory, and *blocking* acquisition when the cap is reached.
+//! memory, and *blocking* acquisition when the cap is reached. Blocks are
+//! what the forwarding thread receives into ([`Bml::receive_storage`]): a
+//! TCP payload of at least `Frame::SPLIT_SEND_MIN` bytes is charged before
+//! it is read and staged in the block it landed in
+//! ([`BmlBuffer::from_payload`]). Idle blocks stay in the pool — idle plus
+//! outstanding bytes never exceed the capacity — so a steady workload
+//! never reaches the allocator (DESIGN.md §16).
 //!
 //! Blocked acquisitions are admitted in strict FIFO order via a ticket
 //! queue: a release reserves capacity for the head waiter(s) *before*
@@ -38,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{ByteOwner, Bytes};
-use iofwd_proto::Errno;
+use iofwd_proto::{Errno, PayloadBuf, Storage};
 
 use crate::sync::{Condvar, Mutex};
 use crate::telemetry::Telemetry;
@@ -72,6 +78,8 @@ pub struct BmlStats {
 
 struct BmlInner {
     free: [Vec<Box<[u8]>>; NUM_CLASSES],
+    /// Bytes in `free`.
+    idle: u64,
     outstanding: u64,
     stats: BmlStats,
     closed: bool,
@@ -96,6 +104,49 @@ impl BmlInner {
             self.granted.insert(ticket, block);
             self.waiters.pop_front();
         }
+    }
+
+    /// A block of `class` for a buffer whose capacity is already charged:
+    /// recycled if the class has one idle, else from the allocator.
+    fn take_block(&mut self, class: usize, block_size: usize, tel: &Telemetry) -> Box<[u8]> {
+        match self.free[class].pop() {
+            Some(block) => {
+                self.idle -= block_size as u64;
+                self.stats.freelist_hits += 1;
+                if tel.enabled() {
+                    tel.slab_hits.inc();
+                }
+                block
+            }
+            None => {
+                if tel.enabled() {
+                    tel.slab_misses.inc();
+                    tel.hotpath_alloc_bytes.add(block_size as u64);
+                }
+                vec![0u8; block_size].into_boxed_slice()
+            }
+        }
+    }
+
+    /// After a charge: bring idle + outstanding back within `capacity` by
+    /// giving idle blocks up — other classes' (largest first) before
+    /// `keep`'s own, which the workload is using now. The caller drops
+    /// what comes back once the lock is released.
+    fn evict_to_fit(&mut self, keep: usize, capacity: u64) -> Vec<Box<[u8]>> {
+        let mut evicted = Vec::new();
+        if self.idle + self.outstanding <= capacity {
+            return evicted;
+        }
+        for class in (0..NUM_CLASSES).rev().filter(|&c| c != keep).chain([keep]) {
+            while self.idle + self.outstanding > capacity {
+                let Some(block) = self.free[class].pop() else {
+                    break;
+                };
+                self.idle -= block.len() as u64;
+                evicted.push(block);
+            }
+        }
+        evicted
     }
 }
 
@@ -168,6 +219,7 @@ impl Bml {
             shared: Arc::new(BmlShared {
                 inner: Mutex::new(BmlInner {
                     free: std::array::from_fn(|_| Vec::new()),
+                    idle: 0,
                     outstanding: 0,
                     stats: BmlStats::default(),
                     closed: false,
@@ -228,6 +280,28 @@ impl Bml {
     /// [`Bml::try_acquire`] (closed, full, or queued waiters ahead).
     pub fn try_adopt(&self, data: Bytes) -> Option<BmlBuffer> {
         self.try_admit(data.len(), Some(data))
+    }
+
+    /// Storage for a payload of `len` bytes that is about to be received
+    /// (the `FrameReader` hook): a block of its class, charged now. With
+    /// `wait` the caller blocks for one as in [`Bml::acquire`] (§IV);
+    /// without, a full pool answers [`Storage::NotYet`]. A payload no
+    /// block of this pool can hold goes to the heap, as does everything
+    /// once the pool has closed.
+    pub fn receive_storage(&self, len: usize, wait: bool) -> Storage {
+        if Self::class_for(len).1 as u64 > self.shared.capacity {
+            return Storage::Heap;
+        }
+        let block = if wait {
+            self.acquire(len).ok()
+        } else {
+            self.try_acquire(len)
+        };
+        match block {
+            Some(buf) => Storage::Block(Box::new(buf)),
+            None if wait => Storage::Heap,
+            None => Storage::NotYet,
+        }
     }
 
     /// Shared admission path: charge capacity for `len`'s class (FIFO,
@@ -344,24 +418,11 @@ impl Bml {
                 inner.stats.adopted += 1;
                 BufRepr::Adopted(data)
             }
-            None => BufRepr::Owned(match inner.free[class].pop() {
-                Some(b) => {
-                    inner.stats.freelist_hits += 1;
-                    if tel.enabled() {
-                        tel.slab_hits.inc();
-                    }
-                    b
-                }
-                None => {
-                    if tel.enabled() {
-                        tel.slab_misses.inc();
-                        tel.hotpath_alloc_bytes.add(block_size as u64);
-                    }
-                    vec![0u8; block_size].into_boxed_slice()
-                }
-            }),
+            None => BufRepr::Owned(inner.take_block(class, block_size, tel)),
         };
+        let evicted = inner.evict_to_fit(class, self.shared.capacity);
         drop(inner);
+        drop(evicted);
         BmlBuffer {
             repr,
             len,
@@ -406,6 +467,11 @@ impl Bml {
         self.shared.inner.lock().outstanding
     }
 
+    /// Bytes of idle blocks kept for reuse.
+    pub fn idle_bytes(&self) -> u64 {
+        self.shared.inner.lock().idle
+    }
+
     /// Acquisitions currently blocked in the FIFO admission queue
     /// (introspection for stats reports and the loom suite).
     pub fn waiter_count(&self) -> usize {
@@ -421,15 +487,18 @@ impl Bml {
         self.shared.inner.lock().stats
     }
 
-    fn release(&self, block: Box<[u8]>, class: usize) {
-        let block_size = block.len() as u64;
+    /// Give back a buffer's charge for `class` and, unless it adopted its
+    /// payload (whose storage belongs to its refcount), its block.
+    fn release(&self, mut block: Option<Box<[u8]>>, class: usize) {
+        let block_size = 1u64 << (class as u32 + MIN_CLASS_SHIFT);
         let mut inner = self.shared.inner.lock();
         inner.outstanding -= block_size;
-        // Keep a bounded free list per class so idle staging memory does
-        // not pin the whole capacity in fragmented blocks. Blocks that
-        // make it back here are the slab: the next acquisition of this
-        // class reuses them without touching the allocator.
-        if inner.free[class].len() < 64 && !inner.closed {
+        // Every block that comes back is the slab: the next acquisition
+        // of this class reuses it without touching the allocator. What
+        // was outstanding becomes idle, so the sum stays within the
+        // capacity; a charge for another class evicts (`evict_to_fit`).
+        if let Some(block) = block.take_if(|_| !inner.closed) {
+            inner.idle += block_size;
             inner.stats.recycled_bytes += block_size;
             if self.shared.telemetry.enabled() {
                 self.shared.telemetry.slab_recycled_bytes.add(block_size);
@@ -447,47 +516,6 @@ impl Bml {
         }
         drop(inner);
         self.shared.cv.notify_all();
-    }
-
-    /// Release the capacity charge of an adopted buffer (no block to
-    /// recycle — the payload's storage belongs to its refcount).
-    fn release_adopted(&self, class: usize) {
-        let block_size = 1u64 << (class as u32 + MIN_CLASS_SHIFT);
-        let mut inner = self.shared.inner.lock();
-        inner.outstanding -= block_size;
-        inner.grant_from_front(self.shared.capacity);
-        if self.shared.telemetry.enabled() {
-            self.shared
-                .telemetry
-                .bml_occupancy
-                .set(inner.outstanding as i64);
-        }
-        drop(inner);
-        self.shared.cv.notify_all();
-    }
-
-    /// Pop (or allocate) a block for a buffer whose capacity charge is
-    /// already held — used when a copy-on-write promotion needs private
-    /// storage for an adopted payload.
-    fn take_block_for_promotion(&self, class: usize, block_size: usize) -> Box<[u8]> {
-        let tel = &self.shared.telemetry;
-        let mut inner = self.shared.inner.lock();
-        match inner.free[class].pop() {
-            Some(b) => {
-                inner.stats.freelist_hits += 1;
-                if tel.enabled() {
-                    tel.slab_hits.inc();
-                }
-                b
-            }
-            None => {
-                if tel.enabled() {
-                    tel.slab_misses.inc();
-                    tel.hotpath_alloc_bytes.add(block_size as u64);
-                }
-                vec![0u8; block_size].into_boxed_slice()
-            }
-        }
     }
 }
 
@@ -526,7 +554,9 @@ impl BmlBuffer {
             // Capacity for this class is already charged; only the
             // private storage itself is taken here.
             let block_size = 1usize << (self.class as u32 + MIN_CLASS_SHIFT);
-            let mut block = self.bml.take_block_for_promotion(self.class, block_size);
+            let shared = &self.bml.shared;
+            let mut block =
+                (shared.inner.lock()).take_block(self.class, block_size, &shared.telemetry);
             block[..self.len].copy_from_slice(&data[..self.len]);
             self.repr = BufRepr::Owned(block);
         }
@@ -555,6 +585,25 @@ impl BmlBuffer {
     pub fn into_bytes(self) -> Bytes {
         Bytes::from_owner(Arc::new(SlabPayload { buf: self }))
     }
+
+    /// [`BmlBuffer::into_bytes`] undone: the buffer behind `data`, when
+    /// `data` is the only view of one and spans it — a payload received
+    /// into [`Bml::receive_storage`]'s block is staged where it landed, on
+    /// the charge it has held since before its first byte. Any other
+    /// payload comes back unchanged.
+    pub fn from_payload(data: Bytes) -> Result<BmlBuffer, Bytes> {
+        data.try_into_owner::<SlabPayload>().map(|owner| owner.buf)
+    }
+}
+
+impl PayloadBuf for BmlBuffer {
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        BmlBuffer::as_mut_slice(self)
+    }
+
+    fn freeze(self: Box<Self>) -> Bytes {
+        self.into_bytes()
+    }
 }
 
 impl Drop for BmlBuffer {
@@ -564,10 +613,10 @@ impl Drop for BmlBuffer {
                 // The empty sentinel is what `replace` left behind in a
                 // buffer that already dropped; never release it.
                 if !block.is_empty() {
-                    self.bml.release(block, self.class);
+                    self.bml.release(Some(block), self.class);
                 }
             }
-            BufRepr::Adopted(_) => self.bml.release_adopted(self.class),
+            BufRepr::Adopted(_) => self.bml.release(None, self.class),
         }
     }
 }

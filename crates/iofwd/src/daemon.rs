@@ -200,6 +200,11 @@ impl DaemonHandle {
         self.port
     }
 
+    /// The daemon's process id, until it has been shut down.
+    pub fn pid(&self) -> Option<u32> {
+        self.child.as_ref().map(Child::id)
+    }
+
     /// Where the daemon's stderr is being captured.
     pub fn log_path(&self) -> &Path {
         &self.log_path

@@ -439,19 +439,25 @@ pub(crate) fn resume(ctx: &AdmitCtx, session: &mut Session, mut op: Op, retry: R
                     },
                 );
             }
-            let buf = match retry {
-                Retry::Poll => match bml.try_adopt(op.data.clone()) {
+            // A payload the transport received into a BML block is
+            // staged in it, on the charge taken before its first byte;
+            // any other is adopted, and charged, here.
+            let received = BmlBuffer::from_payload(std::mem::take(&mut op.data));
+            let buf = match (received, retry) {
+                (Ok(block), _) => block,
+                (Err(data), Retry::Poll) => match bml.try_adopt(data.clone()) {
                     Some(buf) => buf,
                     None => {
+                        op.data = data;
                         return Admission::Park {
                             op,
                             need: Need::Bml,
-                        }
+                        };
                     }
                 },
-                Retry::Adopted(Some(buf)) => buf,
+                (Err(_), Retry::Adopted(Some(buf))) => buf,
                 // BML closed: the daemon is shutting down.
-                Retry::Adopted(None) => {
+                (Err(_), Retry::Adopted(None)) => {
                     return fail_inline(
                         ctx,
                         op,

@@ -311,6 +311,9 @@ impl IonServer {
                         };
                         backoff = Duration::from_millis(1);
                         reap_finished(&mut handler_threads.lock());
+                        if let Some(bml) = ctx.engine.bml() {
+                            conn.receive_into(bml);
+                        }
                         let conn: Arc<dyn crate::transport::Conn> = if telemetry.enabled() {
                             Arc::new(crate::transport::Instrumented::new(conn, telemetry.clone()))
                         } else {

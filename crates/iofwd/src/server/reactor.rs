@@ -16,10 +16,11 @@
 //!   `POLLOUT`.
 //! - **Admission control as backpressure.** Every decoded frame goes to
 //!   the admission core (`server::admit`), which never blocks. Where
-//!   the threaded driver *blocks* on an [`Admission::Park`] (BML
-//!   exhausted), an event loop parks the connection — the op is
-//!   stashed, the socket drops out of the readable interest set — and
-//!   resumes it on a later lap. TCP flow control pushes the stall back
+//!   the threaded driver *blocks* — in `recv` for the BML block a large
+//!   payload is received into, or on an [`Admission::Park`] — an event
+//!   loop parks the connection: the frame's head stays in the reader (or
+//!   the op is stashed), the socket drops out of the readable interest
+//!   set, and a later lap resumes it. TCP flow control pushes the stall back
 //!   to the compute node, exactly the §IV contract ("the I/O operation
 //!   is blocked until sufficient memory is available"), minus the
 //!   dedicated thread.
@@ -49,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use iofwd_proto::{Errno, Fd, Frame, FrameReader};
+use iofwd_proto::{Errno, Fd, Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
 use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
@@ -172,6 +173,9 @@ struct ConnState {
     stats: Option<Arc<PerClientStats>>,
     /// Op waiting for admission, and what it is waiting for.
     parked_op: Option<(Op, Need)>,
+    /// A large frame's head is in `reader`, waiting for the BML block its
+    /// payload will be received into (`Need::Bml`, before there is an op).
+    awaiting_block: bool,
     /// Ops handed to the queue / sync pool with replies outstanding.
     inflight: usize,
     parked_wbuf: bool,
@@ -203,6 +207,7 @@ impl ConnState {
             client: 0,
             stats: None,
             parked_op: None,
+            awaiting_block: false,
             inflight: 0,
             parked_wbuf: false,
             peer_closed: false,
@@ -215,7 +220,7 @@ impl ConnState {
     }
 
     fn parked(&self) -> bool {
-        self.parked_op.is_some() || self.parked_wbuf
+        self.parked_op.is_some() || self.awaiting_block || self.parked_wbuf
     }
 
     /// A drained connection whose peer is done (or that acked
@@ -469,13 +474,19 @@ impl ReactorThread {
         self.finish_conn(c.token, conn);
     }
 
-    /// Resume parked ops. BML parks retry every lap (buffers free
-    /// continuously); queue parks retry once the client's backlog has
-    /// drained to half the cap (hysteresis, so a parked client does not
-    /// flap at the boundary).
+    /// Resume parked connections. BML parks — an op waiting to be
+    /// staged, or a payload waiting for the block it is received into —
+    /// retry every lap (buffers free continuously); queue parks retry
+    /// once the client's backlog has drained to half the cap (hysteresis,
+    /// so a parked client does not flap at the boundary).
     fn retry_parked(&mut self) {
         for tok in 0..self.slots.len() {
             let eligible = match self.slots.get(tok).and_then(|s| s.conn.as_ref()) {
+                Some(ConnState {
+                    awaiting_block: true,
+                    dead: false,
+                    ..
+                }) => true,
                 Some(ConnState {
                     parked_op: Some((op, need)),
                     dead: false,
@@ -494,7 +505,10 @@ impl ReactorThread {
             let Some(mut conn) = self.slots.get_mut(tok).and_then(|s| s.conn.take()) else {
                 continue;
             };
-            if let Some((op, need)) = conn.parked_op.take() {
+            if std::mem::take(&mut conn.awaiting_block) {
+                self.pump(&mut conn, true);
+                conn.maybe_finished();
+            } else if let Some((op, need)) = conn.parked_op.take() {
                 let admission = admit::resume(&self.ctx, &mut conn.session, op, Retry::Poll);
                 // A re-park for the same need is one backpressure
                 // event, not two.
@@ -514,14 +528,15 @@ impl ReactorThread {
         let Some(mut conn) = self.slots.get_mut(tok).and_then(|s| s.conn.take()) else {
             return;
         };
-        self.pump(&mut conn);
+        self.pump(&mut conn, false);
         conn.maybe_finished();
         self.finish_conn(tok, conn);
     }
 
     /// Receive-and-admit loop: up to `FRAMES_PER_PASS` frames, or until
-    /// the socket has nothing more.
-    fn pump(&mut self, conn: &mut ConnState) {
+    /// the socket has nothing more. `resumed`: the pass retries a frame
+    /// that is parked for its receive block.
+    fn pump(&mut self, conn: &mut ConnState, mut resumed: bool) {
         let mut budget = FRAMES_PER_PASS;
         loop {
             if conn.dead || conn.parked() || conn.peer_closed || conn.close_after_flush {
@@ -535,9 +550,28 @@ impl ReactorThread {
                 }
                 return;
             }
-            let frame = match conn.reader.read_frame(&mut conn.stream) {
+            // A large payload is received into a BML block, charged
+            // before it is read; with none to be had the frame waits in
+            // the reader, as it does for the socket.
+            let mut starved = false;
+            let bml = self.ctx.engine.bml();
+            let received = conn.reader.read_frame_with(&mut conn.stream, &mut |len| {
+                let storage = bml.map_or(Storage::Heap, |bml| bml.receive_storage(len, false));
+                starved = matches!(storage, Storage::NotYet);
+                storage
+            });
+            let frame = match received {
                 Ok(Some(frame)) => frame,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if starved {
+                        // A re-park is one backpressure event, not two.
+                        if !resumed {
+                            self.count_backpressure(conn);
+                        }
+                        conn.awaiting_block = true;
+                    }
+                    return;
+                }
                 res => {
                     // The peer is done sending, between frames (`Ok(None)`)
                     // or inside one; anything else is undecodable garbage
@@ -549,6 +583,7 @@ impl ReactorThread {
                 }
             };
             budget -= 1;
+            resumed = false;
             if self.telemetry.enabled() {
                 self.telemetry.frames_in.inc();
                 self.telemetry

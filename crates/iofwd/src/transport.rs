@@ -29,6 +29,11 @@ pub trait Conn: Send + Sync {
         self.send(Frame { data, ..frame })
     }
     fn recv(&self) -> io::Result<Option<Frame>>;
+    /// Daemon side: from now on receive large payloads into `pool`'s
+    /// blocks, waiting in `recv` for one when the pool is full. A
+    /// transport that hands frames over by value has nothing to receive
+    /// into.
+    fn receive_into(&self, _pool: &crate::bml::Bml) {}
     /// Close both directions; subsequent `recv` on the peer returns `None`.
     fn close(&self);
 }
@@ -105,6 +110,10 @@ impl Conn for Instrumented {
             }
         }
         res
+    }
+
+    fn receive_into(&self, pool: &crate::bml::Bml) {
+        self.inner.receive_into(pool);
     }
 
     fn close(&self) {
@@ -232,6 +241,7 @@ pub mod tcp {
     //! TCP transport: length-delimited frames over a stream socket.
 
     use super::{Conn, Listener};
+    use crate::bml::Bml;
     use iofwd_proto::{Frame, FrameReader};
     use parking_lot::Mutex;
     use std::io::{self, Write};
@@ -243,7 +253,9 @@ pub mod tcp {
     /// A frame connection over a `TcpStream`.
     pub struct TcpConn {
         write: Mutex<TcpStream>,
-        read: Mutex<(TcpStream, FrameReader)>,
+        /// The receive side; with a pool (the daemon's end), large
+        /// payloads land in its blocks.
+        read: Mutex<(TcpStream, FrameReader, Option<Bml>)>,
     }
 
     impl TcpConn {
@@ -257,7 +269,7 @@ pub mod tcp {
             let read = stream.try_clone()?;
             Ok(TcpConn {
                 write: Mutex::new(stream),
-                read: Mutex::new((read, FrameReader::default())),
+                read: Mutex::new((read, FrameReader::default(), None)),
             })
         }
     }
@@ -303,8 +315,19 @@ pub mod tcp {
         }
 
         fn recv(&self) -> io::Result<Option<Frame>> {
-            let (stream, reader) = &mut *self.read.lock();
-            reader.read_frame(stream)
+            let (stream, reader, pool) = &mut *self.read.lock();
+            match pool {
+                // "The I/O operation is blocked until ... sufficient
+                // memory is available" (§IV) — before the payload is read.
+                Some(pool) => {
+                    reader.read_frame_with(stream, &mut |len| pool.receive_storage(len, true))
+                }
+                None => reader.read_frame(stream),
+            }
+        }
+
+        fn receive_into(&self, pool: &Bml) {
+            self.read.lock().2 = Some(pool.clone());
         }
 
         fn close(&self) {
@@ -456,6 +479,7 @@ pub(crate) mod tests {
     use super::mem::{pair, MemHub};
     use super::tcp::{TcpAcceptor, TcpConn};
     use super::{Conn, Listener};
+    use crate::bml::{Bml, BmlBuffer};
     use bytes::Bytes;
     use iofwd_proto::{Fd, Frame, Request};
     use std::time::Duration;
@@ -596,24 +620,50 @@ pub(crate) mod tests {
 
     #[test]
     fn tcp_received_payloads_pin_no_more_than_their_bml_class() {
-        // A staged write's payload is adopted by the BML and charged as
-        // one block of its size class; the storage behind it must not be
-        // larger than that, whichever side of the split threshold.
+        // A staged write's payload is charged to the BML as one block of
+        // its size class, and the storage behind it must not be larger
+        // than that, whichever side of the split threshold. The daemon's
+        // end receives a large one into a pool block; the client's end,
+        // which has no pool, and every small payload own exact-size heap.
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let client = TcpConn::connect(addr).unwrap();
         let server = acceptor.accept().unwrap().unwrap();
+        let bml = Bml::new(4 << 20);
+        server.receive_into(&bml);
         for (seq, len) in [4096usize, 64 << 10, 1 << 20].into_iter().enumerate() {
             let req = Request::Write {
                 fd: Fd(3),
                 len: len as u64,
             };
+            let head = Frame::request_head(1, seq as u64, &req);
             client
-                .send_with_payload(Frame::request_head(1, seq as u64, &req), &vec![7u8; len])
+                .send_with_payload(head.clone(), &vec![7u8; len])
                 .unwrap();
             let frame = server.recv().unwrap().unwrap();
             assert_eq!(frame.data.len(), len);
-            assert_pins_at_most_its_bml_class(frame.data);
+            let class_bytes = Bml::class_for(len).1;
+            if len < Frame::SPLIT_SEND_MIN {
+                assert_eq!(bml.outstanding(), 0, "small payloads stay on the heap");
+                assert_pins_at_most_its_bml_class(frame.data);
+                continue;
+            }
+            // Charged on receipt, once; staging takes the block over.
+            assert_eq!(bml.outstanding(), class_bytes as u64);
+            let at = frame.data.as_ptr();
+            let echo = frame.data.to_vec();
+            let block = BmlBuffer::from_payload(frame.data).expect("a pool block");
+            assert_eq!(block.as_slice().as_ptr(), at, "staged where it landed");
+            assert_eq!((block.len(), block.block_size()), (len, class_bytes));
+            assert_eq!(bml.outstanding(), class_bytes as u64);
+            drop(block);
+            assert_eq!(bml.outstanding(), 0);
+            // The other way: the client's end has no pool.
+            server.send_with_payload(head, &echo).unwrap();
+            let back = client.recv().unwrap().unwrap();
+            assert_eq!(back.data, echo[..]);
+            assert_pins_at_most_its_bml_class(back.data);
+            assert_eq!(bml.outstanding(), 0);
         }
     }
 
@@ -623,7 +673,7 @@ pub(crate) mod tests {
         let (len, at) = (data.len(), data.as_ptr());
         let storage = Vec::from(data);
         assert_eq!(storage.as_ptr(), at, "the payload owns its storage alone");
-        let (_, class_bytes) = crate::bml::Bml::class_for(len);
+        let (_, class_bytes) = Bml::class_for(len);
         assert!(
             storage.capacity() <= class_bytes,
             "{len}-byte payload pins {} bytes, its BML class charges {class_bytes}",

@@ -1,5 +1,6 @@
 //! Property-based tests of the buffer management layer: capacity is
-//! never exceeded, size-class rounding is correct, and arbitrary
+//! never exceeded — by outstanding buffers, or by those plus the idle
+//! blocks the pool keeps — size-class rounding is correct, and arbitrary
 //! concurrent acquire/release interleavings terminate with everything
 //! returned.
 
@@ -62,6 +63,47 @@ proptest! {
             prop_assert!(a.as_slice().iter().all(|&x| x == round as u8));
             prop_assert!(b.as_slice().iter().all(|&x| x == !(round as u8)));
         }
+    }
+
+    /// The free lists are bounded by bytes, not blocks: a fill/drain
+    /// workload is served from them however deep its bursts, a shift to
+    /// another class evicts the old class's idle blocks to make room, and
+    /// idle + outstanding never exceeds the capacity on the way.
+    #[test]
+    fn free_lists_hold_what_fits_across_a_class_shift(
+        small_burst in 65usize..128,
+        large_burst in 1usize..8,
+        rounds in 4usize..12,
+    ) {
+        const CAP: u64 = 8 << 20;
+        let bml = Bml::new(CAP);
+        for (len, burst) in [(64usize << 10, small_burst), (1 << 20, large_burst)] {
+            let mut held = Vec::new();
+            let mut fill_and_drain = |bml: &Bml| {
+                for _ in 0..burst {
+                    held.push(bml.try_acquire(len).expect("the burst fits"));
+                    assert!(bml.idle_bytes() + bml.outstanding() <= CAP);
+                }
+                held.clear();
+                assert!(bml.idle_bytes() + bml.outstanding() <= CAP);
+            };
+            // The first burst of a phase warms the class's list ...
+            fill_and_drain(&bml);
+            prop_assert!(bml.idle_bytes() >= (burst * len) as u64);
+            // ... and every later one comes out of it.
+            let warm = bml.stats();
+            for _ in 0..rounds {
+                fill_and_drain(&bml);
+            }
+            let steady = bml.stats();
+            let (acquires, hits) = (
+                steady.acquires - warm.acquires,
+                steady.freelist_hits - warm.freelist_hits,
+            );
+            prop_assert_eq!(acquires, (rounds * burst) as u64);
+            prop_assert!(hits * 100 >= acquires * 99, "{hits} hits of {acquires}");
+        }
+        prop_assert_eq!(bml.outstanding(), 0);
     }
 }
 

@@ -4,13 +4,16 @@
 //! frames the reference decoder `Frame::decode` yields from the same
 //! bytes, never hand out a payload buffer larger than the frame declared,
 //! and turn every malformed or truncated stream into an error, not a
-//! panic. Seeds are fixed: a failure names the seed that replays it.
+//! panic — with its own heap storage, and with a storage hook that hands
+//! out BML blocks, late. Seeds are fixed: a failure names the seed that
+//! replays it.
 
 use std::io::{self, Read};
 
 use bytes::Bytes;
+use iofwd::bml::{Bml, BmlBuffer};
 use iofwd_proto::{
-    Fd, Frame, FrameReader, Request, Response, StageEcho, TraceContext, TraceExt,
+    Fd, Frame, FrameReader, Request, Response, StageEcho, Storage, TraceContext, TraceExt,
     FRAME_HEADER_BYTES, MAX_DATA_LEN,
 };
 use proptest::rng::TestRng;
@@ -60,10 +63,18 @@ impl Read for Chunked<'_> {
 
 /// Everything the reader yields from `r`, retrying through `WouldBlock`.
 fn read_all(r: &mut impl Read) -> io::Result<Vec<Frame>> {
+    read_all_with(r, &mut |_| Storage::Heap)
+}
+
+/// [`read_all`] with large payloads landing where `storage` says.
+fn read_all_with(
+    r: &mut impl Read,
+    storage: &mut dyn FnMut(usize) -> Storage,
+) -> io::Result<Vec<Frame>> {
     let mut reader = FrameReader::default();
     let mut frames = Vec::new();
     loop {
-        match reader.read_frame(r) {
+        match reader.read_frame_with(r, storage) {
             Ok(Some(frame)) => frames.push(frame),
             Ok(None) => return Ok(frames),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -171,10 +182,60 @@ fn chunking(rng: &mut TestRng, total: usize) -> Vec<usize> {
     }
 }
 
-/// The two properties every delivered frame must have.
+/// The pool-backed arm: a hook that answers "not yet" `refusals` times
+/// per large payload and then hands out a BML block must yield the same
+/// frames, each large payload in a block of its own charged once, each
+/// small one on the heap — and be asked exactly that often, per payload,
+/// in stream order.
+fn check_pooled(label: &str, wire: &[u8], sizes: Vec<usize>, block_every: usize, refusals: usize) {
+    let expect = decode_all(wire);
+    let bml = Bml::new(64 << 20);
+    let (mut asked, mut refused) = (Vec::new(), 0);
+    let got = read_all_with(&mut Chunked::new(wire, sizes, block_every), &mut |len| {
+        asked.push(len);
+        if refused < refusals {
+            refused += 1;
+            return Storage::NotYet;
+        }
+        refused = 0;
+        bml.receive_storage(len, false)
+    })
+    .unwrap_or_else(|e| panic!("{label}, pooled: {e}"));
+    assert!(got == expect, "{label}: the pooled arm's frames differ");
+    let large = expect.iter().map(|f| f.data.len()).filter(|&l| l >= SPLIT);
+    let asks: Vec<usize> = large
+        .flat_map(|l| std::iter::repeat_n(l, refusals + 1))
+        .collect();
+    assert_eq!(asked, asks, "{label}: storage asked for");
+    let charged: usize = asks
+        .iter()
+        .step_by(refusals + 1)
+        .map(|&l| Bml::class_for(l).1)
+        .sum();
+    assert_eq!(
+        bml.outstanding(),
+        charged as u64,
+        "{label}: one charge each"
+    );
+    for (i, frame) in got.into_iter().enumerate() {
+        let (len, at) = (frame.data.len(), frame.data.as_ptr());
+        match BmlBuffer::from_payload(frame.data) {
+            Ok(block) => {
+                assert!(len >= SPLIT, "{label}: small frame {i} took a block");
+                assert_eq!((block.len(), block.as_slice().as_ptr()), (len, at));
+            }
+            Err(_) => assert!(len < SPLIT, "{label}: large frame {i} missed the pool"),
+        }
+    }
+    assert_eq!(bml.outstanding(), 0, "{label}: every block returned");
+}
+
+/// The two properties every delivered frame must have, and the pooled
+/// arm's agreement with them.
 fn check(seed: u64, wire: &[u8], sizes: Vec<usize>, block_every: usize) {
     let expect = decode_all(wire);
     let label = format!("seed {seed}, reads of {sizes:?}, WouldBlock every {block_every}");
+    check_pooled(&label, wire, sizes.clone(), block_every, seed as usize % 4);
     let got = read_all(&mut Chunked::new(wire, sizes, block_every))
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert_eq!(got.len(), expect.len(), "{label}: frame count");

@@ -559,3 +559,34 @@ fn slab_recycle_vs_acquire_never_hands_block_twice() {
         );
     });
 }
+
+/// Receiving into the pool: a connection dies inside a payload (its
+/// reader drops the block it was receiving into) while another waits in
+/// `acquire` for a block of a different class. The release hands the
+/// waiter its capacity and keeps the dead connection's block idle; the
+/// waiter, finding no idle block of its own class, must evict that one
+/// before it allocates — in every interleaving idle plus outstanding
+/// memory is back within the capacity once the waiter holds its block.
+#[test]
+fn a_dropped_receive_block_makes_room_for_a_waiter_of_another_class() {
+    loomlite::model(|| {
+        const CAP: u64 = 2 * BLOCK as u64;
+        let bml = Bml::new(CAP);
+        let receiving = bml.acquire(2 * BLOCK).expect("open");
+        let waiter = {
+            let bml = bml.clone();
+            thread::spawn(move || {
+                let buf = bml.acquire(BLOCK).expect("open");
+                assert!(
+                    bml.idle_bytes() + bml.outstanding() <= CAP,
+                    "an idle block of another class outlived the charge that needed its room"
+                );
+                drop(buf);
+            })
+        };
+        drop(receiving);
+        waiter.join().expect("waiter panicked");
+        assert_eq!(bml.outstanding(), 0, "memory leaked");
+        assert!(bml.idle_bytes() <= CAP);
+    });
+}

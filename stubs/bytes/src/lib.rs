@@ -13,14 +13,16 @@
 //! a shared `Bytes` without copying them, and `Vec::from(Bytes)` gives the
 //! storage back when the view is its only, whole owner.
 
+use std::any::Any;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// External storage that a `Bytes` view can borrow from. Implementors
 /// keep the backing memory alive (and may recycle it, e.g. back into a
-/// buffer pool) when the last view drops.
-pub trait ByteOwner: Send + Sync {
+/// buffer pool) when the last view drops. `Any`, so that the code that
+/// made a view can take its owner back ([`Bytes::try_into_owner`]).
+pub trait ByteOwner: Any + Send + Sync {
     fn as_slice(&self) -> &[u8];
 }
 
@@ -90,6 +92,31 @@ impl Bytes {
             off: 0,
             len,
         }
+    }
+
+    /// Take the owner back out: the [`Bytes::from_owner`] counterpart of
+    /// `Vec::from(Bytes)`. Succeeds for a view that is the only reference
+    /// to an owner of type `T` and spans all of it; any other view comes
+    /// back unchanged.
+    pub fn try_into_owner<T: ByteOwner>(self) -> Result<T, Bytes> {
+        let Bytes { repr, off, len } = self;
+        let repr = match repr {
+            Repr::Owner(owner) if off == 0 && len == owner.as_slice().len() => {
+                let any: Arc<dyn Any + Send + Sync> = owner.clone();
+                match any.downcast::<T>() {
+                    Ok(typed) => {
+                        drop(owner);
+                        match Arc::try_unwrap(typed) {
+                            Ok(owner) => return Ok(owner),
+                            Err(shared) => Repr::Owner(shared),
+                        }
+                    }
+                    Err(_) => Repr::Owner(owner),
+                }
+            }
+            repr => repr,
+        };
+        Err(Bytes { repr, off, len })
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
@@ -526,6 +553,35 @@ mod tests {
         assert_eq!(&view[..], b"bytes");
         drop(view);
         assert!(dropped.load(std::sync::atomic::Ordering::SeqCst));
+    }
+
+    #[test]
+    fn try_into_owner_gives_back_only_a_whole_unique_owner_of_that_type() {
+        struct Block(Vec<u8>);
+        impl ByteOwner for Block {
+            fn as_slice(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        struct Other;
+        impl ByteOwner for Other {
+            fn as_slice(&self) -> &[u8] {
+                b"other"
+            }
+        }
+        let whole = Bytes::from_owner(Arc::new(Block(b"block".to_vec())));
+        let base = whole.as_ptr();
+        // Shared, partial, or of another type: the view comes back as it was.
+        let shared = whole.clone();
+        let whole = whole.try_into_owner::<Block>().err().expect("shared");
+        let part = shared.slice(1..5).try_into_owner::<Block>().err();
+        assert_eq!(&part.expect("partial")[..], b"lock");
+        drop(shared);
+        let whole = whole.try_into_owner::<Other>().err().expect("other type");
+        let heap = Bytes::from(vec![1u8; 4]).try_into_owner::<Block>().err();
+        assert_eq!(heap.expect("not an owner view"), [1u8; 4]);
+        let block = whole.try_into_owner::<Block>().expect("sole whole view");
+        assert_eq!(block.0.as_ptr(), base);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   argument text) so the interprocedural pass can resolve callees and
 //!   classify condvar waits and blocking primitives;
 //! * BML buffer acquisitions (`acquire`/`acquire_timeout`/`try_acquire`
-//!   on a `bml`-named receiver) with binding and scope, for the A3
-//!   leak-path rule.
+//!   on a `bml`-named receiver, and `BmlBuffer::from_payload`, which
+//!   takes a received payload's block back out of its frame) with
+//!   binding and scope, for the A3 leak-path rule.
 //!
 //! Everything here is name-driven approximation over the token stream —
 //! the known false-positive/negative sources are catalogued in
@@ -761,23 +762,27 @@ fn depth_at(bytes: &[u8], pos: usize) -> i32 {
 }
 
 /// BML acquisitions: `acquire*`/`try_acquire` and the zero-copy
-/// `adopt*`/`try_adopt` twins on a `bml`-named handle, bound either via
-/// `let` or a `Some(buf)` / `Ok(buf)` match arm.
+/// `adopt*`/`try_adopt` twins on a `bml`-named handle, and
+/// `BmlBuffer::from_payload` (the block a payload was received into,
+/// taken back out of its frame), bound either via `let` or a `Some(buf)`
+/// / `Ok(buf)` match arm.
 fn collect_buf_acquires(masked: &str, calls: &[CallSite]) -> Vec<BufAcquire> {
     let bytes = masked.as_bytes();
     let mut out = Vec::new();
     for c in calls {
-        if !matches!(
-            c.name.as_str(),
-            "acquire" | "acquire_timeout" | "try_acquire" | "adopt" | "adopt_timeout" | "try_adopt"
-        ) {
-            continue;
-        }
-        let Some(recv) = &c.receiver else { continue };
-        if !last_segment(recv).to_ascii_lowercase().contains("bml") {
-            continue;
-        }
-        if let Some((binding, let_pos)) = let_binding_before(masked, c.recv_start) {
+        let expr_start = match (c.name.as_str(), &c.receiver, &c.qualifier) {
+            (
+                "acquire" | "acquire_timeout" | "try_acquire" | "adopt" | "adopt_timeout"
+                | "try_adopt",
+                Some(recv),
+                _,
+            ) if last_segment(recv).to_ascii_lowercase().contains("bml") => c.recv_start,
+            ("from_payload", None, Some(q)) if q == "BmlBuffer" => {
+                c.pos.saturating_sub(q.len() + 2)
+            }
+            _ => continue,
+        };
+        if let Some((binding, let_pos)) = let_binding_before(masked, expr_start) {
             // Uses start after the end of the let statement.
             let (_, stmt_end) = guard_extent_stmt(bytes, c.pos);
             let close = enclosing_block(bytes, let_pos).map_or(bytes.len(), |(_, b)| b);
@@ -790,7 +795,7 @@ fn collect_buf_acquires(masked: &str, calls: &[CallSite]) -> Vec<BufAcquire> {
             continue;
         }
         // `match bml.acquire(..) { .. Some(buf) => {..} .. }`
-        let mut i = c.recv_start;
+        let mut i = expr_start;
         while i > 0 && bytes[i - 1].is_ascii_whitespace() {
             i -= 1;
         }

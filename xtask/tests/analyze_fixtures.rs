@@ -296,6 +296,38 @@ impl H {
     assert_eq!(a3[0].line, 9, "the early return inside the Some arm");
 }
 
+#[test]
+fn a_received_block_taken_out_of_its_frame_is_tracked_like_an_acquire() {
+    let r = analyze(&[(
+        "crates/iofwd/src/fix.rs",
+        r#"
+impl H {
+    fn stage(&self, op: &mut Op, q: &Q) -> Result<(), Errno> {
+        match BmlBuffer::from_payload(take(&mut op.data)) {
+            Err(data) => op.data = data,
+            Ok(block) => {
+                if q.closed() {
+                    return Err(Errno::EIO);
+                }
+                q.submit(block);
+            }
+        }
+        Ok(())
+    }
+    fn hand_off(&self, op: &mut Op, q: &Q) -> Result<(), Errno> {
+        let received = BmlBuffer::from_payload(take(&mut op.data));
+        q.submit(received);
+        q.flush()?;
+        Ok(())
+    }
+}
+"#,
+    )]);
+    let a3: Vec<&Finding> = r.findings.iter().filter(|f| f.rule == ARule::A3).collect();
+    assert_eq!(a3.len(), 1, "findings: {:?}", r.findings);
+    assert_eq!(a3[0].line, 8, "the early return inside the Ok arm");
+}
+
 // ------------------------------------------------------------- gate
 
 /// The real tree must be clean modulo `xtask/analyze.allow` — the same
