@@ -200,6 +200,12 @@ SYNCS=$(awk '$1 == "backend_sync_ops" { print $2 }' "$TRACED/live-stats.txt")
 SLAB_HITS=$(awk '$1 == "slab_hits" { print $2 }' "$TRACED/live-stats.txt")
 [ "${SLAB_HITS:-0}" -gt 0 ] \
     || { echo "ci: slab_hits = '$SLAB_HITS' after a put and a get: payloads are not landing in recycled BML blocks"; exit 1; }
+# Hand-offs only when they buy something: the get's reads met an idle pool,
+# so they ran on the handler that received them, under a free execution
+# slot, instead of crossing to a worker.
+IN_PLACE=$(awk '$1 == "ops_in_place" { print $2 }' "$TRACED/live-stats.txt")
+[ "${IN_PLACE:-0}" -gt 0 ] \
+    || { echo "ci: ops_in_place = '$IN_PLACE' after a get: reads cross to a worker even with the pool idle"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --rates | grep -q '"ops_per_s"' \
     || { echo "ci: live rates JSON missing rate fields"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --prom --check \

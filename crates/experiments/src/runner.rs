@@ -15,7 +15,6 @@ use std::time::Instant;
 use iofwd::client::Client;
 use iofwd::daemon::{locate_iofwdd, DaemonHandle, DaemonSpec};
 use iofwd::transport::tcp::TcpConn;
-use iofwd_proto::StatsQuery;
 use iofwd_telemetry::snapshot::TelemetrySnapshot;
 
 use crate::report::{self, CellResult};
@@ -308,11 +307,7 @@ fn harvest_snapshot(addr: &str) -> Result<TelemetrySnapshot, String> {
     let conn = TcpConn::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut client = Client::connect(Box::new(conn));
     let fetch = |client: &mut Client| -> Result<TelemetrySnapshot, String> {
-        let data = client
-            .query_stats(StatsQuery::Snapshot)
-            .map_err(|e| format!("query: {e}"))?;
-        TelemetrySnapshot::from_json(&String::from_utf8_lossy(&data))
-            .map_err(|e| format!("parse: {e}"))
+        client.query_snapshot().map_err(|e| format!("query: {e}"))
     };
     // Staged-write spans fold in worker threads a beat after the
     // client's barrier reply, so a snapshot taken the instant the

@@ -334,7 +334,8 @@ impl SpanSink for KindCounts {
     }
 }
 
-/// The telemetry that must not depend on scheduling.
+/// The telemetry that must not depend on scheduling. `ops_in_place` —
+/// which thread ran an op, not what the op did — does, and is left out.
 #[derive(Clone, Debug, PartialEq)]
 struct Counters {
     ops_completed: u64,

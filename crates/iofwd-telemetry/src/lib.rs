@@ -324,6 +324,10 @@ registry! {
         ops_failed,
         /// Writes acknowledged early and completed asynchronously (§IV).
         ops_staged,
+        /// Synchronous ops run on the thread that dispatched them (a
+        /// handler or a sync executor) under a free execution slot of
+        /// the work queue, instead of crossing to a worker.
+        ops_in_place,
         /// Deferred errors recorded against a descriptor by the DescDb.
         deferred_errors,
         /// `DeferredErr` replies sent: a staged write's failure surfacing,

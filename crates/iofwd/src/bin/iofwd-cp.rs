@@ -242,11 +242,9 @@ fn live_top(addr: &str, args: &[String]) {
     }
     let mut client = connect(addr);
     let fetch = |client: &mut Client| -> TelemetrySnapshot {
-        let data = client
-            .query_stats(StatsQuery::Snapshot)
-            .unwrap_or_else(|e| die(&format!("stats query to {addr}: {e}")));
-        TelemetrySnapshot::from_json(&String::from_utf8_lossy(&data))
-            .unwrap_or_else(|e| die(&format!("malformed snapshot from {addr}: {e}")))
+        client
+            .query_snapshot()
+            .unwrap_or_else(|e| die(&format!("stats query to {addr}: {e}")))
     };
     let mut prev = fetch(&mut client);
     let mut refreshes = 0u64;

@@ -499,6 +499,15 @@ impl Client {
         }
     }
 
+    /// The daemon's live registry, parsed: [`Client::query_stats`] for
+    /// [`StatsQuery::Snapshot`](iofwd_proto::StatsQuery::Snapshot) read
+    /// back through `TelemetrySnapshot::from_json`.
+    pub fn query_snapshot(&mut self) -> Result<crate::telemetry::TelemetrySnapshot, ClientError> {
+        let data = self.query_stats(iofwd_proto::StatsQuery::Snapshot)?;
+        crate::telemetry::TelemetrySnapshot::from_json(&String::from_utf8_lossy(&data))
+            .map_err(|e| ClientError::Protocol(format!("malformed snapshot: {e}")))
+    }
+
     /// Orderly disconnect: tells the daemon this client is done.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.expect_ret(&Request::Shutdown)?;

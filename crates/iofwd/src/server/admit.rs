@@ -9,18 +9,28 @@
 //! transport driver what to do next; the threaded driver
 //! (`handlers::serve_conn`) obeys by blocking in place, the reactor by
 //! parking the connection or shipping the work to its executor pool.
-//! The steps that do block — [`run_sync`], [`run_barrier`] — are
-//! separate functions a driver calls from a thread that may.
+//! The steps that do block — [`run_sync`], [`dispatch`] — are separate
+//! functions a driver calls from a thread that may.
 //!
-//! Two orderings are fixed here and nowhere else (DESIGN.md §15):
+//! [`dispatch`] is the one place that decides who executes a
+//! synchronous op in the pool modes: the calling thread, under a free
+//! execution slot of the work queue, or a worker. An op crosses threads
+//! only when that buys something — every slot busy, or its client
+//! already has work waiting in the pool.
+//!
+//! Three orderings are fixed here and nowhere else (DESIGN.md §15):
 //!
 //! * **Capacity, then `begin_op`.** A staged write charges the BML
 //!   before it is recorded on its descriptor, so a client waiting for
 //!   staging memory never leaves an op open for barriers to wait on.
-//! * **A closed queue closes the connection.** A `Sync` push that loses
-//!   the race with shutdown is answered `EAGAIN` through its normal
-//!   reply route, and [`finish`] turns that outcome into
-//!   [`Admission::Close`].
+//! * **A closed queue closes the connection.** A claim fails once the
+//!   queue is closed, and a `Sync` push that loses the race with
+//!   shutdown is answered `EAGAIN` through its normal reply route;
+//!   [`finish`] turns that outcome into [`Admission::Close`].
+//! * **Ack, then push.** The staging transaction ends at the ack: a
+//!   staged write is recorded on its descriptor and its lane before the
+//!   ack, and the driver pushes it ([`push_staged`]) after writing the
+//!   ack and before admitting the connection's next frame.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -32,7 +42,7 @@ use iofwd_proto::{
 };
 
 use super::engine::{op_kind, response_errno, Engine};
-use super::handlers::run_staged_inline;
+use super::handlers::execute_staged;
 use super::queue::{
     CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
@@ -44,10 +54,10 @@ use crate::telemetry::{Disposition, OpSpan, Telemetry};
 pub(crate) enum Policy {
     /// ciod/zoid: the connection's own thread executes everything.
     Inline,
-    /// sched: everything rides the work queue.
+    /// sched: every op is dispatched under the pool's execution slots.
     Sched { queue: Arc<WorkQueue> },
     /// async-staged: data writes are staged and acknowledged at once,
-    /// reads barrier behind them and then queue, metadata runs
+    /// reads barrier behind them and are then dispatched, metadata runs
     /// synchronously.
     Staged {
         queue: Arc<WorkQueue>,
@@ -79,6 +89,7 @@ impl AdmitCtx {
 }
 
 /// How a finished op reaches the connection that admitted it.
+#[derive(Clone)]
 pub(crate) enum Route {
     /// Threaded driver: each queued op gets a rendezvous channel the
     /// handler thread waits on.
@@ -100,29 +111,11 @@ pub(crate) struct Waiting {
     pub(crate) rx: Receiver<Outcome>,
 }
 
-/// Per-connection admission state: the reply route, and the descriptors
-/// the client holds, so a vanished client's descriptors can be
-/// reclaimed (a compute node that dies mid-job must not leak ION
-/// resources).
-pub(crate) struct Session {
-    fds: HashSet<Fd>,
-    route: Route,
-}
-
-impl Session {
-    pub(crate) fn new(route: Route) -> Session {
-        Session {
-            fds: HashSet::new(),
-            route,
-        }
-    }
-
-    /// Wrap an op as a `Sync` work item whose outcome comes back over
-    /// this session's route; the threaded route also returns the
-    /// receiving end the handler waits on.
-    pub(crate) fn sync_item(&self, op: Op) -> (WorkItem, Option<Waiting>) {
-        let ticket = op.ticket;
-        let (reply, waiting) = match &self.route {
+impl Route {
+    /// Where the outcome of `ticket`'s op goes; the threaded route also
+    /// returns the receiving end the handler waits on.
+    pub(crate) fn reply_to(&self, ticket: Ticket) -> (ReplyTo, Option<Waiting>) {
+        match self {
             Route::Handler => {
                 let (tx, rx) = bounded(1);
                 (ReplyTo::Handler(tx), Some(Waiting { ticket, rx }))
@@ -136,7 +129,13 @@ impl Session {
                 },
                 None,
             ),
-        };
+        }
+    }
+
+    /// Wrap an op as a `Sync` work item whose outcome comes back over
+    /// this route.
+    pub(crate) fn sync_item(&self, op: Op) -> (WorkItem, Option<Waiting>) {
+        let (reply, waiting) = self.reply_to(op.ticket);
         let item = WorkItem::Sync {
             req: op.req,
             data: op.data,
@@ -144,6 +143,24 @@ impl Session {
             span: op.span,
         };
         (item, waiting)
+    }
+}
+
+/// Per-connection admission state: the reply route, and the descriptors
+/// the client holds, so a vanished client's descriptors can be
+/// reclaimed (a compute node that dies mid-job must not leak ION
+/// resources).
+pub(crate) struct Session {
+    fds: HashSet<Fd>,
+    pub(crate) route: Route,
+}
+
+impl Session {
+    pub(crate) fn new(route: Route) -> Session {
+        Session {
+            fds: HashSet::new(),
+            route,
+        }
     }
 
     fn settle(&mut self, effect: SessionEffect, resp: &Response) {
@@ -266,27 +283,35 @@ pub(crate) enum Retry {
 
 /// What the driver must do next with a frame it handed to the core.
 pub(crate) enum Admission {
-    /// Send this frame. If it answers an op, the op's span is folded.
-    Reply(Frame),
+    /// Send `frame`. If it answers an op, the op's span is folded. If it
+    /// acks a staged write that heads its descriptor's lane, then hand
+    /// `staged` to [`push_staged`]: ack, then push.
+    Reply {
+        frame: Frame,
+        staged: Option<WorkItem>,
+    },
     /// Send this frame, then drop the connection.
     Close { after: Frame },
-    /// On the work queue. The outcome arrives on the `Waiting` channel
-    /// (threaded route) or through the session's completion sink
-    /// (`None`); either way it goes to [`finish`].
-    Queued(Option<Waiting>),
     /// Blocking work (metadata, oversized write): [`run_sync`] on the
     /// connection's thread or the executor pool, then [`finish`].
     RunSync(Op),
-    /// A read behind staged writes: [`run_barrier`] waits for `fd` to
-    /// go idle and enqueues `item`; then as `Queued`.
-    Barrier {
-        fd: Fd,
-        item: WorkItem,
-        waiting: Option<Waiting>,
-    },
+    /// A synchronous op for the pool (every `sched` op, and a staged
+    /// read, which first waits for `barrier`'s staged writes): on a
+    /// thread that may block, [`dispatch`] it; an event loop, which must
+    /// not execute it, [`enqueue`]s it. The outcome goes to [`finish`].
+    Dispatch { barrier: Option<Fd>, op: Op },
     /// Not admissible yet: hold the op, stop reading the connection,
     /// and [`resume`] when `need` may have been met.
     Park { op: Op, need: Need },
+}
+
+impl Admission {
+    fn reply(frame: Frame) -> Admission {
+        Admission::Reply {
+            frame,
+            staged: None,
+        }
+    }
 }
 
 /// Server-side stage breakdown echoed back to a traced client. Built
@@ -338,7 +363,7 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
     let control =
         |resp: Response, data: Bytes| Frame::response(frame.client_id, frame.seq, &resp, data);
     let Ok(req) = frame.decode_request() else {
-        return Accepted::Answered(Admission::Reply(control(
+        return Accepted::Answered(Admission::reply(control(
             Response::Err {
                 errno: Errno::Inval,
             },
@@ -348,7 +373,7 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
     let (shape, effect) = match classify(&req) {
         Class::Stats(query) => {
             let (resp, data) = super::introspect::answer(ctx.telemetry(), query);
-            return Accepted::Answered(Admission::Reply(control(resp, data)));
+            return Accepted::Answered(Admission::reply(control(resp, data)));
         }
         Class::Shutdown => {
             return Accepted::Answered(Admission::Close {
@@ -384,16 +409,16 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
 }
 
 /// Admit one frame: [`accept`] it, then route it per the policy.
-pub(crate) fn admit(ctx: &AdmitCtx, session: &mut Session, frame: Frame) -> Admission {
+pub(crate) fn admit(ctx: &AdmitCtx, frame: Frame) -> Admission {
     match accept(ctx, frame) {
-        Accepted::Op(op) => resume(ctx, session, op, Retry::Poll),
+        Accepted::Op(op) => resume(ctx, op, Retry::Poll),
         Accepted::Answered(answered) => answered,
     }
 }
 
 /// Route an accepted op: the policy decision, the fairness gate, and —
 /// for a staged write — the whole staging transaction.
-pub(crate) fn resume(ctx: &AdmitCtx, session: &mut Session, mut op: Op, retry: Retry) -> Admission {
+pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
     let (queue, staging) = match &ctx.policy {
         Policy::Inline => {
             // No queue: unless the driver stamped a hand-off of its own
@@ -421,10 +446,7 @@ pub(crate) fn resume(ctx: &AdmitCtx, session: &mut Session, mut op: Op, retry: R
         };
     }
     let Some((serializer, bml)) = staging else {
-        op.span.enqueue_ns = ctx.telemetry().now_ns();
-        let (item, waiting) = session.sync_item(op);
-        push_sync(queue, item);
-        return Admission::Queued(waiting);
+        return Admission::Dispatch { barrier: None, op };
     };
     match op.shape {
         Shape::Write { fd, offset, len }
@@ -467,27 +489,83 @@ pub(crate) fn resume(ctx: &AdmitCtx, session: &mut Session, mut op: Op, retry: R
                     )
                 }
             };
-            stage_write(ctx, queue, serializer, fd, offset, op, buf)
+            stage_write(ctx, serializer, fd, offset, op, buf)
         }
         // Reads barrier behind staged writes on the descriptor so a
         // read never observes pre-staging file contents.
-        Shape::Read { fd } => {
-            let (item, waiting) = session.sync_item(op);
-            Admission::Barrier { fd, item, waiting }
-        }
+        Shape::Read { fd } => Admission::Dispatch {
+            barrier: Some(fd),
+            op,
+        },
         // Metadata, and writes past the BML's largest size class.
         Shape::Write { .. } | Shape::Meta => Admission::RunSync(op),
     }
 }
 
-/// Enqueue a `Sync` item. A push that loses the race with shutdown is
-/// answered `EAGAIN` through the item's own reply route, so both
-/// drivers see it as an ordinary outcome and [`finish`] closes the
-/// connection behind the reply.
-fn push_sync(queue: &WorkQueue, item: WorkItem) {
-    if let Err(closed) = queue.push(item) {
-        reject(*closed.0, Errno::Again, Disposition::QueueRejected);
+/// Where [`dispatch`] left an op.
+pub(crate) enum Dispatched {
+    /// It ran on the calling thread, or failed its barrier there.
+    Here(Ticket, Outcome),
+    /// It is on the work queue; the outcome comes back over the route,
+    /// on the `Waiting` channel for the threaded route.
+    Queued(Option<Waiting>),
+}
+
+/// Carry out an [`Admission::Dispatch`] on a thread that may block:
+/// wait for `barrier`'s staged writes to retire, then run the op right
+/// here under one of the pool's execution slots if the queue is open,
+/// the client has nothing waiting in the pool and a slot is free
+/// ([`WorkQueue::try_claim`]); otherwise [`enqueue`] it. Either way at
+/// most `workers` ops execute at once (§IV's bound), and an op crosses
+/// threads only when that buys something.
+pub(crate) fn dispatch(
+    ctx: &AdmitCtx,
+    route: &Route,
+    barrier: Option<Fd>,
+    mut op: Op,
+) -> Dispatched {
+    let telemetry = ctx.telemetry();
+    if let Some(fd) = barrier {
+        if let Err(errno) = ctx.engine.descriptor_db().wait_idle(fd) {
+            op.span.enqueue_ns = telemetry.now_ns();
+            op.span.dispatch_ns = op.span.enqueue_ns;
+            op.span.ok = false;
+            op.span.errno = errno.to_wire();
+            let failed = (Response::Err { errno }, Bytes::new(), op.span);
+            return Dispatched::Here(op.ticket, failed);
+        }
     }
+    let claimed = ctx.queue().and_then(|q| q.try_claim(op.span.client));
+    let Some(slot) = claimed else {
+        return Dispatched::Queued(enqueue(ctx, route, op));
+    };
+    // Off the pool (the span keeps worker 0), and no queue wait.
+    op.span.enqueue_ns = telemetry.now_ns();
+    op.span.dispatch_ns = op.span.enqueue_ns;
+    let (resp, data) = ctx.engine.execute_timed(&op.req, &op.data, &mut op.span);
+    drop(slot);
+    if telemetry.enabled() {
+        telemetry.ops_in_place.inc();
+    }
+    Dispatched::Here(op.ticket, (resp, data, op.span))
+}
+
+/// Push a synchronous op to the pool; the threaded route also returns
+/// the channel its outcome arrives on. A push that loses the race with
+/// shutdown is answered `EAGAIN` through the op's own reply route, so
+/// both drivers see it as an ordinary outcome and [`finish`] closes the
+/// connection behind the reply.
+pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, mut op: Op) -> Option<Waiting> {
+    op.span.enqueue_ns = ctx.telemetry().now_ns();
+    let (item, waiting) = route.sync_item(op);
+    let pushed = match ctx.queue() {
+        Some(queue) => queue.push(item).map_err(|closed| *closed.0),
+        None => Err(item),
+    };
+    if let Err(item) = pushed {
+        reject(item, Errno::Again, Disposition::QueueRejected);
+    }
+    waiting
 }
 
 /// Answer a `Sync` item that will never execute.
@@ -505,11 +583,11 @@ pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
 }
 
 /// The staging transaction, with `buf` already charged to the BML:
-/// record the op on its descriptor, hand it to the descriptor's lane
-/// (and the work queue, if the lane was free), and build the ack.
+/// record the op on its descriptor, hand it to the descriptor's lane,
+/// and build the ack — carrying the write itself if it heads the lane,
+/// for the driver to [`push_staged`] once the ack is out.
 fn stage_write(
     ctx: &AdmitCtx,
-    queue: &WorkQueue,
     serializer: &FdSerializer,
     fd: Fd,
     offset: Option<u64>,
@@ -546,18 +624,35 @@ fn stage_write(
         buf,
         span: op.span,
     };
-    if let Some(item) = serializer.admit(fd, WorkItem::StagedWrite { fd, part }) {
-        if let Err(closed) = queue.push(item) {
-            // Queue closed under us: the worker pool will never run
-            // this write, so execute it here (plus any successors the
-            // lane releases) to keep the `Staged` ack truthful.
-            run_staged_inline(engine, telemetry, *closed.0);
-            while let Some(next) = serializer.complete(fd) {
-                run_staged_inline(engine, telemetry, next);
-            }
-        }
+    Admission::Reply {
+        frame: ack,
+        staged: serializer.admit(fd, WorkItem::StagedWrite { fd, part }),
     }
-    Admission::Reply(ack)
+}
+
+/// Hand a lane-head staged write to the pool, after its ack has been
+/// written. If the queue closed under us the worker pool will never run
+/// it, so execute it here (plus any successors the lane releases) to
+/// keep the `Staged` ack truthful.
+pub(crate) fn push_staged(ctx: &AdmitCtx, item: WorkItem) {
+    let Policy::Staged {
+        queue, serializer, ..
+    } = &ctx.policy
+    else {
+        return;
+    };
+    let mut next = queue.push(item).err().map(|closed| *closed.0);
+    while let Some(WorkItem::StagedWrite { fd, part }) = next {
+        execute_staged(
+            &ctx.engine,
+            ctx.telemetry(),
+            fd,
+            part,
+            0,
+            Disposition::Completed,
+        );
+        next = serializer.complete(fd);
+    }
 }
 
 /// Fail an op at admission: nothing ran, the span folds here.
@@ -570,7 +665,7 @@ fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
     op.span.reply_ns = now;
     let frame = reply_frame(&op.ticket, &resp, Bytes::new(), &op.span);
     ctx.telemetry().complete(&op.span);
-    Admission::Reply(frame)
+    Admission::reply(frame)
 }
 
 /// Execute a request to completion on the calling thread. Blocks (the
@@ -584,23 +679,6 @@ pub(crate) fn run_sync(engine: &Engine, req: &Request, data: &Bytes, mut span: O
     }
     let (resp, out) = engine.execute_timed(req, data, &mut span);
     (resp, out, span)
-}
-
-/// Wait (blocking) for `fd`'s staged writes to retire, then enqueue the
-/// read. Every outcome — barrier failure, closed queue, or the worker's
-/// result — travels through the item's reply route.
-pub(crate) fn run_barrier(ctx: &AdmitCtx, fd: Fd, mut item: WorkItem) {
-    let Some(queue) = ctx.queue() else {
-        return reject(item, Errno::Inval, Disposition::Completed);
-    };
-    let idle = ctx.engine.descriptor_db().wait_idle(fd);
-    if let WorkItem::Sync { span, .. } = &mut item {
-        span.enqueue_ns = ctx.telemetry().now_ns();
-    }
-    match idle {
-        Ok(()) => push_sync(queue, item),
-        Err(errno) => reject(item, errno, Disposition::Completed),
-    }
 }
 
 /// Turn a finished op into its wire reply: apply the session effect,
@@ -620,7 +698,7 @@ pub(crate) fn finish(
     if span.disposition == Disposition::QueueRejected {
         Admission::Close { after: frame }
     } else {
-        Admission::Reply(frame)
+        Admission::reply(frame)
     }
 }
 
@@ -693,11 +771,13 @@ mod tests {
 
     fn kind(admission: &Admission) -> &'static str {
         match admission {
-            Admission::Reply(_) => "Reply",
+            Admission::Reply { .. } => "Reply",
             Admission::Close { .. } => "Close",
-            Admission::Queued(_) => "Queued",
             Admission::RunSync(_) => "RunSync",
-            Admission::Barrier { .. } => "Barrier",
+            Admission::Dispatch { barrier: None, .. } => "Dispatch",
+            Admission::Dispatch {
+                barrier: Some(_), ..
+            } => "Barrier+Dispatch",
             Admission::Park { .. } => "Park",
         }
     }
@@ -777,7 +857,6 @@ mod tests {
         for mode in [Mode::Inline, Mode::Sched, Mode::Staged] {
             let ctx = ctx(mode);
             let fd = open(&ctx, "/t");
-            let mut session = Session::new(Route::Handler);
             let requests = every_request(fd);
             let covered: Vec<usize> = requests.iter().map(ordinal).collect();
             assert_eq!(covered, (0..17).collect::<Vec<_>>());
@@ -786,22 +865,29 @@ mod tests {
                     (Request::Stats { .. }, _) => "Reply",
                     (Request::Shutdown, _) => "Close",
                     (_, Mode::Inline) => "RunSync",
-                    (_, Mode::Sched) => "Queued",
+                    (_, Mode::Sched) => "Dispatch",
                     // Staged mode: data writes are acknowledged from
-                    // admission, reads barrier, the rest runs sync.
+                    // admission, reads barrier and are dispatched, the
+                    // rest runs sync.
                     (Request::Write { .. } | Request::Pwrite { .. }, Mode::Staged) => "Reply",
-                    (Request::Read { .. } | Request::Pread { .. }, Mode::Staged) => "Barrier",
+                    (Request::Read { .. } | Request::Pread { .. }, Mode::Staged) => {
+                        "Barrier+Dispatch"
+                    }
                     (_, Mode::Staged) => "RunSync",
                 };
-                let got = admit(&ctx, &mut session, frame(seq as u64, req));
+                let got = admit(&ctx, frame(seq as u64, req));
                 assert_eq!(kind(&got), expect, "{mode:?}: {req:?}");
-                if let (Admission::Reply(ack), Request::Write { .. } | Request::Pwrite { .. }) =
-                    (&got, req)
-                {
-                    assert!(
-                        matches!(response_of(ack), Response::Staged { .. }),
-                        "staged ack"
-                    );
+                if let Admission::Reply { frame, staged } = &got {
+                    let staged_ack = matches!(response_of(frame), Response::Staged { .. });
+                    // The first write heads its descriptor's lane and
+                    // rides the ack out for the driver to push; the
+                    // second waits in the lane behind it.
+                    let (acked, heads) = match req {
+                        Request::Write { .. } => (true, true),
+                        Request::Pwrite { .. } => (true, false),
+                        _ => (false, false),
+                    };
+                    assert_eq!((staged_ack, staged.is_some()), (acked, heads), "{req:?}");
                 }
             }
         }
@@ -811,12 +897,11 @@ mod tests {
     fn staged_mode_runs_writes_past_the_largest_bml_class_synchronously() {
         let ctx = ctx(Mode::Staged);
         let fd = open(&ctx, "/big");
-        let mut session = Session::new(Route::Handler);
         let req = Request::Write {
             fd,
             len: 2 * BML_BYTES,
         };
-        let got = admit(&ctx, &mut session, frame(1, &req));
+        let got = admit(&ctx, frame(1, &req));
         assert_eq!(kind(&got), "RunSync");
     }
 
@@ -824,10 +909,9 @@ mod tests {
     fn malformed_and_mismatched_requests_are_rejected_inline() {
         let ctx = ctx(Mode::Staged);
         let fd = open(&ctx, "/m");
-        let mut session = Session::new(Route::Handler);
         let mut garbage = frame(1, &Request::Fsync { fd });
         garbage.meta = Bytes::from_static(&[0xff, 0xff, 0xff]);
-        let Admission::Reply(reply) = admit(&ctx, &mut session, garbage) else {
+        let Admission::Reply { frame: reply, .. } = admit(&ctx, garbage) else {
             panic!("undecodable request must be answered inline");
         };
         assert_eq!(
@@ -840,7 +924,7 @@ mod tests {
         // no staging memory is charged.
         let mut short = frame(2, &Request::Write { fd, len: 64 });
         short.data = Bytes::from_static(b"short");
-        let Admission::Reply(reply) = admit(&ctx, &mut session, short) else {
+        let Admission::Reply { frame: reply, .. } = admit(&ctx, short) else {
             panic!("length mismatch must be answered inline");
         };
         assert_eq!(
@@ -856,18 +940,37 @@ mod tests {
         assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
     }
 
-    /// Ordering (a), threaded route: a `Sync` push that loses the race
-    /// with shutdown is answered EAGAIN and closes the connection.
+    fn dispatched(admission: Admission) -> (Option<Fd>, Op) {
+        match admission {
+            Admission::Dispatch { barrier, op } => (barrier, op),
+            other => panic!("expected a dispatch, got {}", kind(&other)),
+        }
+    }
+
+    /// Ordering (a), threaded route: while the queue is open and a slot
+    /// is free a `sched` op runs on the calling thread — no channel,
+    /// nothing enqueued, worker 0; once the queue is closed the claim
+    /// fails, and the push that follows is answered EAGAIN and closes
+    /// the connection.
     #[test]
     fn closed_queue_answers_eagain_and_closes_the_connection() {
         let ctx = ctx(Mode::Sched);
         let fd = open(&ctx, "/q");
-        ctx.queue().unwrap().close();
+        let queue = ctx.queue().unwrap();
         let mut session = Session::new(Route::Handler);
-        let Admission::Queued(Some(waiting)) =
-            admit(&ctx, &mut session, frame(1, &Request::Fsync { fd }))
-        else {
-            panic!("sched mode queues every op");
+        let (barrier, op) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
+        assert_eq!(barrier, None);
+        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, barrier, op) else {
+            panic!("a free slot runs the op in place");
+        };
+        assert_eq!(outcome.2.worker, 0);
+        assert_eq!(queue.total_enqueued(), 0);
+        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+
+        queue.close();
+        let (barrier, op) = dispatched(admit(&ctx, frame(2, &Request::Fsync { fd })));
+        let Dispatched::Queued(Some(waiting)) = dispatch(&ctx, &session.route, barrier, op) else {
+            panic!("a closed queue grants no claim");
         };
         let outcome = waiting.rx.recv().expect("rejection is delivered");
         let Admission::Close { after } = finish(&ctx, &mut session, waiting.ticket, outcome) else {
@@ -879,7 +982,7 @@ mod tests {
                 errno: Errno::Again
             }
         );
-        assert_eq!(ctx.queue().unwrap().depth(), 0);
+        assert_eq!(queue.depth(), 0);
     }
 
     #[derive(Default)]
@@ -891,21 +994,36 @@ mod tests {
         }
     }
 
-    /// Ordering (a), reactor route: the same rejection arrives as a
-    /// completion, and `finish` makes the same `Close` of it.
+    /// Ordering (a), reactor route: a staged read dispatched on a sync
+    /// executor runs there while the queue is open; once it is closed the
+    /// read is pushed, the rejection comes back as an EAGAIN completion,
+    /// and `finish` makes the same `Close` of it.
     #[test]
     fn closed_queue_closes_reactor_connections_too() {
-        let ctx = ctx(Mode::Sched);
+        let ctx = ctx(Mode::Staged);
         let fd = open(&ctx, "/q");
-        ctx.queue().unwrap().close();
         let sink = Arc::new(CaptureSink::default());
         let mut session = Session::new(Route::Reactor {
             sink: sink.clone(),
             token: 4,
             gen: 2,
         });
-        let got = admit(&ctx, &mut session, frame(9, &Request::Fsync { fd }));
-        assert!(matches!(got, Admission::Queued(None)));
+        let pread = Request::Pread {
+            fd,
+            offset: 0,
+            len: 8,
+        };
+        let (barrier, op) = dispatched(admit(&ctx, frame(8, &pread)));
+        assert_eq!(barrier, Some(fd));
+        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, barrier, op) else {
+            panic!("a free slot runs the read on the executor");
+        };
+        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+
+        ctx.queue().unwrap().close();
+        let (barrier, op) = dispatched(admit(&ctx, frame(9, &pread)));
+        let got = dispatch(&ctx, &session.route, barrier, op);
+        assert!(matches!(got, Dispatched::Queued(None)));
         let c = sink
             .0
             .lock()
@@ -918,7 +1036,8 @@ mod tests {
 
     /// Ordering (b): capacity, then `begin_op`. A write waiting for
     /// staging memory leaves no op open on its descriptor; once admitted
-    /// it is recorded, charged, and enqueued exactly once.
+    /// it is recorded and charged before its ack, and enqueued exactly
+    /// once, after it.
     #[test]
     fn staged_write_charges_capacity_before_beginning_the_op() {
         let ctx = ctx(Mode::Staged);
@@ -926,13 +1045,12 @@ mod tests {
         let db = ctx.engine.descriptor_db();
         let bml = ctx.engine.bml().unwrap();
         let hog = bml.acquire(BML_BYTES as usize).expect("whole BML");
-        let mut session = Session::new(Route::Handler);
         let req = Request::Pwrite {
             fd,
             offset: 0,
             len: 64,
         };
-        let Admission::Park { op, need } = admit(&ctx, &mut session, frame(1, &req)) else {
+        let Admission::Park { op, need } = admit(&ctx, frame(1, &req)) else {
             panic!("a full BML must park the write");
         };
         assert_eq!(need, Need::Bml);
@@ -942,30 +1060,36 @@ mod tests {
             "no op open while parked"
         );
         // Still full: a retry parks again, still without an open op.
-        let Admission::Park { op, .. } = resume(&ctx, &mut session, op, Retry::Poll) else {
+        let Admission::Park { op, .. } = resume(&ctx, op, Retry::Poll) else {
             panic!("still no memory");
         };
         assert_eq!(db.status(fd).unwrap().in_progress, 0);
 
         drop(hog);
-        let Admission::Reply(ack) = resume(&ctx, &mut session, op, Retry::Poll) else {
-            panic!("memory is free: the write must be staged");
+        let Admission::Reply {
+            frame: ack,
+            staged: Some(head),
+        } = resume(&ctx, op, Retry::Poll)
+        else {
+            panic!("memory is free: the write must be staged, heading its lane");
         };
         assert!(matches!(response_of(&ack), Response::Staged { .. }));
         assert_eq!(db.status(fd).unwrap().in_progress, 1);
         assert!(bml.outstanding() > 0);
+        // Ack, then push: nothing is queued until the driver pushes.
+        assert_eq!(ctx.queue().unwrap().depth(), 0);
+        push_staged(&ctx, head);
         assert_eq!(ctx.queue().unwrap().depth(), 1);
     }
 
     #[test]
     fn refused_begin_op_returns_the_staging_memory() {
         let ctx = ctx(Mode::Staged);
-        let mut session = Session::new(Route::Handler);
         let req = Request::Write {
             fd: Fd(77),
             len: 64,
         };
-        let Admission::Reply(reply) = admit(&ctx, &mut session, frame(1, &req)) else {
+        let Admission::Reply { frame: reply, .. } = admit(&ctx, frame(1, &req)) else {
             panic!("unknown descriptor is answered inline");
         };
         assert_eq!(response_of(&reply), Response::Err { errno: Errno::BadF });
@@ -976,7 +1100,7 @@ mod tests {
         let Accepted::Op(op) = accept(&ctx, frame(2, &req)) else {
             panic!("a write is an op");
         };
-        let Admission::Reply(reply) = resume(&ctx, &mut session, op, Retry::Adopted(None)) else {
+        let Admission::Reply { frame: reply, .. } = resume(&ctx, op, Retry::Adopted(None)) else {
             panic!("closed BML is answered inline");
         };
         assert_eq!(
@@ -999,19 +1123,17 @@ mod tests {
         let mut ctx = ctx(Mode::Sched);
         ctx.max_client_queued = 1;
         let fd = open(&ctx, "/f");
-        let mut session = Session::new(Route::Handler);
-        let first = admit(&ctx, &mut session, frame(1, &Request::Fsync { fd }));
-        assert_eq!(kind(&first), "Queued");
-        let Admission::Park { need, .. } =
-            admit(&ctx, &mut session, frame(2, &Request::Fsync { fd }))
-        else {
+        // The event loop pushes the first op: that is the client's credit.
+        let (_, first) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
+        assert!(enqueue(&ctx, &Route::Handler, first).is_some());
+        let Admission::Park { need, .. } = admit(&ctx, frame(2, &Request::Fsync { fd })) else {
             panic!("second op exceeds the credit");
         };
         assert_eq!(need, Need::QueueCredit);
         let stats = Request::Stats {
             query: StatsQuery::Snapshot,
         };
-        assert_eq!(kind(&admit(&ctx, &mut session, frame(3, &stats))), "Reply");
+        assert_eq!(kind(&admit(&ctx, frame(3, &stats))), "Reply");
     }
 
     #[test]
@@ -1023,7 +1145,7 @@ mod tests {
             flags: OpenFlags::RDWR | OpenFlags::CREATE,
             mode: 0o644,
         };
-        let Admission::RunSync(op) = admit(&ctx, &mut session, frame(1, &open_req)) else {
+        let Admission::RunSync(op) = admit(&ctx, frame(1, &open_req)) else {
             panic!("inline mode runs everything in place");
         };
         let outcome = run_sync(&ctx.engine, &op.req, &op.data, op.span);

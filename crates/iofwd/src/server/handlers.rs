@@ -4,9 +4,11 @@
 //!   frame, hand it to the admission core (`server::admit`), and do what
 //!   the returned [`Admission`] says, blocking in place wherever the
 //!   core says "wait". The modes differ only in the core's policy: zoid
-//!   runs everything on this thread (§II-B2), sched queues everything
-//!   and sleeps until a worker finishes it, staged acknowledges data
-//!   writes as soon as they are in BML memory (§IV).
+//!   runs everything on this thread (§II-B2); sched runs each op here
+//!   under one of the pool's execution slots when one is free, and
+//!   otherwise queues it and sleeps until a worker finishes it; staged
+//!   acknowledges data writes as soon as they are in BML memory and
+//!   pushes them to the pool after the ack (§IV).
 //! * [`handle_ciod`] — the CIOD architecture (§II-B1): the daemon-side
 //!   thread copies each request into a "shared-memory region" (an honest
 //!   extra copy) and hands it to a dedicated per-client *proxy*, which
@@ -19,7 +21,9 @@ use bytes::Bytes;
 use crossbeam::channel::unbounded;
 use iofwd_proto::{Fd, Frame, OpId, Request};
 
-use super::admit::{self, Accepted, Admission, AdmitCtx, Need, Op, Retry, Route, Session, Waiting};
+use super::admit::{
+    self, Accepted, Admission, AdmitCtx, Dispatched, Need, Op, Retry, Route, Session, Waiting,
+};
 use super::engine::Engine;
 use super::queue::{StagedPart, WorkItem, WorkQueue};
 use super::staged::FdSerializer;
@@ -34,9 +38,15 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
     loop {
         admission = match admission {
             // A send failure means the client vanished; the caller
-            // observes the closed connection on its next recv.
-            Admission::Reply(frame) => {
+            // observes the closed connection on its next recv. A staged
+            // write is pushed whatever the send did: ack, then push, so
+            // the woken worker runs while the client turns round, not
+            // in front of its reply.
+            Admission::Reply { frame, staged } => {
                 let _ = conn.send(frame);
+                if let Some(item) = staged {
+                    admit::push_staged(ctx, item);
+                }
                 return true;
             }
             Admission::Close { after } => {
@@ -58,7 +68,7 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
                         Retry::Poll
                     }
                 };
-                admit::resume(ctx, session, op, retry)
+                admit::resume(ctx, op, retry)
             }
             Admission::RunSync(Op {
                 ticket,
@@ -70,20 +80,19 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
                 let outcome = admit::run_sync(&ctx.engine, &req, &data, span);
                 admit::finish(ctx, session, ticket, outcome)
             }
-            Admission::Barrier { fd, item, waiting } => {
-                admit::run_barrier(ctx, fd, item);
-                Admission::Queued(waiting)
-            }
-            // The threaded route always hands back a channel; a dropped
-            // sender means the worker pool is gone (daemon shutting
-            // down).
-            Admission::Queued(waiting) => {
-                let Some(Waiting { ticket, rx }) = waiting else {
-                    return false;
-                };
-                match rx.recv() {
-                    Ok(outcome) => admit::finish(ctx, session, ticket, outcome),
-                    Err(_) => return false,
+            Admission::Dispatch { barrier, op } => {
+                match admit::dispatch(ctx, &session.route, barrier, op) {
+                    Dispatched::Here(ticket, outcome) => {
+                        admit::finish(ctx, session, ticket, outcome)
+                    }
+                    // The threaded route always hands back a channel; a
+                    // dropped sender means the worker pool is gone
+                    // (daemon shutting down).
+                    Dispatched::Queued(Some(Waiting { ticket, rx })) => match rx.recv() {
+                        Ok(outcome) => admit::finish(ctx, session, ticket, outcome),
+                        Err(_) => return false,
+                    },
+                    Dispatched::Queued(None) => return false,
                 }
             }
         };
@@ -94,7 +103,7 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
 pub(crate) fn serve_conn(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
     let mut session = Session::new(Route::Handler);
     while let Ok(Some(frame)) = conn.recv() {
-        let admission = admit::admit(&ctx, &mut session, frame);
+        let admission = admit::admit(&ctx, frame);
         if !drive(conn.as_ref(), &ctx, &mut session, admission) {
             break;
         }
@@ -120,7 +129,7 @@ pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
                     Accepted::Op(mut op) => {
                         // Queue wait = time the op sat in the shm channel.
                         op.span.dispatch_ns = telemetry.now_ns();
-                        admit::resume(&proxy_ctx, &mut session, op, Retry::Poll)
+                        admit::resume(&proxy_ctx, op, Retry::Poll)
                     }
                     Accepted::Answered(answered) => answered,
                 };
@@ -188,15 +197,6 @@ pub(crate) fn execute_staged(
     span.disposition = disposition;
     drop(buf); // return staging memory before dispatching more
     telemetry.complete(&span);
-}
-
-/// Execute a staged write on the admitting thread: the queue closed
-/// under admission, so no worker will. (Only staged writes are ever
-/// admitted to a serializer lane.)
-pub(crate) fn run_staged_inline(engine: &Engine, telemetry: &Telemetry, item: WorkItem) {
-    if let WorkItem::StagedWrite { fd, part } = item {
-        execute_staged(engine, telemetry, fd, part, 0, Disposition::Completed);
-    }
 }
 
 /// Execute a coalesced batch of offset-contiguous staged writes as one
@@ -309,10 +309,10 @@ pub fn worker_loop(
     // the steady state allocates nothing per dequeue.
     let mut items: Vec<WorkItem> = Vec::new();
     loop {
-        queue.pop_batch_into(worker, WORKER_BATCH, &mut items);
-        if items.is_empty() {
+        // The batch runs under one of the pool's execution slots.
+        let Some(_slot) = queue.pop_batch_into(worker, WORKER_BATCH, &mut items) else {
             return; // queue closed and drained
-        }
+        };
         if coalesce.is_some() {
             elevator_sort_reads(&mut items);
         }

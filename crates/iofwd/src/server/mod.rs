@@ -7,8 +7,12 @@
 //! |------|---------|----------|--------------------|
 //! | `Ciod` | rx thread + proxy per client | proxy (double copy) | whole operation |
 //! | `Zoid` | thread per client | the handler itself | whole operation |
-//! | `Sched` | thread per client | shared worker pool | whole operation |
-//! | `AsyncStaged` | thread per client | shared worker pool | staging copy only |
+//! | `Sched` | thread per client | the handler when an execution slot is free, else the shared worker pool | whole operation |
+//! | `AsyncStaged` | thread per client | writes: shared worker pool; reads: as `Sched`, after their barrier; metadata: the handler | staging copy only |
+//!
+//! Either way at most `workers` ops execute at once: the pool's
+//! execution slots ([`WorkQueue::try_claim`]) bound the handlers that
+//! run an op in place as well as the workers.
 
 mod admit;
 mod engine;

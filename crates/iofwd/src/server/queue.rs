@@ -30,6 +30,12 @@
 //! also wakes a sleeper on another shard to come steal. The steal path
 //! is model-checked by `work_stealing_delivers_exactly_once` in the
 //! loom suite.
+//!
+//! The cap on how many ops execute at once is its own object: `workers`
+//! execution slots. A worker holds one while it runs a popped batch; a
+//! thread that may block, with a synchronous op in hand, claims a free
+//! one without waiting ([`WorkQueue::try_claim`]) and runs the op
+//! itself instead of pushing it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -242,6 +248,62 @@ impl Sleep {
     }
 }
 
+/// The pool's execution slots, one per worker: §IV's bound on how many
+/// ops execute at once, whoever runs them. The lock and condvar are only
+/// for a worker that finds none free.
+struct Slots {
+    free: AtomicUsize,
+    /// Workers blocked in [`Slots::take`].
+    waiting: AtomicUsize,
+    lock: Mutex<()>,
+    freed: Condvar,
+}
+
+impl Slots {
+    fn try_take(&self) -> Option<Slot<'_>> {
+        self.free
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .ok()
+            .map(|_| Slot(self))
+    }
+
+    /// Take a slot, waiting while callers hold them all (workers only).
+    /// A waiter is counted before it re-checks, and a release reads the
+    /// count after it frees its slot, so either the waiter's re-check
+    /// sees the freed slot or the release sees the waiter and wakes it.
+    fn take(&self) -> Slot<'_> {
+        if let Some(slot) = self.try_take() {
+            return slot;
+        }
+        let mut guard = self.lock.lock();
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let slot = loop {
+            if let Some(slot) = self.try_take() {
+                break slot;
+            }
+            self.freed.wait(&mut guard);
+        };
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        slot
+    }
+}
+
+/// One held execution slot. A counter with an RAII release, not a lock
+/// guard: nothing is locked while the op it admits runs. Dropping it
+/// frees the slot and wakes a worker waiting for one.
+pub struct Slot<'a>(&'a Slots);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let slots = self.0;
+        slots.free.fetch_add(1, Ordering::SeqCst);
+        if slots.waiting.load(Ordering::SeqCst) > 0 {
+            let _guard = slots.lock.lock();
+            slots.freed.notify_one();
+        }
+    }
+}
+
 /// Home-shard depth at which a push also wakes a sleeper on another
 /// shard to come steal. Below this, waking only the home worker keeps
 /// one client's stream on one core with no cross-shard traffic; at or
@@ -260,9 +322,13 @@ const HELP_DEPTH: usize = 4;
 /// uncontended mutex.
 pub struct WorkQueue {
     shards: Vec<Shard>,
-    /// Items currently queued per client — the fairness signal the
-    /// reactor uses to park a chatty connection instead of letting it
-    /// flood the queue. Entries are removed at zero so an idle client
+    slots: Slots,
+    /// Items currently waiting in the pool per client — queued, or
+    /// popped by a worker still waiting for an execution slot. The
+    /// fairness signal the reactor uses to park a chatty connection
+    /// instead of letting it flood the queue, and what keeps
+    /// [`try_claim`](Self::try_claim) from overtaking a client's own
+    /// waiting work. Entries are removed at zero so an idle client
     /// costs nothing. Charged *before* an item becomes visible in a
     /// shard, so `client_queued` never under-counts a pushed item.
     per_client: Mutex<HashMap<u64, usize>>,
@@ -295,6 +361,12 @@ impl WorkQueue {
                     },
                 })
                 .collect(),
+            slots: Slots {
+                free: AtomicUsize::new(workers),
+                waiting: AtomicUsize::new(0),
+                lock: Mutex::new(()),
+                freed: Condvar::new(),
+            },
             per_client: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -368,20 +440,28 @@ impl WorkQueue {
     /// Dequeue up to `batch` tasks for `worker`, blocking while empty.
     /// Returns an empty vec once the queue is closed and drained.
     ///
-    /// Convenience wrapper over [`Self::pop_batch_into`]; the worker
-    /// hot loop uses the `_into` form to reuse one buffer per thread
+    /// Convenience wrapper over [`Self::pop_batch_into`] that gives the
+    /// execution slot straight back; the worker hot loop uses the
+    /// `_into` form to hold the slot and to reuse one buffer per thread
     /// instead of allocating a fresh `Vec` per drain.
     pub fn pop_batch(&self, worker: usize, batch: usize) -> Vec<WorkItem> {
         let mut out = Vec::new();
-        self.pop_batch_into(worker, batch, &mut out);
+        drop(self.pop_batch_into(worker, batch, &mut out));
         out
     }
 
     /// Dequeue up to `batch` tasks for `worker` into `out` (cleared
-    /// first), blocking while empty. Leaves `out` empty once the queue
-    /// is closed and drained. The caller owns — and reuses — the
+    /// first), blocking while empty, then wait for an execution slot to
+    /// run them under; the worker holds the returned slot until the
+    /// batch is done. Leaves `out` empty (and returns `None`) once the
+    /// queue is closed and drained. The caller owns — and reuses — the
     /// buffer, so a long-lived worker allocates its batch storage once.
-    pub fn pop_batch_into(&self, worker: usize, batch: usize, out: &mut Vec<WorkItem>) {
+    pub fn pop_batch_into(
+        &self,
+        worker: usize,
+        batch: usize,
+        out: &mut Vec<WorkItem>,
+    ) -> Option<Slot<'_>> {
         assert!(batch > 0);
         out.clear();
         let nshards = self.shards.len();
@@ -390,7 +470,7 @@ impl WorkQueue {
             if self.aborted.load(Ordering::Acquire) {
                 // Degraded shutdown: remaining items belong to the
                 // drain, not the workers.
-                return;
+                return None;
             }
             // Sample the home shard's eventcount before scanning: a
             // push landing after this sample bumps the version and
@@ -441,6 +521,10 @@ impl WorkQueue {
                 }
             }
             if !out.is_empty() {
+                // The items leave their clients' accounts only once a
+                // slot is held, so `try_claim` never runs a client's op
+                // ahead of its work popped here and still waiting.
+                let slot = self.slots.take();
                 {
                     let mut clients = self.per_client.lock();
                     for it in out.iter() {
@@ -461,13 +545,13 @@ impl WorkQueue {
                         .record_shard(worker, out.len() as u64);
                     self.telemetry.worker_dispatch.add(worker, out.len() as u64);
                 }
-                return;
+                return Some(slot);
             }
             if self.closed.load(Ordering::Acquire) && self.depth() == 0 {
                 // After close no push can land, so shard depths only
                 // shrink: once the sum reads zero the queue is drained
                 // for good and every worker can exit.
-                return;
+                return None;
             }
             let sleep = &self.shards[own_ix].sleep;
             let mut ver = sleep.version.lock();
@@ -475,6 +559,18 @@ impl WorkQueue {
                 sleep.cv.wait(&mut ver);
             }
         }
+    }
+
+    /// Claim an execution slot to run one of `client`'s synchronous ops
+    /// on the calling thread instead of pushing it. Never blocks; fails
+    /// — push instead — once the queue is closed, while the client has
+    /// anything waiting in the pool (so its own earlier work is never
+    /// overtaken), or while every slot is held.
+    pub fn try_claim(&self, client: u64) -> Option<Slot<'_>> {
+        if self.closed.load(Ordering::Acquire) || self.client_queued(client) > 0 {
+            return None;
+        }
+        self.slots.try_take()
     }
 
     /// Close the queue: workers drain remaining items, then exit.
@@ -533,9 +629,10 @@ impl WorkQueue {
             .sum()
     }
 
-    /// How many items `client` has parked in the queue right now — the
-    /// reactor's fair-admission signal (park the connection once this
-    /// crosses its cap, resume as completions drain it).
+    /// How many items `client` has waiting in the pool right now (queued,
+    /// or popped and waiting for a slot) — the reactor's fair-admission
+    /// signal (park the connection once this crosses its cap, resume as
+    /// completions drain it).
     pub fn client_queued(&self, client: u64) -> usize {
         self.per_client.lock().get(&client).copied().unwrap_or(0)
     }

@@ -28,10 +28,13 @@
 //!   [`ReactorConfig::max_client_queued`] items in the shared work
 //!   queue is parked the same way, so one chatty compute node cannot
 //!   monopolize the worker pool ahead of its neighbors.
-//! - **Blocking ops off-loop.** What the core marks `RunSync` or
-//!   `Barrier` touches the filesystem or blocks on the descriptor
-//!   database, so it runs on a tiny `iofwd-sync-*` executor pool, never
-//!   on an event loop.
+//! - **Blocking ops off-loop.** What the core marks `RunSync`, or a
+//!   `Dispatch` behind a barrier, touches the filesystem or blocks on the
+//!   descriptor database, so it runs on a tiny `iofwd-sync-*` executor
+//!   pool, never on an event loop. A staged read whose barrier has
+//!   cleared runs right there on the executor when the work queue has a
+//!   free execution slot for it, and is pushed otherwise; a `sched` op is
+//!   always pushed, by the loop itself.
 //!
 //! Completions flow back through [`CompletionSink`]: workers finish an
 //! op, push a [`Completion`] onto the owning loop's channel, and kick
@@ -53,8 +56,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use iofwd_proto::{Errno, Fd, Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
-use super::queue::{Completion, CompletionSink, WorkItem};
+use super::admit::{self, Admission, AdmitCtx, Dispatched, Need, Op, Retry, Route, Session};
+use super::queue::{Completion, CompletionSink};
 use crate::telemetry::{Disposition, PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
@@ -123,11 +126,12 @@ impl ReactorHandle {
 
 /// Blocking work an event loop must not run in place.
 enum SyncTask {
-    /// Execute a `Sync` item (metadata, or an oversized write) here
+    /// Execute a `RunSync` op (metadata, or an oversized write) here
     /// rather than on the worker pool.
-    Run(WorkItem),
-    /// Barrier behind staged writes on `fd`, then enqueue the read.
-    Barrier { fd: Fd, item: WorkItem },
+    Run { op: Op, route: Route },
+    /// Barrier behind staged writes on `fd`, then dispatch the read:
+    /// run here under a free execution slot, or enqueue it.
+    Dispatch { fd: Fd, op: Op, route: Route },
     /// Close descriptors left open by a disconnected client.
     Reclaim(Session),
 }
@@ -509,7 +513,7 @@ impl ReactorThread {
                 self.pump(&mut conn, true);
                 conn.maybe_finished();
             } else if let Some((op, need)) = conn.parked_op.take() {
-                let admission = admit::resume(&self.ctx, &mut conn.session, op, Retry::Poll);
+                let admission = admit::resume(&self.ctx, op, Retry::Poll);
                 // A re-park for the same need is one backpressure
                 // event, not two.
                 self.dispatch(&mut conn, admission, Some(need));
@@ -601,7 +605,7 @@ impl ReactorThread {
                     stats.bytes_in.add(frame.data.len() as u64);
                 }
             }
-            let admission = admit::admit(&self.ctx, &mut conn.session, frame);
+            let admission = admit::admit(&self.ctx, frame);
             self.dispatch(conn, admission, None);
         }
     }
@@ -612,21 +616,39 @@ impl ReactorThread {
     /// was already parked on, when this is a retry.
     fn dispatch(&mut self, conn: &mut ConnState, admission: Admission, resumed: Option<Need>) {
         match admission {
-            Admission::Reply(frame) => self.enqueue_wire(conn, frame),
+            // Ack, then push: the staged write goes to the pool once
+            // its ack is on the wire (or in `wbuf`).
+            Admission::Reply { frame, staged } => {
+                self.enqueue_wire(conn, frame);
+                if let Some(item) = staged {
+                    admit::push_staged(&self.ctx, item);
+                }
+            }
             Admission::Close { after } => {
                 self.enqueue_wire(conn, after);
                 conn.close_after_flush = true;
             }
-            // The outcome comes back through this loop's sink.
-            Admission::Queued(_) => conn.inflight += 1,
+            // From here on the outcome comes back through this loop's
+            // sink.
             Admission::RunSync(op) => {
                 conn.inflight += 1;
-                let (item, _) = conn.session.sync_item(op);
-                self.send_sync(SyncTask::Run(item));
+                let route = conn.session.route.clone();
+                self.send_sync(SyncTask::Run { op, route });
             }
-            Admission::Barrier { fd, item, .. } => {
+            // A staged read barriers, and may then run in place, on a
+            // sync executor.
+            Admission::Dispatch {
+                barrier: Some(fd),
+                op,
+            } => {
                 conn.inflight += 1;
-                self.send_sync(SyncTask::Barrier { fd, item });
+                let route = conn.session.route.clone();
+                self.send_sync(SyncTask::Dispatch { fd, op, route });
+            }
+            // A sched op: an event loop must not execute it.
+            Admission::Dispatch { barrier: None, op } => {
+                conn.inflight += 1;
+                admit::enqueue(&self.ctx, &conn.session.route, op);
             }
             Admission::Park { op, need } => {
                 if resumed != Some(need) {
@@ -649,7 +671,8 @@ impl ReactorThread {
             }
             // The executor pool is gone (shutdown race).
             match send_err.0 {
-                SyncTask::Run(item) | SyncTask::Barrier { item, .. } => {
+                SyncTask::Run { op, route } | SyncTask::Dispatch { op, route, .. } => {
+                    let (item, _) = route.sync_item(op);
                     admit::reject(item, Errno::Again, Disposition::Completed);
                 }
                 // At teardown the executors may be gone; reclaim
@@ -866,19 +889,17 @@ fn sync_executor_loop(rx: Receiver<SyncTask>, ctx: Arc<AdmitCtx>) {
             0
         };
         match task {
-            SyncTask::Run(item) => {
-                if let WorkItem::Sync {
-                    req,
-                    data,
-                    reply,
-                    span,
-                } = item
+            SyncTask::Run { op, route } => {
+                let (resp, out, span) = admit::run_sync(&ctx.engine, &op.req, &op.data, op.span);
+                route.reply_to(op.ticket).0.deliver(resp, out, span);
+            }
+            SyncTask::Dispatch { fd, op, route } => {
+                if let Dispatched::Here(ticket, (resp, out, span)) =
+                    admit::dispatch(&ctx, &route, Some(fd), op)
                 {
-                    let (resp, out, span) = admit::run_sync(&ctx.engine, &req, &data, span);
-                    reply.deliver(resp, out, span);
+                    route.reply_to(ticket).0.deliver(resp, out, span);
                 }
             }
-            SyncTask::Barrier { fd, item } => admit::run_barrier(&ctx, fd, item),
             SyncTask::Reclaim(session) => session.reclaim(&ctx.engine),
         }
         if run_from > 0 {

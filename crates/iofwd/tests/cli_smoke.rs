@@ -188,6 +188,71 @@ fn steady_state_staging_takes_no_page_faults() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Context switches the process has made so far: `voluntary_ctxt_switches`
+/// plus `nonvoluntary_ctxt_switches`, summed over `/proc/PID/task/*/status`.
+fn context_switches(pid: u32) -> Option<u64> {
+    let mut total = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).ok()? {
+        let status = std::fs::read_to_string(task.ok()?.path().join("status")).ok()?;
+        for line in status.lines() {
+            let count = line
+                .strip_prefix("voluntary_ctxt_switches:")
+                .or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"));
+            if let Some(n) = count {
+                total += n.trim().parse::<u64>().ok()?;
+            }
+        }
+    }
+    Some(total)
+}
+
+/// An uncontended read runs on the handler thread that received it,
+/// under a free execution slot of the work queue, instead of crossing to
+/// a worker and back: one client's back-to-back 4 KiB `pread`s cost the
+/// daemon about one context switch each (the handler sleeping in `recv`
+/// for the next request). Handed to a worker, each also costs the
+/// handler's sleep on the reply and the worker's own — about three.
+#[test]
+fn an_uncontended_read_does_not_cross_threads() {
+    const READS: usize = 2000;
+    let dir = std::env::temp_dir().join(format!("iofwd-cli-ctxsw-{}", std::process::id()));
+    let spec = DaemonSpec::new(env!("CARGO_BIN_EXE_iofwdd"), dir.join("ion-root"))
+        .mode("staged")
+        .workers(2);
+    let mut daemon = DaemonHandle::spawn(&spec).expect("spawn iofwdd");
+    let pid = daemon.pid().expect("daemon is running");
+    if context_switches(pid).is_none() {
+        eprintln!("skipped: no /proc/{pid}/task/*/status to read context switches from");
+        daemon.shutdown().expect("daemon shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+        return;
+    }
+    let conn = iofwd::transport::tcp::TcpConn::connect(daemon.addr().as_str()).expect("connect");
+    let mut c = iofwd::client::Client::connect(Box::new(conn));
+    let flags = iofwd_proto::OpenFlags::RDWR | iofwd_proto::OpenFlags::CREATE;
+    let fd = c.open("/read-me", flags, 0o644).expect("open");
+    let block: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    c.pwrite(fd, 0, &block).expect("pwrite");
+    c.fsync(fd).expect("fsync");
+    for _ in 0..100 {
+        c.pread(fd, 0, 4096).expect("warm-up pread");
+    }
+    let before = context_switches(pid).expect("read while the daemon runs");
+    for _ in 0..READS {
+        assert_eq!(c.pread(fd, 0, 4096).expect("pread"), block);
+    }
+    let switches = context_switches(pid).expect("read while the daemon runs") - before;
+    c.close(fd).expect("close");
+    let per_op = switches as f64 / READS as f64;
+    assert!(
+        per_op < 2.0,
+        "{switches} daemon context switches over {READS} reads = {per_op:.2} per read"
+    );
+    assert!(!daemon.panicked(), "{}", daemon.log_tail());
+    daemon.shutdown().expect("daemon shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cp_usage_errors_are_clean() {
     let out = Command::new(env!("CARGO_BIN_EXE_iofwd-cp"))

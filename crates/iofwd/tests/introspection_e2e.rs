@@ -9,7 +9,7 @@ use iofwd::backend::{FaultBackend, MemSinkBackend};
 use iofwd::client::Client;
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
 use iofwd::server::{watchdog, ForwardingMode, IonServer, ServerConfig, WatchdogConfig};
-use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry, TelemetrySnapshot};
+use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Frame, OpenFlags, Request, Response, StatsQuery};
@@ -20,13 +20,6 @@ fn unique_tmp(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         std::thread::current().id()
     ))
-}
-
-fn fetch_snapshot(client: &mut Client) -> TelemetrySnapshot {
-    let data = client
-        .query_stats(StatsQuery::Snapshot)
-        .expect("stats query");
-    TelemetrySnapshot::from_json(&String::from_utf8_lossy(&data)).expect("snapshot json")
 }
 
 const ALL_MODES: [ForwardingMode; 4] = [
@@ -60,7 +53,17 @@ fn stats_protocol_answers_in_all_modes_with_attribution() {
         c.fsync(fd).expect("fsync");
         c.close(fd).expect("close");
 
-        let snap = fetch_snapshot(&mut c);
+        // A staged write's span folds on its worker a beat after the
+        // barrier that waited for it has been answered; take the
+        // baseline once all four ops are in.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let snap = loop {
+            let snap = c.query_snapshot().expect("snapshot");
+            if snap.counter("ops_completed") >= 4 || Instant::now() > deadline {
+                break snap;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
         assert!(
             snap.counter("ops_completed") > 0,
             "mode {}: snapshot shows no ops",
@@ -92,7 +95,7 @@ fn stats_protocol_answers_in_all_modes_with_attribution() {
 
         // Meta-traffic stays off the books: three stats queries must not
         // have inflated the op counters.
-        let after = fetch_snapshot(&mut c);
+        let after = c.query_snapshot().expect("snapshot");
         assert_eq!(
             after.counter("ops_completed"),
             snap.counter("ops_completed"),
@@ -132,7 +135,7 @@ fn reactor_serves_stats_and_attributes_clients() {
     assert_eq!(got.len(), payload.len());
     c.close(fd).expect("close");
 
-    let snap = fetch_snapshot(&mut c);
+    let snap = c.query_snapshot().expect("snapshot");
     let row = snap.client(9).expect("client 9 row");
     assert!(
         row.bytes_in >= payload.len() as u64,
@@ -185,7 +188,8 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
     )
     .expect("spawn watchdog");
 
-    // Three writers pile onto the one slow worker.
+    // Three writers pile onto the one execution slot: one runs its write
+    // in place, the others queue behind it for the one worker.
     let writers: Vec<_> = (0..3u32)
         .map(|i| {
             let conn = hub.connect();
@@ -214,7 +218,7 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
     let mut trips = 0;
     while Instant::now() < deadline {
         let t0 = Instant::now();
-        let snap = fetch_snapshot(&mut stats_conn);
+        let snap = stats_conn.query_snapshot().expect("snapshot");
         assert!(
             t0.elapsed() < Duration::from_secs(2),
             "stats query stalled behind the wedged queue"

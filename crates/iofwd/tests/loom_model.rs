@@ -348,6 +348,74 @@ fn queue_push_racing_close_returns_queue_closed() {
     );
 }
 
+/// Execution slots (§IV's bound, shared by workers and callers that run
+/// an op in place): a one-worker queue has one slot. A worker pops a
+/// client-0 item and takes the slot to run it while the main thread,
+/// for another client, tries to claim the slot to run an op itself. In
+/// EVERY interleaving at most one of them executes at a time; a worker
+/// that popped while the caller held the slot is woken by its release
+/// (a missed wakeup deadlocks the model); and client 0's popped item
+/// counts as waiting until the worker holds the slot, so a claim for
+/// client 0 never overtakes it. The cross-schedule counters prove both
+/// the claim and the refusal are explored.
+#[test]
+fn execution_slots_never_exceed_workers_and_a_release_wakes_a_waiting_worker() {
+    static CLAIMED: AtomicUsize = AtomicUsize::new(0);
+    static REFUSED: AtomicUsize = AtomicUsize::new(0);
+    CLAIMED.store(0, Ordering::SeqCst);
+    REFUSED.store(0, Ordering::SeqCst);
+    loomlite::model(|| {
+        let q = Arc::new(WorkQueue::new(1));
+        let running = std::sync::Arc::new(AtomicUsize::new(0));
+        let started = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        q.push(tagged(1)).expect("queue is open"); // client 0
+        let worker = {
+            let (q, running, started) = (q.clone(), running.clone(), started.clone());
+            thread::spawn(move || {
+                let mut items = Vec::new();
+                let slot = q
+                    .pop_batch_into(0, 4, &mut items)
+                    .expect("an item is queued");
+                started.store(true, Ordering::SeqCst);
+                assert_eq!(running.fetch_add(1, Ordering::SeqCst), 0, "two ops at once");
+                let _ = q.client_queued(9); // yield point while executing
+                running.fetch_sub(1, Ordering::SeqCst);
+                drop(slot);
+                items.len()
+            })
+        };
+        match q.try_claim(7) {
+            Some(slot) => {
+                assert_eq!(running.fetch_add(1, Ordering::SeqCst), 0, "two ops at once");
+                let _ = q.client_queued(9); // yield point while executing
+                running.fetch_sub(1, Ordering::SeqCst);
+                drop(slot);
+                CLAIMED.fetch_add(1, Ordering::SeqCst);
+            }
+            None => {
+                REFUSED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        if let Some(slot) = q.try_claim(0) {
+            assert!(
+                started.load(Ordering::SeqCst),
+                "a claim overtook the client's own popped, still-waiting item"
+            );
+            drop(slot);
+        }
+        assert_eq!(worker.join().expect("worker panicked"), 1);
+        assert!(q.try_claim(7).is_some(), "a slot was never given back");
+    });
+    assert!(
+        CLAIMED.load(Ordering::SeqCst) > 0,
+        "no schedule let the caller claim the slot"
+    );
+    assert!(
+        REFUSED.load(Ordering::SeqCst) > 0,
+        "no schedule refused the caller while the worker ran"
+    );
+}
+
 fn staged_item(bml: &Bml, tag: u64, offset: Option<u64>, len: usize) -> WorkItem {
     let mut buf = bml.acquire(len).expect("BML open and under budget");
     buf.fill_from(&vec![tag as u8; len]);

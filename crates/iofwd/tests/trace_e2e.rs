@@ -148,7 +148,13 @@ fn tcp_traced_and_untraced_clients_interoperate() {
     let server = IonServer::spawn(
         Box::new(acceptor),
         backend.clone(),
-        ServerConfig::new(ForwardingMode::Sched { workers: 2 }).with_telemetry(telemetry),
+        // Staged, so the writes run on the pool: a synchronous op from
+        // a lone client runs on its handler, off every worker track.
+        ServerConfig::new(ForwardingMode::AsyncStaged {
+            workers: 2,
+            bml_capacity: 8 << 20,
+        })
+        .with_telemetry(telemetry),
     );
 
     let mut traced = Client::with_id(Box::new(TcpConn::connect(addr).unwrap()), 0);
@@ -174,8 +180,8 @@ fn tcp_traced_and_untraced_clients_interoperate() {
     plain.shutdown().unwrap();
     server.shutdown();
 
-    // 11 echoed ops: open + 8 writes + pread + close (sched's shutdown
-    // reply carries no echo — its span never completes).
+    // 11 echoed ops: open + 8 staged acks + pread + close (the shutdown
+    // reply carries no echo — it is control traffic, with no span).
     assert!(traced.trace_stats().calls >= 11);
     assert_eq!(plain.trace_stats().calls, 0, "no echoes without tracing");
     assert_eq!(backend.contents("/t").unwrap().len(), 8 * 64 * 1024);
