@@ -324,9 +324,10 @@ registry! {
         ops_failed,
         /// Writes acknowledged early and completed asynchronously (§IV).
         ops_staged,
-        /// Synchronous ops run on the thread that dispatched them (a
-        /// handler or a sync executor) under a free execution slot of
-        /// the work queue, instead of crossing to a worker.
+        /// Synchronous ops run on the thread that dispatched them,
+        /// instead of crossing the work queue: by a handler under a free
+        /// execution slot, or by the worker whose lane completion
+        /// released them, under the slot it holds.
         ops_in_place,
         /// Deferred errors recorded against a descriptor by the DescDb.
         deferred_errors,
@@ -408,9 +409,6 @@ registry! {
         open_descriptors,
         /// Workers currently executing a batch (peak = worst contention).
         workers_busy,
-        /// Tasks queued to the reactor's sync executors but not yet run
-        /// (peak = worst barrier backlog).
-        sync_queue_depth,
         /// Aggregate reactor write-buffer bytes across connections (peak =
         /// worst egress backlog).
         wbuf_bytes,
@@ -436,8 +434,6 @@ registry! {
         loop_lag_ns,
         /// Events delivered per poll wake-up (unit: events, not ns).
         ready_batch,
-        /// Run time of each sync-executor task (barriered closes, drains).
-        sync_run_ns,
     }
 }
 

@@ -10,16 +10,18 @@
 //! > operations on the descriptor.
 //!
 //! [`DescDb`] owns the open [`BackendObject`]s, allocates per-descriptor
-//! operation ids, tracks which staged operations are still in flight
-//! (so `fsync`/`close` can act as barriers), and holds the first error
-//! of any staged operation until a later call on the same descriptor
-//! surfaces it.
+//! operation ids, tracks which operations are still in flight, and holds
+//! the first error of any staged operation until a later call on the
+//! same descriptor surfaces it. Ordering a descriptor's later ops behind
+//! its staged writes is not done here: each op waits its turn in the
+//! descriptor's lane (`server::staged`), so nothing ever blocks on this
+//! table.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use iofwd_proto::{Errno, Fd, OpId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::backend::BackendObject;
 use crate::telemetry::Telemetry;
@@ -44,8 +46,6 @@ struct DescEntry {
     completed_ops: u64,
     /// First staged failure not yet reported to the client.
     pending_error: Option<(OpId, Errno)>,
-    /// Descriptor is being closed; no new operations may start.
-    closing: bool,
 }
 
 #[derive(Default)]
@@ -57,7 +57,6 @@ struct DbInner {
 /// Shared descriptor database: one per daemon.
 pub struct DescDb {
     inner: Mutex<DbInner>,
-    idle_cv: Condvar,
     telemetry: Arc<Telemetry>,
 }
 
@@ -88,7 +87,6 @@ impl DescDb {
                 entries: HashMap::new(),
                 next_fd: 3, // 0-2 reserved by convention, as POSIX stdio
             }),
-            idle_cv: Condvar::new(),
             telemetry,
         }
     }
@@ -109,7 +107,6 @@ impl DescDb {
                 in_progress: BTreeSet::new(),
                 completed_ops: 0,
                 pending_error: None,
-                closing: false,
             },
         );
         if self.telemetry.enabled() {
@@ -137,9 +134,6 @@ impl DescDb {
             .entries
             .get_mut(&fd)
             .ok_or(BeginError::Sync(Errno::BadF))?;
-        if e.closing {
-            return Err(BeginError::Sync(Errno::BadF));
-        }
         if let Some((op, errno)) = e.pending_error.take() {
             return Err(BeginError::Deferred { op, errno });
         }
@@ -153,15 +147,16 @@ impl DescDb {
         Ok((op, obj))
     }
 
-    /// Record the outcome of a previously begun operation.
+    /// Record the outcome of a previously begun operation. On a
+    /// descriptor already removed (closed by another connection while
+    /// the op ran) the outcome has nobody to go to, but the op still
+    /// leaves the in-flight gauge.
     pub fn finish_op(&self, fd: Fd, op: OpId, outcome: OpOutcome) {
         let mut db = self.inner.lock();
-        let mut finished = false;
         if let Some(e) = db.entries.get_mut(&fd) {
             let was_tracked = e.in_progress.remove(&op);
             debug_assert!(was_tracked, "finish_op for untracked {op}");
             e.completed_ops += 1;
-            finished = true;
             if let OpOutcome::Failed(errno) = outcome {
                 // Keep only the FIRST unreported failure; later failures
                 // on the same descriptor are typically cascades.
@@ -174,22 +169,8 @@ impl DescDb {
             }
         }
         drop(db);
-        if finished && self.telemetry.enabled() {
+        if self.telemetry.enabled() {
             self.telemetry.inflight_ops.add(-1);
-        }
-        self.idle_cv.notify_all();
-    }
-
-    /// Block until all in-progress operations on `fd` complete — the
-    /// barrier under `fsync` and `close` in staged mode.
-    pub fn wait_idle(&self, fd: Fd) -> Result<(), Errno> {
-        let mut db = self.inner.lock();
-        loop {
-            match db.entries.get(&fd) {
-                None => return Err(Errno::BadF),
-                Some(e) if e.in_progress.is_empty() => return Ok(()),
-                Some(_) => self.idle_cv.wait(&mut db),
-            }
         }
     }
 
@@ -199,22 +180,14 @@ impl DescDb {
         db.entries.get_mut(&fd).and_then(|e| e.pending_error.take())
     }
 
-    /// Mark the descriptor closing: subsequent `begin_op` fails, existing
-    /// operations drain. Call [`DescDb::wait_idle`] next, then
-    /// [`DescDb::remove`].
-    pub fn begin_close(&self, fd: Fd) -> Result<(), Errno> {
-        let mut db = self.inner.lock();
-        let e = db.entries.get_mut(&fd).ok_or(Errno::BadF)?;
-        e.closing = true;
-        Ok(())
-    }
-
     /// Remove the descriptor, returning its object (the caller drops it:
-    /// that is the backend close) and any unreported staged error.
+    /// that is the backend close) and any unreported staged error. No op
+    /// on it may start after this; ops still in flight keep the object
+    /// alive until they finish, as POSIX `close` does on a descriptor
+    /// another thread is using.
     pub fn remove(&self, fd: Fd) -> Result<(SharedObject, Option<(OpId, Errno)>), Errno> {
         let mut db = self.inner.lock();
         let e = db.entries.remove(&fd).ok_or(Errno::BadF)?;
-        assert!(e.in_progress.is_empty(), "remove with operations in flight");
         if self.telemetry.enabled() {
             self.telemetry.open_descriptors.add(-1);
         }
@@ -238,7 +211,7 @@ impl DescDb {
 /// Why `begin_op` refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeginError {
-    /// Immediate error (bad descriptor, closing).
+    /// Immediate error (bad descriptor).
     Sync(Errno),
     /// A previously staged operation failed; report and clear.
     Deferred { op: OpId, errno: Errno },
@@ -314,18 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn wait_idle_blocks_until_finish() {
-        let db = Arc::new(DescDb::new());
+    fn remove_under_an_op_in_flight_still_settles_its_gauge() {
+        let t = Arc::new(Telemetry::new());
+        let db = DescDb::with_telemetry(t.clone());
         let fd = open_one(&db);
         let (op, _) = db.begin_op(fd).unwrap();
-        let db2 = db.clone();
-        let t = std::thread::spawn(move || {
-            db2.wait_idle(fd).unwrap();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!t.is_finished(), "wait_idle must block while op in flight");
+        db.remove(fd).unwrap();
         db.finish_op(fd, op, OpOutcome::Ok);
-        t.join().unwrap();
+        assert_eq!(t.inflight_ops.get(), 0);
+        assert_eq!(t.open_descriptors.get(), 0);
     }
 
     #[test]
@@ -334,14 +304,12 @@ mod tests {
         let fd = open_one(&db);
         let (op, _) = db.begin_op(fd).unwrap();
         db.finish_op(fd, op, OpOutcome::Failed(Errno::Pipe));
-        db.begin_close(fd).unwrap();
+        let (_obj, err) = db.remove(fd).unwrap();
+        assert_eq!(err, Some((op, Errno::Pipe)));
         assert!(matches!(
             db.begin_op(fd),
             Err(BeginError::Sync(Errno::BadF))
         ));
-        db.wait_idle(fd).unwrap();
-        let (_obj, err) = db.remove(fd).unwrap();
-        assert_eq!(err, Some((op, Errno::Pipe)));
         assert_eq!(db.open_count(), 0);
     }
 
@@ -352,7 +320,6 @@ mod tests {
             db.begin_op(Fd(99)),
             Err(BeginError::Sync(Errno::BadF))
         ));
-        assert_eq!(db.wait_idle(Fd(99)).err(), Some(Errno::BadF));
         assert!(db.remove(Fd(99)).is_err());
         assert!(db.status(Fd(99)).is_none());
     }

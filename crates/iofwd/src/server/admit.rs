@@ -8,29 +8,31 @@
 //! never touches a socket**. It returns an [`Admission`] that tells the
 //! transport driver what to do next; the threaded driver
 //! (`handlers::serve_conn`) obeys by blocking in place, the reactor by
-//! parking the connection or shipping the work to its executor pool.
-//! The steps that do block — [`run_sync`], [`dispatch`] — are separate
-//! functions a driver calls from a thread that may.
+//! parking the connection or pushing the op to the worker pool.
 //!
-//! [`dispatch`] is the one place that decides who executes a
-//! synchronous op in the pool modes: the calling thread, under a free
-//! execution slot of the work queue, or a worker. An op crosses threads
-//! only when that buys something — every slot busy, or its client
-//! already has work waiting in the pool.
+//! [`dispatch`] (on a thread that may block) and [`enqueue`] (on an
+//! event loop) carry out an [`Admission::Dispatch`]. In staged mode an op
+//! on a descriptor first joins the descriptor's lane, in frame order,
+//! behind its staged writes: a barrier is a place in the lane, and an op
+//! waiting there is released by the completion of the item ahead, so no
+//! thread ever waits for one. An op free to go is run by [`dispatch`]
+//! right there under a free execution slot of the work queue, or pushed
+//! to the pool; it crosses threads only when that buys something — every
+//! slot busy, or its client already has work waiting in the pool.
 //!
 //! Three orderings are fixed here and nowhere else (DESIGN.md §15):
 //!
 //! * **Capacity, then `begin_op`.** A staged write charges the BML
-//!   before it is recorded on its descriptor, so a client waiting for
-//!   staging memory never leaves an op open for barriers to wait on.
+//!   before it is recorded on its descriptor or joins its lane, so a
+//!   client waiting for staging memory never leaves an op open.
 //! * **A closed queue closes the connection.** A claim fails once the
 //!   queue is closed, and a `Sync` push that loses the race with
 //!   shutdown is answered `EAGAIN` through its normal reply route;
 //!   [`finish`] turns that outcome into [`Admission::Close`].
 //! * **Ack, then push.** The staging transaction ends at the ack: a
 //!   staged write is recorded on its descriptor and its lane before the
-//!   ack, and the driver pushes it ([`push_staged`]) after writing the
-//!   ack and before admitting the connection's next frame.
+//!   ack, and the driver pushes it ([`push`]) after writing the ack and
+//!   before admitting the connection's next frame.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -56,9 +58,9 @@ pub(crate) enum Policy {
     Inline,
     /// sched: every op is dispatched under the pool's execution slots.
     Sched { queue: Arc<WorkQueue> },
-    /// async-staged: data writes are staged and acknowledged at once,
-    /// reads barrier behind them and are then dispatched, metadata runs
-    /// synchronously.
+    /// async-staged: data writes are staged and acknowledged at once;
+    /// every other op is dispatched as in sched, an op on a descriptor
+    /// only once its turn in the descriptor's lane comes.
     Staged {
         queue: Arc<WorkQueue>,
         serializer: Arc<FdSerializer>,
@@ -84,6 +86,15 @@ impl AdmitCtx {
         match &self.policy {
             Policy::Inline => None,
             Policy::Sched { queue } | Policy::Staged { queue, .. } => Some(queue),
+        }
+    }
+
+    /// Complete `fd`'s lane after the item holding it ran (or was
+    /// settled) off the pool; returns the successor it releases.
+    fn complete_lane(&self, fd: Fd) -> Option<WorkItem> {
+        match &self.policy {
+            Policy::Staged { serializer, .. } => serializer.complete(fd),
+            Policy::Inline | Policy::Sched { .. } => None,
         }
     }
 }
@@ -112,10 +123,12 @@ pub(crate) struct Waiting {
 }
 
 impl Route {
-    /// Where the outcome of `ticket`'s op goes; the threaded route also
-    /// returns the receiving end the handler waits on.
-    pub(crate) fn reply_to(&self, ticket: Ticket) -> (ReplyTo, Option<Waiting>) {
-        match self {
+    /// Wrap an op as a `Sync` work item holding `lane`, whose outcome
+    /// comes back over this route; the threaded route also returns the
+    /// receiving end the handler waits on.
+    fn sync_item(&self, op: Op, lane: Option<Fd>) -> (WorkItem, Option<Waiting>) {
+        let ticket = op.ticket;
+        let (reply, waiting) = match self {
             Route::Handler => {
                 let (tx, rx) = bounded(1);
                 (ReplyTo::Handler(tx), Some(Waiting { ticket, rx }))
@@ -129,18 +142,13 @@ impl Route {
                 },
                 None,
             ),
-        }
-    }
-
-    /// Wrap an op as a `Sync` work item whose outcome comes back over
-    /// this route.
-    pub(crate) fn sync_item(&self, op: Op) -> (WorkItem, Option<Waiting>) {
-        let (reply, waiting) = self.reply_to(op.ticket);
+        };
         let item = WorkItem::Sync {
             req: op.req,
             data: op.data,
             reply,
             span: op.span,
+            lane,
         };
         (item, waiting)
     }
@@ -179,21 +187,27 @@ impl Session {
         }
     }
 
-    pub(crate) fn holds_descriptors(&self) -> bool {
-        !self.fds.is_empty()
-    }
-
-    /// Close everything the departed client left open. Blocks: closing
-    /// a descriptor barriers its staged writes, so nothing is lost.
-    pub(crate) fn reclaim(self, engine: &Engine) {
+    /// Close everything the departed client left open. Never blocks: in
+    /// staged mode a descriptor with ops still in its lane is closed by a
+    /// lane item behind them, so none of its staged writes is lost.
+    pub(crate) fn reclaim(self, ctx: &AdmitCtx) {
         for fd in self.fds {
-            engine.close_orphan(fd);
+            if let Policy::Staged { serializer, .. } = &ctx.policy {
+                if serializer.admit(fd, WorkItem::Reclaim(fd)).is_none() {
+                    continue;
+                }
+            }
+            ctx.engine.close_orphan(fd);
+            if let Some(next) = ctx.complete_lane(fd) {
+                push(ctx, next);
+            }
         }
     }
 }
 
-/// How the data path treats a request; `Meta` is everything the paper
-/// keeps synchronous (open/close/attribute operations).
+/// How the data path treats a request: a data write may be staged; any
+/// other op is synchronous, and one on a descriptor is ordered behind
+/// that descriptor's staged writes.
 #[derive(Clone, Copy)]
 enum Shape {
     Write {
@@ -202,10 +216,10 @@ enum Shape {
         offset: Option<u64>,
         len: u64,
     },
-    Read {
-        fd: Fd,
-    },
-    Meta,
+    /// read, pread, fsync, close, lseek, fstat, ftruncate.
+    OnFd(Fd),
+    /// open, connect, stat, unlink, mkdir, readdir.
+    Path,
 }
 
 enum Class {
@@ -235,21 +249,20 @@ fn classify(req: &Request) -> Class {
             },
             SessionEffect::None,
         ),
-        Request::Read { fd, .. } | Request::Pread { fd, .. } => {
-            Class::Op(Shape::Read { fd: *fd }, SessionEffect::None)
-        }
+        Request::Close { fd } => Class::Op(Shape::OnFd(*fd), SessionEffect::Closes(*fd)),
+        Request::Read { fd, .. }
+        | Request::Pread { fd, .. }
+        | Request::Lseek { fd, .. }
+        | Request::Fsync { fd }
+        | Request::Fstat { fd }
+        | Request::Ftruncate { fd, .. } => Class::Op(Shape::OnFd(*fd), SessionEffect::None),
         Request::Open { .. } | Request::Connect { .. } => {
-            Class::Op(Shape::Meta, SessionEffect::Opens)
+            Class::Op(Shape::Path, SessionEffect::Opens)
         }
-        Request::Close { fd } => Class::Op(Shape::Meta, SessionEffect::Closes(*fd)),
-        Request::Lseek { .. }
-        | Request::Fsync { .. }
-        | Request::Stat { .. }
-        | Request::Fstat { .. }
+        Request::Stat { .. }
         | Request::Unlink { .. }
-        | Request::Ftruncate { .. }
         | Request::Mkdir { .. }
-        | Request::Readdir { .. } => Class::Op(Shape::Meta, SessionEffect::None),
+        | Request::Readdir { .. } => Class::Op(Shape::Path, SessionEffect::None),
     }
 }
 
@@ -285,21 +298,18 @@ pub(crate) enum Retry {
 pub(crate) enum Admission {
     /// Send `frame`. If it answers an op, the op's span is folded. If it
     /// acks a staged write that heads its descriptor's lane, then hand
-    /// `staged` to [`push_staged`]: ack, then push.
+    /// `staged` to [`push`]: ack, then push.
     Reply {
         frame: Frame,
         staged: Option<WorkItem>,
     },
     /// Send this frame, then drop the connection.
     Close { after: Frame },
-    /// Blocking work (metadata, oversized write): [`run_sync`] on the
-    /// connection's thread or the executor pool, then [`finish`].
-    RunSync(Op),
-    /// A synchronous op for the pool (every `sched` op, and a staged
-    /// read, which first waits for `barrier`'s staged writes): on a
-    /// thread that may block, [`dispatch`] it; an event loop, which must
-    /// not execute it, [`enqueue`]s it. The outcome goes to [`finish`].
-    Dispatch { barrier: Option<Fd>, op: Op },
+    /// A synchronous op — every op but a staged write — that joins
+    /// `lane` (staged mode, an op on a descriptor) first: on a thread
+    /// that may block, [`dispatch`] it; an event loop, which must not
+    /// execute it, [`enqueue`]s it. The outcome goes to [`finish`].
+    Dispatch { lane: Option<Fd>, op: Op },
     /// Not admissible yet: hold the op, stop reading the connection,
     /// and [`resume`] when `need` may have been met.
     Park { op: Op, need: Need },
@@ -420,16 +430,7 @@ pub(crate) fn admit(ctx: &AdmitCtx, frame: Frame) -> Admission {
 /// for a staged write — the whole staging transaction.
 pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
     let (queue, staging) = match &ctx.policy {
-        Policy::Inline => {
-            // No queue: unless the driver stamped a hand-off of its own
-            // (ciod's shm hop), arrival, enqueue, and dispatch are the
-            // same instant.
-            if op.span.dispatch_ns == 0 {
-                op.span.enqueue_ns = op.span.arrival_ns;
-                op.span.dispatch_ns = op.span.arrival_ns;
-            }
-            return Admission::RunSync(op);
-        }
+        Policy::Inline => return Admission::Dispatch { lane: None, op },
         Policy::Sched { queue } => (queue, None),
         Policy::Staged {
             queue,
@@ -446,7 +447,7 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
         };
     }
     let Some((serializer, bml)) = staging else {
-        return Admission::Dispatch { barrier: None, op };
+        return Admission::Dispatch { lane: None, op };
     };
     match op.shape {
         Shape::Write { fd, offset, len }
@@ -491,81 +492,136 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
             };
             stage_write(ctx, serializer, fd, offset, op, buf)
         }
-        // Reads barrier behind staged writes on the descriptor so a
-        // read never observes pre-staging file contents.
-        Shape::Read { fd } => Admission::Dispatch {
-            barrier: Some(fd),
-            op,
-        },
-        // Metadata, and writes past the BML's largest size class.
-        Shape::Write { .. } | Shape::Meta => Admission::RunSync(op),
+        // Every other op on a descriptor — a read, a barrier, a write
+        // past the BML's largest size class — takes its turn in the
+        // descriptor's lane, so it never overtakes a staged write.
+        Shape::Write { fd, .. } | Shape::OnFd(fd) => Admission::Dispatch { lane: Some(fd), op },
+        Shape::Path => Admission::Dispatch { lane: None, op },
     }
 }
 
 /// Where [`dispatch`] left an op.
 pub(crate) enum Dispatched {
-    /// It ran on the calling thread, or failed its barrier there.
+    /// It ran on the calling thread.
     Here(Ticket, Outcome),
-    /// It is on the work queue; the outcome comes back over the route,
-    /// on the `Waiting` channel for the threaded route.
+    /// It waits in its lane or on the work queue; the outcome comes back
+    /// over the route, on the `Waiting` channel for the threaded route.
     Queued(Option<Waiting>),
 }
 
-/// Carry out an [`Admission::Dispatch`] on a thread that may block:
-/// wait for `barrier`'s staged writes to retire, then run the op right
-/// here under one of the pool's execution slots if the queue is open,
-/// the client has nothing waiting in the pool and a slot is free
-/// ([`WorkQueue::try_claim`]); otherwise [`enqueue`] it. Either way at
-/// most `workers` ops execute at once (§IV's bound), and an op crosses
-/// threads only when that buys something.
-pub(crate) fn dispatch(
-    ctx: &AdmitCtx,
-    route: &Route,
-    barrier: Option<Fd>,
-    mut op: Op,
-) -> Dispatched {
+/// Carry out an [`Admission::Dispatch`] on a thread that may block. Once
+/// the op may go — it has no lane, or heads it — run it right here
+/// under one of the pool's execution slots if the queue is open, the
+/// client has nothing waiting in the pool and a slot is free
+/// ([`WorkQueue::try_claim`]), and push it otherwise; with no pool
+/// (ciod/zoid) the connection's own thread runs everything. Either way
+/// at most `workers` ops execute at once (§IV's bound), and an op
+/// crosses threads only when that buys something.
+pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) -> Dispatched {
+    let mut op = match join_lane(ctx, route, lane, op) {
+        Ok(op) => op,
+        Err(waiting) => return Dispatched::Queued(waiting),
+    };
+    let slot = match ctx.queue() {
+        None => None,
+        Some(queue) => match queue.try_claim(op.span.client) {
+            None => {
+                let (item, waiting) = route.sync_item(op, lane);
+                push(ctx, item);
+                return Dispatched::Queued(waiting);
+            }
+            slot => slot,
+        },
+    };
+    // Off the pool: the span keeps worker 0, and unless ciod's shm hop
+    // stamped it, dispatch is the moment execution starts.
     let telemetry = ctx.telemetry();
-    if let Some(fd) = barrier {
-        if let Err(errno) = ctx.engine.descriptor_db().wait_idle(fd) {
-            op.span.enqueue_ns = telemetry.now_ns();
-            op.span.dispatch_ns = op.span.enqueue_ns;
-            op.span.ok = false;
-            op.span.errno = errno.to_wire();
-            let failed = (Response::Err { errno }, Bytes::new(), op.span);
-            return Dispatched::Here(op.ticket, failed);
+    if op.span.dispatch_ns == 0 {
+        op.span.dispatch_ns = telemetry.now_ns();
+    }
+    let (resp, data) = ctx.engine.execute_timed(&op.req, &op.data, &mut op.span);
+    if let Some(slot) = slot {
+        drop(slot);
+        if telemetry.enabled() {
+            telemetry.ops_in_place.inc();
         }
     }
-    let claimed = ctx.queue().and_then(|q| q.try_claim(op.span.client));
-    let Some(slot) = claimed else {
-        return Dispatched::Queued(enqueue(ctx, route, op));
-    };
-    // Off the pool (the span keeps worker 0), and no queue wait.
-    op.span.enqueue_ns = telemetry.now_ns();
-    op.span.dispatch_ns = op.span.enqueue_ns;
-    let (resp, data) = ctx.engine.execute_timed(&op.req, &op.data, &mut op.span);
-    drop(slot);
-    if telemetry.enabled() {
-        telemetry.ops_in_place.inc();
+    if let Some(next) = lane.and_then(|fd| ctx.complete_lane(fd)) {
+        push(ctx, next);
     }
     Dispatched::Here(op.ticket, (resp, data, op.span))
 }
 
-/// Push a synchronous op to the pool; the threaded route also returns
-/// the channel its outcome arrives on. A push that loses the race with
-/// shutdown is answered `EAGAIN` through the op's own reply route, so
-/// both drivers see it as an ordinary outcome and [`finish`] closes the
-/// connection behind the reply.
-pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, mut op: Op) -> Option<Waiting> {
-    op.span.enqueue_ns = ctx.telemetry().now_ns();
-    let (item, waiting) = route.sync_item(op);
-    let pushed = match ctx.queue() {
-        Some(queue) => queue.push(item).map_err(|closed| *closed.0),
-        None => Err(item),
+/// Carry out an [`Admission::Dispatch`] on an event loop, which must not
+/// execute it: join the op's lane, and push it to the pool once it may
+/// go. The threaded route also returns the channel its outcome arrives
+/// on.
+pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) -> Option<Waiting> {
+    let op = match join_lane(ctx, route, lane, op) {
+        Ok(op) => op,
+        Err(waiting) => return waiting,
     };
-    if let Err(item) = pushed {
-        reject(item, Errno::Again, Disposition::QueueRejected);
-    }
+    let (item, waiting) = route.sync_item(op, lane);
+    push(ctx, item);
     waiting
+}
+
+/// Stamp the op enqueued (unless ciod's shm hop did) and, in staged
+/// mode, put an op on a descriptor in the descriptor's lane, so time
+/// spent behind its staged writes is queue wait. The op comes back when
+/// it may go now — it heads its lane, or has none; otherwise it waits in
+/// the lane for the item ahead to release it, and the threaded route's
+/// claim on its outcome is returned instead.
+fn join_lane(
+    ctx: &AdmitCtx,
+    route: &Route,
+    lane: Option<Fd>,
+    mut op: Op,
+) -> Result<Op, Option<Waiting>> {
+    if op.span.enqueue_ns == 0 {
+        op.span.enqueue_ns = ctx.telemetry().now_ns();
+    }
+    let (Some(fd), Policy::Staged { serializer, .. }) = (lane, &ctx.policy) else {
+        return Ok(op);
+    };
+    let mut waiting = None;
+    let head = serializer.join(fd, op, |op| {
+        let (item, claim) = route.sync_item(op, lane);
+        waiting = claim;
+        item
+    });
+    head.ok_or(waiting)
+}
+
+/// Hand an item to the pool: a synchronous op, or the head of a lane
+/// (after its ack, for a staged write). If the queue has closed, the
+/// pool will never run it, so it is settled here — a staged write is
+/// executed to keep its `Staged` ack truthful, a reclaim closes its
+/// descriptor, a synchronous op is answered `EAGAIN` through its own
+/// reply route (both drivers see an ordinary outcome, and [`finish`]
+/// closes the connection behind the reply) — and so is every successor
+/// its lane then releases.
+pub(crate) fn push(ctx: &AdmitCtx, item: WorkItem) {
+    let mut next = match ctx.queue() {
+        Some(queue) => queue.push(item).err().map(|closed| *closed.0),
+        None => Some(item),
+    };
+    while let Some(item) = next {
+        let lane = item.lane();
+        match item {
+            WorkItem::Sync { .. } => reject(item, Errno::Again, Disposition::QueueRejected),
+            WorkItem::StagedWrite { fd, part } => execute_staged(
+                &ctx.engine,
+                ctx.telemetry(),
+                fd,
+                part,
+                0,
+                Disposition::Completed,
+            ),
+            WorkItem::Reclaim(fd) => ctx.engine.close_orphan(fd),
+        }
+        next = lane.and_then(|fd| ctx.complete_lane(fd));
+    }
 }
 
 /// Answer a `Sync` item that will never execute.
@@ -585,7 +641,7 @@ pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
 /// The staging transaction, with `buf` already charged to the BML:
 /// record the op on its descriptor, hand it to the descriptor's lane,
 /// and build the ack — carrying the write itself if it heads the lane,
-/// for the driver to [`push_staged`] once the ack is out.
+/// for the driver to [`push`] once the ack is out.
 fn stage_write(
     ctx: &AdmitCtx,
     serializer: &FdSerializer,
@@ -630,31 +686,6 @@ fn stage_write(
     }
 }
 
-/// Hand a lane-head staged write to the pool, after its ack has been
-/// written. If the queue closed under us the worker pool will never run
-/// it, so execute it here (plus any successors the lane releases) to
-/// keep the `Staged` ack truthful.
-pub(crate) fn push_staged(ctx: &AdmitCtx, item: WorkItem) {
-    let Policy::Staged {
-        queue, serializer, ..
-    } = &ctx.policy
-    else {
-        return;
-    };
-    let mut next = queue.push(item).err().map(|closed| *closed.0);
-    while let Some(WorkItem::StagedWrite { fd, part }) = next {
-        execute_staged(
-            &ctx.engine,
-            ctx.telemetry(),
-            fd,
-            part,
-            0,
-            Disposition::Completed,
-        );
-        next = serializer.complete(fd);
-    }
-}
-
 /// Fail an op at admission: nothing ran, the span folds here.
 fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
     let now = ctx.telemetry().now_ns();
@@ -666,19 +697,6 @@ fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
     let frame = reply_frame(&op.ticket, &resp, Bytes::new(), &op.span);
     ctx.telemetry().complete(&op.span);
     Admission::reply(frame)
-}
-
-/// Execute a request to completion on the calling thread. Blocks (the
-/// backend, and `close`/`fsync` barriers). Unless an earlier hand-off
-/// stamped them, enqueue and dispatch are the moment execution starts.
-pub(crate) fn run_sync(engine: &Engine, req: &Request, data: &Bytes, mut span: OpSpan) -> Outcome {
-    if span.dispatch_ns == 0 {
-        let now = engine.telemetry().now_ns();
-        span.enqueue_ns = now;
-        span.dispatch_ns = now;
-    }
-    let (resp, out) = engine.execute_timed(req, data, &mut span);
-    (resp, out, span)
 }
 
 /// Turn a finished op into its wire reply: apply the session effect,
@@ -773,11 +791,8 @@ mod tests {
         match admission {
             Admission::Reply { .. } => "Reply",
             Admission::Close { .. } => "Close",
-            Admission::RunSync(_) => "RunSync",
-            Admission::Dispatch { barrier: None, .. } => "Dispatch",
-            Admission::Dispatch {
-                barrier: Some(_), ..
-            } => "Barrier+Dispatch",
+            Admission::Dispatch { lane: None, .. } => "Dispatch",
+            Admission::Dispatch { lane: Some(_), .. } => "Lane+Dispatch",
             Admission::Park { .. } => "Park",
         }
     }
@@ -864,16 +879,22 @@ mod tests {
                 let expect = match (req, mode) {
                     (Request::Stats { .. }, _) => "Reply",
                     (Request::Shutdown, _) => "Close",
-                    (_, Mode::Inline) => "RunSync",
-                    (_, Mode::Sched) => "Dispatch",
+                    (_, Mode::Inline | Mode::Sched) => "Dispatch",
                     // Staged mode: data writes are acknowledged from
-                    // admission, reads barrier and are dispatched, the
-                    // rest runs sync.
+                    // admission, every other op on a descriptor takes its
+                    // turn in the descriptor's lane, path-addressed
+                    // metadata is dispatched as in sched.
                     (Request::Write { .. } | Request::Pwrite { .. }, Mode::Staged) => "Reply",
-                    (Request::Read { .. } | Request::Pread { .. }, Mode::Staged) => {
-                        "Barrier+Dispatch"
-                    }
-                    (_, Mode::Staged) => "RunSync",
+                    (
+                        Request::Open { .. }
+                        | Request::Connect { .. }
+                        | Request::Stat { .. }
+                        | Request::Unlink { .. }
+                        | Request::Mkdir { .. }
+                        | Request::Readdir { .. },
+                        Mode::Staged,
+                    ) => "Dispatch",
+                    (_, Mode::Staged) => "Lane+Dispatch",
                 };
                 let got = admit(&ctx, frame(seq as u64, req));
                 assert_eq!(kind(&got), expect, "{mode:?}: {req:?}");
@@ -902,7 +923,7 @@ mod tests {
             len: 2 * BML_BYTES,
         };
         let got = admit(&ctx, frame(1, &req));
-        assert_eq!(kind(&got), "RunSync");
+        assert_eq!(kind(&got), "Lane+Dispatch");
     }
 
     #[test]
@@ -942,7 +963,7 @@ mod tests {
 
     fn dispatched(admission: Admission) -> (Option<Fd>, Op) {
         match admission {
-            Admission::Dispatch { barrier, op } => (barrier, op),
+            Admission::Dispatch { lane, op } => (lane, op),
             other => panic!("expected a dispatch, got {}", kind(&other)),
         }
     }
@@ -958,9 +979,9 @@ mod tests {
         let fd = open(&ctx, "/q");
         let queue = ctx.queue().unwrap();
         let mut session = Session::new(Route::Handler);
-        let (barrier, op) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
-        assert_eq!(barrier, None);
-        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, barrier, op) else {
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
+        assert_eq!(lane, None);
+        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, lane, op) else {
             panic!("a free slot runs the op in place");
         };
         assert_eq!(outcome.2.worker, 0);
@@ -968,8 +989,8 @@ mod tests {
         assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
 
         queue.close();
-        let (barrier, op) = dispatched(admit(&ctx, frame(2, &Request::Fsync { fd })));
-        let Dispatched::Queued(Some(waiting)) = dispatch(&ctx, &session.route, barrier, op) else {
+        let (lane, op) = dispatched(admit(&ctx, frame(2, &Request::Fsync { fd })));
+        let Dispatched::Queued(Some(waiting)) = dispatch(&ctx, &session.route, lane, op) else {
             panic!("a closed queue grants no claim");
         };
         let outcome = waiting.rx.recv().expect("rejection is delivered");
@@ -994,14 +1015,15 @@ mod tests {
         }
     }
 
-    /// Ordering (a), reactor route: a staged read dispatched on a sync
-    /// executor runs there while the queue is open; once it is closed the
-    /// read is pushed, the rejection comes back as an EAGAIN completion,
-    /// and `finish` makes the same `Close` of it.
+    /// Ordering (a), reactor route: an event loop never executes an op,
+    /// so a staged read heading its lane is pushed; once the queue is
+    /// closed the push is answered with an EAGAIN completion, `finish`
+    /// makes the same `Close` of it, and the read gives its lane back.
     #[test]
     fn closed_queue_closes_reactor_connections_too() {
         let ctx = ctx(Mode::Staged);
         let fd = open(&ctx, "/q");
+        let queue = ctx.queue().unwrap();
         let sink = Arc::new(CaptureSink::default());
         let mut session = Session::new(Route::Reactor {
             sink: sink.clone(),
@@ -1013,17 +1035,18 @@ mod tests {
             offset: 0,
             len: 8,
         };
-        let (barrier, op) = dispatched(admit(&ctx, frame(8, &pread)));
-        assert_eq!(barrier, Some(fd));
-        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, barrier, op) else {
-            panic!("a free slot runs the read on the executor");
-        };
-        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+        let (lane, op) = dispatched(admit(&ctx, frame(8, &pread)));
+        assert_eq!(lane, Some(fd));
+        assert!(enqueue(&ctx, &session.route, lane, op).is_none());
+        assert_eq!(queue.depth(), 1);
+        assert!(sink.0.lock().is_empty(), "the loop ran nothing");
+        // A worker takes it and completes the lane.
+        assert_eq!(queue.pop_batch(0, 4).len(), 1);
+        assert!(ctx.complete_lane(fd).is_none());
 
-        ctx.queue().unwrap().close();
-        let (barrier, op) = dispatched(admit(&ctx, frame(9, &pread)));
-        let got = dispatch(&ctx, &session.route, barrier, op);
-        assert!(matches!(got, Dispatched::Queued(None)));
+        queue.close();
+        let (lane, op) = dispatched(admit(&ctx, frame(9, &pread)));
+        assert!(enqueue(&ctx, &session.route, lane, op).is_none());
         let c = sink
             .0
             .lock()
@@ -1032,6 +1055,10 @@ mod tests {
         assert_eq!((c.token, c.gen, c.ticket.seq), (4, 2, 9));
         let answered = finish(&ctx, &mut session, c.ticket, (c.resp, c.data, c.span));
         assert_eq!(kind(&answered), "Close");
+        let Policy::Staged { serializer, .. } = &ctx.policy else {
+            unreachable!("a staged context");
+        };
+        assert!(serializer.admit(fd, WorkItem::Reclaim(fd)).is_some());
     }
 
     /// Ordering (b): capacity, then `begin_op`. A write waiting for
@@ -1078,7 +1105,7 @@ mod tests {
         assert!(bml.outstanding() > 0);
         // Ack, then push: nothing is queued until the driver pushes.
         assert_eq!(ctx.queue().unwrap().depth(), 0);
-        push_staged(&ctx, head);
+        push(&ctx, head);
         assert_eq!(ctx.queue().unwrap().depth(), 1);
     }
 
@@ -1125,7 +1152,7 @@ mod tests {
         let fd = open(&ctx, "/f");
         // The event loop pushes the first op: that is the client's credit.
         let (_, first) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
-        assert!(enqueue(&ctx, &Route::Handler, first).is_some());
+        assert!(enqueue(&ctx, &Route::Handler, None, first).is_some());
         let Admission::Park { need, .. } = admit(&ctx, frame(2, &Request::Fsync { fd })) else {
             panic!("second op exceeds the credit");
         };
@@ -1145,17 +1172,14 @@ mod tests {
             flags: OpenFlags::RDWR | OpenFlags::CREATE,
             mode: 0o644,
         };
-        let Admission::RunSync(op) = admit(&ctx, frame(1, &open_req)) else {
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &open_req)));
+        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, lane, op) else {
             panic!("inline mode runs everything in place");
         };
-        let outcome = run_sync(&ctx.engine, &op.req, &op.data, op.span);
-        assert_eq!(
-            kind(&finish(&ctx, &mut session, op.ticket, outcome)),
-            "Reply"
-        );
-        assert!(session.holds_descriptors());
+        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+        assert_eq!(session.fds.len(), 1);
         assert_eq!(ctx.engine.descriptor_db().open_count(), 1);
-        session.reclaim(&ctx.engine);
+        session.reclaim(&ctx);
         assert_eq!(ctx.engine.descriptor_db().open_count(), 0);
     }
 }

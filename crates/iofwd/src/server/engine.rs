@@ -223,52 +223,40 @@ impl Engine {
             Request::Pwrite { fd, offset, len } => self.data_write(*fd, Some(*offset), data, *len),
             Request::Read { fd, len } => self.data_read(*fd, None, *len),
             Request::Pread { fd, offset, len } => self.data_read(*fd, Some(*offset), *len),
-            Request::Lseek { fd, offset, whence } => match self.db.object(*fd) {
-                Ok(obj) => {
-                    // Seeks are ordered against staged writes: a staged
-                    // cursor write consumes the object cursor when the
-                    // worker executes it, so a seek overtaking it would
-                    // move the cursor out from under the write.
-                    if let Err(e) = self.db.wait_idle(*fd) {
-                        return (Response::Err { errno: e }, Bytes::new());
-                    }
-                    match obj.lock().seek(*offset, *whence) {
-                        Ok(pos) => (Response::Ok { ret: pos as i64 }, Bytes::new()),
-                        Err(e) => (Response::Err { errno: e }, Bytes::new()),
-                    }
+            // Seeks, like every op on a descriptor, run behind its staged
+            // writes (their lane): a staged cursor write consumes the
+            // object cursor when it executes, so a seek overtaking it
+            // would move the cursor out from under the write.
+            Request::Lseek { fd, offset, whence } => {
+                match self
+                    .db
+                    .object(*fd)
+                    .and_then(|o| o.lock().seek(*offset, *whence))
+                {
+                    Ok(pos) => (Response::Ok { ret: pos as i64 }, Bytes::new()),
+                    Err(e) => (Response::Err { errno: e }, Bytes::new()),
                 }
-                Err(e) => (Response::Err { errno: e }, Bytes::new()),
-            },
+            }
             Request::Fsync { fd } => self.fsync(*fd),
             Request::Close { fd } => self.close(*fd),
             Request::Stat { path } => match self.backend.stat(path) {
                 Ok(st) => (Response::StatOk { st }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
-            Request::Fstat { fd } => match self.db.object(*fd) {
-                Ok(obj) => match obj.lock().fstat() {
-                    Ok(st) => (Response::StatOk { st }, Bytes::new()),
-                    Err(e) => (Response::Err { errno: e }, Bytes::new()),
-                },
+            Request::Fstat { fd } => match self.db.object(*fd).and_then(|o| o.lock().fstat()) {
+                Ok(st) => (Response::StatOk { st }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
             Request::Unlink { path } => match self.backend.unlink(path) {
                 Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
-            Request::Ftruncate { fd, len } => match self.db.object(*fd) {
-                Ok(obj) => {
-                    // Truncation is ordered against staged writes.
-                    if let Err(e) = self.db.wait_idle(*fd) {
-                        return (Response::Err { errno: e }, Bytes::new());
-                    }
-                    match obj.lock().truncate(*len) {
-                        Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
-                        Err(e) => (Response::Err { errno: e }, Bytes::new()),
-                    }
+            Request::Ftruncate { fd, len } => {
+                match self.db.object(*fd).and_then(|o| o.lock().truncate(*len)) {
+                    Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
+                    Err(e) => (Response::Err { errno: e }, Bytes::new()),
                 }
-                Err(e) => (Response::Err { errno: e }, Bytes::new()),
-            },
+            }
             Request::Mkdir { path, mode } => match self.backend.mkdir(path, *mode) {
                 Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
@@ -477,14 +465,11 @@ impl Engine {
         }
     }
 
-    /// `fsync` is a staging barrier and the daemon's one flush: wait for
-    /// in-flight staged operations on the descriptor, surface any
-    /// deferred error, then sync the backend object and report how that
+    /// `fsync` is a staging barrier and the daemon's one flush: it runs
+    /// behind the descriptor's staged writes (their lane), surfaces any
+    /// deferred error, then syncs the backend object and reports how that
     /// went.
     fn fsync(&self, fd: iofwd_proto::Fd) -> (Response, Bytes) {
-        if let Err(e) = self.db.wait_idle(fd) {
-            return (Response::Err { errno: e }, Bytes::new());
-        }
         if let Some((op, errno)) = self.db.take_error(fd) {
             return (self.deferred_error_response(op, errno), Bytes::new());
         }
@@ -503,25 +488,16 @@ impl Engine {
         }
     }
 
-    /// Retire a descriptor: refuse new operations, wait for the staged
-    /// ones, take it out of the database. Returns its unreported staged
-    /// error. Dropping the object is the backend close; nothing is
-    /// flushed — durability is `fsync`'s job (§IV keeps `close`
-    /// synchronous, not durable).
-    fn retire(&self, fd: iofwd_proto::Fd) -> Result<Option<(iofwd_proto::OpId, Errno)>, Errno> {
-        self.db.begin_close(fd)?;
-        self.db.wait_idle(fd)?;
-        let (_obj, pending) = self.db.remove(fd)?;
-        Ok(pending)
-    }
-
-    /// `close` barriers like fsync, then retires the descriptor. A
-    /// deferred error is still reported — the close itself succeeds, as
-    /// POSIX close does after a failed async write-back.
+    /// `close` runs behind the descriptor's staged writes, like fsync,
+    /// then takes the descriptor out of the database. A deferred error is
+    /// still reported — the close itself succeeds, as POSIX close does
+    /// after a failed async write-back. Dropping the object is the
+    /// backend close; nothing is flushed — durability is `fsync`'s job
+    /// (§IV keeps `close` synchronous, not durable).
     fn close(&self, fd: iofwd_proto::Fd) -> (Response, Bytes) {
-        let resp = match self.retire(fd) {
-            Ok(Some((op, errno))) => self.deferred_error_response(op, errno),
-            Ok(None) => Response::Ok { ret: 0 },
+        let resp = match self.db.remove(fd) {
+            Ok((_obj, Some((op, errno)))) => self.deferred_error_response(op, errno),
+            Ok((_obj, None)) => Response::Ok { ret: 0 },
             Err(errno) => Response::Err { errno },
         };
         (resp, Bytes::new())
@@ -531,7 +507,7 @@ impl Engine {
     /// report a pending staged error to, so it is counted as orphaned,
     /// not as reported.
     pub(crate) fn close_orphan(&self, fd: iofwd_proto::Fd) {
-        if let Ok(Some(_)) = self.retire(fd) {
+        if let Ok((_obj, Some(_))) = self.db.remove(fd) {
             if self.telemetry.enabled() {
                 self.telemetry.deferred_errors_orphaned.inc();
             }

@@ -8,7 +8,9 @@
 //!   under one of the pool's execution slots when one is free, and
 //!   otherwise queues it and sleeps until a worker finishes it; staged
 //!   acknowledges data writes as soon as they are in BML memory and
-//!   pushes them to the pool after the ack (§IV).
+//!   pushes them to the pool after the ack (§IV), and any other op on a
+//!   descriptor waits for its turn in the descriptor's lane (asleep on
+//!   its reply, like a queued op) before it is dispatched as in sched.
 //! * [`handle_ciod`] — the CIOD architecture (§II-B1): the daemon-side
 //!   thread copies each request into a "shared-memory region" (an honest
 //!   extra copy) and hands it to a dedicated per-client *proxy*, which
@@ -22,11 +24,11 @@ use crossbeam::channel::unbounded;
 use iofwd_proto::{Fd, Frame, OpId, Request};
 
 use super::admit::{
-    self, Accepted, Admission, AdmitCtx, Dispatched, Need, Op, Retry, Route, Session, Waiting,
+    self, Accepted, Admission, AdmitCtx, Dispatched, Need, Retry, Route, Session, Waiting,
 };
 use super::engine::Engine;
 use super::queue::{StagedPart, WorkItem, WorkQueue};
-use super::staged::FdSerializer;
+use super::staged::{CompletionGuard, FdSerializer};
 use super::CoalesceConfig;
 use crate::descdb::OpOutcome;
 use crate::telemetry::{Disposition, Telemetry};
@@ -45,7 +47,7 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
             Admission::Reply { frame, staged } => {
                 let _ = conn.send(frame);
                 if let Some(item) = staged {
-                    admit::push_staged(ctx, item);
+                    admit::push(ctx, item);
                 }
                 return true;
             }
@@ -70,18 +72,8 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
                 };
                 admit::resume(ctx, op, retry)
             }
-            Admission::RunSync(Op {
-                ticket,
-                req,
-                data,
-                span,
-                ..
-            }) => {
-                let outcome = admit::run_sync(&ctx.engine, &req, &data, span);
-                admit::finish(ctx, session, ticket, outcome)
-            }
-            Admission::Dispatch { barrier, op } => {
-                match admit::dispatch(ctx, &session.route, barrier, op) {
+            Admission::Dispatch { lane, op } => {
+                match admit::dispatch(ctx, &session.route, lane, op) {
                     Dispatched::Here(ticket, outcome) => {
                         admit::finish(ctx, session, ticket, outcome)
                     }
@@ -108,7 +100,7 @@ pub(crate) fn serve_conn(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
             break;
         }
     }
-    session.reclaim(&ctx.engine);
+    session.reclaim(&ctx);
 }
 
 /// CIOD: the daemon thread copies into "shared memory", a per-client
@@ -137,7 +129,7 @@ pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
                     break;
                 }
             }
-            session.reclaim(&proxy_ctx.engine);
+            session.reclaim(&proxy_ctx);
         })
         .expect("spawn ciod proxy");
 
@@ -305,6 +297,71 @@ pub fn worker_loop(
     coalesce: Option<CoalesceConfig>,
 ) {
     let telemetry = engine.telemetry().clone();
+    let worker_id = worker as u32 + 1;
+    // Execute one item; hands back the synchronous op its lane released,
+    // if any.
+    let run = |item: WorkItem| -> Option<WorkItem> {
+        // Drop-safe lane release: on every exit path — normal completion
+        // or an unwind — the lane is completed and the successor
+        // re-enqueued (or parked for the shutdown drain if the queue
+        // closed).
+        let guard = item
+            .lane()
+            .map(|fd| serializer.completion_guard(fd, queue.clone()));
+        match item {
+            WorkItem::Sync {
+                req,
+                data,
+                reply,
+                mut span,
+                ..
+            } => {
+                span.dispatch_ns = telemetry.now_ns();
+                span.worker = worker_id;
+                let (resp, out) = engine.execute_timed(&req, &data, &mut span);
+                // The lane is released before the reply goes, so the
+                // client's next op on the descriptor finds it free.
+                let next = guard.and_then(CompletionGuard::release);
+                // The handler stamps reply_ns and completes the span.
+                reply.deliver(resp, out, span);
+                next
+            }
+            WorkItem::StagedWrite { fd, part } => {
+                // Coalescing: harvest the offset-contiguous prefix
+                // parked behind this write on its lane and execute the
+                // chain as one vectored backend call.
+                let extra = match coalesce {
+                    Some(cfg) => serializer.harvest_contiguous(
+                        fd,
+                        part.offset.map(|o| o + part.buf.len() as u64),
+                        cfg.max_ops.saturating_sub(1),
+                        cfg.max_bytes.saturating_sub(part.buf.len()),
+                    ),
+                    None => Vec::new(),
+                };
+                if extra.is_empty() {
+                    execute_staged(
+                        &engine,
+                        &telemetry,
+                        fd,
+                        part,
+                        worker_id,
+                        Disposition::Completed,
+                    );
+                } else {
+                    let mut parts = Vec::with_capacity(extra.len() + 1);
+                    parts.push(part);
+                    parts.extend(extra);
+                    execute_coalesced(&engine, &telemetry, fd, parts, worker_id);
+                }
+                guard.and_then(CompletionGuard::release)
+            }
+            WorkItem::Reclaim(fd) => {
+                engine.close_orphan(fd);
+                guard.and_then(CompletionGuard::release)
+            }
+        }
+    };
     // Caller-owned batch buffer, reused across every scheduling pass so
     // the steady state allocates nothing per dequeue.
     let mut items: Vec<WorkItem> = Vec::new();
@@ -325,55 +382,15 @@ pub fn worker_loop(
             telemetry.workers_busy.add(1);
         }
         for item in items.drain(..) {
-            match item {
-                WorkItem::Sync {
-                    req,
-                    data,
-                    reply,
-                    mut span,
-                } => {
-                    span.dispatch_ns = telemetry.now_ns();
-                    span.worker = worker as u32 + 1;
-                    let (resp, out) = engine.execute_timed(&req, &data, &mut span);
-                    // The handler stamps reply_ns and completes the span.
-                    reply.deliver(resp, out, span);
+            // A synchronous op released from its lane by the item ahead
+            // — a read or a barrier behind staged writes — runs right
+            // here under this worker's slot, not via the queue.
+            let mut next = run(item);
+            while let Some(item) = next {
+                if telemetry.enabled() {
+                    telemetry.ops_in_place.inc();
                 }
-                WorkItem::StagedWrite { fd, part } => {
-                    // Drop-safe lane release: when the guard goes out of
-                    // scope — normal completion or an early exit — the
-                    // lane is completed and the successor re-enqueued
-                    // (or parked for the shutdown drain if the queue
-                    // closed).
-                    let _guard = serializer.completion_guard(fd, queue.clone());
-                    // Coalescing: harvest the offset-contiguous prefix
-                    // parked behind this write on its lane and execute
-                    // the chain as one vectored backend call.
-                    let extra = match coalesce {
-                        Some(cfg) => serializer.harvest_contiguous(
-                            fd,
-                            part.offset.map(|o| o + part.buf.len() as u64),
-                            cfg.max_ops.saturating_sub(1),
-                            cfg.max_bytes.saturating_sub(part.buf.len()),
-                        ),
-                        None => Vec::new(),
-                    };
-                    let worker = worker as u32 + 1;
-                    if extra.is_empty() {
-                        execute_staged(
-                            &engine,
-                            &telemetry,
-                            fd,
-                            part,
-                            worker,
-                            Disposition::Completed,
-                        );
-                    } else {
-                        let mut parts = Vec::with_capacity(extra.len() + 1);
-                        parts.push(part);
-                        parts.extend(extra);
-                        execute_coalesced(&engine, &telemetry, fd, parts, worker);
-                    }
-                }
+                next = run(item);
             }
         }
         if telemetry.enabled() {

@@ -8,7 +8,7 @@
 //! | `Ciod` | rx thread + proxy per client | proxy (double copy) | whole operation |
 //! | `Zoid` | thread per client | the handler itself | whole operation |
 //! | `Sched` | thread per client | the handler when an execution slot is free, else the shared worker pool | whole operation |
-//! | `AsyncStaged` | thread per client | writes: shared worker pool; reads: as `Sched`, after their barrier; metadata: the handler | staging copy only |
+//! | `AsyncStaged` | thread per client | writes: shared worker pool; every other op: as `Sched`, an op on a descriptor in its turn behind the descriptor's staged writes | staging copy only |
 //!
 //! Either way at most `workers` ops execute at once: the pool's
 //! execution slots ([`WorkQueue::try_claim`]) bound the handlers that
@@ -486,10 +486,10 @@ impl IonServer {
     ///    lanes. Each parked staged write either executes now (while
     ///    budget remains) or records a deferred error via the
     ///    descriptor database — either way its op completes and its
-    ///    BML buffer is returned.
-    /// 5. Join handlers. This must come *after* the drain: a handler's
-    ///    close-time reclaim waits for every staged op to reach an
-    ///    outcome, which step 4 guarantees.
+    ///    BML buffer is returned. Each parked synchronous op is answered
+    ///    `EAGAIN`, which wakes the handler waiting for it.
+    /// 5. Join handlers. This must come *after* the drain: a handler
+    ///    waiting for an op the drain answered returns only then.
     /// 6. Close the BML.
     pub fn shutdown_with_deadline(mut self, deadline: Duration) -> ShutdownReport {
         let started = Instant::now();
@@ -515,7 +515,7 @@ impl IonServer {
         if let Some(q) = self.ctx.queue() {
             leftovers.extend(q.drain_remaining());
         }
-        // Only staged mode ever parks a write on a serializer lane.
+        // Only staged mode ever parks an item on a serializer lane.
         if let admit::Policy::Staged { serializer, .. } = &self.ctx.policy {
             leftovers.extend(serializer.drain_all());
         }
@@ -528,6 +528,10 @@ impl IonServer {
                 // and closes the connection behind it.
                 item @ WorkItem::Sync { .. } => {
                     admit::reject(item, Errno::Again, Disposition::QueueRejected);
+                    continue;
+                }
+                WorkItem::Reclaim(fd) => {
+                    engine.close_orphan(fd);
                     continue;
                 }
                 WorkItem::StagedWrite { fd, part } => (fd, part),

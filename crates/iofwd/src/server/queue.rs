@@ -134,21 +134,27 @@ impl ReplyTo {
     }
 }
 
-/// A unit of work for the worker pool. Every item carries its lifecycle
+/// A unit of work for the worker pool. Every op carries its lifecycle
 /// span; the worker stamps dispatch/backend stages into it.
 pub enum WorkItem {
     /// Execute a request and send the outcome back to the waiting client
-    /// handler (the synchronous-scheduling path).
+    /// handler (the synchronous-scheduling path). `lane` is the
+    /// descriptor lane it holds, in staged mode; running it completes
+    /// that lane.
     Sync {
         req: Request,
         data: Bytes,
         reply: ReplyTo,
         span: OpSpan,
+        lane: Option<Fd>,
     },
     /// A staged write: data already in BML memory, the client already
     /// released (the asynchronous-staging path). The buffer returns to
     /// the BML when the item is dropped after execution.
     StagedWrite { fd: Fd, part: StagedPart },
+    /// Close a descriptor its client left open when it went away, in its
+    /// turn on the descriptor's lane (staged mode).
+    Reclaim(Fd),
 }
 
 /// One staged write minus its descriptor: the payload of a
@@ -165,20 +171,32 @@ pub struct StagedPart {
 
 impl WorkItem {
     /// The client this work belongs to (from its span), for per-client
-    /// admission accounting.
+    /// admission accounting; a reclaim's client is gone, and counts as
+    /// nobody's.
     pub fn client(&self) -> u64 {
         match self {
             WorkItem::Sync { span, .. } => span.client,
             WorkItem::StagedWrite { part, .. } => part.span.client,
+            WorkItem::Reclaim(_) => u64::MAX,
+        }
+    }
+
+    /// The descriptor lane this item holds, if any.
+    pub fn lane(&self) -> Option<Fd> {
+        match self {
+            WorkItem::Sync { lane, .. } => *lane,
+            WorkItem::StagedWrite { fd, .. } | WorkItem::Reclaim(fd) => Some(*fd),
         }
     }
 
     /// When this item entered the queue (its span's enqueue stamp; 0
-    /// when telemetry is disabled), for head-of-line-age sampling.
+    /// when telemetry is disabled or it has no span), for
+    /// head-of-line-age sampling.
     fn enqueue_ns(&self) -> u64 {
         match self {
             WorkItem::Sync { span, .. } => span.enqueue_ns,
             WorkItem::StagedWrite { part, .. } => part.span.enqueue_ns,
+            WorkItem::Reclaim(_) => 0,
         }
     }
 }
@@ -704,6 +722,7 @@ mod tests {
             data: Bytes::new(),
             reply: ReplyTo::Handler(tx),
             span,
+            lane: None,
         }
     }
 
@@ -909,6 +928,7 @@ mod tests {
                 data: Bytes::new(),
                 reply: ReplyTo::Handler(tx),
                 span,
+                lane: None,
             }
         };
         // Clients 0 and 1 hash to different shards with two workers.

@@ -28,13 +28,11 @@
 //!   [`ReactorConfig::max_client_queued`] items in the shared work
 //!   queue is parked the same way, so one chatty compute node cannot
 //!   monopolize the worker pool ahead of its neighbors.
-//! - **Blocking ops off-loop.** What the core marks `RunSync`, or a
-//!   `Dispatch` behind a barrier, touches the filesystem or blocks on the
-//!   descriptor database, so it runs on a tiny `iofwd-sync-*` executor
-//!   pool, never on an event loop. A staged read whose barrier has
-//!   cleared runs right there on the executor when the work queue has a
-//!   free execution slot for it, and is pushed otherwise; a `sched` op is
-//!   always pushed, by the loop itself.
+//! - **Every op on the pool.** An event loop executes nothing: each op
+//!   the core admits is pushed to the worker pool — in staged mode an op
+//!   on a descriptor first joins the descriptor's lane, and the worker
+//!   that completes the item ahead of it releases it. Nothing here ever
+//!   waits for a barrier, so the daemon is the loops plus the workers.
 //!
 //! Completions flow back through [`CompletionSink`]: workers finish an
 //! op, push a [`Completion`] onto the owning loop's channel, and kick
@@ -53,12 +51,12 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use iofwd_proto::{Errno, Fd, Frame, FrameReader, Storage};
+use iofwd_proto::{Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::admit::{self, Admission, AdmitCtx, Dispatched, Need, Op, Retry, Route, Session};
+use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
 use super::queue::{Completion, CompletionSink};
-use crate::telemetry::{Disposition, PerClientStats, Telemetry};
+use crate::telemetry::{PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
 /// Token reserved for the listening socket (registered on loop 0 only).
@@ -72,8 +70,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 /// Frames decoded per connection per loop lap before yielding to the
 /// next connection (fairness between clients on one loop).
 const FRAMES_PER_PASS: usize = 8;
-/// Threads for blocking work (metadata ops, read barriers).
-const SYNC_EXECUTORS: usize = 8;
 
 /// Tuning knobs for [`spawn`].
 #[derive(Debug, Clone, Copy)]
@@ -97,12 +93,11 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Running reactor: event-loop threads plus the sync-executor pool.
+/// Running reactor: its event-loop threads.
 pub struct ReactorHandle {
     stop: Arc<AtomicBool>,
     wakers: Vec<Waker>,
     threads: Vec<JoinHandle<()>>,
-    sync_threads: Vec<JoinHandle<()>>,
 }
 
 impl ReactorHandle {
@@ -116,28 +111,11 @@ impl ReactorHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Event loops dropped their SyncTask senders on exit; the
-        // executors drain what is left and hang up.
-        for t in self.sync_threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
-/// Blocking work an event loop must not run in place.
-enum SyncTask {
-    /// Execute a `RunSync` op (metadata, or an oversized write) here
-    /// rather than on the worker pool.
-    Run { op: Op, route: Route },
-    /// Barrier behind staged writes on `fd`, then dispatch the read:
-    /// run here under a free execution slot, or enqueue it.
-    Dispatch { fd: Fd, op: Op, route: Route },
-    /// Close descriptors left open by a disconnected client.
-    Reclaim(Session),
-}
-
-/// Completion queue for one event loop; `Send + Sync` so workers and
-/// sync executors can push from any thread.
+/// Completion queue for one event loop; `Send + Sync` so any worker can
+/// push to it.
 struct ReactorSink {
     tx: Sender<Completion>,
     waker: Waker,
@@ -180,7 +158,7 @@ struct ConnState {
     /// A large frame's head is in `reader`, waiting for the BML block its
     /// payload will be received into (`Need::Bml`, before there is an op).
     awaiting_block: bool,
-    /// Ops handed to the queue / sync pool with replies outstanding.
+    /// Ops handed to the pool with replies outstanding.
     inflight: usize,
     parked_wbuf: bool,
     peer_closed: bool,
@@ -261,7 +239,6 @@ struct ReactorThread {
     conn_rx: Receiver<TcpStream>,
     comp_rx: Receiver<Completion>,
     sink: Arc<ReactorSink>,
-    sync_tx: Sender<SyncTask>,
     ctx: Arc<AdmitCtx>,
     telemetry: Arc<Telemetry>,
     cfg: ReactorConfig,
@@ -621,63 +598,24 @@ impl ReactorThread {
             Admission::Reply { frame, staged } => {
                 self.enqueue_wire(conn, frame);
                 if let Some(item) = staged {
-                    admit::push_staged(&self.ctx, item);
+                    admit::push(&self.ctx, item);
                 }
             }
             Admission::Close { after } => {
                 self.enqueue_wire(conn, after);
                 conn.close_after_flush = true;
             }
-            // From here on the outcome comes back through this loop's
-            // sink.
-            Admission::RunSync(op) => {
+            // An event loop must not execute an op; its outcome comes
+            // back through this loop's sink.
+            Admission::Dispatch { lane, op } => {
                 conn.inflight += 1;
-                let route = conn.session.route.clone();
-                self.send_sync(SyncTask::Run { op, route });
-            }
-            // A staged read barriers, and may then run in place, on a
-            // sync executor.
-            Admission::Dispatch {
-                barrier: Some(fd),
-                op,
-            } => {
-                conn.inflight += 1;
-                let route = conn.session.route.clone();
-                self.send_sync(SyncTask::Dispatch { fd, op, route });
-            }
-            // A sched op: an event loop must not execute it.
-            Admission::Dispatch { barrier: None, op } => {
-                conn.inflight += 1;
-                admit::enqueue(&self.ctx, &conn.session.route, op);
+                admit::enqueue(&self.ctx, &conn.session.route, lane, op);
             }
             Admission::Park { op, need } => {
                 if resumed != Some(need) {
                     self.count_backpressure(conn);
                 }
                 conn.parked_op = Some((op, need));
-            }
-        }
-    }
-
-    /// Hand a task to the sync-executor pool, keeping the
-    /// `sync_queue_depth` gauge honest on the failure path.
-    fn send_sync(&self, task: SyncTask) {
-        if self.telemetry.enabled() {
-            self.telemetry.sync_queue_depth.add(1);
-        }
-        if let Err(send_err) = self.sync_tx.send(task) {
-            if self.telemetry.enabled() {
-                self.telemetry.sync_queue_depth.add(-1);
-            }
-            // The executor pool is gone (shutdown race).
-            match send_err.0 {
-                SyncTask::Run { op, route } | SyncTask::Dispatch { op, route, .. } => {
-                    let (item, _) = route.sync_item(op);
-                    admit::reject(item, Errno::Again, Disposition::Completed);
-                }
-                // At teardown the executors may be gone; reclaim
-                // inline — the loop is done serving clients anyway.
-                SyncTask::Reclaim(session) => session.reclaim(&self.ctx.engine),
             }
         }
     }
@@ -815,11 +753,7 @@ impl ReactorThread {
     fn destroy(&mut self, tok: usize, conn: ConnState) {
         self.poller.delete(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        if conn.session.holds_descriptors() {
-            // Reclaim barriers staged writes (close waits for them), so
-            // it must happen off-loop.
-            self.send_sync(SyncTask::Reclaim(conn.session));
-        }
+        conn.session.reclaim(&self.ctx);
         if self.telemetry.enabled() {
             self.telemetry.conns_open.add(-1);
             // Release this connection's share of the un-flushed-bytes
@@ -877,41 +811,8 @@ fn write_segments(
     Ok(written)
 }
 
-/// Blocking-work executor: metadata ops, read barriers, descriptor
-/// reclamation. Exits when every event loop has dropped its sender.
-fn sync_executor_loop(rx: Receiver<SyncTask>, ctx: Arc<AdmitCtx>) {
-    let telemetry = ctx.engine.telemetry().clone();
-    while let Ok(task) = rx.recv() {
-        let run_from = if telemetry.enabled() {
-            telemetry.sync_queue_depth.add(-1);
-            telemetry.now_ns()
-        } else {
-            0
-        };
-        match task {
-            SyncTask::Run { op, route } => {
-                let (resp, out, span) = admit::run_sync(&ctx.engine, &op.req, &op.data, op.span);
-                route.reply_to(op.ticket).0.deliver(resp, out, span);
-            }
-            SyncTask::Dispatch { fd, op, route } => {
-                if let Dispatched::Here(ticket, (resp, out, span)) =
-                    admit::dispatch(&ctx, &route, Some(fd), op)
-                {
-                    route.reply_to(ticket).0.deliver(resp, out, span);
-                }
-            }
-            SyncTask::Reclaim(session) => session.reclaim(&ctx.engine),
-        }
-        if run_from > 0 {
-            telemetry
-                .sync_run_ns
-                .record(telemetry.now_ns().saturating_sub(run_from));
-        }
-    }
-}
-
 /// Start the reactor: `cfg.threads` event loops (loop 0 owns the
-/// listener) plus `SYNC_EXECUTORS` blocking-work threads.
+/// listener).
 ///
 /// Fails if the poller is unsupported on this target (caller falls back
 /// to the threaded transport) or thread spawning fails.
@@ -936,7 +837,6 @@ pub(crate) fn spawn(
     }
 
     let stop = Arc::new(AtomicBool::new(false));
-    let (sync_tx, sync_rx) = unbounded::<SyncTask>();
     let mut conn_txs = Vec::with_capacity(n);
     let mut conn_rxs = VecDeque::with_capacity(n);
     for _ in 0..n {
@@ -944,26 +844,6 @@ pub(crate) fn spawn(
         conn_txs.push(tx);
         conn_rxs.push_back(rx);
     }
-
-    let mut sync_threads = Vec::new();
-    for i in 0..SYNC_EXECUTORS {
-        let rx = sync_rx.clone();
-        let ctx = ctx.clone();
-        match std::thread::Builder::new()
-            .name(format!("iofwd-sync-{i}"))
-            .spawn(move || sync_executor_loop(rx, ctx))
-        {
-            Ok(h) => sync_threads.push(h),
-            Err(e) => {
-                drop(sync_tx);
-                for t in sync_threads {
-                    let _ = t.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-    drop(sync_rx);
 
     let mut threads = Vec::with_capacity(n);
     for (idx, poller) in pollers.into_iter().enumerate() {
@@ -986,7 +866,6 @@ pub(crate) fn spawn(
             conn_rx,
             comp_rx,
             sink,
-            sync_tx: sync_tx.clone(),
             ctx: ctx.clone(),
             telemetry: telemetry.clone(),
             cfg,
@@ -1014,25 +893,14 @@ pub(crate) fn spawn(
                 for t in threads {
                     let _ = t.join();
                 }
-                drop(sync_tx);
-                drop(conn_txs);
-                for t in sync_threads {
-                    let _ = t.join();
-                }
                 return Err(e);
             }
         }
     }
-    // The spawned loops hold the only live senders now; dropping ours
-    // lets the executor pool hang up once the loops exit.
-    drop(sync_tx);
-    drop(conn_txs);
-
     Ok(ReactorHandle {
         stop,
         wakers,
         threads,
-        sync_threads,
     })
 }
 
@@ -1044,7 +912,7 @@ mod tests {
     use crate::server::{ForwardingMode, IonServer, ServerConfig};
     use crate::transport::tcp::{TcpAcceptor, TcpConn};
     use bytes::BytesMut;
-    use iofwd_proto::{OpenFlags, Request, Response};
+    use iofwd_proto::{Fd, OpenFlags, Request, Response};
     use std::io::Read;
 
     fn reactor_server(
@@ -1300,8 +1168,8 @@ mod tests {
             assert!(stream.read(&mut byte).expect("reply") > 0);
             std::mem::drop(stream);
         }
-        // The reactor notices the EOF, tears the slot down, and the
-        // sync pool reclaims the orphaned descriptor.
+        // The reactor notices the EOF, tears the slot down, and reclaims
+        // the orphaned descriptor.
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.open_descriptors() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

@@ -1,13 +1,15 @@
-//! Per-descriptor serialization for staged operations.
+//! Per-descriptor serialization in staged mode.
 //!
-//! Staged writes on *one* descriptor must execute in the order the
-//! application issued them (a byte stream to a DA node or a cursor write
-//! sequence is order-sensitive), while operations on *different*
-//! descriptors should spread freely across the worker pool. The
-//! [`FdSerializer`] provides exactly that: each descriptor is a lane; at
-//! most one staged operation per lane is in the work queue at a time, and
-//! completing it releases the next. Lanes never block a worker — ordering
-//! is enforced at dispatch, so the pool cannot deadlock on ordering.
+//! Ops on *one* descriptor must execute in the order the application
+//! issued them — a cursor write sequence or a byte stream to a DA node is
+//! order-sensitive, and a read, `fsync`, `lseek` or `close` must see every
+//! write staged before it (§IV's barriers) — while ops on *different*
+//! descriptors spread freely across the worker pool. The [`FdSerializer`]
+//! provides exactly that: each descriptor is a lane that every op on it
+//! joins at admission, in frame order; at most one item per lane is
+//! dispatched at a time, and completing it releases the next. A barrier is
+//! therefore a place in the lane, not a wait: lanes never block a thread —
+//! ordering is enforced at dispatch, so nothing can deadlock on it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -28,11 +30,6 @@ struct Lane {
 #[derive(Default)]
 pub struct FdSerializer {
     lanes: Mutex<HashMap<Fd, Lane>>,
-    /// Successors whose re-enqueue lost the race with queue close: they
-    /// could not go back on the work queue, but they carry BML buffers
-    /// and must not be dropped — the shutdown drain collects them via
-    /// [`drain_all`](Self::drain_all).
-    orphans: Mutex<Vec<WorkItem>>,
 }
 
 impl FdSerializer {
@@ -40,19 +37,25 @@ impl FdSerializer {
         Self::default()
     }
 
-    /// Offer an item for `fd`. Returns it back if the lane is free (the
-    /// caller enqueues it on the work queue); otherwise the item is
-    /// parked in the lane and `None` is returned.
-    pub fn admit(&self, fd: Fd, item: WorkItem) -> Option<WorkItem> {
+    /// Join `fd`'s lane with `op`. If the lane is idle, `op` heads it now
+    /// and is handed back for the caller to dispatch; otherwise it waits
+    /// in the lane as `park(op)`, for the completion of the item ahead to
+    /// release it, and `None` is returned.
+    pub fn join<T>(&self, fd: Fd, op: T, park: impl FnOnce(T) -> WorkItem) -> Option<T> {
         let mut lanes = self.lanes.lock();
         let lane = lanes.entry(fd).or_default();
         if lane.busy {
-            lane.pending.push_back(item);
+            lane.pending.push_back(park(op));
             None
         } else {
             lane.busy = true;
-            Some(item)
+            Some(op)
         }
+    }
+
+    /// [`join`](Self::join) with an item already built.
+    pub fn admit(&self, fd: Fd, item: WorkItem) -> Option<WorkItem> {
+        self.join(fd, item, |item| item)
     }
 
     /// Mark `fd`'s in-flight item complete. Returns the next parked item
@@ -76,8 +79,9 @@ impl FdSerializer {
 
     /// Drop-safe completion for `fd`: the returned guard completes the
     /// lane when it goes out of scope — normal return, `?`, or unwind —
-    /// and re-enqueues the successor on `queue`, parking it as an
-    /// orphan if the queue has closed. Holding the guard across
+    /// and re-enqueues the successor on `queue`, or, if the queue has
+    /// closed, leaves it heading the lane for the shutdown drain
+    /// ([`drain_all`](Self::drain_all)). Holding the guard across
     /// execution makes it impossible to leak a lane (and with it every
     /// successor's BML buffer) on an error path.
     pub fn completion_guard(self: &Arc<Self>, fd: Fd, queue: Arc<WorkQueue>) -> CompletionGuard {
@@ -85,6 +89,7 @@ impl FdSerializer {
             serializer: self.clone(),
             queue,
             fd,
+            released: false,
         }
     }
 
@@ -143,31 +148,17 @@ impl FdSerializer {
         out
     }
 
-    /// Park an item that could not be re-enqueued.
-    fn orphan(&self, item: WorkItem) {
-        self.orphans.lock().push(item);
-    }
-
     /// Items parked across all lanes (for stats/tests).
     pub fn parked(&self) -> usize {
         self.lanes.lock().values().map(|l| l.pending.len()).sum()
     }
 
-    /// Orphaned successors awaiting the shutdown drain (for stats/tests).
-    pub fn orphaned(&self) -> usize {
-        self.orphans.lock().len()
-    }
-
-    /// Take every parked item — lane successors and orphans — for the
-    /// shutdown drain. After this, lanes are empty; `complete` on a
-    /// drained lane is a no-op.
+    /// Take every item still parked in a lane, for the shutdown drain.
+    /// After this, lanes are empty; `complete` on a drained lane is a
+    /// no-op.
     pub fn drain_all(&self) -> Vec<WorkItem> {
-        let mut out: Vec<WorkItem> = self.orphans.lock().drain(..).collect();
         let mut lanes = self.lanes.lock();
-        for (_, lane) in lanes.drain() {
-            out.extend(lane.pending);
-        }
-        out
+        lanes.drain().flat_map(|(_, lane)| lane.pending).collect()
     }
 }
 
@@ -176,14 +167,44 @@ pub struct CompletionGuard {
     serializer: Arc<FdSerializer>,
     queue: Arc<WorkQueue>,
     fd: Fd,
+    released: bool,
+}
+
+impl CompletionGuard {
+    /// Complete the lane now. A synchronous op it releases is handed
+    /// back, for the caller to run in place; any other successor is
+    /// re-enqueued as on drop.
+    pub fn release(mut self) -> Option<WorkItem> {
+        self.released = true;
+        match self.serializer.complete(self.fd)? {
+            next @ WorkItem::Sync { .. } => Some(next),
+            next => {
+                self.push(next);
+                None
+            }
+        }
+    }
+
+    /// A successor that lost the race with queue close carries a BML
+    /// buffer or a client waiting for its reply: it heads its lane again
+    /// until the shutdown drain collects it.
+    fn push(&self, next: WorkItem) {
+        if let Err(closed) = self.queue.push(next) {
+            let mut lanes = self.serializer.lanes.lock();
+            let lane = lanes.entry(self.fd).or_default();
+            lane.busy = true;
+            lane.pending.push_front(*closed.0);
+        }
+    }
 }
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
+        if self.released {
+            return;
+        }
         if let Some(next) = self.serializer.complete(self.fd) {
-            if let Err(closed) = self.queue.push(next) {
-                self.serializer.orphan(*closed.0);
-            }
+            self.push(next);
         }
     }
 }
@@ -202,6 +223,7 @@ mod tests {
             data: Bytes::new(),
             reply: super::super::queue::ReplyTo::Handler(tx),
             span: crate::telemetry::OpSpan::default(),
+            lane: Some(Fd(1)),
         }
     }
 
@@ -369,11 +391,11 @@ mod tests {
         q.close();
         drop(s.completion_guard(Fd(1), q.clone()));
         // The successor lost the race with close but was not dropped.
-        assert_eq!(s.orphaned(), 1);
+        assert_eq!(s.parked(), 1);
         let drained = s.drain_all();
         assert_eq!(drained.len(), 1);
         assert_eq!(tag(&drained[0]), 11);
-        assert_eq!(s.orphaned(), 0);
+        assert_eq!(s.parked(), 0);
     }
 
     #[test]

@@ -253,6 +253,53 @@ fn an_uncontended_read_does_not_cross_threads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reactor daemon is its event loops, its workers and the main
+/// (supervision) thread, with traffic in flight or not: no op waits for
+/// a barrier, so there is no executor pool beside the workers for one to
+/// wait in.
+#[test]
+fn a_reactor_daemon_is_its_loops_and_its_workers() {
+    const LOOPS: usize = 1;
+    const WORKERS: usize = 2;
+    let dir = std::env::temp_dir().join(format!("iofwd-cli-threads-{}", std::process::id()));
+    let spec = DaemonSpec::new(env!("CARGO_BIN_EXE_iofwdd"), dir.join("ion-root"))
+        .mode("staged")
+        .workers(WORKERS)
+        .arg("--transport")
+        .arg("reactor")
+        .arg("--reactor-threads")
+        .arg(LOOPS.to_string());
+    let mut daemon = DaemonHandle::spawn(&spec).expect("spawn iofwdd");
+    let pid = daemon.pid().expect("daemon is running");
+    let threads = || {
+        std::fs::read_dir(format!("/proc/{pid}/task"))
+            .ok()
+            .map(|tasks| tasks.count())
+    };
+    if threads().is_none() {
+        eprintln!("skipped: no /proc/{pid}/task to count threads in");
+        daemon.shutdown().expect("daemon shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+        return;
+    }
+    let conn = iofwd::transport::tcp::TcpConn::connect(daemon.addr().as_str()).expect("connect");
+    let mut c = iofwd::client::Client::connect(Box::new(conn));
+    let flags = iofwd_proto::OpenFlags::RDWR | iofwd_proto::OpenFlags::CREATE;
+    let fd = c.open("/counted", flags, 0o644).expect("open");
+    for i in 0..64u64 {
+        c.pwrite(fd, i * 4096, &[1u8; 4096]).expect("pwrite");
+    }
+    assert_eq!(c.fstat(fd).expect("fstat").size, 64 * 4096);
+    assert_eq!(c.stat("/counted").expect("stat").size, 64 * 4096);
+    let busy = threads().expect("count while the daemon runs");
+    c.close(fd).expect("close");
+    let idle = threads().expect("count while the daemon runs");
+    assert_eq!((busy, idle), (1 + LOOPS + WORKERS, 1 + LOOPS + WORKERS));
+    assert!(!daemon.panicked(), "{}", daemon.log_tail());
+    daemon.shutdown().expect("daemon shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cp_usage_errors_are_clean() {
     let out = Command::new(env!("CARGO_BIN_EXE_iofwd-cp"))

@@ -125,7 +125,7 @@ proptest! {
                 });
             }
         });
-        db.wait_idle(fd).expect("all finished");
+        prop_assert_eq!(db.status(fd).expect("fd open").in_progress, 0);
 
         match db.begin_op(fd) {
             Err(BeginError::Deferred { op, errno }) => {

@@ -1,5 +1,5 @@
 //! Model-checked concurrency tests for the BML, the work queue, the
-//! coalescing lane serializer, and the telemetry flight recorder — the
+//! descriptor lane serializer, and the telemetry flight recorder — the
 //! protocols whose blocking/hand-off or lock-free publication logic
 //! cannot be trusted to a handful of wall-clock interleavings.
 //!
@@ -227,6 +227,7 @@ fn tagged(tag: u32) -> WorkItem {
         data: Bytes::new(),
         reply: iofwd::server::ReplyTo::Handler(reply),
         span: iofwd::telemetry::OpSpan::default(),
+        lane: Some(Fd(1)),
     }
 }
 
@@ -442,8 +443,8 @@ fn staged_tag(item: &WorkItem) -> u64 {
 /// into its batch, and lets its drop-safe `CompletionGuard` re-enqueue
 /// the non-contiguous remainder (op 2) — while another thread closes
 /// the work queue. Depending on the schedule the re-enqueue either
-/// lands on the queue (drained at shutdown) or loses to close and is
-/// parked as an orphan (collected by `drain_all`). In EVERY
+/// lands on the queue (drained at shutdown) or loses to close and heads
+/// its lane again (collected by `drain_all`). In EVERY
 /// interleaving each constituent op is *either* executed *or* deferred
 /// to the shutdown drain — never both, never neither — and no BML
 /// buffer is stranded. The cross-schedule counters prove both race
@@ -516,7 +517,6 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
             assert!(!deferred.contains(op), "op {op} both executed and deferred");
         }
         assert_eq!(serializer.parked(), 0);
-        assert_eq!(serializer.orphaned(), 0);
         assert_eq!(bml.outstanding(), 0, "BML buffer stranded at shutdown");
     });
     assert!(
@@ -526,6 +526,83 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
     assert!(
         ORPHANED.load(Ordering::SeqCst) > 0,
         "no schedule explored the orphan (close-won) path"
+    );
+}
+
+/// Stand-in for executing one lane item: at most one item of a lane may
+/// run at a time, and the lock taken in the middle is a yield point
+/// while it runs.
+fn run_lane_item(running: &AtomicUsize, serializer: &FdSerializer) {
+    assert_eq!(
+        running.fetch_add(1, Ordering::SeqCst),
+        0,
+        "two items of one lane ran at once"
+    );
+    let _ = serializer.parked();
+    running.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Barriers as lane positions: every op on a descriptor joins its lane,
+/// and completing the item ahead releases the next. A worker finishes
+/// fd 1's lane head and releases the lane while a handler admits the
+/// next op on it. In EVERY interleaving that op runs exactly once —
+/// right away if it found the lane idle, else handed back to the worker
+/// by the release — never while the head still runs, and the lane ends
+/// idle. The cross-schedule counters prove both outcomes are explored.
+#[test]
+fn lane_release_racing_admission_never_strands_or_overlaps() {
+    static HEADED: AtomicUsize = AtomicUsize::new(0);
+    static RELEASED: AtomicUsize = AtomicUsize::new(0);
+    HEADED.store(0, Ordering::SeqCst);
+    RELEASED.store(0, Ordering::SeqCst);
+    loomlite::model(|| {
+        let queue = Arc::new(WorkQueue::new(1));
+        let serializer = Arc::new(FdSerializer::new());
+        let running = std::sync::Arc::new(AtomicUsize::new(0));
+        let head = serializer
+            .admit(Fd(1), tagged(1))
+            .expect("fresh lane admits the first item");
+        let worker = {
+            let (serializer, queue, running) = (serializer.clone(), queue.clone(), running.clone());
+            thread::spawn(move || {
+                let guard = serializer.completion_guard(Fd(1), queue.clone());
+                run_lane_item(&running, &serializer);
+                drop(head);
+                let released = guard.release()?;
+                let again = serializer.completion_guard(Fd(1), queue);
+                run_lane_item(&running, &serializer);
+                assert!(again.release().is_none(), "a third item appeared");
+                Some(tag_of(&released))
+            })
+        };
+        let here = serializer.admit(Fd(1), tagged(2)).map(|item| {
+            run_lane_item(&running, &serializer);
+            assert!(
+                serializer.complete(Fd(1)).is_none(),
+                "a third item appeared"
+            );
+            tag_of(&item)
+        });
+        let there = worker.join().expect("worker panicked");
+        match (here, there) {
+            (Some(2), None) => HEADED.fetch_add(1, Ordering::SeqCst),
+            (None, Some(2)) => RELEASED.fetch_add(1, Ordering::SeqCst),
+            other => panic!("op 2 stranded or run twice: {other:?}"),
+        };
+        assert_eq!(serializer.parked(), 0);
+        assert_eq!(queue.depth(), 0, "a synchronous successor was pushed");
+        assert!(
+            serializer.admit(Fd(1), tagged(3)).is_some(),
+            "the lane was left busy"
+        );
+    });
+    assert!(
+        HEADED.load(Ordering::SeqCst) > 0,
+        "no schedule let the admission find the lane idle"
+    );
+    assert!(
+        RELEASED.load(Ordering::SeqCst) > 0,
+        "no schedule released the admitted op from the lane"
     );
 }
 
