@@ -206,6 +206,14 @@ SLAB_HITS=$(awk '$1 == "slab_hits" { print $2 }' "$TRACED/live-stats.txt")
 IN_PLACE=$(awk '$1 == "ops_in_place" { print $2 }' "$TRACED/live-stats.txt")
 [ "${IN_PLACE:-0}" -gt 0 ] \
     || { echo "ci: ops_in_place = '$IN_PLACE' after a get: reads cross to a worker even with the pool idle"; exit 1; }
+# The work queue and the BML count into the registry like every other
+# layer: the put's staged write crossed the queue and held a block, so
+# both peaks (the gauge line is "name current / peak") are nonzero.
+for GAUGE in queue_depth bml_occupancy; do
+    PEAK=$(awk -v g="$GAUGE" '$1 == g { print $4 }' "$TRACED/live-stats.txt")
+    [ "${PEAK:-0}" -gt 0 ] \
+        || { echo "ci: $GAUGE peak = '$PEAK' after a put and a get: the registry missed it"; exit 1; }
+done
 target/release/iofwd-cp stats "$ADDR" --rates | grep -q '"ops_per_s"' \
     || { echo "ci: live rates JSON missing rate fields"; exit 1; }
 target/release/iofwd-cp stats "$ADDR" --prom --check \

@@ -6,8 +6,7 @@
 //! path never serializes on one lock: a client id hashes to one of
 //! [`CLIENT_SHARDS`] shards, and steady-state stamping takes only that
 //! shard's read lock (or no lock at all once the caller has cached the
-//! `Arc` — the reactor keeps it in its per-connection state, the
-//! threaded transport inside its instrumented connection).
+//! `Arc`, as the reactor does in its per-connection state).
 //!
 //! The per-client histograms are *compact* (one bucket array, not the
 //! 16-way sharded [`crate::Histogram`]): a busy daemon may track

@@ -140,6 +140,11 @@ impl PerWorker {
     pub fn get(&self, worker: usize) -> u64 {
         self.counts[worker % MAX_WORKERS].get()
     }
+
+    /// The sum over every worker.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().map(Counter::get).sum()
+    }
 }
 
 impl Default for PerWorker {

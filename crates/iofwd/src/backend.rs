@@ -852,16 +852,9 @@ impl FaultBackend {
                 plan,
                 rng: Mutex::new(rng),
                 seq: FaultSeq::default(),
-                injected: AtomicU64::new(0),
                 telemetry,
             }),
         }
-    }
-
-    /// Total faults this backend has injected (for tests that do not
-    /// run with telemetry enabled).
-    pub fn faults_injected(&self) -> u64 {
-        self.shared.injected.load(Ordering::Relaxed)
     }
 
     fn wrap(&self, obj: Box<dyn BackendObject>, path: String) -> Box<dyn BackendObject> {
@@ -880,7 +873,6 @@ struct FaultShared {
     plan: crate::fault::FaultPlan,
     rng: Mutex<simcore::rng::SimRng>,
     seq: FaultSeq,
-    injected: AtomicU64,
     telemetry: Arc<crate::telemetry::Telemetry>,
 }
 
@@ -905,11 +897,8 @@ impl FaultShared {
             .plan
             .decide_vectored(class, path, seq, &mut rng, vectored);
         drop(rng);
-        if action.is_some() {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            if self.telemetry.enabled() {
-                self.telemetry.faults_injected.inc();
-            }
+        if action.is_some() && self.telemetry.enabled() {
+            self.telemetry.faults_injected.inc();
         }
         action
     }
@@ -1322,7 +1311,8 @@ mod tests {
         // the fault lands inside the batch's *second* buffer.
         let plan =
             FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).vectored().nth(3).short(0.25));
-        let b = FaultBackend::new(inner.clone(), plan, Arc::new(Telemetry::disabled()));
+        let tel = Arc::new(Telemetry::new());
+        let b = FaultBackend::new(inner.clone(), plan, tel.clone());
         let mut f = b
             .open("/short", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
             .unwrap();
@@ -1334,7 +1324,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(&inner.contents("/short").unwrap()[8..10], &[1, 2]);
-        assert_eq!(b.faults_injected(), 1);
+        assert_eq!(tel.faults_injected.get(), 1);
     }
 
     #[test]
@@ -1346,7 +1336,8 @@ mod tests {
         // commits the clean prefix and the errno lands on the caller's
         // continuation (the re-issue a serial path would have made).
         let plan = FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).nth(2).errno(Errno::NoSpc));
-        let b = FaultBackend::new(inner.clone(), plan, Arc::new(Telemetry::disabled()));
+        let tel = Arc::new(Telemetry::new());
+        let b = FaultBackend::new(inner.clone(), plan, tel.clone());
         let mut f = b
             .open("/mid", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
             .unwrap();
@@ -1361,7 +1352,7 @@ mod tests {
         );
         // The hold-over is one-shot: the next batch draws normally.
         assert_eq!(f.write_vectored_at(Some(4), &[&[2u8; 4]]).unwrap(), 4);
-        assert_eq!(b.faults_injected(), 1);
+        assert_eq!(tel.faults_injected.get(), 1);
     }
 
     #[test]

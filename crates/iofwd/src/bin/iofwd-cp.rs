@@ -11,9 +11,9 @@
 //! ```
 //!
 //! `stats` and `top` speak the stats wire protocol to a *running*
-//! daemon — either the data-path port or a dedicated `--stats-addr`
-//! listener. The daemon answers from telemetry memory without touching
-//! the work queue, so both keep working while the data path is wedged.
+//! daemon's data-path port, on a connection of their own. The daemon
+//! answers from telemetry memory without touching the work queue or the
+//! BML, so both keep working while the data path is wedged.
 //! `top` polls full snapshots and diffs them client-side into per-client
 //! rates, ranked by bytes moved over the refresh window.
 //!

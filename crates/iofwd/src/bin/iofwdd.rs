@@ -10,17 +10,13 @@
 //!
 //! Observability (DESIGN.md §9). `iofwd::telemetry` is always compiled
 //! in and on; every number is stamped once into its registry and leaves
-//! the process one way, as the reply to a `Request::Stats` — answered
-//! in-band on every data connection and on the listener below, read with
-//! `iofwd-cp stats|top ADDR`. The daemon writes no stats file and prints
-//! no periodic dump.
+//! the process one way, as the reply to a `Request::Stats` on any client
+//! connection, read with `iofwd-cp stats|top ADDR`. A stats query needs
+//! no staging memory, so a fresh connection is answered even when every
+//! data connection is parked under backpressure. The daemon writes no
+//! stats file and prints no periodic dump.
 //!
 //! * `--port-file PATH` — write the bound port (for `--listen host:0`).
-//! * `--stats-addr HOST:PORT` — out-of-band stats listener speaking the
-//!   framed protocol but accepting only stats queries; answers even
-//!   when every data connection is parked under backpressure.
-//! * `--stats-port-file PATH` — write the stats listener's bound port
-//!   (for `--stats-addr host:0`).
 //! * `--watchdog [k=v,...]` — event-loop/queue health watchdog
 //!   (`interval_ms`, `queue_age_ms`, `loop_lag_ms`, `wbuf_bytes`,
 //!   `wbuf_strikes`, `dump=PATH`): each SLO is a rising-edge latch
@@ -63,7 +59,7 @@ use std::time::{Duration, Instant};
 use iofwd::backend::{FaultBackend, FileBackend, ThrottledBackend};
 use iofwd::fault::{FaultPlan, RetryPolicy};
 use iofwd::server::{
-    introspect, watchdog, CoalesceConfig, ForwardingMode, IonServer, ServerConfig, WatchdogConfig,
+    watchdog, CoalesceConfig, ForwardingMode, IonServer, ServerConfig, WatchdogConfig,
 };
 use iofwd::telemetry::Telemetry;
 use iofwd::trace::TraceExporter;
@@ -76,10 +72,6 @@ struct Options {
     workers: usize,
     bml_mib: u64,
     port_file: Option<String>,
-    /// Out-of-band introspection listener (`iofwd-cp stats --addr`).
-    stats_addr: Option<String>,
-    /// Where to write the stats listener's bound port (for `:0`).
-    stats_port_file: Option<String>,
     /// `--watchdog` spec (absent = watchdog off).
     watchdog: Option<WatchdogConfig>,
     fault_plan: Option<String>,
@@ -110,8 +102,6 @@ impl Options {
             workers: 4,
             bml_mib: 256,
             port_file: None,
-            stats_addr: None,
-            stats_port_file: None,
             watchdog: None,
             fault_plan: None,
             retry_attempts: 4,
@@ -143,8 +133,6 @@ impl Options {
                         die("--bml-mib needs an integer");
                     })
                 }
-                "--stats-addr" => opts.stats_addr = Some(take("--stats-addr")),
-                "--stats-port-file" => opts.stats_port_file = Some(take("--stats-port-file")),
                 "--watchdog" => {
                     let spec = take("--watchdog");
                     opts.watchdog = Some(WatchdogConfig::parse(&spec).unwrap_or_else(|e| die(&e)));
@@ -227,9 +215,7 @@ impl Options {
                     println!(
                         "usage: iofwdd [--listen ADDR] [--root DIR] \
                          [--mode ciod|zoid|sched|staged] [--workers N] [--bml-mib N] \
-                         [--port-file PATH] \
-                         [--stats-addr ADDR [--stats-port-file PATH]] \
-                         [--watchdog SPEC] \
+                         [--port-file PATH] [--watchdog SPEC] \
                          [--fault-plan PATH] [--retry-attempts N] \
                          [--coalesce=off|MAX_BYTES,MAX_OPS] \
                          [--throttle PER_OP_US,BW_MIB_S] \
@@ -246,9 +232,6 @@ impl Options {
         let mode = opts.forwarding_mode();
         if opts.workers == 0 && !matches!(mode, ForwardingMode::Ciod | ForwardingMode::Zoid) {
             die("--workers must be nonzero for --mode sched|staged");
-        }
-        if opts.stats_port_file.is_some() && opts.stats_addr.is_none() {
-            die("--stats-port-file requires --stats-addr");
         }
         opts
     }
@@ -390,20 +373,6 @@ fn main() {
         ),
         None => eprintln!("iofwdd: write coalescing off"),
     }
-    // Out-of-band introspection: a dedicated listener that answers only
-    // Stats queries straight from telemetry memory — reachable even when
-    // the data-path port is saturated with parked connections.
-    let _introspect = opts.stats_addr.as_ref().map(|stats_addr| {
-        let acceptor = TcpAcceptor::bind(stats_addr)
-            .unwrap_or_else(|e| die(&format!("cannot bind stats listener {stats_addr}: {e}")));
-        let handle = introspect::spawn(acceptor, telemetry.clone())
-            .unwrap_or_else(|e| die(&format!("cannot start stats listener: {e}")));
-        eprintln!("iofwdd: stats listener on {}", handle.addr());
-        if let Some(pf) = &opts.stats_port_file {
-            write_atomic(pf, &handle.addr().port().to_string());
-        }
-        handle
-    });
     let _watchdog = opts.watchdog.clone().map(|cfg| {
         eprintln!(
             "iofwdd: watchdog ON — interval {:?}, queue age {:?}, loop lag {:?}, \

@@ -41,7 +41,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::{ByteOwner, Bytes};
 use iofwd_proto::{Errno, PayloadBuf, Storage};
@@ -55,33 +54,11 @@ pub const MIN_CLASS_SHIFT: u32 = 12;
 pub const MAX_CLASS_SHIFT: u32 = 26;
 const NUM_CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
 
-/// Statistics for reports and ablation benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BmlStats {
-    /// Successful acquisitions.
-    pub acquires: u64,
-    /// Acquisitions that had to block for memory (§IV's blocking path).
-    pub blocked_acquires: u64,
-    /// Acquisitions served from a free list (no allocator call).
-    pub freelist_hits: u64,
-    /// Peak outstanding buffer memory.
-    pub high_water: u64,
-    /// Bytes requested beyond what the rounded class provides (internal
-    /// fragmentation cost of the power-of-two policy).
-    pub fragmentation_bytes: u64,
-    /// Acquisitions that adopted an existing payload by reference
-    /// (zero-copy staging: capacity charged, no block taken).
-    pub adopted: u64,
-    /// Block bytes returned to the per-class free lists for reuse.
-    pub recycled_bytes: u64,
-}
-
 struct BmlInner {
     free: [Vec<Box<[u8]>>; NUM_CLASSES],
     /// Bytes in `free`.
     idle: u64,
     outstanding: u64,
-    stats: BmlStats,
     closed: bool,
     /// Blocked acquisitions in arrival order: (ticket, block size).
     waiters: VecDeque<(u64, u64)>,
@@ -112,7 +89,6 @@ impl BmlInner {
         match self.free[class].pop() {
             Some(block) => {
                 self.idle -= block_size as u64;
-                self.stats.freelist_hits += 1;
                 if tel.enabled() {
                     tel.slab_hits.inc();
                 }
@@ -221,7 +197,6 @@ impl Bml {
                     free: std::array::from_fn(|_| Vec::new()),
                     idle: 0,
                     outstanding: 0,
-                    stats: BmlStats::default(),
                     closed: false,
                     waiters: VecDeque::new(),
                     granted: HashMap::new(),
@@ -253,13 +228,7 @@ impl Bml {
     /// memory is exhausted (the paper's §IV behaviour). Fails with
     /// [`Errno::NoMem`] only when the BML has been closed for shutdown.
     pub fn acquire(&self, len: usize) -> Result<BmlBuffer, Errno> {
-        self.acquire_timeout(len, None).ok_or(Errno::NoMem)
-    }
-
-    /// Acquire with an optional timeout; `None` timeout blocks forever.
-    /// Returns `None` if the BML is closed or the timeout expires.
-    pub fn acquire_timeout(&self, len: usize, timeout: Option<Duration>) -> Option<BmlBuffer> {
-        self.admit(len, timeout, None)
+        self.admit(len, None).ok_or(Errno::NoMem)
     }
 
     /// Adopt `data` as a staged buffer by reference: the payload is not
@@ -268,12 +237,7 @@ impl Bml {
     /// fairness are identical to the copying path. Fails with
     /// [`Errno::NoMem`] only when the BML has been closed.
     pub fn adopt(&self, data: Bytes) -> Result<BmlBuffer, Errno> {
-        self.adopt_timeout(data, None).ok_or(Errno::NoMem)
-    }
-
-    /// [`Bml::adopt`] with an optional admission timeout.
-    pub fn adopt_timeout(&self, data: Bytes, timeout: Option<Duration>) -> Option<BmlBuffer> {
-        self.admit(data.len(), timeout, Some(data))
+        self.admit(data.len(), Some(data)).ok_or(Errno::NoMem)
     }
 
     /// Non-blocking [`Bml::adopt`]; fails under the same conditions as
@@ -306,13 +270,9 @@ impl Bml {
 
     /// Shared admission path: charge capacity for `len`'s class (FIFO,
     /// blocking) and build a buffer — pool-backed when `source` is
-    /// `None`, adopting `source` by reference otherwise.
-    fn admit(
-        &self,
-        len: usize,
-        timeout: Option<Duration>,
-        source: Option<Bytes>,
-    ) -> Option<BmlBuffer> {
+    /// `None`, adopting `source` by reference otherwise. `None` once the
+    /// BML has closed.
+    fn admit(&self, len: usize, source: Option<Bytes>) -> Option<BmlBuffer> {
         let (class, block_size) = Self::class_for(len);
         assert!(
             block_size as u64 <= self.shared.capacity,
@@ -327,7 +287,7 @@ impl Bml {
         if inner.waiters.is_empty() && inner.outstanding + block_size as u64 <= self.shared.capacity
         {
             inner.outstanding += block_size as u64;
-            return Some(self.finish_admit(inner, class, block_size, len, false, source));
+            return Some(self.finish_admit(inner, class, block_size, len, source));
         }
         // Slow path: join the FIFO admission queue and wait for a release
         // (or close) to hand us reserved capacity.
@@ -348,44 +308,15 @@ impl Bml {
                     tel.bml_block_ns
                         .record(tel.now_ns().saturating_sub(block_start));
                 }
-                return Some(self.finish_admit(inner, class, block_size, len, true, source));
+                return Some(self.finish_admit(inner, class, block_size, len, source));
             }
             if inner.closed {
-                inner.stats.blocked_acquires += 1;
                 if tel.enabled() {
                     tel.bml_waiters.add(-1);
                 }
                 return None;
             }
-            match timeout {
-                None => self.shared.cv.wait(&mut inner),
-                Some(t) => {
-                    if self.shared.cv.wait_for(&mut inner, t).timed_out() {
-                        // A grant may have landed between timeout and
-                        // relock; consume it rather than losing capacity.
-                        if tel.enabled() {
-                            tel.bml_waiters.add(-1);
-                        }
-                        if inner.granted.remove(&ticket).is_some() {
-                            if tel.enabled() {
-                                tel.bml_block_ns
-                                    .record(tel.now_ns().saturating_sub(block_start));
-                            }
-                            return Some(
-                                self.finish_admit(inner, class, block_size, len, true, source),
-                            );
-                        }
-                        inner.waiters.retain(|&(t, _)| t != ticket);
-                        // Our departure may unblock the (smaller) next
-                        // waiter that was stuck behind us.
-                        inner.grant_from_front(self.shared.capacity);
-                        inner.stats.blocked_acquires += 1;
-                        drop(inner);
-                        self.shared.cv.notify_all();
-                        return None;
-                    }
-                }
-            }
+            self.shared.cv.wait(&mut inner);
         }
     }
 
@@ -398,15 +329,8 @@ impl Bml {
         class: usize,
         block_size: usize,
         len: usize,
-        blocked: bool,
         source: Option<Bytes>,
     ) -> BmlBuffer {
-        inner.stats.acquires += 1;
-        if blocked {
-            inner.stats.blocked_acquires += 1;
-        }
-        inner.stats.high_water = inner.stats.high_water.max(inner.outstanding);
-        inner.stats.fragmentation_bytes += (block_size - len) as u64;
         let tel = &self.shared.telemetry;
         if tel.enabled() {
             // `outstanding` was charged by the caller under this same
@@ -414,10 +338,7 @@ impl Bml {
             tel.bml_occupancy.set(inner.outstanding as i64);
         }
         let repr = match source {
-            Some(data) => {
-                inner.stats.adopted += 1;
-                BufRepr::Adopted(data)
-            }
+            Some(data) => BufRepr::Adopted(data),
             None => BufRepr::Owned(inner.take_block(class, block_size, tel)),
         };
         let evicted = inner.evict_to_fit(class, self.shared.capacity);
@@ -448,7 +369,7 @@ impl Bml {
             return None;
         }
         inner.outstanding += block_size as u64;
-        Some(self.finish_admit(inner, class, block_size, len, false, source))
+        Some(self.finish_admit(inner, class, block_size, len, source))
     }
 
     /// Wake all waiters and refuse further acquisitions (daemon shutdown).
@@ -483,10 +404,6 @@ impl Bml {
         self.shared.capacity
     }
 
-    pub fn stats(&self) -> BmlStats {
-        self.shared.inner.lock().stats
-    }
-
     /// Give back a buffer's charge for `class` and, unless it adopted its
     /// payload (whose storage belongs to its refcount), its block.
     fn release(&self, mut block: Option<Box<[u8]>>, class: usize) {
@@ -499,7 +416,6 @@ impl Bml {
         // capacity; a charge for another class evicts (`evict_to_fit`).
         if let Some(block) = block.take_if(|_| !inner.closed) {
             inner.idle += block_size;
-            inner.stats.recycled_bytes += block_size;
             if self.shared.telemetry.enabled() {
                 self.shared.telemetry.slab_recycled_bytes.add(block_size);
             }
@@ -625,7 +541,13 @@ impl Drop for BmlBuffer {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    /// A BML counting into its own enabled registry.
+    fn counted(capacity: u64) -> (Bml, Arc<Telemetry>) {
+        let tel = Arc::new(Telemetry::new());
+        (Bml::with_telemetry(capacity, tel.clone()), tel)
+    }
 
     #[test]
     fn class_rounding() {
@@ -644,31 +566,29 @@ mod tests {
 
     #[test]
     fn acquire_release_accounting() {
-        let bml = Bml::new(1 << 20);
+        let (bml, tel) = counted(1 << 20);
         let b1 = bml.acquire(5000).unwrap(); // rounds to 8192
         assert_eq!(b1.block_size(), 8192);
         assert_eq!(b1.len(), 5000);
         assert_eq!(bml.outstanding(), 8192);
         drop(b1);
         assert_eq!(bml.outstanding(), 0);
-        let s = bml.stats();
-        assert_eq!(s.acquires, 1);
-        assert_eq!(s.high_water, 8192);
-        assert_eq!(s.fragmentation_bytes, 8192 - 5000);
+        assert_eq!(tel.slab_misses.get(), 1);
+        assert_eq!(tel.bml_occupancy.peak(), 8192);
     }
 
     #[test]
     fn freelist_reuse() {
-        let bml = Bml::new(1 << 20);
+        let (bml, tel) = counted(1 << 20);
         let b = bml.acquire(4096).unwrap();
         drop(b);
         let _b2 = bml.acquire(4096).unwrap();
-        assert_eq!(bml.stats().freelist_hits, 1);
+        assert_eq!(tel.slab_hits.get(), 1);
     }
 
     #[test]
     fn blocking_acquire_waits_for_release() {
-        let bml = Bml::new(8192);
+        let (bml, tel) = counted(8192);
         let b1 = bml.acquire(8192).unwrap();
         let bml2 = bml.clone();
         let got_it = Arc::new(AtomicBool::new(false));
@@ -685,7 +605,7 @@ mod tests {
         drop(b1);
         t.join().unwrap();
         assert!(got_it.load(Ordering::SeqCst));
-        assert_eq!(bml.stats().blocked_acquires, 1);
+        assert_eq!(tel.bml_blocked_acquires.get(), 1);
     }
 
     #[test]
@@ -698,48 +618,14 @@ mod tests {
     }
 
     #[test]
-    fn acquire_timeout_expires() {
-        let bml = Bml::new(4096);
-        let _b = bml.acquire(4096).unwrap();
-        let got = bml.acquire_timeout(4096, Some(Duration::from_millis(30)));
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn timed_out_head_waiter_unblocks_successor() {
-        // Head waiter wants the whole capacity, which can never fit while
-        // the 4 KiB holder persists; the smaller waiter queued behind it
-        // (FIFO: it may not barge) must be granted when the head gives up.
-        let bml = Bml::new(16384);
-        let hold = bml.acquire(4096).unwrap();
-        let bml_big = bml.clone();
-        let big = std::thread::spawn(move || {
-            bml_big.acquire_timeout(16384, Some(Duration::from_millis(60)))
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let bml_small = bml.clone();
-        let small = std::thread::spawn(move || {
-            // Queued behind `big`; becomes head when `big` times out.
-            bml_small.acquire_timeout(4096, Some(Duration::from_millis(2000)))
-        });
-        assert!(big.join().unwrap().is_none(), "big request should time out");
-        assert!(
-            small.join().unwrap().is_some(),
-            "small waiter must be granted after head leaves"
-        );
-        drop(hold);
-        assert_eq!(bml.outstanding(), 0);
-    }
-
-    #[test]
     fn close_releases_waiters() {
         let bml = Bml::new(4096);
         let _b = bml.acquire(4096).unwrap();
         let bml2 = bml.clone();
-        let t = std::thread::spawn(move || bml2.acquire_timeout(4096, None));
+        let t = std::thread::spawn(move || bml2.acquire(4096));
         std::thread::sleep(Duration::from_millis(20));
         bml.close();
-        assert!(t.join().unwrap().is_none());
+        assert!(t.join().unwrap().is_err());
         assert!(bml.try_acquire(1).is_none());
         assert!(bml.acquire(1).is_err());
     }
@@ -754,14 +640,14 @@ mod tests {
 
     #[test]
     fn adopt_shares_storage_and_charges_capacity() {
-        let bml = Bml::new(1 << 20);
+        let (bml, tel) = counted(1 << 20);
         let payload = Bytes::from(vec![7u8; 5000]);
         let ptr = payload.as_ref().as_ptr();
         let buf = bml.adopt(payload).unwrap();
         assert_eq!(buf.as_slice().as_ptr(), ptr, "adopt must not copy");
         assert_eq!(buf.block_size(), 8192);
         assert_eq!(bml.outstanding(), 8192);
-        assert_eq!(bml.stats().adopted, 1);
+        assert_eq!(tel.slab_misses.get(), 0, "adopt takes no block");
         drop(buf);
         assert_eq!(bml.outstanding(), 0);
     }
@@ -791,7 +677,7 @@ mod tests {
 
     #[test]
     fn into_bytes_keeps_capacity_until_last_view_drops() {
-        let bml = Bml::new(1 << 20);
+        let (bml, tel) = counted(1 << 20);
         let mut buf = bml.acquire(4096).unwrap();
         buf.fill_from(b"abc");
         buf.truncate(3);
@@ -804,7 +690,7 @@ mod tests {
         drop(view2);
         assert_eq!(bml.outstanding(), 0);
         // The block rejoined the slab free list on the final drop.
-        assert_eq!(bml.stats().recycled_bytes, 4096);
+        assert_eq!(tel.slab_recycled_bytes.get(), 4096);
     }
 
     #[test]

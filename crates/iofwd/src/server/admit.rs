@@ -289,8 +289,8 @@ pub(crate) enum Need {
 pub(crate) enum Retry {
     /// Try again without blocking.
     Poll,
-    /// The threaded driver blocked in `Bml::adopt_timeout` on the op's
-    /// payload; `None` means the BML closed under it.
+    /// The threaded driver blocked in `Bml::adopt` on the op's payload;
+    /// `None` means the BML closed under it.
     Adopted(Option<BmlBuffer>),
 }
 
@@ -349,12 +349,34 @@ fn stage_echo_of(span: &OpSpan) -> StageEcho {
     }
 }
 
-fn reply_frame(ticket: &Ticket, resp: &Response, data: Bytes, span: &OpSpan) -> Frame {
-    let frame = Frame::response(ticket.client_id, ticket.seq, resp, data);
-    if span.trace_id == 0 {
-        return frame;
+fn reply_frame(
+    telemetry: &Telemetry,
+    ticket: &Ticket,
+    resp: &Response,
+    data: Bytes,
+    span: &OpSpan,
+) -> Frame {
+    let mut frame = Frame::response(ticket.client_id, ticket.seq, resp, data);
+    if span.trace_id != 0 {
+        frame = frame.with_ext(TraceExt::Echo(stage_echo_of(span)));
     }
-    frame.with_ext(TraceExt::Echo(stage_echo_of(span)))
+    outbound(telemetry, frame)
+}
+
+/// Count a frame the core built for a driver to send — every frame the
+/// daemon sends, on either transport, is built here — into the
+/// registry's outbound totals and its client's row. The inbound half is
+/// [`accept`]'s. Payload bytes only, so a write ack counts no bytes.
+fn outbound(telemetry: &Telemetry, frame: Frame) -> Frame {
+    if telemetry.enabled() {
+        let bytes = frame.data.len() as u64;
+        telemetry.frames_out.inc();
+        telemetry.transport_bytes_out.add(bytes);
+        if let Some(row) = telemetry.client_stats(u64::from(frame.client_id)) {
+            row.bytes_out.add(bytes);
+        }
+    }
+    frame
 }
 
 /// A decoded frame: an op to route, or control traffic already answered
@@ -364,14 +386,29 @@ pub(crate) enum Accepted {
     Answered(Admission),
 }
 
-/// Decode a frame and begin its op. Control traffic is answered here,
-/// before any span, queue, or engine involvement: a malformed request
-/// is rejected, `Shutdown` is acknowledged, and a stats query is served
-/// from telemetry memory — so the introspection plane works even when
-/// the data path is wedged or the client is over its queue credit.
+/// Decode a frame and begin its op. Every frame the daemon receives, on
+/// either transport, passes through here once, and is counted here.
+/// Control traffic is answered here, before any span, queue, or engine
+/// involvement: a malformed request is rejected, `Shutdown` is
+/// acknowledged, and a stats query is served from telemetry memory — so
+/// the introspection plane works even when the data path is wedged or
+/// the client is over its queue credit.
 pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
-    let control =
-        |resp: Response, data: Bytes| Frame::response(frame.client_id, frame.seq, &resp, data);
+    let telemetry = ctx.telemetry();
+    if telemetry.enabled() {
+        let bytes = frame.data.len() as u64;
+        telemetry.frames_in.inc();
+        telemetry.transport_bytes_in.add(bytes);
+        if let Some(row) = telemetry.client_stats(u64::from(frame.client_id)) {
+            row.bytes_in.add(bytes);
+        }
+    }
+    let control = |resp: Response, data: Bytes| {
+        outbound(
+            telemetry,
+            Frame::response(frame.client_id, frame.seq, &resp, data),
+        )
+    };
     let Ok(req) = frame.decode_request() else {
         return Accepted::Answered(Admission::reply(control(
             Response::Err {
@@ -669,6 +706,7 @@ fn stage_write(
     op.span.enqueue_ns = telemetry.now_ns();
     op.span.reply_ns = op.span.enqueue_ns;
     let ack = reply_frame(
+        telemetry,
         &op.ticket,
         &Response::Staged { op: staged },
         Bytes::new(),
@@ -688,14 +726,15 @@ fn stage_write(
 
 /// Fail an op at admission: nothing ran, the span folds here.
 fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
-    let now = ctx.telemetry().now_ns();
+    let telemetry = ctx.telemetry();
+    let now = telemetry.now_ns();
     op.span.enqueue_ns = now;
     op.span.dispatch_ns = now;
     op.span.ok = false;
     op.span.errno = response_errno(&resp);
     op.span.reply_ns = now;
-    let frame = reply_frame(&op.ticket, &resp, Bytes::new(), &op.span);
-    ctx.telemetry().complete(&op.span);
+    let frame = reply_frame(telemetry, &op.ticket, &resp, Bytes::new(), &op.span);
+    telemetry.complete(&op.span);
     Admission::reply(frame)
 }
 
@@ -709,10 +748,11 @@ pub(crate) fn finish(
     ticket: Ticket,
     (resp, data, mut span): Outcome,
 ) -> Admission {
+    let telemetry = ctx.telemetry();
     session.settle(ticket.effect, &resp);
-    span.reply_ns = ctx.telemetry().now_ns();
-    let frame = reply_frame(&ticket, &resp, data, &span);
-    ctx.telemetry().complete(&span);
+    span.reply_ns = telemetry.now_ns();
+    let frame = reply_frame(telemetry, &ticket, &resp, data, &span);
+    telemetry.complete(&span);
     if span.disposition == Disposition::QueueRejected {
         Admission::Close { after: frame }
     } else {
@@ -985,7 +1025,7 @@ mod tests {
             panic!("a free slot runs the op in place");
         };
         assert_eq!(outcome.2.worker, 0);
-        assert_eq!(queue.total_enqueued(), 0);
+        assert_eq!(queue.depth(), 0);
         assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
 
         queue.close();

@@ -63,7 +63,7 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
                     Need::Bml => Retry::Adopted(
                         ctx.engine
                             .bml()
-                            .and_then(|bml| bml.adopt_timeout(op.data.clone(), None)),
+                            .and_then(|bml| bml.adopt(op.data.clone()).ok()),
                     ),
                     Need::QueueCredit => {
                         std::thread::sleep(std::time::Duration::from_millis(1));

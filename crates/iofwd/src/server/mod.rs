@@ -17,14 +17,13 @@
 mod admit;
 mod engine;
 mod handlers;
-pub mod introspect;
+mod introspect;
 mod queue;
 mod reactor;
 mod staged;
 pub mod watchdog;
 
 pub use engine::Engine;
-pub use introspect::IntrospectHandle;
 pub use queue::{
     Completion, CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
@@ -318,11 +317,7 @@ impl IonServer {
                         if let Some(bml) = ctx.engine.bml() {
                             conn.receive_into(bml);
                         }
-                        let conn: Arc<dyn crate::transport::Conn> = if telemetry.enabled() {
-                            Arc::new(crate::transport::Instrumented::new(conn, telemetry.clone()))
-                        } else {
-                            Arc::from(conn)
-                        };
+                        let conn: Arc<dyn crate::transport::Conn> = Arc::from(conn);
                         let ctx = ctx.clone();
                         if telemetry.enabled() {
                             telemetry.conns_open.add(1);
@@ -441,18 +436,6 @@ impl IonServer {
     /// samples its head-of-line age through this.
     pub fn work_queue(&self) -> Option<Arc<WorkQueue>> {
         self.ctx.queue().cloned()
-    }
-
-    /// Work-queue statistics (None for Ciod/Zoid modes).
-    pub fn queue_stats(&self) -> Option<(u64, u64)> {
-        self.ctx
-            .queue()
-            .map(|q| (q.total_enqueued(), q.depth_high_water()))
-    }
-
-    /// BML statistics (None unless AsyncStaged).
-    pub fn bml_stats(&self) -> Option<crate::bml::BmlStats> {
-        self.ctx.engine.bml().map(|b| b.stats())
     }
 
     /// Number of descriptors currently open on the daemon.

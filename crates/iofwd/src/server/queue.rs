@@ -38,7 +38,7 @@
 //! itself instead of pushing it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -352,9 +352,6 @@ pub struct WorkQueue {
     per_client: Mutex<HashMap<u64, usize>>,
     closed: AtomicBool,
     aborted: AtomicBool,
-    depth_high_water: AtomicU64,
-    total_enqueued: AtomicU64,
-    total_steals: AtomicU64,
     telemetry: Arc<Telemetry>,
 }
 
@@ -388,9 +385,6 @@ impl WorkQueue {
             per_client: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
-            depth_high_water: AtomicU64::new(0),
-            total_enqueued: AtomicU64::new(0),
-            total_steals: AtomicU64::new(0),
             telemetry,
         }
     }
@@ -427,13 +421,7 @@ impl WorkQueue {
         s.items.push_back(item);
         let shard_depth = s.items.len();
         shard.depth.store(shard_depth, Ordering::Release);
-        // Fold the high-water mark while still holding this shard's
-        // lock: exact for a single shard (pushes serialize), a tight
-        // approximation across shards.
-        let depth = self.depth() as u64;
-        self.depth_high_water.fetch_max(depth, Ordering::Relaxed);
         drop(s);
-        self.total_enqueued.fetch_add(1, Ordering::Relaxed);
         if self.telemetry.enabled() {
             self.telemetry.queue_depth.add(1);
             self.telemetry.shard_depth.add(shard_ix, 1);
@@ -534,7 +522,6 @@ impl WorkQueue {
                     if !out.is_empty() {
                         shard.depth.store(s.items.len(), Ordering::Release);
                         stolen_from = Some((v, out.len()));
-                        self.total_steals.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -686,19 +673,6 @@ impl WorkQueue {
             .filter(|&ns| ns > 0)
             .min()
     }
-
-    /// Deepest the queue has ever been.
-    pub fn depth_high_water(&self) -> u64 {
-        self.depth_high_water.load(Ordering::Relaxed)
-    }
-
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued.load(Ordering::Relaxed)
-    }
-
-    pub fn total_steals(&self) -> u64 {
-        self.total_steals.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -706,6 +680,12 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
     use std::sync::Arc;
+
+    /// A queue counting into its own enabled registry.
+    fn counted(workers: usize) -> (WorkQueue, Arc<Telemetry>) {
+        let tel = Arc::new(Telemetry::new());
+        (WorkQueue::with_telemetry(workers, tel.clone()), tel)
+    }
 
     fn sync_item(tag: u64) -> WorkItem {
         sync_item_for_client(tag, 0)
@@ -738,24 +718,22 @@ mod tests {
 
     #[test]
     fn single_shard_preserves_fifo_order() {
-        let q = WorkQueue::new(1);
+        let (q, tel) = counted(1);
         let mut high_water = Vec::new();
         for i in 0..5 {
             q.push(sync_item(i)).unwrap();
-            high_water.push(q.depth_high_water());
+            high_water.push(tel.queue_depth.peak());
         }
-        // The high-water mark is folded under the queue lock, so it is
-        // monotone and exact: after the i-th push it is exactly i+1.
+        // Pushes from one thread: after the i-th the peak is exactly i+1.
         assert_eq!(high_water, vec![1, 2, 3, 4, 5]);
         let batch = q.pop_batch(0, 3);
         assert_eq!(batch.iter().map(tag_of).collect::<Vec<_>>(), vec![0, 1, 2]);
         let rest = q.pop_batch(1, 10);
         assert_eq!(rest.iter().map(tag_of).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(q.total_enqueued(), 5);
-        assert_eq!(q.depth_high_water(), 5);
-        // Pops never lower the high-water mark.
+        assert_eq!(tel.worker_dispatch.total(), 5);
+        // Pops never lower the peak.
         q.push(sync_item(9)).unwrap();
-        assert_eq!(q.depth_high_water(), 5);
+        assert_eq!(tel.queue_depth.peak(), 5);
     }
 
     #[test]
@@ -788,14 +766,14 @@ mod tests {
 
     #[test]
     fn push_after_close_returns_queue_closed_with_item() {
-        let q = WorkQueue::new(1);
+        let (q, tel) = counted(1);
         q.push(sync_item(1)).unwrap();
         q.close();
         // A handler racing shutdown gets its item back, not a panic.
         let err = q.push(sync_item(2)).unwrap_err();
         assert_eq!(tag_of(&err.0), 2);
         // The rejected push left no trace in the accounting.
-        assert_eq!(q.total_enqueued(), 1);
+        assert_eq!(tel.queue_depth.get(), 1);
         assert_eq!(q.depth(), 1);
     }
 
@@ -812,7 +790,7 @@ mod tests {
 
     #[test]
     fn per_worker_affinity_placement_and_steal() {
-        let q = WorkQueue::new(2);
+        let (q, tel) = counted(2);
         // Clients 0 and 1 hash to different shards with two workers.
         assert_ne!(q.shard_of(0), q.shard_of(1));
         q.push(sync_item_for_client(0, 0)).unwrap();
@@ -826,12 +804,12 @@ mod tests {
         // shard (two items -> one).
         let stolen = q.pop_batch(q.shard_of(0), 10);
         assert_eq!(stolen.iter().map(tag_of).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(q.total_steals(), 1);
+        assert_eq!(tel.steal_ops.get(), 1);
     }
 
     #[test]
     fn per_worker_affinity_keeps_one_client_fifo_on_one_shard() {
-        let q = WorkQueue::new(4);
+        let (q, tel) = counted(4);
         for i in 0..6 {
             q.push(sync_item_for_client(i, 42)).unwrap();
         }
@@ -842,7 +820,7 @@ mod tests {
             batch.iter().map(tag_of).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4, 5]
         );
-        assert_eq!(q.total_steals(), 0);
+        assert_eq!(tel.steal_ops.get(), 0);
     }
 
     #[test]
@@ -851,7 +829,7 @@ mod tests {
         // must still drain the *other* workers' parked items (stealing
         // half the deepest victim per pass) before pop_batch returns
         // empty.
-        let q = WorkQueue::new(3);
+        let (q, tel) = counted(3);
         for i in 0..6 {
             q.push(sync_item_for_client(i, i)).unwrap(); // affinity spreads clients
         }
@@ -871,7 +849,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(q.depth(), 0);
-        assert!(q.total_steals() >= 1);
+        assert!(tel.steal_ops.get() >= 1);
     }
 
     #[test]

@@ -565,22 +565,13 @@ impl ReactorThread {
             };
             budget -= 1;
             resumed = false;
-            if self.telemetry.enabled() {
-                self.telemetry.frames_in.inc();
-                self.telemetry
-                    .transport_bytes_in
-                    .add(frame.data.len() as u64);
-                // Attribute inbound bytes at decode time — once per
-                // frame, even if admission later parks and re-admits it.
-                // The row is cached per id.
-                let client = u64::from(frame.client_id);
-                if conn.client != client || conn.stats.is_none() {
-                    conn.client = client;
-                    conn.stats = self.telemetry.client_stats(client);
-                }
-                if let Some(stats) = &conn.stats {
-                    stats.bytes_in.add(frame.data.len() as u64);
-                }
+            // The admission core counts the frame; the row is cached
+            // here for the parks and write-buffer levels only the
+            // reactor sees.
+            let client = u64::from(frame.client_id);
+            if conn.client != client || conn.stats.is_none() {
+                conn.client = client;
+                conn.stats = self.telemetry.client_stats(client);
             }
             let admission = admit::admit(&self.ctx, frame);
             self.dispatch(conn, admission, None);
@@ -635,7 +626,6 @@ impl ReactorThread {
         if conn.dead {
             return;
         }
-        let data_len = frame.data.len() as u64;
         // Large payloads ride the wbuf as their own segment, by
         // reference: a slab-backed read reply goes socket-ward without
         // ever being re-copied into a contiguous wire image, and `flush`
@@ -654,11 +644,8 @@ impl ReactorThread {
         };
         conn.wbuf_bytes += queued;
         if self.telemetry.enabled() {
-            self.telemetry.frames_out.inc();
-            self.telemetry.transport_bytes_out.add(data_len);
             self.telemetry.wbuf_bytes.add(queued as i64);
             if let Some(stats) = &conn.stats {
-                stats.bytes_out.add(data_len);
                 stats.note_wbuf(conn.wbuf_bytes as u64);
             }
         }

@@ -38,89 +38,6 @@ pub trait Conn: Send + Sync {
     fn close(&self);
 }
 
-/// A [`Conn`] decorator counting frames and payload bytes per direction
-/// into the daemon's telemetry registry. Directions are server-relative:
-/// `recv` feeds the `*_in` counters, `send` the `*_out` ones.
-///
-/// Per-client attribution rides the same hook: the frame header already
-/// carries the client id, so each direction also lands on that client's
-/// sharded row. The row lookup is cached per connection (clients keep
-/// one id per connection in practice) and refreshed only when the id on
-/// the wire changes.
-pub struct Instrumented {
-    inner: Box<dyn Conn>,
-    telemetry: std::sync::Arc<crate::telemetry::Telemetry>,
-    // (last client id, its stats row). `u64::MAX` is an impossible
-    // client id (`Frame.client_id` is u32), forcing the first lookup.
-    client: parking_lot::Mutex<(
-        u64,
-        Option<std::sync::Arc<crate::telemetry::PerClientStats>>,
-    )>,
-}
-
-impl Instrumented {
-    pub fn new(
-        inner: Box<dyn Conn>,
-        telemetry: std::sync::Arc<crate::telemetry::Telemetry>,
-    ) -> Instrumented {
-        Instrumented {
-            inner,
-            telemetry,
-            client: parking_lot::Mutex::new((u64::MAX, None)),
-        }
-    }
-
-    fn attribute(&self, client_id: u64, bytes: u64, inbound: bool) {
-        let mut cached = self.client.lock();
-        if cached.0 != client_id {
-            *cached = (client_id, self.telemetry.client_stats(client_id));
-        }
-        if let Some(stats) = &cached.1 {
-            if inbound {
-                stats.bytes_in.add(bytes);
-            } else {
-                stats.bytes_out.add(bytes);
-            }
-        }
-    }
-}
-
-impl Conn for Instrumented {
-    fn send(&self, frame: Frame) -> io::Result<()> {
-        let bytes = frame.data.len() as u64;
-        let client = u64::from(frame.client_id);
-        let res = self.inner.send(frame);
-        if res.is_ok() && self.telemetry.enabled() {
-            self.telemetry.frames_out.inc();
-            self.telemetry.transport_bytes_out.add(bytes);
-            self.attribute(client, bytes, false);
-        }
-        res
-    }
-
-    fn recv(&self) -> io::Result<Option<Frame>> {
-        let res = self.inner.recv();
-        if let Ok(Some(frame)) = &res {
-            if self.telemetry.enabled() {
-                self.telemetry.frames_in.inc();
-                self.telemetry
-                    .transport_bytes_in
-                    .add(frame.data.len() as u64);
-                self.attribute(u64::from(frame.client_id), frame.data.len() as u64, true);
-            }
-        }
-        res
-    }
-
-    fn receive_into(&self, pool: &crate::bml::Bml) {
-        self.inner.receive_into(pool);
-    }
-
-    fn close(&self) {
-        self.inner.close();
-    }
-}
-
 /// Server-side accept source.
 pub trait Listener: Send + Sync {
     /// Block for the next client connection; `Ok(None)` means the

@@ -5,9 +5,21 @@
 //! returned.
 
 use iofwd::bml::{Bml, MAX_CLASS_SHIFT, MIN_CLASS_SHIFT};
+use iofwd::telemetry::Telemetry;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+
+/// A BML counting into its own enabled registry.
+fn counted(capacity: u64) -> (Bml, Arc<Telemetry>) {
+    let tel = Arc::new(Telemetry::new());
+    (Bml::with_telemetry(capacity, tel.clone()), tel)
+}
+
+/// Block acquisitions the registry saw: recycled plus fresh.
+fn blocks_taken(tel: &Telemetry) -> u64 {
+    tel.slab_hits.get() + tel.slab_misses.get()
+}
 
 proptest! {
     /// class_for returns the smallest power-of-two block >= len within
@@ -29,7 +41,7 @@ proptest! {
     /// track exactly, and all memory returns.
     #[test]
     fn outstanding_accounting_is_exact(sizes in proptest::collection::vec(1usize..262_144, 1..40)) {
-        let bml = Bml::new(1 << 30);
+        let (bml, tel) = counted(1 << 30);
         let mut held = Vec::new();
         let mut expect = 0u64;
         for (i, &sz) in sizes.iter().enumerate() {
@@ -45,9 +57,8 @@ proptest! {
         }
         held.clear();
         prop_assert_eq!(bml.outstanding(), 0);
-        // Fragmentation accounting is consistent with class rounding.
-        let s = bml.stats();
-        prop_assert_eq!(s.acquires, sizes.len() as u64);
+        // Every acquisition took a block, recycled or fresh.
+        prop_assert_eq!(blocks_taken(&tel), sizes.len() as u64);
     }
 
     /// Buffer contents are exclusive: filling one buffer never corrupts
@@ -76,7 +87,7 @@ proptest! {
         rounds in 4usize..12,
     ) {
         const CAP: u64 = 8 << 20;
-        let bml = Bml::new(CAP);
+        let (bml, tel) = counted(CAP);
         for (len, burst) in [(64usize << 10, small_burst), (1 << 20, large_burst)] {
             let mut held = Vec::new();
             let mut fill_and_drain = |bml: &Bml| {
@@ -91,14 +102,13 @@ proptest! {
             fill_and_drain(&bml);
             prop_assert!(bml.idle_bytes() >= (burst * len) as u64);
             // ... and every later one comes out of it.
-            let warm = bml.stats();
+            let warm = (blocks_taken(&tel), tel.slab_hits.get());
             for _ in 0..rounds {
                 fill_and_drain(&bml);
             }
-            let steady = bml.stats();
             let (acquires, hits) = (
-                steady.acquires - warm.acquires,
-                steady.freelist_hits - warm.freelist_hits,
+                blocks_taken(&tel) - warm.0,
+                tel.slab_hits.get() - warm.1,
             );
             prop_assert_eq!(acquires, (rounds * burst) as u64);
             prop_assert!(hits * 100 >= acquires * 99, "{hits} hits of {acquires}");
@@ -118,7 +128,7 @@ fn concurrent_acquires_never_exceed_capacity() {
     // 256 KiB cap: at most 4 fit, the rest must take the blocking path.
     const CAP: u64 = 256 * 1024;
     const SZ: usize = 64 * 1024;
-    let bml = Bml::new(CAP);
+    let (bml, tel) = counted(CAP);
     let outstanding = Arc::new(AtomicI64::new(0));
     let peak = Arc::new(AtomicI64::new(0));
     let barrier = Arc::new(std::sync::Barrier::new(8));
@@ -150,11 +160,10 @@ fn concurrent_acquires_never_exceed_capacity() {
         peak.load(Ordering::SeqCst)
     );
     assert_eq!(bml.outstanding(), 0);
-    let stats = bml.stats();
-    assert_eq!(stats.acquires, 8 * 200);
+    assert_eq!(blocks_taken(&tel), 8 * 200);
     assert!(
-        stats.blocked_acquires > 0,
+        tel.bml_blocked_acquires.get() > 0,
         "8x64 KiB against 256 KiB must block"
     );
-    assert!(stats.freelist_hits > 0, "recycling should occur");
+    assert!(tel.slab_hits.get() > 0, "recycling should occur");
 }

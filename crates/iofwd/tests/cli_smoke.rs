@@ -333,7 +333,6 @@ fn daemon_rejects_contradictory_options() {
     for (args, names) in [
         ("--mode sched --workers 0", "--workers"),
         ("--mode staged --workers 0 --transport reactor", "--workers"),
-        ("--stats-port-file /tmp/p", "--stats-port-file"),
         ("--mode async", "--mode"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
@@ -383,5 +382,5 @@ fn daemon_rejects_retired_flags() {
         .output()
         .unwrap();
     let help = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(help.matches("--").count(), 18, "{help}");
+    assert_eq!(help.matches("--").count(), 16, "{help}");
 }

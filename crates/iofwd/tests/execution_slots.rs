@@ -198,7 +198,7 @@ fn at_most_workers_ops_execute_at_once_on_either_path() {
             }
             c.shutdown().expect("shutdown");
             let in_place = server.telemetry().ops_in_place.get();
-            let (enqueued, _) = server.queue_stats().expect("a pool mode");
+            let enqueued = server.telemetry().worker_dispatch.total();
             server.shutdown();
 
             let peak = calls.peak.load(Ordering::SeqCst);

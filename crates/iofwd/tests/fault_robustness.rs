@@ -75,7 +75,7 @@ fn chaos_plan_with_transient_faults_completes_with_retries() {
 
     assert_eq!(sink.contents("/chaos").unwrap(), expect);
     assert!(
-        faulty.faults_injected() > 0,
+        telemetry.faults_injected.get() > 0,
         "a 10% plan over 200 writes must fire"
     );
     assert!(

@@ -8,8 +8,10 @@ use std::time::{Duration, Instant};
 use iofwd::backend::{FaultBackend, MemSinkBackend};
 use iofwd::client::Client;
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
-use iofwd::server::{watchdog, ForwardingMode, IonServer, ServerConfig, WatchdogConfig};
-use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry};
+use iofwd::server::{
+    watchdog, ForwardingMode, IonServer, ReactorConfig, ServerConfig, WatchdogConfig,
+};
+use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry, TelemetrySnapshot};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Frame, OpenFlags, Request, Response, StatsQuery};
@@ -248,6 +250,93 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
         "dump missing flight table: {dumped}"
     );
     let _ = std::fs::remove_file(&dump);
+}
+
+/// The one way out answers when every data connection is parked for
+/// staging memory, on both TCP transports. Four clients each write
+/// 8 × 16 KiB through a four-block (64 KiB) pool whose backend takes
+/// 100 ms per write. Payloads this size are received into BML blocks, so
+/// once the four blocks are held every writer waits for one — blocked in
+/// `Bml::acquire` on threads, `awaiting_block` on the reactor — while a
+/// connection opened afresh is still answered within a second.
+#[test]
+fn fresh_connection_is_answered_while_every_data_connection_waits_for_staging_memory() {
+    const BLOCK: usize = 16 << 10;
+    for reactor in [false, true] {
+        let arm = if reactor { "reactor" } else { "threads" };
+        let telemetry = Arc::new(Telemetry::new());
+        let plan = FaultPlan::new(7).rule(FaultRule::on(OpClass::Write).delay_us(100_000));
+        let backend = Arc::new(FaultBackend::new(
+            Arc::new(MemSinkBackend::new()),
+            plan,
+            telemetry.clone(),
+        ));
+        let config = ServerConfig::new(ForwardingMode::AsyncStaged {
+            workers: 2,
+            bml_capacity: 4 * BLOCK as u64,
+        })
+        .with_telemetry(telemetry);
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+        let addr = acceptor.local_addr().expect("addr");
+        let server = if reactor {
+            IonServer::spawn_reactor(acceptor, backend, config, ReactorConfig::default())
+                .expect("spawn reactor")
+        } else {
+            IonServer::spawn(Box::new(acceptor), backend, config)
+        };
+
+        let writers: Vec<_> = (0..4u32)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let conn = TcpConn::connect(addr).expect("connect");
+                    let mut c = Client::with_id(Box::new(conn), 200 + i);
+                    let fd = c
+                        .open(
+                            &format!("/parked{i}"),
+                            OpenFlags::WRONLY | OpenFlags::CREATE,
+                            0o644,
+                        )
+                        .expect("open");
+                    for k in 0..8u64 {
+                        c.pwrite(fd, k * BLOCK as u64, &[i as u8; BLOCK])
+                            .expect("pwrite");
+                    }
+                    c.close(fd).expect("close");
+                    let _ = c.shutdown();
+                })
+            })
+            .collect();
+
+        let parked = |snap: &TelemetrySnapshot| {
+            if reactor {
+                snap.counter("backpressure_events") > 0
+            } else {
+                snap.gauge("bml_waiters").peak > 0
+            }
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seen = false;
+        while !seen && Instant::now() < deadline {
+            let t0 = Instant::now();
+            let conn = TcpConn::connect(addr).expect("connect");
+            let snap = Client::connect(Box::new(conn))
+                .query_snapshot()
+                .expect("snapshot");
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{arm}: a fresh connection's stats query waited {:?}",
+                t0.elapsed()
+            );
+            seen = parked(&snap);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(seen, "{arm}: no data connection ever waited for a block");
+
+        for w in writers {
+            w.join().expect("writer");
+        }
+        server.shutdown();
+    }
 }
 
 /// Read reply frames off a raw socket until `n` have arrived.

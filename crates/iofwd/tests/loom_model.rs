@@ -26,11 +26,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bytes::Bytes;
 use iofwd::bml::Bml;
 use iofwd::server::{FdSerializer, WorkItem, WorkQueue};
+use iofwd::telemetry::Telemetry;
 use iofwd_proto::{Fd, OpId, Request};
 use loomlite::sync::Arc;
 use loomlite::thread;
 
 const BLOCK: usize = 4096; // smallest BML class
+
+/// A fresh registry for one schedule: the models read their witnesses
+/// where the daemon counts.
+fn registry() -> std::sync::Arc<Telemetry> {
+    std::sync::Arc::new(Telemetry::new())
+}
 
 /// §IV: "the I/O operation is blocked until ... sufficient memory is
 /// available". Three competing acquirers against a two-block budget:
@@ -40,7 +47,8 @@ const BLOCK: usize = 4096; // smallest BML class
 #[test]
 fn bml_capacity_never_exceeded() {
     loomlite::model(|| {
-        let bml = Bml::new(2 * BLOCK as u64);
+        let tel = registry();
+        let bml = Bml::with_telemetry(2 * BLOCK as u64, tel.clone());
         let mut handles = Vec::new();
         for _ in 0..2 {
             let bml = bml.clone();
@@ -57,9 +65,8 @@ fn bml_capacity_never_exceeded() {
             h.join().expect("acquirer panicked");
         }
         assert_eq!(bml.outstanding(), 0, "memory leaked");
-        let stats = bml.stats();
-        assert_eq!(stats.acquires, 3);
-        assert!(stats.high_water <= 2 * BLOCK as u64);
+        assert_eq!(tel.slab_hits.get() + tel.slab_misses.get(), 3);
+        assert!(tel.bml_occupancy.peak() <= 2 * BLOCK as i64);
     });
 }
 
@@ -619,7 +626,8 @@ fn work_stealing_delivers_exactly_once() {
     static STOLEN: AtomicUsize = AtomicUsize::new(0);
     STOLEN.store(0, Ordering::SeqCst);
     loomlite::model(|| {
-        let q = Arc::new(WorkQueue::new(2));
+        let tel = registry();
+        let q = Arc::new(WorkQueue::with_telemetry(2, tel.clone()));
         // Affinity placement: both default-span items are client 0,
         // so both land on one home shard; the other worker can only
         // ever reach them by stealing.
@@ -648,7 +656,7 @@ fn work_stealing_delivers_exactly_once() {
         all.sort_unstable();
         assert_eq!(all, vec![1, 2], "item lost or double-delivered: {all:?}");
         assert_eq!(q.depth(), 0);
-        if q.total_steals() > 0 {
+        if tel.steal_ops.get() > 0 {
             STOLEN.fetch_add(1, Ordering::SeqCst);
         }
     });
@@ -667,10 +675,11 @@ fn work_stealing_delivers_exactly_once() {
 #[test]
 fn slab_recycle_vs_acquire_never_hands_block_twice() {
     loomlite::model(|| {
-        let bml = Bml::new(2 * BLOCK as u64);
+        let tel = registry();
+        let bml = Bml::with_telemetry(2 * BLOCK as u64, tel.clone());
         // Prime the free list: acquire + drop recycles one block.
         drop(bml.acquire(BLOCK).expect("BML never closes in this model"));
-        assert_eq!(bml.stats().recycled_bytes, BLOCK as u64);
+        assert_eq!(tel.slab_recycled_bytes.get(), BLOCK as u64);
         let worker = {
             let bml = bml.clone();
             thread::spawn(move || {
@@ -697,7 +706,7 @@ fn slab_recycle_vs_acquire_never_hands_block_twice() {
         // schedules legally re-pop the block the first owner recycled
         // (two hits) — but the free list must always serve *some* of
         // the three acquisitions.
-        let hits = bml.stats().freelist_hits;
+        let hits = tel.slab_hits.get();
         assert!(
             (1..=2).contains(&hits),
             "free list served {hits} of 2 racing acquires (expected 1 or 2)"

@@ -270,12 +270,12 @@ fn bml_capacity_blocks_but_completes() {
     }
     c.close(fd).unwrap();
     c.shutdown().unwrap();
-    let bml = server.bml_stats().unwrap();
+    let telemetry = server.telemetry();
     assert!(
-        bml.blocked_acquires > 0,
+        telemetry.bml_blocked_acquires.get() > 0,
         "64 KiB BML must block under 512 KiB of writes"
     );
-    assert!(bml.high_water <= 64 * 1024);
+    assert!(telemetry.bml_occupancy.peak() <= 64 * 1024);
     server.shutdown();
     assert_eq!(sink.contents("/b").unwrap(), expect);
 }

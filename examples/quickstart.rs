@@ -82,14 +82,11 @@ fn main() {
         t.transport_bytes_in.get(),
         t.ops_staged.get()
     );
-    if let Some(bml) = server.bml_stats() {
-        println!(
-            "BML: {} acquisitions, {} blocked, high water {} MiB",
-            bml.acquires,
-            bml.blocked_acquires,
-            bml.high_water >> 20
-        );
-    }
+    println!(
+        "BML: {} blocked acquisitions, high water {} MiB",
+        t.bml_blocked_acquires.get(),
+        t.bml_occupancy.peak() >> 20
+    );
     server.shutdown();
     assert_eq!(
         backend.contents("/science/output.dat").unwrap().len(),

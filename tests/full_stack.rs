@@ -242,8 +242,7 @@ fn daemon_stats_are_consistent_after_full_run() {
     );
     let p = small_madbench();
     madbench::runner::run(&p, &[Phase::S], |_| Box::new(hub.connect()));
-    let (enqueued, peak) = server.queue_stats().unwrap();
-    let bml = server.bml_stats().unwrap();
+    let enqueued = server.telemetry().worker_dispatch.total();
     let snap = server.telemetry().snapshot();
     server.shutdown();
     let writes = p.nbin * p.nproc;
@@ -257,10 +256,11 @@ fn daemon_stats_are_consistent_after_full_run() {
     // un-merged writes) pass through the queue.
     let harvested = snap.counter("coalesced_ops") - snap.counter("coalesced_batches");
     assert!(enqueued + harvested >= writes);
-    assert!(peak >= 1);
-    assert_eq!(bml.acquires, writes);
-    // All buffers returned.
-    assert_eq!(bml.high_water % 4096, 0);
+    assert!(snap.gauge("queue_depth").peak >= 1);
+    // Staging memory is charged in whole blocks, and all of it returned.
+    let bml = snap.gauge("bml_occupancy");
+    assert!(bml.peak > 0 && bml.peak % 4096 == 0);
+    assert_eq!(bml.current, 0);
     assert_eq!(server_open_after(), 0);
 
     fn server_open_after() -> usize {

@@ -11,9 +11,9 @@
 //! * every call site (name, `Type::` qualifier, `.receiver` chain,
 //!   argument text) so the interprocedural pass can resolve callees and
 //!   classify condvar waits and blocking primitives;
-//! * BML buffer acquisitions (`acquire`/`acquire_timeout`/`try_acquire`
-//!   on a `bml`-named receiver, and `BmlBuffer::from_payload`, which
-//!   takes a received payload's block back out of its frame) with
+//! * BML buffer acquisitions (`acquire`/`try_acquire` and their `adopt`
+//!   twins on a `bml`-named receiver, and `BmlBuffer::from_payload`,
+//!   which takes a received payload's block back out of its frame) with
 //!   binding and scope, for the A3 leak-path rule.
 //!
 //! Everything here is name-driven approximation over the token stream —
@@ -761,8 +761,8 @@ fn depth_at(bytes: &[u8], pos: usize) -> i32 {
     d
 }
 
-/// BML acquisitions: `acquire*`/`try_acquire` and the zero-copy
-/// `adopt*`/`try_adopt` twins on a `bml`-named handle, and
+/// BML acquisitions: `acquire`/`try_acquire` and the zero-copy
+/// `adopt`/`try_adopt` twins on a `bml`-named handle, and
 /// `BmlBuffer::from_payload` (the block a payload was received into,
 /// taken back out of its frame), bound either via `let` or a `Some(buf)`
 /// / `Ok(buf)` match arm.
@@ -771,12 +771,11 @@ fn collect_buf_acquires(masked: &str, calls: &[CallSite]) -> Vec<BufAcquire> {
     let mut out = Vec::new();
     for c in calls {
         let expr_start = match (c.name.as_str(), &c.receiver, &c.qualifier) {
-            (
-                "acquire" | "acquire_timeout" | "try_acquire" | "adopt" | "adopt_timeout"
-                | "try_adopt",
-                Some(recv),
-                _,
-            ) if last_segment(recv).to_ascii_lowercase().contains("bml") => c.recv_start,
+            ("acquire" | "try_acquire" | "adopt" | "try_adopt", Some(recv), _)
+                if last_segment(recv).to_ascii_lowercase().contains("bml") =>
+            {
+                c.recv_start
+            }
             ("from_payload", None, Some(q)) if q == "BmlBuffer" => {
                 c.pos.saturating_sub(q.len() + 2)
             }
@@ -958,7 +957,7 @@ mod tests {
     #[test]
     fn finds_bml_acquire_match_binding() {
         let f = one(
-            "impl H { fn w(&self, bml: &Bml) { match bml.acquire_timeout(n, None) { \
+            "impl H { fn w(&self, bml: &Bml) { match bml.try_acquire(n) { \
              None => {} Some(mut buf) => { use_it(buf); } } } }",
         );
         assert_eq!(f.buf_acquires.len(), 1);

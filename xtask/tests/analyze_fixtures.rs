@@ -276,7 +276,7 @@ fn match_bound_buffer_with_early_return_leaks() {
         r#"
 impl H {
     fn stage(&self, bml: &Bml, q: &Q) -> Result<(), Errno> {
-        match bml.acquire_timeout(len, None) {
+        match bml.try_acquire(len) {
             None => {}
             Some(mut buf) => {
                 buf.fill_from(body);
