@@ -336,8 +336,7 @@ pub fn render_json(
     let d = &scenario.daemon;
     s.push_str(&format!(
         "    \"daemon\": {{\"workers\": {}, \"bml_mib\": {}, \"retry_attempts\": {}, \
-         \"throttle_per_op_us\": {}, \"throttle_bw_mib_s\": {}, \
-         \"coalesce_max_bytes\": {}, \"coalesce_max_ops\": {}}},\n",
+         \"throttle_per_op_us\": {}, \"throttle_bw_mib_s\": {}}},\n",
         d.workers,
         d.bml_mib,
         d.retry_attempts,
@@ -345,8 +344,6 @@ pub fn render_json(
         d.throttle
             .map(|(_, bw)| fmt_f64(bw / (1024.0 * 1024.0)))
             .unwrap_or_else(|| "0".into()),
-        d.coalesce_max_bytes,
-        d.coalesce_max_ops
     ));
     s.push_str("    \"axes\": {");
     s.push_str(

@@ -226,19 +226,8 @@ fn measure_cell(
         .arg(d.bml_mib.to_string())
         .arg("--retry-attempts")
         .arg(d.retry_attempts.to_string());
-    match cell.axis("coalesce") {
-        Some("off") => spec = spec.arg("--coalesce=off"),
-        Some("on") => {
-            spec = spec.arg(format!(
-                "--coalesce={},{}",
-                d.coalesce_max_bytes, d.coalesce_max_ops
-            ))
-        }
-        Some(explicit) => {
-            let budgets = explicit.strip_prefix("on:").expect("validated at load");
-            spec = spec.arg(format!("--coalesce={budgets}"));
-        }
-        None => {}
+    if cell.axis("coalesce") == Some("off") {
+        spec = spec.arg("--coalesce=off");
     }
     if let Some(transport) = cell.axis("transport") {
         spec = spec.arg("--transport").arg(transport);

@@ -43,9 +43,6 @@ pub struct DaemonConfig {
     /// *bytes/second*, applied via `iofwdd --throttle`. `None` runs
     /// against the raw filesystem.
     pub throttle: Option<(u64, f64)>,
-    /// Budgets used when a cell's `coalesce` axis value is plain `on`.
-    pub coalesce_max_bytes: u64,
-    pub coalesce_max_ops: u64,
     /// Inject a synthetic EMFILE on every Nth accept attempt (0 = off),
     /// via `iofwdd --accept-fault-every` — the accept-path chaos knob.
     pub accept_fault_every: u64,
@@ -68,8 +65,6 @@ impl Default for DaemonConfig {
             bml_mib: 64,
             retry_attempts: 4,
             throttle: None,
-            coalesce_max_bytes: 1 << 20,
-            coalesce_max_ops: 16,
             accept_fault_every: 0,
             reactor_threads: 2,
             root_dir: None,
@@ -302,29 +297,10 @@ impl Scenario {
                 "ciod" | "zoid" | "sched" | "staged" => Ok(()),
                 other => Err(format!("axis mode: unknown forwarding mode `{other}`")),
             },
-            "coalesce" => {
-                if value == "on" || value == "off" {
-                    return Ok(());
-                }
-                let budgets = value.strip_prefix("on:").ok_or(format!(
-                    "axis coalesce: `{value}` is not off|on|on:BYTES,OPS"
-                ))?;
-                let (bytes, ops) = budgets
-                    .split_once(',')
-                    .ok_or(format!("axis coalesce: `{value}` needs on:BYTES,OPS"))?;
-                let b: u64 = bytes
-                    .parse()
-                    .map_err(|_| format!("axis coalesce: bad BYTES in `{value}`"))?;
-                let o: u64 = ops
-                    .parse()
-                    .map_err(|_| format!("axis coalesce: bad OPS in `{value}`"))?;
-                if b == 0 || o == 0 {
-                    return Err(format!(
-                        "axis coalesce: budgets must be nonzero in `{value}`"
-                    ));
-                }
-                Ok(())
-            }
+            "coalesce" => match value {
+                "on" | "off" => Ok(()),
+                other => Err(format!("axis coalesce: `{other}` is not off|on")),
+            },
             "clients" | "workers" => {
                 let n: usize = value
                     .parse()
@@ -541,12 +517,6 @@ fn parse_daemon(root: &Table) -> Result<DaemonConfig, String> {
             Some((per_op.unwrap_or(0), bw_mib * 1024.0 * 1024.0))
         }
     };
-    if let Some(v) = opt_u64(t, "coalesce_max_bytes")? {
-        cfg.coalesce_max_bytes = v.max(1);
-    }
-    if let Some(v) = opt_u64(t, "coalesce_max_ops")? {
-        cfg.coalesce_max_ops = v.max(1);
-    }
     if let Some(v) = opt_u64(t, "accept_fault_every")? {
         cfg.accept_fault_every = v;
     }

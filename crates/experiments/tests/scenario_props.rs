@@ -10,7 +10,7 @@ use experiments::workload::{generate, WorkloadKind, WorkloadSpec};
 use proptest::prelude::*;
 
 const MODES: [&str; 4] = ["ciod", "zoid", "sched", "staged"];
-const COALESCE: [&str; 3] = ["off", "on", "on:4096,4"];
+const COALESCE: [&str; 2] = ["off", "on"];
 
 /// Build a valid scenario whose axis cardinalities are the inputs.
 fn scenario_with(n_modes: usize, n_coalesce: usize, n_clients: usize) -> Scenario {
@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn expansion_is_the_exact_cross_product(
         n_modes in 1usize..5,
-        n_coalesce in 1usize..4,
+        n_coalesce in 1usize..3,
         n_clients in 1usize..5,
     ) {
         let scenario = scenario_with(n_modes, n_coalesce, n_clients);

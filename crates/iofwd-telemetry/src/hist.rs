@@ -25,15 +25,15 @@ pub fn bucket_of(value: u64) -> usize {
     63 - value.max(1).leading_zeros() as usize
 }
 
-struct Shard {
+struct HistShard {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Shard {
+impl HistShard {
     fn new() -> Self {
-        Shard {
+        HistShard {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -44,7 +44,7 @@ impl Shard {
 /// Lock-free sharded histogram. `record` is wait-free: three relaxed
 /// `fetch_add`s on the caller's shard.
 pub struct Histogram {
-    shards: Vec<Shard>,
+    shards: Vec<HistShard>,
 }
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -67,7 +67,7 @@ fn current_shard() -> usize {
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            shards: (0..SHARDS).map(|_| HistShard::new()).collect(),
         }
     }
 

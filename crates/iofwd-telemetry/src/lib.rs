@@ -153,40 +153,6 @@ impl Default for PerWorker {
     }
 }
 
-/// Fixed-size per-shard depth gauges for the sharded work queue: how
-/// deep each worker's deque runs (peak = worst imbalance before
-/// stealing rebalances it).
-pub struct PerShard {
-    depths: [Gauge; MAX_WORKERS],
-}
-
-impl PerShard {
-    pub fn new() -> PerShard {
-        PerShard {
-            depths: std::array::from_fn(|_| Gauge::new()),
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, shard: usize, delta: i64) {
-        self.depths[shard % MAX_WORKERS].add(delta);
-    }
-
-    pub fn get(&self, shard: usize) -> i64 {
-        self.depths[shard % MAX_WORKERS].get()
-    }
-
-    pub fn peak(&self, shard: usize) -> i64 {
-        self.depths[shard % MAX_WORKERS].peak()
-    }
-}
-
-impl Default for PerShard {
-    fn default() -> Self {
-        PerShard::new()
-    }
-}
-
 /// Liveness heartbeats for the reactor event loops (and any other
 /// periodic thread that wants watchdog coverage). Each loop registers
 /// once for a slot, then stores `now_ns` into it every iteration; the
@@ -266,8 +232,6 @@ macro_rules! registry {
             $($(#[$cdoc])* pub $counter: Counter,)*
             $($(#[$gdoc])* pub $gauge: Gauge,)*
             $($(#[$hdoc])* pub $hist: Histogram,)*
-            /// Per-shard work-queue depth (see [`PerShard`]).
-            pub shard_depth: PerShard,
             pub worker_dispatch: PerWorker,
             /// Nanoseconds each worker spent executing batches (vs. parked in
             /// `pop_batch`); busy fraction = busy_ns / uptime_ns.
@@ -290,7 +254,6 @@ macro_rules! registry {
                     $($counter: Counter::new(),)*
                     $($gauge: Gauge::new(),)*
                     $($hist: Histogram::new(),)*
-                    shard_depth: PerShard::new(),
                     worker_dispatch: PerWorker::new(),
                     worker_busy_ns: PerWorker::new(),
                     loop_heartbeats: Heartbeats::new(),
@@ -387,9 +350,6 @@ registry! {
         /// Times the health watchdog tripped an SLO (queue head-of-line
         /// age, loop lag, or persistent write-buffer high water).
         watchdog_trips,
-        /// Work items a worker took from another worker's shard (sharded
-        /// work-stealing queue).
-        steal_ops,
         /// BML block acquisitions served by recycling a slab free-list
         /// block (no allocator call).
         slab_hits,

@@ -560,7 +560,7 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             counters.push((format!("worker_busy_ns_{w}"), busy));
         }
     }
-    let mut gauges: Vec<(String, GaugeValue)> = t
+    let gauges: Vec<(String, GaugeValue)> = t
         .gauges()
         .iter()
         .map(|(name, g)| {
@@ -571,18 +571,6 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             (name.to_string(), value)
         })
         .collect();
-    for s in 0..MAX_WORKERS {
-        let peak = t.shard_depth.peak(s);
-        if peak > 0 {
-            gauges.push((
-                format!("shard_depth_{s}"),
-                GaugeValue {
-                    current: t.shard_depth.get(s),
-                    peak,
-                },
-            ));
-        }
-    }
     TelemetrySnapshot {
         counters,
         gauges,

@@ -803,31 +803,6 @@ impl<B: Backend> Backend for ThrottledBackend<B> {
 // FaultBackend (deterministic fault plans)
 // ---------------------------------------------------------------------------
 
-/// Per-class operation counters driving `nth=` triggers. Shared by every
-/// object opened through one [`FaultBackend`], so "the 7th write" means
-/// the 7th write the *daemon* performs, not the 7th on one descriptor.
-#[derive(Default)]
-struct FaultSeq {
-    write: AtomicU64,
-    read: AtomicU64,
-    open: AtomicU64,
-    sync: AtomicU64,
-}
-
-impl FaultSeq {
-    fn next(&self, class: crate::fault::OpClass) -> u64 {
-        use crate::fault::OpClass;
-        let c = match class {
-            OpClass::Write => &self.write,
-            OpClass::Read => &self.read,
-            OpClass::Open => &self.open,
-            OpClass::Sync => &self.sync,
-            OpClass::Any => &self.write,
-        };
-        c.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
 /// Wraps any backend and perturbs it according to a seeded
 /// [`crate::fault::FaultPlan`]: errno injection, short writes/reads,
 /// latency spikes, and open-time failures. The fault *sequence* is a
@@ -845,13 +820,11 @@ impl FaultBackend {
         plan: crate::fault::FaultPlan,
         telemetry: Arc<crate::telemetry::Telemetry>,
     ) -> Self {
-        let rng = simcore::rng::SimRng::new(plan.seed);
         FaultBackend {
             inner,
             shared: Arc::new(FaultShared {
+                state: Mutex::new(crate::fault::PlanState::new(plan.seed)),
                 plan,
-                rng: Mutex::new(rng),
-                seq: FaultSeq::default(),
                 telemetry,
             }),
         }
@@ -868,11 +841,10 @@ impl FaultBackend {
 }
 
 /// The state a [`PlannedFaultObject`] shares with its parent backend:
-/// the plan, one seeded rng stream, and the per-class op counters.
+/// the plan, and its one seeded rng stream and per-rule op counts.
 struct FaultShared {
     plan: crate::fault::FaultPlan,
-    rng: Mutex<simcore::rng::SimRng>,
-    seq: FaultSeq,
+    state: Mutex<crate::fault::PlanState>,
     telemetry: Arc<crate::telemetry::Telemetry>,
 }
 
@@ -891,12 +863,9 @@ impl FaultShared {
         path: &str,
         vectored: bool,
     ) -> Option<crate::fault::FaultAction> {
-        let seq = self.seq.next(class);
-        let mut rng = self.rng.lock();
         let action = self
             .plan
-            .decide_vectored(class, path, seq, &mut rng, vectored);
-        drop(rng);
+            .decide_vectored(class, path, &mut self.state.lock(), vectored);
         if action.is_some() && self.telemetry.enabled() {
             self.telemetry.faults_injected.inc();
         }
@@ -938,7 +907,7 @@ impl BackendObject for PlannedFaultObject {
     fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
         use crate::fault::{FaultAction, OpClass};
         // Each constituent of a coalesced batch is still one write op
-        // to the plan — one sequence slot, one draw apiece — so the
+        // to the plan — one count, one draw apiece — so the
         // fault sequence is a function of *logical* operation order,
         // identical whether or not merging happened. `vectored`-flagged
         // rules additionally match (only) these draws.
@@ -979,7 +948,7 @@ impl BackendObject for PlannedFaultObject {
 
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         use crate::fault::{FaultAction, OpClass};
-        // One sequence slot per logical read; a short read serves a
+        // One count per logical read; a short read serves a
         // prefix of the request (POSIX lets `read` return fewer bytes
         // than asked with no error).
         match self.shared.decide(OpClass::Read, &self.path) {
@@ -1307,7 +1276,7 @@ mod tests {
         use crate::telemetry::Telemetry;
         let inner = Arc::new(MemSinkBackend::new());
         // Vectored-only rule on the 3rd logical write: the plain write
-        // consumes seq 1, the batch's constituents consume seq 2..4, so
+        // is count 1, the batch's constituents counts 2..4, so
         // the fault lands inside the batch's *second* buffer.
         let plan =
             FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).vectored().nth(3).short(0.25));

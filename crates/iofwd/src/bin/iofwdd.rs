@@ -33,10 +33,10 @@
 //!
 //! Performance (DESIGN.md §12):
 //!
-//! * `--coalesce=off|MAX_BYTES,MAX_OPS` — staged-write coalescing:
-//!   offset-contiguous writes parked on one descriptor merge into a
-//!   single vectored backend call. On by default for the worker-pool
-//!   modes (sched/staged) with budgets 1 MiB / 16 ops; off (and
+//! * `--coalesce=off` — turn staged-write coalescing off. Coalescing
+//!   merges offset-contiguous writes parked on one descriptor into a
+//!   single vectored backend call of at most 1 MiB / 16 ops; it is on
+//!   for the worker-pool modes (sched/staged), and off (and
 //!   meaningless) for ciod/zoid.
 //! * `--throttle PER_OP_US,BW_MIB_S` — wrap the file backend in the
 //!   deterministic device model (`ThrottledBackend`): a fixed
@@ -58,9 +58,7 @@ use std::time::{Duration, Instant};
 
 use iofwd::backend::{FaultBackend, FileBackend, ThrottledBackend};
 use iofwd::fault::{FaultPlan, RetryPolicy};
-use iofwd::server::{
-    watchdog, CoalesceConfig, ForwardingMode, IonServer, ServerConfig, WatchdogConfig,
-};
+use iofwd::server::{watchdog, ForwardingMode, IonServer, ServerConfig, WatchdogConfig};
 use iofwd::telemetry::Telemetry;
 use iofwd::trace::TraceExporter;
 use iofwd::transport::tcp::TcpAcceptor;
@@ -78,9 +76,9 @@ struct Options {
     retry_attempts: u32,
     trace_out: Option<String>,
     trace_sample: u64,
-    /// `None` = mode default (on for sched/staged, off for ciod/zoid);
-    /// `Some(None)` = forced off; `Some(Some(cfg))` = forced on.
-    coalesce: Option<Option<CoalesceConfig>>,
+    /// `--coalesce=off` given (else the mode default: on for
+    /// sched/staged, off for ciod/zoid).
+    coalesce_off: bool,
     /// Device model: `(per_op, bytes_per_sec)`.
     throttle: Option<(Duration, f64)>,
     /// `threads` (thread-per-connection) or `reactor` (poll-based
@@ -107,7 +105,7 @@ impl Options {
             retry_attempts: 4,
             trace_out: None,
             trace_sample: 0,
-            coalesce: None,
+            coalesce_off: false,
             throttle: None,
             transport: "threads".into(),
             reactor_threads: 2,
@@ -144,28 +142,8 @@ impl Options {
                         die("--retry-attempts needs an integer (1 disables retries)");
                     })
                 }
-                // --coalesce=off        disable merging
-                // --coalesce=BYTES,OPS  enable with explicit budgets
-                s if s.starts_with("--coalesce=") => {
-                    let v = &s["--coalesce=".len()..];
-                    opts.coalesce = if v == "off" {
-                        Some(None)
-                    } else {
-                        let (bytes, ops) = v
-                            .split_once(',')
-                            .unwrap_or_else(|| die("--coalesce needs 'off' or MAX_BYTES,MAX_OPS"));
-                        let max_bytes = bytes
-                            .parse()
-                            .unwrap_or_else(|_| die("--coalesce MAX_BYTES must be an integer"));
-                        let max_ops = ops
-                            .parse()
-                            .unwrap_or_else(|_| die("--coalesce MAX_OPS must be an integer"));
-                        if max_bytes == 0 || max_ops == 0 {
-                            die("--coalesce budgets must be nonzero");
-                        }
-                        Some(Some(CoalesceConfig { max_bytes, max_ops }))
-                    };
-                }
+                "--coalesce=off" => opts.coalesce_off = true,
+                s if s.starts_with("--coalesce=") => die("--coalesce only takes 'off'"),
                 "--throttle" => {
                     let v = take("--throttle");
                     let (per_op, bw) = v
@@ -217,7 +195,7 @@ impl Options {
                          [--mode ciod|zoid|sched|staged] [--workers N] [--bml-mib N] \
                          [--port-file PATH] [--watchdog SPEC] \
                          [--fault-plan PATH] [--retry-attempts N] \
-                         [--coalesce=off|MAX_BYTES,MAX_OPS] \
+                         [--coalesce=off] \
                          [--throttle PER_OP_US,BW_MIB_S] \
                          [--transport threads|reactor] [--reactor-threads N] \
                          [--accept-fault-every N] \
@@ -323,8 +301,8 @@ fn main() {
     let mut config = ServerConfig::new(mode)
         .with_telemetry(telemetry.clone())
         .with_retry_policy(RetryPolicy::with_attempts(opts.retry_attempts));
-    if let Some(coalesce) = opts.coalesce {
-        config = config.with_coalescing(coalesce);
+    if opts.coalesce_off {
+        config = config.with_coalescing(false);
     }
     let coalesce = config.coalesce;
     if opts.accept_fault_every > 0 {
@@ -365,14 +343,10 @@ fn main() {
             opts.accept_fault_every
         );
     }
-    match coalesce {
-        Some(c) => eprintln!(
-            "iofwdd: write coalescing ON — up to {} ops / {} KiB per vectored batch",
-            c.max_ops,
-            c.max_bytes >> 10
-        ),
-        None => eprintln!("iofwdd: write coalescing off"),
-    }
+    eprintln!(
+        "iofwdd: write coalescing {}",
+        if coalesce { "ON" } else { "off" }
+    );
     let _watchdog = opts.watchdog.clone().map(|cfg| {
         eprintln!(
             "iofwdd: watchdog ON — interval {:?}, queue age {:?}, loop lag {:?}, \

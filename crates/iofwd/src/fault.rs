@@ -153,8 +153,10 @@ pub enum FaultAction {
 
 /// One trigger: op-class selector, optional path glob, and either a
 /// probability (fires on a seeded coin flip), an nth-op trigger (fires
-/// on exactly the nth matching operation, 1-based), or an open-ended
-/// one (fires on every matching operation past the first N).
+/// on exactly the nth operation the rule matches, 1-based), or an
+/// open-ended one (fires on every matching operation past the first N).
+/// A rule matches the ops of its class on a path its glob accepts, and
+/// counts only those.
 #[derive(Debug, Clone)]
 pub struct FaultRule {
     pub class: OpClass,
@@ -164,7 +166,7 @@ pub struct FaultRule {
     /// Probability in `[0, 1]` that a matching op trips this rule.
     /// Ignored when `nth` is set.
     pub probability: f64,
-    /// Fire on exactly the nth op this rule has seen (1-based).
+    /// Fire on exactly the nth op this rule matches (1-based).
     pub nth: Option<u64>,
     /// Fire on every op past the first N (`nth>N`): "the device fills
     /// up and stays full". Ignored when `nth` is set.
@@ -277,8 +279,12 @@ impl FaultPlan {
     /// The bare `vectored` token restricts a rule to coalesced
     /// (vectored) writes; without it a `write` rule hits both single
     /// and coalesced writes, each constituent of a batch counting as one
-    /// op. `nth>N` is a trigger of its own and cannot be combined with
-    /// `p=` or `nth=`.
+    /// op. `nth=` and `nth>` count the ops the rule matches — its class
+    /// on a path its glob accepts — in the daemon's logical op order, so
+    /// `on open path=/hot/* nth=3` fails the third open under
+    /// `/hot`. A `vectored` rule counts plain writes too, and fires
+    /// only when its count lands on a coalesced one. `nth>N` is a
+    /// trigger of its own and cannot be combined with `p=` or `nth=`.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(0);
         for (i, raw) in text.lines().enumerate() {
@@ -394,55 +400,68 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Decide what (if anything) happens to the `seq`-th op (1-based,
-    /// per class) of `class` on `path`. First matching armed rule wins.
-    pub fn decide(
-        &self,
-        class: OpClass,
-        path: &str,
-        seq: u64,
-        rng: &mut SimRng,
-    ) -> Option<FaultAction> {
-        self.decide_vectored(class, path, seq, rng, false)
+    /// Decide what (if anything) happens to the next op of `class` on
+    /// `path`, advancing `state`. First matching armed rule wins.
+    pub fn decide(&self, class: OpClass, path: &str, state: &mut PlanState) -> Option<FaultAction> {
+        self.decide_vectored(class, path, state, false)
     }
 
     /// [`FaultPlan::decide`] with the op's *vectored* shape made
     /// explicit, so `vectored`-flagged rules can single out coalesced
-    /// batches. A coalesced batch consumes exactly one draw per rule,
-    /// like any other op.
+    /// batches. Every rule sees every op: it counts the ops it matches
+    /// and flips its coin on each one its shape filter lets through,
+    /// whichever rule acts, so each rule's fault sequence depends only
+    /// on the op sequence.
     pub fn decide_vectored(
         &self,
         class: OpClass,
         path: &str,
-        seq: u64,
-        rng: &mut SimRng,
+        state: &mut PlanState,
         vectored: bool,
     ) -> Option<FaultAction> {
-        for rule in &self.rules {
-            if !rule.class.matches(class) {
+        let PlanState { rng, matched } = state;
+        matched.resize(self.rules.len(), 0);
+        let mut action = None;
+        for (rule, seen) in self.rules.iter().zip(matched.iter_mut()) {
+            let glob_ok = rule
+                .path_glob
+                .as_deref()
+                .is_none_or(|g| glob_match(g, path));
+            if !rule.class.matches(class) || !glob_ok {
                 continue;
             }
+            *seen += 1;
             if rule.vectored && !vectored {
                 continue;
             }
-            if let Some(glob) = &rule.path_glob {
-                if !glob_match(glob, path) {
-                    continue;
-                }
-            }
             let armed = match (rule.nth, rule.after) {
-                (Some(n), _) => seq == n,
-                (None, Some(n)) => seq > n,
-                // Every candidate op consumes a draw, so the fault
-                // sequence depends only on the op sequence, not on
-                // which rules happen to fire.
+                (Some(n), _) => *seen == n,
+                (None, Some(n)) => *seen > n,
                 (None, None) => rng.chance(rule.probability),
             };
-            if armed {
-                return Some(rule.action);
+            if armed && action.is_none() {
+                action = Some(rule.action);
             }
         }
-        None
+        action
+    }
+}
+
+/// A plan in use: its seeded coin-flip stream and, per rule, how many
+/// ops the rule has matched (what `nth=` and `nth>` count). One per
+/// fault injector, shared by every object it opens, so "the 7th write"
+/// is the 7th write the daemon performs, not the 7th on one descriptor.
+pub struct PlanState {
+    rng: SimRng,
+    matched: Vec<u64>,
+}
+
+impl PlanState {
+    pub fn new(seed: u64) -> PlanState {
+        PlanState {
+            rng: SimRng::new(seed),
+            matched: Vec::new(),
+        }
     }
 }
 
@@ -545,23 +564,24 @@ mod tests {
     fn vectored_rules_target_coalesced_writes_only() {
         let plan = FaultPlan::parse("on write vectored errno=ENOSPC\n").unwrap();
         assert!(plan.rules[0].vectored);
-        let mut rng = SimRng::new(0);
+        let mut st = PlanState::new(0);
         // Plain writes slip past a vectored-only rule...
         assert!(plan
-            .decide_vectored(OpClass::Write, "/f", 1, &mut rng, false)
+            .decide_vectored(OpClass::Write, "/f", &mut st, false)
             .is_none());
-        assert!(plan.decide(OpClass::Write, "/f", 2, &mut rng).is_none());
+        assert!(plan.decide(OpClass::Write, "/f", &mut st).is_none());
         // ...coalesced batches are hit.
         assert_eq!(
-            plan.decide_vectored(OpClass::Write, "/f", 3, &mut rng, true),
+            plan.decide_vectored(OpClass::Write, "/f", &mut st, true),
             Some(FaultAction::Errno(Errno::NoSpc))
         );
         // An unflagged rule hits both shapes.
         let both = FaultPlan::new(0).rule(FaultRule::on(OpClass::Write).errno(Errno::Io));
+        let mut st = PlanState::new(0);
         assert!(both
-            .decide_vectored(OpClass::Write, "/f", 1, &mut rng, true)
+            .decide_vectored(OpClass::Write, "/f", &mut st, true)
             .is_some());
-        assert!(both.decide(OpClass::Write, "/f", 2, &mut rng).is_some());
+        assert!(both.decide(OpClass::Write, "/f", &mut st).is_some());
     }
 
     #[test]
@@ -572,9 +592,9 @@ mod tests {
                 .errno(Errno::Again),
         );
         let run = |seed| {
-            let mut rng = SimRng::new(seed);
+            let mut st = PlanState::new(seed);
             (1..=64)
-                .map(|seq| plan.decide(OpClass::Write, "/f", seq, &mut rng).is_some())
+                .map(|_| plan.decide(OpClass::Write, "/f", &mut st).is_some())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7), "same seed, same fault sequence");
@@ -586,9 +606,9 @@ mod tests {
     #[test]
     fn nth_trigger_fires_exactly_once() {
         let plan = FaultPlan::new(0).rule(FaultRule::on(OpClass::Read).nth(3).errno(Errno::Io));
-        let mut rng = SimRng::new(0);
+        let mut st = PlanState::new(0);
         let hits: Vec<u64> = (1..=10)
-            .filter(|&seq| plan.decide(OpClass::Read, "/f", seq, &mut rng).is_some())
+            .filter(|_| plan.decide(OpClass::Read, "/f", &mut st).is_some())
             .collect();
         assert_eq!(hits, vec![3]);
     }
@@ -597,14 +617,15 @@ mod tests {
     fn open_ended_trigger_fires_on_every_op_past_n() {
         let plan = FaultPlan::parse("on any nth>3 errno=ENOSPC\n").unwrap();
         assert_eq!(plan.rules[0].after, Some(3));
-        let mut rng = SimRng::new(0);
+        let mut st = PlanState::new(0);
         let hits: Vec<u64> = (1..=6)
-            .filter(|&seq| plan.decide(OpClass::Write, "/f", seq, &mut rng).is_some())
+            .filter(|_| plan.decide(OpClass::Write, "/f", &mut st).is_some())
             .collect();
         assert_eq!(hits, vec![4, 5, 6]);
         // N = 0 fails from the first op on.
         let plan = FaultPlan::new(0).rule(FaultRule::on(OpClass::Read).after(0));
-        assert!(plan.decide(OpClass::Read, "/f", 1, &mut rng).is_some());
+        let mut st = PlanState::new(0);
+        assert!(plan.decide(OpClass::Read, "/f", &mut st).is_some());
     }
 
     #[test]
@@ -614,12 +635,10 @@ mod tests {
                 .path("/hot/*")
                 .errno(Errno::NoSpc),
         );
-        let mut rng = SimRng::new(0);
-        assert!(plan.decide(OpClass::Write, "/hot/a", 1, &mut rng).is_some());
-        assert!(plan
-            .decide(OpClass::Write, "/cold/a", 1, &mut rng)
-            .is_none());
-        assert!(plan.decide(OpClass::Read, "/hot/a", 1, &mut rng).is_none());
+        let mut st = PlanState::new(0);
+        assert!(plan.decide(OpClass::Write, "/hot/a", &mut st).is_some());
+        assert!(plan.decide(OpClass::Write, "/cold/a", &mut st).is_none());
+        assert!(plan.decide(OpClass::Read, "/hot/a", &mut st).is_none());
     }
 
     #[test]

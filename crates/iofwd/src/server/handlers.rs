@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
-use iofwd_proto::{Fd, Frame, OpId, Request};
+use iofwd_proto::{Fd, Frame, OpId};
 
 use super::admit::{
     self, Accepted, Admission, AdmitCtx, Dispatched, Need, Retry, Route, Session, Waiting,
@@ -29,7 +29,6 @@ use super::admit::{
 use super::engine::Engine;
 use super::queue::{StagedPart, WorkItem, WorkQueue};
 use super::staged::{CompletionGuard, FdSerializer};
-use super::CoalesceConfig;
 use crate::descdb::OpOutcome;
 use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Conn;
@@ -241,52 +240,19 @@ fn execute_coalesced(
     }
 }
 
-/// The positional-read sort key for "elevator" dispatch. `if let`
-/// rather than a `match` over `Request` so the wire enum keeps exactly
-/// one exhaustive dispatch site (lint R3).
-fn pread_key(item: &WorkItem) -> Option<(iofwd_proto::Fd, u64)> {
-    if let WorkItem::Sync {
-        req: Request::Pread { fd, offset, .. },
-        ..
-    } = item
-    {
-        return Some((*fd, *offset));
-    }
-    None
-}
-
-/// "Elevator" read dispatch: within one popped batch, sort each maximal
-/// run of *consecutive* positional reads on the same descriptor by file
-/// offset. Only adjacent `Pread`s are reordered — they commute with
-/// each other, while anything else (cursor reads, writes, metadata)
-/// pins the run boundary so cross-op ordering is preserved exactly.
-fn elevator_sort_reads(items: &mut [WorkItem]) {
-    let mut i = 0;
-    while i < items.len() {
-        let Some((fd, _)) = pread_key(&items[i]) else {
-            i += 1;
-            continue;
-        };
-        let mut j = i + 1;
-        while j < items.len() && matches!(pread_key(&items[j]), Some((f, _)) if f == fd) {
-            j += 1;
-        }
-        if j - i > 1 {
-            items[i..j].sort_by_key(|it| match pread_key(it) {
-                Some((_, offset)) => offset,
-                None => 0, // unreachable: the run is all Preads
-            });
-        }
-        i = j;
-    }
-}
-
 /// Tasks a worker dequeues per scheduling pass (the paper's per-thread
 /// I/O multiplexing; §IV uses a poll-based event loop).
 const WORKER_BATCH: usize = 4;
 
+/// Coalescing budgets: the most payload bytes, and the most ops (the
+/// lead write included), a worker merges into one vectored backend call
+/// when it finds offset-contiguous staged writes parked behind the one
+/// it dequeued.
+const COALESCE_MAX_BYTES: usize = 1 << 20;
+const COALESCE_MAX_OPS: usize = 16;
+
 /// Worker-pool loop: batch-dequeue ("I/O multiplexing per thread") and
-/// execute. With `coalesce` set, a dequeued staged write additionally
+/// execute. With `coalesce` on, a dequeued staged write additionally
 /// harvests the offset-contiguous prefix parked behind it on its
 /// serializer lane and executes the whole chain as one vectored write.
 pub fn worker_loop(
@@ -294,7 +260,7 @@ pub fn worker_loop(
     queue: Arc<WorkQueue>,
     engine: Arc<Engine>,
     serializer: Arc<FdSerializer>,
-    coalesce: Option<CoalesceConfig>,
+    coalesce: bool,
 ) {
     let telemetry = engine.telemetry().clone();
     let worker_id = worker as u32 + 1;
@@ -330,14 +296,15 @@ pub fn worker_loop(
                 // Coalescing: harvest the offset-contiguous prefix
                 // parked behind this write on its lane and execute the
                 // chain as one vectored backend call.
-                let extra = match coalesce {
-                    Some(cfg) => serializer.harvest_contiguous(
+                let extra = if coalesce {
+                    serializer.harvest_contiguous(
                         fd,
                         part.offset.map(|o| o + part.buf.len() as u64),
-                        cfg.max_ops.saturating_sub(1),
-                        cfg.max_bytes.saturating_sub(part.buf.len()),
-                    ),
-                    None => Vec::new(),
+                        COALESCE_MAX_OPS - 1,
+                        COALESCE_MAX_BYTES.saturating_sub(part.buf.len()),
+                    )
+                } else {
+                    Vec::new()
                 };
                 if extra.is_empty() {
                     execute_staged(
@@ -370,9 +337,6 @@ pub fn worker_loop(
         let Some(_slot) = queue.pop_batch_into(worker, WORKER_BATCH, &mut items) else {
             return; // queue closed and drained
         };
-        if coalesce.is_some() {
-            elevator_sort_reads(&mut items);
-        }
         // Utilization sampling: the gauge counts workers currently
         // executing a batch, and the per-worker busy-ns counter
         // accumulates the time between dequeue and batch completion —

@@ -10,9 +10,10 @@
 //! | `Sched` | thread per client | the handler when an execution slot is free, else the shared worker pool | whole operation |
 //! | `AsyncStaged` | thread per client | writes: shared worker pool; every other op: as `Sched`, an op on a descriptor in its turn behind the descriptor's staged writes | staging copy only |
 //!
-//! Either way at most `workers` ops execute at once: the pool's
+//! The shared worker pool is §IV's one FIFO under one lock, and its
 //! execution slots ([`WorkQueue::try_claim`]) bound the handlers that
-//! run an op in place as well as the workers.
+//! run an op in place as well as the workers: at most `workers` ops
+//! execute at once, whichever thread runs them.
 
 mod admit;
 mod engine;
@@ -80,26 +81,6 @@ impl ForwardingMode {
     }
 }
 
-/// Write-coalescing budgets: how much a worker may merge into a single
-/// vectored backend call when it finds offset-contiguous staged writes
-/// parked behind the one it dequeued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Upper bound on merged payload bytes per batch.
-    pub max_bytes: usize,
-    /// Upper bound on constituent ops per batch (including the lead).
-    pub max_ops: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            max_bytes: 1 << 20,
-            max_ops: 16,
-        }
-    }
-}
-
 /// Daemon configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -113,11 +94,11 @@ pub struct ServerConfig {
     /// exactly once unless they opt in. `iofwdd` enables
     /// [`RetryPolicy::standard`] by default.
     pub retry: RetryPolicy,
-    /// Staged-write coalescing budgets; `None` disables merging. On by
-    /// default for the worker-pool modes (Sched/AsyncStaged) — the only
-    /// modes with a queue for writes to park behind — and off (and
+    /// Staged-write coalescing (budgets: `handlers::COALESCE_MAX_*`). On
+    /// by default for the worker-pool modes (Sched/AsyncStaged) — the
+    /// only modes with a queue for writes to park behind — and off (and
     /// meaningless) for Ciod/Zoid, which execute inline.
-    pub coalesce: Option<CoalesceConfig>,
+    pub coalesce: bool,
 }
 
 impl ServerConfig {
@@ -126,12 +107,10 @@ impl ServerConfig {
             mode,
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
             retry: RetryPolicy::disabled(),
-            coalesce: match mode {
-                ForwardingMode::Sched { .. } | ForwardingMode::AsyncStaged { .. } => {
-                    Some(CoalesceConfig::default())
-                }
-                ForwardingMode::Ciod | ForwardingMode::Zoid => None,
-            },
+            coalesce: matches!(
+                mode,
+                ForwardingMode::Sched { .. } | ForwardingMode::AsyncStaged { .. }
+            ),
         }
     }
 
@@ -147,8 +126,8 @@ impl ServerConfig {
         self
     }
 
-    /// Override the write-coalescing budgets (`None` disables merging).
-    pub fn with_coalescing(mut self, coalesce: Option<CoalesceConfig>) -> Self {
+    /// Turn write coalescing on or off.
+    pub fn with_coalescing(mut self, coalesce: bool) -> Self {
         self.coalesce = coalesce;
         self
     }

@@ -8,37 +8,22 @@
 //! > an event loop. [...] We use a simple load-balancing heuristic to
 //! > balance the tasks among the work threads.
 //!
-//! The queue is sharded, one shard per worker (a one-worker queue is
-//! the paper's single shared FIFO). Each shard has its own lock, so a
-//! push and `n` pops proceed without contending on a global queue
-//! mutex; each shard also has its own sleep/wake eventcount (version +
-//! condvar) that a push bumps after publishing an item, so the wakeup
-//! goes to the shard's home worker — not an arbitrary sleeper that
-//! would have to steal.
+//! This is that queue: one FIFO, one lock, one condvar. The queue keeps
+//! no per-client order of its own, and needs none: a synchronous op's
+//! client waits for its reply, and in staged mode the descriptor lanes
+//! (`staged.rs`) order the rest — a descriptor has at most one item
+//! queued at a time, its later ops (staged writes, the barrier behind
+//! them) wait in its lane, and the coalescer harvests adjacent writes
+//! from the lane, not from a popped batch.
 //!
-//! Placement is by *client affinity* (a multiplicative hash of the
-//! item's client id), not round-robin: one client's ops stay FIFO in
-//! one shard, so an fsync barrier is dequeued only after that client's
-//! earlier staged writes, and offset-adjacent writes arrive in the
-//! same drained batch where the coalescer can still merge them.
-//! Round-robin placement scatters a client's stream across every
-//! shard, which reorders barriers against their writes and destroys
-//! coalescing adjacency — measurably worse on few-core hosts. Idle
-//! workers steal *half* the deepest other shard (min one item), so a
-//! steal amortizes its lock round-trip the same way a batch drain
-//! does; a push that finds its home shard already `HELP_DEPTH` deep
-//! also wakes a sleeper on another shard to come steal. The steal path
-//! is model-checked by `work_stealing_delivers_exactly_once` in the
-//! loom suite.
-//!
-//! The cap on how many ops execute at once is its own object: `workers`
-//! execution slots. A worker holds one while it runs a popped batch; a
-//! thread that may block, with a synchronous op in hand, claims a free
-//! one without waiting ([`WorkQueue::try_claim`]) and runs the op
-//! itself instead of pushing it.
+//! The same lock guards the cap on how many ops execute at once:
+//! `workers` execution slots. A worker holds one while it runs a popped
+//! batch, and waits for an item *and* a free slot before it takes
+//! either; a thread that may block, with a synchronous op in hand,
+//! claims a free one without waiting ([`WorkQueue::try_claim`]) and runs
+//! the op itself instead of pushing it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -222,136 +207,51 @@ impl std::fmt::Display for QueueClosed {
     }
 }
 
-/// One work-queue shard: a FIFO deque behind its own lock, so pushers
-/// and poppers touching different shards never contend.
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Depth cache maintained under the shard lock; read lock-free by
-    /// the steal heuristic, the termination check, and `depth()`.
-    depth: AtomicUsize,
-    /// This shard's sleep/wake eventcount. Per-shard, not global, so a
-    /// push wakes the shard's *home* worker — a global `notify_one`
-    /// wakes an arbitrary sleeper, which on a sparse queue turns
-    /// nearly every dispatch into a cross-shard steal plus an extra
-    /// context switch.
-    sleep: Sleep,
-}
-
-struct ShardState {
+/// Everything the queue knows, behind its one lock.
+struct State {
+    /// The shared FIFO. It holds at most one item per descriptor at a
+    /// time (a descriptor's later ops wait in its lane, `staged.rs`), so
+    /// the order between a client's writes and its barriers is the
+    /// lane's business, not the queue's.
     items: VecDeque<WorkItem>,
-    /// Set under this shard's lock by `close`/`abort`, so a push can
-    /// never race past shutdown into a shard workers have abandoned.
+    /// Execution slots not held by anyone: §IV's bound on how many ops
+    /// execute at once, whoever runs them.
+    free: usize,
+    /// Items waiting per client: the fairness signal the reactor uses
+    /// to park a chatty connection instead of letting it flood the
+    /// queue, and what keeps [`WorkQueue::try_claim`] from overtaking a
+    /// client's own queued work. Entries are removed at zero so an idle
+    /// client costs nothing.
+    per_client: HashMap<u64, usize>,
     closed: bool,
-}
-
-/// Sleep/wake eventcount. A sleeper samples its shard's version,
-/// re-scans, and blocks only if no push has bumped the version since
-/// the sample — a push landing between scan and sleep is therefore
-/// never a lost wakeup, without pushers and sleepers sharing the shard
-/// locks.
-struct Sleep {
-    version: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Sleep {
-    fn wake_one(&self) {
-        *self.version.lock() += 1;
-        self.cv.notify_one();
-    }
-
-    fn wake_all(&self) {
-        *self.version.lock() += 1;
-        self.cv.notify_all();
-    }
-}
-
-/// The pool's execution slots, one per worker: §IV's bound on how many
-/// ops execute at once, whoever runs them. The lock and condvar are only
-/// for a worker that finds none free.
-struct Slots {
-    free: AtomicUsize,
-    /// Workers blocked in [`Slots::take`].
-    waiting: AtomicUsize,
-    lock: Mutex<()>,
-    freed: Condvar,
-}
-
-impl Slots {
-    fn try_take(&self) -> Option<Slot<'_>> {
-        self.free
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .ok()
-            .map(|_| Slot(self))
-    }
-
-    /// Take a slot, waiting while callers hold them all (workers only).
-    /// A waiter is counted before it re-checks, and a release reads the
-    /// count after it frees its slot, so either the waiter's re-check
-    /// sees the freed slot or the release sees the waiter and wakes it.
-    fn take(&self) -> Slot<'_> {
-        if let Some(slot) = self.try_take() {
-            return slot;
-        }
-        let mut guard = self.lock.lock();
-        self.waiting.fetch_add(1, Ordering::SeqCst);
-        let slot = loop {
-            if let Some(slot) = self.try_take() {
-                break slot;
-            }
-            self.freed.wait(&mut guard);
-        };
-        self.waiting.fetch_sub(1, Ordering::SeqCst);
-        slot
-    }
+    aborted: bool,
 }
 
 /// One held execution slot. A counter with an RAII release, not a lock
 /// guard: nothing is locked while the op it admits runs. Dropping it
-/// frees the slot and wakes a worker waiting for one.
-pub struct Slot<'a>(&'a Slots);
+/// frees the slot and, if work is waiting, wakes a worker for it.
+pub struct Slot<'a>(&'a WorkQueue);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        let slots = self.0;
-        slots.free.fetch_add(1, Ordering::SeqCst);
-        if slots.waiting.load(Ordering::SeqCst) > 0 {
-            let _guard = slots.lock.lock();
-            slots.freed.notify_one();
+        let mut s = self.0.state.lock();
+        s.free += 1;
+        let waiting = !s.items.is_empty();
+        drop(s);
+        if waiting {
+            self.0.ready.notify_one();
         }
     }
 }
 
-/// Home-shard depth at which a push also wakes a sleeper on another
-/// shard to come steal. Below this, waking only the home worker keeps
-/// one client's stream on one core with no cross-shard traffic; at or
-/// above it, the backlog is worth a thief's context switch. The helper
-/// choice rotates with the depth so a sustained backlog recruits every
-/// other shard in turn.
-const HELP_DEPTH: usize = 4;
-
-/// MPMC work queue with batch dequeue ("I/O multiplexing per thread").
-///
-/// One shard per worker, with client-affinity placement and
-/// steal-half-from-deepest when a worker's own shard runs dry; one
-/// worker (or one client id) is therefore a strict FIFO. All
-/// cross-shard coordination (sleeping, fairness accounting) lives
-/// outside the shard locks, so the hot push/pop path takes exactly one
-/// uncontended mutex.
+/// MPMC work queue with batch dequeue ("I/O multiplexing per thread"):
+/// one FIFO, one lock, one condvar. Every method takes the lock once.
 pub struct WorkQueue {
-    shards: Vec<Shard>,
-    slots: Slots,
-    /// Items currently waiting in the pool per client — queued, or
-    /// popped by a worker still waiting for an execution slot. The
-    /// fairness signal the reactor uses to park a chatty connection
-    /// instead of letting it flood the queue, and what keeps
-    /// [`try_claim`](Self::try_claim) from overtaking a client's own
-    /// waiting work. Entries are removed at zero so an idle client
-    /// costs nothing. Charged *before* an item becomes visible in a
-    /// shard, so `client_queued` never under-counts a pushed item.
-    per_client: Mutex<HashMap<u64, usize>>,
-    closed: AtomicBool,
-    aborted: AtomicBool,
+    state: Mutex<State>,
+    /// Signalled when an item arrives, a slot frees with work waiting,
+    /// or the queue closes; workers wait on it for "an item *and* a
+    /// slot".
+    ready: Condvar,
     telemetry: Arc<Telemetry>,
 }
 
@@ -363,42 +263,16 @@ impl WorkQueue {
     pub fn with_telemetry(workers: usize, telemetry: Arc<Telemetry>) -> Self {
         assert!(workers > 0, "worker pool must be non-empty");
         WorkQueue {
-            shards: (0..workers)
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState {
-                        items: VecDeque::new(),
-                        closed: false,
-                    }),
-                    depth: AtomicUsize::new(0),
-                    sleep: Sleep {
-                        version: Mutex::new(0),
-                        cv: Condvar::new(),
-                    },
-                })
-                .collect(),
-            slots: Slots {
-                free: AtomicUsize::new(workers),
-                waiting: AtomicUsize::new(0),
-                lock: Mutex::new(()),
-                freed: Condvar::new(),
-            },
-            per_client: Mutex::new(HashMap::new()),
-            closed: AtomicBool::new(false),
-            aborted: AtomicBool::new(false),
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                free: workers,
+                per_client: HashMap::new(),
+                closed: false,
+                aborted: false,
+            }),
+            ready: Condvar::new(),
             telemetry,
         }
-    }
-
-    /// Home shard for a client: a Fibonacci multiplicative hash of the
-    /// client id. Affinity — not round-robin — keeps one client's ops
-    /// FIFO within a shard, so its fsync barriers sort behind its
-    /// staged writes and adjacent writes stay coalescible; imbalance
-    /// across clients is corrected by stealing, not placement.
-    fn shard_of(&self, client: u64) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        (client.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
     }
 
     /// Enqueue a task; wakes one worker. Fails with [`QueueClosed`]
@@ -406,40 +280,17 @@ impl WorkQueue {
     /// called — a handler racing daemon shutdown gets its work back to
     /// fail cleanly rather than a panic.
     pub fn push(&self, item: WorkItem) -> Result<(), QueueClosed> {
-        let client = item.client();
-        // Pre-charge the fairness budget before the item is visible in
-        // any shard; un-charge if the shard turns out to be closed.
-        self.client_inc(client);
-        let shard_ix = self.shard_of(client);
-        let shard = &self.shards[shard_ix];
-        let mut s = shard.state.lock();
+        let mut s = self.state.lock();
         if s.closed {
-            drop(s);
-            self.client_dec(client);
             return Err(QueueClosed(Box::new(item)));
         }
+        *s.per_client.entry(item.client()).or_insert(0) += 1;
         s.items.push_back(item);
-        let shard_depth = s.items.len();
-        shard.depth.store(shard_depth, Ordering::Release);
         drop(s);
         if self.telemetry.enabled() {
             self.telemetry.queue_depth.add(1);
-            self.telemetry.shard_depth.add(shard_ix, 1);
         }
-        // Bump the home shard's eventcount after the item is visible so
-        // a scanning worker that missed it re-checks instead of
-        // sleeping.
-        shard.sleep.wake_one();
-        // A deep home shard is worth a thief: recruit a sleeper from
-        // another shard, rotating the choice with the depth so a
-        // sustained backlog reaches every potential helper.
-        let nshards = self.shards.len();
-        if shard_depth >= HELP_DEPTH && nshards > 1 {
-            // The offset is in [1, nshards-1], so the helper is never
-            // the home shard itself.
-            let helper = (shard_ix + 1 + shard_depth % (nshards - 1)) % nshards;
-            self.shards[helper].sleep.wake_one();
-        }
+        self.ready.notify_one();
         Ok(())
     }
 
@@ -456,12 +307,15 @@ impl WorkQueue {
         out
     }
 
-    /// Dequeue up to `batch` tasks for `worker` into `out` (cleared
-    /// first), blocking while empty, then wait for an execution slot to
-    /// run them under; the worker holds the returned slot until the
-    /// batch is done. Leaves `out` empty (and returns `None`) once the
-    /// queue is closed and drained. The caller owns — and reuses — the
-    /// buffer, so a long-lived worker allocates its batch storage once.
+    /// Wait until an item is queued *and* an execution slot is free,
+    /// then take up to `batch` tasks into `out` (cleared first) together
+    /// with the slot to run them under; the worker holds the slot until
+    /// the batch is done. Items, slot and the clients' waiting counts
+    /// change in one critical section, so a popped item counts as its
+    /// client's until a slot is held. Leaves `out` empty (and returns
+    /// `None`) once the queue is closed and drained, or aborted. The
+    /// caller owns — and reuses — the buffer, so a long-lived worker
+    /// allocates its batch storage once.
     pub fn pop_batch_into(
         &self,
         worker: usize,
@@ -470,123 +324,55 @@ impl WorkQueue {
     ) -> Option<Slot<'_>> {
         assert!(batch > 0);
         out.clear();
-        let nshards = self.shards.len();
-        let own_ix = worker % nshards;
+        let mut s = self.state.lock();
         loop {
-            if self.aborted.load(Ordering::Acquire) {
-                // Degraded shutdown: remaining items belong to the
-                // drain, not the workers.
+            if s.aborted || (s.closed && s.items.is_empty()) {
+                // Drained for good, or a degraded shutdown whose
+                // remaining items belong to the drain, not the workers.
                 return None;
             }
-            // Sample the home shard's eventcount before scanning: a
-            // push landing after this sample bumps the version and
-            // defeats the sleep at the bottom of the loop. Pushes to
-            // *other* shards wake their own home workers (or recruit a
-            // helper once deep), so missing them here strands nothing.
-            let sampled = *self.shards[own_ix].sleep.version.lock();
-            let from_own;
-            {
-                let shard = &self.shards[own_ix];
-                let mut s = shard.state.lock();
-                while out.len() < batch {
-                    match s.items.pop_front() {
-                        Some(it) => out.push(it),
-                        None => break,
-                    }
-                }
-                from_own = out.len();
-                shard.depth.store(s.items.len(), Ordering::Release);
+            if !s.items.is_empty() && s.free > 0 {
+                break;
             }
-            let mut stolen_from = None;
-            if out.is_empty() && nshards > 1 {
-                // Steal HALF the deepest other shard (capped at the
-                // batch size) — the "simple load-balancing heuristic".
-                // Half, not one: a steal then costs the same lock
-                // round-trip as a batch drain but feeds a whole event
-                // loop, instead of waking the thief once per item.
-                // Depth caches are read lock-free; only the chosen
-                // victim is locked.
-                let victim = (0..nshards)
-                    .filter(|&s| s != own_ix)
-                    .max_by_key(|&s| self.shards[s].depth.load(Ordering::Acquire));
-                if let Some(v) = victim {
-                    let shard = &self.shards[v];
-                    let mut s = shard.state.lock();
-                    let take = s.items.len().div_ceil(2).min(batch);
-                    for _ in 0..take {
-                        match s.items.pop_front() {
-                            Some(it) => out.push(it),
-                            None => break,
-                        }
-                    }
-                    if !out.is_empty() {
-                        shard.depth.store(s.items.len(), Ordering::Release);
-                        stolen_from = Some((v, out.len()));
-                    }
-                }
-            }
-            if !out.is_empty() {
-                // The items leave their clients' accounts only once a
-                // slot is held, so `try_claim` never runs a client's op
-                // ahead of its work popped here and still waiting.
-                let slot = self.slots.take();
-                {
-                    let mut clients = self.per_client.lock();
-                    for it in out.iter() {
-                        Self::client_dec_locked(&mut clients, it.client());
-                    }
-                }
-                if self.telemetry.enabled() {
-                    self.telemetry.queue_depth.add(-(out.len() as i64));
-                    if from_own > 0 {
-                        self.telemetry.shard_depth.add(own_ix, -(from_own as i64));
-                    }
-                    if let Some((v, n)) = stolen_from {
-                        self.telemetry.steal_ops.inc();
-                        self.telemetry.shard_depth.add(v, -(n as i64));
-                    }
-                    self.telemetry
-                        .batch_size
-                        .record_shard(worker, out.len() as u64);
-                    self.telemetry.worker_dispatch.add(worker, out.len() as u64);
-                }
-                return Some(slot);
-            }
-            if self.closed.load(Ordering::Acquire) && self.depth() == 0 {
-                // After close no push can land, so shard depths only
-                // shrink: once the sum reads zero the queue is drained
-                // for good and every worker can exit.
-                return None;
-            }
-            let sleep = &self.shards[own_ix].sleep;
-            let mut ver = sleep.version.lock();
-            if *ver == sampled {
-                sleep.cv.wait(&mut ver);
-            }
+            self.ready.wait(&mut s);
         }
+        let n = {
+            let s = &mut *s;
+            s.free -= 1;
+            let n = batch.min(s.items.len());
+            for item in s.items.drain(..n) {
+                client_dec(&mut s.per_client, item.client());
+                out.push(item);
+            }
+            n
+        };
+        drop(s);
+        if self.telemetry.enabled() {
+            self.telemetry.queue_depth.add(-(n as i64));
+            self.telemetry.batch_size.record_shard(worker, n as u64);
+            self.telemetry.worker_dispatch.add(worker, n as u64);
+        }
+        Some(Slot(self))
     }
 
     /// Claim an execution slot to run one of `client`'s synchronous ops
     /// on the calling thread instead of pushing it. Never blocks; fails
     /// — push instead — once the queue is closed, while the client has
-    /// anything waiting in the pool (so its own earlier work is never
-    /// overtaken), or while every slot is held.
+    /// anything queued (so its own earlier work is never overtaken), or
+    /// while every slot is held.
     pub fn try_claim(&self, client: u64) -> Option<Slot<'_>> {
-        if self.closed.load(Ordering::Acquire) || self.client_queued(client) > 0 {
+        let mut s = self.state.lock();
+        if s.closed || s.free == 0 || s.per_client.contains_key(&client) {
             return None;
         }
-        self.slots.try_take()
+        s.free -= 1;
+        Some(Slot(self))
     }
 
     /// Close the queue: workers drain remaining items, then exit.
     pub fn close(&self) {
-        for shard in &self.shards {
-            shard.state.lock().closed = true;
-        }
-        self.closed.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.sleep.wake_all();
-        }
+        self.state.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Close *and* stop handing items to workers: subsequent
@@ -594,33 +380,21 @@ impl WorkQueue {
     /// is still parked belongs to [`drain_remaining`](Self::drain_remaining)
     /// — the deadline-bounded shutdown drain.
     pub fn abort(&self) {
-        for shard in &self.shards {
-            shard.state.lock().closed = true;
-        }
-        self.closed.store(true, Ordering::Release);
-        self.aborted.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.sleep.wake_all();
-        }
+        let mut s = self.state.lock();
+        s.closed = true;
+        s.aborted = true;
+        drop(s);
+        self.ready.notify_all();
     }
 
-    /// Take every item still parked in the queue (every shard, in
-    /// shard order), in FIFO order per shard. Used by shutdown after
-    /// workers have exited to guarantee no staged write — and no BML
-    /// buffer — is silently dropped.
+    /// Take every item still parked in the queue, in FIFO order. Used by
+    /// shutdown after workers have exited to guarantee no staged write —
+    /// and no BML buffer — is silently dropped.
     pub fn drain_remaining(&self) -> Vec<WorkItem> {
-        let mut out = Vec::new();
-        for (ix, shard) in self.shards.iter().enumerate() {
-            let mut s = shard.state.lock();
-            let n = s.items.len();
-            out.extend(s.items.drain(..));
-            shard.depth.store(0, Ordering::Release);
-            drop(s);
-            if self.telemetry.enabled() && n > 0 {
-                self.telemetry.shard_depth.add(ix, -(n as i64));
-            }
-        }
-        self.per_client.lock().clear();
+        let mut s = self.state.lock();
+        s.per_client.clear();
+        let out: Vec<WorkItem> = s.items.drain(..).collect();
+        drop(s);
         if self.telemetry.enabled() && !out.is_empty() {
             self.telemetry.queue_depth.add(-(out.len() as i64));
         }
@@ -628,50 +402,42 @@ impl WorkQueue {
     }
 
     pub fn depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.depth.load(Ordering::Acquire))
-            .sum()
+        self.state.lock().items.len()
     }
 
-    /// How many items `client` has waiting in the pool right now (queued,
-    /// or popped and waiting for a slot) — the reactor's fair-admission
-    /// signal (park the connection once this crosses its cap, resume as
-    /// completions drain it).
+    /// How many items `client` has queued right now — the reactor's
+    /// fair-admission signal (park the connection once this crosses its
+    /// cap, resume as completions drain it).
     pub fn client_queued(&self, client: u64) -> usize {
-        self.per_client.lock().get(&client).copied().unwrap_or(0)
+        self.state
+            .lock()
+            .per_client
+            .get(&client)
+            .copied()
+            .unwrap_or(0)
     }
 
-    fn client_inc(&self, client: u64) {
-        *self.per_client.lock().entry(client).or_insert(0) += 1;
-    }
-
-    fn client_dec(&self, client: u64) {
-        Self::client_dec_locked(&mut self.per_client.lock(), client);
-    }
-
-    fn client_dec_locked(map: &mut HashMap<u64, usize>, client: u64) {
-        if let Some(n) = map.get_mut(&client) {
-            if *n <= 1 {
-                map.remove(&client);
-            } else {
-                *n -= 1;
-            }
-        }
-    }
-
-    /// Enqueue stamp of the oldest item still parked (the front of
-    /// each shard — FIFO order makes the fronts the oldest
-    /// candidates). `None` when the queue is empty or every front
-    /// predates telemetry (stamp 0). This is the watchdog's
-    /// head-of-line-age signal: one bounded scan over the shard locks,
+    /// Enqueue stamp of the oldest item still parked (the FIFO's front).
+    /// `None` when the queue is empty or the front predates telemetry
+    /// (stamp 0). This is the watchdog's head-of-line-age signal, read
     /// a few times per second, never on the data path.
     pub fn oldest_enqueue_ns(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(|shard| shard.state.lock().items.front().map(WorkItem::enqueue_ns))
+        self.state
+            .lock()
+            .items
+            .front()
+            .map(WorkItem::enqueue_ns)
             .filter(|&ns| ns > 0)
-            .min()
+    }
+}
+
+fn client_dec(map: &mut HashMap<u64, usize>, client: u64) {
+    if let Some(n) = map.get_mut(&client) {
+        if *n <= 1 {
+            map.remove(&client);
+        } else {
+            *n -= 1;
+        }
     }
 }
 
@@ -789,70 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn per_worker_affinity_placement_and_steal() {
-        let (q, tel) = counted(2);
-        // Clients 0 and 1 hash to different shards with two workers.
-        assert_ne!(q.shard_of(0), q.shard_of(1));
-        q.push(sync_item_for_client(0, 0)).unwrap();
-        q.push(sync_item_for_client(1, 1)).unwrap();
-        q.push(sync_item_for_client(2, 0)).unwrap();
-        q.push(sync_item_for_client(3, 1)).unwrap();
-        // Client 0's items land together, in order, on its home shard.
-        let own = q.pop_batch(q.shard_of(0), 10);
-        assert_eq!(own.iter().map(tag_of).collect::<Vec<_>>(), vec![0, 2]);
-        // That shard is now dry; the worker steals half of client 1's
-        // shard (two items -> one).
-        let stolen = q.pop_batch(q.shard_of(0), 10);
-        assert_eq!(stolen.iter().map(tag_of).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(tel.steal_ops.get(), 1);
-    }
-
-    #[test]
-    fn per_worker_affinity_keeps_one_client_fifo_on_one_shard() {
-        let (q, tel) = counted(4);
-        for i in 0..6 {
-            q.push(sync_item_for_client(i, 42)).unwrap();
-        }
-        // One client never spreads: its home worker drains everything
-        // in push order, and no steal was needed to get there.
-        let batch = q.pop_batch(q.shard_of(42), 10);
-        assert_eq!(
-            batch.iter().map(tag_of).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5]
-        );
-        assert_eq!(tel.steal_ops.get(), 0);
-    }
-
-    #[test]
-    fn per_worker_steal_drains_other_queues_after_close() {
-        // Satellite: under close(), a worker whose own queue is empty
-        // must still drain the *other* workers' parked items (stealing
-        // half the deepest victim per pass) before pop_batch returns
-        // empty.
-        let (q, tel) = counted(3);
-        for i in 0..6 {
-            q.push(sync_item_for_client(i, i)).unwrap(); // affinity spreads clients
-        }
-        // The spread must actually cross shards for the steal path to
-        // be exercised.
-        assert!((0..6).any(|c| q.shard_of(c) != q.shard_of(0)));
-        q.close();
-        // Worker 0 drains its own shard, then steals the rest.
-        let mut got = Vec::new();
-        loop {
-            let batch = q.pop_batch(q.shard_of(0), 10);
-            if batch.is_empty() {
-                break;
-            }
-            got.extend(batch.iter().map(tag_of));
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(q.depth(), 0);
-        assert!(tel.steal_ops.get() >= 1);
-    }
-
-    #[test]
     fn abort_parks_items_for_drain() {
         let q = WorkQueue::new(2);
         for i in 0..4 {
@@ -909,15 +611,13 @@ mod tests {
                 lane: None,
             }
         };
-        // Clients 0 and 1 hash to different shards with two workers.
-        assert_ne!(q.shard_of(0), q.shard_of(1));
-        q.push(stamped(0, 900, 0)).unwrap();
-        q.push(stamped(1, 500, 1)).unwrap();
-        // The probe scans every queue front, not just one FIFO.
+        q.push(stamped(0, 500, 0)).unwrap();
+        q.push(stamped(1, 900, 1)).unwrap();
+        // The front is the oldest item, whichever client it belongs to.
         assert_eq!(q.oldest_enqueue_ns(), Some(500));
-        assert_eq!(q.pop_batch(q.shard_of(1), 1).len(), 1);
+        assert_eq!(q.pop_batch(0, 1).len(), 1);
         assert_eq!(q.oldest_enqueue_ns(), Some(900));
-        assert_eq!(q.pop_batch(q.shard_of(0), 1).len(), 1);
+        assert_eq!(q.pop_batch(1, 1).len(), 1);
         assert_eq!(q.oldest_enqueue_ns(), None);
         // Unstamped items (telemetry disabled) never report an age.
         q.push(stamped(2, 0, 0)).unwrap();

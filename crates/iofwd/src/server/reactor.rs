@@ -1006,7 +1006,7 @@ mod tests {
             max_write_buffer: 4096,
             ..ReactorConfig::default()
         };
-        // One worker: a single FIFO shard then guarantees per-client
+        // One worker draining the FIFO then guarantees per-client
         // reply order, so the ordering assertion below is meaningful.
         let (server, addr) = reactor_server(ForwardingMode::Sched { workers: 1 }, cfg);
         let telemetry = server.telemetry();

@@ -357,7 +357,8 @@ fn daemon_rejects_contradictory_options() {
 /// arm (BENCH_PR10.json is its frozen measurement), the file/stderr
 /// stats exits the stats wire protocol replaced, the per-client
 /// attribution switch (attribution is simply on) and the bare
-/// `--coalesce` form (`--coalesce=off|BYTES,OPS` are the forms left).
+/// `--coalesce` form (`--coalesce=off` is the one form left; the
+/// merge budgets are constants).
 #[test]
 fn daemon_rejects_retired_flags() {
     let hotpath = ["--hot", "path"].concat();

@@ -233,7 +233,7 @@ impl Backend for StickyBackend {
 // ---------------------------------------------------------------------
 
 const NFDS: usize = 3;
-/// Mirror of the default `CoalesceConfig::max_ops`.
+/// Mirror of the daemon's `COALESCE_MAX_OPS`.
 const MAX_CHAIN_OPS: usize = 16;
 
 #[derive(Clone, Debug)]

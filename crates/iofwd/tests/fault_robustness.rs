@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use iofwd::backend::{FaultBackend, MemSinkBackend, ThrottledBackend};
+use iofwd::backend::{Backend, FaultBackend, MemSinkBackend, ThrottledBackend};
 use iofwd::client::Client;
 use iofwd::fault::{FaultPlan, FaultRule, OpClass, RetryPolicy};
 use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
@@ -166,7 +166,7 @@ fn kill_during_load_strands_no_bml_buffer() {
     // Coalescing off: this test targets the *serial* backlog drain.
     // Merged, the parked chain would execute as one vectored call that
     // simply outlives the deadline, leaving the drain nothing to defer.
-    let config = staged_config(2, 4 << 20).with_coalescing(None);
+    let config = staged_config(2, 4 << 20).with_coalescing(false);
     let telemetry = config.telemetry.clone();
     let hub = MemHub::new();
     let server = IonServer::spawn(Box::new(hub.listener()), slow, config);
@@ -200,4 +200,49 @@ fn kill_during_load_strands_no_bml_buffer() {
         0,
         "BML buffers stranded after shutdown"
     );
+}
+
+/// A plan's `nth=` counts the ops its rule matches. `on any nth=1`
+/// therefore fails the daemon's first op of any class, once — not the
+/// first open, the first write *and* the first read.
+#[test]
+fn any_class_nth_rule_fires_once_across_classes() {
+    let plan = FaultPlan::parse("on any nth=1 errno=EIO").expect("valid plan");
+    let tel = Arc::new(iofwd::telemetry::Telemetry::new());
+    let b = FaultBackend::new(Arc::new(MemSinkBackend::new()), plan, tel.clone());
+    assert_eq!(
+        b.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+            .err(),
+        Some(Errno::Io),
+        "the first op fails"
+    );
+    let mut f = b
+        .open("/f", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+        .expect("the second op passes");
+    assert_eq!(f.write_at(Some(0), b"abcd"), Ok(4), "the third op passes");
+    let mut out = [0u8; 4];
+    assert_eq!(
+        f.read_into(Some(0), &mut out),
+        Ok(4),
+        "the fourth op passes"
+    );
+    assert_eq!(tel.faults_injected.get(), 1);
+}
+
+/// A rule with a path glob counts only the ops on paths its glob
+/// accepts: `nth=2` is the second open under `/hot`, whatever else
+/// the daemon opened in between.
+#[test]
+fn path_glob_nth_rule_counts_only_matching_paths() {
+    let plan = FaultPlan::parse("on open path=/hot/* nth=2 errno=EIO").expect("valid plan");
+    let tel = Arc::new(iofwd::telemetry::Telemetry::new());
+    let b = FaultBackend::new(Arc::new(MemSinkBackend::new()), plan, tel);
+    let open = |path: &str| {
+        b.open(path, OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .err()
+    };
+    assert_eq!(open("/a"), None);
+    assert_eq!(open("/hot/x"), None, "first /hot open passes");
+    assert_eq!(open("/hot/y"), Some(Errno::Io), "second /hot open fails");
+    assert_eq!(open("/hot/z"), None);
 }

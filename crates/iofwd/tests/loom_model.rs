@@ -613,56 +613,56 @@ fn lane_release_racing_admission_never_strands_or_overlaps() {
     );
 }
 
-/// The PR 10 sharded queue: two same-client items affinity-placed on
-/// one shard, two workers racing pop-vs-steal-vs-close. In EVERY
-/// interleaving each item is delivered to exactly one worker — a steal
-/// that left the item on the victim shard would double-deliver, a
-/// steal racing close that dropped it would lose it, and a worker
-/// sleeping through the final wakeup would deadlock the model. The
-/// cross-schedule counter proves the stealing path itself is explored,
-/// not just same-shard pops.
+/// The single lock's one new interleaving: a one-worker queue whose
+/// only slot is held by a caller running an op in place, the worker
+/// asleep on an empty FIFO, and a push racing the caller's release. If
+/// the push lands first, the worker wakes to an item it has no slot
+/// for and sleeps again, so only the release's notify can wake it; if
+/// the release lands first, the push's notify does. In EVERY schedule
+/// the item runs (a missed wakeup deadlocks the model). The
+/// cross-schedule counters prove both orders are explored.
 #[test]
-fn work_stealing_delivers_exactly_once() {
-    static STOLEN: AtomicUsize = AtomicUsize::new(0);
-    STOLEN.store(0, Ordering::SeqCst);
+fn slot_release_racing_push_wakes_the_sleeping_worker() {
+    static PUSH_FIRST: AtomicUsize = AtomicUsize::new(0);
+    static RELEASE_FIRST: AtomicUsize = AtomicUsize::new(0);
+    PUSH_FIRST.store(0, Ordering::SeqCst);
+    RELEASE_FIRST.store(0, Ordering::SeqCst);
     loomlite::model(|| {
-        let tel = registry();
-        let q = Arc::new(WorkQueue::with_telemetry(2, tel.clone()));
-        // Affinity placement: both default-span items are client 0,
-        // so both land on one home shard; the other worker can only
-        // ever reach them by stealing.
-        q.push(tagged(1)).expect("queue is open");
-        q.push(tagged(2)).expect("queue is open");
-        let workers: Vec<_> = (0..2)
-            .map(|w| {
-                let q = q.clone();
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        let batch = q.pop_batch(w, 4);
-                        if batch.is_empty() {
-                            return got; // closed and drained
-                        }
-                        got.extend(batch.iter().map(tag_of));
-                    }
-                })
+        let q = Arc::new(WorkQueue::new(1));
+        let slot = q.try_claim(7).expect("the only slot is free");
+        // Witnesses outside the model's locks, so they add no choice
+        // points: each is set after its side's critical section.
+        let pushed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let released = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let worker = {
+            let q = q.clone();
+            thread::spawn(move || q.pop_batch(0, 4).iter().map(tag_of).collect::<Vec<_>>())
+        };
+        let pusher = {
+            let (q, pushed, released) = (q.clone(), pushed.clone(), released.clone());
+            thread::spawn(move || {
+                if released.load(Ordering::SeqCst) {
+                    RELEASE_FIRST.fetch_add(1, Ordering::SeqCst);
+                }
+                q.push(tagged(5)).expect("queue is open");
+                pushed.store(true, Ordering::SeqCst);
             })
-            .collect();
-        q.close();
-        let mut all: Vec<u32> = Vec::new();
-        for h in workers {
-            all.extend(h.join().expect("worker panicked"));
+        };
+        if pushed.load(Ordering::SeqCst) {
+            PUSH_FIRST.fetch_add(1, Ordering::SeqCst);
         }
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2], "item lost or double-delivered: {all:?}");
-        assert_eq!(q.depth(), 0);
-        if tel.steal_ops.get() > 0 {
-            STOLEN.fetch_add(1, Ordering::SeqCst);
-        }
+        drop(slot);
+        released.store(true, Ordering::SeqCst);
+        pusher.join().expect("pusher panicked");
+        assert_eq!(worker.join().expect("worker panicked"), vec![5]);
     });
     assert!(
-        STOLEN.load(Ordering::SeqCst) > 0,
-        "no schedule exercised the cross-shard steal path"
+        PUSH_FIRST.load(Ordering::SeqCst) > 0,
+        "no schedule pushed before the release"
+    );
+    assert!(
+        RELEASE_FIRST.load(Ordering::SeqCst) > 0,
+        "no schedule released before the push"
     );
 }
 

@@ -180,7 +180,7 @@ fn shutdown_mid_burst_reports_and_returns_every_received_block() {
             2.0 * MIB as f64,
             Duration::ZERO,
         ));
-        let config = staged(2, 4 * MIB).with_coalescing(None);
+        let config = staged(2, 4 * MIB).with_coalescing(false);
         let telemetry = config.telemetry.clone();
         let (server, addr) = start(transport, slow, config);
         let mut c = client(addr);

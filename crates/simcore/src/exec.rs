@@ -314,14 +314,14 @@ impl SimHandle {
     }
 
     /// Park the actor for `d` of virtual time.
-    pub fn sleep(&self, d: Duration) -> Sleep {
+    pub fn sleep(&self, d: Duration) -> SimSleep {
         let deadline = self.now() + d;
         self.sleep_until(deadline)
     }
 
     /// Park the actor until the given instant (no-op if already past).
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sleep {
+    pub fn sleep_until(&self, deadline: SimTime) -> SimSleep {
+        SimSleep {
             handle: self.clone(),
             deadline,
             cell: None,
@@ -385,13 +385,13 @@ impl SimHandle {
 }
 
 /// Future returned by [`SimHandle::sleep`].
-pub struct Sleep {
+pub struct SimSleep {
     handle: SimHandle,
     deadline: SimTime,
     cell: Option<Rc<TimerCell>>,
 }
 
-impl Future for Sleep {
+impl Future for SimSleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
