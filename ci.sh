@@ -181,9 +181,9 @@ done
 step "live introspection smoke (stats wire protocol against the running daemon)"
 # The same daemon, queried in-band on its data port mid-run: the
 # rendered snapshot must carry per-client attribution rows for the
-# put/get traffic above, the windowed-rates JSON must expose its rate
-# fields, the Prometheus exposition must pass the built-in validator,
-# and one `top` refresh must render.
+# put/get traffic above, the rates between two snapshots must expose
+# their fields, the Prometheus exposition rendered from a snapshot must
+# pass the built-in validator, and one `top` refresh must render.
 target/release/iofwd-cp stats "$ADDR" >"$TRACED/live-stats.txt"
 cat "$TRACED/live-stats.txt"
 grep -q '^clients (' "$TRACED/live-stats.txt" \

@@ -137,24 +137,21 @@ pub enum Request {
 }
 
 /// What a [`Request::Stats`] query wants back in the response payload.
+/// There is one answer: the snapshot. Readers derive rates, Prometheus
+/// text and `top` from the snapshots they fetched; bytes 1 and 2, once
+/// daemon-rendered views, are malformed requests now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StatsQuery {
     /// The full telemetry snapshot as JSON (counters, gauges,
     /// histograms, per-client attribution rows).
     Snapshot = 0,
-    /// Windowed rates from the time-series ring as a small JSON object.
-    Rates = 1,
-    /// Prometheus text exposition of the snapshot plus rate gauges.
-    Prometheus = 2,
 }
 
 impl StatsQuery {
     fn from_wire(v: u8) -> Result<StatsQuery, DecodeError> {
         match v {
             0 => Ok(StatsQuery::Snapshot),
-            1 => Ok(StatsQuery::Rates),
-            2 => Ok(StatsQuery::Prometheus),
             _ => Err(DecodeError::BadEnum("stats query", v as u64)),
         }
     }
@@ -531,13 +528,9 @@ mod tests {
         });
         roundtrip_req(Request::Readdir { path: "/a".into() });
         roundtrip_req(Request::Shutdown);
-        for query in [
-            StatsQuery::Snapshot,
-            StatsQuery::Rates,
-            StatsQuery::Prometheus,
-        ] {
-            roundtrip_req(Request::Stats { query });
-        }
+        roundtrip_req(Request::Stats {
+            query: StatsQuery::Snapshot,
+        });
     }
 
     #[test]
@@ -547,11 +540,13 @@ mod tests {
         };
         assert!(!req.is_data_op());
         assert_eq!(req.expected_payload(), 0);
-        // Unknown query tags fail cleanly rather than aliasing.
-        assert_eq!(
-            Request::decode(&[17, 9]),
-            Err(DecodeError::BadEnum("stats query", 9))
-        );
+        // Unknown and retired query tags fail cleanly rather than aliasing.
+        for tag in [1u8, 2, 9] {
+            assert_eq!(
+                Request::decode(&[17, tag]),
+                Err(DecodeError::BadEnum("stats query", u64::from(tag)))
+            );
+        }
     }
 
     #[test]

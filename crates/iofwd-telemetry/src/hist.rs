@@ -179,6 +179,24 @@ impl HistSnapshot {
     }
 }
 
+/// Per-bucket/count/sum difference of two cumulative histogram
+/// snapshots — the histogram of samples recorded *during* an interval.
+/// Saturating: counters are monotonic, so any underflow means a torn
+/// read straddled the capture and clamping to zero is the honest floor.
+pub fn hist_delta(now: &HistSnapshot, prev: &HistSnapshot) -> HistSnapshot {
+    let mut out = HistSnapshot::default();
+    for (o, (a, b)) in out
+        .buckets
+        .iter_mut()
+        .zip(now.buckets.iter().zip(prev.buckets.iter()))
+    {
+        *o = a.saturating_sub(*b);
+    }
+    out.count = now.count.saturating_sub(prev.count);
+    out.sum = now.sum.saturating_sub(prev.sum);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,5 +234,22 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, (SHARDS * 2) as u64);
         assert_eq!(s.buckets[bucket_of(7)], (SHARDS * 2) as u64);
+    }
+
+    #[test]
+    fn hist_delta_subtracts_and_saturates() {
+        let mut a = HistSnapshot::default();
+        let mut b = HistSnapshot::default();
+        for v in [1u64, 100, 100] {
+            a.record(v);
+        }
+        b.record(1);
+        let d = hist_delta(&a, &b);
+        assert_eq!(d.count, 2);
+        assert_eq!(d.sum, 200);
+        // Reversed operands saturate to zero instead of wrapping.
+        let z = hist_delta(&b, &a);
+        assert_eq!(z.count, 0);
+        assert_eq!(z.sum, 0);
     }
 }

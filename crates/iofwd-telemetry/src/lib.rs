@@ -19,9 +19,11 @@
 //! atomics, per-thread histogram shards merged only at snapshot time).
 //! [`Telemetry::disabled`] is a null sink: `now_ns` returns 0 and every
 //! record call early-returns, for benches that want zero overhead.
-//! Snapshot assembly and its text/JSON/Prometheus views live in
-//! [`snapshot`], the workspace's one JSON parser and string escaper in
-//! [`json`] — the two modules allowed to allocate freely.
+//! Snapshot assembly and every view over it — text, JSON, Prometheus,
+//! interval [`Rates`] and `top` — live in [`snapshot`]. The daemon ships
+//! only the JSON snapshot; a reader derives every other view from the
+//! snapshots it fetched. The workspace's one JSON parser and string
+//! escaper live in [`json`] — the two modules allowed to allocate freely.
 
 pub mod clients;
 pub mod hist;
@@ -29,14 +31,12 @@ pub mod json;
 pub mod ring;
 pub mod snapshot;
 pub mod span;
-pub mod timeseries;
 
 pub use clients::{ClientSnapshot, ClientTable, PerClientStats};
 pub use hist::{HistSnapshot, Histogram};
 pub use ring::FlightRecorder;
-pub use snapshot::{GaugeValue, TelemetrySnapshot};
+pub use snapshot::{GaugeValue, Rates, TelemetrySnapshot};
 pub use span::{Disposition, OpKind, OpSpan};
-pub use timeseries::{Rates, SeriesPoint, TimeSeries};
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -240,8 +240,6 @@ macro_rules! registry {
             pub loop_heartbeats: Heartbeats,
             /// Per-client attribution table (see [`clients`]).
             pub clients: ClientTable,
-            /// Deltified snapshot ring (see [`timeseries`]).
-            pub timeseries: TimeSeries,
             pub flight: FlightRecorder,
             sink: OnceLock<Arc<dyn SpanSink>>,
         }
@@ -258,7 +256,6 @@ macro_rules! registry {
                     worker_busy_ns: PerWorker::new(),
                     loop_heartbeats: Heartbeats::new(),
                     clients: ClientTable::new(),
-                    timeseries: TimeSeries::new(timeseries::DEFAULT_SERIES_CAPACITY),
                     flight: FlightRecorder::new(flight),
                     sink: OnceLock::new(),
                 }
@@ -472,15 +469,6 @@ impl Telemetry {
     #[inline]
     pub fn client_stats(&self, client: u64) -> Option<Arc<PerClientStats>> {
         self.enabled.then(|| self.clients.entry(client))
-    }
-
-    /// Push one deltified point into the time-series ring; call on the
-    /// daemon's absolute-deadline stats schedule. No-op when disabled.
-    pub fn tick_timeseries(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.timeseries.tick(self);
     }
 
     /// Nanoseconds this registry has existed — the denominator for

@@ -1,6 +1,12 @@
 //! Snapshot assembly and the views over it: text, JSON, Prometheus,
 //! rates, top.
 //!
+//! The JSON snapshot is the only thing the daemon ships; every other
+//! view is computed here, by the reader, from the snapshots it fetched.
+//! Rates are one derivation over two of them ([`Rates::between`]):
+//! counter deltas over the uptime delta, so a reader picks its own
+//! window and the daemon keeps no history.
+//!
 //! This and [`crate::json`] are the telemetry modules allowed to
 //! allocate and format (lint rule R5 exempts them): everything here runs
 //! at snapshot time, never on the request hot path. The JSON view is a
@@ -11,11 +17,12 @@
 use std::fmt::Write as _;
 
 use crate::clients::ClientSnapshot;
-use crate::hist::HistSnapshot;
+use crate::hist::{hist_delta, HistSnapshot};
 use crate::json::{quote, Json};
 use crate::span::OpSpan;
-use crate::timeseries::Rates;
 use crate::{Telemetry, MAX_WORKERS};
+
+const MIB: f64 = 1024.0 * 1024.0;
 
 /// Current level + high-water mark of one gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -291,10 +298,11 @@ impl TelemetrySnapshot {
 
     /// Prometheus text-exposition rendering of the whole snapshot:
     /// counters and gauges verbatim, histograms with cumulative `le`
-    /// buckets, per-client rows as labelled samples, and (when the
-    /// caller passes windowed [`Rates`]) `iofwd_rate_*` gauges. Every
-    /// line validates against [`validate_prometheus`].
-    pub fn render_prometheus(&self, rates: Option<&Rates>) -> String {
+    /// buckets, and per-client rows as labelled samples, each metric's
+    /// samples for every client in one group. Rates are the scraper's
+    /// `rate()` over the counters. Every line validates against
+    /// [`validate_prometheus`].
+    pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for (name, v) in &self.counters {
             let _ = writeln!(out, "# TYPE iofwd_{name} counter\niofwd_{name} {v}");
@@ -324,56 +332,77 @@ impl TelemetrySnapshot {
                 h.sum, h.count
             );
         }
-        for c in &self.clients {
-            let _ = writeln!(
-                out,
-                "iofwd_client_ops{{client=\"{id}\"}} {}\n\
-                 iofwd_client_ops_failed{{client=\"{id}\"}} {}\n\
-                 iofwd_client_bytes_in{{client=\"{id}\"}} {}\n\
-                 iofwd_client_bytes_out{{client=\"{id}\"}} {}\n\
-                 iofwd_client_backpressure_events{{client=\"{id}\"}} {}\n\
-                 iofwd_client_wbuf_high_water{{client=\"{id}\"}} {}",
-                c.ops,
-                c.ops_failed,
-                c.bytes_in,
-                c.bytes_out,
-                c.backpressure_events,
-                c.wbuf_high_water,
-                id = c.id
-            );
-        }
-        if let Some(r) = rates {
-            let _ = writeln!(
-                out,
-                "iofwd_rate_window_ns {}\niofwd_rate_ops_per_s {:.3}\n\
-                 iofwd_rate_fail_per_s {:.3}\niofwd_rate_in_mib_s {:.3}\n\
-                 iofwd_rate_out_mib_s {:.3}\niofwd_rate_backend_write_mib_s {:.3}\n\
-                 iofwd_rate_backend_read_mib_s {:.3}\niofwd_rate_p99_total_ns {}",
-                r.window_ns,
-                r.ops_per_s,
-                r.fail_per_s,
-                r.in_mib_s,
-                r.out_mib_s,
-                r.backend_write_mib_s,
-                r.backend_read_mib_s,
-                r.p99_total_ns
-            );
+        type ClientMetric = (&'static str, &'static str, fn(&ClientSnapshot) -> u64);
+        let client_metrics: [ClientMetric; 6] = [
+            ("ops", "counter", |c| c.ops),
+            ("ops_failed", "counter", |c| c.ops_failed),
+            ("bytes_in", "counter", |c| c.bytes_in),
+            ("bytes_out", "counter", |c| c.bytes_out),
+            ("backpressure_events", "counter", |c| c.backpressure_events),
+            ("wbuf_high_water", "gauge", |c| c.wbuf_high_water),
+        ];
+        if !self.clients.is_empty() {
+            for (name, kind, v) in client_metrics {
+                let _ = writeln!(out, "# TYPE iofwd_client_{name} {kind}");
+                for c in &self.clients {
+                    let _ = writeln!(out, "iofwd_client_{name}{{client=\"{}\"}} {}", c.id, v(c));
+                }
+            }
         }
         out
     }
 }
 
-/// Windowed rates as a small JSON object (floats included, so this is
+/// Interval rates between two snapshots of one registry.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Rates {
+    /// Uptime between the two snapshots, nanoseconds.
+    pub window_ns: u64,
+    pub ops_per_s: f64,
+    pub fail_per_s: f64,
+    pub in_mib_s: f64,
+    pub out_mib_s: f64,
+    pub backend_write_mib_s: f64,
+    pub backend_read_mib_s: f64,
+    /// p99 end-to-end latency of the ops completed in the window, ns.
+    pub p99_total_ns: u64,
+}
+
+impl Rates {
+    /// Counter deltas over the uptime delta, and the p99 of the
+    /// `total_ns` delta. Deltas saturate at zero, so `prev` may be the
+    /// default (empty) snapshot — the rates are then since-boot
+    /// averages — and identical snapshots give zero rates.
+    pub fn between(prev: &TelemetrySnapshot, now: &TelemetrySnapshot) -> Rates {
+        let window_ns = now
+            .counter("uptime_ns")
+            .saturating_sub(prev.counter("uptime_ns"));
+        let secs = (window_ns as f64 / 1e9).max(1e-9);
+        let per_s = |name: &str| now.counter(name).saturating_sub(prev.counter(name)) as f64 / secs;
+        let total = |s: &TelemetrySnapshot| s.hist("total_ns").copied().unwrap_or_default();
+        Rates {
+            window_ns,
+            ops_per_s: per_s("ops_completed"),
+            fail_per_s: per_s("ops_failed"),
+            in_mib_s: per_s("transport_bytes_in") / MIB,
+            out_mib_s: per_s("transport_bytes_out") / MIB,
+            backend_write_mib_s: per_s("backend_bytes_written") / MIB,
+            backend_read_mib_s: per_s("backend_bytes_read") / MIB,
+            p99_total_ns: hist_delta(&total(now), &total(prev)).quantile(0.99),
+        }
+    }
+}
+
+/// Interval rates as a small JSON object (floats included, so this is
 /// *not* parseable by [`TelemetrySnapshot::from_json`] — consumers
 /// read the fields they need).
 pub fn render_rates_json(r: &Rates) -> String {
     let mut out = String::with_capacity(256);
     let _ = write!(
         out,
-        "{{\"points\":{},\"window_ns\":{},\"ops_per_s\":{:.3},\"fail_per_s\":{:.3},\
+        "{{\"window_ns\":{},\"ops_per_s\":{:.3},\"fail_per_s\":{:.3},\
          \"in_mib_s\":{:.3},\"out_mib_s\":{:.3},\"backend_write_mib_s\":{:.3},\
          \"backend_read_mib_s\":{:.3},\"p99_total_ns\":{}}}",
-        r.points,
         r.window_ns,
         r.ops_per_s,
         r.fail_per_s,
@@ -387,9 +416,10 @@ pub fn render_rates_json(r: &Rates) -> String {
 }
 
 /// Structural validation of Prometheus text-exposition output: every
-/// line is a comment or `name[{labels}] value`. Returns the number of
-/// sample lines. Used by the CI smoke (via `iofwd-cp stats --prom
-/// --check`) and the renderer's own tests.
+/// line is a comment or `name[{labels}] value`, and the lines of one
+/// metric form a single group — a name may not reappear once another
+/// metric's lines have started. Returns the number of sample lines.
+/// Used by `iofwd-cp stats --prom --check` and the renderer's own tests.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(s: &str) -> bool {
         !s.is_empty()
@@ -400,6 +430,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
     let mut samples = 0usize;
+    let mut grouped: Vec<&str> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -422,6 +453,12 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         if value.parse::<f64>().is_err() {
             return Err(format!("line {}: bad sample value `{value}`", lineno + 1));
         }
+        if grouped.last() != Some(&name) {
+            if grouped.contains(&name) {
+                return Err(format!("line {}: `{name}` is split", lineno + 1));
+            }
+            grouped.push(name);
+        }
         samples += 1;
     }
     if samples == 0 {
@@ -430,28 +467,16 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// `iofwd-cp top`'s screen: interval rates derived from two successive
-/// snapshots (cumulative counters diffed over the uptime delta), plus
-/// the top-`k` clients by interval traffic. `prev` may be the default
-/// (empty) snapshot on the first refresh — rates then read as
-/// since-boot averages.
+/// `iofwd-cp top`'s screen: interval values from two successive
+/// snapshots — [`Rates::between`] them, and per-client counter and
+/// backend-latency deltas — plus the top-`k` clients by interval
+/// traffic. `prev` may be the default (empty) snapshot on the first
+/// refresh; the screen then reads as since-boot averages. Only
+/// `wbuf_hw`, a high-water mark, and the status line are not deltas.
 pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -> String {
-    let dt_ns = now
-        .counter("uptime_ns")
-        .saturating_sub(prev.counter("uptime_ns"));
-    let secs = if dt_ns == 0 {
-        // First refresh: rate against the full uptime.
-        (now.counter("uptime_ns") as f64 / 1e9).max(1e-9)
-    } else {
-        dt_ns as f64 / 1e9
-    };
-    const MIB: f64 = 1024.0 * 1024.0;
-    let rate = |name: &str| (now.counter(name).saturating_sub(prev.counter(name))) as f64 / secs;
-    let d_total = match (now.hist("total_ns"), prev.hist("total_ns")) {
-        (Some(n), Some(p)) => crate::timeseries::hist_delta(n, p),
-        (Some(n), None) => *n,
-        _ => HistSnapshot::default(),
-    };
+    let rates = Rates::between(prev, now);
+    let secs = (rates.window_ns as f64 / 1e9).max(1e-9);
+    let delta = |name: &str| now.counter(name).saturating_sub(prev.counter(name));
     let mut out = String::with_capacity(2048);
     let _ = writeln!(
         out,
@@ -464,19 +489,19 @@ pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -
     let _ = writeln!(
         out,
         "rates: {:>8.1} op/s · in {:>8.2} MiB/s · out {:>8.2} MiB/s · p99 {}",
-        rate("ops_completed"),
-        rate("transport_bytes_in") / MIB,
-        rate("transport_bytes_out") / MIB,
-        fmt_ns(d_total.quantile(0.99) as f64),
+        rates.ops_per_s,
+        rates.in_mib_s,
+        rates.out_mib_s,
+        fmt_ns(rates.p99_total_ns as f64),
     );
     let _ = writeln!(
         out,
         "queue depth {} · backpressure {} · accept_errors {}",
         now.gauge("queue_depth").current,
-        now.counter("backpressure_events"),
+        delta("backpressure_events"),
         now.counter("accept_errors"),
     );
-    // Per-client interval deltas; clients absent from `prev` rate
+    // Per-client interval deltas; clients absent from `prev` delta
     // against zero (their whole history happened "recently").
     struct Row {
         id: u64,
@@ -492,15 +517,17 @@ pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -
         .iter()
         .map(|c| {
             let p = prev.client(c.id);
-            let d = |nowv: u64, prevv: u64| nowv.saturating_sub(prevv) as f64 / secs;
+            let d = |field: fn(&ClientSnapshot) -> u64| field(c).saturating_sub(p.map_or(0, field));
             Row {
                 id: c.id,
-                ops_s: d(c.ops, p.map_or(0, |p| p.ops)),
-                in_s: d(c.bytes_in, p.map_or(0, |p| p.bytes_in)),
-                out_s: d(c.bytes_out, p.map_or(0, |p| p.bytes_out)),
-                bp: c.backpressure_events,
+                ops_s: d(|c| c.ops) as f64 / secs,
+                in_s: d(|c| c.bytes_in) as f64 / secs,
+                out_s: d(|c| c.bytes_out) as f64 / secs,
+                bp: d(|c| c.backpressure_events),
                 wbuf: c.wbuf_high_water,
-                p99_be: c.backend_ns.quantile(0.99),
+                p99_be: p
+                    .map_or(c.backend_ns, |p| hist_delta(&c.backend_ns, &p.backend_ns))
+                    .quantile(0.99),
             }
         })
         .collect();
@@ -830,15 +857,10 @@ mod tests {
         t.total_ns.record(1500);
         t.total_ns.record(90_000);
         t.queue_depth.add(4);
-        let c = t.client_stats(5).expect("enabled registry");
-        c.bytes_in.add(4096);
-        let rates = crate::timeseries::Rates {
-            points: 2,
-            window_ns: 2_000_000_000,
-            ops_per_s: 1.5,
-            ..Default::default()
-        };
-        let text = t.snapshot().render_prometheus(Some(&rates));
+        let client = |id| t.client_stats(id).expect("enabled registry");
+        client(5).bytes_in.add(5 << 10);
+        client(6).bytes_in.add(6 << 10);
+        let text = t.snapshot().render_prometheus();
         let samples = validate_prometheus(&text).expect("valid exposition");
         assert!(samples > 20, "only {samples} samples");
         assert!(text.contains("iofwd_ops_completed 3"), "{text}");
@@ -846,19 +868,76 @@ mod tests {
             text.contains("iofwd_total_ns_bucket{le=\"+Inf\"} 2"),
             "{text}"
         );
+        // Each client metric is one group: both clients' lines together.
         assert!(
-            text.contains("iofwd_client_bytes_in{client=\"5\"} 4096"),
+            text.contains(
+                "iofwd_client_bytes_in{client=\"5\"} 5120\n\
+                 iofwd_client_bytes_in{client=\"6\"} 6144\n"
+            ),
             "{text}"
         );
-        assert!(text.contains("iofwd_rate_ops_per_s 1.500"), "{text}");
         assert!(validate_prometheus("garbage line with spaces but no number x").is_err());
         assert!(validate_prometheus("").is_err());
+        let split = validate_prometheus("a{c=\"1\"} 1\nb 1\na{c=\"2\"} 2\n");
+        assert!(
+            split.is_err_and(|e| e.contains("line 3")),
+            "a split group passes"
+        );
+    }
+
+    /// A snapshot holding just the given counters.
+    fn snap(counters: &[(&str, u64)]) -> TelemetrySnapshot {
+        let counters = counters.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+        TelemetrySnapshot {
+            counters,
+            ..TelemetrySnapshot::default()
+        }
+    }
+
+    #[test]
+    fn rates_between_are_deltas_over_the_uptime_delta() {
+        let prev = snap(&[("uptime_ns", 1_000_000_000), ("ops_completed", 5)]);
+        let now = snap(&[
+            ("uptime_ns", 3_000_000_000),
+            ("ops_completed", 25),
+            ("transport_bytes_in", 4 << 20),
+        ]);
+        let r = Rates::between(&prev, &now);
+        assert_eq!(
+            (r.window_ns, r.ops_per_s, r.in_mib_s),
+            (2_000_000_000, 10.0, 2.0)
+        );
+        assert_eq!(r.out_mib_s, 0.0);
+        // Against the empty snapshot: since-boot averages.
+        let boot = Rates::between(&TelemetrySnapshot::default(), &now);
+        assert_eq!((boot.window_ns, boot.in_mib_s), (3_000_000_000, 4.0 / 3.0));
+    }
+
+    #[test]
+    fn rates_between_identical_snapshots_are_zero() {
+        let t = Telemetry::new();
+        t.ops_completed.add(42);
+        t.total_ns.record(1 << 20);
+        let snap = t.snapshot();
+        assert_eq!(Rates::between(&snap, &snap), Rates::default());
+    }
+
+    #[test]
+    fn rates_between_take_p99_from_the_total_ns_delta() {
+        let (mut prev, mut now) = (snap(&[("uptime_ns", 1)]), snap(&[("uptime_ns", 2)]));
+        let mut total = HistSnapshot::default();
+        (0..100).for_each(|_| total.record(1 << 30));
+        prev.hists.push(("total_ns".to_string(), total));
+        (0..10).for_each(|_| total.record(1 << 20));
+        now.hists.push(("total_ns".to_string(), total));
+        // The window's ten fast ops, not the since-boot slow ones.
+        assert_eq!(total.quantile(0.99), 1 << 31);
+        assert_eq!(Rates::between(&prev, &now).p99_total_ns, 1 << 21);
     }
 
     #[test]
     fn rates_json_has_the_advertised_fields() {
-        let r = crate::timeseries::Rates {
-            points: 3,
+        let r = Rates {
             window_ns: 1_000_000_000,
             ops_per_s: 10.0,
             in_mib_s: 2.5,
@@ -867,7 +946,6 @@ mod tests {
         };
         let json = render_rates_json(&r);
         for field in [
-            "\"points\":3",
             "\"window_ns\":1000000000",
             "\"ops_per_s\":10.000",
             "\"in_mib_s\":2.500",
@@ -883,9 +961,19 @@ mod tests {
         let c = t.client_stats(9).expect("enabled registry");
         c.ops.add(100);
         c.bytes_in.add(1 << 20);
+        // Client 4's since-boot values differ from its interval values:
+        // 7 backpressure events and ~1 s backend calls before `prev`,
+        // 2 events and ~1 us calls after it.
+        let slow = t.client_stats(4).expect("enabled registry");
+        slow.backpressure_events.add(7);
+        t.backpressure_events.add(7);
+        (0..100).for_each(|_| slow.backend_ns.record(1 << 30));
         let prev = t.snapshot();
         c.ops.add(50);
         c.bytes_in.add(10 << 20);
+        slow.backpressure_events.add(2);
+        t.backpressure_events.add(2);
+        (0..10).for_each(|_| slow.backend_ns.record(1000));
         std::thread::sleep(std::time::Duration::from_millis(5));
         let now = t.snapshot();
         let screen = render_top(&prev, &now, 4);
@@ -903,6 +991,15 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .expect("ops/s cell");
         assert!(ops_s > 150.0, "{screen}");
+        assert!(screen.contains("backpressure 2 "), "{screen}");
+        let row: Vec<&str> = screen
+            .lines()
+            .find(|l| l.trim_start().starts_with('4'))
+            .expect("client 4 row")
+            .split_whitespace()
+            .collect();
+        assert_eq!(row[4], "2", "interval bp: {screen}");
+        assert_eq!(row[6], fmt_ns(1024.0), "interval p99_be: {screen}");
         // First refresh (empty prev) must not panic and rates against
         // full uptime.
         let first = render_top(&TelemetrySnapshot::default(), &now, 4);

@@ -13,9 +13,11 @@
 //! `stats` and `top` speak the stats wire protocol to a *running*
 //! daemon's data-path port, on a connection of their own. The daemon
 //! answers from telemetry memory without touching the work queue or the
-//! BML, so both keep working while the data path is wedged.
-//! `top` polls full snapshots and diffs them client-side into per-client
-//! rates, ranked by bytes moved over the refresh window.
+//! BML, so both keep working while the data path is wedged. Its answer
+//! is always the JSON snapshot; every view is rendered here. `--rates`
+//! diffs two snapshots taken 1 s apart, and `top` polls snapshots and
+//! diffs each against the last into per-client interval values, ranked
+//! by bytes moved over the refresh window.
 //!
 //! `--stats` (before the subcommand) records the latency of every
 //! forwarded call client-side and prints per-operation mean/p99 —
@@ -42,16 +44,16 @@
 //! trace-event schema and exits nonzero if it is malformed or empty.
 
 use std::io::{Read, Write};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use iofwd::client::Client;
 use iofwd::telemetry::{
-    snapshot::{fmt_ns, render_top, validate_prometheus},
-    HistSnapshot, TelemetrySnapshot,
+    snapshot::{fmt_ns, render_rates_json, render_top, validate_prometheus},
+    HistSnapshot, Rates, TelemetrySnapshot,
 };
 use iofwd::trace::validate_chrome_trace;
 use iofwd::transport::tcp::TcpConn;
-use iofwd_proto::{OpenFlags, StatsQuery};
+use iofwd_proto::OpenFlags;
 
 const CHUNK: usize = 1 << 20;
 
@@ -64,6 +66,13 @@ fn connect(addr: &str) -> Client {
     let conn =
         TcpConn::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
     Client::connect(Box::new(conn))
+}
+
+/// One live snapshot from the daemon at `addr`.
+fn fetch(client: &mut Client, addr: &str) -> TelemetrySnapshot {
+    client
+        .query_snapshot()
+        .unwrap_or_else(|e| die(&format!("stats query to {addr}: {e}")))
 }
 
 /// Client-side latency recorder: one histogram per forwarded-call kind.
@@ -149,58 +158,58 @@ fn main() {
     }
 }
 
-/// `stats ADDR`: one live query over the stats wire protocol. Default
-/// output is the daemon's registry rendered human-readable (fetched as
-/// a JSON snapshot and formatted locally); `--json` prints the raw
-/// snapshot, `--rates` the windowed-rates JSON, `--prom` the Prometheus
+/// The window of `stats --rates`: two snapshots this far apart.
+const RATES_WINDOW: Duration = Duration::from_secs(1);
+
+/// `stats ADDR`: live snapshots over the stats wire protocol, rendered
+/// here. Default output is the registry as text; `--json` prints the
+/// raw snapshot, `--rates` the [`Rates`] between two snapshots taken
+/// [`RATES_WINDOW`] apart on one connection, `--prom` the Prometheus
 /// exposition (with `--check` additionally validating its format — the
 /// CI live-scrape gate). Arguments that are not options are assertions
 /// on the snapshot ([`check_snapshot`]).
 fn live_stats(addr: &str, args: &[String]) {
-    let mut query = StatsQuery::Snapshot;
-    let mut raw_json = false;
+    let mut view = "text";
     let mut check = false;
     let mut assertions = Vec::new();
     for a in args {
         match a.as_str() {
-            "--json" => raw_json = true,
-            "--rates" => query = StatsQuery::Rates,
-            "--prom" => query = StatsQuery::Prometheus,
+            "--json" => view = "json",
+            "--rates" => view = "rates",
+            "--prom" => view = "prom",
             "--check" => check = true,
             other if other.starts_with("--") => die(&format!("stats: unknown option '{other}'")),
             assertion => assertions.push(assertion),
         }
     }
-    if check && query != StatsQuery::Prometheus {
+    if check && view != "prom" {
         die("stats: --check requires --prom");
     }
-    if !assertions.is_empty() && (query != StatsQuery::Snapshot || raw_json) {
+    if !assertions.is_empty() && view != "text" {
         die("stats: assertions check the snapshot; drop --json/--rates/--prom");
     }
     let mut client = connect(addr);
-    let data = client
-        .query_stats(query)
-        .unwrap_or_else(|e| die(&format!("stats query to {addr}: {e}")));
-    let _ = client.shutdown();
-    let text = String::from_utf8_lossy(&data);
-    match query {
-        StatsQuery::Snapshot if !raw_json => {
-            let snap = TelemetrySnapshot::from_json(&text)
-                .unwrap_or_else(|e| die(&format!("malformed snapshot from {addr}: {e}")));
-            if assertions.is_empty() {
-                print!("{}", snap.render_text());
-            } else {
-                check_snapshot(addr, &snap, &assertions);
+    let snap = fetch(&mut client, addr);
+    match view {
+        "json" => println!("{}", snap.to_json()),
+        "rates" => {
+            std::thread::sleep(RATES_WINDOW);
+            let now = fetch(&mut client, addr);
+            println!("{}", render_rates_json(&Rates::between(&snap, &now)));
+        }
+        "prom" => {
+            let text = snap.render_prometheus();
+            if check {
+                let samples = validate_prometheus(&text)
+                    .unwrap_or_else(|e| die(&format!("bad exposition: {e}")));
+                eprintln!("iofwd-cp: exposition OK ({samples} samples)");
             }
-        }
-        StatsQuery::Prometheus if check => {
-            let samples =
-                validate_prometheus(&text).unwrap_or_else(|e| die(&format!("bad exposition: {e}")));
             print!("{text}");
-            eprintln!("iofwd-cp: exposition OK ({samples} samples)");
         }
-        _ => println!("{}", text.trim_end()),
+        _ if assertions.is_empty() => print!("{}", snap.render_text()),
+        _ => check_snapshot(addr, &snap, &assertions),
     }
+    let _ = client.shutdown();
 }
 
 /// `top ADDR`: poll snapshots and print the per-client rate table each
@@ -209,7 +218,7 @@ fn live_stats(addr: &str, args: &[String]) {
 /// `--count N` stops after N refreshes (0 = until killed).
 fn live_top(addr: &str, args: &[String]) {
     let mut k = 8usize;
-    let mut interval = std::time::Duration::from_secs(1);
+    let mut interval = Duration::from_secs(1);
     let mut count = 0u64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -230,7 +239,7 @@ fn live_top(addr: &str, args: &[String]) {
                 if !secs.is_finite() || secs <= 0.0 {
                     die("top: --interval must be positive");
                 }
-                interval = std::time::Duration::from_secs_f64(secs);
+                interval = Duration::from_secs_f64(secs);
             }
             "--count" => {
                 count = take("--count")
@@ -241,16 +250,11 @@ fn live_top(addr: &str, args: &[String]) {
         }
     }
     let mut client = connect(addr);
-    let fetch = |client: &mut Client| -> TelemetrySnapshot {
-        client
-            .query_snapshot()
-            .unwrap_or_else(|e| die(&format!("stats query to {addr}: {e}")))
-    };
-    let mut prev = fetch(&mut client);
+    let mut prev = fetch(&mut client, addr);
     let mut refreshes = 0u64;
     loop {
         std::thread::sleep(interval);
-        let now = fetch(&mut client);
+        let now = fetch(&mut client, addr);
         print!("{}", render_top(&prev, &now, k));
         prev = now;
         refreshes += 1;

@@ -11,10 +11,13 @@
 //! Observability (DESIGN.md §9). `iofwd::telemetry` is always compiled
 //! in and on; every number is stamped once into its registry and leaves
 //! the process one way, as the reply to a `Request::Stats` on any client
-//! connection, read with `iofwd-cp stats|top ADDR`. A stats query needs
-//! no staging memory, so a fresh connection is answered even when every
-//! data connection is parked under backpressure. The daemon writes no
-//! stats file and prints no periodic dump.
+//! connection, read with `iofwd-cp stats|top ADDR`. The reply is the
+//! JSON snapshot and nothing else: rates, Prometheus text and `top` are
+//! computed by the reader from the snapshots it fetched. A stats query
+//! needs no staging memory, so a fresh connection is answered even when
+//! every data connection is parked under backpressure. The daemon
+//! writes no stats file, prints no periodic dump, and keeps no timer of
+//! its own: without `--trace-out` its main thread sleeps until killed.
 //!
 //! * `--port-file PATH` — write the bound port (for `--listen host:0`).
 //! * `--watchdog [k=v,...]` — event-loop/queue health watchdog
@@ -54,7 +57,7 @@
 //!   op regardless of client flags (0 disables; default 0).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use iofwd::backend::{FaultBackend, FileBackend, ThrottledBackend};
 use iofwd::fault::{FaultPlan, RetryPolicy};
@@ -358,39 +361,23 @@ fn main() {
     });
     eprintln!("iofwdd: press Ctrl-C to stop");
 
-    // Supervision loop. The time-series tick runs on *absolute*
-    // deadlines advanced by whole periods from the start phase, so
-    // neither sleep quantization nor the work itself accumulates drift.
-    // With a trace export configured the sleep is also bounded by a short
-    // poll tick, so fresh spans reach the file promptly.
+    // The main thread's only periodic duty is the trace export: it
+    // rewrites the file whenever new spans were retained, so a
+    // short-lived traced run's spans land on disk within a poll tick.
+    // Without one it parks until the process is killed.
+    let (Some(path), Some(exporter)) = (&opts.trace_out, &exporter) else {
+        loop {
+            std::thread::park();
+        }
+    };
     const POLL_TICK: Duration = Duration::from_millis(200);
-    /// Time-series cadence: one deltified snapshot per second feeds the
-    /// windowed rates served over the stats protocol.
-    const TS_TICK: Duration = Duration::from_secs(1);
-    let mut next_ts = Instant::now() + TS_TICK;
     let mut traced_spans = 0usize;
     loop {
-        let now = Instant::now();
-        let wake = match exporter {
-            Some(_) => (now + POLL_TICK).min(next_ts),
-            None => next_ts,
-        };
-        std::thread::sleep(wake.saturating_duration_since(now));
-        // Rewrite the trace whenever new spans were retained, so a
-        // short-lived traced run's spans land on disk within a poll tick.
-        if let (Some(path), Some(exporter)) = (&opts.trace_out, &exporter) {
-            let kept = exporter.kept();
-            if kept != traced_spans {
-                traced_spans = kept;
-                write_atomic(path, &exporter.render());
-            }
-        }
-        let now = Instant::now();
-        if now >= next_ts {
-            telemetry.tick_timeseries();
-            while next_ts <= now {
-                next_ts += TS_TICK;
-            }
+        std::thread::sleep(POLL_TICK);
+        let kept = exporter.kept();
+        if kept != traced_spans {
+            traced_spans = kept;
+            write_atomic(path, &exporter.render());
         }
     }
 }

@@ -484,10 +484,9 @@ impl Client {
     }
 
     /// Query the daemon's live introspection plane. The reply payload is
-    /// the rendered document (JSON snapshot, JSON rates, or Prometheus
-    /// text, by [`StatsQuery`]); the daemon answers from telemetry
-    /// memory without entering the work queue, so this works even while
-    /// the data path is saturated or wedged.
+    /// the registry's JSON snapshot, the one [`StatsQuery`]; the daemon
+    /// answers from telemetry memory without entering the work queue, so
+    /// this works even while the data path is saturated or wedged.
     pub fn query_stats(&mut self, query: iofwd_proto::StatsQuery) -> Result<Bytes, ClientError> {
         match self.call(&Request::Stats { query }, &[])? {
             (Response::Ok { .. }, data) => Ok(data),

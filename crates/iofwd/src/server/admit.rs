@@ -39,9 +39,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver};
-use iofwd_proto::{
-    Errno, Fd, Frame, Request, Response, StageEcho, StatsQuery, TraceContext, TraceExt,
-};
+use iofwd_proto::{Errno, Fd, Frame, Request, Response, StageEcho, TraceContext, TraceExt};
 
 use super::engine::{op_kind, response_errno, Engine};
 use super::handlers::execute_staged;
@@ -223,7 +221,7 @@ enum Shape {
 }
 
 enum Class {
-    Stats(StatsQuery),
+    Stats,
     Shutdown,
     Op(Shape, SessionEffect),
 }
@@ -231,7 +229,7 @@ enum Class {
 /// The one dispatch over the wire enum on the admission path.
 fn classify(req: &Request) -> Class {
     match req {
-        Request::Stats { query } => Class::Stats(*query),
+        Request::Stats { .. } => Class::Stats,
         Request::Shutdown => Class::Shutdown,
         Request::Write { fd, len } => Class::Op(
             Shape::Write {
@@ -390,9 +388,14 @@ pub(crate) enum Accepted {
 /// either transport, passes through here once, and is counted here.
 /// Control traffic is answered here, before any span, queue, or engine
 /// involvement: a malformed request is rejected, `Shutdown` is
-/// acknowledged, and a stats query is served from telemetry memory — so
-/// the introspection plane works even when the data path is wedged or
-/// the client is over its queue credit.
+/// acknowledged, and a stats query is answered with the registry's JSON
+/// snapshot, its length in `Response::Ok::ret`. That answer is memory
+/// reads under no lock a blocking data-path operation holds — never the
+/// work queue, the BML or the descriptor database — made before any
+/// credit check: it comes back while a stalled backend wedges the data
+/// path, the moment introspection is for, to a client over its queue
+/// credit, and, needing no BML block, on a fresh connection while every
+/// data connection is parked under backpressure.
 pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
     let telemetry = ctx.telemetry();
     if telemetry.enabled() {
@@ -418,9 +421,10 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
         )));
     };
     let (shape, effect) = match classify(&req) {
-        Class::Stats(query) => {
-            let (resp, data) = super::introspect::answer(ctx.telemetry(), query);
-            return Accepted::Answered(Admission::reply(control(resp, data)));
+        Class::Stats => {
+            let data = Bytes::from(telemetry.snapshot().to_json().into_bytes());
+            let ret = data.len() as i64;
+            return Accepted::Answered(Admission::reply(control(Response::Ok { ret }, data)));
         }
         Class::Shutdown => {
             return Accepted::Answered(Admission::Close {
@@ -772,7 +776,7 @@ mod tests {
     use super::*;
     use crate::backend::MemSinkBackend;
     use crate::server::queue::Completion;
-    use iofwd_proto::{OpenFlags, Whence};
+    use iofwd_proto::{OpenFlags, StatsQuery, Whence};
     use parking_lot::Mutex;
 
     const BML_BYTES: u64 = 8192;
@@ -784,11 +788,16 @@ mod tests {
         Staged,
     }
 
-    /// A context over `MemSinkBackend` with no worker pool: queued
-    /// items stay in the queue for the test to inspect.
+    /// A context over `MemSinkBackend` and a live registry, with no
+    /// worker pool: queued items stay in the queue for the test to
+    /// inspect.
     fn ctx(mode: Mode) -> AdmitCtx {
         let bml = (mode == Mode::Staged).then(|| Bml::new(BML_BYTES));
-        let engine = Arc::new(Engine::new(Arc::new(MemSinkBackend::new()), bml.clone()));
+        let engine = Arc::new(Engine::with_telemetry(
+            Arc::new(MemSinkBackend::new()),
+            bml.clone(),
+            Arc::new(Telemetry::new()),
+        ));
         let queue = Arc::new(WorkQueue::new(1));
         let policy = match (mode, bml) {
             (Mode::Inline, _) => Policy::Inline,
@@ -880,7 +889,7 @@ mod tests {
             Request::Readdir { path: "/".into() },
             Request::Shutdown,
             Request::Stats {
-                query: StatsQuery::Rates,
+                query: StatsQuery::Snapshot,
             },
         ]
     }
@@ -994,11 +1003,30 @@ mod tests {
                 errno: Errno::Inval
             }
         );
+        // A retired stats query byte (1 was `Rates`, 2 `Prometheus`) is
+        // a malformed request like any other: no span, no op counted.
+        let telemetry = ctx.telemetry();
+        let ops_before = telemetry.ops_completed.get();
+        let mut retired = frame(3, &Request::Shutdown);
+        retired.meta = Bytes::from_static(&[17, 1]);
+        let Accepted::Answered(Admission::Reply { frame: reply, .. }) = accept(&ctx, retired)
+        else {
+            panic!("a retired stats query must be answered inline");
+        };
+        assert_eq!(
+            response_of(&reply),
+            Response::Err {
+                errno: Errno::Inval
+            }
+        );
         assert_eq!(
             ctx.engine.descriptor_db().status(fd).unwrap().in_progress,
             0
         );
         assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
+        assert_eq!(telemetry.frames_in.get(), 3);
+        assert_eq!(telemetry.ops_completed.get(), ops_before);
+        assert_eq!(telemetry.inflight_ops.get(), 0);
     }
 
     fn dispatched(admission: Admission) -> (Option<Fd>, Op) {

@@ -18,7 +18,6 @@
 mod admit;
 mod engine;
 mod handlers;
-mod introspect;
 mod queue;
 mod reactor;
 mod staged;

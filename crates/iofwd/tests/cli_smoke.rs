@@ -8,6 +8,7 @@ use std::io::{Read, Write};
 use std::process::Command;
 
 use iofwd::daemon::{DaemonHandle, DaemonSpec};
+use iofwd::telemetry::json::Json;
 
 #[test]
 fn daemon_and_cp_roundtrip() {
@@ -97,6 +98,17 @@ fn daemon_and_cp_roundtrip() {
     let (code, _, err) = stats(&["no_such_counter"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("no counter named"), "{err}");
+    // The reader's views: rates between two snapshots 1 s apart, and the
+    // Prometheus exposition rendered and validated locally.
+    let (code, text, err) = stats(&["--rates"]);
+    assert_eq!(code, Some(0), "{text}{err}");
+    let rates = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    assert!(rates.get("ops_per_s").is_some(), "{text}");
+    let window_ns = rates.get("window_ns").and_then(Json::as_u64);
+    assert!(window_ns >= Some(500_000_000), "{text}");
+    let (code, text, err) = stats(&["--prom", "--check"]);
+    assert_eq!(code, Some(0), "{text}{err}");
+    assert!(err.contains("exposition OK"), "{err}");
 
     // Errors are clean, not panics.
     let out = Command::new(cp)

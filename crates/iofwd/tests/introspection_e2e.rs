@@ -11,7 +11,7 @@ use iofwd::fault::{FaultPlan, FaultRule, OpClass};
 use iofwd::server::{
     watchdog, ForwardingMode, IonServer, ReactorConfig, ServerConfig, WatchdogConfig,
 };
-use iofwd::telemetry::{snapshot::validate_prometheus, Telemetry, TelemetrySnapshot};
+use iofwd::telemetry::{snapshot::validate_prometheus, Rates, Telemetry, TelemetrySnapshot};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Frame, OpenFlags, Request, Response, StatsQuery};
@@ -34,8 +34,9 @@ const ALL_MODES: [ForwardingMode; 4] = [
     },
 ];
 
-/// Every forwarding mode answers all three stats queries in-band, and
-/// the snapshot carries a per-client row for the traffic just sent.
+/// Every forwarding mode answers the stats query in-band, the snapshot
+/// carries a per-client row for the traffic just sent, and the reader's
+/// views — rates and Prometheus — derive from fetched snapshots.
 #[test]
 fn stats_protocol_answers_in_all_modes_with_attribution() {
     for mode in ALL_MODES {
@@ -83,19 +84,24 @@ fn stats_protocol_answers_in_all_modes_with_attribution() {
             payload.len()
         );
 
-        let rates = c.query_stats(StatsQuery::Rates).expect("rates query");
-        let rates = String::from_utf8_lossy(&rates).into_owned();
+        let later = c.query_snapshot().expect("snapshot");
+        let rates = Rates::between(&snap, &later);
         assert!(
-            rates.contains("\"ops_per_s\""),
-            "mode {}: rates json missing fields: {rates}",
+            rates.window_ns > 0,
+            "mode {}: snapshots carry no uptime delta: {rates:?}",
             mode.name()
         );
-        let prom = c.query_stats(StatsQuery::Prometheus).expect("prom query");
-        let samples = validate_prometheus(&String::from_utf8_lossy(&prom))
+        let since_boot = Rates::between(&TelemetrySnapshot::default(), &snap);
+        assert!(
+            since_boot.ops_per_s > 0.0,
+            "mode {}: rates see no ops: {since_boot:?}",
+            mode.name()
+        );
+        let samples = validate_prometheus(&later.render_prometheus())
             .unwrap_or_else(|e| panic!("mode {}: bad exposition: {e}", mode.name()));
         assert!(samples > 0, "mode {}: empty exposition", mode.name());
 
-        // Meta-traffic stays off the books: three stats queries must not
+        // Meta-traffic stays off the books: the stats queries must not
         // have inflated the op counters.
         let after = c.query_snapshot().expect("snapshot");
         assert_eq!(
@@ -148,8 +154,8 @@ fn reactor_serves_stats_and_attributes_clients() {
     assert!(row.bytes_out > 0, "replies never attributed");
     // The event loops registered heartbeats and measured poll waits.
     assert!(telemetry.loop_heartbeats.registered() > 0);
-    let prom = c.query_stats(StatsQuery::Prometheus).expect("prom");
-    validate_prometheus(&String::from_utf8_lossy(&prom)).expect("valid exposition");
+    let prom = c.query_snapshot().expect("snapshot").render_prometheus();
+    validate_prometheus(&prom).expect("valid exposition");
     c.shutdown().expect("shutdown");
     server.shutdown();
 }
