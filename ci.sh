@@ -121,9 +121,9 @@ step "experiment artifact guard (BENCH_PR7.json drift check)"
 cargo run --release -q -p experiments -- check \
     BENCH_PR7.json crates/experiments/scenarios/coalescing.toml
 
-step "trace smoke (traced put/get under faults -> Perfetto export + stage bounds over the wire)"
+step "trace smoke (traced put/get under faults -> Perfetto export on the reader + stage bounds over the wire)"
 TRACED=$(mktemp -d)
-trap 'kill "$TRACED_PID" 2>/dev/null || true; rm -rf "$TRACED"' EXIT
+trap 'kill "$TRACED_PID" "${TRACER_PID:-}" 2>/dev/null || true; rm -rf "$TRACED"' EXIT
 cat >"$TRACED/plan" <<'EOF'
 # Tracing must survive the retry path: traced ops that fault transiently
 # still complete and still land in the trace with full lifecycles.
@@ -134,12 +134,15 @@ EOF
 target/release/iofwdd --listen 127.0.0.1:0 --root "$TRACED/root" \
     --mode staged --workers 2 \
     --fault-plan "$TRACED/plan" --retry-attempts 8 \
-    --trace-out "$TRACED/trace.json" --trace-sample 1 \
     --port-file "$TRACED/port" 2>"$TRACED/daemon.log" &
 TRACED_PID=$!
 for _ in $(seq 50); do [ -s "$TRACED/port" ] && break; sleep 0.1; done
 [ -s "$TRACED/port" ] || { echo "ci: traced iofwdd never wrote its port file"; exit 1; }
 ADDR="127.0.0.1:$(cat "$TRACED/port")"
+# The trace writer is a reader of the daemon's flight recorder: it polls
+# the spans over the stats wire protocol and rewrites the export.
+target/release/iofwd-cp trace "$ADDR" "$TRACED/trace.json" &
+TRACER_PID=$!
 head -c 1048576 /dev/urandom >"$TRACED/in.bin"
 # A traced transfer must end with the client-side latency decomposition
 # naming the dominant server stage (the bottleneck-attribution contract).
@@ -152,7 +155,7 @@ cat "$TRACED/get.log" >&2
 grep -q "dominant server stage" "$TRACED/get.log" \
     || { echo "ci: traced get printed no stage attribution"; exit 1; }
 cmp "$TRACED/in.bin" "$TRACED/out.bin"
-# The daemon rewrites the export shortly after spans arrive; poll until
+# The reader rewrites the export shortly after spans arrive; poll until
 # it validates against the trace-event schema with op slices present.
 TRACE_OK=
 for _ in $(seq 50); do

@@ -136,23 +136,26 @@ pub enum Request {
     Stats { query: StatsQuery },
 }
 
-/// What a [`Request::Stats`] query wants back in the response payload.
-/// There is one answer: the snapshot. Readers derive rates, Prometheus
-/// text and `top` from the snapshots they fetched; bytes 1 and 2, once
-/// daemon-rendered views, are malformed requests now.
+/// What a [`Request::Stats`] query wants back in the response payload:
+/// the snapshot, or the flight recorder's spans. Readers derive rates,
+/// Prometheus text, `top`, traces and verdicts from what they fetched;
+/// bytes 1 and 2, once daemon-rendered views, are malformed requests now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum StatsQuery {
-    /// The full telemetry snapshot as JSON (counters, gauges,
+    /// Byte 0: the full telemetry snapshot as JSON (counters, gauges,
     /// histograms, per-client attribution rows).
-    Snapshot = 0,
+    Snapshot,
+    /// Byte 3 + `after`: the flight recorder's held spans with a ticket
+    /// `>= after`, in the ring's word codec (`iofwd_telemetry::ring`).
+    Spans { after: u64 },
 }
 
 impl StatsQuery {
-    fn from_wire(v: u8) -> Result<StatsQuery, DecodeError> {
-        match v {
+    fn decode(r: &mut Reader) -> Result<StatsQuery, DecodeError> {
+        match r.u8()? {
             0 => Ok(StatsQuery::Snapshot),
-            _ => Err(DecodeError::BadEnum("stats query", v as u64)),
+            3 => Ok(StatsQuery::Spans { after: r.u64()? }),
+            v => Err(DecodeError::BadEnum("stats query", v as u64)),
         }
     }
 }
@@ -267,7 +270,13 @@ impl Request {
                 w.u32(*mode);
             }
             Request::Readdir { path } => w.str(path),
-            Request::Stats { query } => w.u8(*query as u8),
+            Request::Stats { query } => match query {
+                StatsQuery::Snapshot => w.u8(0),
+                StatsQuery::Spans { after } => {
+                    w.u8(3);
+                    w.u64(*after);
+                }
+            },
         }
     }
 
@@ -331,7 +340,7 @@ impl Request {
                 path: r.str(MAX_PATH)?,
             },
             17 => Request::Stats {
-                query: StatsQuery::from_wire(r.u8()?)?,
+                query: StatsQuery::decode(&mut r)?,
             },
             _ => return Err(DecodeError::BadOpCode(op)),
         };
@@ -530,6 +539,9 @@ mod tests {
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::Stats {
             query: StatsQuery::Snapshot,
+        });
+        roundtrip_req(Request::Stats {
+            query: StatsQuery::Spans { after: u64::MAX },
         });
     }
 

@@ -13,7 +13,8 @@
 //! * per-op lifecycle [`OpSpan`]s stamping arrival → queue → dispatch →
 //!   backend start → backend done → reply;
 //! * a fixed-size lock-free [`FlightRecorder`] ring holding the last N
-//!   completed spans for post-mortem dumps.
+//!   completed spans under monotone tickets — the daemon's only span
+//!   retention, read by ticket over the stats wire protocol.
 //!
 //! Recording is allocation-free and cheap enough to leave on (relaxed
 //! atomics, per-thread histogram shards merged only at snapshot time).
@@ -34,7 +35,7 @@ pub mod span;
 
 pub use clients::{ClientSnapshot, ClientTable, PerClientStats};
 pub use hist::{HistSnapshot, Histogram};
-pub use ring::FlightRecorder;
+pub use ring::{FlightRecorder, SpanRead};
 pub use snapshot::{GaugeValue, Rates, TelemetrySnapshot};
 pub use span::{Disposition, OpKind, OpSpan};
 
@@ -42,8 +43,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// A consumer of completed spans, beyond the built-in histogram fold —
-/// e.g. the trace exporter retaining sampled spans for Perfetto export.
+/// A consumer of completed spans, beyond the built-in histogram fold and
+/// the flight recorder — an in-process observer such as a test's tally.
 /// `on_complete` runs on the recording hot path: implementations must
 /// be cheap and must never block for long.
 pub trait SpanSink: Send + Sync {
@@ -112,10 +113,12 @@ impl Gauge {
     }
 }
 
-/// Fixed-size per-worker dispatch counters (for the load-balancing
-/// heuristic: how evenly does the queue spread work?).
+/// Rows in [`PerWorker`] and [`Heartbeats`]. Slot indices wrap at this
+/// bound, so `iofwdd` refuses more workers or event loops than it has.
 pub const MAX_WORKERS: usize = 64;
 
+/// Fixed-size per-worker dispatch counters (for the load-balancing
+/// heuristic: how evenly does the queue spread work?).
 pub struct PerWorker {
     counts: [Counter; MAX_WORKERS],
 }
@@ -153,11 +156,10 @@ impl Default for PerWorker {
     }
 }
 
-/// Liveness heartbeats for the reactor event loops (and any other
-/// periodic thread that wants watchdog coverage). Each loop registers
-/// once for a slot, then stores `now_ns` into it every iteration; the
-/// watchdog reads the *worst* lag across registered slots, so one
-/// healthy loop cannot mask a stuck sibling.
+/// Liveness heartbeats for the reactor event loops. Each loop registers
+/// once for a slot, then stores `now_ns` into it every iteration; a
+/// snapshot exports the *worst* lag across registered slots as
+/// `loop_lag_max_ns`, so one healthy loop cannot mask a stuck sibling.
 pub struct Heartbeats {
     slots: [AtomicU64; MAX_WORKERS],
     registered: AtomicU64,
@@ -344,9 +346,6 @@ registry! {
         /// readability) because BML, the work queue, or its write buffer
         /// pushed back.
         backpressure_events,
-        /// Times the health watchdog tripped an SLO (queue head-of-line
-        /// age, loop lag, or persistent write-buffer high water).
-        watchdog_trips,
         /// BML block acquisitions served by recycling a slab free-list
         /// block (no allocator call).
         slab_hits,
@@ -471,12 +470,6 @@ impl Telemetry {
         self.enabled.then(|| self.clients.entry(client))
     }
 
-    /// Nanoseconds this registry has existed — the denominator for
-    /// per-worker busy fractions. 0 when disabled.
-    pub fn uptime_ns(&self) -> u64 {
-        self.now_ns()
-    }
-
     /// Assemble a consistent-enough point-in-time view (see
     /// [`snapshot`] for rendering and the JSON codec).
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -502,7 +495,7 @@ mod tests {
         let span = OpSpan::begin(OpKind::Write, 1, 1, 0);
         t.complete(&span);
         assert_eq!(t.ops_completed.get(), 0);
-        assert!(t.flight.snapshot().is_empty());
+        assert!(t.flight.since(0).2.is_empty());
     }
 
     #[test]
@@ -519,9 +512,7 @@ mod tests {
         assert_eq!(t.ops_completed.get(), 1);
         assert_eq!(t.queue_wait_ns.snapshot().count, 1);
         assert_eq!(t.service_ns.snapshot().sum, 200);
-        let flight = t.flight.snapshot();
-        assert_eq!(flight.len(), 1);
-        assert_eq!(flight[0], span);
+        assert_eq!(t.flight.since(0).2, vec![(0, span)]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Snapshot assembly and the views over it: text, JSON, Prometheus,
-//! rates, top.
+//! rates, top, and the doctor's verdicts.
 //!
-//! The JSON snapshot is the only thing the daemon ships; every other
-//! view is computed here, by the reader, from the snapshots it fetched.
-//! Rates are one derivation over two of them ([`Rates::between`]):
-//! counter deltas over the uptime delta, so a reader picks its own
-//! window and the daemon keeps no history.
+//! The JSON snapshot is the only thing the daemon ships besides the
+//! flight recorder's spans; every other view is computed here, by the
+//! reader, from the snapshots it fetched. Rates are one derivation over
+//! two of them ([`Rates::between`]): counter deltas over the uptime
+//! delta, so a reader picks its own window and the daemon keeps no
+//! history. [`Doctor`] runs the health probes over successive
+//! snapshots, so the daemon runs no sampler of its own.
 //!
 //! This and [`crate::json`] are the telemetry modules allowed to
 //! allocate and format (lint rule R5 exempts them): everything here runs
@@ -15,6 +17,8 @@
 //! `tests/telemetry_props.rs`).
 
 use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::time::Duration;
 
 use crate::clients::ClientSnapshot;
 use crate::hist::{hist_delta, HistSnapshot};
@@ -56,6 +60,17 @@ impl TelemetrySnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map_or(GaugeValue::default(), |(_, v)| *v)
+    }
+
+    /// Add a gauge computed when the snapshot is taken: a level with no
+    /// history, so its peak is itself.
+    pub fn push_derived(&mut self, name: &str, level: u64) {
+        let v = i64::try_from(level).unwrap_or(i64::MAX);
+        let g = GaugeValue {
+            current: v,
+            peak: v,
+        };
+        self.gauges.push((name.to_string(), g));
     }
 
     pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
@@ -209,11 +224,9 @@ impl TelemetrySnapshot {
     pub fn render_text(&self) -> String {
         // Zero usually means "nothing to say", but these answer
         // questions an operator actively asks ("is anything connected?
-        // is the transport pushing back? is accept healthy? has the
-        // watchdog fired?") — for them, zero is the answer, so they
-        // render unconditionally.
-        const ALWAYS_COUNTERS: [&str; 3] =
-            ["accept_errors", "backpressure_events", "watchdog_trips"];
+        // is the transport pushing back? is accept healthy?") — for
+        // them, zero is the answer, so they render unconditionally.
+        const ALWAYS_COUNTERS: [&str; 2] = ["accept_errors", "backpressure_events"];
         const ALWAYS_GAUGES: [&str; 1] = ["conns_open"];
         let mut out = String::with_capacity(2048);
         out.push_str("== iofwd telemetry ==\n");
@@ -415,6 +428,155 @@ pub fn render_rates_json(r: &Rates) -> String {
     out
 }
 
+/// `iofwd-cp doctor`'s thresholds, parsed from its SPEC argument by
+/// [`DoctorConfig::parse`]. A zero limit disables its probe.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DoctorConfig {
+    /// Time between snapshots.
+    pub interval: Duration,
+    /// Limit on `queue_head_age_ns`, the oldest queued item's wait.
+    pub max_queue_age: Duration,
+    /// Limit on `loop_lag_max_ns`, the slowest event loop's time since
+    /// its last lap, and on the wait for a query's answer.
+    pub max_loop_lag: Duration,
+    /// Limit on `wbuf_bytes`, held for `wbuf_strikes` snapshots in a row.
+    pub wbuf_limit: u64,
+    pub wbuf_strikes: u32,
+    /// Where each trip line and a flight-recorder dump are appended.
+    pub dump_path: Option<PathBuf>,
+}
+
+impl Default for DoctorConfig {
+    fn default() -> DoctorConfig {
+        DoctorConfig {
+            interval: Duration::from_millis(100),
+            max_queue_age: Duration::from_secs(2),
+            max_loop_lag: Duration::from_secs(1),
+            wbuf_limit: 0,
+            wbuf_strikes: 5,
+            dump_path: None,
+        }
+    }
+}
+
+impl DoctorConfig {
+    /// Comma-separated `key=value` pairs over the defaults. Keys:
+    /// `interval_ms`, `queue_age_ms`, `loop_lag_ms`, `wbuf_bytes`,
+    /// `wbuf_strikes`, `dump=<path>`. The literal `on` (or an empty
+    /// string) takes every default.
+    pub fn parse(spec: &str) -> Result<DoctorConfig, String> {
+        let mut cfg = DoctorConfig::default();
+        let pairs = spec.split(',').map(str::trim);
+        for pair in pairs.filter(|p| !p.is_empty() && *p != "on") {
+            let (key, value) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("doctor: expected key=value, got {pair:?}"))?;
+            let num = |what: &str| {
+                let n = value.trim().parse::<u64>();
+                n.map_err(|_| format!("doctor: bad {what} in {pair:?}"))
+            };
+            let ms = || num("milliseconds").map(Duration::from_millis);
+            match key.trim() {
+                "interval_ms" => cfg.interval = ms()?.max(Duration::from_millis(1)),
+                "queue_age_ms" => cfg.max_queue_age = ms()?,
+                "loop_lag_ms" => cfg.max_loop_lag = ms()?,
+                "wbuf_bytes" => cfg.wbuf_limit = num("byte count")?,
+                "wbuf_strikes" => cfg.wbuf_strikes = num("strike count")?.clamp(1, 1 << 31) as u32,
+                "dump" => cfg.dump_path = Some(PathBuf::from(value.trim())),
+                other => return Err(format!("doctor: unknown key {other:?}")),
+            }
+        }
+        Ok(cfg)
+    }
+}
+
+/// One SLO trip; displays as `trip reason=... observed=... limit=...`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trip {
+    pub reason: &'static str,
+    pub observed: u64,
+    pub limit: u64,
+}
+
+impl std::fmt::Display for Trip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (reason, observed, limit) = (self.reason, self.observed, self.limit);
+        write!(f, "trip reason={reason} observed={observed} limit={limit}")
+    }
+}
+
+/// The three stall probes over successive snapshots: queue head-of-line
+/// age (a hung backend shows here first, while throughput counters just
+/// flatline), event-loop lag (a loop stuck in a blocking call stops
+/// beating even with the queue empty), and write-buffer bytes held over
+/// the limit for `wbuf_strikes` snapshots in a row (one is normal
+/// backpressure). Each probe is a latch that fires on its rising edge
+/// and re-arms once its signal drops back under the limit, so a wedged
+/// daemon yields one trip per stall, not one per snapshot.
+#[derive(Debug, Default)]
+pub struct Doctor {
+    pub cfg: DoctorConfig,
+    /// Latched state of the queue, loop and wbuf probes.
+    tripped: [bool; 3],
+    wbuf_over: u32,
+}
+
+impl Doctor {
+    pub fn new(cfg: DoctorConfig) -> Doctor {
+        Doctor {
+            cfg,
+            ..Doctor::default()
+        }
+    }
+
+    fn edge(&mut self, probe: usize, firing: bool) -> bool {
+        let rising = firing && !self.tripped[probe];
+        self.tripped[probe] = firing;
+        rising
+    }
+
+    /// Run the probes over the next snapshot; the trips that fired.
+    pub fn observe(&mut self, snap: &TelemetrySnapshot) -> Vec<Trip> {
+        let level = |name: &str| snap.gauge(name).current.max(0) as u64;
+        let (age, lag) = (level("queue_head_age_ns"), level("loop_lag_max_ns"));
+        let age_max = self.cfg.max_queue_age.as_nanos() as u64;
+        let lag_max = self.cfg.max_loop_lag.as_nanos() as u64;
+        let (wbuf, wbuf_max) = (level("wbuf_bytes"), self.cfg.wbuf_limit);
+        let wbuf_high = wbuf_max > 0 && wbuf > wbuf_max;
+        self.wbuf_over = if wbuf_high {
+            self.wbuf_over.saturating_add(1)
+        } else {
+            0
+        };
+        let wbuf_stuck = wbuf_high && self.wbuf_over >= self.cfg.wbuf_strikes;
+        let probes = [
+            ("queue_stall", age, age_max, age_max > 0 && age > age_max),
+            ("loop_stall", lag, lag_max, lag_max > 0 && lag > lag_max),
+            ("wbuf_high_water", wbuf, wbuf_max, wbuf_stuck),
+        ];
+        (0..3)
+            .zip(probes)
+            .filter(|&(i, (.., firing))| self.edge(i, firing))
+            .map(|(_, (reason, observed, limit, _))| Trip {
+                reason,
+                observed,
+                limit,
+            })
+            .collect()
+    }
+
+    /// A snapshot query that went `waited_ns` without an answer: the loop
+    /// serving that connection is stalled, as far as any reader can tell.
+    pub fn no_answer(&mut self, waited_ns: u64) -> Option<Trip> {
+        let limit = self.cfg.max_loop_lag.as_nanos() as u64;
+        self.edge(1, true).then_some(Trip {
+            reason: "loop_stall",
+            observed: waited_ns,
+            limit,
+        })
+    }
+}
+
 /// Structural validation of Prometheus text-exposition output: every
 /// line is a comment or `name[{labels}] value`, and the lines of one
 /// metric form a single group — a name may not reappear once another
@@ -480,11 +642,10 @@ pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -
     let mut out = String::with_capacity(2048);
     let _ = writeln!(
         out,
-        "iofwd top — uptime {} · conns {} · clients {} · watchdog_trips {}",
+        "iofwd top — uptime {} · conns {} · clients {}",
         fmt_ns(now.counter("uptime_ns") as f64),
         now.gauge("conns_open").current,
         now.clients.len(),
-        now.counter("watchdog_trips"),
     );
     let _ = writeln!(
         out,
@@ -564,7 +725,11 @@ pub fn render_top(prev: &TelemetrySnapshot, now: &TelemetrySnapshot, k: usize) -
 /// work, kept out of the hot-path module.
 pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
     // The declared registry entries come from the one table in `lib.rs`;
-    // the rows added here are derived at snapshot time, not stored.
+    // the rows added here are derived at snapshot time, not stored. The
+    // daemon's stats answer adds one more derived gauge,
+    // `queue_head_age_ns`, from the work queue this registry cannot see.
+    // `uptime_ns` is the denominator for per-worker busy fractions.
+    let now = t.now_ns();
     let mut counters: Vec<(String, u64)> = t
         .counters()
         .iter()
@@ -573,7 +738,7 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
     counters.extend([
         ("flight_recorded".to_string(), t.flight.recorded()),
         ("flight_dropped".to_string(), t.flight.dropped()),
-        ("uptime_ns".to_string(), t.uptime_ns()),
+        ("uptime_ns".to_string(), now),
     ]);
     for w in 0..MAX_WORKERS {
         let c = t.worker_dispatch.get(w);
@@ -598,7 +763,7 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             (name.to_string(), value)
         })
         .collect();
-    TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot {
         counters,
         gauges,
         hists: t
@@ -607,21 +772,33 @@ pub fn capture(t: &Telemetry) -> TelemetrySnapshot {
             .map(|(name, h)| (name.to_string(), h.snapshot()))
             .collect(),
         clients: t.clients.snapshot(),
-    }
+    };
+    snap.push_derived("loop_lag_max_ns", t.loop_heartbeats.max_lag_ns(now));
+    snap
 }
 
 /// Render the flight recorder's tail as a stage-breakdown table. Failed
 /// and drain-path ops show their wire errno and disposition so a
 /// post-mortem read can tell what was dropped during degraded shutdown.
-pub fn render_flight(spans: &[OpSpan]) -> String {
-    let mut out = String::with_capacity(256 + spans.len() * 112);
+pub fn render_flight(held: &[(u64, OpSpan)]) -> String {
+    let mut out = String::with_capacity(256 + held.len() * 120);
     out.push_str("flight recorder (oldest first):\n");
     let _ = writeln!(
         out,
-        "  {:<8} {:>6} {:>8} {:>10} {:>3} {:>5} {:<8}  {:>9} {:>9} {:>9}",
-        "kind", "client", "seq", "bytes", "ok", "errno", "disp", "queue", "service", "total"
+        "  {:>8} {:<8} {:>6} {:>8} {:>10} {:>3} {:>5} {:<8}  {:>9} {:>9} {:>9}",
+        "ticket",
+        "kind",
+        "client",
+        "seq",
+        "bytes",
+        "ok",
+        "errno",
+        "disp",
+        "queue",
+        "service",
+        "total"
     );
-    for s in spans {
+    for (ticket, s) in held {
         let errno = if s.errno == 0 {
             "-".to_string()
         } else {
@@ -629,7 +806,8 @@ pub fn render_flight(spans: &[OpSpan]) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<8} {:>6} {:>8} {:>10} {:>3} {:>5} {:<8}  {:>9} {:>9} {:>9}",
+            "  {:>8} {:<8} {:>6} {:>8} {:>10} {:>3} {:>5} {:<8}  {:>9} {:>9} {:>9}",
+            ticket,
             s.kind.name(),
             s.client,
             s.seq,
@@ -774,7 +952,7 @@ mod tests {
 
         let declared: Vec<&str> = t.gauges().iter().map(|(n, _)| *n).collect();
         let exported: Vec<&str> = snap.gauges.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(exported, declared);
+        assert_eq!(exported, [&declared[..], &["loop_lag_max_ns"]].concat());
         for (i, name) in declared.iter().enumerate() {
             assert_eq!(snap.gauge(name).current, i as i64 + 1, "{name}");
         }
@@ -804,7 +982,7 @@ mod tests {
         let snap = t.snapshot();
         let text = snap.render_text();
         assert!(text.contains("ops_completed"));
-        let flight = render_flight(&t.flight.snapshot());
+        let flight = render_flight(&t.flight.since(0).2);
         assert!(flight.contains("read"));
     }
 
@@ -819,7 +997,6 @@ mod tests {
         assert!(text.contains("conns_open"), "{text}");
         assert!(text.contains("backpressure_events"), "{text}");
         assert!(text.contains("accept_errors"), "{text}");
-        assert!(text.contains("watchdog_trips"), "{text}");
     }
 
     #[test]
@@ -1004,6 +1181,96 @@ mod tests {
         // full uptime.
         let first = render_top(&TelemetrySnapshot::default(), &now, 4);
         assert!(first.contains("iofwd top"), "{first}");
+    }
+
+    #[test]
+    fn parse_accepts_defaults_and_overrides() {
+        assert_eq!(DoctorConfig::parse("on"), Ok(DoctorConfig::default()));
+        assert_eq!(DoctorConfig::parse(""), Ok(DoctorConfig::default()));
+        let cfg = DoctorConfig::parse(
+            "interval_ms=50, queue_age_ms=250,loop_lag_ms=500,wbuf_bytes=1048576,\
+             wbuf_strikes=3,dump=/tmp/wd.txt",
+        )
+        .expect("full spec");
+        assert_eq!(cfg.interval, Duration::from_millis(50));
+        assert_eq!(cfg.max_queue_age, Duration::from_millis(250));
+        assert_eq!(cfg.max_loop_lag, Duration::from_millis(500));
+        assert_eq!(cfg.wbuf_limit, 1 << 20);
+        assert_eq!(cfg.wbuf_strikes, 3);
+        assert_eq!(cfg.dump_path, Some(PathBuf::from("/tmp/wd.txt")));
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        assert!(DoctorConfig::parse("queue_age_ms").is_err());
+        assert!(DoctorConfig::parse("queue_age_ms=soon").is_err());
+        assert!(DoctorConfig::parse("blink=1").is_err());
+    }
+
+    /// A snapshot holding just one gauge at `level`.
+    fn gauge_at(name: &str, level: u64) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        snap.push_derived(name, level);
+        snap
+    }
+
+    /// Only the probe under test is armed.
+    fn doctor(spec: &str) -> Doctor {
+        let base = "queue_age_ms=0,loop_lag_ms=0,";
+        Doctor::new(DoctorConfig::parse(&format!("{base}{spec}")).expect("spec"))
+    }
+
+    #[test]
+    fn latch_fires_on_rising_edge_only() {
+        let mut d = doctor("queue_age_ms=1");
+        let mut probe = |age_ms: u64| d.observe(&gauge_at("queue_head_age_ns", age_ms * 1_000_000));
+        assert!(probe(0).is_empty());
+        let trip = probe(5);
+        assert_eq!(
+            trip[0].to_string(),
+            "trip reason=queue_stall observed=5000000 limit=1000000"
+        );
+        assert!(probe(5).is_empty(), "held condition must not re-fire");
+        assert!(probe(0).is_empty(), "falling edge re-arms silently");
+        assert_eq!(probe(5).len(), 1, "re-armed latch fires again");
+    }
+
+    #[test]
+    fn loop_stall_trips_and_recovers() {
+        let mut d = doctor("loop_lag_ms=1");
+        let stalled = gauge_at("loop_lag_max_ns", 5_000_000);
+        let beating = gauge_at("loop_lag_max_ns", 10_000);
+        assert_eq!(d.observe(&stalled)[0].reason, "loop_stall");
+        assert!(d.observe(&stalled).is_empty(), "latched while stalled");
+        // The loop beats again: the latch re-arms, a second stall trips.
+        assert!(d.observe(&beating).is_empty());
+        assert_eq!(d.observe(&stalled).len(), 1);
+        // An unanswered query is the same stall, seen from outside.
+        assert!(d.observe(&beating).is_empty());
+        let trip = d.no_answer(3_000_000).expect("no answer trips");
+        assert_eq!((trip.reason, trip.observed), ("loop_stall", 3_000_000));
+        assert_eq!(d.no_answer(9_000_000), None, "latched while unanswered");
+    }
+
+    #[test]
+    fn wbuf_trip_requires_consecutive_strikes() {
+        let mut d = doctor("wbuf_bytes=100,wbuf_strikes=3");
+        let (high, low) = (gauge_at("wbuf_bytes", 500), gauge_at("wbuf_bytes", 0));
+        assert!(d.observe(&high).is_empty());
+        assert!(d.observe(&high).is_empty(), "two strikes is not out");
+        // An intervening clean snapshot resets the streak.
+        assert!(d.observe(&low).is_empty());
+        assert!(d.observe(&high).is_empty());
+        assert!(d.observe(&high).is_empty());
+        let trip = d.observe(&high);
+        assert_eq!(
+            trip,
+            [Trip {
+                reason: "wbuf_high_water",
+                observed: 500,
+                limit: 100
+            }]
+        );
     }
 
     #[test]

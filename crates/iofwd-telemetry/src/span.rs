@@ -139,7 +139,7 @@ pub struct OpSpan {
     pub ok: bool,
     /// Distributed-trace id propagated from the client; 0 = untraced.
     pub trace_id: u64,
-    /// Client asked for this span to be retained by the trace exporter.
+    /// A tracing client flagged this op sampled; trace readers filter on it.
     pub sampled: bool,
     /// Pool worker that executed the op, 1-based; 0 = not executed by a
     /// pool worker (inline handler, proxy thread, or never executed).

@@ -7,17 +7,25 @@
 //! iofwd-cp stats ADDR [--json|--rates|--prom [--check]]   # live query
 //! iofwd-cp stats ADDR ASSERT...       # live query, checked (CI gates)
 //! iofwd-cp top ADDR [-n K] [--interval SECS] [--count N]  # live top-K
+//! iofwd-cp trace ADDR OUT             # live spans -> Chrome trace file
+//! iofwd-cp doctor ADDR [SPEC]         # live health probes
 //! iofwd-cp trace FILE                 # validate an exported trace JSON
 //! ```
 //!
-//! `stats` and `top` speak the stats wire protocol to a *running*
-//! daemon's data-path port, on a connection of their own. The daemon
-//! answers from telemetry memory without touching the work queue or the
-//! BML, so both keep working while the data path is wedged. Its answer
-//! is always the JSON snapshot; every view is rendered here. `--rates`
-//! diffs two snapshots taken 1 s apart, and `top` polls snapshots and
-//! diffs each against the last into per-client interval values, ranked
-//! by bytes moved over the refresh window.
+//! `stats`, `top`, `trace ADDR` and `doctor` speak the stats wire
+//! protocol to a *running* daemon's data-path port, on a connection of
+//! their own. The daemon answers from telemetry memory without touching
+//! the BML or the descriptor table, so all four keep working while the
+//! data path is wedged. Its answer is the JSON snapshot or the flight
+//! recorder's spans; every view is rendered here. `--rates` diffs two
+//! snapshots taken 1 s apart, and `top` polls snapshots and diffs each
+//! against the last into per-client interval values, ranked by bytes
+//! moved over the refresh window. `trace ADDR OUT` keeps OUT a Chrome
+//! trace of every span polled (the sampled ones flagged in their args),
+//! and `doctor` prints `trip reason=... observed=... limit=...` when a
+//! stall probe fires; SPEC is `key=value,...` over `interval_ms`,
+//! `queue_age_ms`, `loop_lag_ms`, `wbuf_bytes`, `wbuf_strikes` and
+//! `dump=PATH`.
 //!
 //! `--stats` (before the subcommand) records the latency of every
 //! forwarded call client-side and prints per-operation mean/p99 —
@@ -40,18 +48,19 @@
 //! named histogram's 0.99 quantile to be below 2000 µs (the CI
 //! latency-regression gate).
 //!
-//! `trace FILE` validates a `--trace-out` export against the Chrome
+//! `trace FILE` validates a `trace ADDR OUT` file against the Chrome
 //! trace-event schema and exits nonzero if it is malformed or empty.
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use iofwd::client::Client;
-use iofwd::telemetry::{
-    snapshot::{fmt_ns, render_rates_json, render_top, validate_prometheus},
-    HistSnapshot, Rates, TelemetrySnapshot,
+use iofwd::telemetry::snapshot::{
+    fmt_ns, render_flight, render_rates_json, render_top, validate_prometheus, Doctor,
+    DoctorConfig, Trip,
 };
-use iofwd::trace::validate_chrome_trace;
+use iofwd::telemetry::{HistSnapshot, OpSpan, Rates, TelemetrySnapshot};
+use iofwd::trace::{render_chrome_trace, validate_chrome_trace};
 use iofwd::transport::tcp::TcpConn;
 use iofwd_proto::OpenFlags;
 
@@ -150,10 +159,15 @@ fn main() {
         Some("stats") if args.len() >= 2 => live_stats(&args[1], &args[2..]),
         Some("top") if args.len() >= 2 => live_top(&args[1], &args[2..]),
         Some("trace") if args.len() == 2 => check_trace(&args[1]),
+        Some("trace") if args.len() == 3 => live_trace(&args[1], &args[2]),
+        Some("doctor") if (2..=3).contains(&args.len()) => {
+            doctor(&args[1], args.get(2).map_or("", String::as_str))
+        }
         _ => die(
             "usage: iofwd-cp [--stats] [--trace] put LOCAL ADDR REMOTE | get ADDR REMOTE LOCAL \
              | stat ADDR REMOTE | stats ADDR [--json|--rates|--prom [--check] | ASSERTION...] \
-             | top ADDR [-n K] [--interval SECS] [--count N] | trace FILE",
+             | top ADDR [-n K] [--interval SECS] [--count N] | trace ADDR OUT \
+             | doctor ADDR [SPEC] | trace FILE",
         ),
     }
 }
@@ -263,6 +277,89 @@ fn live_top(addr: &str, args: &[String]) {
         }
     }
     let _ = client.shutdown();
+}
+
+/// How often `trace ADDR OUT` polls the daemon's flight recorder.
+const TRACE_POLL: Duration = Duration::from_millis(100);
+
+/// `trace ADDR OUT`: every [`TRACE_POLL`], ask for the spans after the
+/// last one received; whenever some arrive, render every span so far
+/// and rewrite OUT atomically, until killed. Spans the daemon's ring
+/// overwrote before a poll reached them are counted on stderr.
+fn live_trace(addr: &str, out: &str) {
+    let mut client = connect(addr);
+    let (mut after, mut spans) = (0, Vec::<OpSpan>::new());
+    loop {
+        let (oldest, _, held) = client
+            .query_spans(after)
+            .unwrap_or_else(|e| die(&format!("span query to {addr}: {e}")));
+        if oldest > after {
+            eprintln!("iofwd-cp: trace: missed {} span(s)", oldest - after);
+        }
+        // Resume after the newest span read: one its writer was still
+        // storing is read on the next poll.
+        after = held.last().map_or(after.max(oldest), |(t, _)| t + 1);
+        if !held.is_empty() {
+            spans.extend(held.into_iter().map(|(_, s)| s));
+            let tmp = format!("{out}.tmp");
+            std::fs::write(&tmp, render_chrome_trace(&spans))
+                .and_then(|()| std::fs::rename(&tmp, out))
+                .unwrap_or_else(|e| die(&format!("write {out}: {e}")));
+        }
+        std::thread::sleep(TRACE_POLL);
+    }
+}
+
+/// `doctor ADDR [SPEC]`: [`Doctor`]'s probes over one snapshot per
+/// interval, until killed; with `dump=PATH`, each trip line is appended
+/// there with the flight recorder's spans. A query unanswered within
+/// `loop_lag_ms` is itself a `loop_stall` trip, and `doctor` reconnects:
+/// on the reactor, a new connection goes to the next loop.
+fn doctor(addr: &str, spec: &str) {
+    let mut doctor = Doctor::new(DoctorConfig::parse(spec).unwrap_or_else(|e| die(&e)));
+    let timeout = Some(doctor.cfg.max_loop_lag).filter(|t| !t.is_zero());
+    let connect = || {
+        std::net::TcpStream::connect(addr)
+            .and_then(|s| {
+                s.set_read_timeout(timeout)
+                    .and_then(|()| TcpConn::from_stream(s))
+            })
+            .map(|conn| Client::connect(Box::new(conn)))
+            .unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")))
+    };
+    let mut client = connect();
+    loop {
+        let asked = Instant::now();
+        let trips = match client.query_snapshot() {
+            Ok(snap) => doctor.observe(&snap),
+            Err(_) => {
+                client = connect();
+                let waited = asked.elapsed().as_nanos() as u64;
+                doctor.no_answer(waited).into_iter().collect()
+            }
+        };
+        for trip in trips {
+            println!("iofwd-cp doctor: {trip}");
+            if let Some(path) = &doctor.cfg.dump_path {
+                dump(&mut client, path, &trip);
+            }
+        }
+        std::thread::sleep(doctor.cfg.interval);
+    }
+}
+
+/// Append a trip line and the flight recorder's spans to `path`.
+fn dump(client: &mut Client, path: &std::path::Path, trip: &Trip) {
+    let flight = match client.query_spans(0) {
+        Ok((_, _, held)) => render_flight(&held),
+        Err(e) => format!("flight recorder unread: {e}\n"),
+    };
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| writeln!(f, "{trip}\n{flight}"))
+        .unwrap_or_else(|e| eprintln!("iofwd-cp: doctor: dump to {}: {e}", path.display()));
 }
 
 /// Print the traced transfer's latency decomposition: how much of the
@@ -480,7 +577,7 @@ fn check_snapshot(addr: &str, snap: &TelemetrySnapshot, assertions: &[&str]) {
     }
 }
 
-/// Validate a `--trace-out` export: well-formed Chrome trace-event JSON
+/// Validate a `trace ADDR OUT` file: well-formed Chrome trace-event JSON
 /// with at least one duration slice. Prints the track/slice digest that
 /// the CI gate (and a curious operator) wants to see.
 fn check_trace(path: &str) {

@@ -9,22 +9,19 @@
 //! ```
 //!
 //! Observability (DESIGN.md §9). `iofwd::telemetry` is always compiled
-//! in and on; every number is stamped once into its registry and leaves
-//! the process one way, as the reply to a `Request::Stats` on any client
-//! connection, read with `iofwd-cp stats|top ADDR`. The reply is the
-//! JSON snapshot and nothing else: rates, Prometheus text and `top` are
-//! computed by the reader from the snapshots it fetched. A stats query
-//! needs no staging memory, so a fresh connection is answered even when
-//! every data connection is parked under backpressure. The daemon
-//! writes no stats file, prints no periodic dump, and keeps no timer of
-//! its own: without `--trace-out` its main thread sleeps until killed.
+//! in and on; every number is stamped once into its registry, every
+//! completed span once into its flight-recorder ring, and both leave the
+//! process one way, as the reply to a `Request::Stats` on any client
+//! connection: the JSON snapshot, or the ring's spans after a ticket.
+//! `iofwd-cp stats|top|trace|doctor ADDR` compute rates, Prometheus
+//! text, `top`, Chrome traces and health verdicts from what they
+//! fetched. A stats query needs no staging memory, so a fresh
+//! connection is answered even when every data connection is parked
+//! under backpressure. The daemon writes no stats or trace file, prints
+//! no periodic dump, and keeps no timer or sampler thread of its own:
+//! its main thread sleeps until killed.
 //!
 //! * `--port-file PATH` — write the bound port (for `--listen host:0`).
-//! * `--watchdog [k=v,...]` — event-loop/queue health watchdog
-//!   (`interval_ms`, `queue_age_ms`, `loop_lag_ms`, `wbuf_bytes`,
-//!   `wbuf_strikes`, `dump=PATH`): each SLO is a rising-edge latch
-//!   that bumps `watchdog_trips`, logs one structured reason line, and
-//!   appends a flight-recorder dump.
 //!
 //! Robustness (`iofwd::fault`):
 //!
@@ -46,24 +43,14 @@
 //!   per-operation cost plus a bandwidth limit shared by all
 //!   descriptors. The experiment harness (DESIGN.md §14) uses this to
 //!   make backend-bound regimes reproducible on arbitrary hardware.
-//!
-//! Tracing (`iofwd::trace`; see DESIGN.md §11):
-//!
-//! * `--trace-out PATH` — export retained op spans as Chrome
-//!   trace-event JSON (Perfetto-loadable), rewritten atomically whenever
-//!   new spans arrive. Spans flagged sampled by a tracing client
-//!   (`iofwd-cp --trace`) are always retained.
-//! * `--trace-sample N` — additionally self-sample every Nth completed
-//!   op regardless of client flags (0 disables; default 0).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use iofwd::backend::{FaultBackend, FileBackend, ThrottledBackend};
 use iofwd::fault::{FaultPlan, RetryPolicy};
-use iofwd::server::{watchdog, ForwardingMode, IonServer, ServerConfig, WatchdogConfig};
-use iofwd::telemetry::Telemetry;
-use iofwd::trace::TraceExporter;
+use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
+use iofwd::telemetry::{Telemetry, MAX_WORKERS};
 use iofwd::transport::tcp::TcpAcceptor;
 
 struct Options {
@@ -73,12 +60,8 @@ struct Options {
     workers: usize,
     bml_mib: u64,
     port_file: Option<String>,
-    /// `--watchdog` spec (absent = watchdog off).
-    watchdog: Option<WatchdogConfig>,
     fault_plan: Option<String>,
     retry_attempts: u32,
-    trace_out: Option<String>,
-    trace_sample: u64,
     /// `--coalesce=off` given (else the mode default: on for
     /// sched/staged, off for ciod/zoid).
     coalesce_off: bool,
@@ -103,11 +86,8 @@ impl Options {
             workers: 4,
             bml_mib: 256,
             port_file: None,
-            watchdog: None,
             fault_plan: None,
             retry_attempts: 4,
-            trace_out: None,
-            trace_sample: 0,
             coalesce_off: false,
             throttle: None,
             transport: "threads".into(),
@@ -124,19 +104,19 @@ impl Options {
                 "--listen" => opts.listen = take("--listen"),
                 "--root" => opts.root = take("--root"),
                 "--mode" => opts.mode = take("--mode"),
+                // Telemetry has MAX_WORKERS per-worker and per-loop rows:
+                // past them two threads share one, and a healthy loop's
+                // heartbeat masks a stuck one's.
                 "--workers" => {
-                    opts.workers = take("--workers").parse().unwrap_or_else(|_| {
-                        die("--workers needs an integer");
+                    let n = take("--workers").parse().ok();
+                    opts.workers = n.filter(|&n| n <= MAX_WORKERS).unwrap_or_else(|| {
+                        die(&format!("--workers needs an integer up to {MAX_WORKERS}"))
                     })
                 }
                 "--bml-mib" => {
                     opts.bml_mib = take("--bml-mib").parse().unwrap_or_else(|_| {
                         die("--bml-mib needs an integer");
                     })
-                }
-                "--watchdog" => {
-                    let spec = take("--watchdog");
-                    opts.watchdog = Some(WatchdogConfig::parse(&spec).unwrap_or_else(|e| die(&e)));
                 }
                 "--port-file" => opts.port_file = Some(take("--port-file")),
                 "--fault-plan" => opts.fault_plan = Some(take("--fault-plan")),
@@ -173,12 +153,12 @@ impl Options {
                     }
                 }
                 "--reactor-threads" => {
-                    opts.reactor_threads = take("--reactor-threads").parse().unwrap_or_else(|_| {
-                        die("--reactor-threads needs an integer");
-                    });
-                    if opts.reactor_threads == 0 {
-                        die("--reactor-threads must be nonzero");
-                    }
+                    let n = take("--reactor-threads").parse().ok();
+                    opts.reactor_threads = n
+                        .filter(|n| (1..=MAX_WORKERS).contains(n))
+                        .unwrap_or_else(|| {
+                            die(&format!("--reactor-threads needs 1 to {MAX_WORKERS}"))
+                        })
                 }
                 "--accept-fault-every" => {
                     opts.accept_fault_every =
@@ -186,23 +166,16 @@ impl Options {
                             die("--accept-fault-every needs an integer (0 disables)");
                         })
                 }
-                "--trace-out" => opts.trace_out = Some(take("--trace-out")),
-                "--trace-sample" => {
-                    opts.trace_sample = take("--trace-sample").parse().unwrap_or_else(|_| {
-                        die("--trace-sample needs an integer (keep every Nth op; 0 disables)");
-                    })
-                }
                 "--help" | "-h" => {
                     println!(
                         "usage: iofwdd [--listen ADDR] [--root DIR] \
                          [--mode ciod|zoid|sched|staged] [--workers N] [--bml-mib N] \
-                         [--port-file PATH] [--watchdog SPEC] \
+                         [--port-file PATH] \
                          [--fault-plan PATH] [--retry-attempts N] \
                          [--coalesce=off] \
                          [--throttle PER_OP_US,BW_MIB_S] \
                          [--transport threads|reactor] [--reactor-threads N] \
-                         [--accept-fault-every N] \
-                         [--trace-out PATH] [--trace-sample N]"
+                         [--accept-fault-every N]"
                     );
                     std::process::exit(0);
                 }
@@ -264,19 +237,6 @@ fn main() {
     // Build telemetry up front so the fault injector (outermost backend
     // wrapper) and the daemon share one registry.
     let telemetry = Arc::new(Telemetry::new());
-    // The trace exporter must be attached before any op completes so the
-    // first traced request is already observable.
-    let exporter = opts.trace_out.as_ref().map(|path| {
-        let exporter = Arc::new(TraceExporter::new(opts.trace_sample));
-        if !telemetry.set_sink(exporter.clone()) {
-            die("telemetry span sink already attached");
-        }
-        eprintln!(
-            "iofwdd: tracing ON — spans to {path} (self-sample every {} op(s))",
-            opts.trace_sample
-        );
-        exporter
-    });
     let file_backend = Arc::new(FileBackend::new(&opts.root));
     let mut backend: Arc<dyn iofwd::backend::Backend> = match opts.throttle {
         Some((per_op, bytes_per_sec)) => {
@@ -302,7 +262,7 @@ fn main() {
         backend = Arc::new(FaultBackend::new(backend, plan, telemetry.clone()));
     }
     let mut config = ServerConfig::new(mode)
-        .with_telemetry(telemetry.clone())
+        .with_telemetry(telemetry)
         .with_retry_policy(RetryPolicy::with_attempts(opts.retry_attempts));
     if opts.coalesce_off {
         config = config.with_coalescing(false);
@@ -324,7 +284,7 @@ fn main() {
             transport = "threads".into();
         }
     }
-    let server = if transport == "reactor" {
+    let _server = if transport == "reactor" {
         let reactor_cfg = iofwd::server::ReactorConfig {
             threads: opts.reactor_threads,
             ..Default::default()
@@ -350,34 +310,8 @@ fn main() {
         "iofwdd: write coalescing {}",
         if coalesce { "ON" } else { "off" }
     );
-    let _watchdog = opts.watchdog.clone().map(|cfg| {
-        eprintln!(
-            "iofwdd: watchdog ON — interval {:?}, queue age {:?}, loop lag {:?}, \
-             wbuf {} B x{}",
-            cfg.interval, cfg.max_queue_age, cfg.max_loop_lag, cfg.wbuf_limit, cfg.wbuf_strikes
-        );
-        watchdog::spawn(cfg, telemetry.clone(), server.work_queue())
-            .unwrap_or_else(|e| die(&format!("cannot start watchdog: {e}")))
-    });
     eprintln!("iofwdd: press Ctrl-C to stop");
-
-    // The main thread's only periodic duty is the trace export: it
-    // rewrites the file whenever new spans were retained, so a
-    // short-lived traced run's spans land on disk within a poll tick.
-    // Without one it parks until the process is killed.
-    let (Some(path), Some(exporter)) = (&opts.trace_out, &exporter) else {
-        loop {
-            std::thread::park();
-        }
-    };
-    const POLL_TICK: Duration = Duration::from_millis(200);
-    let mut traced_spans = 0usize;
     loop {
-        std::thread::sleep(POLL_TICK);
-        let kept = exporter.kept();
-        if kept != traced_spans {
-            traced_spans = kept;
-            write_atomic(path, &exporter.render());
-        }
+        std::thread::park();
     }
 }

@@ -483,10 +483,11 @@ impl Client {
         }
     }
 
-    /// Query the daemon's live introspection plane. The reply payload is
-    /// the registry's JSON snapshot, the one [`StatsQuery`]; the daemon
-    /// answers from telemetry memory without entering the work queue, so
-    /// this works even while the data path is saturated or wedged.
+    /// Query the daemon's live introspection plane: the registry's JSON
+    /// snapshot or the flight recorder's spans, per [`StatsQuery`]. The
+    /// daemon answers from telemetry memory without entering the work
+    /// queue, so this works even while the data path is saturated or
+    /// wedged.
     pub fn query_stats(&mut self, query: iofwd_proto::StatsQuery) -> Result<Bytes, ClientError> {
         match self.call(&Request::Stats { query }, &[])? {
             (Response::Ok { .. }, data) => Ok(data),
@@ -505,6 +506,16 @@ impl Client {
         let data = self.query_stats(iofwd_proto::StatsQuery::Snapshot)?;
         crate::telemetry::TelemetrySnapshot::from_json(&String::from_utf8_lossy(&data))
             .map_err(|e| ClientError::Protocol(format!("malformed snapshot: {e}")))
+    }
+
+    /// The flight recorder's held spans with a ticket `>= after`, as
+    /// `(oldest_held, next, [(ticket, span)])`: ask again with `next` for
+    /// the ones after these; `oldest_held - after` were overwritten
+    /// before this read.
+    pub fn query_spans(&mut self, after: u64) -> Result<crate::telemetry::SpanRead, ClientError> {
+        let data = self.query_stats(iofwd_proto::StatsQuery::Spans { after })?;
+        crate::telemetry::ring::decode_spans(&data)
+            .ok_or_else(|| ClientError::Protocol("malformed span read".into()))
     }
 
     /// Orderly disconnect: tells the daemon this client is done.

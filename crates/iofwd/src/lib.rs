@@ -81,4 +81,4 @@ pub use iofwd_telemetry as telemetry;
 
 pub use client::{Client, ClientError, TraceStats};
 pub use server::{ForwardingMode, IonServer, ServerConfig};
-pub use trace::{StageBreakdown, TraceExporter};
+pub use trace::StageBreakdown;

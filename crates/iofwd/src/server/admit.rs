@@ -39,7 +39,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver};
-use iofwd_proto::{Errno, Fd, Frame, Request, Response, StageEcho, TraceContext, TraceExt};
+use iofwd_proto::{
+    Errno, Fd, Frame, Request, Response, StageEcho, StatsQuery, TraceContext, TraceExt,
+};
 
 use super::engine::{op_kind, response_errno, Engine};
 use super::handlers::execute_staged;
@@ -48,7 +50,7 @@ use super::queue::{
 };
 use super::staged::FdSerializer;
 use crate::bml::{Bml, BmlBuffer};
-use crate::telemetry::{Disposition, OpSpan, Telemetry};
+use crate::telemetry::{ring, Disposition, OpSpan, Telemetry};
 
 /// Which of the paper's architectures admission implements.
 pub(crate) enum Policy {
@@ -221,7 +223,7 @@ enum Shape {
 }
 
 enum Class {
-    Stats,
+    Stats(StatsQuery),
     Shutdown,
     Op(Shape, SessionEffect),
 }
@@ -229,7 +231,7 @@ enum Class {
 /// The one dispatch over the wire enum on the admission path.
 fn classify(req: &Request) -> Class {
     match req {
-        Request::Stats { .. } => Class::Stats,
+        Request::Stats { query } => Class::Stats(*query),
         Request::Shutdown => Class::Shutdown,
         Request::Write { fd, len } => Class::Op(
             Shape::Write {
@@ -389,13 +391,14 @@ pub(crate) enum Accepted {
 /// Control traffic is answered here, before any span, queue, or engine
 /// involvement: a malformed request is rejected, `Shutdown` is
 /// acknowledged, and a stats query is answered with the registry's JSON
-/// snapshot, its length in `Response::Ok::ret`. That answer is memory
-/// reads under no lock a blocking data-path operation holds — never the
-/// work queue, the BML or the descriptor database — made before any
-/// credit check: it comes back while a stalled backend wedges the data
-/// path, the moment introspection is for, to a client over its queue
-/// credit, and, needing no BML block, on a fresh connection while every
-/// data connection is parked under backpressure.
+/// snapshot or the flight recorder's spans, its length in
+/// `Response::Ok::ret`. That answer is memory reads under no lock a
+/// blocking data-path operation holds — never the BML or the descriptor
+/// database, and of the work queue only a look at its front — made
+/// before any credit check: it comes back while a stalled backend
+/// wedges the data path, the moment introspection is for, to a client
+/// over its queue credit, and, needing no BML block, on a fresh
+/// connection while every data connection is parked under backpressure.
 pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
     let telemetry = ctx.telemetry();
     if telemetry.enabled() {
@@ -421,8 +424,18 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
         )));
     };
     let (shape, effect) = match classify(&req) {
-        Class::Stats => {
-            let data = Bytes::from(telemetry.snapshot().to_json().into_bytes());
+        Class::Stats(query) => {
+            let data = Bytes::from(match query {
+                StatsQuery::Snapshot => {
+                    // Head-of-line age: the one gauge only admission sees.
+                    let front = ctx.queue().and_then(|q| q.oldest_enqueue_ns());
+                    let age = front.map_or(0, |t| telemetry.now_ns().saturating_sub(t));
+                    let mut snap = telemetry.snapshot();
+                    snap.push_derived("queue_head_age_ns", age);
+                    snap.to_json().into_bytes()
+                }
+                StatsQuery::Spans { after } => ring::encode_spans(&telemetry.flight.since(after)),
+            });
             let ret = data.len() as i64;
             return Accepted::Answered(Admission::reply(control(Response::Ok { ret }, data)));
         }

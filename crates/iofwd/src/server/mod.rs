@@ -21,7 +21,6 @@ mod handlers;
 mod queue;
 mod reactor;
 mod staged;
-pub mod watchdog;
 
 pub use engine::Engine;
 pub use queue::{
@@ -29,7 +28,6 @@ pub use queue::{
 };
 pub use reactor::{ReactorConfig, ReactorHandle};
 pub use staged::FdSerializer;
-pub use watchdog::{WatchdogConfig, WatchdogHandle};
 
 use std::io;
 use std::sync::Arc;
@@ -408,12 +406,6 @@ impl IonServer {
     /// the config disabled it).
     pub fn telemetry(&self) -> Arc<crate::telemetry::Telemetry> {
         self.ctx.engine.telemetry().clone()
-    }
-
-    /// The shared work queue (None for Ciod/Zoid modes) — the watchdog
-    /// samples its head-of-line age through this.
-    pub fn work_queue(&self) -> Option<Arc<WorkQueue>> {
-        self.ctx.queue().cloned()
     }
 
     /// Number of descriptors currently open on the daemon.

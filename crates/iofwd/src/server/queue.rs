@@ -419,8 +419,9 @@ impl WorkQueue {
 
     /// Enqueue stamp of the oldest item still parked (the FIFO's front).
     /// `None` when the queue is empty or the front predates telemetry
-    /// (stamp 0). This is the watchdog's head-of-line-age signal, read
-    /// a few times per second, never on the data path.
+    /// (stamp 0). A stats snapshot exports its age as
+    /// `queue_head_age_ns`, `iofwd-cp doctor`'s head-of-line probe; it
+    /// is read per stats query, never on the data path.
     pub fn oldest_enqueue_ns(&self) -> Option<u64> {
         self.state
             .lock()

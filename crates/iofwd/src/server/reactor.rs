@@ -255,8 +255,8 @@ struct ReactorThread {
 
 impl ReactorThread {
     fn run(mut self) {
-        // Loop-health instrumentation: a heartbeat slot the watchdog
-        // reads for worst-case lap lag, plus lap-to-lap and poll-wait
+        // Loop-health instrumentation: a heartbeat slot the snapshot
+        // reads for worst-case lap lag (`loop_lag_max_ns`), plus lap-to-lap and poll-wait
         // timings. `poll_wait_ns` is time *voluntarily* parked in
         // `wait(2)`; `loop_lag_ns` minus it is time spent working — a
         // lap that stretches without polling means a blocking call

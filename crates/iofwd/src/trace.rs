@@ -7,12 +7,12 @@
 //! scheduled worker pool owns the I/O. This module turns that analysis
 //! into a first-class artifact, in three pieces:
 //!
-//! 1. [`TraceExporter`] — a [`SpanSink`] retaining sampled [`OpSpan`]s
-//!    and rendering them as Chrome trace-event JSON
-//!    ([`render_chrome_trace`]), loadable in Perfetto / `chrome://tracing`.
-//!    Client tracks (pid 1) show per-op residency and queue wait;
-//!    worker tracks (pid 2) show which pool worker executed the backend
-//!    call, so worker contention is visible on a timeline; a
+//! 1. [`render_chrome_trace`] — Chrome trace-event JSON over the
+//!    flight recorder's spans, loadable in Perfetto / `chrome://tracing`
+//!    (`iofwd-cp trace ADDR OUT` polls them over the stats wire protocol
+//!    and writes it). Client tracks (pid 1) show per-op residency and
+//!    queue wait; worker tracks (pid 2) show which pool worker executed
+//!    the backend call, so worker contention is visible on a timeline; a
 //!    `queue_depth` counter track shows scheduler backlog over time.
 //! 2. [`validate_chrome_trace`] — a schema check over the exported JSON
 //!    (used by `iofwd-cp trace FILE` and the CI gate), read through
@@ -23,11 +23,9 @@
 //!    from raw spans; `experiments figures bottleneck` and `iofwd-cp --trace`
 //!    print its verdict.
 //!
-//! Sampling semantics: a span is retained if the client flagged its
-//! trace context as sampled, *or* self-sampled as every `sample_every`-th
-//! completion (`iofwdd --trace-sample N`; 0 disables self-sampling).
-//! Retention is bounded ([`TraceExporter::with_capacity`]); overflow
-//! increments a drop counter rather than growing without bound.
+//! Sampling is a flag, not a buffer: the daemon retains every completed
+//! span in its one ring, and a span a tracing client flagged carries
+//! `sampled` into its slice's args, for a consumer to filter on.
 //!
 //! Coalesced writes (DESIGN.md §12): when the staged pipeline merges a
 //! contiguous chain into one vectored backend call, each constituent op
@@ -39,88 +37,9 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::telemetry::json::{quote, Json};
-use crate::telemetry::{OpSpan, SpanSink, TelemetrySnapshot};
-
-/// Bounded retention buffer for sampled spans, attached to a
-/// [`Telemetry`](crate::telemetry::Telemetry) via `set_sink`.
-pub struct TraceExporter {
-    /// Keep every Nth completion regardless of client sampling; 0 = off.
-    sample_every: u64,
-    seen: AtomicU64,
-    dropped: AtomicU64,
-    capacity: usize,
-    spans: Mutex<Vec<OpSpan>>,
-}
-
-impl TraceExporter {
-    /// Default retention bound: enough for minutes of sampled traffic
-    /// without letting a forgotten daemon grow unbounded.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
-
-    pub fn new(sample_every: u64) -> TraceExporter {
-        TraceExporter::with_capacity(sample_every, TraceExporter::DEFAULT_CAPACITY)
-    }
-
-    pub fn with_capacity(sample_every: u64, capacity: usize) -> TraceExporter {
-        TraceExporter {
-            sample_every,
-            seen: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            spans: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Copy of the retained spans, completion order.
-    pub fn spans(&self) -> Vec<OpSpan> {
-        match self.spans.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// Number of spans currently retained (cheap change detection for
-    /// the daemon's periodic trace writer).
-    pub fn kept(&self) -> usize {
-        match self.spans.lock() {
-            Ok(g) => g.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
-    /// Spans discarded because the retention buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Render the retained spans as Chrome trace-event JSON.
-    pub fn render(&self) -> String {
-        render_chrome_trace(&self.spans())
-    }
-}
-
-impl SpanSink for TraceExporter {
-    fn on_complete(&self, span: &OpSpan) {
-        let nth = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let self_sampled = self.sample_every > 0 && nth.is_multiple_of(self.sample_every);
-        if !span.sampled && !self_sampled {
-            return;
-        }
-        let mut g = match self.spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if g.len() < self.capacity {
-            g.push(*span);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
+use crate::telemetry::{OpSpan, TelemetrySnapshot};
 
 // ---------------------------------------------------------------------
 // Chrome trace-event rendering
@@ -189,7 +108,7 @@ pub fn render_chrome_trace(spans: &[OpSpan]) -> String {
         let _ = write!(
             args,
             "\"seq\":{},\"bytes\":{},\"ok\":{},\"errno\":{},\"disposition\":{},\
-             \"trace_id\":{},\"worker\":{}",
+             \"trace_id\":{},\"worker\":{},\"sampled\":{}",
             s.seq,
             s.bytes,
             s.ok,
@@ -197,6 +116,7 @@ pub fn render_chrome_trace(spans: &[OpSpan]) -> String {
             quote(s.disposition.name()),
             quote(&format!("{:#x}", s.trace_id)),
             s.worker,
+            s.sampled,
         );
         events.push(slice_event(
             s.kind.name(),
@@ -430,7 +350,7 @@ pub struct StageBreakdown {
 
 impl StageBreakdown {
     /// From a telemetry snapshot's histogram sums (covers every
-    /// completed op, not just sampled ones).
+    /// completed op, not just the flight recorder's last N).
     pub fn from_snapshot(snap: &TelemetrySnapshot) -> StageBreakdown {
         let sum = |name: &str| snap.hist(name).map_or(0, |h| h.sum);
         StageBreakdown {
@@ -443,7 +363,7 @@ impl StageBreakdown {
         }
     }
 
-    /// From raw sampled spans (the exporter's view).
+    /// From raw spans (a flight-recorder read).
     pub fn from_spans(spans: &[OpSpan]) -> StageBreakdown {
         let mut b = StageBreakdown::default();
         for s in spans {
@@ -538,28 +458,6 @@ mod tests {
         s.backend_done_ns = s.backend_start_ns + 2_000;
         s.reply_ns = s.backend_done_ns + 150;
         s
-    }
-
-    #[test]
-    fn exporter_keeps_sampled_and_every_nth() {
-        let ex = TraceExporter::new(2);
-        let mut unsampled = span(1, 1, 1);
-        unsampled.sampled = false;
-        ex.on_complete(&unsampled); // 1st: not self-sampled (2 | 1)
-        ex.on_complete(&unsampled); // 2nd: self-sampled
-        ex.on_complete(&span(1, 3, 1)); // client-sampled
-        assert_eq!(ex.spans().len(), 2);
-        assert_eq!(ex.dropped(), 0);
-    }
-
-    #[test]
-    fn exporter_capacity_is_bounded() {
-        let ex = TraceExporter::with_capacity(0, 2);
-        for seq in 0..5 {
-            ex.on_complete(&span(1, seq, 1));
-        }
-        assert_eq!(ex.spans().len(), 2);
-        assert_eq!(ex.dropped(), 3);
     }
 
     #[test]

@@ -41,12 +41,35 @@ fn daemon_and_cp_roundtrip() {
     assert!(bannered, "{}", daemon.log_tail());
 
     let cp = env!("CARGO_BIN_EXE_iofwd-cp");
+    // The trace writer runs on the reader: it polls the daemon's spans
+    // and keeps OUT a valid Chrome trace once the transfer's spans land.
+    let trace_out = dir.join("trace.json");
+    let mut tracer = Command::new(cp)
+        .args(["trace", &addr, trace_out.to_str().unwrap()])
+        .spawn()
+        .unwrap();
     // put
     let st = Command::new(cp)
         .args(["put", src.to_str().unwrap(), &addr, "/in/data.bin"])
         .status()
         .unwrap();
     assert!(st.success(), "put failed");
+    let validates = || {
+        Command::new(cp)
+            .args(["trace", trace_out.to_str().unwrap()])
+            .output()
+            .is_ok_and(|out| out.status.success())
+    };
+    let traced = (0..100).any(|_| {
+        let ok = trace_out.exists() && validates();
+        if !ok {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        ok
+    });
+    let _ = tracer.kill();
+    let _ = tracer.wait();
+    assert!(traced, "trace {} never validated", trace_out.display());
     // The daemon's sandboxed root must now contain the file.
     assert_eq!(
         std::fs::metadata(root.join("in/data.bin")).unwrap().len(),
@@ -345,6 +368,13 @@ fn daemon_rejects_contradictory_options() {
     for (args, names) in [
         ("--mode sched --workers 0", "--workers"),
         ("--mode staged --workers 0 --transport reactor", "--workers"),
+        // Past the telemetry's 64 per-worker and per-loop rows, two
+        // threads would share one.
+        ("--workers 65 --mode sched", "--workers"),
+        (
+            "--reactor-threads 65 --transport reactor",
+            "--reactor-threads",
+        ),
         ("--mode async", "--mode"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
@@ -368,9 +398,11 @@ fn daemon_rejects_contradictory_options() {
 /// Retired flags are gone, not silently ignored: the zero-copy control
 /// arm (BENCH_PR10.json is its frozen measurement), the file/stderr
 /// stats exits the stats wire protocol replaced, the per-client
-/// attribution switch (attribution is simply on) and the bare
+/// attribution switch (attribution is simply on), the bare
 /// `--coalesce` form (`--coalesce=off` is the one form left; the
-/// merge budgets are constants).
+/// merge budgets are constants), and the in-daemon watchdog and trace
+/// writer (`iofwd-cp doctor` and `iofwd-cp trace ADDR OUT` read the
+/// same data over the wire).
 #[test]
 fn daemon_rejects_retired_flags() {
     let hotpath = ["--hot", "path"].concat();
@@ -381,6 +413,9 @@ fn daemon_rejects_retired_flags() {
         ("--dump-trigger", "x"),
         ("--attribution", "on"),
         ("--coalesce", "on"),
+        ("--watchdog", "on"),
+        ("--trace-out", "x"),
+        ("--trace-sample", "1"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
             .args([flag, value])
@@ -395,5 +430,5 @@ fn daemon_rejects_retired_flags() {
         .output()
         .unwrap();
     let help = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(help.matches("--").count(), 16, "{help}");
+    assert_eq!(help.matches("--").count(), 13, "{help}");
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the live introspection plane: the stats wire
 //! protocol across transports and modes, per-client attribution, and
-//! the health watchdog observing a genuinely wedged daemon.
+//! `iofwd-cp doctor` observing a genuinely wedged daemon from outside.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 use iofwd::backend::{FaultBackend, MemSinkBackend};
 use iofwd::client::Client;
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
-use iofwd::server::{
-    watchdog, ForwardingMode, IonServer, ReactorConfig, ServerConfig, WatchdogConfig,
-};
+use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::telemetry::{snapshot::validate_prometheus, Rates, Telemetry, TelemetrySnapshot};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
@@ -160,10 +158,27 @@ fn reactor_serves_stats_and_attributes_clients() {
     server.shutdown();
 }
 
-/// Satellite (d): wedge the worker pool with injected `delay_us` faults
-/// and prove the three promises hold at once — the watchdog trips on
-/// queue head-of-line age, the flight dump lands on disk, and the stats
-/// endpoint keeps answering from a separate connection throughout.
+/// Start `iofwd-cp doctor ADDR SPEC` with its stdout piped.
+fn spawn_doctor(addr: &str, spec: &str) -> std::process::Child {
+    std::process::Command::new(env!("CARGO_BIN_EXE_iofwd-cp"))
+        .args(["doctor", addr, spec])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn iofwd-cp doctor")
+}
+
+/// Kill a running `doctor` and return what it printed.
+fn stop_doctor(mut doctor: std::process::Child) -> String {
+    let _ = doctor.kill();
+    let out = doctor.wait_with_output().expect("doctor output");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Wedge the worker pool with injected `delay_us` faults and prove the
+/// three promises hold at once with `iofwd-cp doctor` as the reader: it
+/// trips on queue head-of-line age, its flight dump lands on disk, and
+/// the stats endpoint keeps answering from a separate connection
+/// throughout.
 #[test]
 fn watchdog_trips_on_wedged_queue_while_stats_answer() {
     let telemetry = Arc::new(Telemetry::new());
@@ -175,32 +190,26 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
         plan,
         telemetry.clone(),
     ));
-    let hub = MemHub::new();
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr").to_string();
     let server = IonServer::spawn(
-        Box::new(hub.listener()),
+        Box::new(acceptor),
         backend,
         ServerConfig::new(ForwardingMode::Sched { workers: 1 }).with_telemetry(telemetry.clone()),
     );
     let dump = unique_tmp("wd-dump");
     let _ = std::fs::remove_file(&dump);
-    let wd = watchdog::spawn(
-        WatchdogConfig {
-            interval: Duration::from_millis(10),
-            max_queue_age: Duration::from_millis(30),
-            max_loop_lag: Duration::ZERO,
-            dump_path: Some(dump.clone()),
-            ..WatchdogConfig::default()
-        },
-        telemetry.clone(),
-        server.work_queue(),
-    )
-    .expect("spawn watchdog");
+    let spec = format!(
+        "interval_ms=10,queue_age_ms=30,loop_lag_ms=0,dump={}",
+        dump.display()
+    );
+    let doctor = spawn_doctor(&addr, &spec);
 
     // Three writers pile onto the one execution slot: one runs its write
     // in place, the others queue behind it for the one worker.
     let writers: Vec<_> = (0..3u32)
         .map(|i| {
-            let conn = hub.connect();
+            let conn = TcpConn::connect(&addr).expect("connect");
             std::thread::spawn(move || {
                 let mut c = Client::with_id(Box::new(conn), 100 + i);
                 let fd = c
@@ -220,32 +229,32 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
         .collect();
 
     // While the queue is wedged, the stats endpoint must answer promptly
-    // from a fresh connection — and eventually report the trip.
-    let mut stats_conn = Client::connect(Box::new(hub.connect()));
+    // from a fresh connection — and the doctor must dump the trip.
+    let mut stats_conn = Client::connect(Box::new(TcpConn::connect(&addr).expect("connect")));
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut trips = 0;
-    while Instant::now() < deadline {
+    let tripped =
+        || std::fs::read_to_string(&dump).is_ok_and(|d| d.contains("flight recorder (oldest"));
+    while Instant::now() < deadline && !tripped() {
         let t0 = Instant::now();
-        let snap = stats_conn.query_snapshot().expect("snapshot");
+        stats_conn.query_snapshot().expect("snapshot");
         assert!(
             t0.elapsed() < Duration::from_secs(2),
             "stats query stalled behind the wedged queue"
         );
-        trips = snap.counter("watchdog_trips");
-        if trips > 0 {
-            break;
-        }
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(trips > 0, "watchdog never tripped on the wedged queue");
+    let printed = stop_doctor(doctor);
 
     for w in writers {
         w.join().expect("writer");
     }
     let _ = stats_conn.shutdown();
-    wd.shutdown();
     server.shutdown();
 
+    assert!(
+        printed.contains("trip reason=queue_stall"),
+        "doctor never tripped on the wedged queue: {printed}"
+    );
     let dumped = std::fs::read_to_string(&dump).expect("flight dump written");
     assert!(
         dumped.contains("trip reason=queue_stall"),
@@ -256,6 +265,36 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
         "dump missing flight table: {dumped}"
     );
     let _ = std::fs::remove_file(&dump);
+}
+
+/// A connection that is accepted and never answered is a stalled loop as
+/// far as any reader can tell: `doctor` reports a `loop_stall` within
+/// its loop-lag limit and reconnects.
+#[test]
+fn doctor_trips_on_a_daemon_that_never_answers() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let mut doctor = spawn_doctor(&addr, "interval_ms=10,loop_lag_ms=200");
+    let t0 = Instant::now();
+    let first = listener.accept().expect("doctor connects");
+    let mut printed = String::new();
+    let stdout = doctor.stdout.as_mut().expect("piped stdout");
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(stdout), &mut printed)
+        .expect("doctor prints a trip");
+    let waited = t0.elapsed();
+    let second = listener
+        .accept()
+        .expect("doctor reconnects after no answer");
+    stop_doctor(doctor);
+    drop((first, second));
+    assert!(
+        printed.contains("trip reason=loop_stall") && printed.contains("limit=200000000"),
+        "{printed}"
+    );
+    assert!(
+        waited >= Duration::from_millis(200) && waited < Duration::from_secs(5),
+        "no-answer trip after {waited:?}"
+    );
 }
 
 /// The one way out answers when every data connection is parked for

@@ -171,10 +171,16 @@ fn tag_span(tag: u64) -> iofwd::telemetry::OpSpan {
     s
 }
 
-/// Assert every record visible in a snapshot is whole (un-torn).
-fn assert_snapshot_whole(ring: &iofwd::telemetry::FlightRecorder) -> usize {
-    let snap = ring.snapshot();
-    for rec in &snap {
+/// Read the ring from `after` and assert what comes back is whole
+/// (un-torn: every field carries one writer's tag), in strictly
+/// increasing ticket order, and never from before `after`.
+fn read_whole(
+    ring: &iofwd::telemetry::FlightRecorder,
+    after: u64,
+) -> Vec<(u64, iofwd::telemetry::OpSpan)> {
+    let (oldest, next, held) = ring.since(after);
+    assert!(oldest <= next);
+    for (i, (ticket, rec)) in held.iter().enumerate() {
         let tag = rec.client;
         assert!(
             rec.seq == tag
@@ -187,18 +193,21 @@ fn assert_snapshot_whole(ring: &iofwd::telemetry::FlightRecorder) -> usize {
                 && rec.reply_ns == tag,
             "torn flight-recorder slot: {rec:?}"
         );
+        assert!(*ticket >= after.max(oldest) && *ticket < next);
+        assert!(i == 0 || held[i - 1].0 < *ticket, "tickets out of order");
     }
-    snap.len()
+    held
 }
 
 /// The telemetry flight recorder's seqlock slots: two writers race for a
-/// one-slot ring while a reader snapshots mid-protocol. In every
-/// explored interleaving the snapshot observes only fully-written
-/// records (each record's ten words all carry one writer's tag), no
-/// writer blocks, and every submission is either published or counted
-/// as dropped. `chaos()` yield points inside `record`/`read_slot` (see
-/// iofwd-telemetry's ring.rs) give the model scheduler its preemption
-/// hooks mid-write and mid-read.
+/// one-slot ring while a reader reads through `since` mid-protocol. In
+/// every explored interleaving the read observes only fully-written
+/// records (each record's ten words all carry one writer's tag) in
+/// strictly increasing ticket order, each under the ticket its writer
+/// drew; no writer blocks, and every submission is either published or
+/// counted as dropped. `chaos()` yield points inside `record`/`read_slot`
+/// (see iofwd-telemetry's ring.rs) give the model scheduler its
+/// preemption hooks mid-write and mid-read.
 #[test]
 fn flight_recorder_snapshot_never_tears() {
     loomlite::model(|| {
@@ -207,21 +216,27 @@ fn flight_recorder_snapshot_never_tears() {
             .into_iter()
             .map(|tag| {
                 let ring = ring.clone();
-                thread::spawn(move || ring.record(&tag_span(tag)))
+                thread::spawn(move || (tag, ring.record(&tag_span(tag))))
             })
             .collect();
         // Concurrent reader: runs interleaved with the writers.
-        assert_snapshot_whole(&ring);
-        for w in writers {
-            w.join().expect("writer panicked");
-        }
+        let mut seen = read_whole(&ring, 0);
+        let drawn: Vec<(u64, u64)> = writers
+            .into_iter()
+            .map(|w| w.join().expect("writer panicked"))
+            .collect();
         // Quiescent: submissions are conserved across published + dropped.
-        let published = assert_snapshot_whole(&ring);
+        let published = read_whole(&ring, 0);
         assert_eq!(ring.recorded(), 2);
         assert!(
-            published as u64 + ring.dropped() >= 1,
+            published.len() as u64 + ring.dropped() >= 1,
             "both submissions vanished without a drop count"
         );
+        // Every record came back under the ticket its writer drew.
+        seen.extend(published);
+        for (ticket, rec) in &seen {
+            assert!(drawn.contains(&(rec.client, *ticket)), "{ticket}: {rec:?}");
+        }
     });
 }
 

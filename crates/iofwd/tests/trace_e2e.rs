@@ -1,17 +1,18 @@
 //! End-to-end tests of distributed tracing (DESIGN.md §11): a tracing
 //! client's stage-echo sums must reproduce the daemon's own telemetry
 //! histograms, traced and untraced clients interoperate on the same
-//! daemon (wire backward compatibility), the exporter produces a
-//! Perfetto-loadable trace with per-worker tracks, and failed ops land
-//! in the flight recorder with their errno and disposition.
+//! daemon (wire backward compatibility), spans read back through the
+//! stats query render a Perfetto-loadable trace with per-worker tracks,
+//! and failed ops land in the flight recorder with their errno and
+//! disposition.
 
 use std::sync::Arc;
 
 use iofwd::backend::{Backend, MemSinkBackend};
 use iofwd::client::{Client, ClientError};
 use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
-use iofwd::telemetry::{Disposition, Telemetry};
-use iofwd::trace::{validate_chrome_trace, StageBreakdown, TraceExporter};
+use iofwd::telemetry::{Disposition, OpSpan, Telemetry};
+use iofwd::trace::{render_chrome_trace, validate_chrome_trace, StageBreakdown};
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Errno, OpenFlags};
@@ -132,16 +133,22 @@ fn staged_mode_echoes_ack_time_stages() {
     server.shutdown();
 }
 
+/// Every span the flight recorder holds, read over the stats query the
+/// way `iofwd-cp trace ADDR OUT` reads it: from ticket 0, nothing missed.
+fn read_spans(reader: &mut Client) -> Vec<OpSpan> {
+    let (oldest, next, held) = reader.query_spans(0).expect("span query");
+    assert_eq!((oldest, held.len() as u64), (0, next), "ring overflowed");
+    held.into_iter().map(|(_, s)| s).collect()
+}
+
 /// One daemon, one traced client, one legacy (untraced) client: the
 /// optional trace extension must not disturb plain-protocol peers, and
-/// the exporter's trace must be schema-valid with a track per pool
-/// worker — over real TCP framing, where the streaming decoder has to
-/// resynchronise on the extension's length.
+/// the spans read through the stats query must render a schema-valid
+/// trace with a track per pool worker — over real TCP framing, where
+/// the streaming decoder has to resynchronise on the extension's length.
 #[test]
 fn tcp_traced_and_untraced_clients_interoperate() {
     let telemetry = Arc::new(Telemetry::new());
-    let exporter = Arc::new(TraceExporter::new(0));
-    assert!(telemetry.set_sink(exporter.clone()));
     let backend = Arc::new(MemSinkBackend::new());
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
@@ -178,6 +185,16 @@ fn tcp_traced_and_untraced_clients_interoperate() {
     plain.close(pfd).unwrap();
     traced.shutdown().unwrap();
     plain.shutdown().unwrap();
+    // A staged write's span folds on its worker a beat after the close
+    // that waited for it has been answered: 2 × (open + 8 + pread + close).
+    let mut reader = Client::connect(Box::new(TcpConn::connect(addr).unwrap()));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut spans = read_spans(&mut reader);
+    while spans.len() < 22 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        spans = read_spans(&mut reader);
+    }
+    reader.shutdown().unwrap();
     server.shutdown();
 
     // 11 echoed ops: open + 8 staged acks + pread + close (the shutdown
@@ -187,12 +204,13 @@ fn tcp_traced_and_untraced_clients_interoperate() {
     assert_eq!(backend.contents("/t").unwrap().len(), 8 * 64 * 1024);
     assert_eq!(backend.contents("/p").unwrap().len(), 8 * 64 * 1024);
 
-    // Only the traced client's spans were retained, and they render to
-    // a schema-valid trace with per-worker tracks.
-    let spans = exporter.spans();
-    assert!(!spans.is_empty());
-    assert!(spans.iter().all(|s| s.sampled && s.trace_id >> 32 == 1));
-    let summary = validate_chrome_trace(&exporter.render()).expect("valid trace");
+    // The reader's `sampled` filter keeps only the traced client's spans,
+    // and they render to a schema-valid trace with per-worker tracks.
+    assert_eq!(spans.len(), 22, "every op's span reaches the reader");
+    let spans: Vec<OpSpan> = spans.into_iter().filter(|s| s.sampled).collect();
+    assert_eq!(spans.len(), 11);
+    assert!(spans.iter().all(|s| s.trace_id >> 32 == 1));
+    let summary = validate_chrome_trace(&render_chrome_trace(&spans)).expect("valid trace");
     assert!(summary.slices > 0);
     assert_eq!(summary.client_tracks, 1);
     assert!(
@@ -205,13 +223,11 @@ fn tcp_traced_and_untraced_clients_interoperate() {
     assert!(b.total_ns >= b.backend_ns);
 }
 
-/// Daemon-side self-sampling (`iofwdd --trace-sample 1`) retains every
-/// op even when no client requests tracing.
+/// The flight recorder holds every op, traced or not: an untraced
+/// client's spans reach the reader, unflagged.
 #[test]
 fn self_sampling_traces_untraced_clients() {
     let telemetry = Arc::new(Telemetry::new());
-    let exporter = Arc::new(TraceExporter::new(1));
-    assert!(telemetry.set_sink(exporter.clone()));
     let backend = Arc::new(MemSinkBackend::new());
     let (server, hub) =
         start_with_telemetry(ForwardingMode::Sched { workers: 2 }, backend, telemetry);
@@ -223,13 +239,13 @@ fn self_sampling_traces_untraced_clients() {
         c.write(fd, &[1u8; 4096]).unwrap();
     }
     c.close(fd).unwrap();
+    let spans = read_spans(&mut c);
     c.shutdown().unwrap();
     server.shutdown();
 
-    let spans = exporter.spans();
-    assert!(spans.len() >= 12, "kept {} spans", spans.len());
+    assert_eq!(spans.len(), 12, "open + 10 writes + close");
     assert!(spans.iter().all(|s| s.trace_id == 0 && !s.sampled));
-    let summary = validate_chrome_trace(&exporter.render()).expect("valid trace");
+    let summary = validate_chrome_trace(&render_chrome_trace(&spans)).expect("valid trace");
     assert!(summary.slices >= spans.len());
 }
 
@@ -255,7 +271,13 @@ fn flight_recorder_captures_errno_and_disposition() {
     server.shutdown();
 
     // ...and the flight recorder must remember exactly that.
-    let flight = telemetry.flight.snapshot();
+    let flight: Vec<OpSpan> = telemetry
+        .flight
+        .since(0)
+        .2
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
     let failed: Vec<_> = flight.iter().filter(|s| !s.ok).collect();
     assert_eq!(
         failed.len(),

@@ -1,15 +1,15 @@
 //! Property tests of the tracing layer (DESIGN.md §11): the trace-event
 //! renderer emits schema-valid JSON with monotone timestamps and
 //! well-formed track ids for *any* lifecycle the server can produce;
-//! the JSON reader inverts the writer's escaping rules; the exporter's
-//! retention policy is exactly "client-sampled or every Nth, capacity
-//! bounded"; and the wire trace extension round-trips at frame level
+//! the JSON reader inverts the writer's escaping rules; the flight
+//! recorder's ticketed reads return exactly the held records and count
+//! exactly the ones a reader missed; and the wire trace extension round-trips at frame level
 //! while ext-less frames stay byte-identical to the pre-trace protocol.
 
 use bytes::Bytes;
 use iofwd::telemetry::json::{quote, Json};
-use iofwd::telemetry::{Disposition, OpKind, OpSpan, SpanSink};
-use iofwd::trace::{render_chrome_trace, validate_chrome_trace, TraceExporter};
+use iofwd::telemetry::{Disposition, FlightRecorder, OpKind, OpSpan};
+use iofwd::trace::{render_chrome_trace, validate_chrome_trace};
 use iofwd_proto::{
     Errno, Fd, Frame, Request, Response, StageEcho, TraceContext, TraceExt, TRACE_EXT_FLAG,
 };
@@ -136,33 +136,39 @@ proptest! {
         prop_assert_eq!(parsed.get("k").and_then(Json::as_str), Some(original.as_str()));
     }
 
-    /// The exporter keeps exactly the spans its policy names — client
-    /// sampled, or every Nth completion when self-sampling is on — in
-    /// completion order, drops the overflow past capacity, and counts
-    /// the drops.
+    /// The flight recorder is the only span retention, so its reads carry
+    /// the retention contract: for any record count, capacity and
+    /// `after`, `since(after)` returns exactly the held tickets `>= after`
+    /// (the last `capacity` drawn), in order, each with the span its
+    /// writer recorded; `oldest_held - after` is exactly the number of
+    /// tickets from `after` on that were overwritten before the read;
+    /// and every submission is counted. The reader's `sampled` filter
+    /// sees each span's flag as recorded.
     #[test]
     fn exporter_retention_matches_policy(
-        sample_every in 0u64..5,
         capacity in 1usize..8,
         flags in proptest::collection::vec(any::<bool>(), 0..40),
+        after in 0u64..48,
     ) {
-        let exporter = TraceExporter::with_capacity(sample_every, capacity);
-        let mut eligible = Vec::new();
+        let ring = FlightRecorder::new(capacity);
         for (i, &sampled) in flags.iter().enumerate() {
-            let nth = i as u64 + 1;
-            let mut s = OpSpan::begin(OpKind::Write, 0, nth, nth * 1_000);
+            let mut s = OpSpan::begin(OpKind::Write, 0, i as u64, i as u64 * 1_000);
             s.sampled = sampled;
-            s.trace_id = nth;
-            exporter.on_complete(&s);
-            if sampled || (sample_every > 0 && nth.is_multiple_of(sample_every)) {
-                eligible.push(nth);
-            }
+            prop_assert_eq!(ring.record(&s), i as u64);
         }
-        let kept: Vec<u64> = exporter.spans().iter().map(|s| s.trace_id).collect();
-        let retained = eligible.len().min(capacity);
-        prop_assert_eq!(&kept[..], &eligible[..retained]);
-        prop_assert_eq!(exporter.kept(), retained);
-        prop_assert_eq!(exporter.dropped(), (eligible.len() - retained) as u64);
+        let n = flags.len() as u64;
+        let (oldest, next, held) = ring.since(after);
+        prop_assert_eq!((oldest, next), (n.saturating_sub(capacity as u64), n));
+        let expected: Vec<u64> = (after.max(oldest)..n).collect();
+        let tickets: Vec<u64> = held.iter().map(|(t, _)| *t).collect();
+        prop_assert_eq!(&tickets, &expected);
+        for (t, s) in &held {
+            prop_assert_eq!(s.seq, *t);
+            prop_assert_eq!(s.sampled, flags[*t as usize]);
+        }
+        let missed = (after..n).filter(|t| !tickets.contains(t)).count() as u64;
+        prop_assert_eq!(missed, oldest.saturating_sub(after));
+        prop_assert_eq!((ring.recorded(), ring.dropped()), (n, 0));
     }
 
     /// The trace extension round-trips at frame level in both
