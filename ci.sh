@@ -59,13 +59,15 @@ step "benchmark harness compiles against this tree (compile only)"
 # CI, not the next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-step "benchmark run-time smoke (small_task and device_bound, 2 s each: correct and nothing failed; no timing asserted)"
+step "benchmark run-time smoke (all five workloads, 2 s each: correct and nothing failed; no timing asserted)"
 # A contract-surface break that still compiles (a changed default, a
 # counter the harness reads, close/unlink semantics) shows as a wrong
 # byte or a failed call here, not in the next benchmark run. small_task
-# is the per-op path; device_bound is the staging path (bursts of 64 KiB
-# writes received into BML blocks, drained, repeated).
-for WORKLOAD in small_task device_bound; do
+# is the per-op path; stream_write and stream_read the 1 MiB
+# pwrite/pread path; device_bound the staging path (bursts of 64 KiB
+# writes received into BML blocks, drained, repeated); reactor_mix the
+# reactor's staged writes and reads.
+for WORKLOAD in small_task stream_write stream_read device_bound reactor_mix; do
     BENCH_SMOKE=$(bash benchmark/run.sh --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$BENCH_SMOKE"
     case "$BENCH_SMOKE" in

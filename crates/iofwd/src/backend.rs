@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,38 +28,30 @@ use std::time::{Duration, Instant};
 use iofwd_proto::{Errno, FileStat, OpenFlags, Whence};
 use parking_lot::Mutex;
 
+use crate::fault::{FaultAction, FaultPlan, OpClass, PlanState};
+use crate::telemetry::Telemetry;
+
 /// An open file or socket object on the ION side. One exists per open
 /// descriptor; the server serialises access per descriptor.
+///
+/// A write is a list of buffers: [`Self::write_vectored_at`] is the one
+/// write an object implements, and a single buffer is a list of one
+/// ([`Self::write_at`]). Positional calls (`Some(offset)`) leave the
+/// cursor where it was, as `pwrite`/`pread` do; cursor calls (`None`)
+/// advance it.
 pub trait BackendObject: Send {
-    /// Write at `offset` (or the current position if `None`). Returns
-    /// bytes written.
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno>;
     /// Write the buffers of `bufs` back-to-back starting at `offset`
-    /// (or the current position), as one logical operation — `pwritev`
+    /// (or the current position), as one operation — `pwritev`
     /// semantics. Returns total bytes written; a short count is legal
     /// and means a prefix of the concatenated buffers went through.
-    ///
-    /// The default delegates buffer-by-buffer to [`Self::write_at`],
-    /// stopping at the first short write. An error after some bytes
-    /// already landed is reported as a short write (the bytes moved;
-    /// POSIX `writev` cannot report both), so callers retry from the
-    /// new position and see the error only when no progress was made.
-    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        let mut total = 0u64;
-        for buf in bufs {
-            let at = offset.map(|base| base + total);
-            match self.write_at(at, buf) {
-                Ok(n) => {
-                    total += n;
-                    if n < buf.len() as u64 {
-                        return Ok(total);
-                    }
-                }
-                Err(e) if total == 0 => return Err(e),
-                Err(_) => return Ok(total),
-            }
-        }
-        Ok(total)
+    /// Empty buffers move nothing. An error after some bytes already
+    /// landed is reported as that short count (the bytes moved; POSIX
+    /// `writev` cannot report both), so callers resume from the new
+    /// position and see the error only when no progress was made.
+    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno>;
+    /// Write one buffer: a batch of one.
+    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+        self.write_vectored_at(offset, &[data])
     }
     /// Read up to `out.len()` bytes at `offset` (or current position)
     /// into a caller-supplied buffer. Returns bytes read; fewer than
@@ -142,12 +135,14 @@ struct NullObject {
 }
 
 impl BackendObject for NullObject {
-    fn write_at(&mut self, _offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+    /// Every buffer is one data operation to the counters.
+    fn write_vectored_at(&mut self, _offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
+        let total = total_len(bufs);
+        self.counters.bytes.fetch_add(total, Ordering::Relaxed);
         self.counters
-            .bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.counters.ops.fetch_add(1, Ordering::Relaxed);
-        Ok(data.len() as u64)
+            .ops
+            .fetch_add(bufs.len() as u64, Ordering::Relaxed);
+        Ok(total)
     }
 
     fn read_into(&mut self, _offset: Option<u64>, _out: &mut [u8]) -> Result<u64, Errno> {
@@ -243,6 +238,11 @@ fn norm(path: &str) -> String {
     out
 }
 
+/// Bytes in a list of buffers.
+fn total_len(bufs: &[&[u8]]) -> u64 {
+    bufs.iter().map(|b| b.len() as u64).sum()
+}
+
 /// In-memory backend: files are named byte vectors, `connect` yields a
 /// byte-counting sink standing in for a DA-node socket.
 #[derive(Default, Clone)]
@@ -279,29 +279,27 @@ struct MemFileObject {
     flags: OpenFlags,
 }
 
-impl MemFileObject {
-    fn effective_offset(&mut self, offset: Option<u64>) -> u64 {
-        offset.unwrap_or(self.pos)
-    }
-}
-
 impl BackendObject for MemFileObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
         if !self.flags.writable() {
             return Err(Errno::BadF);
         }
         let positional = offset.is_some();
-        let off = self.effective_offset(offset) as usize;
+        let mut at = offset.unwrap_or(self.pos) as usize;
+        let total = total_len(bufs);
         let mut file = self.data.lock();
-        if file.len() < off + data.len() {
-            file.resize(off + data.len(), 0);
+        if file.len() < at + total as usize {
+            file.resize(at + total as usize, 0);
         }
-        file[off..off + data.len()].copy_from_slice(data);
+        for buf in bufs {
+            file[at..at + buf.len()].copy_from_slice(buf);
+            at += buf.len();
+        }
         drop(file);
         if !positional {
-            self.pos += data.len() as u64;
+            self.pos += total;
         }
-        Ok(data.len() as u64)
+        Ok(total)
     }
 
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
@@ -309,7 +307,7 @@ impl BackendObject for MemFileObject {
             return Err(Errno::BadF);
         }
         let positional = offset.is_some();
-        let off = self.effective_offset(offset) as usize;
+        let off = offset.unwrap_or(self.pos) as usize;
         let file = self.data.lock();
         // A read at or past EOF moves nothing (and `off` may lie beyond
         // the slice, so it must not be indexed).
@@ -367,12 +365,11 @@ struct MemSocketObject {
 }
 
 impl BackendObject for MemSocketObject {
-    fn write_at(&mut self, _offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        self.store
-            .socket_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.sent += data.len() as u64;
-        Ok(data.len() as u64)
+    fn write_vectored_at(&mut self, _offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
+        let total = total_len(bufs);
+        self.store.socket_bytes.fetch_add(total, Ordering::Relaxed);
+        self.sent += total;
+        Ok(total)
     }
 
     fn read_into(&mut self, _offset: Option<u64>, _out: &mut [u8]) -> Result<u64, Errno> {
@@ -537,33 +534,17 @@ fn stat_of(meta: &std::fs::Metadata) -> FileStat {
 }
 
 impl BackendObject for FileObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        let res = match offset {
-            Some(off) => {
-                self.file
-                    .seek(SeekFrom::Start(off))
-                    .map_err(|e| Errno::from_io(&e))?;
-                self.file.write_all(data)
-            }
-            None => self.file.write_all(data),
-        };
-        res.map_err(|e| Errno::from_io(&e))?;
-        Ok(data.len() as u64)
-    }
-
+    /// Positional buffers go out with `pwrite`, each at the offset the
+    /// ones before it end at, and leave the cursor alone; cursor buffers
+    /// stream out on the advancing cursor.
     fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        // pwritev semantics: one seek positions the whole batch, then
-        // the buffers stream out back-to-back on the advancing cursor —
-        // the per-op seek+dispatch cost is paid once per batch instead
-        // of once per forwarded request.
-        if let Some(off) = offset {
-            self.file
-                .seek(SeekFrom::Start(off))
-                .map_err(|e| Errno::from_io(&e))?;
-        }
         let mut total = 0u64;
         for buf in bufs {
-            match self.file.write_all(buf) {
+            let res = match offset {
+                Some(off) => self.file.write_all_at(buf, off + total),
+                None => self.file.write_all(buf),
+            };
+            match res {
                 Ok(()) => total += buf.len() as u64,
                 // Progress already made: report the short count, like
                 // writev; the caller resumes from the new position.
@@ -575,14 +556,13 @@ impl BackendObject for FileObject {
     }
 
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-        if let Some(off) = offset {
-            self.file
-                .seek(SeekFrom::Start(off))
-                .map_err(|e| Errno::from_io(&e))?;
-        }
         let mut filled = 0;
         while filled < out.len() {
-            match self.file.read(&mut out[filled..]) {
+            let res = match offset {
+                Some(off) => self.file.read_at(&mut out[filled..], off + filled as u64),
+                None => self.file.read(&mut out[filled..]),
+            };
+            match res {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) => return Err(Errno::from_io(&e)),
@@ -724,16 +704,10 @@ struct ThrottledObject {
 }
 
 impl BackendObject for ThrottledObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        (self.pacer)(data.len());
-        self.inner.write_at(offset, data)
-    }
-
     fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        // The device pays `per_op` once for the batch plus bandwidth
-        // for every byte — the per-op saving coalescing exists to win.
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        (self.pacer)(total);
+        // The device pays `per_op` once per call plus bandwidth for
+        // every byte — the per-op saving coalescing exists to win.
+        (self.pacer)(total_len(bufs) as usize);
         self.inner.write_vectored_at(offset, bufs)
     }
 
@@ -815,69 +789,72 @@ pub struct FaultBackend {
 }
 
 impl FaultBackend {
-    pub fn new(
-        inner: Arc<dyn Backend>,
-        plan: crate::fault::FaultPlan,
-        telemetry: Arc<crate::telemetry::Telemetry>,
-    ) -> Self {
+    pub fn new(inner: Arc<dyn Backend>, plan: FaultPlan, telemetry: Arc<Telemetry>) -> Self {
         FaultBackend {
             inner,
             shared: Arc::new(FaultShared {
-                state: Mutex::new(crate::fault::PlanState::new(plan.seed)),
+                state: Mutex::new(PlanState::new(plan.seed)),
                 plan,
                 telemetry,
             }),
         }
     }
 
-    fn wrap(&self, obj: Box<dyn BackendObject>, path: String) -> Box<dyn BackendObject> {
-        Box::new(PlannedFaultObject {
-            inner: obj,
-            path,
+    /// Open `name` through `open` under the plan: an injected errno
+    /// fails it, and a successful one is wrapped to perturb its I/O.
+    fn open_as(
+        &self,
+        name: String,
+        open: impl FnOnce() -> Result<Box<dyn BackendObject>, Errno>,
+    ) -> Result<Box<dyn BackendObject>, Errno> {
+        if let Some(FaultAction::Errno(e)) = self.shared.decide(OpClass::Open, &name) {
+            return Err(e);
+        }
+        Ok(Box::new(PlannedFaultObject {
+            inner: open()?,
+            path: name,
             shared: self.shared.clone(),
             pending_errno: None,
-        })
+        }))
     }
 }
 
 /// The state a [`PlannedFaultObject`] shares with its parent backend:
 /// the plan, and its one seeded rng stream and per-rule op counts.
 struct FaultShared {
-    plan: crate::fault::FaultPlan,
-    state: Mutex<crate::fault::PlanState>,
-    telemetry: Arc<crate::telemetry::Telemetry>,
+    plan: FaultPlan,
+    state: Mutex<PlanState>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl FaultShared {
-    fn decide(
-        &self,
-        class: crate::fault::OpClass,
-        path: &str,
-    ) -> Option<crate::fault::FaultAction> {
-        self.decide_shaped(class, path, false)
-    }
-
-    fn decide_shaped(
-        &self,
-        class: crate::fault::OpClass,
-        path: &str,
-        vectored: bool,
-    ) -> Option<crate::fault::FaultAction> {
-        let action = self
-            .plan
-            .decide_vectored(class, path, &mut self.state.lock(), vectored);
+    /// The plan's verdict on the next op of `class` on `path`. A latency
+    /// spike is served here and the op then runs normally, so callers
+    /// see only an errno or a short transfer.
+    fn decide(&self, class: OpClass, path: &str) -> Option<FaultAction> {
+        let action = self.plan.decide(class, path, &mut self.state.lock());
         if action.is_some() && self.telemetry.enabled() {
             self.telemetry.faults_injected.inc();
         }
+        if let Some(FaultAction::DelayUs(us)) = action {
+            std::thread::sleep(Duration::from_micros(us as u64));
+            return None;
+        }
         action
     }
+}
+
+/// How much of a `len`-byte transfer a short fault lets through: at
+/// least one byte.
+fn short_len(len: usize, numerator: u8) -> usize {
+    (len * numerator as usize / 256).max(1).min(len)
 }
 
 struct PlannedFaultObject {
     inner: Box<dyn BackendObject>,
     path: String,
     shared: Arc<FaultShared>,
-    /// An errno drawn for a mid-batch constituent of a vectored write.
+    /// An errno drawn for a mid-batch buffer of a write.
     /// The call itself returns the clean prefix (POSIX short writev);
     /// the errno surfaces on the caller's continuation call, mirroring
     /// what a serial re-issue of that constituent would have seen.
@@ -885,42 +862,20 @@ struct PlannedFaultObject {
 }
 
 impl BackendObject for PlannedFaultObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        use crate::fault::{FaultAction, OpClass};
-        match self.shared.decide(OpClass::Write, &self.path) {
-            Some(FaultAction::Errno(e)) => Err(e),
-            Some(FaultAction::Short { numerator }) => {
-                // POSIX-legal short write: some prefix goes through.
-                let n = ((data.len() * numerator as usize) / 256)
-                    .max(1)
-                    .min(data.len());
-                self.inner.write_at(offset, &data[..n])
-            }
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-                self.inner.write_at(offset, data)
-            }
-            None => self.inner.write_at(offset, data),
-        }
-    }
-
     fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-        use crate::fault::{FaultAction, OpClass};
-        // Each constituent of a coalesced batch is still one write op
-        // to the plan — one count, one draw apiece — so the
-        // fault sequence is a function of *logical* operation order,
-        // identical whether or not merging happened. `vectored`-flagged
-        // rules additionally match (only) these draws.
+        // Each buffer is one write op to the plan — one count, one draw
+        // apiece — so the fault sequence is a function of *logical*
+        // operation order, identical whether or not merging happened.
         if let Some(e) = self.pending_errno.take() {
             return Err(e);
         }
         for (i, buf) in bufs.iter().enumerate() {
-            match self.shared.decide_shaped(OpClass::Write, &self.path, true) {
+            match self.shared.decide(OpClass::Write, &self.path) {
                 Some(FaultAction::Errno(e)) => {
-                    // Fault at constituent i: commit the clean prefix
-                    // (a POSIX-legal short writev) and hold the errno
-                    // for the continuation; with nothing written the
-                    // errno surfaces immediately.
+                    // Fault at buffer i: commit the clean prefix (a
+                    // POSIX-legal short writev) and hold the errno for
+                    // the continuation; with nothing written the errno
+                    // surfaces immediately.
                     if i == 0 {
                         return Err(e);
                     }
@@ -928,42 +883,33 @@ impl BackendObject for PlannedFaultObject {
                     return self.inner.write_vectored_at(offset, &bufs[..i]);
                 }
                 Some(FaultAction::Short { numerator }) => {
-                    // Short write inside constituent i: the batch ends
-                    // with a prefix of this buffer.
-                    let n = ((buf.len() * numerator as usize) / 256)
-                        .max(1)
-                        .min(buf.len());
+                    // Short write inside buffer i: the call ends with a
+                    // prefix of it.
+                    let n = short_len(buf.len(), numerator);
+                    if i == 0 {
+                        return self.inner.write_vectored_at(offset, &[&buf[..n]]);
+                    }
                     let mut prefix: Vec<&[u8]> = bufs[..i].to_vec();
                     prefix.push(&buf[..n]);
                     return self.inner.write_vectored_at(offset, &prefix);
                 }
-                Some(FaultAction::DelayUs(us)) => {
-                    std::thread::sleep(Duration::from_micros(us as u64));
-                }
-                None => {}
+                _ => {}
             }
         }
         self.inner.write_vectored_at(offset, bufs)
     }
 
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-        use crate::fault::{FaultAction, OpClass};
         // One count per logical read; a short read serves a
         // prefix of the request (POSIX lets `read` return fewer bytes
         // than asked with no error).
         match self.shared.decide(OpClass::Read, &self.path) {
             Some(FaultAction::Errno(e)) => Err(e),
             Some(FaultAction::Short { numerator }) => {
-                let n = ((out.len() * numerator as usize) / 256)
-                    .max(1)
-                    .min(out.len());
+                let n = short_len(out.len(), numerator);
                 self.inner.read_into(offset, &mut out[..n])
             }
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-                self.inner.read_into(offset, out)
-            }
-            None => self.inner.read_into(offset, out),
+            _ => self.inner.read_into(offset, out),
         }
     }
 
@@ -972,13 +918,8 @@ impl BackendObject for PlannedFaultObject {
     }
 
     fn sync(&mut self) -> Result<(), Errno> {
-        use crate::fault::{FaultAction, OpClass};
         match self.shared.decide(OpClass::Sync, &self.path) {
             Some(FaultAction::Errno(e)) => Err(e),
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-                self.inner.sync()
-            }
             // A "short" sync has no meaning; execute normally.
             _ => self.inner.sync(),
         }
@@ -1000,31 +941,12 @@ impl Backend for FaultBackend {
         flags: OpenFlags,
         mode: u32,
     ) -> Result<Box<dyn BackendObject>, Errno> {
-        use crate::fault::{FaultAction, OpClass};
-        match self.shared.decide(OpClass::Open, path) {
-            Some(FaultAction::Errno(e)) => return Err(e),
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-            }
-            _ => {}
-        }
-        let obj = self.inner.open(path, flags, mode)?;
-        Ok(self.wrap(obj, path.to_owned()))
+        self.open_as(path.to_owned(), || self.inner.open(path, flags, mode))
     }
 
+    /// Socket sinks participate under their `host:port` name.
     fn connect(&self, host: &str, port: u16) -> Result<Box<dyn BackendObject>, Errno> {
-        use crate::fault::{FaultAction, OpClass};
-        // Socket sinks participate under their `host:port` name.
-        let name = format!("{host}:{port}");
-        match self.shared.decide(OpClass::Open, &name) {
-            Some(FaultAction::Errno(e)) => return Err(e),
-            Some(FaultAction::DelayUs(us)) => {
-                std::thread::sleep(Duration::from_micros(us as u64));
-            }
-            _ => {}
-        }
-        let obj = self.inner.connect(host, port)?;
-        Ok(self.wrap(obj, name))
+        self.open_as(format!("{host}:{port}"), || self.inner.connect(host, port))
     }
 
     fn stat(&self, path: &str) -> Result<FileStat, Errno> {
@@ -1047,6 +969,7 @@ impl Backend for FaultBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultRule;
 
     /// Read up to `len` bytes through `read_into`, as an owned vector.
     fn read_vec(obj: &mut dyn BackendObject, offset: Option<u64>, len: usize) -> Vec<u8> {
@@ -1221,36 +1144,150 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn scratch(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("iofwd-{tag}-{}", std::process::id()))
+    }
+
+    /// One backend of each kind a write reaches in the daemon, the file
+    /// ones each in a fresh directory under `root`: a MemSink file, a
+    /// real file, a throttled real file (no device cost), and a real
+    /// file behind an empty fault plan.
+    fn every_backend(root: &Path) -> [(&'static str, Arc<dyn Backend>); 4] {
+        let _ = std::fs::remove_dir_all(root);
+        let file = |kind| Arc::new(FileBackend::new(root.join(kind)));
+        let throttled = ThrottledBackend::new(file("throttled"), 1e12, Duration::ZERO);
+        let faulty = FaultBackend::new(file("fault"), FaultPlan::new(1), Arc::default());
+        [
+            ("MemSinkBackend", Arc::new(MemSinkBackend::new())),
+            ("FileBackend", file("file")),
+            ("ThrottledBackend", Arc::new(throttled)),
+            ("FaultBackend", Arc::new(faulty)),
+        ]
+    }
+
+    /// The first KiB of a stored file, read through a fresh descriptor.
+    fn contents(b: &dyn Backend, path: &str) -> Vec<u8> {
+        let mut f = b.open(path, OpenFlags::RDONLY, 0).unwrap();
+        read_vec(&mut *f, Some(0), 1024)
+    }
+
+    /// Write `bufs` at `at` (or the cursor) in one `way`: as one batch,
+    /// as batches of one, or through `write_at`. Returns the total.
+    fn write(f: &mut dyn BackendObject, way: &str, at: Option<u64>, bufs: &[&[u8]]) -> u64 {
+        if way == "batch" {
+            return f.write_vectored_at(at, bufs).unwrap();
+        }
+        let mut n = 0;
+        for buf in bufs {
+            let at = at.map(|at| at + n);
+            n += match way {
+                "write_at" => f.write_at(at, buf),
+                _ => f.write_vectored_at(at, &[buf]),
+            }
+            .unwrap();
+        }
+        n
+    }
+
     #[test]
     fn default_write_vectored_matches_sequential_writes() {
-        let b = MemSinkBackend::new();
-        let mut f = b
-            .open("/v", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
-            .unwrap();
-        // MemFileObject has no override, so this exercises the trait's
-        // default delegate-per-buffer loop, positionally...
-        let n = f
-            .write_vectored_at(Some(2), &[b"ab", b"cde", b"", b"f"])
-            .unwrap();
-        assert_eq!(n, 6);
-        assert_eq!(b.contents("/v").unwrap(), b"\0\0abcdef");
-        // ...and on the cursor, which must advance across buffers.
-        f.seek(8, Whence::Set).unwrap();
-        assert_eq!(f.write_vectored_at(None, &[b"gh", b"ij"]).unwrap(), 4);
-        assert_eq!(b.contents("/v").unwrap(), b"\0\0abcdefghij");
+        // On every object a batch lands what its buffers written one by
+        // one land, and answers their sum; `write_at` is a batch of one;
+        // empty buffers move nothing. Positionally, then on the cursor
+        // (which the positional writes left at 0).
+        let root = scratch("contract");
+        let head: [&[u8]; 5] = [b"ab", b"", b"cde", b"", b"f"];
+        let tail: [&[u8]; 3] = [b"gh", b"", b"ij"];
+        let landed = b"\0\0abcdefghij".to_vec();
+        for (name, b) in every_backend(&root) {
+            for way in ["batch", "one by one", "write_at"] {
+                let mut f = b.open(way, OpenFlags::RDWR | OpenFlags::CREATE, 0).unwrap();
+                let f = &mut *f;
+                let positional = write(f, way, Some(2), &head);
+                let cursor = (f.seek(0, Whence::Cur), f.seek(8, Whence::Set));
+                let streamed = (write(f, way, None, &tail), f.seek(0, Whence::Cur));
+                let empty = write(f, way, Some(0), &[b"", b""]);
+                let got = (positional, cursor, streamed, empty, contents(&*b, way));
+                let want = (6, (Ok(0), Ok(8)), (4, Ok(12)), 0, landed.clone());
+                assert_eq!(got, want, "{name} {way}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// The largest offset at which `f` takes a one-byte positional
+    /// write (the file-size limit of the filesystem under it, found by
+    /// bisection): a byte lands there, and fails one further on.
+    fn last_writable_offset(f: &mut dyn BackendObject) -> u64 {
+        let (mut ok, mut bad) = (0u64, 1u64 << 63);
+        while bad - ok > 1 {
+            let mid = ok + (bad - ok) / 2;
+            match f.write_at(Some(mid), b"z") {
+                Ok(_) => ok = mid,
+                Err(_) => bad = mid,
+            }
+        }
+        f.truncate(0).unwrap();
+        ok
     }
 
     #[test]
     fn default_write_vectored_reports_progress_before_error() {
-        let b = MemSinkBackend::new();
-        b.open("/ro", OpenFlags::WRONLY | OpenFlags::CREATE, 0)
-            .unwrap();
-        let mut r = b.open("/ro", OpenFlags::RDONLY, 0).unwrap();
-        // No progress at all: the error surfaces.
-        assert_eq!(
-            r.write_vectored_at(None, &[b"x", b"y"]).err(),
-            Some(Errno::BadF)
-        );
+        let root = scratch("progress");
+        for (name, b) in every_backend(&root) {
+            // No progress at all: the error surfaces.
+            b.open("/ro", OpenFlags::WRONLY | OpenFlags::CREATE, 0)
+                .unwrap();
+            let mut r = b.open("/ro", OpenFlags::RDONLY, 0).unwrap();
+            assert!(r.write_vectored_at(None, &[b"x", b"y"]).is_err(), "{name}");
+            // A memory file's only write error (a read-only descriptor)
+            // comes before any byte moves; a file fails part-way at the
+            // filesystem's size limit. There, the byte that landed is a
+            // short count, and the error is the continuation's.
+            if name == "MemSinkBackend" {
+                continue;
+            }
+            let mut f = b
+                .open("/edge", OpenFlags::RDWR | OpenFlags::CREATE, 0)
+                .unwrap();
+            let last = last_writable_offset(&mut *f);
+            assert_eq!(
+                f.write_vectored_at(Some(last), &[b"a", b"b"]),
+                Ok(1),
+                "{name}"
+            );
+            assert!(f.write_at(Some(last + 1), b"b").is_err(), "{name}");
+            f.truncate(0).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn positional_io_leaves_the_cursor_alone() {
+        // pwrite and pread neither use nor move the cursor (POSIX), so a
+        // cursor write after a pwrite lands at 0 on every backend, and a
+        // cursor read after a pread continues where the write left it.
+        let script = |b: &dyn Backend| {
+            let mut f = b
+                .open("/cursor", OpenFlags::RDWR | OpenFlags::CREATE, 0)
+                .unwrap();
+            let f = &mut *f;
+            f.write_at(Some(100), b"PPPP").unwrap();
+            let after_pwrite = f.seek(0, Whence::Cur);
+            f.write_at(None, b"cc").unwrap();
+            let after_write = f.seek(0, Whence::Cur);
+            let pread = (read_vec(f, Some(0), 4), f.seek(0, Whence::Cur));
+            let read = (read_vec(f, None, 4), f.seek(0, Whence::Cur));
+            let landed = contents(b, "/cursor");
+            (after_pwrite, after_write, pread, read, landed)
+        };
+        let reference = script(&MemSinkBackend::new());
+        assert_eq!((reference.0, reference.1), (Ok(0), Ok(2)));
+        let root = scratch("cursor");
+        for (name, b) in every_backend(&root) {
+            assert_eq!(script(&*b), reference, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
@@ -1272,20 +1309,16 @@ mod tests {
 
     #[test]
     fn planned_fault_draws_per_constituent() {
-        use crate::fault::{FaultPlan, FaultRule, OpClass};
-        use crate::telemetry::Telemetry;
         let inner = Arc::new(MemSinkBackend::new());
-        // Vectored-only rule on the 3rd logical write: the plain write
-        // is count 1, the batch's constituents counts 2..4, so
-        // the fault lands inside the batch's *second* buffer.
-        let plan =
-            FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).vectored().nth(3).short(0.25));
+        // A rule on the 3rd logical write: the plain write is count 1,
+        // the batch's buffers counts 2..4, so the fault lands inside the
+        // batch's *second* buffer.
+        let plan = FaultPlan::new(1).rule(FaultRule::on(OpClass::Write).nth(3).short(0.25));
         let tel = Arc::new(Telemetry::new());
         let b = FaultBackend::new(inner.clone(), plan, tel.clone());
         let mut f = b
             .open("/short", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
             .unwrap();
-        // Plain writes are untouched by the vectored-only rule.
         assert_eq!(f.write_at(Some(0), &[7u8; 8]).unwrap(), 8);
         // The batch commits buffer 0 plus a short prefix of buffer 1.
         let n = f
@@ -1298,8 +1331,6 @@ mod tests {
 
     #[test]
     fn planned_fault_mid_batch_errno_surfaces_on_continuation() {
-        use crate::fault::{FaultPlan, FaultRule, OpClass};
-        use crate::telemetry::Telemetry;
         let inner = Arc::new(MemSinkBackend::new());
         // The 2nd logical write draws ENOSPC — mid-batch, so the call
         // commits the clean prefix and the errno lands on the caller's
@@ -1359,9 +1390,6 @@ mod tests {
     }
 
     impl BackendObject for Recorder {
-        fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-            self.note(format!("write_at {offset:?} {data:?}"), data.len() as u64)
-        }
         fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
             let total = bufs.iter().map(|b| b.len() as u64).sum();
             self.note(format!("write_vectored_at {offset:?} {bufs:?}"), total)
@@ -1455,8 +1483,8 @@ mod tests {
         };
         let throttled = ThrottledBackend::new(inner.clone(), 1e12, Duration::ZERO);
         check("ThrottledBackend", &throttled);
-        let telemetry = Arc::new(crate::telemetry::Telemetry::disabled());
-        let plan = crate::fault::FaultPlan::new(1);
+        let telemetry = Arc::new(Telemetry::disabled());
+        let plan = FaultPlan::new(1);
         check(
             "FaultBackend",
             &FaultBackend::new(inner.clone(), plan, telemetry),

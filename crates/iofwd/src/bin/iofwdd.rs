@@ -138,8 +138,8 @@ impl Options {
                     let bw_mib: f64 = bw
                         .parse()
                         .unwrap_or_else(|_| die("--throttle BW_MIB_S must be a number"));
-                    if bw_mib <= 0.0 {
-                        die("--throttle BW_MIB_S must be positive");
+                    if !(bw_mib.is_finite() && bw_mib > 0.0) {
+                        die("--throttle BW_MIB_S must be a finite positive number");
                     }
                     opts.throttle = Some((
                         Duration::from_micros(per_op_us),
@@ -187,6 +187,14 @@ impl Options {
         if opts.workers == 0 && !matches!(mode, ForwardingMode::Ciod | ForwardingMode::Zoid) {
             die("--workers must be nonzero for --mode sched|staged");
         }
+        // Only staged mode has a BML to size; zero MiB, or more bytes
+        // than 64 bits hold, leaves it none.
+        if let ForwardingMode::AsyncStaged {
+            bml_capacity: 0, ..
+        } = mode
+        {
+            die("--bml-mib needs 1 to 17592186044415 for --mode staged");
+        }
         opts
     }
 
@@ -199,7 +207,7 @@ impl Options {
             },
             "staged" => ForwardingMode::AsyncStaged {
                 workers: self.workers,
-                bml_capacity: self.bml_mib << 20,
+                bml_capacity: self.bml_mib.checked_mul(1 << 20).unwrap_or(0),
             },
             other => die(&format!(
                 "unknown mode '{other}' (--mode ciod|zoid|sched|staged)"

@@ -306,24 +306,7 @@ impl Client {
     /// the LAST chunk's (all-or-error semantics still hold: any chunk
     /// failure aborts the remainder).
     pub fn write_detailed(&mut self, fd: Fd, data: &[u8]) -> Result<WriteOutcome, ClientError> {
-        let mut outcome = WriteOutcome::Completed(0);
-        let mut sent = 0u64;
-        for chunk in data.chunks(self.max_chunk.max(1)) {
-            let req = Request::Write {
-                fd,
-                len: chunk.len() as u64,
-            };
-            outcome = match self.write_impl(req, chunk)? {
-                WriteOutcome::Completed(n) => WriteOutcome::Completed(sent + n),
-                staged => staged,
-            };
-            sent += chunk.len() as u64;
-        }
-        if data.is_empty() {
-            let req = Request::Write { fd, len: 0 };
-            outcome = self.write_impl(req, data)?;
-        }
-        Ok(outcome)
+        self.write_chunks(fd, None, data)
     }
 
     /// Positioned write (split into chunks beyond the frame limit).
@@ -339,23 +322,36 @@ impl Client {
         offset: u64,
         data: &[u8],
     ) -> Result<WriteOutcome, ClientError> {
+        self.write_chunks(fd, Some(offset), data)
+    }
+
+    /// The one write loop: a request per chunk of at most `max_chunk`
+    /// bytes (an empty write is one empty request) — a `Pwrite` at
+    /// `offset` plus the bytes already sent, or a cursor `Write`.
+    fn write_chunks(
+        &mut self,
+        fd: Fd,
+        offset: Option<u64>,
+        data: &[u8],
+    ) -> Result<WriteOutcome, ClientError> {
         let mut outcome = WriteOutcome::Completed(0);
         let mut sent = 0u64;
-        for chunk in data.chunks(self.max_chunk.max(1)) {
-            let req = Request::Pwrite {
-                fd,
-                offset: offset + sent,
-                len: chunk.len() as u64,
+        let chunks = data.chunks(self.max_chunk.max(1));
+        for chunk in chunks.chain(data.is_empty().then_some(data)) {
+            let len = chunk.len() as u64;
+            let req = match offset {
+                Some(at) => Request::Pwrite {
+                    fd,
+                    offset: at + sent,
+                    len,
+                },
+                None => Request::Write { fd, len },
             };
             outcome = match self.write_impl(req, chunk)? {
                 WriteOutcome::Completed(n) => WriteOutcome::Completed(sent + n),
                 staged => staged,
             };
-            sent += chunk.len() as u64;
-        }
-        if data.is_empty() {
-            let req = Request::Pwrite { fd, offset, len: 0 };
-            outcome = self.write_impl(req, data)?;
+            sent += len;
         }
         Ok(outcome)
     }

@@ -171,11 +171,6 @@ pub struct FaultRule {
     /// Fire on every op past the first N (`nth>N`): "the device fills
     /// up and stays full". Ignored when `nth` is set.
     pub after: Option<u64>,
-    /// Only match *vectored* (coalesced) writes — batches the daemon
-    /// merged from several forwarded ops and issued as one
-    /// `write_vectored_at`. Lets a plan aim at the coalescing path
-    /// specifically; plain rules match both shapes.
-    pub vectored: bool,
     pub action: FaultAction,
 }
 
@@ -189,19 +184,12 @@ impl FaultRule {
             probability: 1.0,
             nth: None,
             after: None,
-            vectored: false,
             action: FaultAction::Errno(Errno::Io),
         }
     }
 
     pub fn path(mut self, glob: &str) -> FaultRule {
         self.path_glob = Some(glob.to_owned());
-        self
-    }
-
-    /// Restrict the rule to vectored (coalesced) writes.
-    pub fn vectored(mut self) -> FaultRule {
-        self.vectored = true;
         self
     }
 
@@ -273,152 +261,90 @@ impl FaultPlan {
     /// on read p=0.1 short=0.5
     /// on open path=/scratch/* errno=EIO
     /// on any p=0.01 delay_us=500
-    /// on write vectored p=0.5 short=0.25   # coalesced batches only
     /// ```
     ///
-    /// The bare `vectored` token restricts a rule to coalesced
-    /// (vectored) writes; without it a `write` rule hits both single
-    /// and coalesced writes, each constituent of a batch counting as one
-    /// op. `nth=` and `nth>` count the ops the rule matches — its class
-    /// on a path its glob accepts — in the daemon's logical op order, so
-    /// `on open path=/hot/* nth=3` fails the third open under
-    /// `/hot`. A `vectored` rule counts plain writes too, and fires
-    /// only when its count lands on a coalesced one. `nth>N` is a
-    /// trigger of its own and cannot be combined with `p=` or `nth=`.
+    /// Every forwarded write is one `write` op, whether it reaches the
+    /// backend alone or inside a coalesced batch. `nth=` and `nth>`
+    /// count the ops the rule matches — its class on a path its glob
+    /// accepts — in the daemon's logical op order, so
+    /// `on open path=/hot/* nth=3` fails the third open under `/hot`.
+    /// `nth>N` is a trigger of its own and cannot be combined with `p=`
+    /// or `nth=`.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(0);
         for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = line.split_whitespace();
-            match tokens.next() {
-                Some("seed") => {
-                    let v = tokens
-                        .next()
-                        .ok_or_else(|| format!("line {line_no}: seed needs a value"))?;
-                    plan.seed = v
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad seed '{v}'"))?;
-                }
-                Some("on") => {
-                    let class = tokens.next().and_then(OpClass::parse).ok_or_else(|| {
-                        format!("line {line_no}: expected write|read|open|sync|any")
-                    })?;
-                    let mut rule = FaultRule::on(class);
-                    let mut action = None;
-                    let mut coin = false;
-                    for tok in tokens {
-                        if tok == "vectored" {
-                            if class != OpClass::Write {
-                                return Err(format!(
-                                    "line {line_no}: 'vectored' only applies to write rules"
-                                ));
-                            }
-                            rule.vectored = true;
-                            continue;
-                        }
-                        if let Some(val) = tok.strip_prefix("nth>") {
-                            let n: u64 = val
-                                .parse()
-                                .map_err(|_| format!("line {line_no}: bad nth>N '{val}'"))?;
-                            rule.after = Some(n);
-                            continue;
-                        }
-                        let (key, val) = tok.split_once('=').ok_or_else(|| {
-                            format!("line {line_no}: expected key=value, got '{tok}'")
-                        })?;
-                        match key {
-                            "path" => rule.path_glob = Some(val.to_owned()),
-                            "p" => {
-                                let p: f64 = val.parse().map_err(|_| {
-                                    format!("line {line_no}: bad probability '{val}'")
-                                })?;
-                                if !(0.0..=1.0).contains(&p) {
-                                    return Err(format!(
-                                        "line {line_no}: probability {p} outside [0,1]"
-                                    ));
-                                }
-                                rule.probability = p;
-                                coin = true;
-                            }
-                            "nth" => {
-                                let n: u64 = val
-                                    .parse()
-                                    .map_err(|_| format!("line {line_no}: bad nth '{val}'"))?;
-                                if n == 0 {
-                                    return Err(format!("line {line_no}: nth is 1-based"));
-                                }
-                                rule.nth = Some(n);
-                            }
-                            "errno" => {
-                                let e = parse_errno(val).ok_or_else(|| {
-                                    format!("line {line_no}: unknown errno '{val}'")
-                                })?;
-                                action = Some(FaultAction::Errno(e));
-                            }
-                            "short" => {
-                                let f: f64 = val.parse().map_err(|_| {
-                                    format!("line {line_no}: bad short fraction '{val}'")
-                                })?;
-                                let num = (f.clamp(0.0, 1.0) * 256.0) as u16;
-                                action = Some(FaultAction::Short {
-                                    numerator: num.min(255) as u8,
-                                });
-                            }
-                            "delay_us" => {
-                                let us: u32 = val
-                                    .parse()
-                                    .map_err(|_| format!("line {line_no}: bad delay_us '{val}'"))?;
-                                action = Some(FaultAction::DelayUs(us));
-                            }
-                            other => {
-                                return Err(format!("line {line_no}: unknown key '{other}'"));
-                            }
-                        }
-                    }
-                    if rule.after.is_some() && (coin || rule.nth.is_some()) {
-                        return Err(format!(
-                            "line {line_no}: nth>N cannot be combined with p= or nth="
-                        ));
-                    }
-                    rule.action = action.ok_or_else(|| {
-                        format!("line {line_no}: rule needs errno=|short=|delay_us=")
-                    })?;
-                    plan.rules.push(rule);
-                }
-                Some(other) => {
-                    return Err(format!(
-                        "line {line_no}: expected 'seed' or 'on', got '{other}'"
-                    ));
-                }
-                None => {}
-            }
+            let line = raw.split('#').next().unwrap_or("");
+            plan.parse_line(line)
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
         }
         Ok(plan)
     }
 
-    /// Decide what (if anything) happens to the next op of `class` on
-    /// `path`, advancing `state`. First matching armed rule wins.
-    pub fn decide(&self, class: OpClass, path: &str, state: &mut PlanState) -> Option<FaultAction> {
-        self.decide_vectored(class, path, state, false)
+    /// One line of a plan file, its comment stripped.
+    fn parse_line(&mut self, line: &str) -> Result<(), String> {
+        let mut tokens = line.split_whitespace();
+        match tokens.next() {
+            None => {}
+            Some("seed") => self.seed = number(tokens.next().ok_or("seed needs a value")?, "seed")?,
+            Some("on") => {
+                let class = tokens
+                    .next()
+                    .and_then(OpClass::parse)
+                    .ok_or("expected write|read|open|sync|any")?;
+                let mut rule = FaultRule::on(class);
+                let (mut acts, mut coin) = (false, false);
+                for tok in tokens {
+                    if let Some(val) = tok.strip_prefix("nth>") {
+                        rule.after = Some(number(val, "nth>N")?);
+                        continue;
+                    }
+                    let (key, val) = tok
+                        .split_once('=')
+                        .ok_or_else(|| format!("expected key=value, got '{tok}'"))?;
+                    match key {
+                        "path" => rule.path_glob = Some(val.to_owned()),
+                        "p" => {
+                            let p: f64 = number(val, "probability")?;
+                            if !(0.0..=1.0).contains(&p) {
+                                return Err(format!("probability {p} outside [0,1]"));
+                            }
+                            rule.probability = p;
+                            coin = true;
+                        }
+                        "nth" => match number(val, "nth")? {
+                            0 => return Err("nth is 1-based".into()),
+                            n => rule.nth = Some(n),
+                        },
+                        "errno" => {
+                            let e =
+                                parse_errno(val).ok_or_else(|| format!("unknown errno '{val}'"))?;
+                            rule = rule.errno(e);
+                        }
+                        "short" => rule = rule.short(number(val, "short fraction")?),
+                        "delay_us" => rule = rule.delay_us(number(val, "delay_us")?),
+                        other => return Err(format!("unknown key '{other}'")),
+                    }
+                    acts |= matches!(key, "errno" | "short" | "delay_us");
+                }
+                if rule.after.is_some() && (coin || rule.nth.is_some()) {
+                    return Err("nth>N cannot be combined with p= or nth=".into());
+                }
+                if !acts {
+                    return Err("rule needs errno=|short=|delay_us=".into());
+                }
+                self.rules.push(rule);
+            }
+            Some(other) => return Err(format!("expected 'seed' or 'on', got '{other}'")),
+        }
+        Ok(())
     }
 
-    /// [`FaultPlan::decide`] with the op's *vectored* shape made
-    /// explicit, so `vectored`-flagged rules can single out coalesced
-    /// batches. Every rule sees every op: it counts the ops it matches
-    /// and flips its coin on each one its shape filter lets through,
-    /// whichever rule acts, so each rule's fault sequence depends only
-    /// on the op sequence.
-    pub fn decide_vectored(
-        &self,
-        class: OpClass,
-        path: &str,
-        state: &mut PlanState,
-        vectored: bool,
-    ) -> Option<FaultAction> {
+    /// Decide what (if anything) happens to the next op of `class` on
+    /// `path`, advancing `state`. First matching armed rule wins. Every
+    /// rule sees every op: it counts the ops it matches and flips its
+    /// coin on each, whichever rule acts, so each rule's fault sequence
+    /// depends only on the op sequence.
+    pub fn decide(&self, class: OpClass, path: &str, state: &mut PlanState) -> Option<FaultAction> {
         let PlanState { rng, matched } = state;
         matched.resize(self.rules.len(), 0);
         let mut action = None;
@@ -431,9 +357,6 @@ impl FaultPlan {
                 continue;
             }
             *seen += 1;
-            if rule.vectored && !vectored {
-                continue;
-            }
             let armed = match (rule.nth, rule.after) {
                 (Some(n), _) => *seen == n,
                 (None, Some(n)) => *seen > n,
@@ -463,6 +386,11 @@ impl PlanState {
             matched: Vec::new(),
         }
     }
+}
+
+/// A plan-file number, or an error naming what it was meant to be.
+fn number<T: std::str::FromStr>(val: &str, what: &str) -> Result<T, String> {
+    val.parse().map_err(|_| format!("bad {what} '{val}'"))
 }
 
 /// Errno spellings accepted in plan files (the injectable subset).
@@ -555,33 +483,10 @@ mod tests {
         assert!(FaultPlan::parse("on any nth>x errno=EIO").is_err());
         assert!(FaultPlan::parse("on any nth>3 p=0.5 errno=EIO").is_err());
         assert!(FaultPlan::parse("on any nth>3 nth=5 errno=EIO").is_err());
-        // `vectored` is a write-rule refinement, not a general key.
+        // There is no `vectored` refinement: a batch's writes are
+        // writes.
         assert!(FaultPlan::parse("on read vectored errno=EIO").is_err());
-        assert!(FaultPlan::parse("on write vectored errno=EIO").is_ok());
-    }
-
-    #[test]
-    fn vectored_rules_target_coalesced_writes_only() {
-        let plan = FaultPlan::parse("on write vectored errno=ENOSPC\n").unwrap();
-        assert!(plan.rules[0].vectored);
-        let mut st = PlanState::new(0);
-        // Plain writes slip past a vectored-only rule...
-        assert!(plan
-            .decide_vectored(OpClass::Write, "/f", &mut st, false)
-            .is_none());
-        assert!(plan.decide(OpClass::Write, "/f", &mut st).is_none());
-        // ...coalesced batches are hit.
-        assert_eq!(
-            plan.decide_vectored(OpClass::Write, "/f", &mut st, true),
-            Some(FaultAction::Errno(Errno::NoSpc))
-        );
-        // An unflagged rule hits both shapes.
-        let both = FaultPlan::new(0).rule(FaultRule::on(OpClass::Write).errno(Errno::Io));
-        let mut st = PlanState::new(0);
-        assert!(both
-            .decide_vectored(OpClass::Write, "/f", &mut st, true)
-            .is_some());
-        assert!(both.decide(OpClass::Write, "/f", &mut st).is_some());
+        assert!(FaultPlan::parse("on write vectored errno=EIO").is_err());
     }
 
     #[test]

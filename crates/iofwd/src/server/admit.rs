@@ -660,18 +660,22 @@ pub(crate) fn push(ctx: &AdmitCtx, item: WorkItem) {
         Some(queue) => queue.push(item).err().map(|closed| *closed.0),
         None => Some(item),
     };
+    let mut parts = Vec::new();
     while let Some(item) = next {
         let lane = item.lane();
         match item {
             WorkItem::Sync { .. } => reject(item, Errno::Again, Disposition::QueueRejected),
-            WorkItem::StagedWrite { fd, part } => execute_staged(
-                &ctx.engine,
-                ctx.telemetry(),
-                fd,
-                part,
-                0,
-                Disposition::Completed,
-            ),
+            WorkItem::StagedWrite { fd, part } => {
+                parts.push(part);
+                execute_staged(
+                    &ctx.engine,
+                    ctx.telemetry(),
+                    fd,
+                    &mut parts,
+                    0,
+                    Disposition::Completed,
+                )
+            }
             WorkItem::Reclaim(fd) => ctx.engine.close_orphan(fd),
         }
         next = lane.and_then(|fd| ctx.complete_lane(fd));

@@ -46,6 +46,32 @@ pub(crate) fn response_errno(resp: &Response) -> u32 {
     }
 }
 
+/// The most buffers one backend write carries: the size of the iovec
+/// [`Engine`] rebuilds on the stack, and the most staged writes a worker
+/// coalesces into one batch.
+pub(crate) const COALESCE_MAX_OPS: usize = 16;
+
+/// How far a write of a list of parts got: the bytes that landed, and
+/// the error that stopped it short, if one did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Written {
+    pub(crate) bytes: usize,
+    pub(crate) failure: Option<Errno>,
+}
+
+impl Written {
+    /// The outcome of the part that ends `end` bytes into the list. A
+    /// part the written prefix covers moved all its bytes and succeeded,
+    /// even when a later part made the write go short; the part holding
+    /// the shortfall and every later one failed with the write's errno.
+    pub fn outcome(&self, end: usize) -> OpOutcome {
+        match self.failure {
+            Some(e) if end > self.bytes => OpOutcome::Failed(e),
+            _ => OpOutcome::Ok,
+        }
+    }
+}
+
 /// The daemon's shared state: backend, descriptor database, optional BML.
 pub struct Engine {
     pub(crate) backend: Arc<dyn Backend>,
@@ -131,47 +157,62 @@ impl Engine {
         }
     }
 
-    /// How a single write, sync or staged, reaches the backend: lock the
-    /// object and write all of `data`, continuing after POSIX-legal short
-    /// writes and retrying transient errors per the policy. A device that
-    /// accepts zero bytes with data remaining reports `EIO`, not a spin.
-    fn write_fully(
+    /// How every write reaches the backend, sync or staged, one part
+    /// or a coalesced batch: lock the object and write the parts back to
+    /// back, continuing after POSIX-legal short writes with the rest of
+    /// the list and retrying transient errors per the policy. A device
+    /// that accepts zero bytes with data remaining reports `EIO`, not a
+    /// spin. The iovec is rebuilt on the stack before every call, so a
+    /// write allocates nothing; a call carries at most
+    /// [`COALESCE_MAX_OPS`] buffers, and longer lists continue in the
+    /// next call.
+    fn write_parts<'a>(
         &self,
         obj: &SharedObject,
         offset: Option<u64>,
-        data: &[u8],
-    ) -> Result<(), Errno> {
+        parts: impl Iterator<Item = &'a [u8]> + Clone,
+    ) -> Written {
+        let total: usize = parts.clone().map(<[u8]>::len).sum();
+        let mut iov: [&[u8]; COALESCE_MAX_OPS] = [&[]; COALESCE_MAX_OPS];
+        let (mut written, mut failure) = (0usize, None);
         let mut o = obj.lock();
-        let mut written = 0usize;
-        while written < data.len() {
+        while written < total && failure.is_none() {
+            // The remaining iovec: drop written and empty parts, slice
+            // the one the last short write split.
+            let (mut len, mut start) = (0, 0);
+            for d in parts.clone() {
+                let end = start + d.len();
+                if end > written && !d.is_empty() {
+                    iov[len] = &d[written.saturating_sub(start)..];
+                    len += 1;
+                    if len == COALESCE_MAX_OPS {
+                        break;
+                    }
+                }
+                start = end;
+            }
             // Positional writes continue at offset+written; cursor
             // writes continue at the cursor the short write advanced.
             let at = offset.map(|base| base + written as u64);
-            let n = self.with_retries(|| o.write_at(at, &data[written..]))?;
-            self.count_backend_write(n);
-            let n = n as usize;
-            if n == 0 {
-                return Err(Errno::Io);
+            match self.with_retries(|| o.write_vectored_at(at, &iov[..len])) {
+                Ok(n) => {
+                    // Backend data traffic is counted where the engine
+                    // makes the call: successful calls only (a failed
+                    // one moved no data), and a coalesced batch is one
+                    // op however many writes it carries.
+                    if self.telemetry.enabled() {
+                        self.telemetry.backend_write_ops.inc();
+                        self.telemetry.backend_bytes_written.add(n);
+                    }
+                    written += n as usize;
+                    failure = (n == 0).then_some(Errno::Io);
+                }
+                Err(e) => failure = Some(e),
             }
-            written += n;
         }
-        Ok(())
-    }
-
-    /// Backend data traffic is counted here, where the engine makes the
-    /// call: successful calls only (a failed one moved no data), and a
-    /// vectored batch is one op however many writes it carries.
-    fn count_backend_write(&self, bytes: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.backend_write_ops.inc();
-            self.telemetry.backend_bytes_written.add(bytes);
-        }
-    }
-
-    fn count_backend_read(&self, bytes: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.backend_read_ops.inc();
-            self.telemetry.backend_bytes_read.add(bytes);
+        Written {
+            bytes: written,
+            failure,
         }
     }
 
@@ -302,114 +343,49 @@ impl Engine {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
-        let result = self.write_fully(&obj, offset, data);
+        let written = self.write_parts(&obj, offset, std::iter::once(&data[..]));
         // Synchronous path: the reply reports the error; nothing deferred.
         self.db.finish_op(fd, op, OpOutcome::Ok);
-        match result {
-            Ok(()) => (
+        match written.failure {
+            None => (
                 Response::Ok {
                     ret: declared_len as i64,
                 },
                 Bytes::new(),
             ),
-            Err(e) => (Response::Err { errno: e }, Bytes::new()),
+            Some(e) => (Response::Err { errno: e }, Bytes::new()),
         }
     }
 
-    /// Execute a staged write on behalf of a worker: stream the staging
-    /// buffer to the backend and record the outcome in the descriptor
-    /// database. Returns the outcome so the worker can finish the op's
-    /// lifecycle span.
-    pub fn execute_staged_write(
-        &self,
-        fd: iofwd_proto::Fd,
-        op: iofwd_proto::OpId,
-        offset: Option<u64>,
-        data: &[u8],
-    ) -> OpOutcome {
-        let written = self
-            .db
-            .object(fd)
-            .and_then(|obj| self.write_fully(&obj, offset, data));
-        let outcome = match written {
-            Ok(()) => OpOutcome::Ok,
-            Err(e) => OpOutcome::Failed(e),
-        };
-        self.db.finish_op(fd, op, outcome);
-        outcome
-    }
-
-    /// Execute a batch of offset-contiguous staged writes on one
-    /// descriptor as a single vectored backend operation, fanning the
-    /// outcome back per constituent: parts fully covered by the bytes
-    /// the backend accepted succeed; the part containing the shortfall
-    /// and every later part fail with the batch's errno. Every part's
-    /// outcome is recorded in the descriptor database in batch order,
-    /// so deferred-error attribution (first error wins) lands on the
-    /// same op as serial execution against a backend whose errors are
-    /// positional.
+    /// Execute staged writes on one descriptor — one, or a batch of
+    /// offset-contiguous ones — as one write of their list of parts, and
+    /// record each part's outcome in the descriptor database in batch
+    /// order ([`Written::outcome`]), so deferred-error attribution (first
+    /// error wins) lands on the same op as serial execution against a
+    /// backend whose errors are positional.
     ///
     /// `base` is the first part's offset (`None` for a cursor chain —
     /// short writes then resume at the cursor the backend advanced).
     /// Parts must be contiguous: part *i+1* starts where part *i* ends.
-    pub fn execute_coalesced_write(
+    pub fn execute_coalesced_write<'a>(
         &self,
         fd: iofwd_proto::Fd,
         base: Option<u64>,
-        parts: &[(iofwd_proto::OpId, &[u8])],
-    ) -> Vec<OpOutcome> {
-        let total: usize = parts.iter().map(|(_, d)| d.len()).sum();
-        let mut written = 0usize;
-        let mut failure = None;
-        match self.db.object(fd) {
-            Ok(obj) => {
-                let mut o = obj.lock();
-                while written < total && failure.is_none() {
-                    // Rebuild the remaining iovec: drop fully-written
-                    // parts, slice the one the short write split.
-                    let mut bufs = Vec::with_capacity(parts.len());
-                    let mut start = 0usize;
-                    for (_, d) in parts {
-                        let end = start + d.len();
-                        if end > written && !d.is_empty() {
-                            bufs.push(&d[written.saturating_sub(start).min(d.len())..]);
-                        }
-                        start = end;
-                    }
-                    let at = base.map(|b| b + written as u64);
-                    match self.with_retries(|| o.write_vectored_at(at, &bufs)) {
-                        Ok(n) => {
-                            self.count_backend_write(n);
-                            // A device accepting zero bytes with data
-                            // remaining is an error, as in write_fully.
-                            if n == 0 {
-                                failure = Some(Errno::Io);
-                            }
-                            written += n as usize;
-                        }
-                        Err(e) => failure = Some(e),
-                    }
-                }
-            }
-            Err(e) => failure = Some(e),
+        parts: impl Iterator<Item = (iofwd_proto::OpId, &'a [u8])> + Clone,
+    ) -> Written {
+        let written = match self.db.object(fd) {
+            Ok(obj) => self.write_parts(&obj, base, parts.clone().map(|(_, d)| d)),
+            Err(e) => Written {
+                bytes: 0,
+                failure: Some(e),
+            },
+        };
+        let mut end = 0;
+        for (op, d) in parts {
+            end += d.len();
+            self.db.finish_op(fd, op, written.outcome(end));
         }
-        // Fan the batch outcome back out per constituent op.
-        let mut out = Vec::with_capacity(parts.len());
-        let mut start = 0usize;
-        for &(op, d) in parts {
-            let end = start + d.len();
-            let outcome = match failure {
-                // Covered parts moved all their bytes: full success,
-                // even when a later part made the batch go short.
-                None => OpOutcome::Ok,
-                Some(_) if end <= written => OpOutcome::Ok,
-                Some(e) => OpOutcome::Failed(e),
-            };
-            self.db.finish_op(fd, op, outcome);
-            out.push(outcome);
-            start = end;
-        }
-        out
+        written
     }
 
     fn data_read(&self, fd: iofwd_proto::Fd, offset: Option<u64>, len: u64) -> (Response, Bytes) {
@@ -453,7 +429,10 @@ impl Engine {
         self.db.finish_op(fd, op, OpOutcome::Ok);
         match result {
             Ok(data) => {
-                self.count_backend_read(data.len() as u64);
+                if self.telemetry.enabled() {
+                    self.telemetry.backend_read_ops.inc();
+                    self.telemetry.backend_bytes_read.add(data.len() as u64);
+                }
                 (
                     Response::Ok {
                         ret: data.len() as i64,
@@ -726,13 +705,19 @@ mod tests {
     }
 
     impl BackendObject for StickyObj {
-        fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+        fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
             let off = offset.expect("sticky test backend is positional-only");
             if off >= self.limit {
                 return Err(self.errno);
             }
-            let n = data.len().min(self.cap).min((self.limit - off) as usize);
-            self.inner.write_at(offset, &data[..n])
+            let mut room = self.cap.min((self.limit - off) as usize);
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                n += self.inner.write_at(Some(off + n), &buf[..take])?;
+                room -= take;
+            }
+            Ok(n)
         }
 
         fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
@@ -790,6 +775,22 @@ mod tests {
         }
     }
 
+    /// Run a staged batch and read each part's outcome off the result.
+    fn write_batch(
+        e: &Engine,
+        fd: Fd,
+        base: Option<u64>,
+        parts: &[(iofwd_proto::OpId, &[u8])],
+    ) -> Vec<OpOutcome> {
+        let written = e.execute_coalesced_write(fd, base, parts.iter().copied());
+        let mut end = 0;
+        let mut outcome = |len| {
+            end += len;
+            written.outcome(end)
+        };
+        parts.iter().map(|(_, d)| outcome(d.len())).collect()
+    }
+
     fn begin(e: &Engine, fd: Fd) -> iofwd_proto::OpId {
         match e.descriptor_db().begin_op(fd) {
             Ok((op, _)) => op,
@@ -804,13 +805,13 @@ mod tests {
         let (a, b, c) = (begin(&e, fd), begin(&e, fd), begin(&e, fd));
         // Positional chain [2, 8).
         let parts: Vec<(iofwd_proto::OpId, &[u8])> = vec![(a, b"AB"), (b, b"CDE"), (c, b"F")];
-        let outcomes = e.execute_coalesced_write(fd, Some(2), &parts);
+        let outcomes = write_batch(&e, fd, Some(2), &parts);
         assert_eq!(outcomes, vec![OpOutcome::Ok; 3]);
         assert_eq!(be.contents("/co").unwrap(), b"\0\0ABCDEF");
         // Cursor chain: the engine-held cursor sits at 0 (positional
         // writes leave it), so a None-base batch lands from there.
         let (d, g) = (begin(&e, fd), begin(&e, fd));
-        let outcomes = e.execute_coalesced_write(fd, None, &[(d, b"xy"), (g, b"z")]);
+        let outcomes = write_batch(&e, fd, None, &[(d, b"xy"), (g, b"z")]);
         assert_eq!(outcomes, vec![OpOutcome::Ok; 2]);
         assert_eq!(&be.contents("/co").unwrap()[..3], b"xyz");
         // No deferred error: fsync is clean.
@@ -834,7 +835,7 @@ mod tests {
         let e = Engine::new(sticky, None);
         let fd = open(&e, "/short");
         let (a, b) = (begin(&e, fd), begin(&e, fd));
-        let outcomes = e.execute_coalesced_write(fd, Some(0), &[(a, b"01234"), (b, b"56789")]);
+        let outcomes = write_batch(&e, fd, Some(0), &[(a, b"01234"), (b, b"56789")]);
         assert_eq!(outcomes, vec![OpOutcome::Ok; 2]);
         assert_eq!(be.contents("/short").unwrap(), b"0123456789");
     }
@@ -854,8 +855,7 @@ mod tests {
         let e = Engine::new(sticky, None);
         let fd = open(&e, "/fan");
         let (a, b, c) = (begin(&e, fd), begin(&e, fd), begin(&e, fd));
-        let outcomes =
-            e.execute_coalesced_write(fd, Some(0), &[(a, b"AAAA"), (b, b"BBBB"), (c, b"CC")]);
+        let outcomes = write_batch(&e, fd, Some(0), &[(a, b"AAAA"), (b, b"BBBB"), (c, b"CC")]);
         assert_eq!(
             outcomes,
             vec![
@@ -977,7 +977,7 @@ mod tests {
         e.descriptor_db().finish_op(fd, b, OpOutcome::Ok);
         e.execute(&Request::Close { fd }, &Bytes::new());
         let (x, y) = (iofwd_proto::OpId(900), iofwd_proto::OpId(901));
-        let outcomes = e.execute_coalesced_write(fd, Some(0), &[(x, b"a"), (y, b"b")]);
+        let outcomes = write_batch(&e, fd, Some(0), &[(x, b"a"), (y, b"b")]);
         assert_eq!(
             outcomes,
             vec![

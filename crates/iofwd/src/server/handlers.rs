@@ -16,17 +16,23 @@
 //!   extra copy) and hands it to a dedicated per-client *proxy*, which
 //!   drives it like `serve_conn` does.
 //! * [`worker_loop`] — the shared worker pool of the sched/staged modes.
+//! * [`execute_staged`] — the one staged-write executor. A staged write
+//!   is a batch of one; a worker that finds contiguous writes parked
+//!   behind it on the descriptor's lane makes a batch of several, and
+//!   either way the batch is one write of a list of buffers. A push after
+//!   the queue closed and the shutdown drain run it too, a write at a
+//!   time.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
-use iofwd_proto::{Fd, Frame, OpId};
+use iofwd_proto::{Fd, Frame};
 
 use super::admit::{
     self, Accepted, Admission, AdmitCtx, Dispatched, Need, Retry, Route, Session, Waiting,
 };
-use super::engine::Engine;
+use super::engine::{Engine, COALESCE_MAX_OPS};
 use super::queue::{StagedPart, WorkItem, WorkQueue};
 use super::staged::{CompletionGuard, FdSerializer};
 use crate::descdb::OpOutcome;
@@ -157,85 +163,56 @@ pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
     let _ = proxy.join();
 }
 
-/// Execute one staged write: backend write and outcome recording (in
-/// the engine, shared with the sync path), span
-/// completion, and BML buffer return. `worker` is the 1-based pool
-/// worker, 0 off the pool; `disposition` records why it ran where it did
-/// (`Completed`, or `DrainExecuted` from the shutdown drain).
+/// Execute staged writes on one descriptor — one, or the
+/// offset-contiguous chain a worker harvested behind it — as one write of
+/// their list of buffers, and fan the result back out per part: each
+/// part's `finish_op` outcome (in the engine), its own `OpSpan`
+/// (dispatch and backend stamps are shared, as the parts share the
+/// backend interval) and its BML buffer, returned as `parts` is drained.
+/// A short write credits full success to the parts it covered and
+/// charges the error only to the parts it did not. `worker` is the
+/// 1-based pool worker, 0 off the pool; `disposition` records why the
+/// writes ran where they did (`Completed`, or `DrainExecuted` from the
+/// shutdown drain). The `coalesced_*` counters count batches of two or
+/// more.
 pub(crate) fn execute_staged(
     engine: &Engine,
     telemetry: &Telemetry,
     fd: Fd,
-    part: StagedPart,
+    parts: &mut Vec<StagedPart>,
     worker: u32,
     disposition: Disposition,
-) {
-    let StagedPart {
-        op,
-        offset,
-        buf,
-        mut span,
-    } = part;
-    span.dispatch_ns = telemetry.now_ns();
-    span.backend_start_ns = span.dispatch_ns;
-    span.worker = worker;
-    let outcome = engine.execute_staged_write(fd, op, offset, buf.as_slice());
-    span.backend_done_ns = telemetry.now_ns();
-    span.ok = matches!(outcome, OpOutcome::Ok);
-    if let OpOutcome::Failed(errno) = outcome {
-        span.errno = errno.to_wire();
-    }
-    span.disposition = disposition;
-    drop(buf); // return staging memory before dispatching more
-    telemetry.complete(&span);
-}
-
-/// Execute a coalesced batch of offset-contiguous staged writes as one
-/// vectored backend call and fan the result back to every constituent
-/// op: each part keeps its own `OpSpan` (dispatch/backend stamps are
-/// shared, as the parts genuinely share the backend interval), its own
-/// `finish_op` outcome in the DescDb, and its own BML buffer return.
-/// A short vectored write credits full success to the parts it covered
-/// and charges the error only to the parts (or tails) it did not.
-fn execute_coalesced(
-    engine: &Engine,
-    telemetry: &Telemetry,
-    fd: Fd,
-    mut parts: Vec<StagedPart>,
-    worker: u32,
 ) {
     let Some(first) = parts.first() else {
         return;
     };
     let base = first.offset;
-    let now = telemetry.now_ns();
-    let total: u64 = parts.iter().map(|p| p.buf.len() as u64).sum();
-    for part in parts.iter_mut() {
-        part.span.dispatch_ns = now;
-        part.span.backend_start_ns = now;
-        part.span.worker = worker;
-    }
-    if telemetry.enabled() {
+    let dispatched = telemetry.now_ns();
+    if parts.len() > 1 && telemetry.enabled() {
         telemetry.coalesced_batches.inc();
         telemetry.coalesced_ops.add(parts.len() as u64);
-        telemetry.coalesced_bytes.add(total);
+        telemetry
+            .coalesced_bytes
+            .add(parts.iter().map(|p| p.buf.len() as u64).sum());
         telemetry.coalesce_width.record(parts.len() as u64);
     }
-    let outcomes = {
-        // Inner scope: the borrows of `parts` end before the move-out
-        // fan-out below.
-        let descr: Vec<(OpId, &[u8])> = parts.iter().map(|p| (p.op, p.buf.as_slice())).collect();
-        engine.execute_coalesced_write(fd, base, &descr)
-    };
+    let written =
+        engine.execute_coalesced_write(fd, base, parts.iter().map(|p| (p.op, p.buf.as_slice())));
     let done = telemetry.now_ns();
-    for (part, outcome) in parts.into_iter().zip(outcomes) {
-        let mut span = part.span;
+    let mut end = 0;
+    for StagedPart { buf, mut span, .. } in parts.drain(..) {
+        end += buf.len();
+        let outcome = written.outcome(end);
+        span.dispatch_ns = dispatched;
+        span.backend_start_ns = dispatched;
         span.backend_done_ns = done;
+        span.worker = worker;
         span.ok = matches!(outcome, OpOutcome::Ok);
         if let OpOutcome::Failed(errno) = outcome {
             span.errno = errno.to_wire();
         }
-        drop(part.buf); // return staging memory per constituent
+        span.disposition = disposition;
+        drop(buf); // return staging memory before dispatching more
         telemetry.complete(&span);
     }
 }
@@ -244,17 +221,16 @@ fn execute_coalesced(
 /// I/O multiplexing; §IV uses a poll-based event loop).
 const WORKER_BATCH: usize = 4;
 
-/// Coalescing budgets: the most payload bytes, and the most ops (the
-/// lead write included), a worker merges into one vectored backend call
-/// when it finds offset-contiguous staged writes parked behind the one
-/// it dequeued.
+/// Coalescing budget: the most payload bytes a worker merges into one
+/// backend write (with at most `COALESCE_MAX_OPS` writes, the lead write
+/// included) when it finds offset-contiguous staged writes parked behind
+/// the one it dequeued.
 const COALESCE_MAX_BYTES: usize = 1 << 20;
-const COALESCE_MAX_OPS: usize = 16;
 
 /// Worker-pool loop: batch-dequeue ("I/O multiplexing per thread") and
 /// execute. With `coalesce` on, a dequeued staged write additionally
 /// harvests the offset-contiguous prefix parked behind it on its
-/// serializer lane and executes the whole chain as one vectored write.
+/// serializer lane, and the whole chain is one write.
 pub fn worker_loop(
     worker: usize,
     queue: Arc<WorkQueue>,
@@ -264,9 +240,12 @@ pub fn worker_loop(
 ) {
     let telemetry = engine.telemetry().clone();
     let worker_id = worker as u32 + 1;
+    // The staged writes of one backend write, in a buffer reused across
+    // every pass, like `items` below.
+    let mut parts: Vec<StagedPart> = Vec::new();
     // Execute one item; hands back the synchronous op its lane released,
     // if any.
-    let run = |item: WorkItem| -> Option<WorkItem> {
+    let mut run = |item: WorkItem| -> Option<WorkItem> {
         // Drop-safe lane release: on every exit path — normal completion
         // or an unwind — the lane is completed and the successor
         // re-enqueued (or parked for the shutdown drain if the queue
@@ -293,34 +272,26 @@ pub fn worker_loop(
                 next
             }
             WorkItem::StagedWrite { fd, part } => {
-                // Coalescing: harvest the offset-contiguous prefix
-                // parked behind this write on its lane and execute the
-                // chain as one vectored backend call.
-                let extra = if coalesce {
+                let chain_end = part.offset.map(|o| o + part.buf.len() as u64);
+                let room = COALESCE_MAX_BYTES.saturating_sub(part.buf.len());
+                parts.push(part);
+                if coalesce {
                     serializer.harvest_contiguous(
                         fd,
-                        part.offset.map(|o| o + part.buf.len() as u64),
+                        chain_end,
                         COALESCE_MAX_OPS - 1,
-                        COALESCE_MAX_BYTES.saturating_sub(part.buf.len()),
-                    )
-                } else {
-                    Vec::new()
-                };
-                if extra.is_empty() {
-                    execute_staged(
-                        &engine,
-                        &telemetry,
-                        fd,
-                        part,
-                        worker_id,
-                        Disposition::Completed,
+                        room,
+                        &mut parts,
                     );
-                } else {
-                    let mut parts = Vec::with_capacity(extra.len() + 1);
-                    parts.push(part);
-                    parts.extend(extra);
-                    execute_coalesced(&engine, &telemetry, fd, parts, worker_id);
                 }
+                execute_staged(
+                    &engine,
+                    &telemetry,
+                    fd,
+                    &mut parts,
+                    worker_id,
+                    Disposition::Completed,
+                );
                 guard.and_then(CompletionGuard::release)
             }
             WorkItem::Reclaim(fd) => {

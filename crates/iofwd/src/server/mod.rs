@@ -22,7 +22,7 @@ mod queue;
 mod reactor;
 mod staged;
 
-pub use engine::Engine;
+pub use engine::{Engine, Written};
 pub use queue::{
     Completion, CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
@@ -473,6 +473,7 @@ impl IonServer {
             leftovers.extend(serializer.drain_all());
         }
         let mut report = ShutdownReport::default();
+        let mut parts = Vec::new();
         for item in leftovers {
             let (fd, part) = match item {
                 // Sync items carry no BML memory and no recorded op:
@@ -490,11 +491,14 @@ impl IonServer {
                 WorkItem::StagedWrite { fd, part } => (fd, part),
             };
             if started.elapsed() < deadline {
+                // One write per call: the drain runs each staged write
+                // alone, in lane order.
+                parts.push(part);
                 handlers::execute_staged(
                     engine,
                     telemetry,
                     fd,
-                    part,
+                    &mut parts,
                     0,
                     Disposition::DrainExecuted,
                 );

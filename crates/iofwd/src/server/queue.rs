@@ -143,9 +143,9 @@ pub enum WorkItem {
 }
 
 /// One staged write minus its descriptor: the payload of a
-/// [`WorkItem::StagedWrite`], and one constituent of the batch a worker
-/// harvests from a descriptor's lane and issues as a single vectored
-/// write (`handlers::execute_coalesced`).
+/// [`WorkItem::StagedWrite`], and one part of the list of buffers a
+/// worker writes in one backend call (`handlers::execute_staged`): the
+/// write alone, or with the contiguous writes harvested behind it.
 pub struct StagedPart {
     pub op: OpId,
     /// `Some` for pwrite, `None` for a cursor write.

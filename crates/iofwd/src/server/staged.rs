@@ -105,22 +105,23 @@ impl FdSerializer {
     /// per-lane FIFO order is preserved: harvested items execute in
     /// the batch, ahead of everything still pending, exactly as they
     /// would have serially. The lane stays busy; the caller's
-    /// completion releases whatever remains.
+    /// completion releases whatever remains. Harvested writes are
+    /// appended to `out`, the caller's reused buffer.
     pub fn harvest_contiguous(
         &self,
         fd: Fd,
         chain_end: Option<u64>,
         max_ops: usize,
         max_bytes: usize,
-    ) -> Vec<StagedPart> {
-        let mut out = Vec::new();
+        out: &mut Vec<StagedPart>,
+    ) {
         let mut end = chain_end;
         let mut bytes = 0usize;
         let mut lanes = self.lanes.lock();
         let Some(lane) = lanes.get_mut(&fd) else {
-            return out;
+            return;
         };
-        while out.len() < max_ops {
+        for _ in 0..max_ops {
             let joins = match lane.pending.front() {
                 Some(WorkItem::StagedWrite { part, .. }) => {
                     let contiguous = match (end, part.offset) {
@@ -145,7 +146,6 @@ impl FdSerializer {
             end = part.offset.map(|o| o + part.buf.len() as u64);
             out.push(part);
         }
-        out
     }
 
     /// Items parked across all lanes (for stats/tests).
@@ -258,6 +258,18 @@ mod tests {
         }
     }
 
+    fn harvest(
+        s: &FdSerializer,
+        fd: Fd,
+        chain_end: Option<u64>,
+        max_ops: usize,
+        max_bytes: usize,
+    ) -> Vec<StagedPart> {
+        let mut out = Vec::new();
+        s.harvest_contiguous(fd, chain_end, max_ops, max_bytes, &mut out);
+        out
+    }
+
     fn part_tags(parts: &[StagedPart]) -> Vec<u32> {
         parts.iter().map(|p| p.op.0 as u32).collect()
     }
@@ -273,7 +285,7 @@ mod tests {
         assert!(s.admit(Fd(1), staged(&bml, 2, Some(150), 50)).is_none());
         assert!(s.admit(Fd(1), staged(&bml, 3, Some(999), 50)).is_none());
         assert!(s.admit(Fd(1), staged(&bml, 4, Some(1049), 50)).is_none());
-        let got = s.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20);
+        let got = harvest(&s, Fd(1), Some(100), 16, 1 << 20);
         assert_eq!(part_tags(&got), vec![1, 2]);
         // The gap item (and its successor) stay parked, in order.
         assert_eq!(s.parked(), 2);
@@ -290,26 +302,24 @@ mod tests {
             assert!(s.admit(Fd(1), staged(&bml, t, None, 10)).is_none());
         }
         // A cursor chain harvests cursor writes, capped by max_ops...
-        let got = s.harvest_contiguous(Fd(1), None, 2, 1 << 20);
+        let got = harvest(&s, Fd(1), None, 2, 1 << 20);
         assert_eq!(part_tags(&got), vec![1, 2]);
         // ...and by max_bytes (3 fits alone; 4 would exceed 15 bytes).
-        let got = s.harvest_contiguous(Fd(1), None, 16, 15);
+        let got = harvest(&s, Fd(1), None, 16, 15);
         assert_eq!(part_tags(&got), vec![3]);
         // A positional chain never harvests cursor writes.
-        assert!(s
-            .harvest_contiguous(Fd(1), Some(40), 16, 1 << 20)
-            .is_empty());
+        assert!(harvest(&s, Fd(1), Some(40), 16, 1 << 20).is_empty());
         assert_eq!(s.parked(), 2);
     }
 
     #[test]
     fn harvest_ignores_unknown_lane_and_sync_items() {
         let s = FdSerializer::new();
-        assert!(s.harvest_contiguous(Fd(9), Some(0), 16, 1 << 20).is_empty());
+        assert!(harvest(&s, Fd(9), Some(0), 16, 1 << 20).is_empty());
         assert!(s.admit(Fd(1), item(10)).is_some());
         assert!(s.admit(Fd(1), item(11)).is_none());
         // A parked Sync item never joins a write chain.
-        assert!(s.harvest_contiguous(Fd(1), None, 16, 1 << 20).is_empty());
+        assert!(harvest(&s, Fd(1), None, 16, 1 << 20).is_empty());
         assert_eq!(s.parked(), 1);
     }
 

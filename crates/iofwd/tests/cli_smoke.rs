@@ -376,6 +376,12 @@ fn daemon_rejects_contradictory_options() {
             "--reactor-threads",
         ),
         ("--mode async", "--mode"),
+        // A BML of no bytes, or of more than fit in 64 bits, is a usage
+        // error in staged mode, not a failed assertion; so is a device
+        // bandwidth that is not a finite positive number.
+        ("--mode staged --bml-mib 0", "--bml-mib"),
+        ("--bml-mib 17592186044416", "--bml-mib"),
+        ("--throttle 500,nan", "--throttle"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_iofwdd"))
             .args(args.split(' '))

@@ -10,10 +10,11 @@
 //! * the same responses and payloads for every interleaved sync op,
 //! * byte-identical final file contents.
 //!
-//! The harness drives [`Engine::execute_staged_write`] vs
-//! [`Engine::execute_coalesced_write`] directly, mirroring the worker:
-//! contiguous staged writes on one descriptor accumulate into a chain
-//! (capped at the default 16 ops) that flushes as one vectored batch;
+//! The harness drives [`Engine::execute_coalesced_write`] directly in
+//! both arms, mirroring the worker: contiguous staged writes on one
+//! descriptor accumulate into a chain (capped at the default 16 ops)
+//! that flushes as one batch in the coalescing arm, and as one batch of
+//! one per write in the serial arm;
 //! any non-contiguous write or barrier op (read/seek/truncate/fsync)
 //! flushes first, exactly like the lane harvest in
 //! `server::handlers::worker_loop`.
@@ -121,10 +122,6 @@ impl StickyObject {
 }
 
 impl BackendObject for StickyObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
-        self.write_span(offset, &[data])
-    }
-
     fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
         self.write_span(offset, bufs)
     }
@@ -328,26 +325,25 @@ impl Arm {
         self.pending[f].push((op, offset, data));
     }
 
-    /// Execute the fd's staged chain: serially per part, or — in the
-    /// coalescing arm, for chains of at least two — as one vectored
-    /// batch whose outcomes fan back per constituent.
+    /// Execute the fd's staged chain: in the coalescing arm as one
+    /// batch whose outcomes fan back per constituent, in the serial arm
+    /// as one batch of one per part — through the same executor.
     fn flush(&mut self, f: usize) {
         let parts = std::mem::take(&mut self.pending[f]);
         if parts.is_empty() {
             return;
         }
-        if self.coalesce && parts.len() > 1 {
-            let base = parts[0].1;
-            let descr: Vec<(OpId, &[u8])> =
-                parts.iter().map(|(op, _, d)| (*op, d.as_slice())).collect();
-            let out = self
-                .engine
-                .execute_coalesced_write(self.fds[f], base, &descr);
-            self.outcomes.extend(out);
-        } else {
-            for (op, off, d) in &parts {
-                let out = self.engine.execute_staged_write(self.fds[f], *op, *off, d);
-                self.outcomes.push(out);
+        let batch = if self.coalesce { parts.len() } else { 1 };
+        for chain in parts.chunks(batch) {
+            let written = self.engine.execute_coalesced_write(
+                self.fds[f],
+                chain[0].1,
+                chain.iter().map(|(op, _, d)| (*op, d.as_slice())),
+            );
+            let mut end = 0;
+            for (_, _, d) in chain {
+                end += d.len();
+                self.outcomes.push(written.outcome(end));
             }
         }
     }

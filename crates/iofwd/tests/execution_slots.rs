@@ -44,7 +44,8 @@ impl Concurrency {
     }
 }
 
-/// A memory sink whose `read_into` / `write_at` go through [`Concurrency`].
+/// A memory sink whose `read_into` / `write_vectored_at` go through
+/// [`Concurrency`].
 struct SlowSink {
     inner: MemSinkBackend,
     calls: Arc<Concurrency>,
@@ -56,9 +57,9 @@ struct SlowObject {
 }
 
 impl BackendObject for SlowObject {
-    fn write_at(&mut self, offset: Option<u64>, data: &[u8]) -> Result<u64, Errno> {
+    fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
         let inner = &mut self.inner;
-        self.calls.call(|| inner.write_at(offset, data))
+        self.calls.call(|| inner.write_vectored_at(offset, bufs))
     }
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
         let inner = &mut self.inner;

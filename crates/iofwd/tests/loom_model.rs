@@ -499,7 +499,8 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
             let queue = queue.clone();
             thread::spawn(move || {
                 let guard = serializer.completion_guard(Fd(1), queue);
-                let batch = serializer.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20);
+                let mut batch = Vec::new();
+                serializer.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20, &mut batch);
                 let mut executed: Vec<u64> = vec![staged_tag(&inflight)];
                 executed.extend(batch.iter().map(|part| part.op.0));
                 // "Execute": buffers return to the BML as items drop.

@@ -29,8 +29,8 @@
 //!     the span to `Telemetry::complete` in the same file, so no op
 //!     type can silently ship half-timed spans to the flight recorder
 //!     or the trace exporter.
-//!   - **R7** Every file that defines or calls the coalesced-batch
-//!     executor `execute_coalesced` (outside test code) must stamp a
+//!   - **R7** Every file that defines or calls the staged-write
+//!     executor `execute_staged` (outside test code) must stamp a
 //!     `.disposition` and reach `Telemetry::complete`, so no exit path
 //!     can drop a constituent op's span when a batch fans back out.
 //!   - **R8** Experiment scenarios stay runnable: every

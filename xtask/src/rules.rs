@@ -21,7 +21,7 @@ pub enum Rule {
     /// Every runtime `OpSpan::begin` site must stamp the full lifecycle
     /// (enqueue/dispatch/reply) and complete the span.
     R6,
-    /// Every file running the batch executor `execute_coalesced` must
+    /// Every file running the staged executor `execute_staged` must
     /// fan completion out per constituent: stamp a disposition and
     /// reach `Telemetry::complete` on every exit path.
     R7,
@@ -617,10 +617,10 @@ fn check_r6(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
 
 // ---------------------------------------------------------------- R7
 
-/// A coalesced batch carries one `OpSpan` per constituent; losing any
-/// of them silently halves the flight recorder. File-granular like R6
+/// A staged batch carries one `OpSpan` per constituent; losing any of
+/// them silently halves the flight recorder. File-granular like R6
 /// (batches legitimately cross functions): any non-test file that
-/// defines or calls the batch executor `execute_coalesced` must both
+/// defines or calls the staged executor `execute_staged` must both
 /// stamp a `.disposition` and reach a `.complete(...)` call, or some
 /// exit path drops constituent spans. (The engine's
 /// `execute_coalesced_write` is a different word: it sees op ids and
@@ -629,7 +629,7 @@ fn check_r7(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
     let tests = test_regions(masked);
     let in_tests = |pos: usize| tests.iter().any(|&(a, b)| pos >= a && pos <= b);
     let mut site = None;
-    for pos in find_words(masked, "execute_coalesced") {
+    for pos in find_words(masked, "execute_staged") {
         if !in_tests(pos) {
             site = Some(pos);
             break;
@@ -649,7 +649,7 @@ fn check_r7(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
             path: rel.to_path_buf(),
             line: line_of(masked, pos),
             message: format!(
-                "`execute_coalesced` run without {} in this file — every constituent's \
+                "`execute_staged` run without {} in this file — every constituent's \
                  span must be dispositioned and completed on all exit paths",
                 missing.join(" or ")
             ),
@@ -929,9 +929,8 @@ mod tests {
 
     #[test]
     fn r7_requires_constituent_completion() {
-        let bad =
-            "fn f(fd: Fd, parts: Vec<StagedPart>) { execute_coalesced(e, t, fd, parts, 1); } \
-                   fn execute_coalesced(e: &Engine, t: &Telemetry, fd: Fd, \
+        let bad = "fn f(fd: Fd, parts: Vec<StagedPart>) { execute_staged(e, t, fd, parts, 1); } \
+                   fn execute_staged(e: &Engine, t: &Telemetry, fd: Fd, \
                    parts: Vec<StagedPart>, w: u32) { e.execute_coalesced_write(fd, None, &[]); }";
         let v = check("crates/iofwd/src/server/handlers.rs", bad);
         let r7: Vec<_> = v.iter().filter(|v| v.rule == Rule::R7).collect();
@@ -942,20 +941,19 @@ mod tests {
 
     #[test]
     fn r7_accepts_completion_and_exempts_the_engine_and_tests() {
-        let good = "fn execute_coalesced(t: &Telemetry, parts: Vec<StagedPart>) \
+        let good = "fn execute_staged(t: &Telemetry, parts: Vec<StagedPart>) \
                     { for p in parts { let mut s = p.span; \
                     s.disposition = d; t.complete(&s); } }";
         assert!(check("crates/iofwd/src/server/handlers.rs", good)
             .iter()
             .all(|v| v.rule != Rule::R7));
-        // The engine's vectored write handles no span.
+        // The engine's batch write handles no span.
         let engine = "impl Engine { pub fn execute_coalesced_write(&self) {} }";
         assert!(check("crates/iofwd/src/server/engine.rs", engine)
             .iter()
             .all(|v| v.rule != Rule::R7));
         // Test code is out of scope.
-        let in_tests =
-            "#[cfg(test)]\nmod tests { fn g() { execute_coalesced(e, t, fd, parts, 1); } }";
+        let in_tests = "#[cfg(test)]\nmod tests { fn g() { execute_staged(e, t, fd, parts, 1); } }";
         assert!(check("crates/iofwd/src/server/mod.rs", in_tests)
             .iter()
             .all(|v| v.rule != Rule::R7));
