@@ -96,7 +96,8 @@ pub fn run(addr: &str, streams: &[Vec<ReplayOp>]) -> Result<CellMeasurement, Str
         merged.ops_failed += o.ops_failed;
         merged.bytes_written += o.bytes_written;
         merged.bytes_read += o.bytes_read;
-        merged.trace = sum_traces(merged.trace, o.trace);
+        merged.trace.client_ns += o.trace.client_ns;
+        merged.trace.server.merge(&o.trace.server);
         latencies.extend(o.latencies_us);
     }
     merged.ops_attempted = merged.ops_ok + merged.ops_failed;
@@ -104,18 +105,6 @@ pub fn run(addr: &str, streams: &[Vec<ReplayOp>]) -> Result<CellMeasurement, Str
     merged.p50_us = percentile(&latencies, 50.0);
     merged.p99_us = percentile(&latencies, 99.0);
     Ok(merged)
-}
-
-fn sum_traces(a: TraceStats, b: TraceStats) -> TraceStats {
-    TraceStats {
-        calls: a.calls + b.calls,
-        client_ns: a.client_ns + b.client_ns,
-        server_total_ns: a.server_total_ns + b.server_total_ns,
-        queue_ns: a.queue_ns + b.queue_ns,
-        dispatch_ns: a.dispatch_ns + b.dispatch_ns,
-        backend_ns: a.backend_ns + b.backend_ns,
-        reply_ns: a.reply_ns + b.reply_ns,
-    }
 }
 
 /// Nearest-rank percentile over an already-sorted slice, microseconds.

@@ -51,10 +51,16 @@ impl CellResult {
             ("p50_us".to_string(), m.p50_us as f64),
             ("p99_us".to_string(), m.p99_us as f64),
             ("stage_network_pct".to_string(), pct(m.trace.network_ns())),
-            ("stage_queue_pct".to_string(), pct(m.trace.queue_ns)),
-            ("stage_dispatch_pct".to_string(), pct(m.trace.dispatch_ns)),
-            ("stage_backend_pct".to_string(), pct(m.trace.backend_ns)),
-            ("stage_reply_pct".to_string(), pct(m.trace.reply_ns)),
+            ("stage_queue_pct".to_string(), pct(m.trace.server.queue_ns)),
+            (
+                "stage_dispatch_pct".to_string(),
+                pct(m.trace.server.dispatch_ns),
+            ),
+            (
+                "stage_backend_pct".to_string(),
+                pct(m.trace.server.backend_ns),
+            ),
+            ("stage_reply_pct".to_string(), pct(m.trace.server.reply_ns)),
             ("alloc_bytes_per_op".to_string(), round3(alloc_per_op)),
         ];
         CellResult {

@@ -90,14 +90,6 @@ pub struct StageEcho {
     pub total_ns: u64,
 }
 
-impl StageEcho {
-    /// Sum of the named stages; the remainder of [`Self::total_ns`] is
-    /// unattributed server time (handler overhead between stamps).
-    pub fn stage_sum_ns(&self) -> u64 {
-        self.queue_ns + self.dispatch_ns + self.backend_ns + self.reply_ns
-    }
-}
-
 /// The frame extension: exactly one of the two trace payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceExt {
@@ -213,7 +205,9 @@ mod tests {
         });
         assert_eq!(roundtrip(ext), ext);
         match roundtrip(ext) {
-            TraceExt::Echo(e) => assert_eq!(e.stage_sum_ns(), 100),
+            TraceExt::Echo(e) => {
+                assert_eq!(e.queue_ns + e.dispatch_ns + e.backend_ns + e.reply_ns, 100)
+            }
             TraceExt::Ctx(_) => panic!("wrong variant"),
         }
     }

@@ -8,7 +8,7 @@
 //! shard's read lock (or no lock at all once the caller has cached the
 //! `Arc`, as the reactor does in its per-connection state).
 //!
-//! The per-client histograms are *compact* (one bucket array, not the
+//! The per-client histograms are *compact* (one [`HistCell`], not the
 //! 16-way sharded [`crate::Histogram`]): a busy daemon may track
 //! thousands of clients, and 16 shards per client would be 8 KiB of
 //! bucket state each for contention that per-client cardinality already
@@ -22,53 +22,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::hist::{bucket_of, HistSnapshot, BUCKETS};
+use crate::hist::{HistCell, HistSnapshot};
 use crate::Counter;
 
 /// Number of independent shards in the client table. Bounds write-lock
 /// contention during client churn, not the number of clients.
 pub const CLIENT_SHARDS: usize = 16;
-
-/// Single-array atomic histogram: the per-client cousin of
-/// [`crate::Histogram`] with identical bucket math but no shard fan-out.
-pub struct CompactHist {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl CompactHist {
-    pub fn new() -> CompactHist {
-        CompactHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut out = HistSnapshot::default();
-        for (o, b) in out.buckets.iter_mut().zip(self.buckets.iter()) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out.count = self.count.load(Ordering::Relaxed);
-        out.sum = self.sum.load(Ordering::Relaxed);
-        out
-    }
-}
-
-impl Default for CompactHist {
-    fn default() -> Self {
-        CompactHist::new()
-    }
-}
 
 /// Live counters for one client id. Stamped by both transports (bytes,
 /// backpressure, write-buffer high water) and by the central span fold
@@ -86,9 +45,9 @@ pub struct PerClientStats {
     /// queue, BML, or write-buffer backpressure — once per episode.
     pub backpressure_events: Counter,
     /// Queue wait per op (enqueue → dispatch), nanoseconds.
-    pub queue_wait_ns: CompactHist,
+    pub queue_wait_ns: HistCell,
     /// Backend service time per op, nanoseconds.
-    pub backend_ns: CompactHist,
+    pub backend_ns: HistCell,
     wbuf_high_water: AtomicU64,
 }
 
@@ -106,8 +65,8 @@ impl PerClientStats {
             bytes_in: Counter::new(),
             bytes_out: Counter::new(),
             backpressure_events: Counter::new(),
-            queue_wait_ns: CompactHist::new(),
-            backend_ns: CompactHist::new(),
+            queue_wait_ns: HistCell::new(),
+            backend_ns: HistCell::new(),
             wbuf_high_water: AtomicU64::new(0),
         }
     }
@@ -262,18 +221,6 @@ mod tests {
         }
         let snap = t.snapshot();
         assert_eq!(snap.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn compact_hist_matches_sharded_bucket_math() {
-        let h = CompactHist::new();
-        for v in [1u64, 2, 4, 8, 1024] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1039);
-        assert_eq!(s.quantile(1.0), 2048);
     }
 
     #[test]

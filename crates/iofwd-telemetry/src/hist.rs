@@ -25,26 +25,54 @@ pub fn bucket_of(value: u64) -> usize {
     63 - value.max(1).leading_zeros() as usize
 }
 
-struct HistShard {
+/// One atomic bucket array: a histogram recorded through `&self`, each
+/// sample three relaxed `fetch_add`s. A [`Histogram`] is [`SHARDS`] of
+/// them; a per-client row (`clients.rs`) holds one.
+pub struct HistCell {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl HistShard {
-    fn new() -> Self {
-        HistShard {
+impl HistCell {
+    pub fn new() -> Self {
+        HistCell {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
+
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Concurrent recording may straddle the reads (a sample's bucket
+    /// counted but not yet its sum).
+    pub fn snapshot(&self) -> HistSnapshot {
+        let mut out = HistSnapshot::default();
+        for (o, b) in out.buckets.iter_mut().zip(self.buckets.iter()) {
+            *o = b.load(Ordering::Relaxed);
+        }
+        out.count = self.count.load(Ordering::Relaxed);
+        out.sum = self.sum.load(Ordering::Relaxed);
+        out
+    }
 }
 
-/// Lock-free sharded histogram. `record` is wait-free: three relaxed
-/// `fetch_add`s on the caller's shard.
+impl Default for HistCell {
+    fn default() -> Self {
+        HistCell::new()
+    }
+}
+
+/// Lock-free sharded histogram. `record` is wait-free: one
+/// [`HistCell::record`] on the caller's shard.
 pub struct Histogram {
-    shards: Vec<HistShard>,
+    shards: Box<[HistCell; SHARDS]>,
 }
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -67,7 +95,7 @@ fn current_shard() -> usize {
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            shards: (0..SHARDS).map(|_| HistShard::new()).collect(),
+            shards: Box::new(std::array::from_fn(|_| HistCell::new())),
         }
     }
 
@@ -81,25 +109,15 @@ impl Histogram {
     /// caller already has a stable small id.
     #[inline]
     pub fn record_shard(&self, shard: usize, value: u64) {
-        let s = &self.shards[shard % SHARDS];
-        s.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
+        self.shards[shard % SHARDS].record(value);
     }
 
-    /// Merge all shards into one consistent-enough view. Concurrent
-    /// recording may straddle the reads (a sample's bucket counted but
-    /// not yet its sum); bucket totals are conserved per shard.
+    /// Merge all shards into one consistent-enough view; bucket totals
+    /// are conserved per shard.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut out = HistSnapshot::default();
-        for s in &self.shards {
-            let mut shard = HistSnapshot::default();
-            for (b, v) in shard.buckets.iter_mut().zip(s.buckets.iter()) {
-                *b = v.load(Ordering::Relaxed);
-            }
-            shard.count = s.count.load(Ordering::Relaxed);
-            shard.sum = s.sum.load(Ordering::Relaxed);
-            out.merge(&shard);
+        for s in self.shards.iter() {
+            out.merge(&s.snapshot());
         }
         out
     }

@@ -34,7 +34,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use clients::{ClientSnapshot, ClientTable, PerClientStats};
-pub use hist::{HistSnapshot, Histogram};
+pub use hist::{HistCell, HistSnapshot, Histogram};
 pub use ring::{FlightRecorder, SpanRead};
 pub use snapshot::{GaugeValue, Rates, TelemetrySnapshot};
 pub use span::{Disposition, OpKind, OpSpan};

@@ -88,8 +88,10 @@ pub enum Disposition {
     /// Normal lifecycle: executed (or failed) and replied.
     #[default]
     Completed,
-    /// Rejected at enqueue time because the work queue had closed
-    /// (shutdown race); the client saw EAGAIN.
+    /// Never answered by its executor: rejected at enqueue time because
+    /// the work queue had closed (shutdown race; the client saw EAGAIN),
+    /// or its reply route dropped unanswered (a worker's unwind; EIO).
+    /// Either way the connection is closed behind the reply.
     QueueRejected,
     /// Picked up by the shutdown drain and executed late.
     DrainExecuted,

@@ -367,24 +367,39 @@ fn dump(client: &mut Client, path: &std::path::Path, trip: &Trip) {
 /// shares of that server residency, and the dominant stage.
 fn print_trace_stats(client: &Client) {
     let t = client.trace_stats();
-    if t.calls == 0 {
+    if t.server.ops == 0 {
         eprintln!("iofwd-cp: trace: no replies carried a stage echo (old daemon?)");
         return;
     }
+    let server_share = t.server.total_ns as f64 / t.client_ns.max(1) as f64;
     eprintln!(
         "iofwd-cp: trace: {} calls, client {}, server {} ({:.1}%), network+client {}",
-        t.calls,
+        t.server.ops,
         fmt_ns(t.client_ns as f64),
-        fmt_ns(t.server_total_ns as f64),
-        100.0 * t.server_total_ns as f64 / t.client_ns.max(1) as f64,
+        fmt_ns(t.server.total_ns as f64),
+        100.0 * server_share,
         fmt_ns(t.network_ns() as f64),
     );
-    let mut line = String::from("iofwd-cp: stage shares of wall-clock:");
-    for (name, share) in t.shares() {
-        line.push_str(&format!(" {name} {:.1}%", share * 100.0));
+    // Server stage shares rescaled from server residency to wall-clock.
+    let server_stage = |name| {
+        if name == "other" {
+            "server-other"
+        } else {
+            name
+        }
+    };
+    let network = t.network_ns() as f64 / t.client_ns.max(1) as f64;
+    let mut line = format!(
+        "iofwd-cp: stage shares of wall-clock: network+client {:.1}%",
+        network * 100.0
+    );
+    for (name, share) in t.server.shares() {
+        let name = server_stage(name);
+        line.push_str(&format!(" {name} {:.1}%", share * server_share * 100.0));
     }
     eprintln!("{line}");
-    let (stage, share) = t.dominant_server_stage();
+    let (stage, share) = t.server.dominant();
+    let stage = server_stage(stage);
     eprintln!(
         "iofwd-cp: dominant server stage: {stage} ({:.1}% of server residency)",
         share * 100.0

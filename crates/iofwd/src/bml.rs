@@ -383,6 +383,12 @@ impl Bml {
         self.shared.cv.notify_all();
     }
 
+    /// Whether [`close`](Self::close) has run: every acquisition fails
+    /// from now on, so a refused `try_*` call is final, not "full".
+    pub fn is_closed(&self) -> bool {
+        self.shared.inner.lock().closed
+    }
+
     /// Bytes currently held by live buffers (and reserved grants).
     pub fn outstanding(&self) -> u64 {
         self.shared.inner.lock().outstanding

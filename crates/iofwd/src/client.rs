@@ -22,6 +22,7 @@ use iofwd_proto::{
     TraceExt, Whence,
 };
 
+use crate::trace::StageBreakdown;
 use crate::transport::Conn;
 
 /// Errors surfaced to the application.
@@ -104,65 +105,17 @@ pub struct ClientStats {
 /// difference is network + marshalling time, no clock sync needed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Traced calls whose reply carried a stage echo.
-    pub calls: u64,
     /// Wall-clock time across those calls (send → reply received).
     pub client_ns: u64,
-    /// Sum of the daemon's reported total residency.
-    pub server_total_ns: u64,
-    /// Per-stage sums as reported by the daemon.
-    pub queue_ns: u64,
-    pub dispatch_ns: u64,
-    pub backend_ns: u64,
-    pub reply_ns: u64,
+    /// The daemon's echoed stages; `server.ops` counts the calls.
+    pub server: StageBreakdown,
 }
 
 impl TraceStats {
     /// Client-observed time not accounted to the server: network and
     /// client-side marshalling.
     pub fn network_ns(&self) -> u64 {
-        self.client_ns.saturating_sub(self.server_total_ns)
-    }
-
-    /// Server time not attributed to a named stage.
-    pub fn other_server_ns(&self) -> u64 {
-        self.server_total_ns
-            .saturating_sub(self.queue_ns + self.dispatch_ns + self.backend_ns + self.reply_ns)
-    }
-
-    /// `(component, share of client-observed time)` over network plus
-    /// the server stages, fixed order.
-    pub fn shares(&self) -> [(&'static str, f64); 6] {
-        let total = self.client_ns.max(1) as f64;
-        [
-            ("network+client", self.network_ns() as f64 / total),
-            ("queue-wait", self.queue_ns as f64 / total),
-            ("dispatch", self.dispatch_ns as f64 / total),
-            ("backend", self.backend_ns as f64 / total),
-            ("reply", self.reply_ns as f64 / total),
-            ("server-other", self.other_server_ns() as f64 / total),
-        ]
-    }
-
-    /// The dominant *server* stage and its share of server residency
-    /// (the bottleneck-attribution verdict, excluding network time).
-    pub fn dominant_server_stage(&self) -> (&'static str, f64) {
-        let total = self.server_total_ns.max(1) as f64;
-        let stages = [
-            ("queue-wait", self.queue_ns),
-            ("dispatch", self.dispatch_ns),
-            ("backend", self.backend_ns),
-            ("reply", self.reply_ns),
-            ("server-other", self.other_server_ns()),
-        ];
-        let mut best = ("server-other", 0.0);
-        for (name, ns) in stages {
-            let share = ns as f64 / total;
-            if share > best.1 {
-                best = (name, share);
-            }
-        }
-        best
+        self.client_ns.saturating_sub(self.server.total_ns)
     }
 }
 
@@ -251,13 +204,8 @@ impl Client {
             )));
         }
         if let (Some(started), Some(echo)) = (started, frame.stage_echo()) {
-            self.trace.calls += 1;
             self.trace.client_ns += started.elapsed().as_nanos() as u64;
-            self.trace.server_total_ns += echo.total_ns;
-            self.trace.queue_ns += echo.queue_ns;
-            self.trace.dispatch_ns += echo.dispatch_ns;
-            self.trace.backend_ns += echo.backend_ns;
-            self.trace.reply_ns += echo.reply_ns;
+            self.trace.server.add_echo(&echo);
         }
         let resp = frame.decode_response()?;
         self.stats.bytes_received += frame.data.len() as u64;

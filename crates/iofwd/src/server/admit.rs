@@ -8,7 +8,12 @@
 //! never touches a socket**. It returns an [`Admission`] that tells the
 //! transport driver what to do next; the threaded driver
 //! (`handlers::serve_conn`) obeys by blocking in place, the reactor by
-//! parking the connection or pushing the op to the worker pool.
+//! parking the connection or pushing the op to the worker pool. Neither
+//! is named here: a queued op is answered through its connection's
+//! completion sink ([`Route`]), one reply route for both drivers — a
+//! handler blocks on its sink's receiver, an event loop drains its own
+//! when woken — and a reply dropped unanswered still arrives, as `EIO`,
+//! and closes the connection.
 //!
 //! [`dispatch`] (on a thread that may block) and [`enqueue`] (on an
 //! event loop) carry out an [`Admission::Dispatch`]. In staged mode an op
@@ -38,7 +43,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver};
 use iofwd_proto::{
     Errno, Fd, Frame, Request, Response, StageEcho, StatsQuery, TraceContext, TraceExt,
 };
@@ -46,7 +50,7 @@ use iofwd_proto::{
 use super::engine::{op_kind, response_errno, Engine};
 use super::handlers::execute_staged;
 use super::queue::{
-    CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
+    Completion, ReplyTo, Route, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
 use super::staged::FdSerializer;
 use crate::bml::{Bml, BmlBuffer};
@@ -99,58 +103,14 @@ impl AdmitCtx {
     }
 }
 
-/// How a finished op reaches the connection that admitted it.
-#[derive(Clone)]
-pub(crate) enum Route {
-    /// Threaded driver: each queued op gets a rendezvous channel the
-    /// handler thread waits on.
-    Handler,
-    /// Reactor: the outcome is posted to the owning event loop.
-    Reactor {
-        sink: Arc<dyn CompletionSink>,
-        token: usize,
-        gen: u64,
-    },
-}
-
-/// What a worker hands back: response, reply payload, stamped span.
-pub(crate) type Outcome = (Response, Bytes, OpSpan);
-
-/// The threaded driver's claim on a queued op's outcome.
-pub(crate) struct Waiting {
-    pub(crate) ticket: Ticket,
-    pub(crate) rx: Receiver<Outcome>,
-}
-
-impl Route {
-    /// Wrap an op as a `Sync` work item holding `lane`, whose outcome
-    /// comes back over this route; the threaded route also returns the
-    /// receiving end the handler waits on.
-    fn sync_item(&self, op: Op, lane: Option<Fd>) -> (WorkItem, Option<Waiting>) {
-        let ticket = op.ticket;
-        let (reply, waiting) = match self {
-            Route::Handler => {
-                let (tx, rx) = bounded(1);
-                (ReplyTo::Handler(tx), Some(Waiting { ticket, rx }))
-            }
-            Route::Reactor { sink, token, gen } => (
-                ReplyTo::Reactor {
-                    sink: sink.clone(),
-                    token: *token,
-                    gen: *gen,
-                    ticket,
-                },
-                None,
-            ),
-        };
-        let item = WorkItem::Sync {
-            req: op.req,
-            data: op.data,
-            reply,
-            span: op.span,
-            lane,
-        };
-        (item, waiting)
+/// Wrap an op as a `Sync` work item holding `lane`, answered over
+/// `route`.
+fn sync_item(route: &Route, op: Op, lane: Option<Fd>) -> WorkItem {
+    WorkItem::Sync {
+        req: op.req,
+        data: op.data,
+        reply: ReplyTo::new(route.clone(), op.ticket, op.span),
+        lane,
     }
 }
 
@@ -283,15 +243,6 @@ pub(crate) enum Need {
     Bml,
     /// The client's share of the work queue to drain.
     QueueCredit,
-}
-
-/// How a driver comes back to a parked op.
-pub(crate) enum Retry {
-    /// Try again without blocking.
-    Poll,
-    /// The threaded driver blocked in `Bml::adopt` on the op's payload;
-    /// `None` means the BML closed under it.
-    Adopted(Option<BmlBuffer>),
 }
 
 /// What the driver must do next with a frame it handed to the core.
@@ -475,14 +426,14 @@ pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
 /// Admit one frame: [`accept`] it, then route it per the policy.
 pub(crate) fn admit(ctx: &AdmitCtx, frame: Frame) -> Admission {
     match accept(ctx, frame) {
-        Accepted::Op(op) => resume(ctx, op, Retry::Poll),
+        Accepted::Op(op) => resume(ctx, op),
         Accepted::Answered(answered) => answered,
     }
 }
 
 /// Route an accepted op: the policy decision, the fairness gate, and —
 /// for a staged write — the whole staging transaction.
-pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
+pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op) -> Admission {
     let (queue, staging) = match &ctx.policy {
         Policy::Inline => return Admission::Dispatch { lane: None, op },
         Policy::Sched { queue } => (queue, None),
@@ -516,14 +467,23 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
                     },
                 );
             }
-            // A payload the transport received into a BML block is
-            // staged in it, on the charge taken before its first byte;
-            // any other is adopted, and charged, here.
-            let received = BmlBuffer::from_payload(std::mem::take(&mut op.data));
-            let buf = match (received, retry) {
-                (Ok(block), _) => block,
-                (Err(data), Retry::Poll) => match bml.try_adopt(data.clone()) {
+            // A payload the transport received into a BML block (or a
+            // driver adopted while parked) is staged in it, on the charge
+            // it already holds; any other is adopted, and charged, here.
+            let buf = match BmlBuffer::from_payload(std::mem::take(&mut op.data)) {
+                Ok(block) => block,
+                Err(data) => match bml.try_adopt(data.clone()) {
                     Some(buf) => buf,
+                    // BML closed: the daemon is shutting down.
+                    None if bml.is_closed() => {
+                        return fail_inline(
+                            ctx,
+                            op,
+                            Response::Err {
+                                errno: Errno::NoMem,
+                            },
+                        )
+                    }
                     None => {
                         op.data = data;
                         return Admission::Park {
@@ -532,17 +492,6 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
                         };
                     }
                 },
-                (Err(_), Retry::Adopted(Some(buf))) => buf,
-                // BML closed: the daemon is shutting down.
-                (Err(_), Retry::Adopted(None)) => {
-                    return fail_inline(
-                        ctx,
-                        op,
-                        Response::Err {
-                            errno: Errno::NoMem,
-                        },
-                    )
-                }
             };
             stage_write(ctx, serializer, fd, offset, op, buf)
         }
@@ -556,11 +505,11 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op, retry: Retry) -> Admission {
 
 /// Where [`dispatch`] left an op.
 pub(crate) enum Dispatched {
-    /// It ran on the calling thread.
-    Here(Ticket, Outcome),
+    /// It ran on the calling thread; its outcome, addressed to the route.
+    Here(Completion),
     /// It waits in its lane or on the work queue; the outcome comes back
-    /// over the route, on the `Waiting` channel for the threaded route.
-    Queued(Option<Waiting>),
+    /// through the route's sink.
+    Queued,
 }
 
 /// Carry out an [`Admission::Dispatch`] on a thread that may block. Once
@@ -572,17 +521,15 @@ pub(crate) enum Dispatched {
 /// at most `workers` ops execute at once (§IV's bound), and an op
 /// crosses threads only when that buys something.
 pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) -> Dispatched {
-    let mut op = match join_lane(ctx, route, lane, op) {
-        Ok(op) => op,
-        Err(waiting) => return Dispatched::Queued(waiting),
+    let Some(mut op) = join_lane(ctx, route, lane, op) else {
+        return Dispatched::Queued;
     };
     let slot = match ctx.queue() {
         None => None,
         Some(queue) => match queue.try_claim(op.span.client) {
             None => {
-                let (item, waiting) = route.sync_item(op, lane);
-                push(ctx, item);
-                return Dispatched::Queued(waiting);
+                push(ctx, sync_item(route, op, lane));
+                return Dispatched::Queued;
             }
             slot => slot,
         },
@@ -603,48 +550,38 @@ pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) 
     if let Some(next) = lane.and_then(|fd| ctx.complete_lane(fd)) {
         push(ctx, next);
     }
-    Dispatched::Here(op.ticket, (resp, data, op.span))
+    Dispatched::Here(Completion {
+        token: route.token,
+        gen: route.gen,
+        ticket: op.ticket,
+        resp,
+        data,
+        span: op.span,
+    })
 }
 
 /// Carry out an [`Admission::Dispatch`] on an event loop, which must not
 /// execute it: join the op's lane, and push it to the pool once it may
-/// go. The threaded route also returns the channel its outcome arrives
-/// on.
-pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) -> Option<Waiting> {
-    let op = match join_lane(ctx, route, lane, op) {
-        Ok(op) => op,
-        Err(waiting) => return waiting,
-    };
-    let (item, waiting) = route.sync_item(op, lane);
-    push(ctx, item);
-    waiting
+/// go. Its outcome comes back through the route's sink.
+pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) {
+    if let Some(op) = join_lane(ctx, route, lane, op) {
+        push(ctx, sync_item(route, op, lane));
+    }
 }
 
 /// Stamp the op enqueued (unless ciod's shm hop did) and, in staged
 /// mode, put an op on a descriptor in the descriptor's lane, so time
 /// spent behind its staged writes is queue wait. The op comes back when
 /// it may go now — it heads its lane, or has none; otherwise it waits in
-/// the lane for the item ahead to release it, and the threaded route's
-/// claim on its outcome is returned instead.
-fn join_lane(
-    ctx: &AdmitCtx,
-    route: &Route,
-    lane: Option<Fd>,
-    mut op: Op,
-) -> Result<Op, Option<Waiting>> {
+/// the lane, answered over the route, for the item ahead to release it.
+fn join_lane(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, mut op: Op) -> Option<Op> {
     if op.span.enqueue_ns == 0 {
         op.span.enqueue_ns = ctx.telemetry().now_ns();
     }
     let (Some(fd), Policy::Staged { serializer, .. }) = (lane, &ctx.policy) else {
-        return Ok(op);
+        return Some(op);
     };
-    let mut waiting = None;
-    let head = serializer.join(fd, op, |op| {
-        let (item, claim) = route.sync_item(op, lane);
-        waiting = claim;
-        item
-    });
-    head.ok_or(waiting)
+    serializer.join(fd, op, |op| sync_item(route, op, lane))
 }
 
 /// Hand an item to the pool: a synchronous op, or the head of a lane
@@ -684,15 +621,12 @@ pub(crate) fn push(ctx: &AdmitCtx, item: WorkItem) {
 
 /// Answer a `Sync` item that will never execute.
 pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
-    if let WorkItem::Sync {
-        reply, mut span, ..
-    } = item
-    {
-        span.ok = false;
-        span.errno = errno.to_wire();
-        span.disposition = disposition;
-        span.dispatch_ns = span.enqueue_ns;
-        reply.deliver(Response::Err { errno }, Bytes::new(), span);
+    if let WorkItem::Sync { mut reply, .. } = item {
+        reply.span.ok = false;
+        reply.span.errno = errno.to_wire();
+        reply.span.disposition = disposition;
+        reply.span.dispatch_ns = reply.span.enqueue_ns;
+        reply.deliver(Response::Err { errno }, Bytes::new());
     }
 }
 
@@ -763,16 +697,12 @@ fn fail_inline(ctx: &AdmitCtx, mut op: Op, resp: Response) -> Admission {
 /// stamp the reply, echo the stage breakdown to traced clients, and
 /// fold the span — before the frame is returned, so once a client has
 /// seen its response a stats snapshot already accounts for the op.
-pub(crate) fn finish(
-    ctx: &AdmitCtx,
-    session: &mut Session,
-    ticket: Ticket,
-    (resp, data, mut span): Outcome,
-) -> Admission {
+pub(crate) fn finish(ctx: &AdmitCtx, session: &mut Session, c: Completion) -> Admission {
     let telemetry = ctx.telemetry();
-    session.settle(ticket.effect, &resp);
+    let mut span = c.span;
+    session.settle(c.ticket.effect, &c.resp);
     span.reply_ns = telemetry.now_ns();
-    let frame = reply_frame(telemetry, &ticket, &resp, data, &span);
+    let frame = reply_frame(telemetry, &c.ticket, &c.resp, c.data, &span);
     telemetry.complete(&span);
     if span.disposition == Disposition::QueueRejected {
         Admission::Close { after: frame }
@@ -781,20 +711,12 @@ pub(crate) fn finish(
     }
 }
 
-/// Fold the span of an op whose connection is gone: the reply has no
-/// destination, but the op still reaches the flight recorder.
-pub(crate) fn abandon(telemetry: &Telemetry, mut span: OpSpan) {
-    span.reply_ns = telemetry.now_ns();
-    telemetry.complete(&span);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemSinkBackend;
-    use crate::server::queue::Completion;
+    use crossbeam::channel::Receiver;
     use iofwd_proto::{OpenFlags, StatsQuery, Whence};
-    use parking_lot::Mutex;
 
     const BML_BYTES: u64 = 8192;
 
@@ -1053,33 +975,40 @@ mod tests {
         }
     }
 
-    /// Ordering (a), threaded route: while the queue is open and a slot
-    /// is free a `sched` op runs on the calling thread — no channel,
-    /// nothing enqueued, worker 0; once the queue is closed the claim
-    /// fails, and the push that follows is answered EAGAIN and closes
-    /// the connection.
-    #[test]
-    fn closed_queue_answers_eagain_and_closes_the_connection() {
-        let ctx = ctx(Mode::Sched);
-        let fd = open(&ctx, "/q");
-        let queue = ctx.queue().unwrap();
-        let mut session = Session::new(Route::Handler);
-        let (lane, op) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
-        assert_eq!(lane, None);
-        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, lane, op) else {
-            panic!("a free slot runs the op in place");
-        };
-        assert_eq!(outcome.2.worker, 0);
-        assert_eq!(queue.depth(), 0);
-        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+    /// A route on a fresh sink, addressed `(4, 2)`, and its receiver.
+    fn route() -> (Route, Receiver<Completion>) {
+        let (mut route, rx) = Route::channel(None, Arc::new(Telemetry::disabled()));
+        (route.token, route.gen) = (4, 2);
+        (route, rx)
+    }
 
-        queue.close();
-        let (lane, op) = dispatched(admit(&ctx, frame(2, &Request::Fsync { fd })));
-        let Dispatched::Queued(Some(waiting)) = dispatch(&ctx, &session.route, lane, op) else {
-            panic!("a closed queue grants no claim");
+    /// A staged context, a descriptor open on it, a session on a fresh
+    /// route and that route's receiver, and a pread of the descriptor.
+    fn staged_session() -> (AdmitCtx, Fd, Session, Receiver<Completion>, Request) {
+        let ctx = ctx(Mode::Staged);
+        let fd = open(&ctx, "/q");
+        let (route, rx) = route();
+        let pread = Request::Pread {
+            fd,
+            offset: 0,
+            len: 8,
         };
-        let outcome = waiting.rx.recv().expect("rejection is delivered");
-        let Admission::Close { after } = finish(&ctx, &mut session, waiting.ticket, outcome) else {
+        (ctx, fd, Session::new(route), rx, pread)
+    }
+
+    /// What a closed queue makes of op `seq` once it is handed over: an
+    /// EAGAIN posted to the connection's sink at its address, which
+    /// `finish` turns into a `Close`, and the op's lane given back.
+    fn assert_closed_queue_rejected(
+        ctx: &AdmitCtx,
+        session: &mut Session,
+        rx: &Receiver<Completion>,
+        fd: Fd,
+        seq: u64,
+    ) {
+        let c = rx.try_recv().expect("rejection is posted to the sink");
+        assert_eq!((c.token, c.gen, c.ticket.seq), (4, 2, seq));
+        let Admission::Close { after } = finish(ctx, session, c) else {
             panic!("a queue-rejected op must close the connection");
         };
         assert_eq!(
@@ -1088,62 +1017,87 @@ mod tests {
                 errno: Errno::Again
             }
         );
-        assert_eq!(queue.depth(), 0);
-    }
-
-    #[derive(Default)]
-    struct CaptureSink(Mutex<Vec<Completion>>);
-
-    impl CompletionSink for CaptureSink {
-        fn complete(&self, completion: Completion) {
-            self.0.lock().push(completion);
-        }
-    }
-
-    /// Ordering (a), reactor route: an event loop never executes an op,
-    /// so a staged read heading its lane is pushed; once the queue is
-    /// closed the push is answered with an EAGAIN completion, `finish`
-    /// makes the same `Close` of it, and the read gives its lane back.
-    #[test]
-    fn closed_queue_closes_reactor_connections_too() {
-        let ctx = ctx(Mode::Staged);
-        let fd = open(&ctx, "/q");
-        let queue = ctx.queue().unwrap();
-        let sink = Arc::new(CaptureSink::default());
-        let mut session = Session::new(Route::Reactor {
-            sink: sink.clone(),
-            token: 4,
-            gen: 2,
-        });
-        let pread = Request::Pread {
-            fd,
-            offset: 0,
-            len: 8,
-        };
-        let (lane, op) = dispatched(admit(&ctx, frame(8, &pread)));
-        assert_eq!(lane, Some(fd));
-        assert!(enqueue(&ctx, &session.route, lane, op).is_none());
-        assert_eq!(queue.depth(), 1);
-        assert!(sink.0.lock().is_empty(), "the loop ran nothing");
-        // A worker takes it and completes the lane.
-        assert_eq!(queue.pop_batch(0, 4).len(), 1);
-        assert!(ctx.complete_lane(fd).is_none());
-
-        queue.close();
-        let (lane, op) = dispatched(admit(&ctx, frame(9, &pread)));
-        assert!(enqueue(&ctx, &session.route, lane, op).is_none());
-        let c = sink
-            .0
-            .lock()
-            .pop()
-            .expect("rejection is posted to the sink");
-        assert_eq!((c.token, c.gen, c.ticket.seq), (4, 2, 9));
-        let answered = finish(&ctx, &mut session, c.ticket, (c.resp, c.data, c.span));
-        assert_eq!(kind(&answered), "Close");
+        assert_eq!(ctx.queue().unwrap().depth(), 0);
         let Policy::Staged { serializer, .. } = &ctx.policy else {
             unreachable!("a staged context");
         };
         assert!(serializer.admit(fd, WorkItem::Reclaim(fd)).is_some());
+        assert!(ctx.complete_lane(fd).is_none());
+    }
+
+    /// Ordering (a), on a thread that may block: while the queue is open
+    /// and a slot is free, `dispatch` runs an op on the calling thread —
+    /// worker 0, nothing enqueued; once the queue is closed the claim
+    /// fails, and the push that follows is answered EAGAIN through the
+    /// connection's sink and closes the connection.
+    #[test]
+    fn closed_queue_answers_eagain_and_closes_the_connection() {
+        let (ctx, fd, mut session, rx, pread) = staged_session();
+        let queue = ctx.queue().unwrap();
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &pread)));
+        assert_eq!(lane, Some(fd));
+        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op) else {
+            panic!("a free slot runs the op in place");
+        };
+        assert_eq!(c.span.worker, 0);
+        assert_eq!(queue.depth(), 0);
+        assert_eq!(kind(&finish(&ctx, &mut session, c)), "Reply");
+
+        queue.close();
+        let (lane, op) = dispatched(admit(&ctx, frame(2, &pread)));
+        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op) else {
+            panic!("a closed queue grants no claim");
+        };
+        assert_closed_queue_rejected(&ctx, &mut session, &rx, fd, 2);
+    }
+
+    /// Ordering (a), on an event loop: `enqueue` never executes an op,
+    /// so a staged read heading its lane is pushed and a worker answers
+    /// it through the same sink; once the queue is closed the push is
+    /// answered with an EAGAIN completion, `finish` makes the same
+    /// `Close` of it, and the read gives its lane back.
+    #[test]
+    fn closed_queue_closes_reactor_connections_too() {
+        let (ctx, fd, mut session, rx, pread) = staged_session();
+        let queue = ctx.queue().unwrap();
+        let (lane, op) = dispatched(admit(&ctx, frame(8, &pread)));
+        assert_eq!(lane, Some(fd));
+        enqueue(&ctx, &session.route, lane, op);
+        assert_eq!(queue.depth(), 1);
+        assert!(rx.try_recv().is_err(), "the loop ran nothing");
+        // A worker takes it, completes the lane and answers it.
+        let Some(WorkItem::Sync { reply, .. }) = queue.pop_batch(0, 4).pop() else {
+            panic!("the pread was queued");
+        };
+        assert!(ctx.complete_lane(fd).is_none());
+        reply.deliver(Response::Ok { ret: 0 }, Bytes::new());
+        assert_eq!(rx.try_recv().map(|c| c.ticket.seq).ok(), Some(8));
+
+        queue.close();
+        let (lane, op) = dispatched(admit(&ctx, frame(9, &pread)));
+        enqueue(&ctx, &session.route, lane, op);
+        assert_closed_queue_rejected(&ctx, &mut session, &rx, fd, 9);
+    }
+
+    /// Exactly once, on the reactor's side of the route too: a queued op
+    /// whose reply is dropped unanswered (a worker's unwind) reaches the
+    /// loop as one `EIO`, and `finish` closes the connection behind it.
+    #[test]
+    fn a_reply_dropped_unanswered_closes_the_connection() {
+        let ctx = ctx(Mode::Sched);
+        let fd = open(&ctx, "/d");
+        let (route, rx) = route();
+        let mut session = Session::new(route);
+        let (lane, op) = dispatched(admit(&ctx, frame(5, &Request::Fsync { fd })));
+        enqueue(&ctx, &session.route, lane, op);
+        drop(ctx.queue().unwrap().pop_batch(0, 4));
+        let c = rx.try_recv().expect("a dropped reply is answered");
+        assert!(rx.try_recv().is_err(), "answered once");
+        assert_eq!((c.token, c.gen, c.ticket.seq), (4, 2, 5));
+        let Admission::Close { after } = finish(&ctx, &mut session, c) else {
+            panic!("an unanswered op must close the connection");
+        };
+        assert_eq!(response_of(&after), Response::Err { errno: Errno::Io });
     }
 
     /// Ordering (b): capacity, then `begin_op`. A write waiting for
@@ -1172,7 +1126,7 @@ mod tests {
             "no op open while parked"
         );
         // Still full: a retry parks again, still without an open op.
-        let Admission::Park { op, .. } = resume(&ctx, op, Retry::Poll) else {
+        let Admission::Park { op, .. } = resume(&ctx, op) else {
             panic!("still no memory");
         };
         assert_eq!(db.status(fd).unwrap().in_progress, 0);
@@ -1181,7 +1135,7 @@ mod tests {
         let Admission::Reply {
             frame: ack,
             staged: Some(head),
-        } = resume(&ctx, op, Retry::Poll)
+        } = resume(&ctx, op)
         else {
             panic!("memory is free: the write must be staged, heading its lane");
         };
@@ -1206,13 +1160,14 @@ mod tests {
         };
         assert_eq!(response_of(&reply), Response::Err { errno: Errno::BadF });
         assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
-        // The threaded driver's blocking adopt failing (BML closed).
+        // A BML closed under a parked write (daemon shutdown).
         let fd = open(&ctx, "/c");
         let req = Request::Write { fd, len: 64 };
         let Accepted::Op(op) = accept(&ctx, frame(2, &req)) else {
             panic!("a write is an op");
         };
-        let Admission::Reply { frame: reply, .. } = resume(&ctx, op, Retry::Adopted(None)) else {
+        ctx.engine.bml().unwrap().close();
+        let Admission::Reply { frame: reply, .. } = resume(&ctx, op) else {
             panic!("closed BML is answered inline");
         };
         assert_eq!(
@@ -1237,7 +1192,9 @@ mod tests {
         let fd = open(&ctx, "/f");
         // The event loop pushes the first op: that is the client's credit.
         let (_, first) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
-        assert!(enqueue(&ctx, &Route::Handler, None, first).is_some());
+        let (route, _rx) = route();
+        enqueue(&ctx, &route, None, first);
+        assert_eq!(ctx.queue().unwrap().depth(), 1);
         let Admission::Park { need, .. } = admit(&ctx, frame(2, &Request::Fsync { fd })) else {
             panic!("second op exceeds the credit");
         };
@@ -1251,17 +1208,17 @@ mod tests {
     #[test]
     fn finish_tracks_descriptors_for_reclaim() {
         let ctx = ctx(Mode::Inline);
-        let mut session = Session::new(Route::Handler);
+        let mut session = Session::new(route().0);
         let open_req = Request::Open {
             path: "/r".into(),
             flags: OpenFlags::RDWR | OpenFlags::CREATE,
             mode: 0o644,
         };
         let (lane, op) = dispatched(admit(&ctx, frame(1, &open_req)));
-        let Dispatched::Here(ticket, outcome) = dispatch(&ctx, &session.route, lane, op) else {
+        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op) else {
             panic!("inline mode runs everything in place");
         };
-        assert_eq!(kind(&finish(&ctx, &mut session, ticket, outcome)), "Reply");
+        assert_eq!(kind(&finish(&ctx, &mut session, c)), "Reply");
         assert_eq!(session.fds.len(), 1);
         assert_eq!(ctx.engine.descriptor_db().open_count(), 1);
         session.reclaim(&ctx);

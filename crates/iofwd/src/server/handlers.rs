@@ -11,6 +11,9 @@
 //!   pushes them to the pool after the ack (§IV), and any other op on a
 //!   descriptor waits for its turn in the descriptor's lane (asleep on
 //!   its reply, like a queued op) before it is dispatched as in sched.
+//!   A queued op's reply comes back on the connection's own completion
+//!   sink, made once when the connection starts: the thread blocks on
+//!   its receiver the way an event loop drains its own.
 //! * [`handle_ciod`] — the CIOD architecture (§II-B1): the daemon-side
 //!   thread copies each request into a "shared-memory region" (an honest
 //!   extra copy) and hands it to a dedicated per-client *proxy*, which
@@ -26,22 +29,33 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, Receiver};
 use iofwd_proto::{Fd, Frame};
 
-use super::admit::{
-    self, Accepted, Admission, AdmitCtx, Dispatched, Need, Retry, Route, Session, Waiting,
-};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Need, Session};
 use super::engine::{Engine, COALESCE_MAX_OPS};
-use super::queue::{StagedPart, WorkItem, WorkQueue};
+use super::queue::{Completion, Route, StagedPart, WorkItem, WorkQueue};
 use super::staged::{CompletionGuard, FdSerializer};
 use crate::descdb::OpOutcome;
 use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Conn;
 
+/// A connection's session, on a completion sink of its own, and the
+/// receiving end its thread waits on for a queued op's outcome.
+fn session(ctx: &AdmitCtx) -> (Session, Receiver<Completion>) {
+    let (route, rx) = Route::channel(None, ctx.engine.telemetry().clone());
+    (Session::new(route), rx)
+}
+
 /// Carry one admission to its reply, blocking wherever the core says
 /// to wait. Returns `false` once the connection should close.
-fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: Admission) -> bool {
+fn drive(
+    conn: &dyn Conn,
+    ctx: &AdmitCtx,
+    session: &mut Session,
+    rx: &Receiver<Completion>,
+    mut admission: Admission,
+) -> bool {
     loop {
         admission = match admission {
             // A send failure means the client vanished; the caller
@@ -63,33 +77,33 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
             // Blocking is how a thread parks: "if there is insufficient
             // memory to stage the data, the I/O operation is blocked
             // until ... sufficient memory is available" (§IV).
-            Admission::Park { op, need } => {
-                let retry = match need {
-                    Need::Bml => Retry::Adopted(
-                        ctx.engine
+            // The block adopted here comes back as the op's payload and
+            // is staged in place; a closed BML fails the adopt, and the
+            // core answers ENOMEM.
+            Admission::Park { mut op, need } => {
+                match need {
+                    Need::Bml => {
+                        if let Some(buf) = ctx
+                            .engine
                             .bml()
-                            .and_then(|bml| bml.adopt(op.data.clone()).ok()),
-                    ),
-                    Need::QueueCredit => {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        Retry::Poll
+                            .and_then(|bml| bml.adopt(op.data.clone()).ok())
+                        {
+                            op.data = buf.into_bytes();
+                        }
                     }
-                };
-                admit::resume(ctx, op, retry)
+                    Need::QueueCredit => std::thread::sleep(std::time::Duration::from_millis(1)),
+                }
+                admit::resume(ctx, op)
             }
+            // A queued op is answered through this connection's sink —
+            // exactly once, even if it is dropped unrun.
             Admission::Dispatch { lane, op } => {
                 match admit::dispatch(ctx, &session.route, lane, op) {
-                    Dispatched::Here(ticket, outcome) => {
-                        admit::finish(ctx, session, ticket, outcome)
-                    }
-                    // The threaded route always hands back a channel; a
-                    // dropped sender means the worker pool is gone
-                    // (daemon shutting down).
-                    Dispatched::Queued(Some(Waiting { ticket, rx })) => match rx.recv() {
-                        Ok(outcome) => admit::finish(ctx, session, ticket, outcome),
+                    Dispatched::Here(c) => admit::finish(ctx, session, c),
+                    Dispatched::Queued => match rx.recv() {
+                        Ok(c) => admit::finish(ctx, session, c),
                         Err(_) => return false,
                     },
-                    Dispatched::Queued(None) => return false,
                 }
             }
         };
@@ -98,10 +112,10 @@ fn drive(conn: &dyn Conn, ctx: &AdmitCtx, session: &mut Session, mut admission: 
 
 /// Serve one client connection on the calling thread.
 pub(crate) fn serve_conn(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
-    let mut session = Session::new(Route::Handler);
+    let (mut session, rx) = session(&ctx);
     while let Ok(Some(frame)) = conn.recv() {
         let admission = admit::admit(&ctx, frame);
-        if !drive(conn.as_ref(), &ctx, &mut session, admission) {
+        if !drive(conn.as_ref(), &ctx, &mut session, &rx, admission) {
             break;
         }
     }
@@ -120,17 +134,23 @@ pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
             // The I/O proxy process: executes forwarded calls and returns
             // results directly to the compute node.
             let telemetry = proxy_ctx.engine.telemetry().clone();
-            let mut session = Session::new(Route::Handler);
+            let (mut session, rx) = session(&proxy_ctx);
             while let Ok(accepted) = shm_rx.recv() {
                 let admission = match accepted {
                     Accepted::Op(mut op) => {
                         // Queue wait = time the op sat in the shm channel.
                         op.span.dispatch_ns = telemetry.now_ns();
-                        admit::resume(&proxy_ctx, op, Retry::Poll)
+                        admit::resume(&proxy_ctx, op)
                     }
                     Accepted::Answered(answered) => answered,
                 };
-                if !drive(proxy_conn.as_ref(), &proxy_ctx, &mut session, admission) {
+                if !drive(
+                    proxy_conn.as_ref(),
+                    &proxy_ctx,
+                    &mut session,
+                    &rx,
+                    admission,
+                ) {
                     break;
                 }
             }
@@ -257,18 +277,18 @@ pub fn worker_loop(
             WorkItem::Sync {
                 req,
                 data,
-                reply,
-                mut span,
+                mut reply,
                 ..
             } => {
-                span.dispatch_ns = telemetry.now_ns();
-                span.worker = worker_id;
-                let (resp, out) = engine.execute_timed(&req, &data, &mut span);
+                reply.span.dispatch_ns = telemetry.now_ns();
+                reply.span.worker = worker_id;
+                let (resp, out) = engine.execute_timed(&req, &data, &mut reply.span);
                 // The lane is released before the reply goes, so the
                 // client's next op on the descriptor finds it free.
                 let next = guard.and_then(CompletionGuard::release);
-                // The handler stamps reply_ns and completes the span.
-                reply.deliver(resp, out, span);
+                // Whoever drains the sink stamps reply_ns and completes
+                // the span.
+                reply.deliver(resp, out);
                 next
             }
             WorkItem::StagedWrite { fd, part } => {

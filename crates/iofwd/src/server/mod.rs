@@ -23,9 +23,7 @@ mod reactor;
 mod staged;
 
 pub use engine::{Engine, Written};
-pub use queue::{
-    Completion, CompletionSink, ReplyTo, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
-};
+pub use queue::{ReplyTo, Route, StagedPart, WorkItem, WorkQueue};
 pub use reactor::{ReactorConfig, ReactorHandle};
 pub use staged::FdSerializer;
 
@@ -41,7 +39,7 @@ use crate::backend::Backend;
 use crate::bml::Bml;
 use crate::descdb::OpOutcome;
 use crate::fault::RetryPolicy;
-use crate::telemetry::{Disposition, Telemetry};
+use crate::telemetry::{Disposition, Telemetry, MAX_WORKERS};
 use crate::transport::Listener;
 
 /// Which forwarding architecture the daemon runs.
@@ -91,7 +89,8 @@ pub struct ServerConfig {
     /// exactly once unless they opt in. `iofwdd` enables
     /// [`RetryPolicy::standard`] by default.
     pub retry: RetryPolicy,
-    /// Staged-write coalescing (budgets: `handlers::COALESCE_MAX_*`). On
+    /// Staged-write coalescing (budgets: `engine::COALESCE_MAX_OPS` and
+    /// `handlers::COALESCE_MAX_BYTES`). On
     /// by default for the worker-pool modes (Sched/AsyncStaged) — the
     /// only modes with a queue for writes to park behind — and off (and
     /// meaningless) for Ciod/Zoid, which execute inline.
@@ -334,9 +333,12 @@ impl IonServer {
     /// client socket instead of spawning a thread per connection.
     ///
     /// Requires a worker-pool mode (`Sched`/`AsyncStaged`) — the
-    /// reactor has no per-client thread to execute inline on. Fails if
-    /// the vendored poller does not support this target (the caller
-    /// falls back to [`IonServer::spawn`]).
+    /// reactor has no per-client thread to execute inline on — and at
+    /// most [`MAX_WORKERS`] event loops and workers, the rows telemetry
+    /// keeps for them (loop 64 would share loop 0's heartbeat slot, and
+    /// a stuck loop would hide behind a healthy one). Fails if the
+    /// vendored poller does not support this target (the caller falls
+    /// back to [`IonServer::spawn`]).
     pub fn spawn_reactor(
         acceptor: crate::transport::tcp::TcpAcceptor,
         backend: Arc<dyn Backend>,
@@ -347,6 +349,12 @@ impl IonServer {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "reactor transport requires a worker-pool mode (sched/async-staged)",
+            ));
+        }
+        if config.mode.workers() > MAX_WORKERS || reactor_cfg.threads > MAX_WORKERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("at most {MAX_WORKERS} workers and {MAX_WORKERS} reactor threads"),
             ));
         }
         let ServerCore {

@@ -27,18 +27,20 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
-use iofwd_proto::{Fd, OpId, Request, Response};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use iofwd_proto::{Errno, Fd, OpId, Request, Response};
+use polling::Waker;
 
 use crate::bml::BmlBuffer;
 use crate::sync::{Condvar, Mutex};
-use crate::telemetry::{OpSpan, Telemetry};
+use crate::telemetry::{Disposition, OpSpan, Telemetry};
 
 /// What a finished op means for its connection's descriptor set
 /// (decided once, at admission, from the request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SessionEffect {
     /// No descriptor is created or retired.
+    #[default]
     None,
     /// `Open`/`Connect`: success allocates a descriptor to track.
     Opens,
@@ -48,18 +50,18 @@ pub enum SessionEffect {
 
 /// Reply addressing plus session effect of one admitted op: everything
 /// needed, besides the outcome itself, to answer the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ticket {
     pub client_id: u32,
     pub seq: u64,
     pub effect: SessionEffect,
 }
 
-/// A finished unit of work routed back to a reactor event loop. The
-/// `(token, gen)` pair addresses the originating connection slot; a
-/// stale `gen` means the client disconnected while the op was in
-/// flight, in which case the reactor still completes the span but has
-/// nowhere to write the reply.
+/// A finished op on its way back to the connection that admitted it:
+/// the outcome, and the `(token, gen)` address of that connection (a
+/// reactor slot; a threaded connection's own sink has address `(0, 0)`).
+/// A stale `gen` means the client disconnected while the op was in
+/// flight: the span still folds, the reply has nowhere to go.
 pub struct Completion {
     pub token: usize,
     pub gen: u64,
@@ -69,52 +71,123 @@ pub struct Completion {
     pub span: OpSpan,
 }
 
-/// Where a reactor-origin reply goes once a worker finishes the op.
-/// Implemented by the reactor's completion queue; lives here (not in
-/// the reactor module) so `WorkItem` does not depend on the reactor.
-pub trait CompletionSink: Send + Sync {
-    fn complete(&self, completion: Completion);
+/// Where queued ops come back: one channel per threaded connection, one
+/// per event loop (with the loop's waker) on the reactor, made when the
+/// connection or loop starts. Its owner drains the receiving end — a
+/// handler blocks on it, an event loop drains it when woken.
+pub struct CompletionSink {
+    tx: Sender<Completion>,
+    waker: Option<Waker>,
+    telemetry: Arc<Telemetry>,
 }
 
-/// How a finished [`WorkItem::Sync`] finds its way back to the client:
-/// either a blocked handler thread waiting on a channel (threaded
-/// transport) or a reactor completion queue (event-loop transport).
-pub enum ReplyTo {
-    /// A per-connection handler thread parked on the receiving end.
-    Handler(Sender<(Response, Bytes, OpSpan)>),
-    /// A reactor connection slot; the sink wakes the owning event loop.
-    Reactor {
-        sink: Arc<dyn CompletionSink>,
-        token: usize,
-        gen: u64,
-        ticket: Ticket,
-    },
+impl CompletionSink {
+    fn complete(&self, completion: Completion) {
+        match self.tx.send(completion) {
+            Ok(()) => {
+                if let Some(waker) = &self.waker {
+                    waker.wake();
+                }
+            }
+            // The owner is gone (client or loop shut down): the reply has
+            // no destination, but the span still reaches the recorder.
+            Err(unsent) => abandon(&self.telemetry, unsent.0.span),
+        }
+    }
+}
+
+/// Fold the span of an op whose connection is gone: the reply has no
+/// destination, but the op still reaches the flight recorder.
+pub(crate) fn abandon(telemetry: &Telemetry, mut span: OpSpan) {
+    span.reply_ns = telemetry.now_ns();
+    telemetry.complete(&span);
+}
+
+/// How a queued op reaches the connection that admitted it — the one
+/// reply route, on both drivers: the connection's completion sink and
+/// its `(token, gen)` address there. Cloning one is one `Arc` clone.
+#[derive(Clone)]
+pub struct Route {
+    pub sink: Arc<CompletionSink>,
+    pub token: usize,
+    pub gen: u64,
+}
+
+impl Route {
+    /// A new sink, addressed `(0, 0)`, and the receiving end its owner
+    /// waits on; `waker` wakes an event loop on every completion.
+    pub fn channel(
+        waker: Option<Waker>,
+        telemetry: Arc<Telemetry>,
+    ) -> (Route, Receiver<Completion>) {
+        let (tx, rx) = unbounded();
+        let sink = Arc::new(CompletionSink {
+            tx,
+            waker,
+            telemetry,
+        });
+        (
+            Route {
+                sink,
+                token: 0,
+                gen: 0,
+            },
+            rx,
+        )
+    }
+}
+
+/// How a queued [`WorkItem::Sync`] is answered: its route, the op's
+/// ticket and its span (which the worker stamps). Answered exactly once:
+/// [`deliver`](Self::deliver), or — dropped unanswered, by a worker's
+/// unwind or a lost item — `EIO` with disposition `QueueRejected`, which
+/// closes the connection.
+pub struct ReplyTo {
+    route: Option<Route>,
+    pub ticket: Ticket,
+    pub span: OpSpan,
 }
 
 impl ReplyTo {
-    /// Route the outcome to whoever is waiting. The handler path stamps
-    /// `reply_ns` and folds telemetry on its own thread; the reactor
-    /// path does both when the event loop drains its completion queue.
-    pub fn deliver(self, resp: Response, data: Bytes, span: OpSpan) {
-        match self {
-            // A gone handler (client disconnected mid-op) is not an
-            // error; the outcome is simply unobservable.
-            ReplyTo::Handler(tx) => {
-                let _ = tx.send((resp, data, span));
-            }
-            ReplyTo::Reactor {
-                sink,
+    pub fn new(route: Route, ticket: Ticket, span: OpSpan) -> ReplyTo {
+        ReplyTo {
+            route: Some(route),
+            ticket,
+            span,
+        }
+    }
+
+    /// Send the outcome to the connection; whoever drains the sink
+    /// stamps `reply_ns` and folds the span.
+    pub fn deliver(mut self, resp: Response, data: Bytes) {
+        self.send(resp, data);
+    }
+
+    fn send(&mut self, resp: Response, data: Bytes) {
+        if let Some(Route { sink, token, gen }) = self.route.take() {
+            sink.complete(Completion {
                 token,
                 gen,
-                ticket,
-            } => sink.complete(Completion {
-                token,
-                gen,
-                ticket,
+                ticket: self.ticket,
                 resp,
                 data,
-                span,
-            }),
+                span: self.span,
+            });
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if self.route.is_some() {
+            let errno = Errno::Io;
+            self.span.ok = false;
+            self.span.errno = errno.to_wire();
+            self.span.disposition = Disposition::QueueRejected;
+            if self.span.dispatch_ns == 0 {
+                self.span.dispatch_ns = self.span.enqueue_ns;
+            }
+            self.send(Response::Err { errno }, Bytes::new());
         }
     }
 }
@@ -122,15 +195,13 @@ impl ReplyTo {
 /// A unit of work for the worker pool. Every op carries its lifecycle
 /// span; the worker stamps dispatch/backend stages into it.
 pub enum WorkItem {
-    /// Execute a request and send the outcome back to the waiting client
-    /// handler (the synchronous-scheduling path). `lane` is the
-    /// descriptor lane it holds, in staged mode; running it completes
-    /// that lane.
+    /// Execute a request and answer it through `reply`, which carries its
+    /// span (the synchronous-scheduling path). `lane` is the descriptor
+    /// lane it holds, in staged mode; running it completes that lane.
     Sync {
         req: Request,
         data: Bytes,
         reply: ReplyTo,
-        span: OpSpan,
         lane: Option<Fd>,
     },
     /// A staged write: data already in BML memory, the client already
@@ -160,7 +231,7 @@ impl WorkItem {
     /// nobody's.
     pub fn client(&self) -> u64 {
         match self {
-            WorkItem::Sync { span, .. } => span.client,
+            WorkItem::Sync { reply, .. } => reply.span.client,
             WorkItem::StagedWrite { part, .. } => part.span.client,
             WorkItem::Reclaim(_) => u64::MAX,
         }
@@ -179,7 +250,7 @@ impl WorkItem {
     /// head-of-line-age sampling.
     fn enqueue_ns(&self) -> u64 {
         match self {
-            WorkItem::Sync { span, .. } => span.enqueue_ns,
+            WorkItem::Sync { reply, .. } => reply.span.enqueue_ns,
             WorkItem::StagedWrite { part, .. } => part.span.enqueue_ns,
             WorkItem::Reclaim(_) => 0,
         }
@@ -198,12 +269,6 @@ pub struct QueueClosed(pub Box<WorkItem>);
 impl std::fmt::Debug for QueueClosed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("QueueClosed(..)")
-    }
-}
-
-impl std::fmt::Display for QueueClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("work queue is closed")
     }
 }
 
@@ -445,7 +510,6 @@ fn client_dec(map: &mut HashMap<u64, usize>, client: u64) {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use std::sync::Arc;
 
     /// A queue counting into its own enabled registry.
@@ -454,24 +518,31 @@ mod tests {
         (WorkQueue::with_telemetry(workers, tel.clone()), tel)
     }
 
-    fn sync_item(tag: u64) -> WorkItem {
-        sync_item_for_client(tag, 0)
-    }
-
-    fn sync_item_for_client(tag: u64, client: u64) -> WorkItem {
-        let (tx, _rx) = unbounded();
+    /// A `Sync` item for `client` on a route whose receiver is gone.
+    fn stamped(tag: u64, enqueue_ns: u64, client: u64) -> WorkItem {
+        let (route, _) = Route::channel(None, Arc::new(Telemetry::disabled()));
         let span = OpSpan {
             client,
+            enqueue_ns,
             ..OpSpan::default()
         };
+        routed(&route, tag, span)
+    }
+
+    fn routed(route: &Route, tag: u64, span: OpSpan) -> WorkItem {
         WorkItem::Sync {
             req: Request::Fsync { fd: Fd(tag as u32) },
             data: Bytes::new(),
-            reply: ReplyTo::Handler(tx),
-            span,
+            reply: ReplyTo::new(route.clone(), TICKET, span),
             lane: None,
         }
     }
+
+    const TICKET: Ticket = Ticket {
+        client_id: 3,
+        seq: 11,
+        effect: SessionEffect::None,
+    };
 
     fn tag_of(item: &WorkItem) -> u64 {
         match item {
@@ -484,11 +555,52 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_item_is_answered_exactly_once() {
+        let tel = Arc::new(Telemetry::new());
+        let (mut route, rx) = Route::channel(None, tel.clone());
+        (route.token, route.gen) = (4, 2);
+        let span = OpSpan {
+            enqueue_ns: 100,
+            ok: true,
+            ..OpSpan::default()
+        };
+        let item = || routed(&route, 1, span);
+        // Dropped undelivered (a worker's unwind, a lost item): one EIO,
+        // marked queue-rejected so the connection closes behind it.
+        drop(item());
+        let c = rx.try_recv().expect("a dropped item is answered");
+        assert_eq!((c.token, c.gen, c.ticket), (4, 2, TICKET));
+        assert_eq!(c.resp, Response::Err { errno: Errno::Io });
+        assert_eq!(c.span.disposition, Disposition::QueueRejected);
+        assert_eq!((c.span.ok, c.span.dispatch_ns), (false, 100));
+        assert!(rx.try_recv().is_err(), "answered once");
+        // Delivered: its own response, once, and nothing more at the drop.
+        let WorkItem::Sync { reply, .. } = item() else {
+            unreachable!("a sync item");
+        };
+        reply.deliver(Response::Ok { ret: 7 }, Bytes::from_static(b"x"));
+        let c = rx.try_recv().expect("a delivered item is answered");
+        assert_eq!(c.resp, Response::Ok { ret: 7 });
+        assert_eq!(&c.data[..], b"x");
+        assert_eq!(c.span.disposition, Disposition::Completed);
+        assert!(rx.try_recv().is_err(), "answered once");
+        // With the receiver gone the sink folds each span itself, once.
+        drop(rx);
+        let WorkItem::Sync { reply, .. } = item() else {
+            unreachable!("a sync item");
+        };
+        reply.deliver(Response::Ok { ret: 0 }, Bytes::new());
+        drop(item());
+        assert_eq!((tel.ops_completed.get(), tel.ops_failed.get()), (2, 1));
+        assert_eq!(tel.flight.since(0).2.len(), 2);
+    }
+
+    #[test]
     fn single_shard_preserves_fifo_order() {
         let (q, tel) = counted(1);
         let mut high_water = Vec::new();
         for i in 0..5 {
-            q.push(sync_item(i)).unwrap();
+            q.push(stamped(i, 0, 0)).unwrap();
             high_water.push(tel.queue_depth.peak());
         }
         // Pushes from one thread: after the i-th the peak is exactly i+1.
@@ -499,7 +611,7 @@ mod tests {
         assert_eq!(rest.iter().map(tag_of).collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(tel.worker_dispatch.total(), 5);
         // Pops never lower the peak.
-        q.push(sync_item(9)).unwrap();
+        q.push(stamped(9, 0, 0)).unwrap();
         assert_eq!(tel.queue_depth.peak(), 5);
     }
 
@@ -507,7 +619,7 @@ mod tests {
     fn pop_batch_into_reuses_and_clears_caller_buffer() {
         let q = WorkQueue::new(1);
         for i in 0..4 {
-            q.push(sync_item(i)).unwrap();
+            q.push(stamped(i, 0, 0)).unwrap();
         }
         let mut buf = Vec::new();
         q.pop_batch_into(0, 3, &mut buf);
@@ -525,7 +637,7 @@ mod tests {
     #[test]
     fn close_drains_then_returns_empty() {
         let q = WorkQueue::new(1);
-        q.push(sync_item(1)).unwrap();
+        q.push(stamped(1, 0, 0)).unwrap();
         q.close();
         assert_eq!(q.pop_batch(0, 10).len(), 1);
         assert!(q.pop_batch(0, 10).is_empty());
@@ -534,10 +646,10 @@ mod tests {
     #[test]
     fn push_after_close_returns_queue_closed_with_item() {
         let (q, tel) = counted(1);
-        q.push(sync_item(1)).unwrap();
+        q.push(stamped(1, 0, 0)).unwrap();
         q.close();
         // A handler racing shutdown gets its item back, not a panic.
-        let err = q.push(sync_item(2)).unwrap_err();
+        let err = q.push(stamped(2, 0, 0)).unwrap_err();
         assert_eq!(tag_of(&err.0), 2);
         // The rejected push left no trace in the accounting.
         assert_eq!(tel.queue_depth.get(), 1);
@@ -550,7 +662,7 @@ mod tests {
         let q2 = q.clone();
         let t = std::thread::spawn(move || q2.pop_batch(0, 1));
         std::thread::sleep(std::time::Duration::from_millis(30));
-        q.push(sync_item(7)).unwrap();
+        q.push(stamped(7, 0, 0)).unwrap();
         let got = t.join().unwrap();
         assert_eq!(tag_of(&got[0]), 7);
     }
@@ -559,7 +671,7 @@ mod tests {
     fn abort_parks_items_for_drain() {
         let q = WorkQueue::new(2);
         for i in 0..4 {
-            q.push(sync_item(i)).unwrap();
+            q.push(stamped(i, 0, 0)).unwrap();
         }
         q.abort();
         // Workers get nothing after an abort, even with items parked.
@@ -576,9 +688,9 @@ mod tests {
     fn per_client_counts_track_push_pop_and_drain() {
         let q = WorkQueue::new(1);
         for i in 0..3 {
-            q.push(sync_item_for_client(i, 7)).unwrap();
+            q.push(stamped(i, 0, 7)).unwrap();
         }
-        q.push(sync_item_for_client(9, 8)).unwrap();
+        q.push(stamped(9, 0, 8)).unwrap();
         assert_eq!(q.client_queued(7), 3);
         assert_eq!(q.client_queued(8), 1);
         assert_eq!(q.client_queued(99), 0);
@@ -597,21 +709,6 @@ mod tests {
     fn oldest_enqueue_ns_follows_the_queue_fronts() {
         let q = WorkQueue::new(2);
         assert_eq!(q.oldest_enqueue_ns(), None);
-        let stamped = |tag: u64, ns: u64, client: u64| {
-            let (tx, _rx) = unbounded();
-            let span = OpSpan {
-                client,
-                enqueue_ns: ns,
-                ..OpSpan::default()
-            };
-            WorkItem::Sync {
-                req: Request::Fsync { fd: Fd(tag as u32) },
-                data: Bytes::new(),
-                reply: ReplyTo::Handler(tx),
-                span,
-                lane: None,
-            }
-        };
         q.push(stamped(0, 500, 0)).unwrap();
         q.push(stamped(1, 900, 1)).unwrap();
         // The front is the oldest item, whichever client it belongs to.

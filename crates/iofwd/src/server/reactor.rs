@@ -34,11 +34,13 @@
 //!   that completes the item ahead of it releases it. Nothing here ever
 //!   waits for a barrier, so the daemon is the loops plus the workers.
 //!
-//! Completions flow back through [`CompletionSink`]: workers finish an
-//! op, push a [`Completion`] onto the owning loop's channel, and kick
-//! its [`Waker`]. `(token, gen)` pairs make stale completions (client
-//! disconnected mid-op) harmless: the span still folds into telemetry,
-//! the reply is simply unaddressable.
+//! Completions come back on the reply route every queued op has, on
+//! either driver: each loop owns one completion sink ([`Route`]), made
+//! with its poller's [`Waker`]; a worker (or a reply dropped unanswered,
+//! as `EIO`) sends a [`Completion`] on it and wakes the loop, which
+//! drains it as a threaded handler drains its own. `(token, gen)` pairs
+//! make stale completions (client disconnected mid-op) harmless: the
+//! span still folds into telemetry, the reply is simply unaddressable.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -54,8 +56,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use iofwd_proto::{Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::admit::{self, Admission, AdmitCtx, Need, Op, Retry, Route, Session};
-use super::queue::{Completion, CompletionSink};
+use super::admit::{self, Admission, AdmitCtx, Need, Op, Session};
+use super::queue::{abandon, Completion, Route};
 use crate::telemetry::{PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
@@ -110,25 +112,6 @@ impl ReactorHandle {
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-    }
-}
-
-/// Completion queue for one event loop; `Send + Sync` so any worker can
-/// push to it.
-struct ReactorSink {
-    tx: Sender<Completion>,
-    waker: Waker,
-    telemetry: Arc<Telemetry>,
-}
-
-impl CompletionSink for ReactorSink {
-    fn complete(&self, completion: Completion) {
-        match self.tx.send(completion) {
-            Ok(()) => self.waker.wake(),
-            // The loop is gone (shutdown race): the reply has no
-            // destination but the span must still reach the recorder.
-            Err(send_err) => admit::abandon(&self.telemetry, send_err.0.span),
         }
     }
 }
@@ -238,7 +221,8 @@ struct ReactorThread {
     events: Vec<Event>,
     conn_rx: Receiver<TcpStream>,
     comp_rx: Receiver<Completion>,
-    sink: Arc<ReactorSink>,
+    /// This loop's reply route; a connection's is it at its slot.
+    route: Route,
     ctx: Arc<AdmitCtx>,
     telemetry: Arc<Telemetry>,
     cfg: ReactorConfig,
@@ -399,10 +383,10 @@ impl ReactorThread {
             return;
         }
         if let Some(slot) = self.slots.get_mut(tok) {
-            let session = Session::new(Route::Reactor {
-                sink: self.sink.clone(),
+            let session = Session::new(Route {
                 token: tok,
                 gen: slot.gen,
+                ..self.route.clone()
             });
             slot.conn = Some(ConnState::new(stream, session));
         }
@@ -445,14 +429,14 @@ impl ReactorThread {
             .and_then(|slot| slot.conn.take());
         let Some(mut conn) = live else {
             // Stale: the client disconnected while the op ran.
-            return admit::abandon(&self.telemetry, c.span);
+            return abandon(&self.telemetry, c.span);
         };
         conn.inflight = conn.inflight.saturating_sub(1);
-        let outcome = (c.resp, c.data, c.span);
-        let answered = admit::finish(&self.ctx, &mut conn.session, c.ticket, outcome);
+        let tok = c.token;
+        let answered = admit::finish(&self.ctx, &mut conn.session, c);
         self.dispatch(&mut conn, answered, None);
         conn.maybe_finished();
-        self.finish_conn(c.token, conn);
+        self.finish_conn(tok, conn);
     }
 
     /// Resume parked connections. BML parks — an op waiting to be
@@ -490,7 +474,7 @@ impl ReactorThread {
                 self.pump(&mut conn, true);
                 conn.maybe_finished();
             } else if let Some((op, need)) = conn.parked_op.take() {
-                let admission = admit::resume(&self.ctx, op, Retry::Poll);
+                let admission = admit::resume(&self.ctx, op);
                 // A re-park for the same need is one backpressure
                 // event, not two.
                 self.dispatch(&mut conn, admission, Some(need));
@@ -763,7 +747,7 @@ impl ReactorThread {
         }
         // Late completions: nowhere to reply, but every span folds in.
         while let Ok(c) = self.comp_rx.try_recv() {
-            admit::abandon(&self.telemetry, c.span);
+            abandon(&self.telemetry, c.span);
         }
     }
 }
@@ -837,12 +821,7 @@ pub(crate) fn spawn(
         let Some(conn_rx) = conn_rxs.pop_front() else {
             break;
         };
-        let (comp_tx, comp_rx) = unbounded::<Completion>();
-        let sink = Arc::new(ReactorSink {
-            tx: comp_tx,
-            waker: poller.waker(),
-            telemetry: telemetry.clone(),
-        });
+        let (route, comp_rx) = Route::channel(Some(poller.waker()), telemetry.clone());
         let thread = ReactorThread {
             idx,
             poller,
@@ -852,7 +831,7 @@ pub(crate) fn spawn(
             events: Vec::new(),
             conn_rx,
             comp_rx,
-            sink,
+            route,
             ctx: ctx.clone(),
             telemetry: telemetry.clone(),
             cfg,
@@ -896,10 +875,11 @@ mod tests {
     use super::*;
     use crate::backend::MemSinkBackend;
     use crate::client::Client;
+    use crate::client::ClientError;
     use crate::server::{ForwardingMode, IonServer, ServerConfig};
     use crate::transport::tcp::{TcpAcceptor, TcpConn};
     use bytes::BytesMut;
-    use iofwd_proto::{Fd, OpenFlags, Request, Response};
+    use iofwd_proto::{Errno, Fd, OpenFlags, Request, Response};
     use std::io::Read;
 
     fn reactor_server(
@@ -935,6 +915,80 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn more_loops_or_workers_than_telemetry_rows_are_refused() {
+        let max = crate::telemetry::MAX_WORKERS;
+        for (workers, threads) in [(max + 1, 1), (1, max + 1)] {
+            let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+            let config = ServerConfig::new(ForwardingMode::Sched { workers });
+            let cfg = ReactorConfig {
+                threads,
+                ..ReactorConfig::default()
+            };
+            let backend = Arc::new(MemSinkBackend::new());
+            let refused = IonServer::spawn_reactor(acceptor, backend, config, cfg).err();
+            assert_eq!(refused.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
+        }
+    }
+
+    /// Answers `stat` by unwinding, as a worker hit by a bug would.
+    struct PanicOnStat;
+
+    impl crate::backend::Backend for PanicOnStat {
+        fn open(
+            &self,
+            _: &str,
+            _: OpenFlags,
+            _: u32,
+        ) -> Result<Box<dyn crate::backend::BackendObject>, Errno> {
+            Err(Errno::NoSys)
+        }
+        fn stat(&self, _: &str) -> Result<iofwd_proto::FileStat, Errno> {
+            panic!("the worker unwinds mid-op")
+        }
+        fn unlink(&self, _: &str) -> Result<(), Errno> {
+            Err(Errno::NoSys)
+        }
+        fn mkdir(&self, _: &str, _: u32) -> Result<(), Errno> {
+            Err(Errno::NoSys)
+        }
+        fn readdir(&self, _: &str) -> Result<Vec<String>, Errno> {
+            Err(Errno::NoSys)
+        }
+    }
+
+    /// Exactly once, end to end: an op whose worker unwinds is answered
+    /// `EIO`, and its connection is closed and its slot reclaimed.
+    #[test]
+    fn an_op_whose_worker_unwinds_is_answered_and_closes_its_connection() {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+        let addr = acceptor.local_addr().expect("addr");
+        let config = ServerConfig::new(ForwardingMode::Sched { workers: 2 });
+        let server = IonServer::spawn_reactor(
+            acceptor,
+            Arc::new(PanicOnStat),
+            config,
+            ReactorConfig::default(),
+        )
+        .expect("spawn reactor");
+        // An unanswered op fails the test on the timeout, not by hanging.
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut client = Client::connect(Box::new(TcpConn::from_stream(stream).expect("conn")));
+        let answered = client.stat("/x").err();
+        assert!(matches!(answered, Some(ClientError::Remote(Errno::Io))));
+        assert!(client.stat("/x").is_err(), "the connection is closed");
+        let telemetry = server.telemetry();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while telemetry.conns_open.get() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(telemetry.conns_open.get(), 0, "the slot is reclaimed");
+        server.shutdown();
     }
 
     #[test]
@@ -1177,7 +1231,8 @@ mod tests {
         let client = TcpConn::connect(listener.local_addr().expect("addr")).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nonblocking(true).expect("nonblocking");
-        let mut conn = ConnState::new(stream, Session::new(Route::Handler));
+        let (route, _) = Route::channel(None, Arc::new(Telemetry::disabled()));
+        let mut conn = ConnState::new(stream, Session::new(route));
         for (seq, len) in [4096usize, 64 << 10, 1 << 20].into_iter().enumerate() {
             let req = Request::Write {
                 fd: Fd(3),

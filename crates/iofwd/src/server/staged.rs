@@ -211,18 +211,18 @@ impl Drop for CompletionGuard {
 
 #[cfg(test)]
 mod tests {
+    use super::super::queue::{ReplyTo, Route};
     use super::*;
+    use crate::telemetry::{OpSpan, Telemetry};
     use bytes::Bytes;
-    use crossbeam::channel::unbounded;
     use iofwd_proto::Request;
 
     fn item(tag: u32) -> WorkItem {
-        let (tx, _rx) = unbounded();
+        let (route, _) = Route::channel(None, Arc::new(Telemetry::disabled()));
         WorkItem::Sync {
             req: Request::Fsync { fd: Fd(tag) },
             data: Bytes::new(),
-            reply: super::super::queue::ReplyTo::Handler(tx),
-            span: crate::telemetry::OpSpan::default(),
+            reply: ReplyTo::new(route, Default::default(), OpSpan::default()),
             lane: Some(Fd(1)),
         }
     }

@@ -40,6 +40,7 @@ use std::fmt::Write as _;
 
 use crate::telemetry::json::{quote, Json};
 use crate::telemetry::{OpSpan, TelemetrySnapshot};
+use iofwd_proto::StageEcho;
 
 // ---------------------------------------------------------------------
 // Chrome trace-event rendering
@@ -337,7 +338,9 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
 /// across the lifecycle stages, per strategy. The paper's contention
 /// argument in one struct: thread-per-CN strategies put the dominant
 /// share in queue wait (ops parked behind contended handler threads),
-/// worker-pool strategies move it into backend service.
+/// worker-pool strategies move it into backend service. The one stage
+/// accumulator: the daemon's histograms, its spans, and a traced
+/// client's stage echoes all sum into it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     pub ops: u64,
@@ -377,6 +380,28 @@ impl StageBreakdown {
         b
     }
 
+    /// Add one op's stage echo, as a traced client receives it.
+    pub fn add_echo(&mut self, e: &StageEcho) {
+        self.merge(&StageBreakdown {
+            ops: 1,
+            queue_ns: e.queue_ns,
+            dispatch_ns: e.dispatch_ns,
+            backend_ns: e.backend_ns,
+            reply_ns: e.reply_ns,
+            total_ns: e.total_ns,
+        });
+    }
+
+    /// Add another breakdown's ops and stage sums to this one.
+    pub fn merge(&mut self, other: &StageBreakdown) {
+        self.ops += other.ops;
+        self.queue_ns += other.queue_ns;
+        self.dispatch_ns += other.dispatch_ns;
+        self.backend_ns += other.backend_ns;
+        self.reply_ns += other.reply_ns;
+        self.total_ns += other.total_ns;
+    }
+
     /// Server time not attributed to a named stage (handler overhead
     /// between stamps).
     pub fn other_ns(&self) -> u64 {
@@ -384,16 +409,21 @@ impl StageBreakdown {
             .saturating_sub(self.queue_ns + self.dispatch_ns + self.backend_ns + self.reply_ns)
     }
 
+    /// `(stage name, ns)` for every stage, fixed order.
+    fn stages(&self) -> [(&'static str, u64); 5] {
+        [
+            ("queue-wait", self.queue_ns),
+            ("dispatch", self.dispatch_ns),
+            ("backend", self.backend_ns),
+            ("reply", self.reply_ns),
+            ("other", self.other_ns()),
+        ]
+    }
+
     /// `(stage name, share of total)` for every stage, fixed order.
     pub fn shares(&self) -> [(&'static str, f64); 5] {
         let total = self.total_ns.max(1) as f64;
-        [
-            ("queue-wait", self.queue_ns as f64 / total),
-            ("dispatch", self.dispatch_ns as f64 / total),
-            ("backend", self.backend_ns as f64 / total),
-            ("reply", self.reply_ns as f64 / total),
-            ("other", self.other_ns() as f64 / total),
-        ]
+        self.stages().map(|(name, ns)| (name, ns as f64 / total))
     }
 
     /// The stage with the largest share of total residency.
@@ -416,14 +446,7 @@ impl StageBreakdown {
             self.ops,
             self.total_ns as f64 / 1e6
         );
-        for (name, share) in self.shares() {
-            let ns = match name {
-                "queue-wait" => self.queue_ns,
-                "dispatch" => self.dispatch_ns,
-                "backend" => self.backend_ns,
-                "reply" => self.reply_ns,
-                _ => self.other_ns(),
-            };
+        for ((name, ns), (_, share)) in self.stages().into_iter().zip(self.shares()) {
             let _ = writeln!(
                 out,
                 "  {name:<12} {:>10.3} ms  {:>5.1}%",

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use iofwd::bml::Bml;
-use iofwd::server::{FdSerializer, WorkItem, WorkQueue};
+use iofwd::server::{FdSerializer, ReplyTo, Route, WorkItem, WorkQueue};
 use iofwd::telemetry::Telemetry;
 use iofwd_proto::{Fd, OpId, Request};
 use loomlite::sync::Arc;
@@ -242,13 +242,13 @@ fn flight_recorder_snapshot_never_tears() {
 
 fn tagged(tag: u32) -> WorkItem {
     // The reply receiver is dropped immediately: nothing executes these
-    // items, so nothing ever sends on the channel.
-    let (reply, _) = crossbeam::channel::unbounded();
+    // items, and an item dropped unanswered folds its span into the
+    // sink's disabled registry.
+    let (route, _) = Route::channel(None, std::sync::Arc::new(Telemetry::disabled()));
     WorkItem::Sync {
         req: Request::Fsync { fd: Fd(tag) },
         data: Bytes::new(),
-        reply: iofwd::server::ReplyTo::Handler(reply),
-        span: iofwd::telemetry::OpSpan::default(),
+        reply: ReplyTo::new(route, Default::default(), Default::default()),
         lane: Some(Fd(1)),
     }
 }

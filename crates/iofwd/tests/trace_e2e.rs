@@ -70,31 +70,29 @@ fn client_decomposition_matches_daemon_histograms() {
 
         let t = c.trace_stats();
         assert!(
-            t.calls >= 36,
+            t.server.ops >= 36,
             "mode {}: echoed {} calls",
             mode.name(),
-            t.calls
+            t.server.ops
         );
-        let snap = telemetry.snapshot();
-        let sum = |name: &str| snap.hist(name).map_or(0, |h| h.sum);
-        for (stage, client_side) in [
-            ("total_ns", t.server_total_ns),
-            ("queue_wait_ns", t.queue_ns),
-            ("dispatch_lag_ns", t.dispatch_ns),
-            ("service_ns", t.backend_ns),
-            ("reply_lag_ns", t.reply_ns),
+        let daemon = StageBreakdown::from_snapshot(&telemetry.snapshot());
+        for (stage, client_side, daemon_side) in [
+            ("total_ns", t.server.total_ns, daemon.total_ns),
+            ("queue_wait_ns", t.server.queue_ns, daemon.queue_ns),
+            ("dispatch_lag_ns", t.server.dispatch_ns, daemon.dispatch_ns),
+            ("service_ns", t.server.backend_ns, daemon.backend_ns),
+            ("reply_lag_ns", t.server.reply_ns, daemon.reply_ns),
         ] {
             assert!(
-                within_pct(client_side, sum(stage), 5.0),
-                "mode {}: {stage}: client sum {client_side} vs daemon sum {} exceeds 5%",
+                within_pct(client_side, daemon_side, 5.0),
+                "mode {}: {stage}: client sum {client_side} vs daemon sum {daemon_side} exceeds 5%",
                 mode.name(),
-                sum(stage)
             );
         }
         // The client's wall clock bounds the server's residency: the
         // decomposition never attributes more time than was observed.
-        assert!(t.server_total_ns <= t.client_ns);
-        assert!(t.network_ns() + t.server_total_ns == t.client_ns);
+        assert!(t.server.total_ns <= t.client_ns);
+        assert!(t.network_ns() + t.server.total_ns == t.client_ns);
         server.shutdown();
     }
 }
@@ -127,9 +125,9 @@ fn staged_mode_echoes_ack_time_stages() {
     c.close(fd).unwrap();
     c.shutdown().unwrap();
     let t = c.trace_stats();
-    assert!(t.calls >= 19, "echoed {} calls", t.calls);
-    assert!(t.server_total_ns > 0);
-    assert!(t.server_total_ns <= t.client_ns);
+    assert!(t.server.ops >= 19, "echoed {} calls", t.server.ops);
+    assert!(t.server.total_ns > 0);
+    assert!(t.server.total_ns <= t.client_ns);
     server.shutdown();
 }
 
@@ -199,8 +197,12 @@ fn tcp_traced_and_untraced_clients_interoperate() {
 
     // 11 echoed ops: open + 8 staged acks + pread + close (the shutdown
     // reply carries no echo — it is control traffic, with no span).
-    assert!(traced.trace_stats().calls >= 11);
-    assert_eq!(plain.trace_stats().calls, 0, "no echoes without tracing");
+    assert!(traced.trace_stats().server.ops >= 11);
+    assert_eq!(
+        plain.trace_stats().server.ops,
+        0,
+        "no echoes without tracing"
+    );
     assert_eq!(backend.contents("/t").unwrap().len(), 8 * 64 * 1024);
     assert_eq!(backend.contents("/p").unwrap().len(), 8 * 64 * 1024);
 

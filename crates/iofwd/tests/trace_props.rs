@@ -215,7 +215,9 @@ proptest! {
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(decoded.stage_echo(), Some(echo));
         prop_assert_eq!(
-            decoded.stage_echo().map(|e| e.stage_sum_ns()),
+            decoded
+                .stage_echo()
+                .map(|e| e.queue_ns + e.dispatch_ns + e.backend_ns + e.reply_ns),
             Some(queue_ns + dispatch_ns + backend_ns + reply_ns)
         );
     }

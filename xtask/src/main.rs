@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the invariant linter. Eleven rules the compiler cannot
+//! * `lint` — the invariant linter. Twelve rules the compiler cannot
 //!   enforce but this codebase depends on (see DESIGN.md, "Enforced
 //!   invariants"):
 //!   - **R1** Simulation crates (`simcore`, `bgsim`, `bgp-model`,
@@ -55,6 +55,12 @@
 //!     backend, must not `let _ =` the result of a `Backend` /
 //!     `BackendObject` call: a discarded errno is an error the client
 //!     never hears about.
+//!   - **R12** `iofwd::server::admit`, the admission core, must not
+//!     name a channel, a thread, a socket or a blocking BML call
+//!     (`crossbeam`, `std::thread`, `sleep(`, `.recv(`, `Condvar`,
+//!     `std::net`, `TcpStream`, `.acquire(`, `.adopt(`) outside test
+//!     code: it never blocks and never touches a socket; the drivers
+//!     own those primitives. `try_acquire` / `try_adopt` stay allowed.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

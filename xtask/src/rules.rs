@@ -35,6 +35,9 @@ pub enum Rule {
     /// The engine must not discard a backend call's result with
     /// `let _ =`: the errno belongs to the client.
     R11,
+    /// The admission core names no driver primitive: no channel,
+    /// thread, socket or blocking BML call.
+    R12,
 }
 
 impl Rule {
@@ -50,6 +53,7 @@ impl Rule {
             "R9" => Some(Rule::R9),
             "R10" => Some(Rule::R10),
             "R11" => Some(Rule::R11),
+            "R12" => Some(Rule::R12),
             _ => None,
         }
     }
@@ -68,6 +72,7 @@ impl std::fmt::Display for Rule {
             Rule::R9 => "R9",
             Rule::R10 => "R10",
             Rule::R11 => "R11",
+            Rule::R12 => "R12",
         })
     }
 }
@@ -168,6 +173,23 @@ const BACKEND_CALLS: &[&str] = &[
     "truncate",
 ];
 
+/// The admission core, which "never blocks and never touches a socket",
+/// and the driver primitives it may therefore not name: the drivers own
+/// channels, threads, sockets and the blocking BML calls (`try_acquire`
+/// and `try_adopt` are the core's).
+const ADMIT_FILE: &str = "crates/iofwd/src/server/admit.rs";
+const DRIVER_NAMES: &[&str] = &[
+    "crossbeam",
+    "std::thread",
+    "sleep(",
+    ".recv(",
+    "Condvar",
+    "std::net",
+    "TcpStream",
+    ".acquire(",
+    ".adopt(",
+];
+
 pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     let masked = strip(source);
     let mut out = Vec::new();
@@ -211,6 +233,9 @@ pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     }
     if unix == ENGINE_FILE {
         check_r11(rel, &masked, &mut out);
+    }
+    if unix == ADMIT_FILE {
+        check_r12(rel, &masked, &mut out);
     }
     out
 }
@@ -758,6 +783,29 @@ fn check_r11(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------- R12
+
+fn check_r12(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
+    let tests = test_regions(masked);
+    let in_tests = |pos: usize| tests.iter().any(|&(a, b)| pos >= a && pos <= b);
+    for name in DRIVER_NAMES {
+        for (pos, _) in masked.match_indices(name) {
+            if in_tests(pos) {
+                continue;
+            }
+            out.push(Violation {
+                rule: Rule::R12,
+                path: rel.to_path_buf(),
+                line: line_of(masked, pos),
+                message: format!(
+                    "`{name}` in the admission core — it never blocks and never touches a \
+                     socket; waiting belongs to the drivers (`handlers`, `reactor`)"
+                ),
+            });
+        }
+    }
+}
+
 // ---------------------------------------------------------------- R4
 
 fn check_r4(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
@@ -1025,6 +1073,32 @@ mod tests {
         assert!(check("crates/iofwd/src/transport.rs", in_tests)
             .iter()
             .all(|v| v.rule != Rule::R10));
+    }
+
+    #[test]
+    fn r12_flags_each_driver_primitive_in_admission_only() {
+        for name in DRIVER_NAMES {
+            let src = format!("fn f() {{ let x = {name}; }}\n");
+            let v = check("crates/iofwd/src/server/admit.rs", &src);
+            let r12: Vec<_> = v.iter().filter(|v| v.rule == Rule::R12).collect();
+            assert_eq!(r12.len(), 1, "{name}");
+            assert_eq!(r12[0].line, 1);
+            // The drivers own these primitives.
+            assert!(check("crates/iofwd/src/server/handlers.rs", &src)
+                .iter()
+                .all(|v| v.rule != Rule::R12));
+        }
+    }
+
+    #[test]
+    fn r12_allows_non_blocking_bml_calls_comments_and_tests() {
+        let src = "// a handler blocks in Bml::adopt; crossbeam carries the reply\n\
+                   fn f(b: &Bml) { b.try_acquire(1); b.try_adopt(d); }\n\
+                   #[cfg(test)]\nmod tests { use crossbeam::channel::Receiver; \
+                   fn g(rx: &Receiver<u8>) { rx.recv(); b.acquire(1); } }\n";
+        assert!(check("crates/iofwd/src/server/admit.rs", src)
+            .iter()
+            .all(|v| v.rule != Rule::R12));
     }
 
     #[test]
