@@ -1,12 +1,13 @@
 //! Streaming frame receive: the one partial-read state machine, shared by
 //! the client and both daemon transports, two-step like the protocol
 //! (§V-A2). Header, extension and parameters are read into a small `head`
-//! buffer the reader keeps; once they have sized the frame, a payload of
-//! at least [`Frame::SPLIT_SEND_MIN`] bytes is read straight into storage
-//! of its own, which becomes `frame.data` (DESIGN.md §15): a heap buffer of
-//! exactly its length, or whatever the caller's [`Storage`] hook hands out
-//! — the daemon's is a recycled BML block, charged before a byte of the
-//! payload is read.
+//! buffer the reader keeps; once they have sized the frame, the caller's
+//! [`Storage`] hook is asked where its payload lands (DESIGN.md §15): a
+//! heap buffer of exactly its length, or storage the hook hands out — the
+//! daemon's is a recycled BML block, charged before a byte of the payload
+//! is read. [`Frame::SPLIT_SEND_MIN`] decides only how a payload is read:
+//! a smaller one arrives with its head and is copied once, a larger one is
+//! read straight into its storage.
 //!
 //! The reader owns no socket, no pool and no blocking policy: every read
 //! goes to whatever the caller passes in, and `WouldBlock` — the socket's,
@@ -19,7 +20,7 @@ use bytes::{Bytes, BytesMut};
 use crate::error::DecodeError;
 use crate::wire::{Frame, FrameHeader};
 
-/// Caller-provided storage for one large payload.
+/// Caller-provided storage for one payload.
 pub trait PayloadBuf: Send {
     /// All of it: exactly the length [`Storage::Block`] was asked for.
     fn as_mut_slice(&mut self) -> &mut [u8];
@@ -69,7 +70,7 @@ enum Polled {
     Frame(Frame),
     /// Read up to this many bytes more.
     Want(usize),
-    /// A large frame's head is buffered and its storage is not there yet.
+    /// A frame's head is buffered and its storage is not there yet.
     NotYet,
 }
 
@@ -79,7 +80,7 @@ pub struct FrameReader {
     head: BytesMut,
     /// Start of the undecoded bytes in `head`.
     pos: usize,
-    /// A large frame, its payload so far, and the payload's full length.
+    /// A frame, its payload so far, and the payload's full length.
     body: Option<(Frame, Payload, usize)>,
 }
 
@@ -97,10 +98,9 @@ impl FrameReader {
         self.read_frame_with(r, &mut |_| Storage::Heap)
     }
 
-    /// [`FrameReader::read_frame`], asking `storage` where each payload of
-    /// at least [`Frame::SPLIT_SEND_MIN`] bytes should land — once per
-    /// payload, with its length, after its header has validated and before
-    /// any of it is read.
+    /// [`FrameReader::read_frame`], asking `storage` where each non-empty
+    /// payload should land — once per payload, with its length, after its
+    /// header has validated and before any of it is consumed.
     pub fn read_frame_with<R: Read>(
         &mut self,
         r: &mut R,
@@ -162,10 +162,10 @@ impl FrameReader {
             // < 16 KiB: a small frame's payload, or the part of a large one
             // that arrived with its head.
             let arrived = &buf[hdr.payload()..taken];
-            let hooked = if split {
-                storage(data_len)
-            } else {
+            let hooked = if data_len == 0 {
                 Storage::Heap
+            } else {
+                storage(data_len)
             };
             let data = match hooked {
                 // Nothing of this frame is consumed: the next call parses
@@ -176,8 +176,6 @@ impl FrameReader {
                     Payload::Block(block, arrived.len())
                 }
                 Storage::Heap => {
-                    // Exact-size storage: a staged write holds what its BML
-                    // class charges, no more.
                     let mut data = BytesMut::with_capacity(data_len);
                     // HOTPATH: the < 16 KiB above.
                     data.extend_from_slice(arrived);

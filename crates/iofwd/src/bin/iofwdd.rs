@@ -175,7 +175,9 @@ impl Options {
                          [--coalesce=off] \
                          [--throttle PER_OP_US,BW_MIB_S] \
                          [--transport threads|reactor] [--reactor-threads N] \
-                         [--accept-fault-every N]"
+                         [--accept-fault-every N]\n\n\
+                         staged mode: a write is staged only if its power-of-two \
+                         size class fits in the BML; a larger one runs synchronously"
                     );
                     std::process::exit(0);
                 }

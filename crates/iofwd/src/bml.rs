@@ -15,10 +15,12 @@
 //! This module implements exactly that: power-of-two size classes with
 //! per-class free lists, a hard capacity on total outstanding buffer
 //! memory, and *blocking* acquisition when the cap is reached. Blocks are
-//! what the forwarding thread receives into ([`Bml::receive_storage`]): a
-//! TCP payload of at least `Frame::SPLIT_SEND_MIN` bytes is charged before
-//! it is read and staged in the block it landed in
-//! ([`BmlBuffer::from_payload`]). Idle blocks stay in the pool — idle plus
+//! what the daemon receives every write payload into
+//! ([`Bml::receive_storage`]), on either transport: the payload is charged
+//! before it is received — the one place staging memory is waited for —
+//! and staged in the block it landed in ([`BmlBuffer::from_payload`]). A
+//! payload whose power-of-two class exceeds the pool stays on the heap and
+//! is written synchronously. Idle blocks stay in the pool — idle plus
 //! outstanding bytes never exceed the capacity — so a steady workload
 //! never reaches the allocator (DESIGN.md §16).
 //!
@@ -145,10 +147,10 @@ enum BufRepr {
     /// list on drop. Empty only after `Drop` takes the block; all
     /// user-reachable methods see a full block.
     Owned(Box<[u8]>),
-    /// A payload adopted by reference (typically a zero-copy view into
-    /// a receive buffer). Capacity is charged as if a block of the same
-    /// class were held, so BML backpressure behaves identically; drop
-    /// releases the charge and the view.
+    /// A payload adopted by reference ([`Bml::adopt`], whose one caller
+    /// is the benchmark's per-layer replay). Capacity is charged as if a
+    /// block of the same class were held; drop releases the charge and
+    /// the view.
     Adopted(Bytes),
 }
 
@@ -219,11 +221,6 @@ impl Bml {
         ((shift - MIN_CLASS_SHIFT) as usize, block)
     }
 
-    /// Largest single request this BML can serve.
-    pub fn max_request(&self) -> usize {
-        (1usize << MAX_CLASS_SHIFT).min(self.shared.capacity as usize)
-    }
-
     /// Acquire a buffer of at least `len` bytes, blocking while staging
     /// memory is exhausted (the paper's §IV behaviour). Fails with
     /// [`Errno::NoMem`] only when the BML has been closed for shutdown.
@@ -232,22 +229,18 @@ impl Bml {
     }
 
     /// Adopt `data` as a staged buffer by reference: the payload is not
-    /// copied — the staging charge for its size class goes through the
-    /// same FIFO admission as [`Bml::acquire`], so backpressure and
-    /// fairness are identical to the copying path. Fails with
-    /// [`Errno::NoMem`] only when the BML has been closed.
+    /// copied, and the charge for its size class goes through the same
+    /// FIFO admission as [`Bml::acquire`]. The daemon stages only payloads
+    /// received into blocks; this stays for the benchmark's per-layer
+    /// replay (`bml.adopt_ns_per_op`). Fails with [`Errno::NoMem`] only
+    /// when the BML has been closed.
     pub fn adopt(&self, data: Bytes) -> Result<BmlBuffer, Errno> {
         self.admit(data.len(), Some(data)).ok_or(Errno::NoMem)
     }
 
-    /// Non-blocking [`Bml::adopt`]; fails under the same conditions as
-    /// [`Bml::try_acquire`] (closed, full, or queued waiters ahead).
-    pub fn try_adopt(&self, data: Bytes) -> Option<BmlBuffer> {
-        self.try_admit(data.len(), Some(data))
-    }
-
     /// Storage for a payload of `len` bytes that is about to be received
-    /// (the `FrameReader` hook): a block of its class, charged now. With
+    /// (the `FrameReader` hook, asked for every write payload): a block of
+    /// its class, charged now. With
     /// `wait` the caller blocks for one as in [`Bml::acquire`] (§IV);
     /// without, a full pool answers [`Storage::NotYet`]. A payload no
     /// block of this pool can hold goes to the heap, as does everything
@@ -263,7 +256,7 @@ impl Bml {
         };
         match block {
             Some(buf) => Storage::Block(Box::new(buf)),
-            None if wait => Storage::Heap,
+            None if wait || self.is_closed() => Storage::Heap,
             None => Storage::NotYet,
         }
     }
@@ -356,10 +349,6 @@ impl Bml {
     /// is exhausted, or when earlier acquisitions are queued (FIFO: a
     /// try-acquire must not barge past blocked handlers).
     pub fn try_acquire(&self, len: usize) -> Option<BmlBuffer> {
-        self.try_admit(len, None)
-    }
-
-    fn try_admit(&self, len: usize, source: Option<Bytes>) -> Option<BmlBuffer> {
         let (class, block_size) = Self::class_for(len);
         let mut inner = self.shared.inner.lock();
         if inner.closed
@@ -369,7 +358,7 @@ impl Bml {
             return None;
         }
         inner.outstanding += block_size as u64;
-        Some(self.finish_admit(inner, class, block_size, len, source))
+        Some(self.finish_admit(inner, class, block_size, len, None))
     }
 
     /// Wake all waiters and refuse further acquisitions (daemon shutdown).
@@ -663,7 +652,6 @@ mod tests {
         let bml = Bml::new(8192);
         let held = bml.adopt(Bytes::from(vec![0u8; 8192])).unwrap();
         assert!(bml.try_acquire(1).is_none());
-        assert!(bml.try_adopt(Bytes::from(vec![0u8; 16])).is_none());
         drop(held);
         assert!(bml.try_acquire(1).is_some());
     }

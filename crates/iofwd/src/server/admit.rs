@@ -1,19 +1,20 @@
-//! The admission core: the paper's §IV pipeline — receive, classify
-//! (data op vs metadata op), charge staging memory, record the op on
-//! its descriptor, enqueue, acknowledge — written once for both
-//! transports.
+//! The admission core: the paper's §IV pipeline — classify (data op vs
+//! metadata op), record the op on its descriptor, enqueue, acknowledge —
+//! written once for both transports. Staging memory is not charged here:
+//! the transport received the payload into a BML block, charged before
+//! its first byte, and a write is staged if and only if its payload is in
+//! one.
 //!
-//! [`admit`] (and [`resume`], for a frame that had to wait) owns every
-//! protocol and descriptor-database decision and **never blocks and
+//! [`admit`] ([`accept`], then [`resume`]) owns every protocol and
+//! descriptor-database decision and **never blocks, never waits and
 //! never touches a socket**. It returns an [`Admission`] that tells the
 //! transport driver what to do next; the threaded driver
-//! (`handlers::serve_conn`) obeys by blocking in place, the reactor by
-//! parking the connection or pushing the op to the worker pool. Neither
-//! is named here: a queued op is answered through its connection's
-//! completion sink ([`Route`]), one reply route for both drivers — a
-//! handler blocks on its sink's receiver, an event loop drains its own
-//! when woken — and a reply dropped unanswered still arrives, as `EIO`,
-//! and closes the connection.
+//! (`handlers::serve_conn`) obeys in place, the reactor by pushing the op
+//! to the worker pool. Neither is named here: a queued op is answered
+//! through its connection's completion sink ([`Route`]), one reply route
+//! for both drivers — a handler blocks on its sink's receiver, an event
+//! loop drains its own when woken — and a reply dropped unanswered still
+//! arrives, as `EIO`, and closes the connection.
 //!
 //! [`dispatch`] (on a thread that may block) and [`enqueue`] (on an
 //! event loop) carry out an [`Admission::Dispatch`]. In staged mode an op
@@ -27,7 +28,7 @@
 //!
 //! Three orderings are fixed here and nowhere else (DESIGN.md §15):
 //!
-//! * **Capacity, then `begin_op`.** A staged write charges the BML
+//! * **Capacity, then `begin_op`.** A staged write's block was charged
 //!   before it is recorded on its descriptor or joins its lane, so a
 //!   client waiting for staging memory never leaves an op open.
 //! * **A closed queue closes the connection.** A claim fails once the
@@ -76,9 +77,6 @@ pub(crate) enum Policy {
 pub(crate) struct AdmitCtx {
     pub(crate) engine: Arc<Engine>,
     pub(crate) policy: Policy,
-    /// Per-client cap on items in the work queue (the reactor's
-    /// fairness gate); `usize::MAX` means uncapped.
-    pub(crate) max_client_queued: usize,
 }
 
 impl AdmitCtx {
@@ -235,16 +233,6 @@ pub(crate) struct Op {
     shape: Shape,
 }
 
-/// What an op that cannot be admitted yet is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Need {
-    /// Staging memory: "the I/O operation is blocked until sufficient
-    /// memory is available" (§IV).
-    Bml,
-    /// The client's share of the work queue to drain.
-    QueueCredit,
-}
-
 /// What the driver must do next with a frame it handed to the core.
 pub(crate) enum Admission {
     /// Send `frame`. If it answers an op, the op's span is folded. If it
@@ -261,9 +249,6 @@ pub(crate) enum Admission {
     /// that may block, [`dispatch`] it; an event loop, which must not
     /// execute it, [`enqueue`]s it. The outcome goes to [`finish`].
     Dispatch { lane: Option<Fd>, op: Op },
-    /// Not admissible yet: hold the op, stop reading the connection,
-    /// and [`resume`] when `need` may have been met.
-    Park { op: Op, need: Need },
 }
 
 impl Admission {
@@ -348,8 +333,9 @@ pub(crate) enum Accepted {
 /// database, and of the work queue only a look at its front — made
 /// before any credit check: it comes back while a stalled backend
 /// wedges the data path, the moment introspection is for, to a client
-/// over its queue credit, and, needing no BML block, on a fresh
-/// connection while every data connection is parked under backpressure.
+/// over its queue credit (the reactor checks that after `accept`), and,
+/// needing no BML block, on a fresh connection while every data
+/// connection waits for staging memory.
 pub(crate) fn accept(ctx: &AdmitCtx, frame: Frame) -> Accepted {
     let telemetry = ctx.telemetry();
     if telemetry.enabled() {
@@ -431,74 +417,47 @@ pub(crate) fn admit(ctx: &AdmitCtx, frame: Frame) -> Admission {
     }
 }
 
-/// Route an accepted op: the policy decision, the fairness gate, and —
-/// for a staged write — the whole staging transaction.
+/// Route an accepted op: the policy decision and — for a write whose
+/// payload was received into a BML block — the whole staging
+/// transaction.
 pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op) -> Admission {
-    let (queue, staging) = match &ctx.policy {
-        Policy::Inline => return Admission::Dispatch { lane: None, op },
-        Policy::Sched { queue } => (queue, None),
-        Policy::Staged {
-            queue,
-            serializer,
-            bml,
-        } => (queue, Some((serializer, bml))),
-    };
-    if ctx.max_client_queued != usize::MAX
-        && queue.client_queued(op.span.client) >= ctx.max_client_queued
-    {
-        return Admission::Park {
-            op,
-            need: Need::QueueCredit,
-        };
-    }
-    let Some((serializer, bml)) = staging else {
+    let Policy::Staged {
+        serializer, bml, ..
+    } = &ctx.policy
+    else {
         return Admission::Dispatch { lane: None, op };
     };
+    // Every op on a descriptor but a staged write — a read, a barrier, an
+    // unstaged write — takes its turn in the descriptor's lane, so it
+    // never overtakes a staged write.
     match op.shape {
-        Shape::Write { fd, offset, len }
-            if usize::try_from(len).is_ok_and(|l| l <= bml.max_request()) =>
-        {
-            if len != op.data.len() as u64 {
-                return fail_inline(
-                    ctx,
-                    op,
-                    Response::Err {
-                        errno: Errno::Inval,
-                    },
-                );
-            }
-            // A payload the transport received into a BML block (or a
-            // driver adopted while parked) is staged in it, on the charge
-            // it already holds; any other is adopted, and charged, here.
-            let buf = match BmlBuffer::from_payload(std::mem::take(&mut op.data)) {
-                Ok(block) => block,
-                Err(data) => match bml.try_adopt(data.clone()) {
-                    Some(buf) => buf,
-                    // BML closed: the daemon is shutting down.
-                    None if bml.is_closed() => {
-                        return fail_inline(
-                            ctx,
-                            op,
-                            Response::Err {
-                                errno: Errno::NoMem,
-                            },
-                        )
-                    }
-                    None => {
-                        op.data = data;
-                        return Admission::Park {
-                            op,
-                            need: Need::Bml,
-                        };
-                    }
-                },
+        Shape::Write { len, .. } if len != op.data.len() as u64 => {
+            let resp = Response::Err {
+                errno: Errno::Inval,
             };
-            stage_write(ctx, serializer, fd, offset, op, buf)
+            fail_inline(ctx, op, resp)
         }
-        // Every other op on a descriptor — a read, a barrier, a write
-        // past the BML's largest size class — takes its turn in the
-        // descriptor's lane, so it never overtakes a staged write.
-        Shape::Write { fd, .. } | Shape::OnFd(fd) => Admission::Dispatch { lane: Some(fd), op },
+        // Staged in the block it was received into, on the charge it has
+        // held since before its first byte.
+        Shape::Write { fd, offset, .. } => {
+            match BmlBuffer::from_payload(std::mem::take(&mut op.data)) {
+                Ok(buf) => stage_write(ctx, serializer, fd, offset, op, buf),
+                // The pool closed under it: the daemon is shutting down.
+                Err(_) if bml.is_closed() => {
+                    let resp = Response::Err {
+                        errno: Errno::NoMem,
+                    };
+                    fail_inline(ctx, op, resp)
+                }
+                // Left on the heap — empty, or its class is larger than
+                // the pool: written synchronously.
+                Err(data) => {
+                    op.data = data;
+                    Admission::Dispatch { lane: Some(fd), op }
+                }
+            }
+        }
+        Shape::OnFd(fd) => Admission::Dispatch { lane: Some(fd), op },
         Shape::Path => Admission::Dispatch { lane: None, op },
     }
 }
@@ -716,7 +675,7 @@ mod tests {
     use super::*;
     use crate::backend::MemSinkBackend;
     use crossbeam::channel::Receiver;
-    use iofwd_proto::{OpenFlags, StatsQuery, Whence};
+    use iofwd_proto::{OpenFlags, StatsQuery, Storage, Whence};
 
     const BML_BYTES: u64 = 8192;
 
@@ -747,11 +706,7 @@ mod tests {
             },
             _ => Policy::Sched { queue },
         };
-        AdmitCtx {
-            engine,
-            policy,
-            max_client_queued: usize::MAX,
-        }
+        AdmitCtx { engine, policy }
     }
 
     fn open(ctx: &AdmitCtx, path: &str) -> Fd {
@@ -771,6 +726,19 @@ mod tests {
         Frame::request(3, seq, req, data)
     }
 
+    /// `frame` as a daemon transport hands it over: its payload copied
+    /// into a block of the context's pool, where it has one to give.
+    fn received(ctx: &AdmitCtx, mut frame: Frame) -> Frame {
+        let pool = ctx.engine.bml().filter(|_| !frame.data.is_empty());
+        if let Some(Storage::Block(mut block)) =
+            pool.map(|bml| bml.receive_storage(frame.data.len(), false))
+        {
+            block.as_mut_slice().copy_from_slice(&frame.data);
+            frame.data = block.freeze();
+        }
+        frame
+    }
+
     fn response_of(frame: &Frame) -> Response {
         frame.decode_response().expect("well-formed reply")
     }
@@ -781,7 +749,6 @@ mod tests {
             Admission::Close { .. } => "Close",
             Admission::Dispatch { lane: None, .. } => "Dispatch",
             Admission::Dispatch { lane: Some(_), .. } => "Lane+Dispatch",
-            Admission::Park { .. } => "Park",
         }
     }
 
@@ -884,7 +851,7 @@ mod tests {
                     ) => "Dispatch",
                     (_, Mode::Staged) => "Lane+Dispatch",
                 };
-                let got = admit(&ctx, frame(seq as u64, req));
+                let got = admit(&ctx, received(&ctx, frame(seq as u64, req)));
                 assert_eq!(kind(&got), expect, "{mode:?}: {req:?}");
                 if let Admission::Reply { frame, staged } = &got {
                     let staged_ack = matches!(response_of(frame), Response::Staged { .. });
@@ -910,8 +877,9 @@ mod tests {
             fd,
             len: 2 * BML_BYTES,
         };
-        let got = admit(&ctx, frame(1, &req));
+        let got = admit(&ctx, received(&ctx, frame(1, &req)));
         assert_eq!(kind(&got), "Lane+Dispatch");
+        assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
     }
 
     #[test]
@@ -1100,48 +1068,34 @@ mod tests {
         assert_eq!(response_of(&after), Response::Err { errno: Errno::Io });
     }
 
-    /// Ordering (b): capacity, then `begin_op`. A write waiting for
-    /// staging memory leaves no op open on its descriptor; once admitted
-    /// it is recorded and charged before its ack, and enqueued exactly
-    /// once, after it.
+    /// Ordering (b): capacity, then `begin_op`. A write's block is charged
+    /// as its payload is received, with no op open on its descriptor; the
+    /// write is recorded on that one charge before its ack, and enqueued
+    /// exactly once, after it.
     #[test]
     fn staged_write_charges_capacity_before_beginning_the_op() {
         let ctx = ctx(Mode::Staged);
         let fd = open(&ctx, "/s");
         let db = ctx.engine.descriptor_db();
         let bml = ctx.engine.bml().unwrap();
-        let hog = bml.acquire(BML_BYTES as usize).expect("whole BML");
         let req = Request::Pwrite {
             fd,
             offset: 0,
             len: 64,
         };
-        let Admission::Park { op, need } = admit(&ctx, frame(1, &req)) else {
-            panic!("a full BML must park the write");
-        };
-        assert_eq!(need, Need::Bml);
-        assert_eq!(
-            db.status(fd).unwrap().in_progress,
-            0,
-            "no op open while parked"
-        );
-        // Still full: a retry parks again, still without an open op.
-        let Admission::Park { op, .. } = resume(&ctx, op) else {
-            panic!("still no memory");
-        };
-        assert_eq!(db.status(fd).unwrap().in_progress, 0);
-
-        drop(hog);
+        let write = received(&ctx, frame(1, &req));
+        assert_eq!(bml.outstanding(), 4096, "charged on receipt");
+        assert_eq!(db.status(fd).unwrap().in_progress, 0, "no op open yet");
         let Admission::Reply {
             frame: ack,
             staged: Some(head),
-        } = resume(&ctx, op)
+        } = admit(&ctx, write)
         else {
-            panic!("memory is free: the write must be staged, heading its lane");
+            panic!("a received payload must be staged, heading its lane");
         };
         assert!(matches!(response_of(&ack), Response::Staged { .. }));
         assert_eq!(db.status(fd).unwrap().in_progress, 1);
-        assert!(bml.outstanding() > 0);
+        assert_eq!(bml.outstanding(), 4096, "staged on the same charge");
         // Ack, then push: nothing is queued until the driver pushes.
         assert_eq!(ctx.queue().unwrap().depth(), 0);
         push(&ctx, head);
@@ -1155,12 +1109,15 @@ mod tests {
             fd: Fd(77),
             len: 64,
         };
-        let Admission::Reply { frame: reply, .. } = admit(&ctx, frame(1, &req)) else {
+        let write = received(&ctx, frame(1, &req));
+        assert_eq!(ctx.engine.bml().unwrap().outstanding(), 4096);
+        let Admission::Reply { frame: reply, .. } = admit(&ctx, write) else {
             panic!("unknown descriptor is answered inline");
         };
         assert_eq!(response_of(&reply), Response::Err { errno: Errno::BadF });
         assert_eq!(ctx.engine.bml().unwrap().outstanding(), 0);
-        // A BML closed under a parked write (daemon shutdown).
+        // A payload left on the heap because the pool closed (daemon
+        // shutdown).
         let fd = open(&ctx, "/c");
         let req = Request::Write { fd, len: 64 };
         let Accepted::Op(op) = accept(&ctx, frame(2, &req)) else {
@@ -1180,29 +1137,6 @@ mod tests {
             ctx.engine.descriptor_db().status(fd).unwrap().in_progress,
             0
         );
-    }
-
-    /// Satellite 1: a client over its queue credit is parked — but its
-    /// stats queries are still answered, because the intercept precedes
-    /// the credit check.
-    #[test]
-    fn stats_are_answered_ahead_of_the_credit_check() {
-        let mut ctx = ctx(Mode::Sched);
-        ctx.max_client_queued = 1;
-        let fd = open(&ctx, "/f");
-        // The event loop pushes the first op: that is the client's credit.
-        let (_, first) = dispatched(admit(&ctx, frame(1, &Request::Fsync { fd })));
-        let (route, _rx) = route();
-        enqueue(&ctx, &route, None, first);
-        assert_eq!(ctx.queue().unwrap().depth(), 1);
-        let Admission::Park { need, .. } = admit(&ctx, frame(2, &Request::Fsync { fd })) else {
-            panic!("second op exceeds the credit");
-        };
-        assert_eq!(need, Need::QueueCredit);
-        let stats = Request::Stats {
-            query: StatsQuery::Snapshot,
-        };
-        assert_eq!(kind(&admit(&ctx, frame(3, &stats))), "Reply");
     }
 
     #[test]

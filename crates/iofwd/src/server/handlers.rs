@@ -2,8 +2,10 @@
 //!
 //! * [`serve_conn`] — one loop for every forwarding mode: receive a
 //!   frame, hand it to the admission core (`server::admit`), and do what
-//!   the returned [`Admission`] says, blocking in place wherever the
-//!   core says "wait". The modes differ only in the core's policy: zoid
+//!   the returned [`Admission`] says. Staging memory is waited for in
+//!   `recv`, where the transport charges a block for the payload before
+//!   receiving it (§IV); the core never asks this thread to wait for it.
+//!   The modes differ only in the core's policy: zoid
 //!   runs everything on this thread (§II-B2); sched runs each op here
 //!   under one of the pool's execution slots when one is free, and
 //!   otherwise queues it and sleeps until a worker finishes it; staged
@@ -32,7 +34,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
 use iofwd_proto::{Fd, Frame};
 
-use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Need, Session};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Session};
 use super::engine::{Engine, COALESCE_MAX_OPS};
 use super::queue::{Completion, Route, StagedPart, WorkItem, WorkQueue};
 use super::staged::{CompletionGuard, FdSerializer};
@@ -47,8 +49,8 @@ fn session(ctx: &AdmitCtx) -> (Session, Receiver<Completion>) {
     (Session::new(route), rx)
 }
 
-/// Carry one admission to its reply, blocking wherever the core says
-/// to wait. Returns `false` once the connection should close.
+/// Carry one admission to its reply, blocking on the connection's sink
+/// for a queued op's. Returns `false` once the connection should close.
 fn drive(
     conn: &dyn Conn,
     ctx: &AdmitCtx,
@@ -73,27 +75,6 @@ fn drive(
             Admission::Close { after } => {
                 let _ = conn.send(after);
                 return false;
-            }
-            // Blocking is how a thread parks: "if there is insufficient
-            // memory to stage the data, the I/O operation is blocked
-            // until ... sufficient memory is available" (§IV).
-            // The block adopted here comes back as the op's payload and
-            // is staged in place; a closed BML fails the adopt, and the
-            // core answers ENOMEM.
-            Admission::Park { mut op, need } => {
-                match need {
-                    Need::Bml => {
-                        if let Some(buf) = ctx
-                            .engine
-                            .bml()
-                            .and_then(|bml| bml.adopt(op.data.clone()).ok())
-                        {
-                            op.data = buf.into_bytes();
-                        }
-                    }
-                    Need::QueueCredit => std::thread::sleep(std::time::Duration::from_millis(1)),
-                }
-                admit::resume(ctx, op)
             }
             // A queued op is answered through this connection's sink —
             // exactly once, even if it is dropped unrun.

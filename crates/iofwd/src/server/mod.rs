@@ -251,13 +251,7 @@ impl IonServer {
             policy,
             worker_threads,
         } = build_core(backend, &config);
-        // A handler thread has one op in flight at a time, so the
-        // per-client queue cap never binds on this transport.
-        let ctx = Arc::new(admit::AdmitCtx {
-            engine,
-            policy,
-            max_client_queued: usize::MAX,
-        });
+        let ctx = Arc::new(admit::AdmitCtx { engine, policy });
         let listener: Arc<dyn Listener> = Arc::from(listener);
         let handler_threads = Arc::new(Mutex::new(Vec::new()));
 
@@ -362,11 +356,7 @@ impl IonServer {
             policy,
             worker_threads,
         } = build_core(backend, &config);
-        let ctx = Arc::new(admit::AdmitCtx {
-            engine,
-            policy,
-            max_client_queued: reactor_cfg.max_client_queued.max(1),
-        });
+        let ctx = Arc::new(admit::AdmitCtx { engine, policy });
         let acceptor = Arc::new(acceptor);
         match reactor::spawn(acceptor.clone(), ctx.clone(), reactor_cfg) {
             Ok(handle) => Ok(IonServer {

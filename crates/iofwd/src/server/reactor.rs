@@ -16,18 +16,18 @@
 //!   `POLLOUT`.
 //! - **Admission control as backpressure.** Every decoded frame goes to
 //!   the admission core (`server::admit`), which never blocks. Where
-//!   the threaded driver *blocks* — in `recv` for the BML block a large
-//!   payload is received into, or on an [`Admission::Park`] — an event
-//!   loop parks the connection: the frame's head stays in the reader (or
-//!   the op is stashed), the socket drops out of the readable interest
-//!   set, and a later lap resumes it. TCP flow control pushes the stall back
-//!   to the compute node, exactly the §IV contract ("the I/O operation
-//!   is blocked until sufficient memory is available"), minus the
-//!   dedicated thread.
-//! - **Per-client fairness.** A client with more than
-//!   [`ReactorConfig::max_client_queued`] items in the shared work
-//!   queue is parked the same way, so one chatty compute node cannot
-//!   monopolize the worker pool ahead of its neighbors.
+//!   the threaded driver *blocks* in `recv` for the BML block a payload
+//!   is received into, an event loop parks the connection: the frame's
+//!   head stays in the reader, the socket drops out of the readable
+//!   interest set, and a later lap resumes it. TCP flow control pushes
+//!   the stall back to the compute node, exactly the §IV contract ("the
+//!   I/O operation is blocked until sufficient memory is available"),
+//!   minus the dedicated thread.
+//! - **Per-client fairness.** The one gate only the reactor has, between
+//!   [`admit::accept`] and [`admit::resume`]: a client with
+//!   [`ReactorConfig::max_client_queued`] items in the shared work queue
+//!   has its op stashed and is parked the same way, so one chatty compute
+//!   node cannot monopolize the worker pool ahead of its neighbors.
 //! - **Every op on the pool.** An event loop executes nothing: each op
 //!   the core admits is pushed to the worker pool — in staged mode an op
 //!   on a descriptor first joins the descriptor's lane, and the worker
@@ -56,7 +56,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use iofwd_proto::{Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::admit::{self, Admission, AdmitCtx, Need, Op, Session};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Op, Session};
 use super::queue::{abandon, Completion, Route};
 use crate::telemetry::{PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
@@ -136,10 +136,10 @@ struct ConnState {
     /// the id changes — one shard lookup per id change, not per frame
     /// (lint R9: all mutations go through `Telemetry::client_stats`).
     stats: Option<Arc<PerClientStats>>,
-    /// Op waiting for admission, and what it is waiting for.
-    parked_op: Option<(Op, Need)>,
-    /// A large frame's head is in `reader`, waiting for the BML block its
-    /// payload will be received into (`Need::Bml`, before there is an op).
+    /// An op over its client's queue credit, waiting for it to drain.
+    parked_op: Option<Op>,
+    /// A frame's head is in `reader`, waiting for the BML block its
+    /// payload will be received into.
     awaiting_block: bool,
     /// Ops handed to the pool with replies outstanding.
     inflight: usize,
@@ -434,16 +434,21 @@ impl ReactorThread {
         conn.inflight = conn.inflight.saturating_sub(1);
         let tok = c.token;
         let answered = admit::finish(&self.ctx, &mut conn.session, c);
-        self.dispatch(&mut conn, answered, None);
+        self.dispatch(&mut conn, answered);
         conn.maybe_finished();
         self.finish_conn(tok, conn);
     }
 
-    /// Resume parked connections. BML parks — an op waiting to be
-    /// staged, or a payload waiting for the block it is received into —
-    /// retry every lap (buffers free continuously); queue parks retry
-    /// once the client's backlog has drained to half the cap (hysteresis,
-    /// so a parked client does not flap at the boundary).
+    /// Items `client` has waiting in the work queue.
+    fn queued(&self, client: u64) -> usize {
+        self.ctx.queue().map_or(0, |q| q.client_queued(client))
+    }
+
+    /// Resume parked connections. A payload waiting for the block it is
+    /// received into retries every lap (buffers free continuously); an op
+    /// over its client's credit once the client's backlog has drained to
+    /// half the cap (hysteresis, so a parked client does not flap at the
+    /// boundary).
     fn retry_parked(&mut self) {
         for tok in 0..self.slots.len() {
             let eligible = match self.slots.get(tok).and_then(|s| s.conn.as_ref()) {
@@ -453,15 +458,10 @@ impl ReactorThread {
                     ..
                 }) => true,
                 Some(ConnState {
-                    parked_op: Some((op, need)),
+                    parked_op: Some(op),
                     dead: false,
                     ..
-                }) => match need {
-                    Need::Bml => true,
-                    Need::QueueCredit => self.ctx.queue().is_some_and(|q| {
-                        q.client_queued(op.span.client) * 2 <= self.cfg.max_client_queued
-                    }),
-                },
+                }) => self.queued(op.span.client) * 2 <= self.cfg.max_client_queued,
                 _ => false,
             };
             if !eligible {
@@ -473,11 +473,9 @@ impl ReactorThread {
             if std::mem::take(&mut conn.awaiting_block) {
                 self.pump(&mut conn, true);
                 conn.maybe_finished();
-            } else if let Some((op, need)) = conn.parked_op.take() {
+            } else if let Some(op) = conn.parked_op.take() {
                 let admission = admit::resume(&self.ctx, op);
-                // A re-park for the same need is one backpressure
-                // event, not two.
-                self.dispatch(&mut conn, admission, Some(need));
+                self.dispatch(&mut conn, admission);
             }
             if !conn.parked() {
                 // Unparked: resume draining whatever piled up in rbuf.
@@ -515,9 +513,9 @@ impl ReactorThread {
                 }
                 return;
             }
-            // A large payload is received into a BML block, charged
-            // before it is read; with none to be had the frame waits in
-            // the reader, as it does for the socket.
+            // A payload is received into a BML block, charged before it
+            // is read; with none to be had the frame waits in the reader,
+            // as it does for the socket.
             let mut starved = false;
             let bml = self.ctx.engine.bml();
             let received = conn.reader.read_frame_with(&mut conn.stream, &mut |len| {
@@ -557,16 +555,27 @@ impl ReactorThread {
                 conn.client = client;
                 conn.stats = self.telemetry.client_stats(client);
             }
-            let admission = admit::admit(&self.ctx, frame);
-            self.dispatch(conn, admission, None);
+            // The fairness gate sits behind decoding, so a stats query
+            // is answered even over the credit.
+            let admission = match admit::accept(&self.ctx, frame) {
+                Accepted::Answered(answered) => answered,
+                Accepted::Op(op)
+                    if self.queued(op.span.client) >= self.cfg.max_client_queued.max(1) =>
+                {
+                    self.count_backpressure(conn);
+                    conn.parked_op = Some(op);
+                    continue;
+                }
+                Accepted::Op(op) => admit::resume(&self.ctx, op),
+            };
+            self.dispatch(conn, admission);
         }
     }
 
     // -- admission ----------------------------------------------------
 
-    /// Do what the admission core asked. `resumed` is the need the op
-    /// was already parked on, when this is a retry.
-    fn dispatch(&mut self, conn: &mut ConnState, admission: Admission, resumed: Option<Need>) {
+    /// Do what the admission core asked.
+    fn dispatch(&mut self, conn: &mut ConnState, admission: Admission) {
         match admission {
             // Ack, then push: the staged write goes to the pool once
             // its ack is on the wire (or in `wbuf`).
@@ -585,12 +594,6 @@ impl ReactorThread {
             Admission::Dispatch { lane, op } => {
                 conn.inflight += 1;
                 admit::enqueue(&self.ctx, &conn.session.route, lane, op);
-            }
-            Admission::Park { op, need } => {
-                if resumed != Some(need) {
-                    self.count_backpressure(conn);
-                }
-                conn.parked_op = Some((op, need));
             }
         }
     }

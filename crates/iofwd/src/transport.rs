@@ -3,9 +3,12 @@
 //!
 //! On a real BG/P this hop is the collective (tree) network; here it is
 //! pluggable: [`mem`] provides an in-process channel transport (the
-//! default for tests and single-host examples, optionally throttled to
-//! tree-network rates for realism), and [`tcp`] carries the same frames
-//! over TCP for multi-host deployments.
+//! default for tests and single-host examples), and [`tcp`] carries the
+//! same frames over TCP for multi-host deployments.
+//!
+//! On the daemon's end both receive every write payload into a BML block
+//! ([`Conn::receive_into`]), waiting in `recv` while the pool is full:
+//! that is where staging memory is charged, once, on either transport.
 
 use std::io;
 
@@ -29,10 +32,11 @@ pub trait Conn: Send + Sync {
         self.send(Frame { data, ..frame })
     }
     fn recv(&self) -> io::Result<Option<Frame>>;
-    /// Daemon side: from now on receive large payloads into `pool`'s
-    /// blocks, waiting in `recv` for one when the pool is full. A
-    /// transport that hands frames over by value has nothing to receive
-    /// into.
+    /// Daemon side: from now on receive every payload into a block of
+    /// `pool` ([`Bml::receive_storage`](crate::bml::Bml::receive_storage)),
+    /// waiting in `recv` for one when the pool is full. Both transports
+    /// do; the default, which keeps payloads where they arrive, serves
+    /// connection wrappers outside the daemon.
     fn receive_into(&self, _pool: &crate::bml::Bml) {}
     /// Close both directions; subsequent `recv` on the peer returns `None`.
     fn close(&self);
@@ -54,16 +58,20 @@ pub mod mem {
     //! [`MemHub::connect`], servers accept from [`MemHub::listener`].
 
     use super::{Conn, Listener};
+    use crate::bml::Bml;
     use crossbeam::channel::{unbounded, Receiver, Sender};
-    use iofwd_proto::Frame;
+    use iofwd_proto::{Frame, Storage};
     use parking_lot::Mutex;
     use std::io;
+    use std::sync::OnceLock;
     use std::time::Duration;
 
     /// One endpoint of an in-memory connection.
     pub struct MemConn {
         tx: Sender<Frame>,
         rx: Receiver<Frame>,
+        /// The daemon's end: the pool each payload is copied into.
+        pool: OnceLock<Bml>,
     }
 
     impl Conn for MemConn {
@@ -74,7 +82,23 @@ pub mod mem {
         }
 
         fn recv(&self) -> io::Result<Option<Frame>> {
-            Ok(self.rx.recv().ok())
+            let Ok(mut frame) = self.rx.recv() else {
+                return Ok(None);
+            };
+            let pool = self.pool.get().filter(|_| !frame.data.is_empty());
+            if let Some(Storage::Block(mut block)) =
+                pool.map(|pool| pool.receive_storage(frame.data.len(), true))
+            {
+                // HOTPATH: the one copy of a by-value payload, into the
+                // block it is staged in.
+                block.as_mut_slice().copy_from_slice(&frame.data);
+                frame.data = block.freeze();
+            }
+            Ok(Some(frame))
+        }
+
+        fn receive_into(&self, pool: &Bml) {
+            let _ = self.pool.set(pool.clone());
         }
 
         fn close(&self) {
@@ -88,7 +112,12 @@ pub mod mem {
     pub fn pair() -> (MemConn, MemConn) {
         let (atx, arx) = unbounded();
         let (btx, brx) = unbounded();
-        (MemConn { tx: atx, rx: brx }, MemConn { tx: btx, rx: arx })
+        let conn = |tx, rx| MemConn {
+            tx,
+            rx,
+            pool: OnceLock::new(),
+        };
+        (conn(atx, brx), conn(btx, arx))
     }
 
     /// Rendezvous point connecting clients to a server accept loop.
@@ -540,8 +569,8 @@ pub(crate) mod tests {
         // A staged write's payload is charged to the BML as one block of
         // its size class, and the storage behind it must not be larger
         // than that, whichever side of the split threshold. The daemon's
-        // end receives a large one into a pool block; the client's end,
-        // which has no pool, and every small payload own exact-size heap.
+        // end receives each one into a pool block; the client's end, which
+        // has no pool, owns exact-size heap.
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let client = TcpConn::connect(addr).unwrap();
@@ -560,11 +589,6 @@ pub(crate) mod tests {
             let frame = server.recv().unwrap().unwrap();
             assert_eq!(frame.data.len(), len);
             let class_bytes = Bml::class_for(len).1;
-            if len < Frame::SPLIT_SEND_MIN {
-                assert_eq!(bml.outstanding(), 0, "small payloads stay on the heap");
-                assert_pins_at_most_its_bml_class(frame.data);
-                continue;
-            }
             // Charged on receipt, once; staging takes the block over.
             assert_eq!(bml.outstanding(), class_bytes as u64);
             let at = frame.data.as_ptr();

@@ -335,6 +335,39 @@ fn a_reactor_daemon_is_its_loops_and_its_workers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--bml-mib 3` is a pool whose size is not a power of two: a 2.5 MiB
+/// write's 4 MiB class never fits in it, so the write is not staged but
+/// written synchronously, and reads back intact — the daemon neither
+/// panics nor waits for memory it can never have.
+#[test]
+fn a_write_larger_than_any_class_the_pool_holds_runs_synchronously() {
+    const LEN: usize = 5 << 19;
+    let dir = std::env::temp_dir().join(format!("iofwd-cli-odd-pool-{}", std::process::id()));
+    let spec = DaemonSpec::new(env!("CARGO_BIN_EXE_iofwdd"), dir.join("ion-root"))
+        .mode("staged")
+        .workers(2)
+        .arg("--bml-mib")
+        .arg("3");
+    let mut daemon = DaemonHandle::spawn(&spec).expect("spawn iofwdd");
+    let stream = std::net::TcpStream::connect(daemon.addr().as_str()).expect("connect");
+    let patience = Some(std::time::Duration::from_secs(10));
+    stream.set_read_timeout(patience).expect("read timeout");
+    let conn = iofwd::transport::tcp::TcpConn::from_stream(stream).expect("conn");
+    let mut c = iofwd::client::Client::connect(Box::new(conn));
+    let flags = iofwd_proto::OpenFlags::RDWR | iofwd_proto::OpenFlags::CREATE;
+    let fd = c.open("/odd", flags, 0o644).expect("open");
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    let wrote = c.pwrite(fd, 0, &data);
+    assert!(!daemon.panicked(), "{}", daemon.log_tail());
+    assert!(matches!(wrote, Ok(n) if n == LEN as u64), "{wrote:?}");
+    assert_eq!(c.stats().staged_writes, 0, "not staged");
+    assert!(c.pread(fd, 0, LEN as u64).expect("pread") == data);
+    c.close(fd).expect("close");
+    assert!(!daemon.panicked(), "{}", daemon.log_tail());
+    daemon.shutdown().expect("daemon shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cp_usage_errors_are_clean() {
     let out = Command::new(env!("CARGO_BIN_EXE_iofwd-cp"))

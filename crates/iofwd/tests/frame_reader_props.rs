@@ -5,8 +5,8 @@
 //! bytes, never hand out a payload buffer larger than the frame declared,
 //! and turn every malformed or truncated stream into an error, not a
 //! panic — with its own heap storage, and with a storage hook that hands
-//! out BML blocks, late. Seeds are fixed: a failure names the seed that
-//! replays it.
+//! out BML blocks, late, and is asked once for every non-empty payload.
+//! Seeds are fixed: a failure names the seed that replays it.
 
 use std::io::{self, Read};
 
@@ -66,7 +66,7 @@ fn read_all(r: &mut impl Read) -> io::Result<Vec<Frame>> {
     read_all_with(r, &mut |_| Storage::Heap)
 }
 
-/// [`read_all`] with large payloads landing where `storage` says.
+/// [`read_all`] with payloads landing where `storage` says.
 fn read_all_with(
     r: &mut impl Read,
     storage: &mut dyn FnMut(usize) -> Storage,
@@ -183,10 +183,11 @@ fn chunking(rng: &mut TestRng, total: usize) -> Vec<usize> {
 }
 
 /// The pool-backed arm: a hook that answers "not yet" `refusals` times
-/// per large payload and then hands out a BML block must yield the same
-/// frames, each large payload in a block of its own charged once, each
-/// small one on the heap — and be asked exactly that often, per payload,
-/// in stream order.
+/// per payload and then hands out a BML block must yield the same
+/// frames, every non-empty payload in a block of its own charged once,
+/// whichever side of the split threshold — and be asked exactly that
+/// often per non-empty payload, in stream order, and never for an empty
+/// one.
 fn check_pooled(label: &str, wire: &[u8], sizes: Vec<usize>, block_every: usize, refusals: usize) {
     let expect = decode_all(wire);
     let bml = Bml::new(64 << 20);
@@ -202,8 +203,8 @@ fn check_pooled(label: &str, wire: &[u8], sizes: Vec<usize>, block_every: usize,
     })
     .unwrap_or_else(|e| panic!("{label}, pooled: {e}"));
     assert!(got == expect, "{label}: the pooled arm's frames differ");
-    let large = expect.iter().map(|f| f.data.len()).filter(|&l| l >= SPLIT);
-    let asks: Vec<usize> = large
+    let sized = expect.iter().map(|f| f.data.len()).filter(|&l| l > 0);
+    let asks: Vec<usize> = sized
         .flat_map(|l| std::iter::repeat_n(l, refusals + 1))
         .collect();
     assert_eq!(asked, asks, "{label}: storage asked for");
@@ -221,10 +222,10 @@ fn check_pooled(label: &str, wire: &[u8], sizes: Vec<usize>, block_every: usize,
         let (len, at) = (frame.data.len(), frame.data.as_ptr());
         match BmlBuffer::from_payload(frame.data) {
             Ok(block) => {
-                assert!(len >= SPLIT, "{label}: small frame {i} took a block");
+                assert!(len > 0, "{label}: empty frame {i} took a block");
                 assert_eq!((block.len(), block.as_slice().as_ptr()), (len, at));
             }
-            Err(_) => assert!(len < SPLIT, "{label}: large frame {i} missed the pool"),
+            Err(_) => assert_eq!(len, 0, "{label}: frame {i} missed the pool"),
         }
     }
     assert_eq!(bml.outstanding(), 0, "{label}: every block returned");
@@ -304,6 +305,53 @@ fn small_pipelined_frames_directly_behind_a_large_one() {
         let sizes = chunking(&mut rng, wire.len());
         check(seed, &wire, sizes, seed as usize % 3);
         check(seed, &wire, vec![wire.len()], 0);
+    }
+}
+
+/// The hook contract, size by size, on both sides of the split threshold:
+/// asked exactly once per non-empty payload with its length, never for an
+/// empty one; a `NotYet` consumes nothing, so the next call asks again and
+/// yields the same frame; and the payload comes back as the block the
+/// hook handed out, charged once.
+#[test]
+fn the_storage_hook_is_asked_once_per_non_empty_payload() {
+    let mut rng = TestRng::new(0x400C_0000);
+    for len in [0, 1, 4096, SPLIT - 1, SPLIT, MIB] {
+        let sent = frame(&mut rng, len);
+        let wire = sent.encode();
+        let bml = Bml::new(4 * MIB as u64);
+        let (mut reader, mut src, mut asked) = (FrameReader::default(), &wire[..], Vec::new());
+        if len > 0 {
+            let refused = reader.read_frame_with(&mut src, &mut |l| {
+                asked.push(l);
+                Storage::NotYet
+            });
+            let kind = refused.err().map(|e| e.kind());
+            assert_eq!(kind, Some(io::ErrorKind::WouldBlock), "{len}");
+            assert!(!reader.is_idle(), "{len}: the refused frame is still held");
+            assert_eq!(bml.outstanding(), 0, "{len}: nothing charged");
+        }
+        let got = reader
+            .read_frame_with(&mut src, &mut |l| {
+                asked.push(l);
+                bml.receive_storage(l, false)
+            })
+            .expect("read")
+            .expect("a frame");
+        assert!(got == sent, "{len}: the frame differs after a refusal");
+        let asks = if len == 0 { vec![] } else { vec![len, len] };
+        assert_eq!(asked, asks, "{len}: storage asked for");
+        let at = got.data.as_ptr();
+        match BmlBuffer::from_payload(got.data) {
+            Ok(block) => {
+                assert_eq!((block.len(), block.as_slice().as_ptr()), (len, at));
+                assert_eq!(bml.outstanding(), Bml::class_for(len).1 as u64);
+            }
+            Err(_) => assert_eq!(len, 0, "{len}-byte payload missed the pool"),
+        }
+        assert_eq!(bml.outstanding(), 0, "{len}: the block is back");
+        let rest = reader.read_frame_with(&mut src, &mut |_| panic!("no payload is left"));
+        assert!(rest.expect("clean end").is_none() && reader.is_idle());
     }
 }
 

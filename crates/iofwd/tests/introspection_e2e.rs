@@ -299,16 +299,22 @@ fn doctor_trips_on_a_daemon_that_never_answers() {
 
 /// The one way out answers when every data connection is parked for
 /// staging memory, on both TCP transports. Four clients each write
-/// 8 × 16 KiB through a four-block (64 KiB) pool whose backend takes
-/// 100 ms per write. Payloads this size are received into BML blocks, so
-/// once the four blocks are held every writer waits for one — blocked in
-/// `Bml::acquire` on threads, `awaiting_block` on the reactor — while a
-/// connection opened afresh is still answered within a second.
+/// 8 blocks of 16 KiB, then of 4 KiB (below the split threshold), through
+/// a four-block pool whose backend takes 100 ms per write. Every payload
+/// is received into a BML block, so once the four blocks are held every
+/// writer waits for one — blocked in `Bml::acquire` under `recv` on
+/// threads, `awaiting_block` on the reactor — while a connection opened
+/// afresh is still answered within a second.
 #[test]
 fn fresh_connection_is_answered_while_every_data_connection_waits_for_staging_memory() {
-    const BLOCK: usize = 16 << 10;
-    for reactor in [false, true] {
+    for (block, reactor) in [
+        (16 << 10, false),
+        (16 << 10, true),
+        (4 << 10, false),
+        (4 << 10, true),
+    ] {
         let arm = if reactor { "reactor" } else { "threads" };
+        let arm = format!("{arm}, {block} B writes");
         let telemetry = Arc::new(Telemetry::new());
         let plan = FaultPlan::new(7).rule(FaultRule::on(OpClass::Write).delay_us(100_000));
         let backend = Arc::new(FaultBackend::new(
@@ -318,7 +324,7 @@ fn fresh_connection_is_answered_while_every_data_connection_waits_for_staging_me
         ));
         let config = ServerConfig::new(ForwardingMode::AsyncStaged {
             workers: 2,
-            bml_capacity: 4 * BLOCK as u64,
+            bml_capacity: 4 * block as u64,
         })
         .with_telemetry(telemetry);
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
@@ -343,7 +349,7 @@ fn fresh_connection_is_answered_while_every_data_connection_waits_for_staging_me
                         )
                         .expect("open");
                     for k in 0..8u64 {
-                        c.pwrite(fd, k * BLOCK as u64, &[i as u8; BLOCK])
+                        c.pwrite(fd, k * block as u64, &vec![i as u8; block])
                             .expect("pwrite");
                     }
                     c.close(fd).expect("close");

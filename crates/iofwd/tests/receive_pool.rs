@@ -1,10 +1,12 @@
-//! Receiving into the pool, end to end over TCP and on both transports: a
-//! large payload is charged to the BML once — before its first byte is
-//! read, until its last byte is written — and that charge comes back on
-//! every way out (completion, backend error, refused descriptor, shutdown
-//! drain, a client that dies mid-payload); and staging memory is capped
-//! for bytes in flight, so clients that announce payloads and stall hold a
-//! bounded number of blocks while everyone else is still served.
+//! Receiving into the pool, end to end over TCP on both drivers and over
+//! `MemHub`: a write payload is charged to the BML once — before its first
+//! byte is received, until its last byte is written — and staged in that
+//! block; one whose class no block of the pool can hold is written
+//! synchronously; the charge comes back on every way out (completion,
+//! backend error, refused descriptor, shutdown drain, a client that dies
+//! mid-payload); and staging memory is capped for bytes in flight, so
+//! clients that announce payloads and stall hold a bounded number of
+//! blocks while everyone else is still served.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -16,6 +18,7 @@ use iofwd::client::{Client, ClientError};
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
 use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::telemetry::Telemetry;
+use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd_proto::{Errno, Fd, Frame, OpenFlags, Request, StatsQuery};
 
@@ -45,6 +48,40 @@ fn start(
         }
     };
     (server, addr)
+}
+
+/// Every way a payload reaches the daemon: TCP on either driver, and
+/// `MemHub` frames, handed over by value, on threads.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    Tcp(Transport),
+    MemHub,
+}
+
+const ARMS: [Arm; 3] = [
+    Arm::Tcp(Transport::Threads),
+    Arm::Tcp(Transport::Reactor),
+    Arm::MemHub,
+];
+
+/// A daemon on `arm` and a client of it. A TCP client gives up on a reply
+/// after ten seconds, so a daemon that never answers fails the test.
+fn start_arm(arm: Arm, backend: Arc<dyn Backend>, config: ServerConfig) -> (IonServer, Client) {
+    match arm {
+        Arm::Tcp(transport) => {
+            let (server, addr) = start(transport, backend, config);
+            let stream = TcpStream::connect(addr).expect("connect");
+            let patience = Some(Duration::from_secs(10));
+            stream.set_read_timeout(patience).expect("read timeout");
+            let conn = TcpConn::from_stream(stream).expect("conn");
+            (server, Client::connect(Box::new(conn)))
+        }
+        Arm::MemHub => {
+            let hub = MemHub::new();
+            let server = IonServer::spawn(Box::new(hub.listener()), backend, config);
+            (server, Client::connect(Box::new(hub.connect())))
+        }
+    }
 }
 
 fn staged(workers: usize, bml_capacity: usize) -> ServerConfig {
@@ -126,6 +163,65 @@ fn a_staged_write_holds_one_charge_of_its_class_until_it_is_written() {
             c.shutdown().unwrap();
             server.shutdown();
         }
+    }
+}
+
+/// One block per staged write: N staged 4 KiB writes take exactly N blocks
+/// from the pool and stage N ops, however they arrived — each payload is
+/// received into its block and staged there, never charged twice.
+#[test]
+fn every_staged_write_is_received_into_one_block() {
+    const N: u64 = 32;
+    for arm in ARMS {
+        let config = staged(2, 8 * MIB);
+        let telemetry = config.telemetry.clone();
+        let (server, mut c) = start_arm(arm, Arc::new(MemSinkBackend::new()), config);
+        let fd = c
+            .open("/small", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        let blocks = || telemetry.slab_hits.get() + telemetry.slab_misses.get();
+        let (blocks_before, staged_before) = (blocks(), telemetry.ops_staged.get());
+        for i in 0..N {
+            c.pwrite(fd, i * 4 * KIB as u64, &[i as u8; 4 * KIB])
+                .unwrap();
+        }
+        assert_eq!(c.stats().staged_writes, N, "{arm:?}");
+        assert_eq!(blocks() - blocks_before, N, "{arm:?}: blocks taken");
+        assert_eq!(telemetry.ops_staged.get() - staged_before, N, "{arm:?}");
+        c.close(fd).unwrap();
+        c.shutdown().unwrap();
+        server.shutdown();
+        assert_eq!(telemetry.bml_occupancy.get(), 0, "{arm:?}");
+    }
+}
+
+/// A pool whose size is not a power of two cannot stage a write whose
+/// class is larger than it: a 2.5 MiB write's 4 MiB class never fits in
+/// 3 MiB. Its payload stays on the heap and is written synchronously, on
+/// every arm, and reads back intact.
+#[test]
+fn a_write_whose_class_exceeds_the_pool_is_written_synchronously() {
+    const LEN: usize = 5 * MIB / 2;
+    for arm in ARMS {
+        let config = staged(2, 3 * MIB);
+        let telemetry = config.telemetry.clone();
+        let (server, mut c) = start_arm(arm, Arc::new(MemSinkBackend::new()), config);
+        let fd = c
+            .open("/odd", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        let wrote = c.pwrite(fd, 0, &data);
+        assert!(
+            matches!(wrote, Ok(n) if n == LEN as u64),
+            "{arm:?}: {wrote:?}"
+        );
+        assert_eq!(c.stats().staged_writes, 0, "{arm:?}: not staged");
+        assert_eq!(telemetry.ops_staged.get(), 0, "{arm:?}");
+        assert_eq!(c.pread(fd, 0, LEN as u64).unwrap(), data, "{arm:?}");
+        c.close(fd).unwrap();
+        c.shutdown().unwrap();
+        server.shutdown();
+        assert_eq!(telemetry.bml_occupancy.get(), 0, "{arm:?}");
     }
 }
 

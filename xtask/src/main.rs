@@ -60,7 +60,7 @@
 //!     (`crossbeam`, `std::thread`, `sleep(`, `.recv(`, `Condvar`,
 //!     `std::net`, `TcpStream`, `.acquire(`, `.adopt(`) outside test
 //!     code: it never blocks and never touches a socket; the drivers
-//!     own those primitives. `try_acquire` / `try_adopt` stay allowed.
+//!     own those primitives. `try_acquire` stays allowed.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

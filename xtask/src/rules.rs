@@ -176,7 +176,7 @@ const BACKEND_CALLS: &[&str] = &[
 /// The admission core, which "never blocks and never touches a socket",
 /// and the driver primitives it may therefore not name: the drivers own
 /// channels, threads, sockets and the blocking BML calls (`try_acquire`
-/// and `try_adopt` are the core's).
+/// stays allowed).
 const ADMIT_FILE: &str = "crates/iofwd/src/server/admit.rs";
 const DRIVER_NAMES: &[&str] = &[
     "crossbeam",
@@ -1093,7 +1093,7 @@ mod tests {
     #[test]
     fn r12_allows_non_blocking_bml_calls_comments_and_tests() {
         let src = "// a handler blocks in Bml::adopt; crossbeam carries the reply\n\
-                   fn f(b: &Bml) { b.try_acquire(1); b.try_adopt(d); }\n\
+                   fn f(b: &Bml) { b.try_acquire(1); }\n\
                    #[cfg(test)]\nmod tests { use crossbeam::channel::Receiver; \
                    fn g(rx: &Receiver<u8>) { rx.recv(); b.acquire(1); } }\n";
         assert!(check("crates/iofwd/src/server/admit.rs", src)

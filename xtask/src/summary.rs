@@ -761,8 +761,8 @@ fn depth_at(bytes: &[u8], pos: usize) -> i32 {
     d
 }
 
-/// BML acquisitions: `acquire`/`try_acquire` and the zero-copy
-/// `adopt`/`try_adopt` twins on a `bml`-named handle, and
+/// BML acquisitions: `acquire`/`try_acquire` and the zero-copy `adopt`
+/// on a `bml`-named handle, and
 /// `BmlBuffer::from_payload` (the block a payload was received into,
 /// taken back out of its frame), bound either via `let` or a `Some(buf)`
 /// / `Ok(buf)` match arm.
@@ -771,7 +771,7 @@ fn collect_buf_acquires(masked: &str, calls: &[CallSite]) -> Vec<BufAcquire> {
     let mut out = Vec::new();
     for c in calls {
         let expr_start = match (c.name.as_str(), &c.receiver, &c.qualifier) {
-            ("acquire" | "try_acquire" | "adopt" | "try_adopt", Some(recv), _)
+            ("acquire" | "try_acquire" | "adopt", Some(recv), _)
                 if last_segment(recv).to_ascii_lowercase().contains("bml") =>
             {
                 c.recv_start
