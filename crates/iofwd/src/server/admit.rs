@@ -21,10 +21,13 @@
 //! on a descriptor first joins the descriptor's lane, in frame order,
 //! behind its staged writes: a barrier is a place in the lane, and an op
 //! waiting there is released by the completion of the item ahead, so no
-//! thread ever waits for one. An op free to go is run by [`dispatch`]
-//! right there under a free execution slot of the work queue, or pushed
-//! to the pool; it crosses threads only when that buys something — every
-//! slot busy, or its client already has work waiting in the pool.
+//! thread ever waits for one. The lane is kept in the descriptor's
+//! `DescDb` entry, under the table's one lock, so an op admitted after a
+//! close of its descriptor is answered `EBADF` at once. An op free to go
+//! is run by [`dispatch`] right there under a free execution slot of the
+//! work queue, or pushed to the pool; it crosses threads only when that
+//! buys something — every slot busy, or its client already has work
+//! waiting in the pool.
 //!
 //! Three orderings are fixed here and nowhere else (DESIGN.md §15):
 //!
@@ -53,8 +56,8 @@ use super::handlers::execute_staged;
 use super::queue::{
     Completion, ReplyTo, Route, SessionEffect, StagedPart, Ticket, WorkItem, WorkQueue,
 };
-use super::staged::FdSerializer;
 use crate::bml::{Bml, BmlBuffer};
+use crate::descdb::OpOutcome;
 use crate::telemetry::{ring, Disposition, OpSpan, Telemetry};
 
 /// Which of the paper's architectures admission implements.
@@ -66,11 +69,7 @@ pub(crate) enum Policy {
     /// async-staged: data writes are staged and acknowledged at once;
     /// every other op is dispatched as in sched, an op on a descriptor
     /// only once its turn in the descriptor's lane comes.
-    Staged {
-        queue: Arc<WorkQueue>,
-        serializer: Arc<FdSerializer>,
-        bml: Bml,
-    },
+    Staged { queue: Arc<WorkQueue>, bml: Bml },
 }
 
 /// Daemon-wide admission state, shared by every connection.
@@ -88,15 +87,6 @@ impl AdmitCtx {
         match &self.policy {
             Policy::Inline => None,
             Policy::Sched { queue } | Policy::Staged { queue, .. } => Some(queue),
-        }
-    }
-
-    /// Complete `fd`'s lane after the item holding it ran (or was
-    /// settled) off the pool; returns the successor it releases.
-    fn complete_lane(&self, fd: Fd) -> Option<WorkItem> {
-        match &self.policy {
-            Policy::Staged { serializer, .. } => serializer.complete(fd),
-            Policy::Inline | Policy::Sched { .. } => None,
         }
     }
 }
@@ -149,15 +139,10 @@ impl Session {
     /// staged mode a descriptor with ops still in its lane is closed by a
     /// lane item behind them, so none of its staged writes is lost.
     pub(crate) fn reclaim(self, ctx: &AdmitCtx) {
+        let staged = matches!(ctx.policy, Policy::Staged { .. });
         for fd in self.fds {
-            if let Policy::Staged { serializer, .. } = &ctx.policy {
-                if serializer.admit(fd, WorkItem::Reclaim(fd)).is_none() {
-                    continue;
-                }
-            }
-            ctx.engine.close_orphan(fd);
-            if let Some(next) = ctx.complete_lane(fd) {
-                push(ctx, next);
+            if !staged || ctx.engine.descriptor_db().join_reclaim(fd) {
+                ctx.engine.close_orphan(fd);
             }
         }
     }
@@ -421,10 +406,7 @@ pub(crate) fn admit(ctx: &AdmitCtx, frame: Frame) -> Admission {
 /// payload was received into a BML block — the whole staging
 /// transaction.
 pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op) -> Admission {
-    let Policy::Staged {
-        serializer, bml, ..
-    } = &ctx.policy
-    else {
+    let Policy::Staged { bml, .. } = &ctx.policy else {
         return Admission::Dispatch { lane: None, op };
     };
     // Every op on a descriptor but a staged write — a read, a barrier, an
@@ -441,7 +423,7 @@ pub(crate) fn resume(ctx: &AdmitCtx, mut op: Op) -> Admission {
         // held since before its first byte.
         Shape::Write { fd, offset, .. } => {
             match BmlBuffer::from_payload(std::mem::take(&mut op.data)) {
-                Ok(buf) => stage_write(ctx, serializer, fd, offset, op, buf),
+                Ok(buf) => stage_write(ctx, fd, offset, op, buf),
                 // The pool closed under it: the daemon is shutting down.
                 Err(_) if bml.is_closed() => {
                     let resp = Response::Err {
@@ -506,7 +488,7 @@ pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) 
             telemetry.ops_in_place.inc();
         }
     }
-    if let Some(next) = lane.and_then(|fd| ctx.complete_lane(fd)) {
+    if let Some(next) = lane.and_then(|fd| ctx.engine.descriptor_db().complete(fd)) {
         push(ctx, next);
     }
     Dispatched::Here(Completion {
@@ -532,54 +514,78 @@ pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) {
 /// mode, put an op on a descriptor in the descriptor's lane, so time
 /// spent behind its staged writes is queue wait. The op comes back when
 /// it may go now — it heads its lane, or has none; otherwise it waits in
-/// the lane, answered over the route, for the item ahead to release it.
+/// the lane, answered over the route, for the item ahead to release it,
+/// or, admitted after a close of its descriptor, is answered `EBADF`
+/// over the route at once.
 fn join_lane(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, mut op: Op) -> Option<Op> {
     if op.span.enqueue_ns == 0 {
         op.span.enqueue_ns = ctx.telemetry().now_ns();
     }
-    let (Some(fd), Policy::Staged { serializer, .. }) = (lane, &ctx.policy) else {
+    let (Some(fd), Policy::Staged { .. }) = (lane, &ctx.policy) else {
         return Some(op);
     };
-    serializer.join(fd, op, |op| sync_item(route, op, lane))
+    let closes = matches!(op.ticket.effect, SessionEffect::Closes(_));
+    let db = ctx.engine.descriptor_db();
+    match db.join(fd, op, closes, |op| sync_item(route, op, lane)) {
+        Ok(go) => go,
+        Err(op) => {
+            reject(
+                sync_item(route, op, None),
+                Errno::BadF,
+                Disposition::Completed,
+            );
+            None
+        }
+    }
 }
 
 /// Hand an item to the pool: a synchronous op, or the head of a lane
 /// (after its ack, for a staged write). If the queue has closed, the
-/// pool will never run it, so it is settled here — a staged write is
-/// executed to keep its `Staged` ack truthful, a reclaim closes its
-/// descriptor, a synchronous op is answered `EAGAIN` through its own
-/// reply route (both drivers see an ordinary outcome, and [`finish`]
-/// closes the connection behind the reply) — and so is every successor
-/// its lane then releases.
+/// pool will never run it, so it is [`settle`]d here, and so is every
+/// successor its lane then releases.
 pub(crate) fn push(ctx: &AdmitCtx, item: WorkItem) {
     let mut next = match ctx.queue() {
         Some(queue) => queue.push(item).err().map(|closed| *closed.0),
         None => Some(item),
     };
-    let mut parts = Vec::new();
     while let Some(item) = next {
         let lane = item.lane();
-        match item {
-            WorkItem::Sync { .. } => reject(item, Errno::Again, Disposition::QueueRejected),
-            WorkItem::StagedWrite { fd, part } => {
-                parts.push(part);
-                execute_staged(
-                    &ctx.engine,
-                    ctx.telemetry(),
-                    fd,
-                    &mut parts,
-                    0,
-                    Disposition::Completed,
-                )
-            }
-            WorkItem::Reclaim(fd) => ctx.engine.close_orphan(fd),
+        settle(ctx, item, Disposition::Completed);
+        next = lane.and_then(|fd| ctx.engine.descriptor_db().complete(fd));
+    }
+}
+
+/// Settle an item the pool will never run — pushed after the queue
+/// closed, or left to the shutdown drain. A synchronous op is answered
+/// `EAGAIN` through its own reply route (both drivers see an ordinary
+/// outcome, and [`finish`] closes the connection behind the reply), a
+/// reclaim closes its descriptor, and a staged write runs here, as
+/// `staged`, to keep its `Staged` ack truthful — or, `DrainDeferred`
+/// (the drain is out of time), fails with a deferred `EIO` that its
+/// client hears on its next op or close.
+pub(crate) fn settle(ctx: &AdmitCtx, item: WorkItem, staged: Disposition) {
+    let (engine, telemetry) = (&ctx.engine, ctx.telemetry());
+    match item {
+        WorkItem::Sync { .. } => reject(item, Errno::Again, Disposition::QueueRejected),
+        WorkItem::StagedWrite { fd, part } if staged == Disposition::DrainDeferred => {
+            let failed = OpOutcome::Failed(Errno::Io);
+            engine.descriptor_db().finish_op(fd, part.op, failed);
+            let mut span = part.span;
+            drop(part.buf);
+            span.ok = false;
+            span.errno = Errno::Io.to_wire();
+            span.disposition = staged;
+            telemetry.complete(&span);
         }
-        next = lane.and_then(|fd| ctx.complete_lane(fd));
+        WorkItem::StagedWrite { fd, part } => {
+            execute_staged(engine, telemetry, fd, &mut vec![part], 0, staged)
+        }
+        WorkItem::Reclaim(fd) => engine.close_orphan(fd),
     }
 }
 
 /// Answer a `Sync` item that will never execute.
-pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
+fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
     if let WorkItem::Sync { mut reply, .. } = item {
         reply.span.ok = false;
         reply.span.errno = errno.to_wire();
@@ -590,12 +596,12 @@ pub(crate) fn reject(item: WorkItem, errno: Errno, disposition: Disposition) {
 }
 
 /// The staging transaction, with `buf` already charged to the BML:
-/// record the op on its descriptor, hand it to the descriptor's lane,
-/// and build the ack — carrying the write itself if it heads the lane,
-/// for the driver to [`push`] once the ack is out.
+/// record the op on its descriptor and hand it to the descriptor's lane
+/// in one step ([`DescDb::stage`](crate::descdb::DescDb::stage)), and
+/// build the ack — carrying the write itself if it heads the lane, for
+/// the driver to [`push`] once the ack is out.
 fn stage_write(
     ctx: &AdmitCtx,
-    serializer: &FdSerializer,
     fd: Fd,
     offset: Option<u64>,
     mut op: Op,
@@ -603,10 +609,20 @@ fn stage_write(
 ) -> Admission {
     let engine = &ctx.engine;
     let telemetry = ctx.telemetry();
-    let staged = match engine.descriptor_db().begin_op(fd) {
-        Ok((staged, _obj)) => staged,
+    // The ack is the client-visible reply; stamp it now (OpSpan is
+    // Copy — the worker's copy keeps these stamps, adds the backend
+    // ones, and completes the span after the write).
+    op.span.enqueue_ns = telemetry.now_ns();
+    op.span.reply_ns = op.span.enqueue_ns;
+    let span = op.span;
+    let (staged, head) = match engine.descriptor_db().stage(fd, |staged| StagedPart {
+        op: staged,
+        offset,
+        buf,
+        span,
+    }) {
+        Ok(staged) => staged,
         Err(refused) => {
-            drop(buf);
             let resp = engine.begin_error_response(refused);
             return fail_inline(ctx, op, resp);
         }
@@ -614,11 +630,6 @@ fn stage_write(
     if telemetry.enabled() {
         telemetry.ops_staged.inc();
     }
-    // The ack is the client-visible reply; stamp it now (OpSpan is
-    // Copy — the worker's copy keeps these stamps, adds the backend
-    // ones, and completes the span after the write).
-    op.span.enqueue_ns = telemetry.now_ns();
-    op.span.reply_ns = op.span.enqueue_ns;
     let ack = reply_frame(
         telemetry,
         &op.ticket,
@@ -626,15 +637,9 @@ fn stage_write(
         Bytes::new(),
         &op.span,
     );
-    let part = StagedPart {
-        op: staged,
-        offset,
-        buf,
-        span: op.span,
-    };
     Admission::Reply {
         frame: ack,
-        staged: serializer.admit(fd, WorkItem::StagedWrite { fd, part }),
+        staged: head,
     }
 }
 
@@ -699,11 +704,7 @@ mod tests {
         let queue = Arc::new(WorkQueue::new(1));
         let policy = match (mode, bml) {
             (Mode::Inline, _) => Policy::Inline,
-            (Mode::Staged, Some(bml)) => Policy::Staged {
-                queue,
-                serializer: Arc::new(FdSerializer::new()),
-                bml,
-            },
+            (Mode::Staged, Some(bml)) => Policy::Staged { queue, bml },
             _ => Policy::Sched { queue },
         };
         AdmitCtx { engine, policy }
@@ -986,11 +987,9 @@ mod tests {
             }
         );
         assert_eq!(ctx.queue().unwrap().depth(), 0);
-        let Policy::Staged { serializer, .. } = &ctx.policy else {
-            unreachable!("a staged context");
-        };
-        assert!(serializer.admit(fd, WorkItem::Reclaim(fd)).is_some());
-        assert!(ctx.complete_lane(fd).is_none());
+        let db = ctx.engine.descriptor_db();
+        assert!(db.join_reclaim(fd), "the lane was given back");
+        assert!(db.complete(fd).is_none());
     }
 
     /// Ordering (a), on a thread that may block: while the queue is open
@@ -1037,7 +1036,7 @@ mod tests {
         let Some(WorkItem::Sync { reply, .. }) = queue.pop_batch(0, 4).pop() else {
             panic!("the pread was queued");
         };
-        assert!(ctx.complete_lane(fd).is_none());
+        assert!(ctx.engine.descriptor_db().complete(fd).is_none());
         reply.deliver(Response::Ok { ret: 0 }, Bytes::new());
         assert_eq!(rx.try_recv().map(|c| c.ticket.seq).ok(), Some(8));
 

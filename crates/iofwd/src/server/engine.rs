@@ -517,7 +517,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemSinkBackend;
+    use crate::backend::{FaultBackend, MemSinkBackend};
+    use crate::fault::FaultPlan;
     use iofwd_proto::{Fd, OpenFlags};
 
     fn engine() -> (Engine, Arc<MemSinkBackend>) {
@@ -678,103 +679,6 @@ mod tests {
         assert_eq!(&data[..], b"xy");
     }
 
-    use crate::backend::BackendObject;
-    use iofwd_proto::{FileStat, Whence};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Position-sticky faulty backend for coalescing tests: every
-    /// positional write at or past `limit` fails with `errno`, and any
-    /// single call moves at most `cap` bytes (a POSIX short write).
-    /// Being a function of file position (not call count), serial and
-    /// coalesced execution must observe identical per-op outcomes.
-    /// `syncs` counts the `sync` calls that reach it.
-    struct StickyLimit {
-        inner: Arc<MemSinkBackend>,
-        cap: usize,
-        limit: u64,
-        errno: Errno,
-        syncs: Arc<AtomicUsize>,
-    }
-
-    struct StickyObj {
-        inner: Box<dyn crate::backend::BackendObject>,
-        cap: usize,
-        limit: u64,
-        errno: Errno,
-        syncs: Arc<AtomicUsize>,
-    }
-
-    impl BackendObject for StickyObj {
-        fn write_vectored_at(&mut self, offset: Option<u64>, bufs: &[&[u8]]) -> Result<u64, Errno> {
-            let off = offset.expect("sticky test backend is positional-only");
-            if off >= self.limit {
-                return Err(self.errno);
-            }
-            let mut room = self.cap.min((self.limit - off) as usize);
-            let mut n = 0;
-            for buf in bufs {
-                let take = buf.len().min(room);
-                n += self.inner.write_at(Some(off + n), &buf[..take])?;
-                room -= take;
-            }
-            Ok(n)
-        }
-
-        fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno> {
-            self.inner.read_into(offset, out)
-        }
-
-        fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {
-            self.inner.seek(offset, whence)
-        }
-
-        fn sync(&mut self) -> Result<(), Errno> {
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-            self.inner.sync()
-        }
-
-        fn fstat(&mut self) -> Result<FileStat, Errno> {
-            self.inner.fstat()
-        }
-
-        fn truncate(&mut self, len: u64) -> Result<(), Errno> {
-            self.inner.truncate(len)
-        }
-    }
-
-    impl Backend for StickyLimit {
-        fn open(
-            &self,
-            path: &str,
-            flags: OpenFlags,
-            mode: u32,
-        ) -> Result<Box<dyn BackendObject>, Errno> {
-            Ok(Box::new(StickyObj {
-                inner: self.inner.open(path, flags, mode)?,
-                cap: self.cap,
-                limit: self.limit,
-                errno: self.errno,
-                syncs: self.syncs.clone(),
-            }))
-        }
-
-        fn stat(&self, path: &str) -> Result<FileStat, Errno> {
-            self.inner.stat(path)
-        }
-
-        fn unlink(&self, path: &str) -> Result<(), Errno> {
-            self.inner.unlink(path)
-        }
-
-        fn mkdir(&self, path: &str, mode: u32) -> Result<(), Errno> {
-            self.inner.mkdir(path, mode)
-        }
-
-        fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
-            self.inner.readdir(path)
-        }
-    }
-
     /// Run a staged batch and read each part's outcome off the result.
     fn write_batch(
         e: &Engine,
@@ -799,102 +703,24 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_write_success_and_cursor_chain() {
-        let (e, be) = engine();
-        let fd = open(&e, "/co");
-        let (a, b, c) = (begin(&e, fd), begin(&e, fd), begin(&e, fd));
-        // Positional chain [2, 8).
-        let parts: Vec<(iofwd_proto::OpId, &[u8])> = vec![(a, b"AB"), (b, b"CDE"), (c, b"F")];
-        let outcomes = write_batch(&e, fd, Some(2), &parts);
-        assert_eq!(outcomes, vec![OpOutcome::Ok; 3]);
-        assert_eq!(be.contents("/co").unwrap(), b"\0\0ABCDEF");
-        // Cursor chain: the engine-held cursor sits at 0 (positional
-        // writes leave it), so a None-base batch lands from there.
-        let (d, g) = (begin(&e, fd), begin(&e, fd));
-        let outcomes = write_batch(&e, fd, None, &[(d, b"xy"), (g, b"z")]);
-        assert_eq!(outcomes, vec![OpOutcome::Ok; 2]);
-        assert_eq!(&be.contents("/co").unwrap()[..3], b"xyz");
-        // No deferred error: fsync is clean.
-        assert_eq!(
-            e.execute(&Request::Fsync { fd }, &Bytes::new()).0,
-            Response::Ok { ret: 0 }
-        );
-    }
-
-    #[test]
-    fn coalesced_short_writes_complete_via_continuation() {
-        // cap=3 forces every backend call short; no error position.
-        let be = Arc::new(MemSinkBackend::new());
-        let sticky = Arc::new(StickyLimit {
-            inner: be.clone(),
-            cap: 3,
-            limit: u64::MAX,
-            errno: Errno::Io,
-            syncs: Arc::default(),
-        });
-        let e = Engine::new(sticky, None);
-        let fd = open(&e, "/short");
-        let (a, b) = (begin(&e, fd), begin(&e, fd));
-        let outcomes = write_batch(&e, fd, Some(0), &[(a, b"01234"), (b, b"56789")]);
-        assert_eq!(outcomes, vec![OpOutcome::Ok; 2]);
-        assert_eq!(be.contents("/short").unwrap(), b"0123456789");
-    }
-
-    #[test]
-    fn coalesced_error_fans_out_to_uncovered_ops_only() {
-        // Writes at/past byte 6 fail: part a ([0,4)) is covered, part b
-        // ([4,8)) straddles, part c ([8,10)) is untouched.
-        let be = Arc::new(MemSinkBackend::new());
-        let sticky = Arc::new(StickyLimit {
-            inner: be.clone(),
-            cap: usize::MAX,
-            limit: 6,
-            errno: Errno::NoSpc,
-            syncs: Arc::default(),
-        });
-        let e = Engine::new(sticky, None);
-        let fd = open(&e, "/fan");
-        let (a, b, c) = (begin(&e, fd), begin(&e, fd), begin(&e, fd));
-        let outcomes = write_batch(&e, fd, Some(0), &[(a, b"AAAA"), (b, b"BBBB"), (c, b"CC")]);
-        assert_eq!(
-            outcomes,
-            vec![
-                OpOutcome::Ok,
-                OpOutcome::Failed(Errno::NoSpc),
-                OpOutcome::Failed(Errno::NoSpc),
-            ]
-        );
-        // The prefix the device accepted is on disk.
-        assert_eq!(be.contents("/fan").unwrap(), b"AAAABB");
-        // Deferred-error attribution: first failing op, its errno.
-        match e.execute(&Request::Fsync { fd }, &Bytes::new()).0 {
-            Response::DeferredErr { op, errno } => {
-                assert_eq!(op, b);
-                assert_eq!(errno, Errno::NoSpc);
-            }
-            other => panic!("expected deferred error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn close_never_reaches_backend_sync() {
-        let syncs = Arc::new(AtomicUsize::new(0));
+        // A do-nothing rule on every sync: `faults_injected` counts the
+        // syncs that reach the backend.
+        let plan = FaultPlan::parse("on sync delay_us=0").expect("valid plan");
         let t = Arc::new(Telemetry::new());
         let e = Engine::with_telemetry(
-            Arc::new(StickyLimit {
-                inner: Arc::new(MemSinkBackend::new()),
-                cap: usize::MAX,
-                limit: u64::MAX,
-                errno: Errno::Io,
-                syncs: syncs.clone(),
-            }),
+            Arc::new(FaultBackend::new(
+                Arc::new(MemSinkBackend::new()),
+                plan,
+                t.clone(),
+            )),
             None,
             t.clone(),
         );
         let run = |req: Request, data: &'static [u8]| {
             let (resp, _) = e.execute(&req, &Bytes::from_static(data));
             assert!(matches!(resp, Response::Ok { .. }), "{req:?}: {resp:?}");
-            syncs.load(Ordering::Relaxed)
+            t.faults_injected.get()
         };
         let pwrite = |fd| Request::Pwrite {
             fd,
@@ -930,8 +756,6 @@ mod tests {
 
     #[test]
     fn fsync_failure_is_reported_not_swallowed() {
-        use crate::backend::FaultBackend;
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::parse("on sync nth=1 errno=EIO").expect("valid plan");
         let t = Arc::new(Telemetry::new());
         let e = Engine::with_telemetry(

@@ -11,8 +11,9 @@
 //!   otherwise queues it and sleeps until a worker finishes it; staged
 //!   acknowledges data writes as soon as they are in BML memory and
 //!   pushes them to the pool after the ack (§IV), and any other op on a
-//!   descriptor waits for its turn in the descriptor's lane (asleep on
-//!   its reply, like a queued op) before it is dispatched as in sched.
+//!   descriptor waits for its turn in the descriptor's lane (kept in its
+//!   `DescDb` entry; asleep on its reply, like a queued op) before it is
+//!   dispatched as in sched.
 //!   A queued op's reply comes back on the connection's own completion
 //!   sink, made once when the connection starts: the thread blocks on
 //!   its receiver the way an event loop drains its own.
@@ -37,8 +38,7 @@ use iofwd_proto::{Fd, Frame};
 use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Session};
 use super::engine::{Engine, COALESCE_MAX_OPS};
 use super::queue::{Completion, Route, StagedPart, WorkItem, WorkQueue};
-use super::staged::{CompletionGuard, FdSerializer};
-use crate::descdb::OpOutcome;
+use crate::descdb::{CompletionGuard, OpOutcome};
 use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Conn;
 
@@ -231,15 +231,10 @@ const COALESCE_MAX_BYTES: usize = 1 << 20;
 /// Worker-pool loop: batch-dequeue ("I/O multiplexing per thread") and
 /// execute. With `coalesce` on, a dequeued staged write additionally
 /// harvests the offset-contiguous prefix parked behind it on its
-/// serializer lane, and the whole chain is one write.
-pub fn worker_loop(
-    worker: usize,
-    queue: Arc<WorkQueue>,
-    engine: Arc<Engine>,
-    serializer: Arc<FdSerializer>,
-    coalesce: bool,
-) {
+/// descriptor's lane, and the whole chain is one write.
+pub fn worker_loop(worker: usize, queue: Arc<WorkQueue>, engine: Arc<Engine>, coalesce: bool) {
     let telemetry = engine.telemetry().clone();
+    let db = engine.descriptor_db();
     let worker_id = worker as u32 + 1;
     // The staged writes of one backend write, in a buffer reused across
     // every pass, like `items` below.
@@ -251,9 +246,7 @@ pub fn worker_loop(
         // or an unwind — the lane is completed and the successor
         // re-enqueued (or parked for the shutdown drain if the queue
         // closed).
-        let guard = item
-            .lane()
-            .map(|fd| serializer.completion_guard(fd, queue.clone()));
+        let guard = item.lane().map(|fd| db.completion_guard(fd, &queue));
         match item {
             WorkItem::Sync {
                 req,
@@ -277,13 +270,7 @@ pub fn worker_loop(
                 let room = COALESCE_MAX_BYTES.saturating_sub(part.buf.len());
                 parts.push(part);
                 if coalesce {
-                    serializer.harvest_contiguous(
-                        fd,
-                        chain_end,
-                        COALESCE_MAX_OPS - 1,
-                        room,
-                        &mut parts,
-                    );
+                    db.harvest_contiguous(fd, chain_end, COALESCE_MAX_OPS - 1, room, &mut parts);
                 }
                 execute_staged(
                     &engine,

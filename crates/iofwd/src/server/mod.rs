@@ -13,33 +13,31 @@
 //! The shared worker pool is §IV's one FIFO under one lock, and its
 //! execution slots ([`WorkQueue::try_claim`]) bound the handlers that
 //! run an op in place as well as the workers: at most `workers` ops
-//! execute at once, whichever thread runs them.
+//! execute at once, whichever thread runs them. Everything the daemon
+//! knows about one open descriptor — its object, op ids, deferred error
+//! and lane — is one entry of the descriptor table ([`crate::descdb`]).
 
 mod admit;
 mod engine;
 mod handlers;
 mod queue;
 mod reactor;
-mod staged;
 
 pub use engine::{Engine, Written};
 pub use queue::{ReplyTo, Route, StagedPart, WorkItem, WorkQueue};
 pub use reactor::{ReactorConfig, ReactorHandle};
-pub use staged::FdSerializer;
 
 use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iofwd_proto::{Errno, Fd};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::bml::Bml;
-use crate::descdb::OpOutcome;
 use crate::fault::RetryPolicy;
-use crate::telemetry::{Disposition, Telemetry, MAX_WORKERS};
+use crate::telemetry::{Disposition, MAX_WORKERS};
 use crate::transport::Listener;
 
 /// Which forwarding architecture the daemon runs.
@@ -181,25 +179,19 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
         };
     }
     let queue = Arc::new(WorkQueue::with_telemetry(workers, telemetry));
-    let serializer = Arc::new(FdSerializer::new());
     let worker_threads = (0..workers)
         .map(|w| {
             let queue = queue.clone();
             let engine = engine.clone();
-            let serializer = serializer.clone();
             let coalesce = config.coalesce;
             std::thread::Builder::new()
                 .name(format!("iofwd-worker-{w}"))
-                .spawn(move || handlers::worker_loop(w, queue, engine, serializer, coalesce))
+                .spawn(move || handlers::worker_loop(w, queue, engine, coalesce))
                 .expect("spawn worker")
         })
         .collect();
     let policy = match bml {
-        Some(bml) => admit::Policy::Staged {
-            queue,
-            serializer,
-            bml,
-        },
+        Some(bml) => admit::Policy::Staged { queue, bml },
         None => admit::Policy::Sched { queue },
     };
     ServerCore {
@@ -221,21 +213,6 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
             i += 1;
         }
     }
-}
-
-/// Fail a staged write the shutdown drain ran out of time for: record
-/// the deferred error, return the staging memory, and complete the span
-/// — into the flight recorder and trace, not the void.
-fn fail_staged(engine: &Engine, telemetry: &Telemetry, fd: Fd, part: StagedPart, errno: Errno) {
-    engine
-        .descriptor_db()
-        .finish_op(fd, part.op, OpOutcome::Failed(errno));
-    drop(part.buf);
-    let mut span = part.span;
-    span.ok = false;
-    span.errno = errno.to_wire();
-    span.disposition = Disposition::DrainDeferred;
-    telemetry.complete(&span);
 }
 
 impl IonServer {
@@ -433,7 +410,7 @@ impl IonServer {
     /// 3. Give workers half the budget to finish in order, then
     ///    `abort()`: remaining items stay parked for the drain instead
     ///    of being handed to workers that must now exit.
-    /// 4. Join workers, then drain the queue *and* the serializer
+    /// 4. Join workers, then drain the queue *and* the descriptor
     ///    lanes. Each parked staged write either executes now (while
     ///    budget remains) or records a deferred error via the
     ///    descriptor database — either way its op completes and its
@@ -466,54 +443,22 @@ impl IonServer {
         if let Some(q) = self.ctx.queue() {
             leftovers.extend(q.drain_remaining());
         }
-        // Only staged mode ever parks an item on a serializer lane.
-        if let admit::Policy::Staged { serializer, .. } = &self.ctx.policy {
-            leftovers.extend(serializer.drain_all());
-        }
+        leftovers.extend(engine.descriptor_db().drain_all());
         let mut report = ShutdownReport::default();
-        let mut parts = Vec::new();
         for item in leftovers {
-            let (fd, part) = match item {
-                // Sync items carry no BML memory and no recorded op:
-                // answer EAGAIN through the item's own reply route. The
-                // handler (or the still-running event loop) delivers it
-                // and closes the connection behind it.
-                item @ WorkItem::Sync { .. } => {
-                    admit::reject(item, Errno::Again, Disposition::QueueRejected);
-                    continue;
-                }
-                WorkItem::Reclaim(fd) => {
-                    engine.close_orphan(fd);
-                    continue;
-                }
-                WorkItem::StagedWrite { fd, part } => (fd, part),
-            };
-            if started.elapsed() < deadline {
-                // One write per call: the drain runs each staged write
-                // alone, in lane order.
-                parts.push(part);
-                handlers::execute_staged(
-                    engine,
-                    telemetry,
-                    fd,
-                    &mut parts,
-                    0,
-                    Disposition::DrainExecuted,
-                );
-                report.executed += 1;
-                if telemetry.enabled() {
-                    telemetry.drain_executed.inc();
-                }
+            // Each staged write runs alone, in lane order, while budget
+            // remains, and past the deadline fails explicitly.
+            let (late, count) = if started.elapsed() < deadline {
+                (Disposition::DrainExecuted, &mut report.executed)
             } else {
-                // Deadline exhausted: fail the op *explicitly* so the
-                // client's deferred-error channel reports it on the
-                // next op or close, and return the staging memory.
-                fail_staged(engine, telemetry, fd, part, Errno::Io);
-                report.deferred += 1;
-                if telemetry.enabled() {
-                    telemetry.drain_deferred.inc();
-                }
-            }
+                (Disposition::DrainDeferred, &mut report.deferred)
+            };
+            *count += usize::from(matches!(item, WorkItem::StagedWrite { .. }));
+            admit::settle(&self.ctx, item, late);
+        }
+        if telemetry.enabled() {
+            telemetry.drain_executed.add(report.executed as u64);
+            telemetry.drain_deferred.add(report.deferred as u64);
         }
 
         let handlers: Vec<_> = std::mem::take(&mut *self.handler_threads.lock());

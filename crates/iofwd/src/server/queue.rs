@@ -11,7 +11,7 @@
 //! This is that queue: one FIFO, one lock, one condvar. The queue keeps
 //! no per-client order of its own, and needs none: a synchronous op's
 //! client waits for its reply, and in staged mode the descriptor lanes
-//! (`staged.rs`) order the rest — a descriptor has at most one item
+//! (`descdb.rs`) order the rest — a descriptor has at most one item
 //! queued at a time, its later ops (staged writes, the barrier behind
 //! them) wait in its lane, and the coalescer harvests adjacent writes
 //! from the lane, not from a popped batch.
@@ -275,7 +275,7 @@ impl std::fmt::Debug for QueueClosed {
 /// Everything the queue knows, behind its one lock.
 struct State {
     /// The shared FIFO. It holds at most one item per descriptor at a
-    /// time (a descriptor's later ops wait in its lane, `staged.rs`), so
+    /// time (a descriptor's later ops wait in its lane, `descdb.rs`), so
     /// the order between a client's writes and its barriers is the
     /// lane's business, not the queue's.
     items: VecDeque<WorkItem>,

@@ -310,7 +310,7 @@ impl Arm {
     }
 
     /// Stage a write, flushing first when it cannot extend the chain —
-    /// the same contiguity rule as `FdSerializer::harvest_contiguous`.
+    /// the same contiguity rule as `DescDb::harvest_contiguous`.
     fn stage(&mut self, f: usize, offset: Option<u64>, data: Vec<u8>) {
         let extends = match (self.pending[f].last(), offset) {
             (None, _) => true,
@@ -348,7 +348,7 @@ impl Arm {
         }
     }
 
-    /// A barrier/sync op: flush the fd's chain (as the lane serializer
+    /// A barrier/sync op: flush the fd's chain (as the descriptor's lane
     /// would before letting the op pass), then execute and record.
     fn barrier(&mut self, f: usize, req: Request) {
         self.flush(f);

@@ -1,5 +1,6 @@
 //! Model-checked concurrency tests for the BML, the work queue, the
-//! descriptor lane serializer, and the telemetry flight recorder — the
+//! descriptor lanes of the descriptor database, and the telemetry
+//! flight recorder — the
 //! protocols whose blocking/hand-off or lock-free publication logic
 //! cannot be trusted to a handful of wall-clock interleavings.
 //!
@@ -24,10 +25,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
+use iofwd::backend::{Backend, MemSinkBackend};
 use iofwd::bml::Bml;
-use iofwd::server::{FdSerializer, ReplyTo, Route, WorkItem, WorkQueue};
+use iofwd::descdb::{BeginError, DescDb};
+use iofwd::server::{Engine, ReplyTo, Route, StagedPart, WorkItem, WorkQueue};
 use iofwd::telemetry::Telemetry;
-use iofwd_proto::{Fd, OpId, Request};
+use iofwd_proto::{Errno, Fd, OpId, OpenFlags, Request, Response};
 use loomlite::sync::Arc;
 use loomlite::thread;
 
@@ -439,12 +442,28 @@ fn execution_slots_never_exceed_workers_and_a_release_wakes_a_waiting_worker() {
     );
 }
 
-fn staged_item(bml: &Bml, tag: u64, offset: Option<u64>, len: usize) -> WorkItem {
+/// A descriptor database with one descriptor open on `backend`.
+fn open_descriptor(backend: &MemSinkBackend) -> (Arc<DescDb>, Fd) {
+    let db = Arc::new(DescDb::new());
+    let obj = backend
+        .open("/lane", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+        .expect("open");
+    let fd = db.insert(obj, "/lane").expect("insert");
+    (db, fd)
+}
+
+/// Join `fd`'s lane with an op that does not close it.
+fn admit(db: &DescDb, fd: Fd, item: WorkItem) -> Option<WorkItem> {
+    db.join(fd, item, false, |i| i)
+        .unwrap_or_else(|_| panic!("an open descriptor's lane refused an op"))
+}
+
+fn staged_item(bml: &Bml, fd: Fd, tag: u64, offset: Option<u64>, len: usize) -> WorkItem {
     let mut buf = bml.acquire(len).expect("BML open and under budget");
     buf.fill_from(&vec![tag as u8; len]);
     WorkItem::StagedWrite {
-        fd: Fd(1),
-        part: iofwd::server::StagedPart {
+        fd,
+        part: StagedPart {
             op: OpId(tag),
             offset,
             buf,
@@ -466,7 +485,7 @@ fn staged_tag(item: &WorkItem) -> u64 {
 /// the non-contiguous remainder (op 2) — while another thread closes
 /// the work queue. Depending on the schedule the re-enqueue either
 /// lands on the queue (drained at shutdown) or loses to close and heads
-/// its lane again (collected by `drain_all`). In EVERY
+/// its lane again (collected by `DescDb::drain_all`). In EVERY
 /// interleaving each constituent op is *either* executed *or* deferred
 /// to the shutdown drain — never both, never neither — and no BML
 /// buffer is stranded. The cross-schedule counters prove both race
@@ -480,27 +499,22 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
     loomlite::model(|| {
         let bml = Bml::new(1 << 20);
         let queue = Arc::new(WorkQueue::new(1));
-        let serializer = Arc::new(FdSerializer::new());
+        let (db, fd) = open_descriptor(&MemSinkBackend::new());
         // Op 0 in flight on the lane; op 1 parked contiguous with it;
         // op 2 parked behind a gap (stays after the harvest, so the
         // completion guard has a successor to re-enqueue).
-        let inflight = serializer
-            .admit(Fd(1), staged_item(&bml, 0, Some(0), 100))
+        let inflight = admit(&db, fd, staged_item(&bml, fd, 0, Some(0), 100))
             .expect("fresh lane admits the first item");
-        assert!(serializer
-            .admit(Fd(1), staged_item(&bml, 1, Some(100), 50))
-            .is_none());
-        assert!(serializer
-            .admit(Fd(1), staged_item(&bml, 2, Some(999), 50))
-            .is_none());
+        assert!(admit(&db, fd, staged_item(&bml, fd, 1, Some(100), 50)).is_none());
+        assert!(admit(&db, fd, staged_item(&bml, fd, 2, Some(999), 50)).is_none());
 
         let worker = {
-            let serializer = serializer.clone();
+            let db = db.clone();
             let queue = queue.clone();
             thread::spawn(move || {
-                let guard = serializer.completion_guard(Fd(1), queue);
+                let guard = db.completion_guard(fd, &queue);
                 let mut batch = Vec::new();
-                serializer.harvest_contiguous(Fd(1), Some(100), 16, 1 << 20, &mut batch);
+                db.harvest_contiguous(fd, Some(100), 16, 1 << 20, &mut batch);
                 let mut executed: Vec<u64> = vec![staged_tag(&inflight)];
                 executed.extend(batch.iter().map(|part| part.op.0));
                 // "Execute": buffers return to the BML as items drop.
@@ -519,7 +533,7 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
         if !deferred.is_empty() {
             ENQUEUED.fetch_add(1, Ordering::SeqCst);
         }
-        let drained = serializer.drain_all();
+        let drained = db.drain_all();
         if !drained.is_empty() {
             ORPHANED.fetch_add(1, Ordering::SeqCst);
         }
@@ -539,7 +553,7 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
         for op in &executed {
             assert!(!deferred.contains(op), "op {op} both executed and deferred");
         }
-        assert_eq!(serializer.parked(), 0);
+        assert_eq!(db.parked(), 0);
         assert_eq!(bml.outstanding(), 0, "BML buffer stranded at shutdown");
     });
     assert!(
@@ -555,13 +569,13 @@ fn coalesce_harvest_racing_close_never_splits_or_strands_ops() {
 /// Stand-in for executing one lane item: at most one item of a lane may
 /// run at a time, and the lock taken in the middle is a yield point
 /// while it runs.
-fn run_lane_item(running: &AtomicUsize, serializer: &FdSerializer) {
+fn run_lane_item(running: &AtomicUsize, db: &DescDb) {
     assert_eq!(
         running.fetch_add(1, Ordering::SeqCst),
         0,
         "two items of one lane ran at once"
     );
-    let _ = serializer.parked();
+    let _ = db.parked();
     running.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -580,30 +594,25 @@ fn lane_release_racing_admission_never_strands_or_overlaps() {
     RELEASED.store(0, Ordering::SeqCst);
     loomlite::model(|| {
         let queue = Arc::new(WorkQueue::new(1));
-        let serializer = Arc::new(FdSerializer::new());
+        let (db, fd) = open_descriptor(&MemSinkBackend::new());
         let running = std::sync::Arc::new(AtomicUsize::new(0));
-        let head = serializer
-            .admit(Fd(1), tagged(1))
-            .expect("fresh lane admits the first item");
+        let head = admit(&db, fd, tagged(1)).expect("fresh lane admits the first item");
         let worker = {
-            let (serializer, queue, running) = (serializer.clone(), queue.clone(), running.clone());
+            let (db, queue, running) = (db.clone(), queue.clone(), running.clone());
             thread::spawn(move || {
-                let guard = serializer.completion_guard(Fd(1), queue.clone());
-                run_lane_item(&running, &serializer);
+                let guard = db.completion_guard(fd, &queue);
+                run_lane_item(&running, &db);
                 drop(head);
                 let released = guard.release()?;
-                let again = serializer.completion_guard(Fd(1), queue);
-                run_lane_item(&running, &serializer);
+                let again = db.completion_guard(fd, &queue);
+                run_lane_item(&running, &db);
                 assert!(again.release().is_none(), "a third item appeared");
                 Some(tag_of(&released))
             })
         };
-        let here = serializer.admit(Fd(1), tagged(2)).map(|item| {
-            run_lane_item(&running, &serializer);
-            assert!(
-                serializer.complete(Fd(1)).is_none(),
-                "a third item appeared"
-            );
+        let here = admit(&db, fd, tagged(2)).map(|item| {
+            run_lane_item(&running, &db);
+            assert!(db.complete(fd).is_none(), "a third item appeared");
             tag_of(&item)
         });
         let there = worker.join().expect("worker panicked");
@@ -612,10 +621,10 @@ fn lane_release_racing_admission_never_strands_or_overlaps() {
             (None, Some(2)) => RELEASED.fetch_add(1, Ordering::SeqCst),
             other => panic!("op 2 stranded or run twice: {other:?}"),
         };
-        assert_eq!(serializer.parked(), 0);
+        assert_eq!(db.parked(), 0);
         assert_eq!(queue.depth(), 0, "a synchronous successor was pushed");
         assert!(
-            serializer.admit(Fd(1), tagged(3)).is_some(),
+            admit(&db, fd, tagged(3)).is_some(),
             "the lane was left busy"
         );
     });
@@ -626,6 +635,120 @@ fn lane_release_racing_admission_never_strands_or_overlaps() {
     assert!(
         RELEASED.load(Ordering::SeqCst) > 0,
         "no schedule released the admitted op from the lane"
+    );
+}
+
+/// Run a lane's items as a worker does, from `next` until its
+/// completion releases nothing: a staged write lands through the engine,
+/// a synchronous op is executed and answered.
+fn run_lane(engine: &Engine, fd: Fd, mut next: Option<WorkItem>) {
+    while let Some(item) = next {
+        match item {
+            WorkItem::StagedWrite { part, .. } => {
+                let one = std::iter::once((part.op, part.buf.as_slice()));
+                engine.execute_coalesced_write(fd, part.offset, one);
+            }
+            WorkItem::Sync {
+                req, data, reply, ..
+            } => {
+                let (resp, out) = engine.execute(&req, &data);
+                reply.deliver(resp, out);
+            }
+            WorkItem::Reclaim(_) => unreachable!("nothing reclaims here"),
+        }
+        next = engine.descriptor_db().complete(fd);
+    }
+}
+
+/// The close race, under the descriptor table's one lock: one client's
+/// staged write is admitted while another client's close of the same
+/// descriptor joins its lane, and each runs what heads the lane or is
+/// released to it. In EVERY interleaving the write either heads the lane
+/// ahead of the close and lands before the close removes the
+/// descriptor, or is refused `EBADF` at admission — it is never acked
+/// `Staged` and then lost — and the close succeeds, the descriptor is
+/// gone, and nothing is left in flight, parked or charged. The
+/// cross-schedule counters prove both outcomes are explored.
+#[test]
+fn staged_write_racing_close_lands_or_is_refused_never_lost() {
+    static LANDED: AtomicUsize = AtomicUsize::new(0);
+    static REFUSED: AtomicUsize = AtomicUsize::new(0);
+    LANDED.store(0, Ordering::SeqCst);
+    REFUSED.store(0, Ordering::SeqCst);
+    loomlite::model(|| {
+        let tel = registry();
+        let backend = std::sync::Arc::new(MemSinkBackend::new());
+        let bml = Bml::new(1 << 20);
+        let engine = Arc::new(Engine::with_telemetry(backend.clone(), None, tel.clone()));
+        let fd = match engine.execute(
+            &Request::Open {
+                path: "/raced".into(),
+                flags: OpenFlags::RDWR | OpenFlags::CREATE,
+                mode: 0o644,
+            },
+            &Bytes::new(),
+        ) {
+            (Response::Ok { ret }, _) => Fd(ret as u32),
+            (other, _) => panic!("open failed: {other:?}"),
+        };
+        let writer = {
+            let (engine, bml) = (engine.clone(), bml.clone());
+            thread::spawn(move || {
+                let mut buf = bml.acquire(4096).expect("BML open and under budget");
+                buf.fill_from(&[7u8; 4096]);
+                let staged = engine.descriptor_db().stage(fd, |op| StagedPart {
+                    op,
+                    offset: Some(0),
+                    buf,
+                    span: Default::default(),
+                });
+                match staged {
+                    Ok((_, head)) => {
+                        run_lane(&engine, fd, head);
+                        true
+                    }
+                    Err(refused) => {
+                        assert_eq!(refused, BeginError::Sync(Errno::BadF));
+                        false
+                    }
+                }
+            })
+        };
+        let (route, replies) = Route::channel(None, registry());
+        let close = WorkItem::Sync {
+            req: Request::Close { fd },
+            data: Bytes::new(),
+            reply: ReplyTo::new(route, Default::default(), Default::default()),
+            lane: Some(fd),
+        };
+        let head = engine
+            .descriptor_db()
+            .join(fd, close, true, |i| i)
+            .unwrap_or_else(|_| panic!("the only close was refused"));
+        run_lane(&engine, fd, head);
+        let acked = writer.join().expect("writer panicked");
+        let landed = backend.contents("/raced").map_or(0, |c| c.len());
+        assert_eq!(landed, if acked { 4096 } else { 0 }, "acked={acked}");
+        let closed = replies.try_recv().expect("the close was answered");
+        assert_eq!(closed.resp, Response::Ok { ret: 0 });
+        let db = engine.descriptor_db();
+        assert_eq!((db.open_count(), db.parked()), (0, 0));
+        assert_eq!(bml.outstanding(), 0, "a staged write's block stranded");
+        assert_eq!(tel.inflight_ops.get(), 0);
+        assert_eq!(tel.deferred_errors.get(), 0, "a write failed after its ack");
+        if acked {
+            LANDED.fetch_add(1, Ordering::SeqCst);
+        } else {
+            REFUSED.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    assert!(
+        LANDED.load(Ordering::SeqCst) > 0,
+        "no schedule staged the write ahead of the close"
+    );
+    assert!(
+        REFUSED.load(Ordering::SeqCst) > 0,
+        "no schedule admitted the write after the close"
     );
 }
 

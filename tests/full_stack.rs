@@ -251,7 +251,7 @@ fn daemon_stats_are_consistent_after_full_run() {
     let received: u64 = snap.clients.iter().map(|c| c.bytes_in).sum();
     assert_eq!(received, p.s_phase_bytes());
     assert_eq!(snap.counter("backend_bytes_written"), p.s_phase_bytes());
-    // Coalesced followers are harvested straight off their serializer
+    // Coalesced followers are harvested straight off their descriptor's
     // lane without ever being re-enqueued; only batch leads (and
     // un-merged writes) pass through the queue.
     let harvested = snap.counter("coalesced_ops") - snap.counter("coalesced_batches");

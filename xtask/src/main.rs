@@ -10,10 +10,11 @@
 //!     no `std::time::Instant`, `std::time::SystemTime`,
 //!     `std::thread::sleep` in their `src/` trees.
 //!   - **R2** Daemon-path modules of `iofwd` (`backend`, `transport`,
-//!     `client`, `bml`, `descdb`, `fault`, `server::{admit, queue,
-//!     reactor, staged}`) must not `.unwrap()` / `.expect(...)`
-//!     / `panic!` outside `#[cfg(test)]` modules — errors flow through
-//!     `iofwd_proto::error` to the client like CIOD returns errno.
+//!     `client`, `bml`, `descdb` with the descriptor lanes, `fault`,
+//!     `server::{admit, queue, reactor}`) must not `.unwrap()` /
+//!     `.expect(...)` / `panic!` outside `#[cfg(test)]` modules —
+//!     errors flow through `iofwd_proto::error` to the client like
+//!     CIOD returns errno.
 //!   - **R3** `match` expressions over wire-format enums (`Request`,
 //!     `Response`, `FrameKind`, `Whence`) must be exhaustive by
 //!     listing variants: no `_ =>` or bare-binding catch-all arms, so

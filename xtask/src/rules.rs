@@ -112,7 +112,6 @@ const NO_PANIC_MODULES: &[&str] = &[
     "server/admit",
     "server/queue",
     "server/reactor",
-    "server/staged",
 ];
 
 /// Wire-format enums (`iofwd_proto::op` / `wire`): matches over these
@@ -882,7 +881,7 @@ mod tests {
             .map(|v| v.line)
             .collect();
         assert_eq!(lines, vec![2, 3]);
-        assert!(check("crates/iofwd/src/server/staged.rs", src)
+        assert!(check("crates/iofwd/src/server/queue.rs", src)
             .iter()
             .all(|v| v.rule != Rule::R11));
     }
