@@ -26,9 +26,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use iofwd_proto::{Errno, FileStat, OpenFlags, Whence};
-use parking_lot::Mutex;
 
 use crate::fault::{FaultAction, FaultPlan, OpClass, PlanState};
+use crate::sync::Mutex;
 use crate::telemetry::Telemetry;
 
 /// An open file or socket object on the ION side. One exists per open

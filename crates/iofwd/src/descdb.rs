@@ -35,7 +35,7 @@ use crate::sync::Mutex;
 use crate::telemetry::Telemetry;
 
 /// A shared, lockable open backend object.
-pub type SharedObject = Arc<parking_lot::Mutex<Box<dyn BackendObject>>>;
+pub type SharedObject = Arc<Mutex<Box<dyn BackendObject>>>;
 
 /// Outcome of a staged operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +140,7 @@ impl DescDb {
         db.entries.insert(
             fd,
             DescEntry {
-                obj: Arc::new(parking_lot::Mutex::new(obj)),
+                obj: Arc::new(Mutex::new(obj)),
                 next_op: OpId::FIRST,
                 in_progress: BTreeSet::new(),
                 completed_ops: 0,

@@ -71,7 +71,7 @@ pub mod daemon;
 pub mod descdb;
 pub mod fault;
 pub mod server;
-pub(crate) mod sync;
+pub mod sync;
 pub mod trace;
 pub mod transport;
 

@@ -679,7 +679,7 @@ pub(crate) fn finish(ctx: &AdmitCtx, session: &mut Session, c: Completion) -> Ad
 mod tests {
     use super::*;
     use crate::backend::MemSinkBackend;
-    use crossbeam::channel::Receiver;
+    use crate::sync::Receiver;
     use iofwd_proto::{OpenFlags, StatsQuery, Storage, Whence};
 
     const BML_BYTES: u64 = 8192;

@@ -14,6 +14,7 @@ use crate::backend::Backend;
 use crate::bml::Bml;
 use crate::descdb::{BeginError, DescDb, OpOutcome, SharedObject};
 use crate::fault::{is_transient, RetryPolicy};
+use crate::sync::Mutex;
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
 
 /// Telemetry classification of a request. Exhaustive so a new `Request`
@@ -84,7 +85,7 @@ pub struct Engine {
     pub(crate) retry: RetryPolicy,
     /// Deterministic jitter source for backoff; seeded once so retry
     /// timing is reproducible run-to-run.
-    retry_rng: parking_lot::Mutex<SimRng>,
+    retry_rng: Mutex<SimRng>,
 }
 
 impl Engine {
@@ -105,7 +106,7 @@ impl Engine {
             bml,
             telemetry,
             retry: RetryPolicy::disabled(),
-            retry_rng: parking_lot::Mutex::new(SimRng::new(0x10f_44d)),
+            retry_rng: Mutex::new(SimRng::new(0x10f_44d)),
         }
     }
 

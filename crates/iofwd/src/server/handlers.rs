@@ -32,13 +32,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
 use iofwd_proto::{Fd, Frame};
 
 use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Session};
 use super::engine::{Engine, COALESCE_MAX_OPS};
 use super::queue::{Completion, Route, StagedPart, WorkItem, WorkQueue};
 use crate::descdb::{CompletionGuard, OpOutcome};
+use crate::sync::{channel, Receiver};
 use crate::telemetry::{Disposition, Telemetry};
 use crate::transport::Conn;
 
@@ -106,7 +106,7 @@ pub(crate) fn serve_conn(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
 /// CIOD: the daemon thread copies into "shared memory", a per-client
 /// proxy executes. The copy is real — it is CIOD's architectural cost.
 pub(crate) fn handle_ciod(conn: Arc<dyn Conn>, ctx: Arc<AdmitCtx>) {
-    let (shm_tx, shm_rx) = unbounded::<Accepted>();
+    let (shm_tx, shm_rx) = channel::<Accepted>();
     let proxy_conn = conn.clone();
     let proxy_ctx = ctx.clone();
     let proxy = std::thread::Builder::new()

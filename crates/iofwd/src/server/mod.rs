@@ -32,11 +32,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::backend::Backend;
 use crate::bml::Bml;
 use crate::fault::RetryPolicy;
+use crate::sync::Mutex;
 use crate::telemetry::{Disposition, MAX_WORKERS};
 use crate::transport::Listener;
 

@@ -27,12 +27,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use iofwd_proto::{Errno, Fd, OpId, Request, Response};
 use polling::Waker;
 
 use crate::bml::BmlBuffer;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{channel, Condvar, Mutex, Receiver, Sender};
 use crate::telemetry::{Disposition, OpSpan, Telemetry};
 
 /// What a finished op means for its connection's descriptor set
@@ -120,7 +119,7 @@ impl Route {
         waker: Option<Waker>,
         telemetry: Arc<Telemetry>,
     ) -> (Route, Receiver<Completion>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let sink = Arc::new(CompletionSink {
             tx,
             waker,

@@ -52,12 +52,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use iofwd_proto::{Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
 use super::admit::{self, Accepted, Admission, AdmitCtx, Op, Session};
 use super::queue::{abandon, Completion, Route};
+use crate::sync::{channel, Receiver, Sender};
 use crate::telemetry::{PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
@@ -814,7 +814,7 @@ pub(crate) fn spawn(
     let mut conn_txs = Vec::with_capacity(n);
     let mut conn_rxs = VecDeque::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<TcpStream>();
+        let (tx, rx) = channel::<TcpStream>();
         conn_txs.push(tx);
         conn_rxs.push_back(rx);
     }

@@ -52,24 +52,26 @@ pub trait Listener: Send + Sync {
 }
 
 pub mod mem {
-    //! In-process transport over crossbeam channels.
+    //! In-process transport over the `std` channels of [`crate::sync`].
     //!
     //! [`MemHub`] plays the role of the collective network: clients call
     //! [`MemHub::connect`], servers accept from [`MemHub::listener`].
 
     use super::{Conn, Listener};
     use crate::bml::Bml;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use crate::sync::{channel, Mutex, Receiver, RecvTimeoutError, Sender};
     use iofwd_proto::{Frame, Storage};
-    use parking_lot::Mutex;
     use std::io;
-    use std::sync::OnceLock;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, OnceLock};
     use std::time::Duration;
 
     /// One endpoint of an in-memory connection.
     pub struct MemConn {
         tx: Sender<Frame>,
-        rx: Receiver<Frame>,
+        /// Locked because a `std` receiver is not `Sync`; only the
+        /// endpoint's reading thread takes it.
+        rx: Mutex<Receiver<Frame>>,
         /// The daemon's end: the pool each payload is copied into.
         pool: OnceLock<Bml>,
     }
@@ -82,7 +84,7 @@ pub mod mem {
         }
 
         fn recv(&self) -> io::Result<Option<Frame>> {
-            let Ok(mut frame) = self.rx.recv() else {
+            let Ok(mut frame) = self.rx.lock().recv() else {
                 return Ok(None);
             };
             let pool = self.pool.get().filter(|_| !frame.data.is_empty());
@@ -110,11 +112,11 @@ pub mod mem {
 
     /// Build a directly-connected pair (client end, server end).
     pub fn pair() -> (MemConn, MemConn) {
-        let (atx, arx) = unbounded();
-        let (btx, brx) = unbounded();
+        let (atx, arx) = channel();
+        let (btx, brx) = channel();
         let conn = |tx, rx| MemConn {
             tx,
-            rx,
+            rx: Mutex::new(rx),
             pool: OnceLock::new(),
         };
         (conn(atx, brx), conn(btx, arx))
@@ -123,7 +125,8 @@ pub mod mem {
     /// Rendezvous point connecting clients to a server accept loop.
     pub struct MemHub {
         conn_tx: Sender<MemConn>,
-        conn_rx: Receiver<MemConn>,
+        /// Shared by every listener: a `std` receiver cannot be cloned.
+        conn_rx: Arc<Mutex<Receiver<MemConn>>>,
     }
 
     impl Default for MemHub {
@@ -134,8 +137,11 @@ pub mod mem {
 
     impl MemHub {
         pub fn new() -> Self {
-            let (conn_tx, conn_rx) = unbounded();
-            MemHub { conn_tx, conn_rx }
+            let (conn_tx, conn_rx) = channel();
+            MemHub {
+                conn_tx,
+                conn_rx: Arc::new(Mutex::new(conn_rx)),
+            }
         }
 
         /// Client side: open a connection to the hub's listener.
@@ -152,33 +158,33 @@ pub mod mem {
         pub fn listener(&self) -> MemListener {
             MemListener {
                 rx: self.conn_rx.clone(),
-                closed: Mutex::new(false),
+                closed: AtomicBool::new(false),
             }
         }
     }
 
     /// Accept side of a [`MemHub`].
     pub struct MemListener {
-        rx: Receiver<MemConn>,
-        closed: Mutex<bool>,
+        rx: Arc<Mutex<Receiver<MemConn>>>,
+        closed: AtomicBool,
     }
 
     impl Listener for MemListener {
         fn accept(&self) -> io::Result<Option<Box<dyn Conn>>> {
             loop {
-                if *self.closed.lock() {
+                if self.closed.load(Ordering::Acquire) {
                     return Ok(None);
                 }
-                match self.rx.recv_timeout(Duration::from_millis(50)) {
+                match self.rx.lock().recv_timeout(Duration::from_millis(50)) {
                     Ok(c) => return Ok(Some(Box::new(c))),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return Ok(None),
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return Ok(None),
                 }
             }
         }
 
         fn shutdown(&self) {
-            *self.closed.lock() = true;
+            self.closed.store(true, Ordering::Release);
         }
     }
 }
@@ -188,8 +194,8 @@ pub mod tcp {
 
     use super::{Conn, Listener};
     use crate::bml::Bml;
+    use crate::sync::Mutex;
     use iofwd_proto::{Frame, FrameReader};
-    use parking_lot::Mutex;
     use std::io::{self, Write};
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
     use std::os::fd::{AsRawFd, RawFd};

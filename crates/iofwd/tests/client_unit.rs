@@ -12,13 +12,13 @@ use bytes::Bytes;
 use iofwd::backend::MemSinkBackend;
 use iofwd::client::{Client, ClientError, WriteOutcome};
 use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
+use iofwd::sync::Mutex;
 use iofwd::telemetry::Telemetry;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
 use iofwd::transport::Conn;
 use iofwd_proto::{
     Errno, Fd, FileStat, Frame, OpId, OpenFlags, Request, Response, TraceContext, TraceExt, Whence,
 };
-use parking_lot::Mutex;
 
 /// A connection whose responses are scripted ahead of time. Each entry
 /// is a function of the received request frame.

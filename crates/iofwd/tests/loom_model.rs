@@ -10,10 +10,10 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p iofwd --test loom_model --release
 //! ```
 //!
-//! (or `cargo xtask loom`). Under `--cfg loom` the crate's sync shim
-//! (`iofwd::sync`) swaps parking_lot for `loomlite`, whose cooperative
-//! scheduler exhaustively enumerates every thread interleaving at
-//! lock/condvar granularity. An assertion failing in ANY schedule, or a
+//! (or `cargo xtask loom`). Under `--cfg loom` every lock and condvar
+//! of the crate's sync seam (`iofwd::sync`) is `loomlite`'s, whose
+//! cooperative scheduler exhaustively enumerates every thread
+//! interleaving at lock/condvar granularity (channels stay `std`). An assertion failing in ANY schedule, or a
 //! schedule with no runnable thread (lost wakeup / deadlock), fails the
 //! test with a panic naming the schedule.
 //!

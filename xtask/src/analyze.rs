@@ -1001,6 +1001,11 @@ const SCOPE: &[&str] = &[
     "crates/iofwd-telemetry/src",
 ];
 
+/// The lock and condvar primitives themselves: their `.lock()` and
+/// `.wait(&mut g)` are what the summaries model, so the file that
+/// implements them is not summarised as a caller.
+const PRIMITIVES: &str = "crates/iofwd/src/sync.rs";
+
 pub fn collect_analysis_files(root: &Path) -> Vec<(String, String)> {
     let mut paths = Vec::new();
     for dir in SCOPE {
@@ -1017,7 +1022,9 @@ pub fn collect_analysis_files(root: &Path) -> Vec<(String, String)> {
             .unwrap_or(&p)
             .to_string_lossy()
             .replace('\\', "/");
-        out.push((rel, src));
+        if rel != PRIMITIVES {
+            out.push((rel, src));
+        }
     }
     out
 }

@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the invariant linter. Twelve rules the compiler cannot
+//! * `lint` — the invariant linter. Thirteen rules the compiler cannot
 //!   enforce but this codebase depends on (see DESIGN.md, "Enforced
 //!   invariants"):
 //!   - **R1** Simulation crates (`simcore`, `bgsim`, `bgp-model`,
@@ -58,10 +58,16 @@
 //!     never hears about.
 //!   - **R12** `iofwd::server::admit`, the admission core, must not
 //!     name a channel, a thread, a socket or a blocking BML call
-//!     (`crossbeam`, `std::thread`, `sleep(`, `.recv(`, `Condvar`,
-//!     `std::net`, `TcpStream`, `.acquire(`, `.adopt(`) outside test
-//!     code: it never blocks and never touches a socket; the drivers
-//!     own those primitives. `try_acquire` stays allowed.
+//!     (`Sender`, `Receiver`, `channel(`, `std::thread`, `sleep(`,
+//!     `.recv(`, `Condvar`, `std::net`, `TcpStream`, `.acquire(`,
+//!     `.adopt(`) outside test code: it never blocks and never touches
+//!     a socket; the drivers own those primitives. `try_acquire` stays
+//!     allowed.
+//!   - **R13** In `crates/iofwd/src`, only `sync.rs` may name
+//!     `parking_lot`, `crossbeam` or `std::sync::{Mutex, MutexGuard,
+//!     Condvar, mpsc}` (test code included): every daemon lock, condvar
+//!     and channel comes from the `iofwd::sync` seam, so the loom build
+//!     swaps every lock.
 //!
 //!   Known-good exceptions live in `xtask/lint.allow` (one per line:
 //!   `R<n> <path> -- <justification>`, at most [`MAX_ALLOW`] entries).

@@ -38,6 +38,8 @@ pub enum Rule {
     /// The admission core names no driver primitive: no channel,
     /// thread, socket or blocking BML call.
     R12,
+    /// Daemon locks, condvars and channels come from `crate::sync` only.
+    R13,
 }
 
 impl Rule {
@@ -54,6 +56,7 @@ impl Rule {
             "R10" => Some(Rule::R10),
             "R11" => Some(Rule::R11),
             "R12" => Some(Rule::R12),
+            "R13" => Some(Rule::R13),
             _ => None,
         }
     }
@@ -73,6 +76,7 @@ impl std::fmt::Display for Rule {
             Rule::R10 => "R10",
             Rule::R11 => "R11",
             Rule::R12 => "R12",
+            Rule::R13 => "R13",
         })
     }
 }
@@ -178,7 +182,9 @@ const BACKEND_CALLS: &[&str] = &[
 /// stays allowed).
 const ADMIT_FILE: &str = "crates/iofwd/src/server/admit.rs";
 const DRIVER_NAMES: &[&str] = &[
-    "crossbeam",
+    "Sender",
+    "Receiver",
+    "channel(",
     "std::thread",
     "sleep(",
     ".recv(",
@@ -188,6 +194,13 @@ const DRIVER_NAMES: &[&str] = &[
     ".acquire(",
     ".adopt(",
 ];
+
+/// The daemon's one source of locks, condvars and channels, so that the
+/// loom build sees every lock. Elsewhere in `crates/iofwd/src` these
+/// crates and `std::sync` items may not be named.
+const SYNC_SEAM: &str = "crates/iofwd/src/sync.rs";
+const SEAM_CRATES: &[&str] = &["parking_lot", "crossbeam"];
+const SEAM_STD_ITEMS: &[&str] = &["Mutex", "MutexGuard", "Condvar", "mpsc"];
 
 pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     let masked = strip(source);
@@ -235,6 +248,9 @@ pub fn check_file(rel: &Path, source: &str) -> Vec<Violation> {
     }
     if unix == ADMIT_FILE {
         check_r12(rel, &masked, &mut out);
+    }
+    if unix.starts_with("crates/iofwd/src/") && unix != SYNC_SEAM {
+        check_r13(rel, &masked, &mut out);
     }
     out
 }
@@ -805,6 +821,39 @@ fn check_r12(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------- R13
+
+fn check_r13(rel: &Path, masked: &str, out: &mut Vec<Violation>) {
+    let mut hits: Vec<(usize, String)> = SEAM_CRATES
+        .iter()
+        .flat_map(|c| {
+            find_words(masked, c)
+                .into_iter()
+                .map(|p| (p, c.to_string()))
+        })
+        .collect();
+    for (pos, _) in masked.match_indices("std::sync::") {
+        // The rest of the statement: a path or a `use std::sync::{Arc, Mutex};` group.
+        let item = masked[pos..].split(';').next().unwrap_or_default();
+        for name in SEAM_STD_ITEMS {
+            if !find_words(item, name).is_empty() {
+                hits.push((pos, format!("std::sync::{name}")));
+            }
+        }
+    }
+    for (pos, name) in hits {
+        out.push(Violation {
+            rule: Rule::R13,
+            path: rel.to_path_buf(),
+            line: line_of(masked, pos),
+            message: format!(
+                "`{name}` outside `crate::sync` — take locks, condvars and channels from \
+                 the seam, so the loom build sees every lock"
+            ),
+        });
+    }
+}
+
 // ---------------------------------------------------------------- R4
 
 fn check_r4(rel: &Path, source: &str, masked: &str, out: &mut Vec<Violation>) {
@@ -1091,13 +1140,49 @@ mod tests {
 
     #[test]
     fn r12_allows_non_blocking_bml_calls_comments_and_tests() {
-        let src = "// a handler blocks in Bml::adopt; crossbeam carries the reply\n\
+        let src = "// a handler blocks in Bml::adopt; a Receiver carries the reply\n\
                    fn f(b: &Bml) { b.try_acquire(1); }\n\
-                   #[cfg(test)]\nmod tests { use crossbeam::channel::Receiver; \
+                   #[cfg(test)]\nmod tests { use crate::sync::Receiver; \
                    fn g(rx: &Receiver<u8>) { rx.recv(); b.acquire(1); } }\n";
         assert!(check("crates/iofwd/src/server/admit.rs", src)
             .iter()
             .all(|v| v.rule != Rule::R12));
+    }
+
+    #[test]
+    fn r13_keeps_locks_and_channels_in_the_sync_seam() {
+        let r13 = |path: &str, src: &str| -> Vec<usize> {
+            let v = check(path, src);
+            v.iter()
+                .filter(|v| v.rule == Rule::R13)
+                .map(|v| v.line)
+                .collect()
+        };
+        let planted = "use std::sync::Arc;\nuse std::sync::Mutex;\n";
+        assert_eq!(r13("crates/iofwd/src/descdb.rs", planted), [2]);
+        for (src, hits) in [
+            (
+                "use std::sync::{atomic::{AtomicBool, Ordering}, Condvar};",
+                1,
+            ),
+            ("use std::sync::mpsc::channel;", 1),
+            (
+                "fn f() -> crossbeam::channel::Receiver<parking_lot::Mutex<u8>> { g() }",
+                2,
+            ),
+        ] {
+            assert_eq!(
+                r13("crates/iofwd/src/server/reactor.rs", src).len(),
+                hits,
+                "{src}"
+            );
+        }
+        // The seam itself, other crates and comments are out of scope.
+        assert!(r13("crates/iofwd/src/sync.rs", planted).is_empty());
+        assert!(r13("crates/simcore/src/exec.rs", planted).is_empty());
+        let commented =
+            "// was a parking_lot std::sync::Mutex\nuse std::sync::atomic::AtomicBool;\n";
+        assert!(r13("crates/iofwd/src/descdb.rs", commented).is_empty());
     }
 
     #[test]
