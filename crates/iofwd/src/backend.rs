@@ -219,11 +219,20 @@ impl Backend for NullBackend {
 // MemSinkBackend
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
 struct MemStore {
     files: Mutex<HashMap<String, Arc<Mutex<Vec<u8>>>>>,
     dirs: Mutex<std::collections::BTreeSet<String>>,
     socket_bytes: AtomicU64,
+}
+
+impl Default for MemStore {
+    fn default() -> Self {
+        MemStore {
+            files: Mutex::new(HashMap::new()),
+            dirs: Mutex::new(Default::default()),
+            socket_bytes: AtomicU64::new(0),
+        }
+    }
 }
 
 /// Normalise a path to `/a/b/c` form (single leading slash, no trailing).
@@ -406,7 +415,10 @@ impl Backend for MemSinkBackend {
         if !exists && !flags.contains(OpenFlags::CREATE) {
             return Err(Errno::NoEnt);
         }
-        let data = files.entry(path.to_owned()).or_default().clone();
+        let data = files
+            .entry(path.to_owned())
+            .or_insert_with(|| Arc::new(Mutex::new(Vec::new())))
+            .clone();
         drop(files);
         if flags.contains(OpenFlags::TRUNC) && flags.writable() {
             data.lock().clear();
@@ -1370,7 +1382,7 @@ mod tests {
 
     /// Inner backend for the transparency test: logs every call with
     /// its arguments and answers with a value derived from them.
-    #[derive(Default, Clone)]
+    #[derive(Clone)]
     struct Recorder(Arc<Mutex<Vec<String>>>);
 
     impl Recorder {
@@ -1473,7 +1485,7 @@ mod tests {
         // Reference: the recorder driven bare. A wrapper with nothing to
         // add (zero device cost, empty fault plan) must hand the inner
         // backend the same calls and hand back the same answers.
-        let inner = Arc::new(Recorder::default());
+        let inner = Arc::new(Recorder(Arc::new(Mutex::new(Vec::new()))));
         let answers = drive_every_method(inner.as_ref());
         let calls = std::mem::take(&mut *inner.0.lock());
         assert_eq!(calls.len(), 14, "{calls:?}");

@@ -38,8 +38,8 @@
 //! and all of them are released together at fan-out, after the batch's
 //! outcome has been attributed per op. Coalescing therefore never
 //! extends occupancy past the batch it rode in — the gauge still reads
-//! zero once the lane drains, which `kill_during_load_strands_no_bml_buffer`
-//! and the drain contract check.
+//! zero once the lane drains, which the drain contract and the staging
+//! early-exit table (`tests/receive_pool.rs`) check.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -73,8 +73,9 @@ struct BmlInner {
 impl BmlInner {
     /// Reserve capacity for as many head-of-queue waiters as now fit.
     /// Strict FIFO: stops at the first waiter that does not fit, even if
-    /// a later (smaller) one would.
-    fn grant_from_front(&mut self, capacity: u64) {
+    /// a later (smaller) one would. Whether any waiter was granted.
+    fn grant_from_front(&mut self, capacity: u64) -> bool {
+        let before = self.waiters.len();
         while let Some(&(ticket, block)) = self.waiters.front() {
             if self.outstanding + block > capacity {
                 break;
@@ -83,6 +84,7 @@ impl BmlInner {
             self.granted.insert(ticket, block);
             self.waiters.pop_front();
         }
+        self.waiters.len() < before
     }
 
     /// A block of `class` for a buffer whose capacity is already charged:
@@ -418,7 +420,7 @@ impl Bml {
         }
         // FIFO hand-off: reserve the freed capacity for the head
         // waiter(s) before any new arrival can take it.
-        inner.grant_from_front(self.shared.capacity);
+        let granted = inner.grant_from_front(self.shared.capacity);
         if self.shared.telemetry.enabled() {
             self.shared
                 .telemetry
@@ -426,7 +428,10 @@ impl Bml {
                 .set(inner.outstanding as i64);
         }
         drop(inner);
-        self.shared.cv.notify_all();
+        // Waiters wake only to a grant (or `close`): no grant, no futex call.
+        if granted {
+            self.shared.cv.notify_all();
+        }
     }
 }
 

@@ -10,12 +10,19 @@ use bytes::Bytes;
 use iofwd_proto::{Errno, Request, Response};
 use simcore::rng::SimRng;
 
-use crate::backend::Backend;
+use crate::backend::{Backend, BackendObject};
 use crate::bml::Bml;
 use crate::descdb::{BeginError, DescDb, OpOutcome, SharedObject};
 use crate::fault::{is_transient, RetryPolicy};
-use crate::sync::Mutex;
+use crate::sync::{self, BlockingGuard, Mutex, MutexGuard};
 use crate::telemetry::{OpKind, OpSpan, Telemetry};
+
+/// Lock an object for a backend call: the one lock the call may block under.
+fn io(obj: &SharedObject) -> MutexGuard<'_, Box<dyn BackendObject>> {
+    let o = obj.lock();
+    o.blocking("a backend call on its object");
+    o
+}
 
 /// Telemetry classification of a request. Exhaustive so a new `Request`
 /// variant forces a decision about its span kind.
@@ -176,7 +183,7 @@ impl Engine {
         let total: usize = parts.clone().map(<[u8]>::len).sum();
         let mut iov: [&[u8]; COALESCE_MAX_OPS] = [&[]; COALESCE_MAX_OPS];
         let (mut written, mut failure) = (0usize, None);
-        let mut o = obj.lock();
+        let mut o = io(obj);
         while written < total && failure.is_none() {
             // The remaining iovec: drop written and empty parts, slice
             // the one the last short write split.
@@ -246,6 +253,7 @@ impl Engine {
     /// is the frame payload (write contents). Returns the response and
     /// any response payload (read contents).
     pub fn execute(&self, req: &Request, data: &Bytes) -> (Response, Bytes) {
+        sync::blocking("a backend call");
         match req {
             Request::Open { path, flags, mode } => match self
                 .with_retries(|| self.backend.open(path, *flags, *mode))
@@ -273,7 +281,7 @@ impl Engine {
                 match self
                     .db
                     .object(*fd)
-                    .and_then(|o| o.lock().seek(*offset, *whence))
+                    .and_then(|o| io(&o).seek(*offset, *whence))
                 {
                     Ok(pos) => (Response::Ok { ret: pos as i64 }, Bytes::new()),
                     Err(e) => (Response::Err { errno: e }, Bytes::new()),
@@ -285,7 +293,7 @@ impl Engine {
                 Ok(st) => (Response::StatOk { st }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
-            Request::Fstat { fd } => match self.db.object(*fd).and_then(|o| o.lock().fstat()) {
+            Request::Fstat { fd } => match self.db.object(*fd).and_then(|o| io(&o).fstat()) {
                 Ok(st) => (Response::StatOk { st }, Bytes::new()),
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
@@ -294,7 +302,7 @@ impl Engine {
                 Err(e) => (Response::Err { errno: e }, Bytes::new()),
             },
             Request::Ftruncate { fd, len } => {
-                match self.db.object(*fd).and_then(|o| o.lock().truncate(*len)) {
+                match self.db.object(*fd).and_then(|o| io(&o).truncate(*len)) {
                     Ok(()) => (Response::Ok { ret: 0 }, Bytes::new()),
                     Err(e) => (Response::Err { errno: e }, Bytes::new()),
                 }
@@ -408,7 +416,7 @@ impl Engine {
             None
         };
         let read = |out: &mut [u8]| {
-            let mut o = obj.lock();
+            let mut o = io(&obj);
             self.with_retries(|| o.read_into(offset, out))
         };
         let result = match slab {
@@ -454,7 +462,7 @@ impl Engine {
             return (self.deferred_error_response(op, errno), Bytes::new());
         }
         let synced = self.db.object(fd).and_then(|obj| {
-            let mut o = obj.lock();
+            let mut o = io(&obj);
             self.with_retries(|| o.sync())
         });
         match synced {

@@ -194,7 +194,7 @@ pub mod tcp {
 
     use super::{Conn, Listener};
     use crate::bml::Bml;
-    use crate::sync::Mutex;
+    use crate::sync::{BlockingGuard, Mutex, MutexGuard};
     use iofwd_proto::{Frame, FrameReader};
     use std::io::{self, Write};
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -223,6 +223,13 @@ pub mod tcp {
                 write: Mutex::new(stream),
                 read: Mutex::new((read, FrameReader::default(), None)),
             })
+        }
+
+        /// The one write site: the write half, taken to block on its socket.
+        fn writer(&self) -> MutexGuard<'_, TcpStream> {
+            let w = self.write.lock();
+            w.blocking("a socket write");
+            w
         }
     }
 
@@ -253,21 +260,21 @@ pub mod tcp {
         fn send(&self, frame: Frame) -> io::Result<()> {
             if frame.data.len() >= Frame::SPLIT_SEND_MIN {
                 let header = frame.encode_header();
-                let mut w = self.write.lock();
-                return write_all_split(&mut *w, &header, &frame.data);
+                return write_all_split(&mut *self.writer(), &header, &frame.data);
             }
             let wire = frame.encode();
-            let mut w = self.write.lock();
-            w.write_all(&wire)
+            self.writer().write_all(&wire)
         }
 
         fn send_with_payload(&self, frame: Frame, payload: &[u8]) -> io::Result<()> {
             let header = frame.encode_header_for(payload.len());
-            write_all_split(&mut *self.write.lock(), &header, payload)
+            write_all_split(&mut *self.writer(), &header, payload)
         }
 
         fn recv(&self) -> io::Result<Option<Frame>> {
-            let (stream, reader, pool) = &mut *self.read.lock();
+            let mut read = self.read.lock();
+            read.blocking("a socket read");
+            let (stream, reader, pool) = &mut *read;
             match pool {
                 // "The I/O operation is blocked until ... sufficient
                 // memory is available" (§IV) — before the payload is read.

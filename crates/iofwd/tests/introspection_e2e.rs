@@ -274,8 +274,10 @@ fn watchdog_trips_on_wedged_queue_while_stats_answer() {
 fn doctor_trips_on_a_daemon_that_never_answers() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let mut doctor = spawn_doctor(&addr, "interval_ms=10,loop_lag_ms=200");
+    // Before the spawn: the doctor can connect through the backlog and
+    // start its 200 ms query timer before `spawn_doctor` returns.
     let t0 = Instant::now();
+    let mut doctor = spawn_doctor(&addr, "interval_ms=10,loop_lag_ms=200");
     let first = listener.accept().expect("doctor connects");
     let mut printed = String::new();
     let stdout = doctor.stdout.as_mut().expect("piped stdout");

@@ -3,8 +3,8 @@
 //! byte is received, until its last byte is written — and staged in that
 //! block; one whose class no block of the pool can hold is written
 //! synchronously; the charge comes back on every way out (completion,
-//! backend error, refused descriptor, shutdown drain, a client that dies
-//! mid-payload); and staging memory is capped for bytes in flight, so
+//! backend error, refused descriptor, the staging path's early exits —
+//! one table — and a client that dies mid-payload); and staging memory is capped for bytes in flight, so
 //! clients that announce payloads and stall hold a bounded number of
 //! blocks while everyone else is still served.
 
@@ -13,14 +13,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use iofwd::backend::{Backend, FaultBackend, MemSinkBackend, ThrottledBackend};
-use iofwd::client::{Client, ClientError};
+use iofwd::client::{Client, ClientError, WriteOutcome};
 use iofwd::fault::{FaultPlan, FaultRule, OpClass};
 use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::telemetry::Telemetry;
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
-use iofwd_proto::{Errno, Fd, Frame, OpenFlags, Request, StatsQuery};
+use iofwd::transport::Conn;
+use iofwd_proto::{Errno, Fd, Frame, OpId, OpenFlags, Request, Response, StatsQuery};
 
 const KIB: usize = 1024;
 const MIB: usize = 1 << 20;
@@ -262,41 +264,194 @@ fn the_charge_comes_back_after_a_write_error_and_a_refused_descriptor() {
     }
 }
 
-#[test]
-fn shutdown_mid_burst_reports_and_returns_every_received_block() {
-    // `fault_robustness::kill_during_load_strands_no_bml_buffer`, over TCP:
-    // the backlog's payloads sit in the blocks they were received into.
-    const CHUNK: usize = 64 * KIB;
-    const WRITES: usize = 16;
-    for transport in BOTH {
-        let sink = Arc::new(MemSinkBackend::new());
-        // 2 MiB/s: each 64 KiB write costs ~31 ms; 16 of them ~500 ms.
-        let slow = Arc::new(ThrottledBackend::new(
-            sink.clone(),
-            2.0 * MIB as f64,
-            Duration::ZERO,
-        ));
-        let config = staged(2, 4 * MIB).with_coalescing(false);
-        let telemetry = config.telemetry.clone();
-        let (server, addr) = start(transport, slow, config);
-        let mut c = client(addr);
-        let fd = c
-            .open("/killed", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
-            .unwrap();
-        for i in 0..WRITES {
-            c.pwrite(fd, (i * CHUNK) as u64, &vec![i as u8; CHUNK])
-                .unwrap();
-        }
-        c.shutdown().unwrap();
-        let report = server.shutdown_with_deadline(Duration::from_millis(300));
-        assert!(report.deferred > 0, "{transport:?}: 300 ms cannot drain it");
-        assert!(report.executed > 0, "{transport:?}: the drain had budget");
-        assert_eq!(telemetry.drain_executed.get(), report.executed as u64);
-        assert_eq!(telemetry.drain_deferred.get(), report.deferred as u64);
-        let landed = sink.contents("/killed").unwrap().len();
-        assert_eq!(landed, (WRITES - report.deferred) * CHUNK, "{transport:?}");
-        assert_eq!(telemetry.bml_occupancy.get(), 0, "{transport:?}: stranded");
+/// What one early exit did: writes acked `Staged`, writes that reached
+/// the backend, and writes the drain failed with a deferred `EIO`.
+type Exit = (usize, usize, usize);
+
+const CHUNK: usize = 64 * KIB;
+
+fn landed(sink: &MemSinkBackend, path: &str) -> usize {
+    sink.contents(path).map_or(0, |c| c.len() / CHUNK)
+}
+
+/// `frames` sent back to back on one raw connection: a reply per frame,
+/// in `seq` order.
+fn pipelined(conn: &dyn Conn, frames: Vec<(Request, Bytes)>) -> Vec<(Response, Bytes)> {
+    let n = frames.len();
+    for (seq, (req, data)) in (0..).zip(frames) {
+        conn.send(Frame::request(5, seq, &req, data)).expect("send");
     }
+    let mut replies: Vec<Frame> = (0..n).map(|_| conn.recv().unwrap().unwrap()).collect();
+    replies.sort_by_key(|f| f.seq);
+    let decode = |f: Frame| (f.decode_response().expect("reply"), f.data);
+    replies.into_iter().map(decode).collect()
+}
+
+fn open_raw(conn: &dyn Conn, path: &str) -> Fd {
+    let (flags, mode) = (OpenFlags::RDWR | OpenFlags::CREATE, 0o644);
+    let open = Request::Open {
+        path: path.into(),
+        flags,
+        mode,
+    };
+    match pipelined(conn, vec![(open, Bytes::new())])[0].0 {
+        Response::Ok { ret } => Fd(ret as u32),
+        ref other => panic!("open: {other:?}"),
+    }
+}
+
+fn pwrite_at(fd: Fd, offset: u64) -> (Request, Bytes) {
+    let req = Request::Pwrite {
+        fd,
+        offset,
+        len: CHUNK as u64,
+    };
+    (req, Bytes::from(vec![offset as u8; CHUNK]))
+}
+
+fn acked(replies: &[(Response, Bytes)]) -> usize {
+    let staged = |(r, _): &&(Response, Bytes)| matches!(r, Response::Staged { .. });
+    replies.iter().filter(staged).count()
+}
+
+/// `pwrite; close; pwrite` pipelined on one connection against a 200 ms
+/// device, on either driver: the second write, admitted after its
+/// descriptor's close, is refused `EBADF` — never acked and then dropped —
+/// and both drivers answer the one frame stream alike.
+fn write_after_close(arm: Arm, config: ServerConfig) -> Exit {
+    let Arm::Tcp(t) = arm else { unreachable!() };
+    let sink = Arc::new(MemSinkBackend::new());
+    let plan = FaultPlan::parse("on write delay_us=200000").expect("plan");
+    let slow = FaultBackend::new(sink.clone(), plan, Arc::new(Telemetry::disabled()));
+    let (server, addr) = start(t, Arc::new(slow), config);
+    let conn = TcpConn::connect(addr).expect("connect");
+    let fd = open_raw(&conn, "/a");
+    let close = (Request::Close { fd }, Bytes::new());
+    let frames = vec![pwrite_at(fd, 0), close, pwrite_at(fd, CHUNK as u64)];
+    let replies: Vec<_> = pipelined(&conn, frames)
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
+    let (staged, refused) = (OpId::FIRST, Errno::BadF);
+    let expected = [Response::Staged { op: staged }, Response::Ok { ret: 0 }];
+    assert_eq!(replies[..2], expected, "{t:?}");
+    assert_eq!(replies[2], Response::Err { errno: refused }, "{t:?}");
+    drop(conn);
+    server.shutdown();
+    (1, landed(&sink, "/a"), 0)
+}
+
+/// A write staged once shutdown has closed the queue: the ack is out,
+/// the push fails, and the handler runs the write in place.
+fn push_to_a_closed_queue(arm: Arm, config: ServerConfig) -> Exit {
+    let Arm::Tcp(t) = arm else { unreachable!() };
+    let sink = Arc::new(MemSinkBackend::new());
+    let (server, addr) = start(t, sink.clone(), config);
+    let (mut writer, mut probe) = (client(addr), client(addr));
+    let fd = writer
+        .open("/b", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+        .unwrap();
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    // A synchronous op is refused `EAGAIN` once the queue has closed.
+    eventually("the queue closes", || {
+        matches!(probe.stat("/b"), Err(ClientError::Remote(Errno::Again)))
+    });
+    let outcome = writer.pwrite_detailed(fd, 0, &[9u8; CHUNK]).expect("write");
+    drop((writer, probe));
+    shutdown.join().expect("shutdown");
+    let acked = usize::from(matches!(outcome, WriteOutcome::Staged(_)));
+    (acked, landed(&sink, "/b"), 0)
+}
+
+/// A read reply is a view of a BML block (on `MemHub`, which hands frames
+/// over by value). The client holds it across the daemon's shutdown, which
+/// closes the pool under it; dropping the view then gives the charge back
+/// to a closed pool.
+fn pool_closed_under_a_block(_: Arm, config: ServerConfig) -> Exit {
+    let (sink, hub) = (Arc::new(MemSinkBackend::new()), MemHub::new());
+    let telemetry = config.telemetry.clone();
+    let server = IonServer::spawn(Box::new(hub.listener()), sink.clone(), config);
+    let conn = hub.connect();
+    let fd = open_raw(&conn, "/c");
+    let len = CHUNK as u64;
+    let frames = vec![
+        pwrite_at(fd, 0),
+        (Request::Fsync { fd }, Bytes::new()),
+        (Request::Pread { fd, offset: 0, len }, Bytes::new()),
+        (Request::Close { fd }, Bytes::new()),
+    ];
+    let mut replies = pipelined(&conn, frames);
+    let view = std::mem::take(&mut replies[2].1);
+    drop(conn);
+    server.shutdown();
+    assert_eq!(telemetry.bml_occupancy.get(), CHUNK as i64, "the view");
+    drop(view);
+    (acked(&replies), landed(&sink, "/c"), 0)
+}
+
+/// Sixteen writes parked behind a 2 MiB/s device (~500 ms), the client
+/// gone, and a 300 ms drain: it runs what it can and fails the rest.
+fn drain_out_of_time(arm: Arm, config: ServerConfig) -> Exit {
+    const WRITES: usize = 16;
+    let sink = Arc::new(MemSinkBackend::new());
+    let slow = ThrottledBackend::new(sink.clone(), 2.0 * MIB as f64, Duration::ZERO);
+    // Serial, so the backlog is sixteen calls the deadline can split.
+    let config = config.with_coalescing(false);
+    let telemetry = config.telemetry.clone();
+    let (server, mut c) = start_arm(arm, Arc::new(slow), config);
+    let fd = c
+        .open("/d", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+        .unwrap();
+    let acked = (0..WRITES)
+        .map(|i| c.pwrite_detailed(fd, (i * CHUNK) as u64, &vec![i as u8; CHUNK]))
+        .filter(|w| matches!(w, Ok(WriteOutcome::Staged(_))))
+        .count();
+    drop(c);
+    let report = server.shutdown_with_deadline(Duration::from_millis(300));
+    assert!(report.deferred > 0, "{arm:?}: 300 ms cannot drain it");
+    assert!(report.executed > 0, "{arm:?}: the drain had budget");
+    assert_eq!(telemetry.drain_executed.get(), report.executed as u64);
+    assert_eq!(telemetry.drain_deferred.get(), report.deferred as u64);
+    (acked, landed(&sink, "/d"), report.deferred)
+}
+
+/// Run one early exit on each of `arms`: it must give every received
+/// block back, leave no op in flight and no descriptor open, and execute
+/// or fail with a deferred error every write it acked `Staged`.
+fn settles(row: &str, case: fn(Arm, ServerConfig) -> Exit, arms: &[Arm]) {
+    for &arm in arms {
+        let config = staged(2, 4 * MIB);
+        let telemetry = config.telemetry.clone();
+        let (acked, landed, deferred) = case(arm, config);
+        let row = format!("{row} ({arm:?})");
+        assert!(acked > 0, "{row}: nothing was acked");
+        assert_eq!(acked, landed + deferred, "{row}");
+        assert_eq!(telemetry.bml_occupancy.get(), 0, "{row}: stranded");
+        assert_eq!(telemetry.inflight_ops.get(), 0, "{row}: in flight");
+        assert_eq!(telemetry.open_descriptors.get(), 0, "{row}: open");
+    }
+}
+
+/// The staging path's early exits, one row each.
+#[test]
+fn every_staging_early_exit_returns_its_block_and_settles_its_write() {
+    let [threads, reactor, memhub] = ARMS;
+    settles(
+        "a write admitted after its close",
+        write_after_close,
+        &[threads, reactor],
+    );
+    settles(
+        "a push that finds the queue closed",
+        push_to_a_closed_queue,
+        &[threads],
+    );
+    settles(
+        "the pool closed under a block",
+        pool_closed_under_a_block,
+        &[memhub],
+    );
+    settles("a shutdown drain out of time", drain_out_of_time, &ARMS);
 }
 
 #[test]

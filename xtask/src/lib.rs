@@ -1,18 +1,11 @@
-//! Library surface of `cargo xtask`, so the analyzer and linter can be
-//! exercised from integration tests (`xtask/tests/`) as well as from the
-//! CLI in `main.rs`.
+//! Library surface of `cargo xtask`, so the linter can be exercised from
+//! unit tests as well as from the CLI in `main.rs`.
 //!
 //! * [`lexer`] — the masking "lexer" shared by every source-level check.
-//! * [`rules`] — the single-file invariant lint rules R1–R9.
-//! * [`summary`] — per-function concurrency summaries (locks, blocking
-//!   calls, BML buffer events) extracted from the masked token stream.
-//! * [`analyze`] — the interprocedural pass over those summaries: lock
-//!   order (A1), blocking-under-lock (A2), BML buffer leaks (A3).
+//! * [`rules`] — the single-file invariant lint rules R1–R13.
 
-pub mod analyze;
 pub mod lexer;
 pub mod rules;
-pub mod summary;
 
 use std::path::{Path, PathBuf};
 

@@ -74,28 +74,18 @@
 //!   Stale entries — suppressions whose finding no longer exists — fail
 //!   the run.
 //!
-//! * `analyze` — the interprocedural concurrency analyzer: builds
-//!   per-function summaries (locks, blocking calls, BML buffer events)
-//!   for `iofwd` / `iofwd-proto` / `iofwd-telemetry`, propagates them
-//!   over a name-resolution call graph, and reports lock-order cycles
-//!   (A1), blocking-under-lock (A2), and BML buffer leak paths (A3).
-//!   `--json` emits a machine-readable report on stdout. Exceptions
-//!   live in `xtask/analyze.allow` (same shape as `lint.allow`); see
-//!   DESIGN.md §13 for rule semantics and approximations.
-//!
 //! * `loom` — run the loomlite model-checking suite
 //!   (`crates/iofwd/tests/loom_model.rs`) with `RUSTFLAGS="--cfg loom"`.
-//! * `miri` — run the protocol/runtime unit tests under Miri when the
-//!   component is installed; explains how to get it otherwise.
-//! * `tsan` — run the concurrency tests under ThreadSanitizer when the
-//!   nightly toolchain has `rust-src`; explains otherwise.
+//!
+//! Lock order and blocking-under-lock are checked at run time, by the
+//! lock checker in `iofwd::sync` that every debug test run carries.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
+use xtask::collect_rs_files;
 use xtask::rules::{self, Rule};
-use xtask::{analyze, collect_rs_files};
 
 /// Hard cap on `xtask/lint.allow` so the escape hatch stays an escape
 /// hatch; growing past this means fixing code, not the allowlist.
@@ -106,10 +96,7 @@ fn main() -> ExitCode {
     let root = workspace_root();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&root),
-        Some("analyze") => analyze::run(&root, args.iter().any(|a| a == "--json")),
         Some("loom") => run_loom(&root),
-        Some("miri") => run_miri(&root),
-        Some("tsan") => run_tsan(&root),
         Some(other) => {
             eprintln!("xtask: unknown subcommand `{other}`");
             usage();
@@ -123,7 +110,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: cargo xtask <lint|analyze [--json]|loom|miri|tsan>");
+    eprintln!("usage: cargo xtask <lint|loom>");
 }
 
 /// The workspace root: xtask is always invoked via `cargo run` from the
@@ -340,119 +327,23 @@ fn parse_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
 }
 
 // ---------------------------------------------------------------------
-// loom / miri / tsan runners
+// loom runner
 // ---------------------------------------------------------------------
 
 fn run_loom(root: &Path) -> ExitCode {
     println!(
         "xtask loom: RUSTFLAGS=\"--cfg loom\" cargo test -p iofwd --test loom_model --release"
     );
-    let status = Command::new(cargo())
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let status = Command::new(cargo)
         .current_dir(root)
         .env("RUSTFLAGS", "--cfg loom")
         .args(["test", "-p", "iofwd", "--test", "loom_model", "--release"])
         .status();
-    exit_from(status, "cargo test (loom)")
-}
-
-fn run_miri(root: &Path) -> ExitCode {
-    let probe = Command::new(cargo())
-        .current_dir(root)
-        .args(["+nightly", "miri", "--version"])
-        .output();
-    let available = matches!(&probe, Ok(o) if o.status.success());
-    if !available {
-        println!("xtask miri: skipped — the `miri` component is not installed.");
-        println!("  Install with: rustup +nightly component add miri");
-        println!("  Then run:     cargo xtask miri");
-        return ExitCode::SUCCESS;
-    }
-    println!("xtask miri: cargo +nightly miri test -p iofwd-proto -p iofwd --lib");
-    let status = Command::new(cargo())
-        .current_dir(root)
-        .args([
-            "+nightly",
-            "miri",
-            "test",
-            "-p",
-            "iofwd-proto",
-            "-p",
-            "iofwd",
-            "--lib",
-        ])
-        .status();
-    exit_from(status, "cargo miri test")
-}
-
-fn run_tsan(root: &Path) -> ExitCode {
-    let probe = Command::new("rustc")
-        .args(["+nightly", "--print", "sysroot"])
-        .output();
-    let sysroot = match &probe {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        _ => {
-            println!("xtask tsan: skipped — no nightly toolchain found.");
-            println!("  Install with: rustup toolchain install nightly");
-            return ExitCode::SUCCESS;
-        }
-    };
-    // -Zbuild-std (required to instrument std) needs the rust-src component.
-    if !Path::new(&sysroot)
-        .join("lib/rustlib/src/rust/library")
-        .exists()
-    {
-        println!("xtask tsan: skipped — nightly lacks the `rust-src` component.");
-        println!("  Install with: rustup +nightly component add rust-src");
-        println!("  Then run:     cargo xtask tsan");
-        return ExitCode::SUCCESS;
-    }
-    let target = host_target();
-    println!(
-        "xtask tsan: RUSTFLAGS=\"-Zsanitizer=thread\" cargo +nightly test -Zbuild-std \
-         --target {target} -p iofwd --lib"
-    );
-    let status = Command::new(cargo())
-        .current_dir(root)
-        .env("RUSTFLAGS", "-Zsanitizer=thread")
-        .args([
-            "+nightly",
-            "test",
-            "-Zbuild-std",
-            "--target",
-            &target,
-            "-p",
-            "iofwd",
-            "--lib",
-        ])
-        .status();
-    exit_from(status, "cargo test (tsan)")
-}
-
-fn cargo() -> String {
-    std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string())
-}
-
-fn host_target() -> String {
-    let out = Command::new("rustc").args(["-vV"]).output();
-    if let Ok(o) = out {
-        for line in String::from_utf8_lossy(&o.stdout).lines() {
-            if let Some(t) = line.strip_prefix("host: ") {
-                return t.to_string();
-            }
-        }
-    }
-    "x86_64-unknown-linux-gnu".to_string()
-}
-
-fn exit_from(status: std::io::Result<std::process::ExitStatus>, what: &str) -> ExitCode {
     match status {
         Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(s) => {
-            eprintln!("xtask: {what} failed: {s}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask: could not run {what}: {e}");
+        other => {
+            eprintln!("xtask loom: cargo test (loom) failed: {other:?}");
             ExitCode::FAILURE
         }
     }
