@@ -2,8 +2,7 @@
 //! staged mode every op on a descriptor takes its turn in the
 //! descriptor's lane, behind the writes staged before it; an op admitted
 //! after a `close` of its descriptor is refused `EBADF`, so no write is
-//! acknowledged and then dropped (pipelined on one connection, it is a
-//! row of `receive_pool.rs`'s early-exit table); and in every mode a `close` leaves an
+//! acknowledged and then dropped; and in every mode a `close` leaves an
 //! op another connection has in flight on the same descriptor to finish,
 //! as POSIX `close` does.
 
@@ -11,14 +10,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use iofwd::backend::{FaultBackend, MemSinkBackend};
 use iofwd::client::{Client, ClientError, WriteOutcome};
 use iofwd::fault::FaultPlan;
-use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
+use iofwd::server::{ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::telemetry::Telemetry;
 use iofwd::transport::mem::MemHub;
 use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
-use iofwd_proto::{Errno, OpenFlags};
+use iofwd::transport::Conn;
+use iofwd_proto::{Errno, Fd, Frame, OpId, OpenFlags, Request, Response};
 
 fn start(mode: ForwardingMode, plan: &str) -> (IonServer, MemHub) {
     let backend = FaultBackend::new(
@@ -141,9 +142,13 @@ fn closing_a_descriptor_another_connection_is_using() {
     }
 }
 
-/// A staged daemon over TCP whose device holds every write for
-/// `delay_us`; its address, its memory sink and its registry.
-fn staged_daemon(delay_us: u32) -> (IonServer, String, Arc<MemSinkBackend>, Arc<Telemetry>) {
+/// A staged daemon over TCP, on the reactor or on threads, whose device
+/// holds every write for `delay_us`; its address, its memory sink and its
+/// registry.
+fn staged_daemon(
+    reactor: bool,
+    delay_us: u32,
+) -> (IonServer, String, Arc<MemSinkBackend>, Arc<Telemetry>) {
     let sink = Arc::new(MemSinkBackend::new());
     let plan = FaultPlan::parse(&format!("on write delay_us={delay_us}")).expect("valid plan");
     let backend = Arc::new(FaultBackend::new(
@@ -159,7 +164,12 @@ fn staged_daemon(delay_us: u32) -> (IonServer, String, Arc<MemSinkBackend>, Arc<
     .with_telemetry(telemetry.clone());
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let addr = acceptor.local_addr().expect("addr").to_string();
-    let server = IonServer::spawn(Box::new(acceptor), backend, config);
+    let server = if reactor {
+        IonServer::spawn_reactor(acceptor, backend, config, ReactorConfig::default())
+            .expect("spawn reactor")
+    } else {
+        IonServer::spawn(Box::new(acceptor), backend, config)
+    };
     (server, addr, sink, telemetry)
 }
 
@@ -170,13 +180,86 @@ fn assert_settled(telemetry: &Telemetry, label: &str) {
     assert_eq!(telemetry.open_descriptors.get(), 0, "{label}");
 }
 
+/// `open`, then — once it is answered — `pwrite(0); close;
+/// pwrite(4096)` sent back to back on one connection before any reply
+/// is read, against a 200 ms device: the replies in `seq` order, and the
+/// bytes that reached the backend.
+fn pipelined_close(reactor: bool) -> (Vec<Response>, usize) {
+    let (server, addr, sink, telemetry) = staged_daemon(reactor, 200_000);
+    let conn = TcpConn::connect(addr).expect("connect");
+    let reply = || {
+        let frame = conn.recv().expect("recv").expect("a reply per frame");
+        let resp = frame.decode_response().expect("well-formed reply");
+        (frame.seq, resp)
+    };
+    let open = Request::Open {
+        path: "/raced".into(),
+        flags: OpenFlags::RDWR | OpenFlags::CREATE,
+        mode: 0o644,
+    };
+    conn.send(Frame::request(5, 1, &open, Bytes::new()))
+        .expect("send");
+    let (_, opened) = reply();
+    let Response::Ok { ret } = opened else {
+        panic!("open failed: {opened:?}");
+    };
+    let fd = Fd(ret as u32);
+    let pwrite = |offset| Request::Pwrite {
+        fd,
+        offset,
+        len: 4096,
+    };
+    let frames = [
+        (pwrite(0), Bytes::from(vec![1u8; 4096])),
+        (Request::Close { fd }, Bytes::new()),
+        (pwrite(4096), Bytes::from(vec![2u8; 4096])),
+    ];
+    for (seq, (req, data)) in (2..).zip(frames) {
+        conn.send(Frame::request(5, seq, &req, data)).expect("send");
+    }
+    let mut replies = vec![Some(opened), None, None, None];
+    for _ in 0..3 {
+        let (seq, resp) = reply();
+        replies[seq as usize - 1] = Some(resp);
+    }
+    drop(conn);
+    server.shutdown();
+    let label = if reactor { "reactor" } else { "threads" };
+    assert_settled(&telemetry, label);
+    let landed = sink.contents("/raced").map_or(0, |c| c.len());
+    (replies.into_iter().map(Option::unwrap).collect(), landed)
+}
+
+/// A write pipelined behind its descriptor's close is refused `EBADF` at
+/// admission on both drivers, never acked `Staged` and then dropped:
+/// both drivers answer the one frame stream alike, and every write
+/// acked `Staged` reaches the backend.
+#[test]
+fn a_write_pipelined_behind_a_close_is_refused_on_both_drivers() {
+    let expected = vec![
+        Response::Ok { ret: 3 },
+        Response::Staged { op: OpId::FIRST },
+        Response::Ok { ret: 0 },
+        Response::Err { errno: Errno::BadF },
+    ];
+    for reactor in [true, false] {
+        let (replies, landed) = pipelined_close(reactor);
+        assert_eq!(replies, expected, "reactor={reactor}");
+        let staged = replies
+            .iter()
+            .filter(|r| matches!(r, Response::Staged { .. }))
+            .count();
+        assert_eq!(landed, staged * 4096, "reactor={reactor}");
+    }
+}
+
 /// Connection B closes a descriptor while A's first write to it is held
 /// in the backend, and A writes again: on threads, B's close waits in
 /// the lane behind A's write, and A's second write, admitted after the
 /// close, is refused `EBADF` rather than acked and lost.
 #[test]
 fn a_write_admitted_after_another_connections_close_is_refused() {
-    let (server, addr, sink, telemetry) = staged_daemon(500_000);
+    let (server, addr, sink, telemetry) = staged_daemon(false, 500_000);
     let connect = |id| Client::with_id(Box::new(TcpConn::connect(&addr).expect("connect")), id);
     let (mut a, mut b) = (connect(1), connect(2));
     let fd = a

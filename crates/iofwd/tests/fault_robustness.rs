@@ -1,13 +1,13 @@
 //! Robustness under injected faults and forced shutdown: the chaos
 //! completion contract (a seeded fault plan with transient errors must
-//! not surface to a client when retries are on) and an orderly
-//! shutdown's empty drain report. A drain out of time is a row of
-//! `receive_pool.rs`'s table of the staging path's early exits.
+//! not surface to a client when retries are on) and the drain contract
+//! (a deadline-bounded shutdown leaves no staged write without an
+//! outcome and no BML buffer stranded).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use iofwd::backend::{Backend, FaultBackend, MemSinkBackend};
+use iofwd::backend::{Backend, FaultBackend, MemSinkBackend, ThrottledBackend};
 use iofwd::client::Client;
 use iofwd::fault::{FaultPlan, FaultRule, OpClass, RetryPolicy};
 use iofwd::server::{ForwardingMode, IonServer, ServerConfig};
@@ -145,6 +145,61 @@ fn orderly_shutdown_reports_nothing_parked() {
     c.shutdown().unwrap();
     let report = server.shutdown_with_deadline(Duration::from_secs(5));
     assert_eq!((report.executed, report.deferred), (0, 0));
+}
+
+#[test]
+fn kill_during_load_strands_no_bml_buffer() {
+    // A slow backend, a pile of staged writes, the client vanishes, and
+    // the daemon is given a deadline far too small to finish the backlog.
+    // Contract: every parked staged write either executes during the
+    // drain or records a deferred error — and all staging memory is
+    // returned (BML occupancy gauge reads zero after shutdown).
+    const CHUNK: usize = 64 * 1024;
+    const WRITES: usize = 16;
+    let sink = Arc::new(MemSinkBackend::new());
+    // 2 MiB/s: each 64 KiB write costs ~31 ms; 16 of them ~500 ms.
+    let slow = Arc::new(ThrottledBackend::new(
+        sink.clone(),
+        2.0 * 1024.0 * 1024.0,
+        Duration::ZERO,
+    ));
+    // Coalescing off: this test targets the *serial* backlog drain.
+    // Merged, the parked chain would execute as one vectored call that
+    // simply outlives the deadline, leaving the drain nothing to defer.
+    let config = staged_config(2, 4 << 20).with_coalescing(false);
+    let telemetry = config.telemetry.clone();
+    let hub = MemHub::new();
+    let server = IonServer::spawn(Box::new(hub.listener()), slow, config);
+
+    {
+        let mut c = Client::connect(Box::new(hub.connect()));
+        let fd = c
+            .open("/killed", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        for i in 0..WRITES {
+            c.write(fd, &vec![i as u8; CHUNK]).unwrap();
+        }
+        // Vanish without close/fsync: the backlog is the daemon's
+        // problem now.
+    }
+    let report = server.shutdown_with_deadline(Duration::from_millis(300));
+
+    // The deadline was less than the backlog cost, so the drain must
+    // have deferred at least one write — and executed at least one.
+    assert!(report.deferred > 0, "300 ms cannot drain ~500 ms of writes");
+    assert!(report.executed > 0, "the drain had budget for some writes");
+    assert_eq!(telemetry.drain_executed.get(), report.executed as u64);
+    assert_eq!(telemetry.drain_deferred.get(), report.deferred as u64);
+    // Single-fd lanes preserve order, so what landed is an exact prefix:
+    // every write except the deferred tail.
+    let landed = sink.contents("/killed").unwrap().len();
+    assert_eq!(landed, (WRITES - report.deferred) * CHUNK);
+    // No staging buffer may outlive shutdown.
+    assert_eq!(
+        telemetry.bml_occupancy.get(),
+        0,
+        "BML buffers stranded after shutdown"
+    );
 }
 
 /// A plan's `nth=` counts the ops its rule matches. `on any nth=1`

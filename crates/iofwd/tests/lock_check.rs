@@ -96,6 +96,29 @@ fn a_backend_call_under_a_foreign_guard_is_reported() {
     assert_one(&caught, &["a backend call", "engine.rs", &held_at]);
 }
 
+/// The blocking call sits frames below the function holding the guard:
+/// the report names both ends, the guard's site and the call's.
+#[test]
+fn a_blocking_call_frames_below_a_foreign_guard_is_reported_with_both_sites() {
+    fn retry_pause() -> String {
+        sync::blocking("a retry pause");
+        here()
+    }
+    fn commit(depth: u32) -> String {
+        match depth {
+            0 => retry_pause(),
+            _ => commit(depth - 1),
+        }
+    }
+    let journal = Mutex::new(());
+    let (sites, caught) = catch_violations(|| {
+        let _g = journal.lock();
+        let held_at = here();
+        (held_at, commit(2))
+    });
+    assert_one(&caught, &["a retry pause", &sites.0, &sites.1]);
+}
+
 /// Silent on the daemon's own paths too: the graph test below runs
 /// every mode's backend calls and socket I/O under their own guards.
 #[test]

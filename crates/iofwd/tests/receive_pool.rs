@@ -3,8 +3,9 @@
 //! byte is received, until its last byte is written — and staged in that
 //! block; one whose class no block of the pool can hold is written
 //! synchronously; the charge comes back on every way out (completion,
-//! backend error, refused descriptor, the staging path's early exits —
-//! one table — and a client that dies mid-payload); and staging memory is capped for bytes in flight, so
+//! backend error, refused descriptor, shutdown drain, the staging path's
+//! early exits — one table — and a client that dies mid-payload); and
+//! staging memory is capped for bytes in flight, so
 //! clients that announce payloads and stall hold a bounded number of
 //! blocks while everyone else is still served.
 
@@ -264,11 +265,47 @@ fn the_charge_comes_back_after_a_write_error_and_a_refused_descriptor() {
     }
 }
 
+const CHUNK: usize = 64 * KIB;
+
+#[test]
+fn shutdown_mid_burst_reports_and_returns_every_received_block() {
+    // `fault_robustness::kill_during_load_strands_no_bml_buffer`, over TCP:
+    // the backlog's payloads sit in the blocks they were received into.
+    const WRITES: usize = 16;
+    for transport in BOTH {
+        let sink = Arc::new(MemSinkBackend::new());
+        // 2 MiB/s: each 64 KiB write costs ~31 ms; 16 of them ~500 ms.
+        let slow = Arc::new(ThrottledBackend::new(
+            sink.clone(),
+            2.0 * MIB as f64,
+            Duration::ZERO,
+        ));
+        let config = staged(2, 4 * MIB).with_coalescing(false);
+        let telemetry = config.telemetry.clone();
+        let (server, addr) = start(transport, slow, config);
+        let mut c = client(addr);
+        let fd = c
+            .open("/killed", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        for i in 0..WRITES {
+            c.pwrite(fd, (i * CHUNK) as u64, &vec![i as u8; CHUNK])
+                .unwrap();
+        }
+        c.shutdown().unwrap();
+        let report = server.shutdown_with_deadline(Duration::from_millis(300));
+        assert!(report.deferred > 0, "{transport:?}: 300 ms cannot drain it");
+        assert!(report.executed > 0, "{transport:?}: the drain had budget");
+        assert_eq!(telemetry.drain_executed.get(), report.executed as u64);
+        assert_eq!(telemetry.drain_deferred.get(), report.deferred as u64);
+        let landed = sink.contents("/killed").unwrap().len();
+        assert_eq!(landed, (WRITES - report.deferred) * CHUNK, "{transport:?}");
+        assert_eq!(telemetry.bml_occupancy.get(), 0, "{transport:?}: stranded");
+    }
+}
+
 /// What one early exit did: writes acked `Staged`, writes that reached
 /// the backend, and writes the drain failed with a deferred `EIO`.
 type Exit = (usize, usize, usize);
-
-const CHUNK: usize = 64 * KIB;
 
 fn landed(sink: &MemSinkBackend, path: &str) -> usize {
     sink.contents(path).map_or(0, |c| c.len() / CHUNK)
