@@ -58,6 +58,12 @@ pub trait BackendObject: Send {
     /// requested means EOF. The engine reads straight into a recycled
     /// BML slab block through it.
     fn read_into(&mut self, offset: Option<u64>, out: &mut [u8]) -> Result<u64, Errno>;
+    /// One positional read that never blocks (`preadv2(RWF_NOWAIT)`):
+    /// bytes read (a short count if only part is at hand, 0 at EOF), or an
+    /// error — `EAGAIN` from every object that cannot promise it.
+    fn read_nowait_at(&mut self, _offset: u64, _out: &mut [u8]) -> Result<u64, Errno> {
+        Err(Errno::Again)
+    }
     /// Reposition; returns the new offset.
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno>;
     /// Flush to stable storage / the socket.
@@ -528,6 +534,26 @@ impl FileBackend {
 
 struct FileObject {
     file: File,
+    /// A no-wait read on it was answered `EOPNOTSUPP` (tmpfs).
+    nowait_unsupported: bool,
+}
+
+/// A no-wait read by `call`, unless one on this object was answered
+/// `EOPNOTSUPP`: that answer and every later one are `EAGAIN`, so a
+/// filesystem without no-wait reads costs one failed call per object.
+fn latched_nowait(
+    unsupported: &mut bool,
+    call: impl FnOnce() -> std::io::Result<usize>,
+) -> Result<u64, Errno> {
+    const EOPNOTSUPP: i32 = 95;
+    if !*unsupported {
+        match call() {
+            Ok(n) => return Ok(n as u64),
+            Err(e) if e.raw_os_error() != Some(EOPNOTSUPP) => return Err(Errno::from_io(&e)),
+            Err(_) => *unsupported = true,
+        }
+    }
+    Err(Errno::Again)
 }
 
 fn stat_of(meta: &std::fs::Metadata) -> FileStat {
@@ -581,6 +607,27 @@ impl BackendObject for FileObject {
             }
         }
         Ok(filled as u64)
+    }
+
+    // Elsewhere, or with a 32-bit `off_t`, the trait's `EAGAIN` stands.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn read_nowait_at(&mut self, offset: u64, out: &mut [u8]) -> Result<u64, Errno> {
+        use std::io::IoSliceMut;
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn preadv2(fd: i32, iov: *const IoSliceMut, n: i32, off: i64, flags: i32) -> isize;
+        }
+        const RWF_NOWAIT: i32 = 8;
+        // An offset of -1 would mean the cursor.
+        let off = i64::try_from(offset).map_err(|_| Errno::Inval)?;
+        let (fd, iov) = (self.file.as_raw_fd(), [IoSliceMut::new(out)]);
+        latched_nowait(&mut self.nowait_unsupported, || {
+            // SAFETY: the declaration is libc's (a 64-bit `off_t`, as the
+            // cfg requires); `IoSliceMut` is ABI-compatible with `iovec`,
+            // `iov` lends one live buffer, and `self.file` keeps `fd` open.
+            let n = unsafe { preadv2(fd, iov.as_ptr(), 1, off, RWF_NOWAIT) };
+            usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
+        })
     }
 
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {
@@ -639,7 +686,10 @@ impl Backend for FileBackend {
             other => other,
         }
         .map_err(|e| Errno::from_io(&e))?;
-        Ok(Box::new(FileObject { file }))
+        Ok(Box::new(FileObject {
+            file,
+            nowait_unsupported: false,
+        }))
     }
 
     fn stat(&self, path: &str) -> Result<FileStat, Errno> {
@@ -989,6 +1039,74 @@ mod tests {
         let n = obj.read_into(offset, &mut buf).unwrap() as usize;
         buf.truncate(n);
         buf
+    }
+
+    /// A filesystem without no-wait reads costs one failed call per
+    /// object: the first `EOPNOTSUPP` latches, and every later read
+    /// answers `EAGAIN` without a call. Other errors do not latch.
+    #[test]
+    fn eopnotsupp_latches_per_object_and_nothing_else_does() {
+        let calls = std::cell::Cell::new(0);
+        let answer = |raw: i32| {
+            calls.set(calls.get() + 1);
+            Err(std::io::Error::from_raw_os_error(raw))
+        };
+        let mut unsupported = false;
+        assert_eq!(
+            latched_nowait(&mut unsupported, || answer(11)),
+            Err(Errno::Again)
+        );
+        assert_eq!(
+            latched_nowait(&mut unsupported, || answer(5)),
+            Err(Errno::Io)
+        );
+        assert_eq!(latched_nowait(&mut unsupported, || Ok(7)), Ok(7));
+        assert_eq!((calls.get(), unsupported), (2, false));
+        assert_eq!(
+            latched_nowait(&mut unsupported, || answer(95)),
+            Err(Errno::Again)
+        );
+        for _ in 0..3 {
+            assert_eq!(
+                latched_nowait(&mut unsupported, || answer(95)),
+                Err(Errno::Again)
+            );
+            assert_eq!(
+                latched_nowait(&mut unsupported, || Ok(7)),
+                Err(Errno::Again)
+            );
+        }
+        assert_eq!(calls.get(), 3, "one failed call, then none");
+    }
+
+    /// The objects that cannot promise a read will not block keep the
+    /// default answer; a file answers from the page cache, or `EAGAIN`
+    /// (`EOPNOTSUPP` on tmpfs, latched) — never a wrong byte.
+    #[test]
+    fn only_files_read_without_waiting() {
+        let mut buf = [0u8; 4];
+        let mem = MemSinkBackend::new();
+        let mut f = mem
+            .open("/m", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        f.write_at(None, b"abcd").unwrap();
+        assert_eq!(f.read_nowait_at(0, &mut buf), Err(Errno::Again));
+        let mut sock = mem.connect("da0", 9).unwrap();
+        assert_eq!(sock.read_nowait_at(0, &mut buf), Err(Errno::Again));
+        let mut null = NullBackend::new().open("/n", OpenFlags::RDONLY, 0).unwrap();
+        assert_eq!(null.read_nowait_at(0, &mut buf), Err(Errno::Again));
+
+        let dir = std::env::temp_dir().join(format!("iofwd-nowait-{}", std::process::id()));
+        let files = FileBackend::new(&dir);
+        let mut f = files
+            .open("/f", OpenFlags::RDWR | OpenFlags::CREATE, 0o644)
+            .unwrap();
+        f.write_at(Some(0), b"cached").unwrap();
+        match f.read_nowait_at(2, &mut buf) {
+            Ok(n) => assert_eq!(&buf[..n as usize], &b"ched"[..n as usize]),
+            Err(e) => assert_eq!(e, Errno::Again),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -367,8 +367,10 @@ impl Bml {
     pub fn close(&self) {
         let mut inner = self.shared.inner.lock();
         inner.closed = true;
-        // Un-reserve capacity granted to waiters that have not collected
-        // it yet: they will observe `closed` before their grant.
+        // A waiter never granted leaves the queue and gets `None`. One a
+        // release already granted keeps its charge in `outstanding` and
+        // still collects its block — `admit` looks for its grant before
+        // `closed` — and the charge returns when that buffer drops.
         inner.waiters.clear();
         drop(inner);
         self.shared.cv.notify_all();

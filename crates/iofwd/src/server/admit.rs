@@ -8,26 +8,27 @@
 //! [`admit`] ([`accept`], then [`resume`]) owns every protocol and
 //! descriptor-database decision and **never blocks, never waits and
 //! never touches a socket**. It returns an [`Admission`] that tells the
-//! transport driver what to do next; the threaded driver
-//! (`handlers::serve_conn`) obeys in place, the reactor by pushing the op
-//! to the worker pool. Neither is named here: a queued op is answered
+//! transport driver what to do next, and both drivers carry it out
+//! through the same calls. Neither is named here: a queued op is answered
 //! through its connection's completion sink ([`Route`]), one reply route
 //! for both drivers — a handler blocks on its sink's receiver, an event
 //! loop drains its own when woken — and a reply dropped unanswered still
 //! arrives, as `EIO`, and closes the connection.
 //!
-//! [`dispatch`] (on a thread that may block) and [`enqueue`] (on an
-//! event loop) carry out an [`Admission::Dispatch`]. In staged mode an op
-//! on a descriptor first joins the descriptor's lane, in frame order,
-//! behind its staged writes: a barrier is a place in the lane, and an op
-//! waiting there is released by the completion of the item ahead, so no
-//! thread ever waits for one. The lane is kept in the descriptor's
-//! `DescDb` entry, under the table's one lock, so an op admitted after a
-//! close of its descriptor is answered `EBADF` at once. An op free to go
-//! is run by [`dispatch`] right there under a free execution slot of the
-//! work queue, or pushed to the pool; it crosses threads only when that
-//! buys something — every slot busy, or its client already has work
-//! waiting in the pool.
+//! [`dispatch`] carries out an [`Admission::Dispatch`] on either driver.
+//! In staged mode an op on a descriptor first joins the descriptor's
+//! lane, in frame order, behind its staged writes: a barrier is a place
+//! in the lane, and an op waiting there is released by the completion of
+//! the item ahead, so no thread ever waits for one. The lane is kept in
+//! the descriptor's `DescDb` entry, under the table's one lock, so an op
+//! admitted after a close of its descriptor is answered `EBADF` at once.
+//! An op free to go runs on the thread that admitted it, under a free
+//! execution slot of the work queue, if that thread may run it
+//! ([`MayRun`]): a handler thread may run anything, an event loop only a
+//! read the kernel serves without blocking. Otherwise it is pushed to
+//! the pool: it crosses threads only when that buys something — every
+//! slot busy, its client already has work waiting in the pool, or the op
+//! could block a loop.
 //!
 //! Three orderings are fixed here and nowhere else (DESIGN.md §15):
 //!
@@ -58,6 +59,7 @@ use super::queue::{
 };
 use crate::bml::{Bml, BmlBuffer};
 use crate::descdb::OpOutcome;
+use crate::sync;
 use crate::telemetry::{ring, Disposition, OpSpan, Telemetry};
 
 /// Which of the paper's architectures admission implements.
@@ -230,9 +232,8 @@ pub(crate) enum Admission {
     /// Send this frame, then drop the connection.
     Close { after: Frame },
     /// A synchronous op — every op but a staged write — that joins
-    /// `lane` (staged mode, an op on a descriptor) first: on a thread
-    /// that may block, [`dispatch`] it; an event loop, which must not
-    /// execute it, [`enqueue`]s it. The outcome goes to [`finish`].
+    /// `lane` (staged mode, an op on a descriptor) first: [`dispatch`]
+    /// it, then hand its outcome to [`finish`].
     Dispatch { lane: Option<Fd>, op: Op },
 }
 
@@ -453,35 +454,65 @@ pub(crate) enum Dispatched {
     Queued,
 }
 
-/// Carry out an [`Admission::Dispatch`] on a thread that may block. Once
-/// the op may go — it has no lane, or heads it — run it right here
-/// under one of the pool's execution slots if the queue is open, the
-/// client has nothing waiting in the pool and a slot is free
-/// ([`WorkQueue::try_claim`]), and push it otherwise; with no pool
-/// (ciod/zoid) the connection's own thread runs everything. Either way
-/// at most `workers` ops execute at once (§IV's bound), and an op
+/// What a thread carrying out a dispatch may run itself: anything (a
+/// handler, which may block), or only a `pread` heading its lane that
+/// the kernel serves without waiting (an event loop).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MayRun {
+    Anything,
+    NoWaitRead,
+}
+
+/// Carry out an [`Admission::Dispatch`]: one rule for every thread. Once
+/// the op may go — it has no lane, or heads it — it runs right here if
+/// this thread may run it (`may`), the queue is open, the client has
+/// nothing waiting in the pool and a slot is free
+/// ([`WorkQueue::try_claim`]); otherwise, or if a no-wait read would
+/// have to wait, it is pushed, leaving no trace of the attempt. With no
+/// pool (ciod/zoid) the connection's own thread runs everything. Either
+/// way at most `workers` ops execute at once (§IV's bound), and an op
 /// crosses threads only when that buys something.
-pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) -> Dispatched {
+pub(crate) fn dispatch(
+    ctx: &AdmitCtx,
+    route: &Route,
+    lane: Option<Fd>,
+    op: Op,
+    may: MayRun,
+) -> Dispatched {
     let Some(mut op) = join_lane(ctx, route, lane, op) else {
         return Dispatched::Queued;
     };
+    // Heading its lane (staged mode), a read is its descriptor's only
+    // user: no other op can hold the object it reads.
+    let pread_heading_lane = lane.is_some() && matches!(op.req, Request::Pread { .. });
+    let runs_here = may == MayRun::Anything || pread_heading_lane;
     let slot = match ctx.queue() {
         None => None,
-        Some(queue) => match queue.try_claim(op.span.client) {
-            None => {
+        Some(queue) => match runs_here.then(|| queue.try_claim(op.span.client)) {
+            Some(Some(slot)) => Some(slot),
+            _ => {
                 push(ctx, sync_item(route, op, lane));
                 return Dispatched::Queued;
             }
-            slot => slot,
         },
     };
     // Off the pool: the span keeps worker 0, and unless ciod's shm hop
     // stamped it, dispatch is the moment execution starts.
     let telemetry = ctx.telemetry();
+    let dispatch_ns = telemetry.now_ns();
+    let ran = if may == MayRun::Anything {
+        Some(ctx.engine.execute_timed(&op.req, &op.data, &mut op.span))
+    } else {
+        ctx.engine.read_nowait_timed(&op.req, &mut op.span)
+    };
+    let Some((resp, data)) = ran else {
+        drop(slot);
+        push(ctx, sync_item(route, op, lane));
+        return Dispatched::Queued;
+    };
     if op.span.dispatch_ns == 0 {
-        op.span.dispatch_ns = telemetry.now_ns();
+        op.span.dispatch_ns = dispatch_ns;
     }
-    let (resp, data) = ctx.engine.execute_timed(&op.req, &op.data, &mut op.span);
     if let Some(slot) = slot {
         drop(slot);
         if telemetry.enabled() {
@@ -499,15 +530,6 @@ pub(crate) fn dispatch(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) 
         data,
         span: op.span,
     })
-}
-
-/// Carry out an [`Admission::Dispatch`] on an event loop, which must not
-/// execute it: join the op's lane, and push it to the pool once it may
-/// go. Its outcome comes back through the route's sink.
-pub(crate) fn enqueue(ctx: &AdmitCtx, route: &Route, lane: Option<Fd>, op: Op) {
-    if let Some(op) = join_lane(ctx, route, lane, op) {
-        push(ctx, sync_item(route, op, lane));
-    }
 }
 
 /// Stamp the op enqueued (unless ciod's shm hop did) and, in staged
@@ -550,7 +572,10 @@ pub(crate) fn push(ctx: &AdmitCtx, item: WorkItem) {
     };
     while let Some(item) = next {
         let lane = item.lane();
-        settle(ctx, item, Disposition::Completed);
+        // The one blocking call an event loop may make: the daemon is
+        // shutting down, and a staged write's client holds a `Staged`
+        // ack for it, so it runs here rather than be lost.
+        sync::shutdown_exempt(|| settle(ctx, item, Disposition::Completed));
         next = lane.and_then(|fd| ctx.engine.descriptor_db().complete(fd));
     }
 }
@@ -678,8 +703,10 @@ pub(crate) fn finish(ctx: &AdmitCtx, session: &mut Session, c: Completion) -> Ad
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemSinkBackend;
+    use crate::backend::{Backend, FileBackend, MemSinkBackend};
+    use crate::descdb::OpOutcome;
     use crate::sync::Receiver;
+    use iofwd_proto::OpId;
     use iofwd_proto::{OpenFlags, StatsQuery, Storage, Whence};
 
     const BML_BYTES: u64 = 8192;
@@ -695,9 +722,13 @@ mod tests {
     /// worker pool: queued items stay in the queue for the test to
     /// inspect.
     fn ctx(mode: Mode) -> AdmitCtx {
+        ctx_on(mode, Arc::new(MemSinkBackend::new()))
+    }
+
+    fn ctx_on(mode: Mode, backend: Arc<dyn Backend>) -> AdmitCtx {
         let bml = (mode == Mode::Staged).then(|| Bml::new(BML_BYTES));
         let engine = Arc::new(Engine::with_telemetry(
-            Arc::new(MemSinkBackend::new()),
+            backend,
             bml.clone(),
             Arc::new(Telemetry::new()),
         ));
@@ -1003,7 +1034,7 @@ mod tests {
         let queue = ctx.queue().unwrap();
         let (lane, op) = dispatched(admit(&ctx, frame(1, &pread)));
         assert_eq!(lane, Some(fd));
-        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op) else {
+        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op, MayRun::Anything) else {
             panic!("a free slot runs the op in place");
         };
         assert_eq!(c.span.worker, 0);
@@ -1012,24 +1043,27 @@ mod tests {
 
         queue.close();
         let (lane, op) = dispatched(admit(&ctx, frame(2, &pread)));
-        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op) else {
+        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op, MayRun::Anything) else {
             panic!("a closed queue grants no claim");
         };
         assert_closed_queue_rejected(&ctx, &mut session, &rx, fd, 2);
     }
 
-    /// Ordering (a), on an event loop: `enqueue` never executes an op,
-    /// so a staged read heading its lane is pushed and a worker answers
-    /// it through the same sink; once the queue is closed the push is
-    /// answered with an EAGAIN completion, `finish` makes the same
-    /// `Close` of it, and the read gives its lane back.
+    /// Ordering (a), on an event loop: a memory object cannot promise a
+    /// read will not wait, so a staged read heading its lane is pushed
+    /// and a worker answers it through the same sink; once the queue is
+    /// closed the push is answered with an EAGAIN completion, `finish`
+    /// makes the same `Close` of it, and the read gives its lane back.
     #[test]
     fn closed_queue_closes_reactor_connections_too() {
         let (ctx, fd, mut session, rx, pread) = staged_session();
         let queue = ctx.queue().unwrap();
         let (lane, op) = dispatched(admit(&ctx, frame(8, &pread)));
         assert_eq!(lane, Some(fd));
-        enqueue(&ctx, &session.route, lane, op);
+        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op, MayRun::NoWaitRead)
+        else {
+            panic!("the loop ran a read that would wait");
+        };
         assert_eq!(queue.depth(), 1);
         assert!(rx.try_recv().is_err(), "the loop ran nothing");
         // A worker takes it, completes the lane and answers it.
@@ -1042,8 +1076,161 @@ mod tests {
 
         queue.close();
         let (lane, op) = dispatched(admit(&ctx, frame(9, &pread)));
-        enqueue(&ctx, &session.route, lane, op);
+        dispatch(&ctx, &session.route, lane, op, MayRun::NoWaitRead);
         assert_closed_queue_rejected(&ctx, &mut session, &rx, fd, 9);
+    }
+
+    /// Take the item a dispatch pushed, as a worker would, and give its
+    /// lane back without running it: its span as queued.
+    fn take_pushed(ctx: &AdmitCtx, fd: Fd) -> OpSpan {
+        let Some(WorkItem::Sync { reply, .. }) = ctx.queue().unwrap().pop_batch(0, 4).pop() else {
+            panic!("the op was pushed");
+        };
+        assert!(ctx.engine.descriptor_db().complete(fd).is_none());
+        let span = reply.span;
+        reply.deliver(Response::Ok { ret: 0 }, Bytes::new());
+        span
+    }
+
+    /// The one dispatch rule on a thread that must not block: a cached
+    /// positional read heading its lane runs here — worker 0, counted in
+    /// place, stamped through its whole lifecycle — and nothing else
+    /// does: not a cursor read, not a barrier.
+    #[test]
+    fn a_loop_runs_a_cached_pread_heading_its_lane_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("iofwd-admit-{}", std::process::id()));
+        let ctx = ctx_on(Mode::Staged, Arc::new(FileBackend::new(&dir)));
+        let fd = open(&ctx, "/cached");
+        let data = Bytes::from_static(b"in the page cache");
+        let write = Request::Pwrite {
+            fd,
+            offset: 0,
+            len: data.len() as u64,
+        };
+        assert_eq!(
+            ctx.engine.execute(&write, &data).0,
+            Response::Ok { ret: 17 }
+        );
+        let (route, _rx) = route();
+        let mut session = Session::new(route);
+        let pread = Request::Pread {
+            fd,
+            offset: 3,
+            len: 64,
+        };
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &pread)));
+        match dispatch(&ctx, &session.route, lane, op, MayRun::NoWaitRead) {
+            Dispatched::Here(c) => {
+                assert_eq!(&c.data[..], b"the page cache");
+                assert_eq!(c.span.worker, 0);
+                let s = c.span;
+                assert!(s.enqueue_ns <= s.dispatch_ns && s.dispatch_ns <= s.backend_start_ns);
+                assert!(s.backend_start_ns <= s.backend_done_ns && s.bytes == 14);
+                assert_eq!(ctx.telemetry().ops_in_place.get(), 1);
+                assert_eq!(kind(&finish(&ctx, &mut session, c)), "Reply");
+            }
+            // tmpfs and the like answer EOPNOTSUPP: the read goes to the pool.
+            Dispatched::Queued => _ = take_pushed(&ctx, fd),
+        }
+        let cursor = Request::Read { fd, len: 4 };
+        for (req, may) in [
+            (cursor, MayRun::NoWaitRead),
+            (Request::Fsync { fd }, MayRun::NoWaitRead),
+        ] {
+            let (lane, op) = dispatched(admit(&ctx, frame(2, &req)));
+            let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op, may) else {
+                panic!("{req:?} ran on a loop");
+            };
+            take_pushed(&ctx, fd);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A read that would wait goes to the pool as if never tried: no op
+    /// id, no counter, no stamp — and a descriptor's deferred error stays
+    /// for the worker to report.
+    #[test]
+    fn a_punted_read_leaves_no_trace() {
+        let (ctx, fd, session, _rx, pread) = staged_session();
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &pread)));
+        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, op, MayRun::NoWaitRead)
+        else {
+            panic!("a memory object cannot promise a read will not wait");
+        };
+        let span = take_pushed(&ctx, fd);
+        assert_eq!(
+            (span.dispatch_ns, span.backend_start_ns, span.worker),
+            (0, 0, 0)
+        );
+        assert_eq!(ctx.telemetry().ops_in_place.get(), 0);
+        assert_eq!(ctx.telemetry().backend_read_ops.get(), 0);
+        let pwrite = Request::Pwrite {
+            fd,
+            offset: 0,
+            len: 64,
+        };
+        let Admission::Reply { frame: ack, .. } = admit(&ctx, received(&ctx, frame(2, &pwrite)))
+        else {
+            panic!("a staged write is acked");
+        };
+        assert_eq!(response_of(&ack), Response::Staged { op: OpId::FIRST });
+
+        let dir = std::env::temp_dir().join(format!("iofwd-punt-{}", std::process::id()));
+        let ctx = ctx_on(Mode::Staged, Arc::new(FileBackend::new(&dir)));
+        let fd = open(&ctx, "/failed");
+        let db = ctx.engine.descriptor_db();
+        let (op, _) = db.begin_op(fd).unwrap();
+        db.finish_op(fd, op, OpOutcome::Failed(Errno::Io));
+        let (lane, queued) = dispatched(admit(&ctx, frame(3, &pread_of(fd))));
+        let Dispatched::Queued = dispatch(&ctx, &session.route, lane, queued, MayRun::NoWaitRead)
+        else {
+            panic!("a deferred error is the worker's to report");
+        };
+        assert!(db.status(fd).unwrap().has_pending_error);
+        take_pushed(&ctx, fd);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With every slab block taken, a loop's read does not fall back to a
+    /// fresh `Vec`: it goes to the pool untouched, and once a block is
+    /// free again the same read runs on the loop (where no-wait reads
+    /// work).
+    #[test]
+    fn a_loop_read_with_no_free_block_goes_to_the_pool() {
+        let dir = std::env::temp_dir().join(format!("iofwd-full-{}", std::process::id()));
+        let ctx = ctx_on(Mode::Staged, Arc::new(FileBackend::new(&dir)));
+        let fd = open(&ctx, "/full");
+        let write = Request::Pwrite {
+            fd,
+            offset: 0,
+            len: 6,
+        };
+        ctx.engine.execute(&write, &Bytes::from_static(b"cached"));
+        let (route, _rx) = route();
+        let pool = ctx.engine.bml().unwrap().try_acquire(BML_BYTES as usize);
+        assert!(pool.is_some(), "the test holds every block");
+        let (lane, op) = dispatched(admit(&ctx, frame(1, &pread_of(fd))));
+        let Dispatched::Queued = dispatch(&ctx, &route, lane, op, MayRun::NoWaitRead) else {
+            panic!("a loop read fell back to the heap");
+        };
+        let span = take_pushed(&ctx, fd);
+        assert_eq!(span.backend_start_ns, 0);
+        assert_eq!(ctx.telemetry().ops_in_place.get(), 0);
+        drop(pool);
+        let (lane, op) = dispatched(admit(&ctx, frame(2, &pread_of(fd))));
+        match dispatch(&ctx, &route, lane, op, MayRun::NoWaitRead) {
+            Dispatched::Here(c) => assert_eq!(&c.data[..], b"cached"),
+            Dispatched::Queued => _ = take_pushed(&ctx, fd),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn pread_of(fd: Fd) -> Request {
+        Request::Pread {
+            fd,
+            offset: 0,
+            len: 8,
+        }
     }
 
     /// Exactly once, on the reactor's side of the route too: a queued op
@@ -1056,7 +1243,7 @@ mod tests {
         let (route, rx) = route();
         let mut session = Session::new(route);
         let (lane, op) = dispatched(admit(&ctx, frame(5, &Request::Fsync { fd })));
-        enqueue(&ctx, &session.route, lane, op);
+        dispatch(&ctx, &session.route, lane, op, MayRun::NoWaitRead);
         drop(ctx.queue().unwrap().pop_batch(0, 4));
         let c = rx.try_recv().expect("a dropped reply is answered");
         assert!(rx.try_recv().is_err(), "answered once");
@@ -1148,7 +1335,7 @@ mod tests {
             mode: 0o644,
         };
         let (lane, op) = dispatched(admit(&ctx, frame(1, &open_req)));
-        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op) else {
+        let Dispatched::Here(c) = dispatch(&ctx, &session.route, lane, op, MayRun::Anything) else {
             panic!("inline mode runs everything in place");
         };
         assert_eq!(kind(&finish(&ctx, &mut session, c)), "Reply");

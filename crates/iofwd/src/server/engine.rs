@@ -240,8 +240,52 @@ impl Engine {
         data: &Bytes,
         span: &mut OpSpan,
     ) -> (Response, Bytes) {
-        span.backend_start_ns = self.telemetry.now_ns();
-        let (resp, out) = self.execute(req, data);
+        let start = self.telemetry.now_ns();
+        let done = self.execute(req, data);
+        self.stamp(span, start, done)
+    }
+
+    /// [`Engine::execute_timed`] of a `pread` heading its lane, on a thread
+    /// that must not block: no-wait calls fill a free slab block to its
+    /// end or EOF. Anything short of that — no descriptor, a deferred
+    /// error to report, no free block, a call that would wait — is `None`,
+    /// for the pool to run, with no op id taken, no count and no stamp.
+    pub(crate) fn read_nowait_timed(
+        &self,
+        req: &Request,
+        span: &mut OpSpan,
+    ) -> Option<(Response, Bytes)> {
+        let Request::Pread { fd, offset, len } = *req else {
+            return None;
+        };
+        let start = self.telemetry.now_ns();
+        self.db.status(fd).filter(|s| !s.has_pending_error)?;
+        let obj = self.db.object(fd).ok()?;
+        let payload = self.read_payload(len, false, |out| {
+            let (mut o, mut filled) = (obj.lock(), 0);
+            while filled < out.len() {
+                let at = offset.checked_add(filled as u64).ok_or(Errno::Inval)?;
+                match o.read_nowait_at(at, &mut out[filled..])? {
+                    0 => break,
+                    n => filled += n as usize,
+                }
+            }
+            Ok(filled as u64)
+        });
+        let payload = payload.ok()?;
+        let done = match self.db.begin_op(fd) {
+            Ok((op, _)) => {
+                self.db.finish_op(fd, op, OpOutcome::Ok);
+                self.read_reply(Ok(payload))
+            }
+            Err(e) => (self.begin_error_response(e), Bytes::new()),
+        };
+        Some(self.stamp(span, start, done))
+    }
+
+    fn stamp(&self, span: &mut OpSpan, start: u64, done: (Response, Bytes)) -> (Response, Bytes) {
+        let (resp, out) = done;
+        span.backend_start_ns = start;
         span.backend_done_ns = self.telemetry.now_ns();
         span.ok = !matches!(resp, Response::Err { .. } | Response::DeferredErr { .. });
         span.errno = response_errno(&resp);
@@ -402,30 +446,38 @@ impl Engine {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
-        // A reply carries at most one frame's payload: a longer request
-        // is served short, and never sizes an allocation.
-        let len = len.min(iofwd_proto::MAX_DATA_LEN);
-        // Serve the read out of a recycled BML slab block — the backend
-        // fills it in place and the reply payload is a refcounted view
-        // of it, so no per-op Vec exists. With the BML absent, saturated,
-        // or too small for the request, the block is a fresh Vec, charged
-        // to `hotpath_alloc_bytes`.
-        let slab = if len > 0 {
-            self.bml.as_ref().and_then(|b| b.try_acquire(len as usize))
-        } else {
-            None
-        };
-        let read = |out: &mut [u8]| {
+        let result = self.read_payload(len, true, |out| {
             let mut o = io(&obj);
             self.with_retries(|| o.read_into(offset, out))
-        };
-        let result = match slab {
+        });
+        self.db.finish_op(fd, op, OpOutcome::Ok);
+        self.read_reply(result)
+    }
+
+    /// A read's reply payload, filled by `read`. A reply carries at most
+    /// one frame's payload: a longer request is served short, and never
+    /// sizes an allocation. The payload is a recycled BML slab block —
+    /// the backend fills it in place and the reply is a refcounted view
+    /// of it, so no per-op Vec exists. With the BML absent, saturated, or
+    /// too small for the request, it is a fresh Vec, charged to
+    /// `hotpath_alloc_bytes` — or, for a read that may not wait,
+    /// `EAGAIN`.
+    fn read_payload(
+        &self,
+        len: u64,
+        may_wait: bool,
+        read: impl FnOnce(&mut [u8]) -> Result<u64, Errno>,
+    ) -> Result<Bytes, Errno> {
+        let len = len.min(iofwd_proto::MAX_DATA_LEN) as usize;
+        let slab = self.bml.as_ref().filter(|_| len > 0);
+        match slab.and_then(|b| b.try_acquire(len)) {
             Some(mut buf) => read(buf.as_mut_slice()).map(|n| {
                 buf.truncate(n as usize);
                 buf.into_bytes()
             }),
+            None if !may_wait => Err(Errno::Again),
             None => {
-                let mut buf = vec![0u8; len as usize];
+                let mut buf = vec![0u8; len];
                 read(&mut buf).map(|n| {
                     buf.truncate(n as usize);
                     if self.telemetry.enabled() && !buf.is_empty() {
@@ -434,8 +486,10 @@ impl Engine {
                     Bytes::from(buf)
                 })
             }
-        };
-        self.db.finish_op(fd, op, OpOutcome::Ok);
+        }
+    }
+
+    fn read_reply(&self, result: Result<Bytes, Errno>) -> (Response, Bytes) {
         match result {
             Ok(data) => {
                 if self.telemetry.enabled() {

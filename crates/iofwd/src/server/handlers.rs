@@ -34,7 +34,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use iofwd_proto::{Fd, Frame};
 
-use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, Session};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, MayRun, Session};
 use super::engine::{Engine, COALESCE_MAX_OPS};
 use super::queue::{Completion, Route, StagedPart, WorkItem, WorkQueue};
 use crate::descdb::{CompletionGuard, OpOutcome};
@@ -79,7 +79,7 @@ fn drive(
             // A queued op is answered through this connection's sink —
             // exactly once, even if it is dropped unrun.
             Admission::Dispatch { lane, op } => {
-                match admit::dispatch(ctx, &session.route, lane, op) {
+                match admit::dispatch(ctx, &session.route, lane, op, MayRun::Anything) {
                     Dispatched::Here(c) => admit::finish(ctx, session, c),
                     Dispatched::Queued => match rx.recv() {
                         Ok(c) => admit::finish(ctx, session, c),

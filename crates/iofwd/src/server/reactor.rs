@@ -28,11 +28,13 @@
 //!   [`ReactorConfig::max_client_queued`] items in the shared work queue
 //!   has its op stashed and is parked the same way, so one chatty compute
 //!   node cannot monopolize the worker pool ahead of its neighbors.
-//! - **Every op on the pool.** An event loop executes nothing: each op
-//!   the core admits is pushed to the worker pool — in staged mode an op
-//!   on a descriptor first joins the descriptor's lane, and the worker
-//!   that completes the item ahead of it releases it. Nothing here ever
-//!   waits for a barrier, so the daemon is the loops plus the workers.
+//! - **Only what cannot block on the loop.** A loop serves a cached
+//!   `pread` heading its lane itself (`admit::dispatch`,
+//!   `preadv2(RWF_NOWAIT)`); every other op goes to the worker pool — in
+//!   staged mode an op on a descriptor first joins the descriptor's lane,
+//!   and the worker that completes the item ahead of it releases it.
+//!   Nothing here ever waits, and debug builds check it
+//!   (`sync::forbid_blocking`): the daemon is the loops plus the workers.
 //!
 //! Completions come back on the reply route every queued op has, on
 //! either driver: each loop owns one completion sink ([`Route`]), made
@@ -55,9 +57,9 @@ use bytes::Bytes;
 use iofwd_proto::{Frame, FrameReader, Storage};
 use polling::{Event, Interest, Poller, Waker};
 
-use super::admit::{self, Accepted, Admission, AdmitCtx, Op, Session};
+use super::admit::{self, Accepted, Admission, AdmitCtx, Dispatched, MayRun, Op, Session};
 use super::queue::{abandon, Completion, Route};
-use crate::sync::{channel, Receiver, Sender};
+use crate::sync::{self, channel, Receiver, Sender};
 use crate::telemetry::{PerClientStats, Telemetry};
 use crate::transport::tcp::TcpAcceptor;
 
@@ -252,6 +254,7 @@ impl ReactorThread {
                 .register(self.telemetry.now_ns())
         });
         let mut last_lap_ns = self.telemetry.now_ns();
+        sync::forbid_blocking();
         while !self.stop.load(Ordering::Acquire) {
             if instrumented {
                 let now = self.telemetry.now_ns();
@@ -589,11 +592,17 @@ impl ReactorThread {
                 self.enqueue_wire(conn, after);
                 conn.close_after_flush = true;
             }
-            // An event loop must not execute an op; its outcome comes
-            // back through this loop's sink.
+            // A loop runs only a read that cannot block; a queued op's
+            // outcome comes back through this loop's sink.
             Admission::Dispatch { lane, op } => {
-                conn.inflight += 1;
-                admit::enqueue(&self.ctx, &conn.session.route, lane, op);
+                let route = &conn.session.route;
+                match admit::dispatch(&self.ctx, route, lane, op, MayRun::NoWaitRead) {
+                    Dispatched::Here(c) => {
+                        let answered = admit::finish(&self.ctx, &mut conn.session, c);
+                        self.dispatch(conn, answered);
+                    }
+                    Dispatched::Queued => conn.inflight += 1,
+                }
             }
         }
     }

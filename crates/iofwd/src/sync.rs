@@ -12,7 +12,8 @@
 //! lockdep does: a lock-order cycle between lock classes (creation
 //! sites), or blocking under a lock other than the one guarding what
 //! blocks, prints both witness sites and aborts the process, so no unwind
-//! can swallow it (DESIGN.md §8). Release builds compile none of it.
+//! can swallow it (DESIGN.md §8), and so does a blocking call on an event
+//! loop ([`forbid_blocking`]). Release builds compile none of it.
 
 #[cfg(all(debug_assertions, not(loom)))]
 pub use lockcheck::{catch_violations, lock_graph};
@@ -28,6 +29,24 @@ pub use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 pub fn blocking(_what: &'static str) {
     #[cfg(all(debug_assertions, not(loom)))]
     lockcheck::blocked(None, _what, std::panic::Location::caller(), false);
+}
+
+/// Mark the calling thread an event loop: any blocking call on it is a
+/// violation, outside [`shutdown_exempt`].
+pub fn forbid_blocking() {
+    #[cfg(all(debug_assertions, not(loom)))]
+    lockcheck::NO_BLOCKING.set(true);
+}
+
+/// Run `f` free to block, on an event loop too: the shutdown path of
+/// `admit::push`, which runs a staged write its client holds an ack for.
+pub fn shutdown_exempt<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(all(debug_assertions, not(loom)))]
+    let was = lockcheck::NO_BLOCKING.replace(false);
+    let r = f();
+    #[cfg(all(debug_assertions, not(loom)))]
+    lockcheck::NO_BLOCKING.set(was);
+    r
 }
 
 /// A guard whose lock guards blocking I/O (a connection half, an object).
@@ -144,7 +163,7 @@ mod poison_free {
 
 #[cfg(all(debug_assertions, not(loom)))]
 mod lockcheck {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::{BTreeMap, BTreeSet};
     use std::io::Write;
     use std::panic::Location;
@@ -173,6 +192,8 @@ mod lockcheck {
         static THREAD: RefCell<Thread> = const {
             RefCell::new(Thread { next_id: 0, held: Vec::new(), seen: BTreeSet::new(), caught: None })
         };
+        /// Set on an event loop, outside `shutdown_exempt`.
+        pub static NO_BLOCKING: Cell<bool> = const { Cell::new(false) };
     }
 
     fn with<R: Default>(f: impl FnOnce(&mut Thread) -> R) -> R {
@@ -246,6 +267,9 @@ mod lockcheck {
     /// from here on.
     pub fn blocked(own: Option<&Held>, what: &str, at: Site, declare: bool) {
         with(|t| {
+            if NO_BLOCKING.get() {
+                report(t, format!("{what} at {at} on an event loop"));
+            }
             let own = own.map(|h| h.0);
             for e in t.held.iter_mut().filter(|e| declare && Some(e.0) == own) {
                 e.3 = true;

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iofwd::backend::MemSinkBackend;
+use iofwd::backend::{Backend, FileBackend, MemSinkBackend};
 use iofwd::client::Client;
 use iofwd::server::{Engine, ForwardingMode, IonServer, ReactorConfig, ServerConfig};
 use iofwd::sync::{self, catch_violations, BlockingGuard, Condvar, Mutex};
@@ -128,19 +128,23 @@ fn blocking_io_through_the_guarded_objects_own_guard_is_silent() {
     assert!(caught.is_empty(), "{caught:#?}");
     // A guard that declared its blocking I/O may wait inside it on a
     // condvar of its own (a read waiting for staging memory).
-    assert!(wait_once(Some(conn), true).1.is_empty());
+    assert!(wait_once(Some(conn), true, false).1.is_empty());
 }
 
 /// Park a thread in `Condvar::wait`, holding `other` if given (declared
 /// as guarding the blocking I/O with `declare`), and wake it: the waiter
 /// marks its turn and waits in one critical section, so the waker sees
-/// the mark only once the waiter is waiting.
-fn wait_once(other: Option<Mutex<()>>, declare: bool) -> (String, Vec<String>) {
+/// the mark only once the waiter is waiting. `on_loop`: the waiter is
+/// marked an event loop first.
+fn wait_once(other: Option<Mutex<()>>, declare: bool, on_loop: bool) -> (String, Vec<String>) {
     let turn = Arc::new((Mutex::new(0), Condvar::new()));
     let waiter = {
         let turn = turn.clone();
         std::thread::spawn(move || {
             catch_violations(move || {
+                if on_loop {
+                    sync::forbid_blocking();
+                }
                 let other = other.as_ref().map(|m| m.lock());
                 let held_at = here();
                 if let Some(g) = other.as_ref().filter(|_| declare) {
@@ -168,10 +172,62 @@ fn wait_once(other: Option<Mutex<()>>, declare: bool) -> (String, Vec<String>) {
 
 #[test]
 fn a_condvar_wait_holding_a_second_lock_is_reported() {
-    let (held_at, caught) = wait_once(Some(Mutex::new(())), false);
+    let (held_at, caught) = wait_once(Some(Mutex::new(())), false, false);
     assert_one(&caught, &["a condvar wait", &held_at]);
     // Paired: the wait holds its own mutex only.
-    assert!(wait_once(None, false).1.is_empty());
+    assert!(wait_once(None, false, false).1.is_empty());
+}
+
+/// Run `f` on a thread of its own marked an event loop, inside
+/// `catch_violations`.
+fn on_a_loop<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> (R, Vec<String>) {
+    let marked = move || {
+        sync::forbid_blocking();
+        f()
+    };
+    std::thread::spawn(|| catch_violations(marked))
+        .join()
+        .unwrap()
+}
+
+/// An event loop may not block at all, under no lock or its own: each
+/// way to block is reported with its site.
+#[test]
+fn every_blocking_call_on_an_event_loop_is_reported() {
+    let (at, caught) = on_a_loop(|| {
+        sync::blocking("a planted backend call");
+        here()
+    });
+    assert_one(
+        &caught,
+        &["a planted backend call", &at, "on an event loop"],
+    );
+    let (at, caught) = on_a_loop(|| {
+        Mutex::new(()).lock().blocking("a planted socket read");
+        here()
+    });
+    assert_one(&caught, &["a planted socket read", &at, "on an event loop"]);
+    let (_, caught) = wait_once(None, false, true);
+    assert_one(&caught, &["a condvar wait", "on an event loop"]);
+    // Unmarked threads block freely.
+    let ((), caught) = catch_violations(|| sync::blocking("a handler's backend call"));
+    assert!(caught.is_empty(), "{caught:#?}");
+}
+
+/// The shutdown exemption (a staged write pushed after the queue closed
+/// runs where it was pushed) covers its own call only: a steady-state
+/// blocking call on the same loop after it is still caught.
+#[test]
+fn the_shutdown_exemption_covers_its_call_and_no_other() {
+    let (at, caught) = on_a_loop(|| {
+        sync::shutdown_exempt(|| sync::blocking("a staged write settled at shutdown"));
+        sync::blocking("a steady-state backend call");
+        here()
+    });
+    assert_one(
+        &caught,
+        &["a steady-state backend call", &at, "on an event loop"],
+    );
 }
 
 #[test]
@@ -207,20 +263,44 @@ fn plant_an_uncaught_violation_on_a_worker() {
     .join();
 }
 
+/// Run in a child by the test below: a blocking call on an event loop,
+/// under no lock.
 #[test]
-fn a_violation_on_an_unwinding_worker_aborts_the_process() {
+#[ignore = "aborts its process; run in a child by the test below"]
+fn plant_a_blocking_call_on_an_event_loop() {
+    let _ = std::thread::spawn(|| {
+        sync::forbid_blocking();
+        sync::blocking("a planted read on a loop");
+    })
+    .join();
+}
+
+/// Run the ignored test `name` in a child; its stderr, once it died.
+fn aborted(name: &str) -> String {
     let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args([
-            "--ignored",
-            "--exact",
-            "plant_an_uncaught_violation_on_a_worker",
-        ])
+        .args(["--ignored", "--exact", name])
         .output()
         .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(!out.status.success(), "the child survived: {stderr}");
+    stderr
+}
+
+#[test]
+fn a_violation_on_an_unwinding_worker_aborts_the_process() {
+    let stderr = aborted("plant_an_uncaught_violation_on_a_worker");
     assert!(
         stderr.contains("iofwd lock check: a planted backend call"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_blocking_call_on_an_event_loop_aborts_the_process() {
+    let stderr = aborted("plant_a_blocking_call_on_an_event_loop");
+    assert!(
+        stderr.contains("iofwd lock check: a planted read on a loop")
+            && stderr.contains("on an event loop"),
         "{stderr}"
     );
 }
@@ -252,8 +332,7 @@ fn daemon_class(site: &std::panic::Location<'_>) -> Option<String> {
     Some(format!("{}: {}", file.rsplit('/').next()?, line.trim()))
 }
 
-fn drive(mode: ForwardingMode, reactor: bool) {
-    let backend = Arc::new(MemSinkBackend::new());
+fn drive(mode: ForwardingMode, reactor: bool, backend: Arc<dyn Backend>) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
     let config = ServerConfig::new(mode);
@@ -280,7 +359,8 @@ fn drive(mode: ForwardingMode, reactor: bool) {
 }
 
 /// Every mode over TCP — ciod, zoid, sched and staged on handler
-/// threads, sched and staged on the reactor — then the graph's daemon
+/// threads, sched and staged on the reactor, staged on the reactor over
+/// files too — then the graph's daemon
 /// edges (the checker aborts on a cycle, so it is acyclic). Print it
 /// with `cargo test -p iofwd --test lock_check -- --nocapture graph`.
 #[test]
@@ -290,12 +370,17 @@ fn the_daemons_lock_graph_is_acyclic_and_pinned() {
         workers: 2,
         bml_capacity: 4 << 20,
     };
+    let mem = || Arc::new(MemSinkBackend::new());
     for mode in [ForwardingMode::Ciod, ForwardingMode::Zoid, sched, staged] {
-        drive(mode, false);
+        drive(mode, false, mem());
     }
     for mode in [sched, staged] {
-        drive(mode, true);
+        drive(mode, true, mem());
     }
+    // Files answer cached reads on the loop, which never blocks for them.
+    let root = std::env::temp_dir().join(format!("iofwd-lockgraph-{}", std::process::id()));
+    drive(staged, true, Arc::new(FileBackend::new(&root)));
+    let _ = std::fs::remove_dir_all(&root);
     let edges = sync::lock_graph().into_iter();
     let named = edges.filter_map(|(held, taken)| Some((daemon_class(held)?, daemon_class(taken)?)));
     let mut graph: Vec<(String, String)> = named.collect();

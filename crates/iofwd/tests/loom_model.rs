@@ -161,6 +161,59 @@ fn bml_close_wakes_all_blocked_waiters() {
     });
 }
 
+/// Shutdown racing a grant: `close` refuses only waiters never granted.
+/// In a one-block pool a waiter queues behind the held block, and once
+/// it has its block asks for another. The holder releases its block —
+/// granting the queued waiter — and closes the pool. A waiter granted
+/// before `close` gets its block, a waiter never granted gets `None`,
+/// and once the block drops nothing is outstanding. The cross-schedule
+/// counters prove both branches ran.
+#[test]
+fn bml_close_keeps_a_grant_and_refuses_the_ungranted() {
+    static GRANTED: AtomicUsize = AtomicUsize::new(0);
+    static UNGRANTED: AtomicUsize = AtomicUsize::new(0);
+    GRANTED.store(0, Ordering::SeqCst);
+    UNGRANTED.store(0, Ordering::SeqCst);
+    loomlite::model(|| {
+        let bml = Bml::new(BLOCK as u64);
+        let hold = bml.acquire(BLOCK).expect("open");
+        let waiter = {
+            let bml = bml.clone();
+            thread::spawn(move || {
+                let first = bml.acquire(BLOCK).ok();
+                (first, bml.acquire(BLOCK).ok())
+            })
+        };
+        // Once queued, a waiter leaves only by a grant or by `close`.
+        let granted = bml.waiter_count() == 1;
+        drop(hold); // grants the queued waiter, if there is one
+        let ungranted = bml.waiter_count() == 1;
+        bml.close();
+        let (first, second) = waiter.join().expect("waiter panicked");
+        if granted {
+            GRANTED.fetch_add(1, Ordering::SeqCst);
+            assert!(
+                first.is_some(),
+                "a waiter granted before close lost its block"
+            );
+        }
+        if ungranted {
+            UNGRANTED.fetch_add(1, Ordering::SeqCst);
+        }
+        assert!(second.is_none(), "a waiter never granted got a block");
+        drop(first);
+        assert_eq!(bml.outstanding(), 0, "a grant's charge outlived its block");
+    });
+    assert!(
+        GRANTED.load(Ordering::SeqCst) > 0,
+        "no schedule granted before close"
+    );
+    assert!(
+        UNGRANTED.load(Ordering::SeqCst) > 0,
+        "no schedule queued an ungranted waiter"
+    );
+}
+
 /// A span whose every field carries the same tag, so any torn slot —
 /// words from two different writers — is detectable field-by-field.
 fn tag_span(tag: u64) -> iofwd::telemetry::OpSpan {
