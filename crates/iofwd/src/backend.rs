@@ -64,6 +64,12 @@ pub trait BackendObject: Send {
     fn read_nowait_at(&mut self, _offset: u64, _out: &mut [u8]) -> Result<u64, Errno> {
         Err(Errno::Again)
     }
+    /// A read-only mapping of up to `len` bytes at `offset`, clamped to
+    /// the object's size now; `None` from an object that cannot map one.
+    /// Only the kernel may read it (`Conn::copies_in_kernel`).
+    fn map_at(&mut self, _offset: u64, _len: u64) -> Option<bytes::Bytes> {
+        None
+    }
     /// Reposition; returns the new offset.
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno>;
     /// Flush to stable storage / the socket.
@@ -556,6 +562,61 @@ fn latched_nowait(
     Err(Errno::Again)
 }
 
+/// Read-only windows of files ([`BackendObject::map_at`]).
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod mapped {
+    use std::ffi::c_void;
+    use std::sync::Arc;
+
+    use bytes::{ByteOwner, Bytes};
+
+    extern "C" {
+        fn mmap(a: *mut c_void, n: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn sysconf(name: i32) -> i64;
+    }
+
+    /// A mapping: its address, kept as an integer, and length. Unmapped
+    /// when the last view of it drops.
+    struct Mapping(usize, usize);
+
+    /// Map `len` bytes of `fd` at `offset` as a payload; `None` for an
+    /// empty window or one the kernel refuses (say, `fd` is write-only).
+    pub(super) fn window(fd: i32, offset: u64, len: usize) -> Option<Bytes> {
+        const PROT_READ: i32 = 1;
+        const MAP_SHARED: i32 = 1;
+        const SC_PAGESIZE: i32 = 30;
+        // SAFETY: `sysconf` has no preconditions.
+        let skip = offset % u64::try_from(unsafe { sysconf(SC_PAGESIZE) }).ok()?;
+        let size = len.checked_add(skip as usize).filter(|_| len > 0)?;
+        let at = i64::try_from(offset - skip).ok()?;
+        // SAFETY: the declarations are libc's (a 64-bit `off_t`, as the cfg
+        // requires); a new read-only mapping where the kernel chooses
+        // overlaps no memory Rust owns, and `fd` is open for the call.
+        let base = unsafe { mmap(std::ptr::null_mut(), size, PROT_READ, MAP_SHARED, fd, at) };
+        // `MAP_FAILED` is `(void *) -1`.
+        let base = Some(base as usize).filter(|&b| b != usize::MAX)?;
+        Some(Bytes::from_owner(Arc::new(Mapping(base, size))).slice(skip as usize..size))
+    }
+
+    impl ByteOwner for Mapping {
+        fn as_slice(&self) -> &[u8] {
+            // Reading a page truncated away would raise `SIGBUS`: only the
+            // kernel's copy in a send reads it, and fails `EFAULT` instead.
+            // SAFETY: the mapping stays until `drop`; the slice reads nothing.
+            unsafe { std::slice::from_raw_parts(self.0 as *const u8, self.1) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: the mapping is this owner's alone, and every view of
+            // it holds the owner, so none outlives the unmap.
+            unsafe { munmap(self.0 as *mut c_void, self.1) };
+        }
+    }
+}
+
 fn stat_of(meta: &std::fs::Metadata) -> FileStat {
     let mtime_ns = meta
         .modified()
@@ -628,6 +689,15 @@ impl BackendObject for FileObject {
             let n = unsafe { preadv2(fd, iov.as_ptr(), 1, off, RWF_NOWAIT) };
             usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
         })
+    }
+
+    // Elsewhere, or with a 32-bit `off_t`, the trait's `None` stands.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn map_at(&mut self, offset: u64, len: u64) -> Option<bytes::Bytes> {
+        use std::os::fd::AsRawFd;
+        let size = self.file.metadata().ok()?.len();
+        let len = usize::try_from(len.min(size.checked_sub(offset)?)).ok()?;
+        mapped::window(self.file.as_raw_fd(), offset, len)
     }
 
     fn seek(&mut self, offset: i64, whence: Whence) -> Result<u64, Errno> {

@@ -456,10 +456,14 @@ pub(crate) enum Dispatched {
 
 /// What a thread carrying out a dispatch may run itself: anything (a
 /// handler, which may block), or only a `pread` heading its lane that
-/// the kernel serves without waiting (an event loop).
+/// the kernel serves without waiting (an event loop). Over a transport
+/// that copies replies out in the kernel, a handler answers a large
+/// `pread` with a mapping of its window, so an op it runs keeps its lane
+/// until the reply is sent and the handler [`release`]s it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MayRun {
     Anything,
+    AnythingMapped,
     NoWaitRead,
 }
 
@@ -485,7 +489,7 @@ pub(crate) fn dispatch(
     // Heading its lane (staged mode), a read is its descriptor's only
     // user: no other op can hold the object it reads.
     let pread_heading_lane = lane.is_some() && matches!(op.req, Request::Pread { .. });
-    let runs_here = may == MayRun::Anything || pread_heading_lane;
+    let runs_here = may != MayRun::NoWaitRead || pread_heading_lane;
     let slot = match ctx.queue() {
         None => None,
         Some(queue) => match runs_here.then(|| queue.try_claim(op.span.client)) {
@@ -500,10 +504,13 @@ pub(crate) fn dispatch(
     // stamped it, dispatch is the moment execution starts.
     let telemetry = ctx.telemetry();
     let dispatch_ns = telemetry.now_ns();
-    let ran = if may == MayRun::Anything {
-        Some(ctx.engine.execute_timed(&op.req, &op.data, &mut op.span))
-    } else {
-        ctx.engine.read_nowait_timed(&op.req, &mut op.span)
+    let engine = &ctx.engine;
+    let ran = match may {
+        MayRun::Anything => Some(engine.execute_timed(&op.req, &op.data, &mut op.span)),
+        MayRun::AnythingMapped => {
+            Some(engine.execute_mapped_timed(&op.req, &op.data, &mut op.span))
+        }
+        MayRun::NoWaitRead => engine.read_nowait_timed(&op.req, &mut op.span),
     };
     let Some((resp, data)) = ran else {
         drop(slot);
@@ -519,8 +526,8 @@ pub(crate) fn dispatch(
             telemetry.ops_in_place.inc();
         }
     }
-    if let Some(next) = lane.and_then(|fd| ctx.engine.descriptor_db().complete(fd)) {
-        push(ctx, next);
+    if may != MayRun::AnythingMapped {
+        release(ctx, lane);
     }
     Dispatched::Here(Completion {
         token: route.token,
@@ -530,6 +537,13 @@ pub(crate) fn dispatch(
         data,
         span: op.span,
     })
+}
+
+/// Release the lane of an op that ran on this thread to the next item.
+pub(crate) fn release(ctx: &AdmitCtx, lane: Option<Fd>) {
+    if let Some(next) = lane.and_then(|fd| ctx.engine.descriptor_db().complete(fd)) {
+        push(ctx, next);
+    }
 }
 
 /// Stamp the op enqueued (unless ciod's shm hop did) and, in staged

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use iofwd_proto::{Errno, Request, Response};
+use iofwd_proto::{Errno, Fd, Frame, Request, Response};
 use simcore::rng::SimRng;
 
 use crate::backend::{Backend, BackendObject};
@@ -245,6 +245,24 @@ impl Engine {
         self.stamp(span, start, done)
     }
 
+    /// [`Engine::execute_timed`] for a transport that copies replies out in
+    /// the kernel: a `pread` answers with a mapping of its window where
+    /// the object can map one ([`BackendObject::map_at`]).
+    pub(crate) fn execute_mapped_timed(
+        &self,
+        req: &Request,
+        data: &Bytes,
+        span: &mut OpSpan,
+    ) -> (Response, Bytes) {
+        let Request::Pread { fd, offset, len } = *req else {
+            return self.execute_timed(req, data, span);
+        };
+        sync::blocking("a backend call");
+        let start = self.telemetry.now_ns();
+        let done = self.data_read(fd, Some(offset), len, true);
+        self.stamp(span, start, done)
+    }
+
     /// [`Engine::execute_timed`] of a `pread` heading its lane, on a thread
     /// that must not block: no-wait calls fill a free slab block to its
     /// end or EOF. Anything short of that — no descriptor, a deferred
@@ -315,8 +333,8 @@ impl Engine {
             },
             Request::Write { fd, len } => self.data_write(*fd, None, data, *len),
             Request::Pwrite { fd, offset, len } => self.data_write(*fd, Some(*offset), data, *len),
-            Request::Read { fd, len } => self.data_read(*fd, None, *len),
-            Request::Pread { fd, offset, len } => self.data_read(*fd, Some(*offset), *len),
+            Request::Read { fd, len } => self.data_read(*fd, None, *len, false),
+            Request::Pread { fd, offset, len } => self.data_read(*fd, Some(*offset), *len, false),
             // Seeks, like every op on a descriptor, run behind its staged
             // writes (their lane): a staged cursor write consumes the
             // object cursor when it executes, so a seek overtaking it
@@ -441,15 +459,25 @@ impl Engine {
         written
     }
 
-    fn data_read(&self, fd: iofwd_proto::Fd, offset: Option<u64>, len: u64) -> (Response, Bytes) {
+    /// A read; with `map`, a positional one answers with a mapping of its
+    /// window if that is long enough for a split send (not read in user space).
+    fn data_read(&self, fd: Fd, offset: Option<u64>, len: u64, map: bool) -> (Response, Bytes) {
         let (op, obj) = match self.db.begin_op(fd) {
             Ok(v) => v,
             Err(e) => return (self.begin_error_response(e), Bytes::new()),
         };
-        let result = self.read_payload(len, true, |out| {
-            let mut o = io(&obj);
-            self.with_retries(|| o.read_into(offset, out))
-        });
+        let (len, min) = (len.min(iofwd_proto::MAX_DATA_LEN), Frame::SPLIT_SEND_MIN);
+        let mapped = match offset {
+            Some(at) if map && len >= min as u64 => io(&obj).map_at(at, len),
+            _ => None,
+        };
+        let result = match mapped.filter(|payload| payload.len() >= min) {
+            Some(payload) => Ok(payload),
+            None => self.read_payload(len, true, |out| {
+                let mut o = io(&obj);
+                self.with_retries(|| o.read_into(offset, out))
+            }),
+        };
         self.db.finish_op(fd, op, OpOutcome::Ok);
         self.read_reply(result)
     }

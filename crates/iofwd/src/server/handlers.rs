@@ -51,6 +51,8 @@ fn session(ctx: &AdmitCtx) -> (Session, Receiver<Completion>) {
 
 /// Carry one admission to its reply, blocking on the connection's sink
 /// for a queued op's. Returns `false` once the connection should close.
+/// With a mapped read reply, an op queued behind the read could change
+/// the bytes it answered until the reply is sent: the lane is held so.
 fn drive(
     conn: &dyn Conn,
     ctx: &AdmitCtx,
@@ -58,6 +60,12 @@ fn drive(
     rx: &Receiver<Completion>,
     mut admission: Admission,
 ) -> bool {
+    let may = if conn.copies_in_kernel() {
+        MayRun::AnythingMapped
+    } else {
+        MayRun::Anything
+    };
+    let mut held = None;
     loop {
         admission = match admission {
             // A send failure means the client vanished; the caller
@@ -67,6 +75,7 @@ fn drive(
             // in front of its reply.
             Admission::Reply { frame, staged } => {
                 let _ = conn.send(frame);
+                admit::release(ctx, held);
                 if let Some(item) = staged {
                     admit::push(ctx, item);
                 }
@@ -74,13 +83,17 @@ fn drive(
             }
             Admission::Close { after } => {
                 let _ = conn.send(after);
+                admit::release(ctx, held);
                 return false;
             }
             // A queued op is answered through this connection's sink —
             // exactly once, even if it is dropped unrun.
             Admission::Dispatch { lane, op } => {
-                match admit::dispatch(ctx, &session.route, lane, op, MayRun::Anything) {
-                    Dispatched::Here(c) => admit::finish(ctx, session, c),
+                match admit::dispatch(ctx, &session.route, lane, op, may) {
+                    Dispatched::Here(c) => {
+                        held = lane.filter(|_| may == MayRun::AnythingMapped);
+                        admit::finish(ctx, session, c)
+                    }
                     Dispatched::Queued => match rx.recv() {
                         Ok(c) => admit::finish(ctx, session, c),
                         Err(_) => return false,

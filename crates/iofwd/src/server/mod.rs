@@ -28,7 +28,7 @@ pub use queue::{ReplyTo, Route, StagedPart, WorkItem, WorkQueue};
 pub use reactor::{ReactorConfig, ReactorHandle};
 
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,7 +37,7 @@ use crate::bml::Bml;
 use crate::fault::RetryPolicy;
 use crate::sync::Mutex;
 use crate::telemetry::{Disposition, MAX_WORKERS};
-use crate::transport::Listener;
+use crate::transport::{Conn, Listener};
 
 /// Which forwarding architecture the daemon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +134,7 @@ pub struct IonServer {
     listener: Arc<dyn Listener>,
     accept_thread: Option<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    handler_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handler_threads: Arc<Mutex<Vec<Handler>>>,
     reactor: Option<ReactorHandle>,
     config: ServerConfig,
 }
@@ -200,14 +200,18 @@ fn build_core(backend: Arc<dyn Backend>, config: &ServerConfig) -> ServerCore {
     }
 }
 
+/// A handler thread and its connection, held weakly (a finished
+/// handler's socket closes at once), for shutdown to close.
+type Handler = (Weak<dyn Conn>, JoinHandle<()>);
+
 /// Join (and discard) every handler thread that has already returned,
 /// so a long-lived daemon's handle list tracks *live* clients instead
 /// of growing monotonically across connection churn.
-fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+fn reap_finished(handles: &mut Vec<Handler>) {
     let mut i = 0;
     while i < handles.len() {
-        if handles[i].is_finished() {
-            let _ = handles.swap_remove(i).join();
+        if handles[i].1.is_finished() {
+            let _ = handles.swap_remove(i).1.join();
         } else {
             i += 1;
         }
@@ -262,8 +266,8 @@ impl IonServer {
                         if let Some(bml) = ctx.engine.bml() {
                             conn.receive_into(bml);
                         }
-                        let conn: Arc<dyn crate::transport::Conn> = Arc::from(conn);
-                        let ctx = ctx.clone();
+                        let conn: Arc<dyn Conn> = Arc::from(conn);
+                        let (ctx, kept) = (ctx.clone(), Arc::downgrade(&conn));
                         if telemetry.enabled() {
                             telemetry.conns_open.add(1);
                         }
@@ -281,7 +285,7 @@ impl IonServer {
                                 }
                             })
                             .expect("spawn handler");
-                        handler_threads.lock().push(handle);
+                        handler_threads.lock().push((kept, handle));
                     }
                 })
                 .expect("spawn accept loop")
@@ -416,7 +420,10 @@ impl IonServer {
     ///    BML buffer is returned. Each parked synchronous op is answered
     ///    `EAGAIN`, which wakes the handler waiting for it.
     /// 5. Join handlers. This must come *after* the drain: a handler
-    ///    waiting for an op the drain answered returns only then.
+    ///    waiting for an op the drain answered returns only then. A
+    ///    handler still running at the deadline — its client stays
+    ///    connected, idle or not reading — has its connection closed
+    ///    first, which ends its wait.
     /// 6. Close the BML.
     pub fn shutdown_with_deadline(mut self, deadline: Duration) -> ShutdownReport {
         let started = Instant::now();
@@ -461,7 +468,13 @@ impl IonServer {
         }
 
         let handlers: Vec<_> = std::mem::take(&mut *self.handler_threads.lock());
-        for h in handlers {
+        while handlers.iter().any(|(_, h)| !h.is_finished()) && started.elapsed() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for conn in handlers.iter().filter_map(|(conn, _)| conn.upgrade()) {
+            conn.close();
+        }
+        for (_, h) in handlers {
             let _ = h.join();
         }
         // Reactor transport: the event loops stayed up through the

@@ -38,6 +38,12 @@ pub trait Conn: Send + Sync {
     /// do; the default, which keeps payloads where they arrive, serves
     /// connection wrappers outside the daemon.
     fn receive_into(&self, _pool: &crate::bml::Bml) {}
+    /// Whether `send` hands a payload of [`Frame::SPLIT_SEND_MIN`] bytes or
+    /// more to the kernel to copy out before it returns, reading none of
+    /// it: such a payload may map a file (`BackendObject::map_at`).
+    fn copies_in_kernel(&self) -> bool {
+        false
+    }
     /// Close both directions; subsequent `recv` on the peer returns `None`.
     fn close(&self);
 }
@@ -239,10 +245,23 @@ pub mod tcp {
     /// receive buffer, a BML slab) — a contiguous `encode()` image would
     /// re-copy it first, a per-byte tax that rivals the backend write
     /// itself for megabyte frames.
+    ///
+    /// A body that faults (`EFAULT`) maps a file truncated under it: from
+    /// there it goes a page at a time, and from the first page that faults
+    /// again as zeros, so the peer gets every byte still mapped and a whole
+    /// frame.
     fn write_all_split(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
+        const EFAULT: i32 = 14;
+        static ZEROS: [u8; 4096] = [0; 4096];
+        let (mut paged, mut gone) = (false, false);
         while !head.is_empty() || !body.is_empty() {
-            let bufs = [io::IoSlice::new(head), io::IoSlice::new(body)];
-            match w.write_vectored(&bufs) {
+            let page = (ZEROS.len() - body.as_ptr() as usize % ZEROS.len()).min(body.len());
+            let part = match (paged, gone) {
+                (_, true) => &ZEROS[..page],
+                (true, false) => &body[..page],
+                (false, false) => body,
+            };
+            match w.write_vectored(&[io::IoSlice::new(head), io::IoSlice::new(part)]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) if n <= head.len() => head = &head[n..],
                 Ok(n) => {
@@ -250,6 +269,7 @@ pub mod tcp {
                     head = &[];
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.raw_os_error() == Some(EFAULT) => (paged, gone) = (true, paged),
                 Err(e) => return Err(e),
             }
         }
@@ -287,6 +307,10 @@ pub mod tcp {
 
         fn receive_into(&self, pool: &Bml) {
             self.read.lock().2 = Some(pool.clone());
+        }
+
+        fn copies_in_kernel(&self) -> bool {
+            true
         }
 
         fn close(&self) {

@@ -246,3 +246,41 @@ fn path_glob_nth_rule_counts_only_matching_paths() {
     assert_eq!(open("/hot/y"), Some(Errno::Io), "second /hot open fails");
     assert_eq!(open("/hot/z"), None);
 }
+
+/// A client that stays connected and sends nothing does not hold a
+/// threaded daemon's shutdown past its deadline: a handler still waiting
+/// for its next frame then has its connection closed, and the report is
+/// an orderly shutdown's.
+#[test]
+fn an_idle_connected_client_does_not_hold_shutdown_past_its_deadline() {
+    use iofwd::transport::tcp::{TcpAcceptor, TcpConn};
+    use std::time::Instant;
+
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let sink = Arc::new(MemSinkBackend::new());
+    let server = IonServer::spawn(Box::new(acceptor), sink, staged_config(2, 4 << 20));
+    let mut idle = Client::connect(Box::new(TcpConn::connect(addr).expect("connect")));
+    let fd = idle
+        .open("/idle", OpenFlags::WRONLY | OpenFlags::CREATE, 0o644)
+        .expect("open");
+    idle.write(fd, &[1u8; 4096]).expect("write");
+    idle.fsync(fd).expect("fsync");
+    let deadline = Duration::from_millis(300);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || done_tx.send(server.shutdown_with_deadline(deadline)));
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returned while the client stayed connected");
+    assert!(
+        started.elapsed() < deadline + Duration::from_secs(2),
+        "shutdown took {:?} against a {deadline:?} deadline",
+        started.elapsed()
+    );
+    assert_eq!(report, iofwd::server::ShutdownReport::default());
+    assert!(
+        idle.stat("/idle").is_err(),
+        "the closed connection answered"
+    );
+}

@@ -3,7 +3,9 @@
 //!
 //! * [`lexer`] — the masking "lexer" shared by every source-level check.
 //! * [`rules`] — the single-file invariant lint rules R1–R13.
+//! * [`flakes`] — reading test runs for the flake hunter.
 
+pub mod flakes;
 pub mod lexer;
 pub mod rules;
 

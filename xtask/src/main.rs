@@ -77,6 +77,12 @@
 //! * `loom` — run the loomlite model-checking suite
 //!   (`crates/iofwd/tests/loom_model.rs`) with `RUSTFLAGS="--cfg loom"`.
 //!
+//! * `flakes N` — the flake hunter: run tier-1 (`cargo build --release`
+//!   once, then `cargo test` N times, `--no-fail-fast` so every test
+//!   binary runs each time) and print every test that failed in any run,
+//!   as a table of failure counts, then each failing run's output. Exit
+//!   1 if any test failed.
+//!
 //! Lock order and blocking-under-lock are checked at run time, by the
 //! lock checker in `iofwd::sync` that every debug test run carries.
 
@@ -85,6 +91,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use xtask::collect_rs_files;
+use xtask::flakes;
 use xtask::rules::{self, Rule};
 
 /// Hard cap on `xtask/lint.allow` so the escape hatch stays an escape
@@ -97,6 +104,13 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(&root),
         Some("loom") => run_loom(&root),
+        Some("flakes") => match args.get(1).and_then(|n| n.parse::<usize>().ok()) {
+            Some(runs) if runs > 0 => flakes(&root, runs),
+            _ => {
+                eprintln!("xtask flakes: expected a run count N >= 1");
+                ExitCode::FAILURE
+            }
+        },
         Some(other) => {
             eprintln!("xtask: unknown subcommand `{other}`");
             usage();
@@ -110,7 +124,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: cargo xtask <lint|loom>");
+    eprintln!("usage: cargo xtask <lint|loom|flakes N>");
 }
 
 /// The workspace root: xtask is always invoked via `cargo run` from the
@@ -346,5 +360,71 @@ fn run_loom(root: &Path) -> ExitCode {
             eprintln!("xtask loom: cargo test (loom) failed: {other:?}");
             ExitCode::FAILURE
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// flakes
+// ---------------------------------------------------------------------
+
+fn flakes(root: &Path, runs: usize) -> ExitCode {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let built = Command::new(&cargo)
+        .current_dir(root)
+        .args(["build", "--release"])
+        .status();
+    if !matches!(built, Ok(s) if s.success()) {
+        eprintln!("xtask flakes: cargo build --release failed: {built:?}");
+        return ExitCode::FAILURE;
+    }
+    let mut found = Vec::with_capacity(runs);
+    for run in 1..=runs {
+        // Not `-q`, which drops the `Running` lines that name each test
+        // binary; one pipe for both streams keeps each of them (stderr)
+        // ahead of its binary's results (stdout).
+        let out = Command::new("sh")
+            .current_dir(root)
+            .env("CARGO", &cargo)
+            .args(["-c", "\"$CARGO\" test --no-fail-fast 2>&1"])
+            .output();
+        let console = match out {
+            Ok(out) => String::from_utf8_lossy(&out.stdout).into_owned(),
+            Err(e) => {
+                eprintln!("xtask flakes: cannot run cargo test: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let failed = flakes::failures(&console);
+        let names: Vec<&str> = failed.iter().map(|f| f.name.as_str()).collect();
+        eprintln!(
+            "xtask flakes: run {run}/{runs}: {} failed {names:?}",
+            names.len()
+        );
+        found.push(failed);
+    }
+    let table = flakes::tally(&found);
+    println!("| test | failed runs | of {runs} |");
+    println!("|---|---|---|");
+    for (name, failed) in &table {
+        let which: Vec<String> = failed.iter().map(|(run, _)| run.to_string()).collect();
+        println!(
+            "| `{name}` | {} | runs {} |",
+            failed.len(),
+            which.join(", ")
+        );
+    }
+    for (name, failed) in &table {
+        for (run, output) in failed {
+            println!("\n---- {name}, run {run} ----\n{output}");
+        }
+    }
+    println!(
+        "\nxtask flakes: {} test(s) failed in at least one of {runs} run(s)",
+        table.len()
+    );
+    if table.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
